@@ -49,6 +49,7 @@ from .oracle import (
     best_permutation,
     certify,
     exhaustive_qubo_min,
+    sort_optimum,
 )
 from .programs import (
     TreeShape,
@@ -110,6 +111,7 @@ __all__ = [
     "matricize",
     "qubo_objective",
     "solve",
+    "sort_optimum",
     "to_hopfield",
     "to_ising",
     "validate_bst",

@@ -21,6 +21,7 @@ setting every bundled test runs with.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -39,8 +40,8 @@ class BuilderConfig:
     normalize: bool = True
 
     def __post_init__(self):
-        if not (self.lambda_r > 0.0 and self.lambda_c > 0.0):
-            raise DomainError("penalty weights must be positive")
+        if not (0.0 < self.lambda_r < math.inf and 0.0 < self.lambda_c < math.inf):
+            raise DomainError("penalty weights must be positive and finite")
 
 
 def build_N(program: OrderProgram) -> np.ndarray:
@@ -105,7 +106,7 @@ def build_qubo(
     N = build_N(program)
     Cr = build_Cr(n)
     Cc = build_Cc(n)
-    R = config.lambda_r * (Cr.T @ Cr) + config.lambda_c * (Cc.T @ Cc)
+    R = _penalty_matrix(n, config.lambda_r, config.lambda_c)
     ones = np.ones(n)
     r = -(N.T @ values) - 2.0 * ((config.lambda_r * Cr + config.lambda_c * Cc).T @ ones)
     return QuboInstance(
@@ -115,6 +116,24 @@ def build_qubo(
         lambda_c=config.lambda_c,
         source_n=n,
     )
+
+
+def _penalty_matrix(n: int, lambda_r: float, lambda_c: float) -> np.ndarray:
+    """lam_r C_r^T C_r + lam_c C_c^T C_c, written in place and marked read-only.
+
+    C_r^T C_r = 11^T (x) I couples cells in the same row and C_c^T C_c =
+    I (x) 11^T cells in the same column.  Viewed as cells[a, b, a', b'] for
+    z[a*n + b] (column a, row b), the two terms set the entries with b = b'
+    and with a = a'.  Both products hold only 0 and 1, so every entry comes
+    out bit-for-bit as lam_r, lam_c, lam_r + lam_c or 0.
+    """
+    R = np.zeros((n * n, n * n))
+    cells = R.reshape(n, n, n, n)
+    k = np.arange(n)
+    cells[:, k, :, k] = lambda_r
+    cells[k, :, k, :] += lambda_c
+    R.setflags(write=False)
+    return R
 
 
 def qubo_objective(instance: QuboInstance, z) -> float:

@@ -56,7 +56,7 @@ from .model import (
     apply_permutation,
     decode_permutation,
 )
-from .oracle import best_permutation, certify, exhaustive_qubo_min
+from .oracle import certify, exhaustive_qubo_min, sort_optimum
 from .programs import ascending_program, bst_program, descending_program, heap_program
 
 EXIT_OK = 0
@@ -226,7 +226,7 @@ def _cmd_verify(args) -> int:
         return EXIT_USAGE
 
     instance = build_qubo(x, program)
-    oracle_p, best_value = best_permutation(x, program)
+    best_value = sort_optimum(x, program)
     ranks = np.asarray(program.ranks, dtype=float)
 
     def accept(z: np.ndarray) -> bool:

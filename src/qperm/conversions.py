@@ -18,10 +18,12 @@ from .model import HopfieldInstance, IsingInstance, QuboInstance
 
 def fold_diagonal(instance: QuboInstance) -> QuboInstance:
     """Zero the diagonal of R, compensating in r; exact on binary states."""
-    diag = np.diag(instance.matrix_R).copy()
+    R = instance.matrix_R.copy()
+    diag = R.diagonal().copy()
+    np.fill_diagonal(R, 0.0)
     return QuboInstance(
-        matrix_R=instance.matrix_R - np.diag(diag),
-        vector_r=instance.vector_r + diag,
+        matrix_R=_sealed(R),
+        vector_r=_sealed(instance.vector_r + diag),
         lambda_r=instance.lambda_r,
         lambda_c=instance.lambda_c,
         source_n=instance.source_n,
@@ -35,15 +37,26 @@ def to_ising(instance: QuboInstance) -> IsingInstance:
     dropped constant is 1^T R 1 / 4 + r^T 1 / 2.
     """
     R = instance.matrix_R
-    if np.any(np.diag(R) != 0.0):
+    if np.any(R.diagonal() != 0.0):
         raise NonZeroDiagonal("fold_diagonal must run before the bipolar substitution")
     ones = np.ones(instance.dimension)
-    return IsingInstance(matrix_Q=R / 4.0, vector_q=0.5 * (R @ ones) + 0.5 * instance.vector_r)
+    return IsingInstance(
+        matrix_Q=_sealed(R / 4.0),
+        vector_q=_sealed(0.5 * (R @ ones) + 0.5 * instance.vector_r),
+    )
 
 
 def to_hopfield(instance: IsingInstance) -> HopfieldInstance:
     """Rename to network form: W = -2Q, theta = q; energies are identical."""
-    return HopfieldInstance(weights_W=-2.0 * instance.matrix_Q, bias_theta=instance.vector_q)
+    return HopfieldInstance(
+        weights_W=_sealed(-2.0 * instance.matrix_Q), bias_theta=instance.vector_q
+    )
+
+
+def _sealed(arr: np.ndarray) -> np.ndarray:
+    """Mark a freshly made array read-only so the instance adopts it uncopied."""
+    arr.setflags(write=False)
+    return arr
 
 
 def binary_to_bipolar(z) -> np.ndarray:

@@ -7,6 +7,17 @@ flip has negative gain.  Because every accepted flip strictly lowers the
 energy, no state repeats and termination is guaranteed; the step budget
 is a safety net for hand-crafted instances.
 
+Descent keeps the field h = W s: it computes h once, in O(N^2), and after
+flipping coordinate i adds row i of W, in O(N); gains and energies come
+from h.  Row updates round differently from a fresh W @ s, so a tie guard
+checks every choice: whenever the best gain lies within a proven rounding
+bound of 0, or within twice that bound of another gain, h is recomputed
+as W @ s and the choice is made from it.  A flip whose gain lies within
+the energy rounding bound of 0 also takes both of its energies from a
+fresh product, so the trace's strict-decrease check sees the values that
+a fresh product at every step gives.  Flip sequences and outcomes are
+thereby exactly those of recomputing W @ s at every step.
+
 The returned trace keeps every visited state and appends one repeated
 final row, which makes the stability of the endpoint visible in
 renderings of the run.
@@ -33,7 +44,7 @@ from .errors import (
     IndexOutOfRange,
     MaxStepsExceeded,
 )
-from .model import HopfieldInstance, SolverTrace, TraceStep
+from .model import SYMMETRY_TOL, HopfieldInstance, SolverTrace, TraceStep
 
 ALL_INACTIVE = "all_inactive"
 RANDOM = "random"
@@ -150,23 +161,96 @@ def _descend(
 ) -> tuple[np.ndarray, SolverTrace]:
     W = instance.weights_W
     theta = instance.bias_theta
+    N = theta.size
+    scale = N * max(float(W.max(initial=0.0)), -float(W.min(initial=0.0)))
+    scale += float(np.abs(theta).max(initial=0.0))
     s = start.astype(float)
-    e = float(-0.5 * (s @ W @ s) + theta @ s)
+    h = W @ s
+    stale = 0  # row updates folded into h since it was last computed as W @ s
+    e = float(-0.5 * (s @ h) + theta @ s)
     steps = [TraceStep(0, start, e)]
     flips = 0
     while True:
-        gains = 2.0 * s * (W @ s - theta)
+        gain_err, energy_err = _rounding_bounds(N, stale + 1, scale)
+        gains = 2.0 * s * (h - theta)
         i = int(np.argmin(gains))  # ties: lowest index
+        if stale and _ambiguous(gains, i, gain_err):
+            h = W @ s
+            stale = 0
+            gains = 2.0 * s * (h - theta)
+            i = int(np.argmin(gains))
         if gains[i] >= 0.0:
             final = s.astype(np.int8)
             steps.append(TraceStep(len(steps), final, e))
             return final, SolverTrace(tuple(steps), converged=True, flips=flips)
         if flips >= budget:
             raise MaxStepsExceeded(f"no stable state within {budget} flips")
+        # A gain this close to 0 may not lower the energy as computed, and the
+        # trace rejects a step that does not; take both energies from a fresh
+        # product, so the trace passes or fails as with one at every step.
+        near_zero = gains[i] >= -(gain_err + 2.0 * energy_err)
+        if near_zero:
+            e = _fresh_energy(W, theta, s)
+            steps[-1] = TraceStep(steps[-1].index, steps[-1].state, e)
         s[i] = -s[i]
+        h += (2.0 * s[i]) * W[i]
+        stale += 1
         flips += 1
-        e = float(-0.5 * (s @ W @ s) + theta @ s)
+        e = _fresh_energy(W, theta, s) if near_zero else float(-0.5 * (s @ h) + theta @ s)
         steps.append(TraceStep(len(steps), s.astype(np.int8), e))
+
+
+def _fresh_energy(W: np.ndarray, theta: np.ndarray, s: np.ndarray) -> float:
+    return float(-0.5 * (s @ W @ s) + theta @ s)
+
+
+def _rounding_bounds(N: int, stale: int, scale: float) -> tuple[float, float]:
+    """Bounds on how far gains and energies from h stray from a fresh W @ s.
+
+    Let u be the unit roundoff, gamma = gamma_{N+t+1} with
+    gamma_k = k*u / (1 - k*u), t = stale, tau = SYMMETRY_TOL, and
+    scale = N*max|W| + max|theta|, which bounds |(W s)_j| + |theta_j|.
+
+    Gains.  A dot product of length N is off by at most
+    gamma_N * sum_k |W_jk| in any summation order, so a fresh gain
+    2*s_j*(fl(W @ s)_j - theta_j) (doubling is exact) lies within
+    2*gamma_{N+1}*scale of the exact one.  Each of the t row updates
+    folded into h since then rounds by at most u*|h_j|, which compounds
+    to gamma*scale.  It also adds W[i, j] where the field needs W[j, i],
+    which the instance guarantees to tau; the flip doubles that to 2*tau.
+    A gain from h is thus within 2*gamma*scale + 4*t*tau*(1 + gamma) of
+    the exact gain, and within gain_err = 4*gamma*scale + 4*t*tau*(1 + gamma)
+    of the fresh one.
+
+    Energies.  -1/2 s.h + theta.s sums N such fields against s, and so
+    does the fresh -1/2 (s @ W) @ s + theta @ s; with the final roundings
+    either is within energy_err = 4*N*(gamma*scale + t*tau) of the exact
+    energy.
+    """
+    u = np.finfo(float).eps / 2.0
+    k = (N + stale + 1) * u
+    gamma = k / (1.0 - k)
+    gain_err = 4.0 * gamma * scale + 4.0 * stale * SYMMETRY_TOL * (1.0 + gamma)
+    energy_err = 4.0 * N * (gamma * scale + stale * SYMMETRY_TOL)
+    return gain_err, energy_err
+
+
+def _ambiguous(gains: np.ndarray, i: int, err: float) -> bool:
+    """Whether gains off by up to err each could make a fresh W @ s choose otherwise.
+
+    The choice stands when gains[i] > err (stop; every fresh gain is
+    positive), or when gains[i] < -err (flip) and every other gain exceeds
+    gains[i] by more than 2*err (the fresh argmin is still i).
+    """
+    best = float(gains[i])
+    if best > err:
+        return False
+    if best >= -err:
+        return True
+    gains[i] = np.inf
+    runner_up = float(gains.min())
+    gains[i] = best
+    return runner_up - best <= 2.0 * err
 
 
 def _check_state(instance: HopfieldInstance, s) -> np.ndarray:

@@ -4,6 +4,17 @@ Every other module (builder, conversions, solver, oracle, CLI) speaks in
 terms of these types.  Instances are frozen and their arrays are marked
 read-only, so they can be shared freely between threads and calls.
 
+Adoption rule: an instance keeps an array it is given as it is, without
+copying, when that array is an ndarray of the right dtype that is already
+read-only and owns its buffer.  Nothing else can write through such an
+array unless its holder deliberately re-enables writing, so the stages of
+the pipeline mark what they build read-only and hand it over for free.
+Every other input (lists, writable arrays, views of someone else's
+memory) is copied and the copy is marked read-only.
+
+Matrices must be symmetric to within SYMMETRY_TOL and, like the vectors
+beside them, finite; NaN or infinite entries raise DomainError.
+
 Conventions fixed here once and relied on everywhere:
 
 * vectorization stacks matrix columns (Fortran order), and matricization
@@ -32,20 +43,46 @@ from .errors import (
 )
 
 SYMMETRY_TOL = 1e-12
+# Rows per strip of the symmetry check; a strip's temporary is at most
+# _SYMMETRY_STRIP x N floats, never N x N.
+_SYMMETRY_STRIP = 64
 
 PROGRAM_KINDS = ("ascending", "descending", "bst", "heap", "custom")
 
 
 def _readonly(values, dtype=float) -> np.ndarray:
+    if (
+        type(values) is np.ndarray
+        and values.dtype == dtype
+        and not values.flags.writeable
+        and values.flags.owndata
+    ):
+        return values
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
     return arr
 
 
 def _require_symmetric(matrix: np.ndarray, name: str) -> None:
-    gap = float(np.abs(matrix - matrix.T).max(initial=0.0))
-    if gap > SYMMETRY_TOL:
-        raise DomainError(f"{name} must be symmetric; max asymmetry {gap:.3e}")
+    """Compare each strip of rows above the diagonal with its column strip.
+
+    Every pair (i, j) meets in the strip that holds min(i, j), so this sees
+    the same gaps as |M - M^T| without building it.  The test is written
+    `not gap <= tol` so that a NaN gap (from NaN or infinite entries) fails.
+    """
+    n = matrix.shape[0]
+    for i in range(0, n, _SYMMETRY_STRIP):
+        j = i + _SYMMETRY_STRIP
+        with np.errstate(invalid="ignore"):  # inf - inf is the NaN we look for
+            diff = matrix[i:j, i:] - matrix[i:, i:j].T
+        gap = float(np.abs(diff, out=diff).max())
+        if not gap <= SYMMETRY_TOL:
+            raise DomainError(f"{name} must be symmetric and finite; asymmetry {gap:.3e}")
+
+
+def _require_finite(vector: np.ndarray, name: str) -> None:
+    if not np.isfinite(vector).all():
+        raise DomainError(f"{name} must be finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,8 +101,7 @@ class ValueVector:
         entries = _readonly(self.entries)
         if entries.ndim != 1 or entries.size == 0:
             raise InvalidSize("need a one-dimensional vector with at least one entry")
-        if not np.all(np.isfinite(entries)):
-            raise DomainError("entries must be finite")
+        _require_finite(entries, "entries")
         scale = float(np.abs(entries).sum())
         normalized = _readonly(entries / scale) if scale > 0.0 else None
         object.__setattr__(self, "entries", entries)
@@ -126,6 +162,7 @@ class QuboInstance:
             raise DimensionMismatch(
                 f"dimension {R.shape[0]} is not source_n**2 for source_n={self.source_n}"
             )
+        _require_finite(r, "vector_r")
         _require_symmetric(R, "matrix_R")
         object.__setattr__(self, "matrix_R", R)
         object.__setattr__(self, "vector_r", r)
@@ -150,6 +187,7 @@ class IsingInstance:
         q = _readonly(self.vector_q)
         if Q.ndim != 2 or Q.shape[0] != Q.shape[1] or q.shape != (Q.shape[0],):
             raise DimensionMismatch("matrix_Q must be square and match vector_q")
+        _require_finite(q, "vector_q")
         _require_symmetric(Q, "matrix_Q")
         if np.any(np.diag(Q) != 0.0):
             raise NonZeroDiagonal("matrix_Q must have an exactly zero diagonal")
@@ -173,6 +211,7 @@ class HopfieldInstance:
         theta = _readonly(self.bias_theta)
         if W.ndim != 2 or W.shape[0] != W.shape[1] or theta.shape != (W.shape[0],):
             raise DimensionMismatch("weights_W must be square and match bias_theta")
+        _require_finite(theta, "bias_theta")
         _require_symmetric(W, "weights_W")
         if np.any(np.diag(W) != 0.0):
             raise DomainError("weights_W must have an exactly zero diagonal")

@@ -4,7 +4,9 @@ best_permutation scores every one of the n! arrangements directly on the
 raw input values; exhaustive_qubo_min scores every one of the 2^N binary
 states of a compiled instance.  Neither knows anything about how the
 solver searches, which is the point: certify compares a solver state
-against answers obtained by a route it cannot share.
+against answers obtained by a route it cannot share.  sort_optimum reads
+the optimal objective off one sort, at any n, for callers that need only
+the value.
 """
 
 from __future__ import annotations
@@ -88,6 +90,19 @@ def best_permutation(x: ValueVector, program: OrderProgram) -> tuple[Permutation
     matrix = np.zeros((n, n), dtype=int)
     matrix[np.arange(n), list(best_mapping)] = 1
     return PermutationMatrix(matrix), best_value
+
+
+def sort_optimum(x: ValueVector, program: OrderProgram) -> float:
+    """The minimum of -x^T P^T ranks over all permutations P, in O(n log n).
+
+    By the rearrangement inequality, sum_i ranks[i] * y[i] is largest when
+    slot i holds the ranks[i]-th smallest value, so the optimum is
+    -sum_i ranks[i] * sorted(x)[ranks[i] - 1].  No size guard applies.
+    """
+    if program.n != x.n:
+        raise DimensionMismatch(f"x has {x.n} entries but the program has {program.n} slots")
+    ranks = np.asarray(program.ranks)
+    return -float(np.sort(x.entries)[ranks - 1] @ ranks.astype(float))
 
 
 def exhaustive_qubo_min(instance: QuboInstance) -> tuple[np.ndarray, float]:

@@ -86,6 +86,12 @@ class TestBuildQubo:
         with pytest.raises(DomainError):
             BuilderConfig(lambda_r=1.0, lambda_c=-1.0)
 
+    def test_penalties_must_be_finite(self):
+        with pytest.raises(DomainError):
+            BuilderConfig(lambda_r=float("inf"), lambda_c=1.0)
+        with pytest.raises(DomainError):
+            BuilderConfig(lambda_r=1.0, lambda_c=float("nan"))
+
 
 class TestQuboObjective:
     def test_hand_expansion_two_slots(self):

@@ -173,6 +173,15 @@ class TestSolveCommand:
         assert out[0] == "permutation: 0"
         assert out[2] == "flips: 1"
 
+    def test_nan_in_qubo_file_exit_code(self, reference_files, capsys):
+        x_path, program_path, tmp_path = reference_files
+        qubo = tmp_path / "qubo.json"
+        assert main(["build", x_path, program_path("heap"), "-o", str(qubo)]) == 0
+        payload = json.loads(qubo.read_text())
+        payload["R"][3][5] = payload["R"][5][3] = float("nan")
+        assert main(["solve", write_json(qubo, payload)]) == 2
+        assert "finite" in capsys.readouterr().err
+
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["solve", str(tmp_path / "absent.json")]) == 2
 
@@ -204,6 +213,23 @@ class TestVerifyCommand:
         assert "feasible permutation     PASS" in out
         assert "objective vs oracle      PASS" in out
         assert "structure (heap)         PASS" in out
+
+    def test_enumerates_orderings_once(self, reference_files, monkeypatch):
+        import qperm.cli
+        import qperm.oracle
+
+        calls = []
+        enumerate_all = qperm.oracle.best_permutation
+
+        def counted(*args):
+            calls.append(args)
+            return enumerate_all(*args)
+
+        monkeypatch.setattr(qperm.oracle, "best_permutation", counted)
+        monkeypatch.setattr(qperm.cli, "best_permutation", counted, raising=False)
+        x_path, program_path, _ = reference_files
+        assert main(["verify", x_path, program_path("bst")]) == 0
+        assert len(calls) == 1
 
     def test_sorting_structure_skipped(self, reference_files, capsys):
         x_path, program_path, _ = reference_files

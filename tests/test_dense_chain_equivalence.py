@@ -1,0 +1,293 @@
+"""The dense chain against the formulas it replaces, bit for bit or flip for flip.
+
+build_qubo writes R in place, fold_diagonal zeroes the diagonal of a copy,
+and descent updates its field by one row of W per flip.  These tests hold
+each of them to the two-product form it replaced: _descend_two_products is
+the earlier descent, copied verbatim, which recomputes W @ s and the energy
+from scratch at every step.
+"""
+
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from qperm import (
+    ALL_INACTIVE,
+    RANDOM,
+    BuilderConfig,
+    DomainError,
+    HopfieldInstance,
+    MaxStepsExceeded,
+    QuboInstance,
+    SolverConfig,
+    SolverTrace,
+    TraceStep,
+    ValueVector,
+    build_Cc,
+    build_Cr,
+    build_qubo,
+    energy,
+    fold_diagonal,
+    solve,
+    to_hopfield,
+    to_ising,
+)
+from qperm import hopfield
+
+from .conftest import flip_positions, make_program
+
+
+def _descend_two_products(
+    instance: HopfieldInstance, start: np.ndarray, budget: int
+) -> tuple[np.ndarray, SolverTrace]:
+    W = instance.weights_W
+    theta = instance.bias_theta
+    s = start.astype(float)
+    e = float(-0.5 * (s @ W @ s) + theta @ s)
+    steps = [TraceStep(0, start, e)]
+    flips = 0
+    while True:
+        gains = 2.0 * s * (W @ s - theta)
+        i = int(np.argmin(gains))  # ties: lowest index
+        if gains[i] >= 0.0:
+            final = s.astype(np.int8)
+            steps.append(TraceStep(len(steps), final, e))
+            return final, SolverTrace(tuple(steps), converged=True, flips=flips)
+        if flips >= budget:
+            raise MaxStepsExceeded(f"no stable state within {budget} flips")
+        s[i] = -s[i]
+        flips += 1
+        e = float(-0.5 * (s @ W @ s) + theta @ s)
+        steps.append(TraceStep(len(steps), s.astype(np.int8), e))
+
+
+def bits(a: np.ndarray) -> bytes:
+    return np.ascontiguousarray(a, dtype=float).tobytes()
+
+
+def assert_same_descent(network, new, old):
+    (state, trace), (old_state, old_trace) = new, old
+    assert flip_positions(trace) == flip_positions(old_trace)
+    assert np.array_equal(state, old_state)
+    assert trace.converged == old_trace.converged
+    assert trace.flips == old_trace.flips
+    for step in trace.steps:
+        exact = energy(network, step.state)
+        assert step.energy == pytest.approx(exact, rel=1e-9, abs=1e-12)
+
+
+def compare_descents(network, start, budget=None):
+    """Both descents return the same run, or both raise the same error.
+
+    The earlier descent raises DomainError when a flip whose true gain is 0
+    rounds to a negative gain and the energies it computes fail to decrease;
+    the current one must raise it in exactly the same cases.
+    """
+    N = network.dimension
+    budget = N * N if budget is None else budget
+    try:
+        old = _descend_two_products(network, start, budget)
+    except (MaxStepsExceeded, DomainError) as exc:
+        with pytest.raises(type(exc)):
+            hopfield._descend(network, start, budget)
+        return
+    assert_same_descent(network, hopfield._descend(network, start, budget), old)
+
+
+# --- inputs ---------------------------------------------------------------
+
+KINDS = ("ascending", "bst", "heap")
+
+
+@st.composite
+def input_values(draw, n):
+    style = draw(st.sampled_from(("integer", "duplicate", "signed")))
+    if style == "integer":
+        vals = draw(st.lists(st.integers(0, 10 * n), min_size=n, max_size=n, unique=True))
+    elif style == "duplicate":
+        vals = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    else:
+        vals = draw(
+            st.lists(
+                st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False),
+                min_size=n,
+                max_size=n,
+            )
+        )
+    return [float(v) for v in vals]
+
+
+@st.composite
+def builder_networks(draw, max_n=12):
+    n = draw(st.integers(1, max_n))
+    kind = draw(st.sampled_from(KINDS))
+    x = ValueVector(draw(input_values(n)))
+    config = draw(
+        st.one_of(
+            st.none(),
+            st.builds(
+                BuilderConfig,
+                lambda_r=st.floats(0.05, 30.0),
+                lambda_c=st.floats(0.05, 30.0),
+                normalize=st.booleans(),
+            ),
+        )
+    )
+    normalize = config is None or config.normalize
+    assume(not normalize or x.normalized_entries is not None)
+    instance = build_qubo(x, make_program(kind, n), config)
+    return to_hopfield(to_ising(fold_diagonal(instance)))
+
+
+@st.composite
+def dense_networks(draw):
+    """Random symmetric networks; coarse value sets make exact and rounded ties common."""
+    N = draw(st.integers(1, 40))
+    seed = draw(st.integers(0, 2**32 - 1))
+    style = draw(st.sampled_from(("gaussian", "integer", "coarse")))
+    rnd = np.random.default_rng(seed)
+    if style == "gaussian":
+        W, theta = rnd.normal(size=(N, N)), rnd.normal(size=N)
+    elif style == "integer":
+        W, theta = rnd.integers(-2, 3, size=(N, N)), rnd.integers(-3, 4, size=N)
+    else:
+        levels = np.array([-0.7, -0.3, -0.1, 0.1, 0.2, 0.3])
+        W, theta = rnd.choice(levels, size=(N, N)), rnd.choice(levels, size=N) * 3
+    W = np.triu(W.astype(float), 1)
+    return HopfieldInstance(weights_W=W + W.T, bias_theta=theta.astype(float))
+
+
+def random_start(N, seed):
+    return (np.random.default_rng(seed).integers(0, 2, size=N) * 2 - 1).astype(np.int8)
+
+
+# --- descent --------------------------------------------------------------
+
+
+class TestDescentMatchesTwoProducts:
+    @given(builder_networks())
+    @settings(max_examples=120, deadline=None)
+    def test_builder_instances_from_all_inactive(self, network):
+        compare_descents(network, np.full(network.dimension, -1, dtype=np.int8))
+
+    @given(builder_networks(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=120, deadline=None)
+    def test_builder_instances_from_random_starts(self, network, seed):
+        compare_descents(network, random_start(network.dimension, seed))
+
+    @given(dense_networks(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_dense_networks(self, network, seed):
+        compare_descents(network, random_start(network.dimension, seed))
+
+    @given(dense_networks(), st.integers(0, 2**32 - 1), st.integers(0, 5))
+    @settings(max_examples=40, deadline=None)
+    def test_step_budget(self, network, seed, budget):
+        compare_descents(network, random_start(network.dimension, seed), budget)
+
+    @given(
+        builder_networks(max_n=8),
+        st.sampled_from((ALL_INACTIVE, RANDOM)),
+        st.integers(0, 4),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_restarts_visit_the_same_states(self, network, start, restarts, seed):
+        config = SolverConfig(initial_state=start, restarts=restarts, seed=seed)
+
+        def run():
+            seen = []
+
+            def never(state):  # rejects every endpoint, so every restart runs
+                seen.append(state.copy())
+                return False
+
+            return solve(network, config, never), seen
+
+        (new, new_seen) = run()
+        with mock.patch.object(hopfield, "_descend", _descend_two_products):
+            (old, old_seen) = run()
+        assert len(new_seen) == len(old_seen) == restarts + 1
+        for a, b in zip(new_seen, old_seen):
+            assert np.array_equal(a, b)
+        assert_same_descent(network, new, old)
+
+    def test_exact_tie_after_a_row_update(self):
+        """Coordinates 1 and 3 tie at a gain of exactly -0.9 after the first flip.
+
+        A fresh W @ s puts coordinate 3 one ulp lower; the field kept by row
+        updates leaves the two equal, which would send the flip to 1.
+        """
+        x = ValueVector([-2.0, 2.0])
+        config = BuilderConfig(lambda_r=0.9, lambda_c=0.5)
+        network = to_hopfield(to_ising(fold_diagonal(build_qubo(x, make_program("bst", 2), config))))
+        start = np.full(4, -1, dtype=np.int8)
+        _, trace = hopfield._descend(network, start, 16)
+        assert flip_positions(trace) == [2, 3]
+        compare_descents(network, start)
+
+    @pytest.mark.parametrize(
+        "upper, theta, start",
+        [
+            # the earlier descent converges after 5 flips
+            (
+                [0.3, -0.3, -0.1, -0.3, 0.2, 0.2, 0.3, -0.1, 0.2, -0.3],
+                [0.2, 0.2, 0.2, -0.1, -0.1],
+                [-1, 1, 1, -1, -1],
+            ),
+            # the earlier descent takes a zero-gain flip and its trace rejects it
+            ([-0.7, 0.2, -0.1], [-0.1, 0.2, -0.7], [-1, 1, -1]),
+        ],
+    )
+    def test_flips_with_gain_near_zero(self, upper, theta, start):
+        """Energies computed from h alone would pass the strict-decrease check here
+        when the fresh ones fail it, or the other way round."""
+        N = len(theta)
+        W = np.zeros((N, N))
+        W[np.triu_indices(N, 1)] = upper
+        network = HopfieldInstance(weights_W=W + W.T, bias_theta=np.array(theta) * 3)
+        compare_descents(network, np.array(start, dtype=np.int8))
+
+
+# --- builder and fold -----------------------------------------------------
+
+
+class TestInPlaceMatrices:
+    @given(
+        st.integers(1, 12),
+        st.floats(1e-3, 1e3),
+        st.floats(1e-3, 1e3),
+        st.sampled_from(KINDS),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_R_matches_kronecker_products(self, n, lambda_r, lambda_c, kind):
+        x = ValueVector(np.arange(1.0, n + 1.0))
+        config = BuilderConfig(lambda_r=lambda_r, lambda_c=lambda_c)
+        R = build_qubo(x, make_program(kind, n), config).matrix_R
+        Cr, Cc = build_Cr(n), build_Cc(n)
+        assert bits(R) == bits(lambda_r * (Cr.T @ Cr) + lambda_c * (Cc.T @ Cc))
+
+    @given(st.integers(1, 10), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_fold_matches_diagonal_subtraction(self, n, seed):
+        rnd = np.random.default_rng(seed)
+        A = rnd.normal(size=(n * n, n * n)) * rnd.choice([1e-3, 1.0, 1e6])
+        R = A + A.T
+        R[rnd.random(R.shape) < 0.3] = 0.0
+        R = np.triu(R) + np.triu(R, 1).T
+        instance = QuboInstance(
+            matrix_R=R, vector_r=rnd.normal(size=n * n), lambda_r=1.0, lambda_c=1.0,
+            source_n=n,
+        )
+        folded = fold_diagonal(instance)
+        assert bits(folded.matrix_R) == bits(R - np.diag(np.diag(R)))
+        assert bits(folded.vector_r) == bits(instance.vector_r + np.diag(R))
+
+    def test_builder_output_is_adopted_downstream(self):
+        x = ValueVector([3.0, 1.0, 2.0])
+        network = to_hopfield(to_ising(fold_diagonal(build_qubo(x, make_program("heap", 3)))))
+        assert not network.weights_W.flags.writeable
+        assert network.weights_W.flags.owndata

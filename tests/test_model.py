@@ -225,3 +225,166 @@ class TestSolverTrace:
     def test_trace_step_requires_bipolar_state(self):
         with pytest.raises(DomainError):
             TraceStep(0, np.array([0, 1], dtype=np.int8), 0.0)
+
+
+def symmetric(N, seed=0):
+    rnd = np.random.default_rng(seed)
+    A = rnd.normal(size=(N, N))
+    A = A + A.T
+    np.fill_diagonal(A, 0.0)
+    return A
+
+
+# name -> (build from the caller's arrays, fresh caller arrays, array fields)
+FROZEN_TYPES = {
+    "ValueVector": (
+        lambda a: ValueVector(a[0]),
+        lambda: [np.array([3.0, -1.0, 2.0])],
+        ("entries", "normalized_entries"),
+    ),
+    "QuboInstance": (
+        lambda a: QuboInstance(
+            matrix_R=a[0], vector_r=a[1], lambda_r=1.0, lambda_c=1.0, source_n=2
+        ),
+        lambda: [symmetric(4), np.arange(4.0)],
+        ("matrix_R", "vector_r"),
+    ),
+    "IsingInstance": (
+        lambda a: IsingInstance(matrix_Q=a[0], vector_q=a[1]),
+        lambda: [symmetric(4), np.arange(4.0)],
+        ("matrix_Q", "vector_q"),
+    ),
+    "HopfieldInstance": (
+        lambda a: HopfieldInstance(weights_W=a[0], bias_theta=a[1]),
+        lambda: [symmetric(4), np.arange(4.0)],
+        ("weights_W", "bias_theta"),
+    ),
+    "PermutationMatrix": (
+        lambda a: PermutationMatrix(a[0]),
+        lambda: [np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]])],
+        ("matrix",),
+    ),
+    "TraceStep": (
+        lambda a: TraceStep(0, a[0], 0.0),
+        lambda: [np.array([1, -1, 1], dtype=np.int8)],
+        ("state",),
+    ),
+}
+
+
+class TestImmutability:
+    @pytest.mark.parametrize("name", sorted(FROZEN_TYPES))
+    def test_caller_mutation_does_not_reach_the_instance(self, name):
+        make, arrays, fields = FROZEN_TYPES[name]
+        given_arrays = arrays()
+        instance = make(given_arrays)
+        before = {f: getattr(instance, f).copy() for f in fields}
+        for arr in given_arrays:
+            arr[...] = -7
+        for f in fields:
+            assert np.array_equal(getattr(instance, f), before[f])
+            assert not getattr(instance, f).flags.writeable
+
+    @pytest.mark.parametrize(
+        "name", ["ValueVector", "QuboInstance", "IsingInstance", "HopfieldInstance", "TraceStep"]
+    )
+    def test_read_only_owned_arrays_are_adopted(self, name):
+        make, arrays, fields = FROZEN_TYPES[name]
+        given_arrays = arrays()
+        for arr in given_arrays:
+            arr.setflags(write=False)
+        instance = make(given_arrays)
+        for f, arr in zip(fields, given_arrays):
+            assert getattr(instance, f) is arr
+
+    def test_views_and_other_dtypes_are_copied(self):
+        base = np.array([0.0, 3.0, -1.0, 2.0])
+        base.setflags(write=False)
+        view = base[1:]
+        assert ValueVector(view).entries is not view
+        ints = np.array([3, -1, 2])
+        ints.setflags(write=False)
+        x = ValueVector(ints)
+        assert x.entries is not ints
+        assert x.entries.dtype == float
+
+
+class TestTiledSymmetryCheck:
+    # 150 = 2 * 64 + 22 rows, so the last strip is a partial one
+    N = 150
+    ROWS = (0, 1, 63, 64, 100, 127, 128, 140, 149)
+
+    def pairs(self):
+        for i in self.ROWS:
+            for j in self.ROWS:
+                if i != j:
+                    yield i, j
+
+    def test_strip_height_leaves_a_partial_strip(self):
+        from qperm.model import _SYMMETRY_STRIP
+
+        assert self.N % _SYMMETRY_STRIP != 0
+        assert self.N > 2 * _SYMMETRY_STRIP
+
+    @pytest.mark.parametrize("build", ["ising", "hopfield"])
+    def test_gap_above_tolerance_rejected_in_every_strip(self, build):
+        base = symmetric(self.N, seed=3)
+        theta = np.zeros(self.N)
+        make = (
+            (lambda W: IsingInstance(matrix_Q=W, vector_q=theta))
+            if build == "ising"
+            else (lambda W: HopfieldInstance(weights_W=W, bias_theta=theta))
+        )
+        make(base)
+        for i, j in self.pairs():
+            W = base.copy()
+            W[i, j] += 1.5e-12
+            with pytest.raises(DomainError):
+                make(W)
+            W = base.copy()
+            W[i, j] += 0.5e-12
+            make(W)
+
+    def test_qubo_gap_in_last_partial_strip(self):
+        n = 12  # N = 144 = 2 * 64 + 16
+        R = symmetric(n * n, seed=4) + np.eye(n * n)
+        r = np.zeros(n * n)
+
+        def make(M):
+            return QuboInstance(matrix_R=M, vector_r=r, lambda_r=1.0, lambda_c=1.0, source_n=n)
+
+        make(R)
+        for i, j in [(143, 130), (130, 143), (140, 5), (5, 140), (64, 143)]:
+            M = R.copy()
+            M[i, j] += 1.5e-12
+            with pytest.raises(DomainError):
+                make(M)
+            M = R.copy()
+            M[i, j] += 0.5e-12
+            make(M)
+
+
+class TestNonFiniteData:
+    @pytest.mark.parametrize("name", ["QuboInstance", "IsingInstance", "HopfieldInstance"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_matrix_rejected(self, name, bad):
+        make, arrays, _ = FROZEN_TYPES[name]
+        given_arrays = arrays()
+        given_arrays[0][1, 2] = given_arrays[0][2, 1] = bad
+        with pytest.raises(DomainError):
+            make(given_arrays)
+
+    @pytest.mark.parametrize("name", ["QuboInstance", "IsingInstance", "HopfieldInstance"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_vector_rejected(self, name, bad):
+        make, arrays, _ = FROZEN_TYPES[name]
+        given_arrays = arrays()
+        given_arrays[1][3] = bad
+        with pytest.raises(DomainError):
+            make(given_arrays)
+
+    def test_nan_on_the_diagonal_rejected(self):
+        R = symmetric(4)
+        R[0, 0] = np.nan
+        with pytest.raises(DomainError):
+            QuboInstance(matrix_R=R, vector_r=np.zeros(4), lambda_r=1.0, lambda_c=1.0, source_n=2)

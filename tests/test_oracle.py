@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qperm import (
+    DimensionMismatch,
+    OrderProgram,
     QuboInstance,
     SizeBudgetExceeded,
     ValueVector,
@@ -13,9 +17,11 @@ from qperm import (
     build_qubo,
     certify,
     decode_permutation,
+    descending_program,
     exhaustive_qubo_min,
     fold_diagonal,
     heap_program,
+    sort_optimum,
     vectorize,
 )
 
@@ -65,6 +71,49 @@ class TestBestPermutation:
         p, _ = best_permutation(x, ascending_program(n))
         arranged = [float(x.entries[c]) for c in p.as_mapping]
         assert arranged == sorted(float(v) for v in values)
+
+
+class TestSortOptimum:
+    def test_reference_heap_value(self):
+        x = ValueVector(ref.INPUT_X)
+        program = heap_program(7)
+        expected = -float(np.asarray(ref.EXPECTED_Y["heap"]) @ np.asarray(program.ranks))
+        assert sort_optimum(x, program) == expected
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            sort_optimum(ValueVector([1.0, 2.0]), ascending_program(3))
+
+    def test_no_size_guard(self):
+        n = 2000
+        value = sort_optimum(ValueVector(np.arange(float(n))), ascending_program(n))
+        assert value == -sum(k * (k - 1) for k in range(1, n + 1))
+
+    @given(
+        st.integers(min_value=1, max_value=8),
+        st.sampled_from(["ascending", "descending", "bst", "heap", "custom"]),
+        st.sampled_from(["distinct", "duplicate", "signed"]),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_enumeration(self, n, kind, style, rnd):
+        if style == "distinct":
+            values = [float(v) for v in rnd.sample(range(0, 10 * n), n)]
+        elif style == "duplicate":
+            values = [float(rnd.randint(-2, 2)) for _ in range(n)]
+        else:
+            values = [rnd.uniform(-1e3, 1e3) for _ in range(n)]
+        if kind == "custom":
+            ranks = list(range(1, n + 1))
+            rnd.shuffle(ranks)
+            program = OrderProgram(ranks=tuple(ranks), kind="custom")
+        elif kind == "descending":
+            program = descending_program(n)
+        else:
+            program = make_program(kind, n)
+        x = ValueVector(values)
+        _, best = best_permutation(x, program)
+        assert math.isclose(sort_optimum(x, program), best, rel_tol=1e-9, abs_tol=1e-9)
 
 
 class TestExhaustiveQuboMin:
