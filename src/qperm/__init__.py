@@ -3,8 +3,8 @@
 Pick a target arrangement (sorted order, search-tree layout, heap
 layout), compile it together with an input vector into a quadratic
 binary objective, relax that objective on a Hopfield network by steepest
-single-flip descent, and certify the decoded permutation against
-brute-force enumeration.
+single-flip descent, and certify the decoded permutation against the
+exact optimum, which one sort gives.
 """
 
 from .builder import BuilderConfig, build_Cc, build_Cr, build_N, build_qubo, qubo_objective

@@ -103,12 +103,11 @@ def build_qubo(
     else:
         values = x.entries
 
-    N = build_N(program)
-    Cr = build_Cr(n)
-    Cc = build_Cc(n)
     R = _penalty_matrix(n, config.lambda_r, config.lambda_c)
-    ones = np.ones(n)
-    r = -(N.T @ values) - 2.0 * ((config.lambda_r * Cr + config.lambda_c * Cc).T @ ones)
+    # N^T x puts x[a] * ranks[b] at z[a*n + b], and every column of C_r and
+    # of C_c holds a single 1.
+    ranks = np.asarray(program.ranks, dtype=float)
+    r = -np.outer(values, ranks).ravel() - 2.0 * (config.lambda_r + config.lambda_c)
     return QuboInstance(
         matrix_R=R,
         vector_r=r,

@@ -14,9 +14,11 @@ checks every choice: whenever the best gain lies within a proven rounding
 bound of 0, or within twice that bound of another gain, h is recomputed
 as W @ s and the choice is made from it.  A flip whose gain lies within
 the energy rounding bound of 0 also takes both of its energies from a
-fresh product, so the trace's strict-decrease check sees the values that
-a fresh product at every step gives.  Flip sequences and outcomes are
-thereby exactly those of recomputing W @ s at every step.
+fresh product; if the energy after it is not strictly below the energy
+before it, as happens when a gain that is 0 in exact arithmetic rounds
+negative, the flip is not taken and descent stops there.  Flip sequences
+and outcomes are thereby exactly those of recomputing W @ s at every
+step and stopping at the first flip that fails to lower that energy.
 
 The returned trace keeps every visited state and appends one repeated
 final row, which makes the stability of the endpoint visible in
@@ -180,24 +182,31 @@ def _descend(
             gains = 2.0 * s * (h - theta)
             i = int(np.argmin(gains))
         if gains[i] >= 0.0:
-            final = s.astype(np.int8)
-            steps.append(TraceStep(len(steps), final, e))
-            return final, SolverTrace(tuple(steps), converged=True, flips=flips)
+            break
         if flips >= budget:
             raise MaxStepsExceeded(f"no stable state within {budget} flips")
-        # A gain this close to 0 may not lower the energy as computed, and the
-        # trace rejects a step that does not; take both energies from a fresh
-        # product, so the trace passes or fails as with one at every step.
+        # A gain this close to 0 may not lower the energy as computed.  Take
+        # both energies from a fresh product, and treat a flip that does not
+        # lower the fresh energy as no improvement: the state is stable.
         near_zero = gains[i] >= -(gain_err + 2.0 * energy_err)
         if near_zero:
             e = _fresh_energy(W, theta, s)
             steps[-1] = TraceStep(steps[-1].index, steps[-1].state, e)
-        s[i] = -s[i]
+            s[i] = -s[i]
+            e_next = _fresh_energy(W, theta, s)
+            if not e_next < e:
+                s[i] = -s[i]
+                break
+        else:
+            s[i] = -s[i]
         h += (2.0 * s[i]) * W[i]
         stale += 1
         flips += 1
-        e = _fresh_energy(W, theta, s) if near_zero else float(-0.5 * (s @ h) + theta @ s)
+        e = e_next if near_zero else float(-0.5 * (s @ h) + theta @ s)
         steps.append(TraceStep(len(steps), s.astype(np.int8), e))
+    final = s.astype(np.int8)
+    steps.append(TraceStep(len(steps), final, e))
+    return final, SolverTrace(tuple(steps), converged=True, flips=flips)
 
 
 def _fresh_energy(W: np.ndarray, theta: np.ndarray, s: np.ndarray) -> float:

@@ -1,12 +1,13 @@
-"""Brute-force ground truth and certification.
+"""Exact optima and certification.
 
-best_permutation scores every one of the n! arrangements directly on the
-raw input values; exhaustive_qubo_min scores every one of the 2^N binary
-states of a compiled instance.  Neither knows anything about how the
-solver searches, which is the point: certify compares a solver state
-against answers obtained by a route it cannot share.  sort_optimum reads
-the optimal objective off one sort, at any n, for callers that need only
-the value.
+sort_optimum reads the optimal objective off one sort, at any n, by the
+rearrangement inequality; certify compares a solver state against it.
+Two brute-force references stand beside it: best_permutation scores every
+one of the n! arrangements directly on the raw input values, and
+exhaustive_qubo_min scores every one of the 2^N binary states of a
+compiled instance.  None of the three knows anything about how the solver
+searches, which is the point: the tests hold the sort against both
+enumerations.
 """
 
 from __future__ import annotations
@@ -131,24 +132,18 @@ def exhaustive_qubo_min(instance: QuboInstance) -> tuple[np.ndarray, float]:
     return best_state, best_value
 
 
-def certify(
-    x: ValueVector,
-    program: OrderProgram,
-    config=None,
-    solver_state=None,
-) -> CertificateReport:
+def certify(x: ValueVector, program: OrderProgram, solver_state) -> CertificateReport:
     """Check a binary solver state for feasibility, optimality, and structure.
 
     A state that fails to decode yields a failed certificate rather than
-    an exception.  Optimality compares the achieved -x^T P^T ranks to the
-    enumeration optimum at relative/absolute tolerance 1e-9.  For bst and
-    heap programs the arranged values must also pass the matching
-    structure validator; other kinds skip that check (structure_valid is
-    None).  `config` is accepted for signature symmetry with the build
-    step and is not consulted.
+    an exception.  Optimality compares the achieved -x^T P^T ranks to
+    sort_optimum at relative/absolute tolerance 1e-9, so no size guard
+    applies.  For bst and heap programs the arranged values must also pass
+    the matching structure validator; other kinds skip that check
+    (structure_valid is None).
     """
     ranks = np.asarray(program.ranks, dtype=float)
-    _, best_value = best_permutation(x, program)
+    best_value = sort_optimum(x, program)
     notes: list[str] = []
     if len(np.unique(x.entries)) < x.n:
         notes.append("objective-tie: duplicate input values admit several optimal arrangements")

@@ -1,10 +1,12 @@
 """The dense chain against the formulas it replaces, bit for bit or flip for flip.
 
-build_qubo writes R in place, fold_diagonal zeroes the diagonal of a copy,
-and descent updates its field by one row of W per flip.  These tests hold
-each of them to the two-product form it replaced: _descend_two_products is
-the earlier descent, copied verbatim, which recomputes W @ s and the energy
-from scratch at every step.
+build_qubo writes R in place and r from an outer product, fold_diagonal
+zeroes the diagonal of a copy, and descent updates its field by one row of W
+per flip.  These tests hold each of them to the product form it replaced:
+_descend_two_products is the earlier descent, copied verbatim, which
+recomputes W @ s and the energy from scratch at every step.  The current
+descent differs from it only where it stops before a flip that fails to
+lower the energy.
 """
 
 from unittest import mock
@@ -21,6 +23,7 @@ from qperm import (
     DomainError,
     HopfieldInstance,
     MaxStepsExceeded,
+    OrderProgram,
     QuboInstance,
     SolverConfig,
     SolverTrace,
@@ -28,6 +31,7 @@ from qperm import (
     ValueVector,
     build_Cc,
     build_Cr,
+    build_N,
     build_qubo,
     energy,
     fold_diagonal,
@@ -80,21 +84,57 @@ def assert_same_descent(network, new, old):
 
 
 def compare_descents(network, start, budget=None):
-    """Both descents return the same run, or both raise the same error.
+    """The current descent is the earlier one, stopped before a flip that fails
+    to lower the energy.
 
-    The earlier descent raises DomainError when a flip whose true gain is 0
-    rounds to a negative gain and the energies it computes fail to decrease;
-    the current one must raise it in exactly the same cases.
+    The earlier descent takes a flip whose true gain is 0 when that gain rounds
+    negative; if the energies it computes then fail to decrease, its trace raises
+    DomainError.  The current one stops before such a flip and returns the state
+    it had reached as converged.  Runs without such a flip are the same, or both
+    raise MaxStepsExceeded.  Returns the trace of the current descent, or None
+    when it raises.
     """
     N = network.dimension
     budget = N * N if budget is None else budget
+    old_steps = []  # every row the earlier descent builds, kept even when it raises
+
+    def record(*args):
+        old_steps.append(hopfield.TraceStep(*args))
+        return old_steps[-1]
+
     try:
-        old = _descend_two_products(network, start, budget)
+        with mock.patch(f"{__name__}.TraceStep", record):
+            old = _descend_two_products(network, start, budget)
     except (MaxStepsExceeded, DomainError) as exc:
-        with pytest.raises(type(exc)):
-            hopfield._descend(network, start, budget)
-        return
-    assert_same_descent(network, hopfield._descend(network, start, budget), old)
+        old = exc
+    rejected = next(
+        (
+            k
+            for k in range(1, len(old_steps))
+            if old_steps[k].energy >= old_steps[k - 1].energy
+            and not np.array_equal(old_steps[k].state, old_steps[k - 1].state)
+        ),
+        None,
+    )
+    if rejected is None:
+        if isinstance(old, Exception):
+            with pytest.raises(type(old)):
+                hopfield._descend(network, start, budget)
+            return None
+        new = hopfield._descend(network, start, budget)
+        assert_same_descent(network, new, old)
+        return new[1]
+    state, trace = hopfield._descend(network, start, budget)
+    kept = old_steps[:rejected]
+    assert trace.converged
+    assert trace.flips == rejected - 1
+    assert len(trace.steps) == rejected + 1
+    for step, old_step in zip(trace.steps, kept):
+        assert np.array_equal(step.state, old_step.state)
+        assert step.energy == pytest.approx(energy(network, step.state), rel=1e-9, abs=1e-12)
+    assert np.array_equal(state, kept[-1].state)
+    assert trace.final_energy == kept[-1].energy  # both from a fresh product
+    return trace
 
 
 # --- inputs ---------------------------------------------------------------
@@ -209,7 +249,12 @@ class TestDescentMatchesTwoProducts:
 
         (new, new_seen) = run()
         with mock.patch.object(hopfield, "_descend", _descend_two_products):
-            (old, old_seen) = run()
+            try:
+                (old, old_seen) = run()
+            except DomainError:
+                # an attempt took a zero-gain flip that the current descent
+                # declines; compare_descents checks such attempts one by one
+                assume(False)
         assert len(new_seen) == len(old_seen) == restarts + 1
         for a, b in zip(new_seen, old_seen):
             assert np.array_equal(a, b)
@@ -230,26 +275,33 @@ class TestDescentMatchesTwoProducts:
         compare_descents(network, start)
 
     @pytest.mark.parametrize(
-        "upper, theta, start",
+        "upper, theta, start, flips, earlier_raises",
         [
             # the earlier descent converges after 5 flips
             (
                 [0.3, -0.3, -0.1, -0.3, 0.2, 0.2, 0.3, -0.1, 0.2, -0.3],
                 [0.2, 0.2, 0.2, -0.1, -0.1],
                 [-1, 1, 1, -1, -1],
+                [4, 1, 2, 3, 4],
+                False,
             ),
-            # the earlier descent takes a zero-gain flip and its trace rejects it
-            ([-0.7, 0.2, -0.1], [-0.1, 0.2, -0.7], [-1, 1, -1]),
+            # after flipping coordinate 2 the earlier descent takes a zero-gain flip
+            # and its trace rejects it; the current one stops before that flip
+            ([-0.7, 0.2, -0.1], [-0.1, 0.2, -0.7], [-1, 1, -1], [2], True),
         ],
     )
-    def test_flips_with_gain_near_zero(self, upper, theta, start):
+    def test_flips_with_gain_near_zero(self, upper, theta, start, flips, earlier_raises):
         """Energies computed from h alone would pass the strict-decrease check here
         when the fresh ones fail it, or the other way round."""
         N = len(theta)
         W = np.zeros((N, N))
         W[np.triu_indices(N, 1)] = upper
         network = HopfieldInstance(weights_W=W + W.T, bias_theta=np.array(theta) * 3)
-        compare_descents(network, np.array(start, dtype=np.int8))
+        start = np.array(start, dtype=np.int8)
+        assert flip_positions(compare_descents(network, start)) == flips
+        if earlier_raises:
+            with pytest.raises(DomainError):
+                _descend_two_products(network, start, N * N)
 
 
 # --- builder and fold -----------------------------------------------------
@@ -260,15 +312,26 @@ class TestInPlaceMatrices:
         st.integers(1, 12),
         st.floats(1e-3, 1e3),
         st.floats(1e-3, 1e3),
-        st.sampled_from(KINDS),
+        st.sampled_from(KINDS + ("custom",)),
+        st.booleans(),
+        st.data(),
     )
     @settings(max_examples=60, deadline=None)
-    def test_R_matches_kronecker_products(self, n, lambda_r, lambda_c, kind):
-        x = ValueVector(np.arange(1.0, n + 1.0))
-        config = BuilderConfig(lambda_r=lambda_r, lambda_c=lambda_c)
-        R = build_qubo(x, make_program(kind, n), config).matrix_R
+    def test_R_matches_kronecker_products(self, n, lambda_r, lambda_c, kind, normalize, data):
+        x = ValueVector(data.draw(input_values(n)))
+        assume(not normalize or x.normalized_entries is not None)
+        if kind == "custom":
+            ranks = data.draw(st.permutations(range(1, n + 1)))
+            program = OrderProgram(ranks=tuple(ranks), kind="custom")
+        else:
+            program = make_program(kind, n)
+        config = BuilderConfig(lambda_r=lambda_r, lambda_c=lambda_c, normalize=normalize)
+        instance = build_qubo(x, program, config)
         Cr, Cc = build_Cr(n), build_Cc(n)
-        assert bits(R) == bits(lambda_r * (Cr.T @ Cr) + lambda_c * (Cc.T @ Cc))
+        assert bits(instance.matrix_R) == bits(lambda_r * (Cr.T @ Cr) + lambda_c * (Cc.T @ Cc))
+        v = x.normalized_entries if normalize else x.entries
+        penalty = (lambda_r * Cr + lambda_c * Cc).T @ np.ones(n)
+        assert bits(instance.vector_r) == bits(-(build_N(program).T @ v) - 2.0 * penalty)
 
     @given(st.integers(1, 10), st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)

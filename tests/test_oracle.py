@@ -112,8 +112,18 @@ class TestSortOptimum:
         else:
             program = make_program(kind, n)
         x = ValueVector(values)
-        _, best = best_permutation(x, program)
+        p_best, best = best_permutation(x, program)
         assert math.isclose(sort_optimum(x, program), best, rel_tol=1e-9, abs_tol=1e-9)
+
+        # certify's verdict is the enumeration's, for an optimal and an arbitrary state
+        ranks = np.asarray(program.ranks, dtype=float)
+        for mapping in (list(p_best.as_mapping), rnd.sample(range(n), n)):
+            matrix = np.zeros((n, n))
+            matrix[np.arange(n), mapping] = 1.0
+            report = certify(x, program, vectorize(matrix))
+            assert math.isclose(report.best_objective, best, rel_tol=1e-9, abs_tol=1e-9)
+            achieved = -float(x.entries[mapping] @ ranks)
+            assert report.optimal == math.isclose(achieved, best, rel_tol=1e-9, abs_tol=1e-9)
 
 
 class TestExhaustiveQuboMin:
@@ -185,7 +195,7 @@ class TestCertify:
     def test_reference_sorting_run_passes(self, reference_x):
         program = ascending_program(7)
         z, _, _ = run_pipeline(reference_x, program)
-        report = certify(reference_x, program, None, z)
+        report = certify(reference_x, program, z)
         assert report.feasible
         assert report.optimal
         assert report.structure_valid is None
@@ -195,7 +205,7 @@ class TestCertify:
     def test_reference_tree_run_checks_structure(self, reference_x):
         program = bst_program(7)
         z, _, _ = run_pipeline(reference_x, program)
-        report = certify(reference_x, program, None, z)
+        report = certify(reference_x, program, z)
         assert report.passed
         assert report.structure_valid is True
 
@@ -204,7 +214,7 @@ class TestCertify:
         z, _, _ = run_pipeline(reference_x, program)
         z = z.copy()
         z[np.argmin(z)] = 1  # one extra active neuron
-        report = certify(reference_x, program, None, z)
+        report = certify(reference_x, program, z)
         assert not report.feasible
         assert not report.passed
         assert any("decode failed" in note for note in report.notes)
@@ -212,7 +222,7 @@ class TestCertify:
     def test_feasible_but_suboptimal(self):
         x = ValueVector([3.0, 1.0])
         identity = np.eye(2)
-        report = certify(x, ascending_program(2), None, vectorize(identity))
+        report = certify(x, ascending_program(2), vectorize(identity))
         assert report.feasible
         assert not report.optimal
         assert not report.passed
@@ -220,18 +230,18 @@ class TestCertify:
 
     def test_duplicate_values_noted(self):
         x = ValueVector([5.0, 5.0])
-        report = certify(x, ascending_program(2), None, vectorize(np.eye(2)))
+        report = certify(x, ascending_program(2), vectorize(np.eye(2)))
         assert report.optimal
         assert any("objective-tie" in note for note in report.notes)
 
     def test_wrong_state_size_fails(self, reference_x):
-        report = certify(reference_x, ascending_program(7), None, vectorize(np.eye(2)))
+        report = certify(reference_x, ascending_program(7), vectorize(np.eye(2)))
         assert not report.feasible
 
     def test_heap_structure_failure_detected(self):
         # feasible permutation, wrong shape for a max-heap
         x = ValueVector([1.0, 2.0, 3.0])
-        report = certify(x, heap_program(3), None, vectorize(np.eye(3)))
+        report = certify(x, heap_program(3), vectorize(np.eye(3)))
         assert report.feasible
         assert report.structure_valid is False
         assert not report.passed
