@@ -27,9 +27,8 @@ from .errors import (
     QpermError,
     SizeBudgetExceeded,
     UnsupportedBranching,
-    ZeroVector,
 )
-from .hopfield import ALL_INACTIVE, RANDOM, SolverConfig, energy, flip_gain, solve
+from .hopfield import ALL_INACTIVE, SolverConfig, energy, flip_gain, solve
 from .model import (
     HopfieldInstance,
     IsingInstance,
@@ -65,7 +64,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ALL_INACTIVE",
-    "RANDOM",
     "BuilderConfig",
     "CertificateReport",
     "DimensionMismatch",
@@ -89,7 +87,6 @@ __all__ = [
     "TreeShape",
     "UnsupportedBranching",
     "ValueVector",
-    "ZeroVector",
     "apply_permutation",
     "ascending_program",
     "best_permutation",

@@ -15,8 +15,13 @@ row and column sums away from one.  The pieces are Kronecker products:
     R   = lam_r C_r^T C_r + lam_c C_c^T C_c
     r   = -N^T x - 2 (lam_r C_r + lam_c C_c)^T 1
 
-Both penalty weights default to n with the input L1-normalized, the
-setting every bundled test runs with.
+Both penalty weights default to n, and by default x enters shifted by
+its minimum and L1-normalized (ValueVector.normalized_entries).  The
+shift changes no optimum and makes every reward non-negative, which is
+what lets descent from the all-inactive state find the optimum.  With
+normalize=False the raw x enters as given: that is the paper's
+formulation, and the route that the frozen reference run takes with x
+scaled by sum(|x|) beforehand.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, InvalidSize, ZeroVector
+from .errors import DimensionMismatch, DomainError, InvalidSize
 from .model import OrderProgram, QuboInstance, ValueVector
 
 
@@ -78,7 +83,8 @@ def build_qubo(
     Parameters
     ----------
     x : ValueVector
-        Input values; by default the L1-normalized copy feeds the reward.
+        Input values; by default the shifted, L1-normalized copy feeds
+        the reward.
     program : OrderProgram
         Rank vector of the same length as x.
     config : BuilderConfig, optional
@@ -88,20 +94,13 @@ def build_qubo(
     ------
     DimensionMismatch
         If x and the program disagree on n.
-    ZeroVector
-        If normalization is on and x is all zero.
     """
     n = program.n
     if x.n != n:
         raise DimensionMismatch(f"x has {x.n} entries but the program has {n} slots")
     if config is None:
         config = BuilderConfig(lambda_r=float(n), lambda_c=float(n))
-    if config.normalize:
-        if x.normalized_entries is None:
-            raise ZeroVector("cannot normalize an all-zero input vector")
-        values = x.normalized_entries
-    else:
-        values = x.entries
+    values = x.normalized_entries if config.normalize else x.entries
 
     R = _penalty_matrix(n, config.lambda_r, config.lambda_c)
     # N^T x puts x[a] * ranks[b] at z[a*n + b], and every column of C_r and

@@ -5,18 +5,20 @@ Four subcommands cover the pipeline:
     qperm program --kind heap --n 7 [--branching 2] [-o prog.json]
     qperm build x.txt prog.json [--lambda-r F] [--lambda-c F]
                 [--no-normalize] [-o qubo.json]
-    qperm solve qubo.json [--trace] [--seed S] [--restarts K] [--max-steps M]
-    qperm verify x.txt prog.json [--exhaustive] [--seed S] [--restarts K]
+    qperm solve qubo.json [--trace] [--max-steps M]
+    qperm verify x.txt prog.json [--exhaustive]
 
-Input vectors are read either as a JSON array or as plain text with one
-number per line.  Program files are JSON objects with keys "n", "kind",
-"branching", and "ranks".  QUBO files are JSON objects with keys "n",
-"lambda_r", "lambda_c", "normalized", "R" (row-major, full symmetric
-matrix), and "r"; build also embeds "x" and "program" so that solve can
-print the arranged values.
+Input vectors are read either as a JSON array of numbers or as plain
+text with one number per line.  Program files are JSON objects with keys
+"n", "kind", "branching", and "ranks".  QUBO files are JSON objects with
+keys "n", "lambda_r", "lambda_c", "normalized", "R" (row-major, full
+symmetric matrix), and "r"; build also embeds "x" and "program" so that
+solve can print the arranged values.
 
-verify accepts the first restart that certify finds optimal and reports
-the checks of the final certificate.  certify compares with the sort
+verify builds with the defaults, runs one descent from the all-inactive
+state and reports the checks of certify on its endpoint.  The default
+build shifts x by its minimum before scaling, which makes that one
+descent exact (see ValueVector).  certify compares with the sort
 optimum, so verify runs at any n; --exhaustive enumerates all 2^(n*n)
 binary states and is refused before any descent when n*n exceeds
 oracle.MAX_EXHAUSTIVE_BITS.
@@ -26,19 +28,15 @@ columns, two spaces, the state as '-'/'+' glyphs separated by single
 spaces, two spaces, the energy with one decimal.  JSON files carry full
 precision.
 
-The default random seed is 0, overridden by the QP_SEED environment
-variable, overridden in turn by --seed.
-
-Exit codes: 0 success, 2 bad arguments or malformed input, 3 zero input
-vector with normalization on, 4 no stable feasible state within the
-restart budget, 5 failed certificate.
+Exit codes: 0 success, 2 bad arguments or malformed input, 4 descent
+ended in a state that is no permutation or used up its step budget,
+5 failed certificate.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Optional
 
@@ -46,13 +44,7 @@ import numpy as np
 
 from .builder import BuilderConfig, build_qubo
 from .conversions import bipolar_to_binary, fold_diagonal, to_hopfield, to_ising
-from .errors import (
-    MaxStepsExceeded,
-    NonSquareLength,
-    NotAPermutation,
-    QpermError,
-    ZeroVector,
-)
+from .errors import MaxStepsExceeded, NonSquareLength, NotAPermutation, QpermError
 from .hopfield import SolverConfig, solve
 from .model import (
     OrderProgram,
@@ -67,7 +59,6 @@ from .programs import ascending_program, bst_program, descending_program, heap_p
 
 EXIT_OK = 0
 EXIT_USAGE = 2
-EXIT_ZERO_VECTOR = 3
 EXIT_INFEASIBLE = 4
 EXIT_FAILED_CERTIFICATE = 5
 
@@ -86,9 +77,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ZeroVector as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ZERO_VECTOR
     except MaxStepsExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
@@ -132,8 +120,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="run the descent on a QUBO file")
     p_solve.add_argument("qubo_file")
     p_solve.add_argument("--trace", action="store_true", help="print one line per step")
-    p_solve.add_argument("--seed", type=int, default=None)
-    p_solve.add_argument("--restarts", type=int, default=0)
     p_solve.add_argument("--max-steps", type=int, default=None)
     p_solve.set_defaults(handler=_cmd_solve)
 
@@ -145,8 +131,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=f"also enumerate all binary states (n*n <= {MAX_EXHAUSTIVE_BITS})",
     )
-    p_verify.add_argument("--seed", type=int, default=None)
-    p_verify.add_argument("--restarts", type=int, default=None, help="default n*n")
     p_verify.set_defaults(handler=_cmd_verify)
 
     return parser
@@ -192,20 +176,14 @@ def _cmd_build(args) -> int:
 
 def _cmd_solve(args) -> int:
     instance, x_values = _read_qubo(args.qubo_file)
-    trace, state_z = _descend(
-        instance,
-        seed=_seed_value(args.seed),
-        restarts=args.restarts,
-        max_steps=args.max_steps,
-        accept=_decodes_cleanly,
-    )
+    trace, state_z = _descend(instance, args.max_steps)
     if args.trace:
         for line in render_trace(trace):
             print(line)
     try:
         p = decode_permutation(state_z)
     except (NotAPermutation, NonSquareLength):
-        print("no feasible permutation within the restart budget", file=sys.stderr)
+        print("descent ended in a state that is no permutation", file=sys.stderr)
         return EXIT_INFEASIBLE
     print("permutation:", " ".join(str(c) for c in p.as_mapping))
     if x_values is not None:
@@ -226,14 +204,7 @@ def _cmd_verify(args) -> int:
         return EXIT_USAGE
 
     instance = build_qubo(x, program)
-    restarts = args.restarts if args.restarts is not None else n * n
-    _, state_z = _descend(
-        instance,
-        seed=_seed_value(args.seed),
-        restarts=restarts,
-        max_steps=None,
-        accept=lambda z: certify(x, program, z).optimal,
-    )
+    _, state_z = _descend(instance, None)
     report = certify(x, program, state_z)
 
     checks: list[tuple[str, Optional[bool]]] = [
@@ -257,34 +228,11 @@ def _cmd_verify(args) -> int:
     return EXIT_FAILED_CERTIFICATE if failed else EXIT_OK
 
 
-def _descend(instance, seed, restarts, max_steps, accept):
-    """Fold, convert, and run the network; returns (trace, binary state)."""
+def _descend(instance, max_steps):
+    """Fold, convert, and run the network once; returns (trace, binary state)."""
     network = to_hopfield(to_ising(fold_diagonal(instance)))
-    config = SolverConfig(max_steps=max_steps, restarts=restarts, seed=seed)
-    state, trace = solve(
-        network, config, feasibility_check=lambda s: accept(bipolar_to_binary(s))
-    )
+    state, trace = solve(network, SolverConfig(max_steps=max_steps))
     return trace, bipolar_to_binary(state)
-
-
-def _decodes_cleanly(z: np.ndarray) -> bool:
-    try:
-        decode_permutation(z)
-        return True
-    except (NotAPermutation, NonSquareLength):
-        return False
-
-
-def _seed_value(flag: Optional[int]) -> int:
-    if flag is not None:
-        return flag
-    raw = os.environ.get("QP_SEED", "")
-    if not raw:
-        return 0
-    try:
-        return int(raw)
-    except ValueError:
-        raise QpermError(f"QP_SEED must be an integer, got {raw!r}") from None
 
 
 def _read_values(path: str) -> np.ndarray:
@@ -293,39 +241,57 @@ def _read_values(path: str) -> np.ndarray:
         data = json.loads(text)
     except json.JSONDecodeError:
         data = [float(line) for line in text.splitlines() if line.strip()]
-    arr = np.asarray(data, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise QpermError(f"{path}: expected a flat non-empty vector")
-    return arr
+    if not isinstance(data, list) or not data or not all(_is_number(v) for v in data):
+        raise QpermError(f"{path}: expected a non-empty array of numbers")
+    try:
+        return np.asarray(data, dtype=float)
+    except OverflowError as exc:
+        raise QpermError(f"{path}: {exc}") from None
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _read_program(path: str) -> OrderProgram:
-    data = json.loads(_read_text(path))
-    for key in ("n", "kind", "branching", "ranks"):
-        if key not in data:
-            raise QpermError(f"{path}: missing key {key!r}")
-    program = OrderProgram(
-        ranks=tuple(data["ranks"]), kind=data["kind"], branching=data["branching"]
-    )
-    if program.n != int(data["n"]):
+    data = _read_object(path, ("n", "kind", "branching", "ranks"))
+    try:
+        program = OrderProgram(
+            ranks=data["ranks"], kind=data["kind"], branching=data["branching"]
+        )
+        n = int(data["n"])
+    except (TypeError, OverflowError) as exc:
+        raise QpermError(f"{path}: {exc}") from None
+    if program.n != n:
         raise QpermError(f"{path}: n={data['n']} does not match {program.n} ranks")
     return program
 
 
 def _read_qubo(path: str) -> tuple[QuboInstance, Optional[np.ndarray]]:
+    data = _read_object(path, ("n", "lambda_r", "lambda_c", "normalized", "R", "r"))
+    try:
+        instance = QuboInstance(
+            matrix_R=np.asarray(data["R"], dtype=float),
+            vector_r=np.asarray(data["r"], dtype=float),
+            lambda_r=data["lambda_r"],
+            lambda_c=data["lambda_c"],
+            source_n=int(data["n"]),
+        )
+        x_values = np.asarray(data["x"], dtype=float) if "x" in data else None
+    except (TypeError, OverflowError) as exc:
+        raise QpermError(f"{path}: {exc}") from None
+    return instance, x_values
+
+
+def _read_object(path: str, keys: tuple[str, ...]) -> dict:
+    """Parse a JSON file whose top level must be an object holding every key."""
     data = json.loads(_read_text(path))
-    for key in ("n", "lambda_r", "lambda_c", "normalized", "R", "r"):
+    if not isinstance(data, dict):
+        raise QpermError(f"{path}: expected a JSON object")
+    for key in keys:
         if key not in data:
             raise QpermError(f"{path}: missing key {key!r}")
-    instance = QuboInstance(
-        matrix_R=np.asarray(data["R"], dtype=float),
-        vector_r=np.asarray(data["r"], dtype=float),
-        lambda_r=data["lambda_r"],
-        lambda_c=data["lambda_c"],
-        source_n=int(data["n"]),
-    )
-    x_values = np.asarray(data["x"], dtype=float) if "x" in data else None
-    return instance, x_values
+    return data
 
 
 def _program_to_dict(program: OrderProgram, with_n: bool = True) -> dict:

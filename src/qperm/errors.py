@@ -25,10 +25,6 @@ class UnsupportedBranching(QpermError, ValueError):
     """Tree operation is not defined for this branching factor."""
 
 
-class ZeroVector(QpermError, ValueError):
-    """Normalization was requested for an all-zero input vector."""
-
-
 class NonZeroDiagonal(QpermError, ValueError):
     """Bipolar substitution needs a zero quadratic diagonal; fold it first."""
 

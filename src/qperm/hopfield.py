@@ -24,19 +24,22 @@ The returned trace keeps every visited state and appends one repeated
 final row, which makes the stability of the endpoint visible in
 renderings of the run.
 
-A word of caution that the tests document in detail: on the ordering
-instances produced by the builder, every feasible permutation encoding
-is single-flip stable, so the landscape has n! local minima.  Descent
-from the all-inactive state pairs values with ranks greedily, which is
-globally optimal when at most one input entry is negative but can stick
-in a stable non-optimal encoding otherwise; restarts from random states
-are available but not guaranteed to escape.
+On the ordering instances produced by the builder, every feasible
+permutation encoding is single-flip stable, so the landscape has n! local
+minima and descent cannot cross between them.  Descent from the
+all-inactive state pairs values with ranks greedily, largest reward
+first.  With the builder's default input, shifted by its minimum and
+L1-normalized, every reward is non-negative and that greedy pairing is
+the sorted, optimal one (see ValueVector), so one descent is all that
+solve runs.  With normalize=False or custom penalty weights that
+guarantee is gone, and a descent can stop in a stable non-optimal or
+infeasible state; certify says which.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -49,37 +52,25 @@ from .errors import (
 from .model import SYMMETRY_TOL, HopfieldInstance, SolverTrace, TraceStep
 
 ALL_INACTIVE = "all_inactive"
-RANDOM = "random"
-
-FeasibilityCheck = Callable[[np.ndarray], bool]
 
 
 @dataclass(frozen=True, eq=False)
 class SolverConfig:
     """Descent controls.
 
-    initial_state is "all_inactive" (every neuron at -1), "random"
-    (seeded draw), or an explicit bipolar vector.  max_steps bounds the
-    number of accepted flips per attempt and defaults to N*N.  restarts
-    allows that many reruns from seeded random states when the caller's
-    feasibility check rejects a converged state.
+    initial_state is "all_inactive" (every neuron at -1) or an explicit
+    bipolar vector.  max_steps bounds the number of accepted flips and
+    defaults to N*N.
     """
 
     initial_state: Union[str, np.ndarray] = ALL_INACTIVE
     max_steps: Optional[int] = None
-    restarts: int = 0
-    seed: int = 0
 
     def __post_init__(self):
-        if isinstance(self.initial_state, str):
-            if self.initial_state not in (ALL_INACTIVE, RANDOM):
-                raise DomainError(
-                    f"initial_state must be {ALL_INACTIVE!r}, {RANDOM!r}, or a bipolar vector"
-                )
+        if isinstance(self.initial_state, str) and self.initial_state != ALL_INACTIVE:
+            raise DomainError(f"initial_state must be {ALL_INACTIVE!r} or a bipolar vector")
         if self.max_steps is not None and int(self.max_steps) < 0:
             raise DomainError("max_steps must be non-negative")
-        if int(self.restarts) < 0:
-            raise DomainError("restarts must be non-negative")
 
 
 def energy(instance: HopfieldInstance, s) -> float:
@@ -101,55 +92,36 @@ def flip_gain(instance: HopfieldInstance, s, i: int) -> float:
 
 
 def solve(
-    instance: HopfieldInstance,
-    config: Optional[SolverConfig] = None,
-    feasibility_check: Optional[FeasibilityCheck] = None,
+    instance: HopfieldInstance, config: Optional[SolverConfig] = None
 ) -> tuple[np.ndarray, SolverTrace]:
-    """Run steepest descent to a stable state, optionally with restarts.
+    """Run steepest descent from the configured start to a stable state.
 
     Parameters
     ----------
     instance : HopfieldInstance
     config : SolverConfig, optional
-        Defaults to all-inactive start, max_steps = N*N, no restarts.
-    feasibility_check : callable, optional
-        Receives each converged bipolar state.  While it returns False
-        and restart budget remains, descent reruns from a fresh seeded
-        random state.  The last attempt's result is returned either way;
-        the caller inspects it.
+        Defaults to the all-inactive start and max_steps = N*N.
 
     Returns
     -------
     (state, trace)
-        The final bipolar state and the trace of the attempt that
-        produced it.
+        The final bipolar state and the trace of the descent.
 
     Raises
     ------
     MaxStepsExceeded
-        If an attempt uses up its flip budget without reaching a stable
+        If descent uses up its flip budget without reaching a stable
         state.
     """
     cfg = config if config is not None else SolverConfig()
     N = instance.dimension
     budget = int(cfg.max_steps) if cfg.max_steps is not None else N * N
-    rng = np.random.default_rng(cfg.seed)
-
-    state, trace = _descend(instance, _initial_state(cfg, N, rng), budget)
-    if feasibility_check is not None:
-        attempts = 0
-        while not feasibility_check(state) and attempts < int(cfg.restarts):
-            attempts += 1
-            restart = (rng.integers(0, 2, size=N) * 2 - 1).astype(np.int8)
-            state, trace = _descend(instance, restart, budget)
-    return state, trace
+    return _descend(instance, _initial_state(cfg, N), budget)
 
 
-def _initial_state(cfg: SolverConfig, N: int, rng: np.random.Generator) -> np.ndarray:
+def _initial_state(cfg: SolverConfig, N: int) -> np.ndarray:
     if isinstance(cfg.initial_state, str):
-        if cfg.initial_state == ALL_INACTIVE:
-            return np.full(N, -1, dtype=np.int8)
-        return (rng.integers(0, 2, size=N) * 2 - 1).astype(np.int8)
+        return np.full(N, -1, dtype=np.int8)
     sv = np.asarray(cfg.initial_state)
     if sv.ndim != 1 or sv.size != N:
         raise DimensionMismatch(f"initial state has {sv.size} coordinates, instance has {N}")

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -87,25 +86,47 @@ def _require_finite(vector: np.ndarray, name: str) -> None:
 
 @dataclass(frozen=True, eq=False)
 class ValueVector:
-    """An input vector together with its L1-normalized copy.
+    """An input vector together with its shifted, L1-normalized copy.
 
-    normalized_entries equals entries / sum(|entries|) and is None when
-    that sum is zero (no normalization exists).  The field is derived in
-    the constructor; any value passed for it is ignored.
+    normalized_entries equals (entries - min) / sum(entries - min): every
+    entry lies in [0, 1], the smallest is 0 and they sum to 1.  A constant
+    vector has no spread to scale and normalizes to all zeros; any
+    arrangement of it is optimal.  The field is derived in the
+    constructor; any value passed for it is ignored.
+
+    The shift changes no optimum.  The objective -x^T P^T ranks of every
+    arrangement P moves by min(x) * sum(ranks), the same constant for all
+    of them, and the positive scale multiplies them all alike.  So by the
+    rearrangement inequality the optimum is still the sorted pairing, now
+    of non-negative values.  That is what makes descent from the
+    all-inactive state exact, in two steps:
+
+    1. every reward v * rank is now >= 0, since v >= 0 and rank >= 1;
+    2. hence the greedy choice of the largest v * rank over the free rows
+       and columns is (largest free value) * (largest free rank), and
+       taking these in turn is the sorted pairing.  Equal products only
+       arise between equal values, or when every free value is 0, and
+       either way the pairing stays optimal.
+
+    With a negative entry a product can be largest for the smallest value
+    and the smallest rank, so the same greedy pairing is no longer sorted.
     """
 
     entries: np.ndarray
-    normalized_entries: Optional[np.ndarray] = field(default=None)
+    normalized_entries: np.ndarray = field(default=None)
 
     def __post_init__(self):
         entries = _readonly(self.entries)
         if entries.ndim != 1 or entries.size == 0:
             raise InvalidSize("need a one-dimensional vector with at least one entry")
         _require_finite(entries, "entries")
-        scale = float(np.abs(entries).sum())
-        normalized = _readonly(entries / scale) if scale > 0.0 else None
+        shifted = entries - entries.min()
+        scale = float(shifted.sum())
+        if scale > 0.0:
+            shifted /= scale
+        shifted.setflags(write=False)
         object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "normalized_entries", normalized)
+        object.__setattr__(self, "normalized_entries", shifted)
 
     @property
     def n(self) -> int:
@@ -117,8 +138,10 @@ class OrderProgram:
     """A target arrangement, given as the rank each output slot receives.
 
     ranks is a permutation of 1..n; output slot i is meant to hold the
-    ranks[i]-th smallest input value.  kind records how the vector was
-    generated; branching is the tree arity where that applies.
+    ranks[i]-th smallest input value.  Each rank must equal its integer
+    value: strings and fractions are rejected, never truncated.  kind
+    records how the vector was generated; branching is the tree arity
+    where that applies.
     """
 
     ranks: tuple[int, ...]
@@ -126,7 +149,13 @@ class OrderProgram:
     branching: int = 2
 
     def __post_init__(self):
-        ranks = tuple(int(v) for v in self.ranks)
+        try:
+            given = tuple(self.ranks)
+            ranks = tuple(int(v) for v in given)
+        except (TypeError, ValueError, OverflowError):
+            raise NotAPermutation("ranks must be a sequence of integers") from None
+        if any(isinstance(v, (str, bytes)) or r != v for r, v in zip(ranks, given)):
+            raise NotAPermutation("ranks must be integers, not strings or fractions")
         if len(ranks) < 1:
             raise InvalidSize("a program needs at least one slot")
         if sorted(ranks) != list(range(1, len(ranks) + 1)):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qperm import (
+    BuilderConfig,
     SolverConfig,
     ValueVector,
     ascending_program,
@@ -23,6 +24,22 @@ def reference_x():
     return ValueVector(ref.INPUT_X)
 
 
+def paper_faithful(values, lambda_r=None, lambda_c=None):
+    """The paper's route for raw values: x scaled by sum(|x|), built unshifted.
+
+    Returns (ValueVector, BuilderConfig) for build_qubo.  Penalties default
+    to n, as in the default route; only the shift is left out.
+    """
+    values = np.asarray(values, dtype=float)
+    n = float(values.size)
+    config = BuilderConfig(
+        lambda_r=n if lambda_r is None else lambda_r,
+        lambda_c=n if lambda_c is None else lambda_c,
+        normalize=False,
+    )
+    return ValueVector(values / np.abs(values).sum()), config
+
+
 @pytest.fixture(params=["ascending", "bst", "heap"])
 def program_kind(request):
     return request.param
@@ -38,12 +55,17 @@ def make_program(kind, n):
     raise ValueError(kind)
 
 
-def run_pipeline(x, program, config=None, feasibility_check=None):
-    """Build, convert, and descend; returns (binary state, trace, instance)."""
-    instance = build_qubo(x, program)
+def run_pipeline(x, program, config=None, builder_config=None):
+    """Build, convert, and descend once; returns (binary state, trace, instance)."""
+    instance = build_qubo(x, program, builder_config)
     network = to_hopfield(to_ising(fold_diagonal(instance)))
-    state, trace = solve(network, config or SolverConfig(), feasibility_check)
+    state, trace = solve(network, config or SolverConfig())
     return bipolar_to_binary(state), trace, instance
+
+
+def random_start(N, seed):
+    """A seeded bipolar start state of length N."""
+    return (np.random.default_rng(seed).integers(0, 2, size=N) * 2 - 1).astype(np.int8)
 
 
 def flip_positions(trace):

@@ -12,12 +12,10 @@ import pytest
 
 from qperm import (
     OrderProgram,
-    SolverConfig,
     ValueVector,
     apply_permutation,
     best_permutation,
     binary_to_bipolar,
-    bipolar_to_binary,
     bst_program,
     build_N,
     build_qubo,
@@ -27,7 +25,6 @@ from qperm import (
     fold_diagonal,
     heap_program,
     qubo_objective,
-    solve,
     to_hopfield,
     to_ising,
     validate_bst,
@@ -37,7 +34,7 @@ from qperm import (
 from qperm.programs import TreeShape
 
 from . import reference_run as ref
-from .conftest import make_program, run_pipeline
+from .conftest import make_program, paper_faithful, run_pipeline
 
 KINDS = ("ascending", "bst", "heap")
 
@@ -82,11 +79,13 @@ def test_criterion_1_end_to_end_reproduction(reference_x):
     )
 
 
-def test_criterion_2_energy_trace(reference_x):
+def test_criterion_2_energy_trace():
+    # the frozen energies belong to the paper's route: x scaled by sum(|x|), unshifted
     expected = [-673.5, -689.1, -704.4, -719.4, -734.0, -748.3, -762.4, -776.4]
+    scaled, config = paper_faithful(ref.INPUT_X)
     problems = []
     for kind in KINDS:
-        _, trace, _ = run_pipeline(reference_x, make_program(kind, 7))
+        _, trace, _ = run_pipeline(scaled, make_program(kind, 7), builder_config=config)
         energies = [s.energy for s in trace.steps]
         if len(energies) != 9 or trace.flips != 7:
             problems.append(f"{kind}: {trace.flips} flips, {len(energies)} rows")
@@ -155,43 +154,29 @@ def test_criterion_4_exhaustive_certification_n4():
 def test_criterion_5_oracle_equivalence():
     rng = np.random.default_rng(51)
     sizes = itertools.cycle(range(2, 8))
-    unrescued = []
-    first_attempt_failures = 0
+    misses = []
     for kind in KINDS:
         for trial in range(100):
             n = next(sizes)
             values = distinct_vector(rng, n)
-            if trial % 2 == 1:
+            if trial % 3 == 1:
                 values[rng.integers(0, n)] *= -1.0
+            elif trial % 3 == 2:
+                values *= rng.choice([-1.0, 1.0], size=n)
             x = ValueVector(values)
             program = make_program(kind, n)
             _, best_value = best_permutation(x, program)
-
-            def at_oracle_optimum(s):
-                try:
-                    p = decode_permutation(bipolar_to_binary(s))
-                except Exception:
-                    return False
-                if p.n != n:
-                    return False
-                achieved = ordering_objective(x, program, p.as_mapping)
-                return abs(achieved - best_value) <= 1e-9
-
-            z, _, instance = run_pipeline(x, program)
-            network = to_hopfield(to_ising(fold_diagonal(instance)))
-            if at_oracle_optimum(binary_to_bipolar(z)):
+            z, _, _ = run_pipeline(x, program)
+            try:
+                mapping = decode_permutation(z).as_mapping
+            except Exception as exc:
+                misses.append(f"{kind} trial {trial} n={n}: infeasible ({exc})")
                 continue
-            first_attempt_failures += 1
-            state, _ = solve(
-                network,
-                SolverConfig(restarts=n * n, seed=trial),
-                feasibility_check=at_oracle_optimum,
-            )
-            if not at_oracle_optimum(state):
-                unrescued.append(f"{kind} trial {trial} n={n} x={values.tolist()}")
-    detail = f"first-attempt failures: {first_attempt_failures}, unrescued: {len(unrescued)}"
-    report(5, "descent reaches the oracle optimum (300 runs, restarts allowed)",
-           not unrescued, detail)
+            achieved = ordering_objective(x, program, mapping)
+            if abs(achieved - best_value) > 1e-9:
+                misses.append(f"{kind} trial {trial} n={n} x={values.tolist()}")
+    report(5, "one descent reaches the oracle optimum (300 runs, signed inputs included)",
+           not misses, "; ".join(misses[:3]))
 
 
 def test_criterion_6_structure_validity():

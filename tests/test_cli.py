@@ -29,6 +29,9 @@ def expected_trace_lines(kind):
 @pytest.fixture
 def reference_files(tmp_path):
     x_path = write_json(tmp_path / "x.json", ref.INPUT_X)
+    # the frozen run's route: x scaled by sum(|x|) here, built with --no-normalize
+    scale = float(np.abs(ref.INPUT_X).sum())
+    write_json(tmp_path / "x_scaled.json", [v / scale for v in ref.INPUT_X])
 
     def program_path(kind):
         out = tmp_path / f"{kind}.json"
@@ -99,12 +102,15 @@ class TestBuildCommand:
         assert np.allclose(np.diag(np.array(data["R"])), 6.0)
 
     def test_zero_vector_exit_code(self, tmp_path):
-        x_path = write_json(tmp_path / "x.json", [0.0, 0.0, 0.0])
+        # a constant vector normalizes to zeros; any arrangement of it is optimal
         prog = tmp_path / "prog.json"
         assert main(["program", "--kind", "ascending", "--n", "3", "-o", str(prog)]) == 0
-        assert main(["build", x_path, str(prog)]) == 3
         out = tmp_path / "qubo.json"
-        assert main(["build", x_path, str(prog), "--no-normalize", "-o", str(out)]) == 0
+        for value in (0.0, -2.5):
+            x_path = write_json(tmp_path / "x.json", [value] * 3)
+            assert main(["build", x_path, str(prog), "-o", str(out)]) == 0
+            assert main(["build", x_path, str(prog), "--no-normalize", "-o", str(out)]) == 0
+            assert main(["verify", x_path, str(prog)]) == 0
 
     def test_newline_separated_input(self, reference_files):
         _, program_path, tmp_path = reference_files
@@ -119,13 +125,52 @@ class TestBuildCommand:
         short = write_json(tmp_path / "short.json", [1.0, 2.0])
         assert main(["build", short, program_path("ascending")]) == 2
 
+    @pytest.mark.parametrize("payload", [{"a": 1}, None, 5.0, [], ["1", "2"], [[1.0, 2.0]], [True]])
+    def test_x_file_must_be_an_array_of_numbers(self, reference_files, capsys, payload):
+        _, program_path, tmp_path = reference_files
+        x_path = write_json(tmp_path / "bad_x.json", payload)
+        assert main(["build", x_path, program_path("ascending")]) == 2
+        assert "array of numbers" in capsys.readouterr().err
+
+    def test_integer_beyond_float_range(self, reference_files):
+        _, program_path, tmp_path = reference_files
+        x_path = tmp_path / "x.json"
+        x_path.write_text("[" + "9" * 400 + ", 1, 2, 3, 4, 5, 6]")
+        assert main(["build", str(x_path), program_path("ascending")]) == 2
+
+    @pytest.mark.parametrize("payload", [5, [1, 2, 3], "ranks"])
+    def test_program_file_must_be_an_object(self, reference_files, capsys, payload):
+        x_path, _, tmp_path = reference_files
+        prog = write_json(tmp_path / "prog.json", payload)
+        assert main(["build", x_path, prog]) == 2
+        assert "expected a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("ranks", [1.5, 2, 3]),
+            ("ranks", "123"),
+            ("ranks", 3),
+            ("n", None),
+            ("n", float("inf")),
+            ("branching", None),
+        ],
+    )
+    def test_program_fields_are_checked(self, tmp_path, capsys, field, value):
+        x_path = write_json(tmp_path / "x.json", [3.0, 1.0, 2.0])
+        payload = {"n": 3, "kind": "custom", "branching": 2, "ranks": [1, 2, 3], field: value}
+        prog = write_json(tmp_path / "prog.json", payload)
+        assert main(["verify", x_path, prog]) == 2
+        assert "error:" in capsys.readouterr().err
+
 
 class TestSolveCommand:
     @pytest.mark.parametrize("kind", ["ascending", "bst", "heap"])
     def test_trace_rendering_matches_frozen_run(self, reference_files, capsys, kind):
-        x_path, program_path, tmp_path = reference_files
+        _, program_path, tmp_path = reference_files
         qubo = tmp_path / "qubo.json"
-        assert main(["build", x_path, program_path(kind), "-o", str(qubo)]) == 0
+        args = ["build", str(tmp_path / "x_scaled.json"), program_path(kind), "--no-normalize"]
+        assert main(args + ["-o", str(qubo)]) == 0
         assert main(["solve", str(qubo), "--trace"]) == 0
         out_lines = capsys.readouterr().out.splitlines()
         assert out_lines[:9] == expected_trace_lines(kind)
@@ -139,6 +184,11 @@ class TestSolveCommand:
         assert out[0] == "permutation: 2 4 6 3 0 5 1"
         assert out[1] == "values: -12 10 24 33 46 51 52"
         assert out[2] == "flips: 7"
+        args = ["build", str(tmp_path / "x_scaled.json"), program_path("ascending")]
+        assert main(args + ["--no-normalize", "-o", str(qubo)]) == 0
+        assert main(["solve", str(qubo)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "permutation: 2 4 6 3 0 5 1"
         assert out[3].startswith("energy: -776.35087719")
 
     def test_max_steps_exit_code(self, reference_files):
@@ -194,27 +244,49 @@ class TestSolveCommand:
         partial = write_json(tmp_path / "partial.json", {"n": 2, "R": [[0.0]]})
         assert main(["solve", partial]) == 2
 
+    @pytest.mark.parametrize("payload", [5, [[0.0]], None])
+    def test_qubo_file_must_be_an_object(self, tmp_path, capsys, payload):
+        assert main(["solve", write_json(tmp_path / "qubo.json", payload)]) == 2
+        assert "expected a JSON object" in capsys.readouterr().err
+
+    def test_qubo_field_types_checked(self, reference_files):
+        x_path, program_path, tmp_path = reference_files
+        qubo = tmp_path / "qubo.json"
+        assert main(["build", x_path, program_path("heap"), "-o", str(qubo)]) == 0
+        payload = json.loads(qubo.read_text())
+        for field, value in (("n", None), ("lambda_r", None), ("n", float("inf"))):
+            assert main(["solve", write_json(qubo, {**payload, field: value})]) == 2
+
     def test_zero_gain_flip_is_not_malformed_input(self, tmp_path, capsys):
         # A flip whose gain is 0 in exact arithmetic rounds negative here; descent
-        # stops before it, at a stable state that is no permutation.
-        x_path = write_json(tmp_path / "x.json", [-1.0, 2.0, 0.0, 1.0, 0.0, 1.0])
+        # stops before it, at a stable state that is no permutation.  The input
+        # is x = [-1, 2, 0, 1, 0, 1] scaled by sum(|x|) = 5 and built unshifted.
+        x = [-1.0, 2.0, 0.0, 1.0, 0.0, 1.0]
+        x_path = write_json(tmp_path / "x.json", [v / 5.0 for v in x])
         prog = tmp_path / "prog.json"
         assert main(["program", "--kind", "heap", "--n", "6", "-o", str(prog)]) == 0
         qubo = tmp_path / "qubo.json"
         args = ["build", x_path, str(prog), "--lambda-r", "0.2", "--lambda-c", "0.2"]
-        assert main(args + ["-o", str(qubo)]) == 0
+        assert main(args + ["--no-normalize", "-o", str(qubo)]) == 0
         assert main(["solve", str(qubo)]) == 4
-        assert "no feasible permutation" in capsys.readouterr().err
+        assert "descent ended in a state that is no permutation" in capsys.readouterr().err
 
-    def test_env_seed_must_be_integer(self, reference_files, monkeypatch):
+    def test_no_seed_or_restarts(self, reference_files, monkeypatch, capsys):
+        # solve is one deterministic descent: QP_SEED changes nothing, and
+        # neither solve nor verify takes --seed or --restarts
         x_path, program_path, tmp_path = reference_files
         qubo = tmp_path / "qubo.json"
         assert main(["build", x_path, program_path("ascending"), "-o", str(qubo)]) == 0
-        monkeypatch.setenv("QP_SEED", "garbage")
-        assert main(["solve", str(qubo)]) == 2
-        assert main(["solve", str(qubo), "--seed", "3"]) == 0
-        monkeypatch.setenv("QP_SEED", "12")
         assert main(["solve", str(qubo)]) == 0
+        first = capsys.readouterr().out
+        monkeypatch.setenv("QP_SEED", "garbage")
+        assert main(["solve", str(qubo)]) == 0
+        assert capsys.readouterr().out == first
+        for command in (["solve", str(qubo)], ["verify", x_path, program_path("ascending")]):
+            for flag in (["--seed", "3"], ["--restarts", "2"]):
+                with pytest.raises(SystemExit) as exc:
+                    main(command + flag)
+                assert exc.value.code == 2
 
 
 class TestVerifyCommand:
@@ -248,18 +320,22 @@ class TestVerifyCommand:
         assert main(["verify", x_path, str(prog), "--exhaustive"]) == 0
         assert "exhaustive agreement     PASS" in capsys.readouterr().out
 
-    def test_unrescued_failure_exit_code(self, tmp_path, capsys):
-        x_path = write_json(tmp_path / "x.json", [-1.0, -2.0])
+    def test_failed_check_exit_code(self, tmp_path, capsys):
+        # equal values cannot form a strict search tree, however they are placed
+        x_path = write_json(tmp_path / "x.json", [5.0, 5.0, 5.0])
         prog = tmp_path / "prog.json"
-        assert main(["program", "--kind", "ascending", "--n", "2", "-o", str(prog)]) == 0
-        assert main(["verify", x_path, str(prog), "--restarts", "0"]) == 5
-        assert "objective vs oracle      FAIL" in capsys.readouterr().out
+        assert main(["program", "--kind", "bst", "--n", "3", "-o", str(prog)]) == 0
+        assert main(["verify", x_path, str(prog)]) == 5
+        out = capsys.readouterr().out
+        assert "objective vs oracle      PASS" in out
+        assert "structure (bst)          FAIL" in out
 
-    def test_seeded_restarts_rescue(self, tmp_path, capsys):
+    def test_first_descent_sorts_two_negatives(self, tmp_path, capsys):
         x_path = write_json(tmp_path / "x.json", [-1.0, -2.0])
         prog = tmp_path / "prog.json"
         assert main(["program", "--kind", "ascending", "--n", "2", "-o", str(prog)]) == 0
         assert main(["verify", x_path, str(prog)]) == 0
+        assert "objective vs oracle      PASS" in capsys.readouterr().out
 
     def test_duplicate_values_note(self, tmp_path, capsys):
         x_path = write_json(tmp_path / "x.json", [5.0, 5.0])
@@ -286,3 +362,16 @@ class TestVerifyCommand:
         assert main(["program", "--kind", "heap", "--n", "40", "-o", str(prog)]) == 0
         assert main(["verify", x_path, str(prog)]) == 0
         assert "structure (heap)         PASS" in capsys.readouterr().out
+
+    @pytest.mark.slow
+    def test_gaussian_heap_at_n40(self, tmp_path, capsys):
+        # built unshifted (x scaled by sum(|x|), --no-normalize), one descent ends
+        # feasible but suboptimal on this input
+        values = np.random.default_rng(0).normal(size=40)
+        x_path = write_json(tmp_path / "x.json", values.tolist())
+        prog = tmp_path / "prog.json"
+        assert main(["program", "--kind", "heap", "--n", "40", "-o", str(prog)]) == 0
+        assert main(["verify", x_path, str(prog)]) == 0
+        out = capsys.readouterr().out
+        assert "objective vs oracle      PASS" in out
+        assert "structure (heap)         PASS" in out

@@ -8,22 +8,23 @@ from qperm import (
     HopfieldInstance,
     IndexOutOfRange,
     MaxStepsExceeded,
-    QpermError,
     SolverConfig,
     ValueVector,
     apply_permutation,
     ascending_program,
     binary_to_bipolar,
-    bipolar_to_binary,
+    certify,
     decode_permutation,
+    descending_program,
     energy,
     flip_gain,
+    heap_program,
     solve,
     vectorize,
 )
 
 from . import reference_run as ref
-from .conftest import flip_positions, make_program, run_pipeline
+from .conftest import flip_positions, make_program, paper_faithful, random_start, run_pipeline
 
 
 def small_network(seed, N=6):
@@ -36,11 +37,14 @@ def small_network(seed, N=6):
 
 
 class TestReferenceRun:
+    """The frozen run, through the paper's route: x scaled by sum(|x|), unshifted."""
+
     @pytest.fixture(autouse=True)
     def _run(self, reference_x, program_kind):
         self.kind = program_kind
         program = make_program(program_kind, 7)
-        self.z, self.trace, self.instance = run_pipeline(reference_x, program)
+        scaled, config = paper_faithful(ref.INPUT_X)
+        self.z, self.trace, self.instance = run_pipeline(scaled, program, builder_config=config)
         self.x = reference_x
 
     def test_energy_sequence_at_one_decimal(self):
@@ -81,6 +85,14 @@ class TestReferenceRun:
             self.trace.steps[1].energy - self.trace.steps[0].energy, abs=1e-9
         )
 
+    def test_default_route_keeps_flips_and_arrangement(self):
+        # the shift moves the energies but not the order of the greedy pairing
+        program = make_program(self.kind, 7)
+        z, trace, _ = run_pipeline(self.x, program)
+        assert flip_positions(trace) == ref.FLIPS[self.kind]
+        y = apply_permutation(decode_permutation(z), self.x)
+        assert y.tolist() == ref.EXPECTED_Y[self.kind]
+
 
 def _reference_network(instance):
     from qperm import fold_diagonal, to_hopfield, to_ising
@@ -113,7 +125,7 @@ class TestGainBookkeeping:
 class TestDescent:
     def test_energy_strictly_decreases_until_stable(self):
         network = small_network(4)
-        _, trace = solve(network, SolverConfig(initial_state="random", seed=3))
+        _, trace = solve(network, SolverConfig(initial_state=random_start(6, 3)))
         energies = [s.energy for s in trace.steps]
         for a, b in zip(energies[:-2], energies[1:-1]):
             assert b < a
@@ -121,7 +133,7 @@ class TestDescent:
 
     def test_endpoint_is_single_flip_stable(self):
         network = small_network(8)
-        state, _ = solve(network, SolverConfig(initial_state="random", seed=1))
+        state, _ = solve(network, SolverConfig(initial_state=random_start(6, 1)))
         gains = [flip_gain(network, state, i) for i in range(6)]
         assert min(gains) >= 0.0
 
@@ -140,7 +152,7 @@ class TestDescent:
         with pytest.raises(DomainError):
             SolverConfig(initial_state="everything_on")
         with pytest.raises(DomainError):
-            SolverConfig(restarts=-1)
+            SolverConfig(initial_state="random")
         with pytest.raises(DomainError):
             SolverConfig(max_steps=-5)
 
@@ -148,8 +160,10 @@ class TestDescent:
 class TestSpuriousMinima:
     """Every feasible permutation encoding is single-flip stable, so the
     landscape carries n! local minima.  These tests pin down both sides:
-    the greedy descent is exact when at most one entry is negative, and a
-    two-negative input defeats the all-inactive start."""
+    on the paper's unshifted route the greedy descent is exact when at most
+    one entry is negative and a two-negative input defeats it; on the
+    default route, shifted by the minimum, one descent is exact for every
+    input."""
 
     def test_every_permutation_encoding_is_stable(self):
         x = ValueVector(ref.INPUT_X)
@@ -167,26 +181,14 @@ class TestSpuriousMinima:
 
     def test_two_negative_entries_defeat_default_start(self):
         x = ValueVector([-1.0, -2.0])
-        z, _, _ = run_pipeline(x, ascending_program(2))
+        scaled, config = paper_faithful(x.entries)
+        z, _, _ = run_pipeline(scaled, ascending_program(2), builder_config=config)
         p = decode_permutation(z)
         assert apply_permutation(p, x).tolist() == [-1.0, -2.0]  # stuck, not sorted
 
-    def test_seeded_restart_rescues_two_negative_case(self):
+    def test_default_route_sorts_two_negative_case(self):
         x = ValueVector([-1.0, -2.0])
-
-        def sorted_ok(s):
-            try:
-                p = decode_permutation(bipolar_to_binary(s))
-            except QpermError:
-                return False
-            return apply_permutation(p, x).tolist() == [-2.0, -1.0]
-
-        z, trace, _ = run_pipeline(
-            x,
-            ascending_program(2),
-            SolverConfig(restarts=4, seed=0),
-            feasibility_check=sorted_ok,
-        )
+        z, trace, _ = run_pipeline(x, ascending_program(2))
         assert trace.converged
         p = decode_permutation(z)
         assert apply_permutation(p, x).tolist() == [-2.0, -1.0]
@@ -206,7 +208,8 @@ class TestSpuriousMinima:
             values[int(rng.integers(0, n))] *= -1.0
         x = ValueVector(values)
         program = make_program(kind, n)
-        z, _, _ = run_pipeline(x, program)
+        scaled, config = paper_faithful(values)
+        z, _, _ = run_pipeline(scaled, program, builder_config=config)
         p = decode_permutation(z)
         got = apply_permutation(p, x)
         ordered = sorted(values)
@@ -220,16 +223,72 @@ class TestSpuriousMinima:
     )
     @settings(max_examples=30, deadline=None)
     def test_shift_to_nonnegative_workaround(self, n, kind, seed):
-        # mixed-sign inputs become reliable after shifting by the minimum
+        # on the paper's route, mixed-sign inputs become reliable after
+        # shifting by the minimum; the default route does this itself
         rng = np.random.default_rng(seed)
         values = rng.uniform(-50.0, 50.0, size=n)
         while len(np.unique(values)) < n:
             values = rng.uniform(-50.0, 50.0, size=n)
         shifted = values - values.min()
         program = make_program(kind, n)
-        z, _, _ = run_pipeline(ValueVector(shifted.tolist()), program)
+        scaled, config = paper_faithful(shifted)
+        z, _, _ = run_pipeline(scaled, program, builder_config=config)
         mapping = decode_permutation(z).as_mapping
         got = [float(values[c]) for c in mapping]
         ordered = sorted(float(v) for v in values)
         want = [ordered[r - 1] for r in program.ranks]
         assert got == want
+
+
+PROGRAMS = {
+    "ascending": ascending_program,
+    "descending": descending_program,
+    "bst": lambda n: make_program("bst", n),
+    "heap": heap_program,
+    "heap3": lambda n: heap_program(n, 3),
+}
+
+
+@st.composite
+def input_classes(draw, n):
+    """One draw from each input class the default route must handle."""
+    style = draw(
+        st.sampled_from(
+            ("paper", "gaussian", "all_negative", "duplicates", "offset_1e12",
+             "offset_1e15", "constant", "mixed_magnitudes")
+        )
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if style == "paper":
+        return rng.choice(10 * n, size=n, replace=False).astype(float)
+    if style == "gaussian":
+        return rng.standard_normal(n)
+    if style == "all_negative":
+        return -rng.uniform(0.5, 100.0, size=n)
+    if style == "duplicates":
+        return rng.integers(-3, 4, size=n).astype(float)
+    if style == "offset_1e12":
+        return rng.permutation(n).astype(float) + 1e12
+    if style == "offset_1e15":
+        return rng.permutation(n).astype(float) + 1e15
+    if style == "constant":
+        return np.full(n, float(rng.integers(-5, 6)))
+    signs = rng.choice([-1.0, 1.0], size=n)
+    return signs * 10.0 ** rng.integers(-6, 7, size=n) * rng.uniform(1.0, 9.0, size=n)
+
+
+class TestOneDescentIsExact:
+    @given(
+        st.integers(1, 12),
+        st.sampled_from(sorted(PROGRAMS)),
+        st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_default_descent_reaches_the_sort_optimum(self, n, kind, data):
+        values = data.draw(input_classes(n))
+        x = ValueVector(values)
+        program = PROGRAMS[kind](n)
+        z, trace, _ = run_pipeline(x, program)
+        report = certify(x, program, z)
+        assert trace.converged
+        assert report.feasible and report.optimal, (values.tolist(), kind, report)

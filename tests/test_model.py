@@ -35,12 +35,22 @@ def perm_matrix(mapping):
 
 class TestValueVector:
     def test_normalization_is_l1(self):
-        x = ValueVector([3.0, -1.0])
-        assert np.allclose(x.normalized_entries, [0.75, -0.25])
-        assert x.n == 2
+        x = ValueVector([3.0, -1.0, 1.0])
+        assert np.allclose(x.normalized_entries, [4 / 6, 0.0, 2 / 6])
+        assert x.normalized_entries.sum() == pytest.approx(1.0)
+        assert x.n == 3
 
-    def test_zero_vector_has_no_normalized_form(self):
-        assert ValueVector([0.0, 0.0]).normalized_entries is None
+    def test_normalization_shifts_by_the_minimum(self):
+        # the shift is exact for distinct integers offset far from zero
+        x = ValueVector(np.array([2.0, 0.0, 3.0, 1.0]) + 1e15)
+        assert x.normalized_entries.tolist() == [2 / 6, 0.0, 3 / 6, 1 / 6]
+        assert ValueVector([-4.0, -1.0]).normalized_entries.tolist() == [0.0, 1.0]
+
+    @pytest.mark.parametrize("value", [0.0, -3.5, 1e12])
+    def test_constant_vector_normalizes_to_zeros(self, value):
+        x = ValueVector([value] * 3)
+        assert x.normalized_entries.tolist() == [0.0, 0.0, 0.0]
+        assert not x.normalized_entries.flags.writeable
 
     def test_empty_rejected(self):
         with pytest.raises(InvalidSize):
@@ -75,6 +85,17 @@ class TestOrderProgram:
 
     def test_n(self):
         assert OrderProgram(ranks=(2, 1), kind="custom", branching=2).n == 2
+
+    @pytest.mark.parametrize(
+        "ranks", [(1.9, 2.2, 3.7), (1.5, 2, 3), "123", ("1", "2", "3"), (1, 2, float("inf")), 3]
+    )
+    def test_ranks_are_never_truncated_or_parsed(self, ranks):
+        with pytest.raises(NotAPermutation):
+            OrderProgram(ranks=ranks)
+
+    def test_integral_floats_are_ranks(self):
+        assert OrderProgram(ranks=(2.0, 1.0, 3.0)).ranks == (2, 1, 3)
+        assert OrderProgram(ranks=np.array([3, 1, 2])).ranks == (3, 1, 2)
 
 
 class TestVectorizeMatricize:
