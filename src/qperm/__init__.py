@@ -33,6 +33,7 @@ from .model import (
     HopfieldInstance,
     IsingInstance,
     OrderProgram,
+    PenaltyMatrix,
     PermutationMatrix,
     QuboInstance,
     SolverTrace,
@@ -77,6 +78,7 @@ __all__ = [
     "NonZeroDiagonal",
     "NotAPermutation",
     "OrderProgram",
+    "PenaltyMatrix",
     "PermutationMatrix",
     "QpermError",
     "QuboInstance",

@@ -15,6 +15,11 @@ row and column sums away from one.  The pieces are Kronecker products:
     R   = lam_r C_r^T C_r + lam_c C_c^T C_c
     r   = -N^T x - 2 (lam_r C_r + lam_c C_c)^T 1
 
+R couples cells of one row with lam_r and cells of one column with
+lam_c, so build_qubo returns it as PenaltyMatrix(n, lam_r, lam_c,
+lam_r + lam_c), three numbers in place of n^4 entries; np.asarray(R)
+gives the dense matrix above.
+
 Both penalty weights default to n, and by default x enters shifted by
 its minimum and L1-normalized (ValueVector.normalized_entries).  The
 shift changes no optimum and makes every reward non-negative, which is
@@ -33,7 +38,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError, InvalidSize
-from .model import OrderProgram, QuboInstance, ValueVector
+from .model import OrderProgram, PenaltyMatrix, QuboInstance, ValueVector
 
 
 @dataclass(frozen=True)
@@ -102,7 +107,7 @@ def build_qubo(
         config = BuilderConfig(lambda_r=float(n), lambda_c=float(n))
     values = x.normalized_entries if config.normalize else x.entries
 
-    R = _penalty_matrix(n, config.lambda_r, config.lambda_c)
+    R = PenaltyMatrix(n, config.lambda_r, config.lambda_c, config.lambda_r + config.lambda_c)
     # N^T x puts x[a] * ranks[b] at z[a*n + b], and every column of C_r and
     # of C_c holds a single 1.
     ranks = np.asarray(program.ranks, dtype=float)
@@ -116,26 +121,8 @@ def build_qubo(
     )
 
 
-def _penalty_matrix(n: int, lambda_r: float, lambda_c: float) -> np.ndarray:
-    """lam_r C_r^T C_r + lam_c C_c^T C_c, written in place and marked read-only.
-
-    C_r^T C_r = 11^T (x) I couples cells in the same row and C_c^T C_c =
-    I (x) 11^T cells in the same column.  Viewed as cells[a, b, a', b'] for
-    z[a*n + b] (column a, row b), the two terms set the entries with b = b'
-    and with a = a'.  Both products hold only 0 and 1, so every entry comes
-    out bit-for-bit as lam_r, lam_c, lam_r + lam_c or 0.
-    """
-    R = np.zeros((n * n, n * n))
-    cells = R.reshape(n, n, n, n)
-    k = np.arange(n)
-    cells[:, k, :, k] = lambda_r
-    cells[k, :, k, :] += lambda_c
-    R.setflags(write=False)
-    return R
-
-
 def qubo_objective(instance: QuboInstance, z) -> float:
-    """Evaluate z^T R z + r^T z at a binary state z."""
+    """Evaluate z^T R z + r^T z at a binary state z; R dense or a PenaltyMatrix."""
     zv = np.asarray(z, dtype=float).ravel()
     if zv.size != instance.dimension:
         raise DimensionMismatch(

@@ -165,7 +165,7 @@ def _cmd_build(args) -> int:
         "lambda_r": instance.lambda_r,
         "lambda_c": instance.lambda_c,
         "normalized": config.normalize,
-        "R": instance.matrix_R.tolist(),
+        "R": np.asarray(instance.matrix_R).tolist(),
         "r": instance.vector_r.tolist(),
         "x": x.entries.tolist(),
         "program": _program_to_dict(program, with_n=False),

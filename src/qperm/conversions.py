@@ -6,6 +6,13 @@ diagonal.  to_hopfield only renames: W = -2Q and theta = q, which makes
 -1/2 s^T W s + theta^T s literally equal to s^T Q s + q^T s.  Each hop
 shifts the objective by a state-independent constant at most, so
 minimizers carry over through the whole chain.
+
+A PenaltyMatrix stays one through every hop: each hop applies its
+elementwise operation to the three coefficients and computes R @ 1 in
+closed form, in O(n^2).  The matrices materialize bit for bit as the
+dense hop's; so do the vectors wherever the dense R @ 1 sums exactly, as
+it does for integer penalty weights.  Dense matrices, such as those read
+from QUBO files, take the dense code, which stays as the reference.
 """
 
 from __future__ import annotations
@@ -13,16 +20,20 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError, NonZeroDiagonal
-from .model import HopfieldInstance, IsingInstance, QuboInstance
+from .model import HopfieldInstance, IsingInstance, PenaltyMatrix, QuboInstance
 
 
 def fold_diagonal(instance: QuboInstance) -> QuboInstance:
     """Zero the diagonal of R, compensating in r; exact on binary states."""
-    R = instance.matrix_R.copy()
-    diag = R.diagonal().copy()
-    np.fill_diagonal(R, 0.0)
+    R = instance.matrix_R
+    diag = R.diagonal()
+    if isinstance(R, PenaltyMatrix):
+        folded = PenaltyMatrix(R.n, R.same_row, R.same_col, 0.0)
+    else:
+        folded = R.copy()
+        np.fill_diagonal(folded, 0.0)
     return QuboInstance(
-        matrix_R=_sealed(R),
+        matrix_R=_sealed(folded),
         vector_r=_sealed(instance.vector_r + diag),
         lambda_r=instance.lambda_r,
         lambda_c=instance.lambda_c,
@@ -53,9 +64,13 @@ def to_hopfield(instance: IsingInstance) -> HopfieldInstance:
     )
 
 
-def _sealed(arr: np.ndarray) -> np.ndarray:
-    """Mark a freshly made array read-only so the instance adopts it uncopied."""
-    arr.setflags(write=False)
+def _sealed(arr):
+    """Mark a freshly made array read-only so the instance adopts it uncopied.
+
+    A PenaltyMatrix is immutable already and passes through.
+    """
+    if isinstance(arr, np.ndarray):
+        arr.setflags(write=False)
     return arr
 
 

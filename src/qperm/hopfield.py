@@ -20,6 +20,14 @@ negative, the flip is not taken and descent stops there.  Flip sequences
 and outcomes are thereby exactly those of recomputing W @ s at every
 step and stopping at the first flip that fails to lower that energy.
 
+A network whose weights_W is a PenaltyMatrix (what the conversions make
+of build_qubo's penalty) runs the same descent: W @ s and row i of W
+cost O(N) there and max|W| O(1), so descent never forms W and needs
+O(N) memory beyond the trace, where a dense network holds N^2 weights.
+With integer penalty weights every field is exact, and the descent on
+the structured network agrees bit for bit in flips, states and energies
+with the one on its materialized form.
+
 The returned trace keeps every visited state and appends one repeated
 final row, which makes the stability of the endpoint visible in
 renderings of the run.
@@ -74,7 +82,7 @@ class SolverConfig:
 
 
 def energy(instance: HopfieldInstance, s) -> float:
-    """Evaluate -1/2 s^T W s + theta^T s at a bipolar state."""
+    """Evaluate -1/2 s^T W s + theta^T s at a bipolar state; W dense or a PenaltyMatrix."""
     sv = _check_state(instance, s)
     return float(-0.5 * (sv @ instance.weights_W @ sv) + instance.bias_theta @ sv)
 
@@ -181,7 +189,7 @@ def _descend(
     return final, SolverTrace(tuple(steps), converged=True, flips=flips)
 
 
-def _fresh_energy(W: np.ndarray, theta: np.ndarray, s: np.ndarray) -> float:
+def _fresh_energy(W, theta: np.ndarray, s: np.ndarray) -> float:
     return float(-0.5 * (s @ W @ s) + theta @ s)
 
 

@@ -12,8 +12,17 @@ the pipeline mark what they build read-only and hand it over for free.
 Every other input (lists, writable arrays, views of someone else's
 memory) is copied and the copy is marked read-only.
 
-Matrices must be symmetric to within SYMMETRY_TOL and, like the vectors
-beside them, finite; NaN or infinite entries raise DomainError.
+Each instance takes its matrix in one of two forms.  A dense ndarray must
+be symmetric to within SYMMETRY_TOL and, like the vectors beside it,
+finite; NaN or infinite entries raise DomainError.  A PenaltyMatrix is the
+row/column penalty of the ordering QUBO held as three coefficients: it is
+symmetric by construction, so validating it checks that those three are
+finite, and it needs no n^4 memory.  build_qubo produces one and every
+conversion keeps it; np.asarray materializes it as the dense matrix the
+same stage builds from a dense input.  It answers the few ndarray calls
+the pipeline makes of its matrices (products, rows, the diagonal, max
+and min) in the ndarray's spelling, so only constructing a matrix asks
+which form it is.
 
 Conventions fixed here once and relied on everywhere:
 
@@ -28,7 +37,10 @@ Conventions fixed here once and relied on everywhere:
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from dataclasses import dataclass, field
+from typing import Union
 
 import numpy as np
 
@@ -49,6 +61,145 @@ _SYMMETRY_STRIP = 64
 PROGRAM_KINDS = ("ascending", "descending", "bst", "heap", "custom")
 
 
+@dataclass(frozen=True)
+class PenaltyMatrix:
+    """The N x N matrix, N = n*n, that couples cells of one row or one column of Z.
+
+    Coordinate i = a*n + b is cell (row b, column a) of Z, as vectorize
+    stacks columns.  Entry (i, j) is self_coupling when i == j, same_row
+    when cells i and j are distinct cells of one row of Z, same_col when
+    they are distinct cells of one column, and 0 elsewhere.  The builder's
+    penalty lam_r C_r^T C_r + lam_c C_c^T C_c is PenaltyMatrix(n, lam_r,
+    lam_c, lam_r + lam_c), a Kronecker sum fixed by three numbers.
+
+    It stands in for the dense matrix where the pipeline needs one, with
+    the same spelling, so callers need not ask which form they hold:
+    np.asarray materializes it; M @ v, v @ M and Z @ M (for stacked rows
+    Z) multiply in O(N) per vector; M[i] is row i and M.diagonal() the
+    diagonal, in O(N); M.max() and M.min() take numpy's keywords, in
+    O(1); multiplying or dividing by a scalar applies to the three
+    coefficients what the dense operation applies to every entry.  shape
+    and ndim are those of the dense matrix.  Every entry these return is
+    bit for bit the entry np.asarray(M) holds.
+    """
+
+    n: int
+    same_row: float
+    same_col: float
+    self_coupling: float
+
+    # Binary numpy operations with a PenaltyMatrix defer to its own methods
+    # instead of materializing it.
+    __array_ufunc__ = None
+    ndim = 2
+
+    def __post_init__(self):
+        if int(self.n) < 1:
+            raise InvalidSize("n must be at least 1")
+        object.__setattr__(self, "n", int(self.n))
+        for name in ("same_row", "same_col", "self_coupling"):
+            value = float(getattr(self, name))
+            if not math.isfinite(value):
+                raise DomainError(f"{name} must be finite")
+            object.__setattr__(self, name, value)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        N = self.n * self.n
+        return (N, N)
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        """The dense matrix, written in place through a 4-D view.
+
+        Viewed as cells[a, b, a', b'] for z[a*n + b], same_row sits where
+        b = b' and same_col where a = a'.  The zeros elsewhere take the sign
+        of same_row, as 0 times each coefficient's factor does in the dense
+        stages, so every stage materializes bit for bit as its dense
+        counterpart (to_hopfield's W = -2Q holds -0.0 there).
+        """
+        n = self.n
+        dense = np.full(self.shape, 0.0 * self.same_row)
+        cells = dense.reshape(n, n, n, n)
+        k = np.arange(n)
+        cells[:, k, :, k] = self.same_row
+        cells[k, :, k, :] = self.same_col
+        np.fill_diagonal(dense, self.self_coupling)
+        return dense if dtype is None else dense.astype(dtype, copy=False)
+
+    def __getitem__(self, i) -> np.ndarray:
+        """Row i, written as __array__ writes it."""
+        N = self.n * self.n
+        i = operator.index(i)
+        if not -N <= i < N:
+            raise IndexError(f"row {i} outside a {self.shape} penalty")
+        i %= N
+        a, b = divmod(i, self.n)
+        row = np.full(N, 0.0 * self.same_row)
+        cells = row.reshape(self.n, self.n)
+        cells[:, b] = self.same_row
+        cells[a, :] = self.same_col
+        row[i] = self.self_coupling
+        return row
+
+    def diagonal(self) -> np.ndarray:
+        return np.full(self.n * self.n, self.self_coupling)
+
+    def max(self, **kwargs) -> float:
+        return self._entries().max(**kwargs)
+
+    def min(self, **kwargs) -> float:
+        return self._entries().min(**kwargs)
+
+    def _entries(self) -> np.ndarray:
+        """The values the dense matrix holds; for n = 1 that is its one entry."""
+        if self.n == 1:
+            return np.array([self.self_coupling])
+        return np.array([self.same_row, self.same_col, self.self_coupling, 0.0 * self.same_row])
+
+    def __matmul__(self, other) -> np.ndarray:
+        """M @ v for a vector v."""
+        v = np.asarray(other, dtype=float)
+        if v.ndim != 1:
+            raise DimensionMismatch("M @ v takes a vector; multiply stacked rows as Z @ M")
+        return self.__rmatmul__(v)
+
+    def __rmatmul__(self, other) -> np.ndarray:
+        """v @ M, row by row for stacked rows, in O(N) per row.
+
+        M is symmetric, so each row times M is M times that row; it is
+        read off the row and column sums of the row's cells.
+        """
+        v = np.asarray(other, dtype=float)
+        n = self.n
+        if v.ndim == 0 or v.shape[-1] != n * n:
+            raise DimensionMismatch(f"cannot multiply shape {v.shape} by a {self.shape} penalty")
+        cells = v.reshape(v.shape[:-1] + (n, n))  # cells[..., a, b] = v[..., a*n + b]
+        row_sums = cells.sum(axis=-2, keepdims=True)
+        col_sums = cells.sum(axis=-1, keepdims=True)
+        out = (
+            self.self_coupling * cells
+            + self.same_row * (row_sums - cells)
+            + self.same_col * (col_sums - cells)
+        )
+        return out.reshape(v.shape)
+
+    def __mul__(self, factor):
+        if not isinstance(factor, numbers.Real):
+            return NotImplemented
+        return PenaltyMatrix(
+            self.n, factor * self.same_row, factor * self.same_col, factor * self.self_coupling
+        )
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, divisor):
+        if not isinstance(divisor, numbers.Real):
+            return NotImplemented
+        return PenaltyMatrix(
+            self.n, self.same_row / divisor, self.same_col / divisor, self.self_coupling / divisor
+        )
+
+
 def _readonly(values, dtype=float) -> np.ndarray:
     if (
         type(values) is np.ndarray
@@ -62,13 +213,22 @@ def _readonly(values, dtype=float) -> np.ndarray:
     return arr
 
 
-def _require_symmetric(matrix: np.ndarray, name: str) -> None:
+def _matrix(values):
+    """Keep a PenaltyMatrix as it is; adopt anything else as a dense array."""
+    return values if isinstance(values, PenaltyMatrix) else _readonly(values)
+
+
+def _require_symmetric(matrix, name: str) -> None:
     """Compare each strip of rows above the diagonal with its column strip.
 
     Every pair (i, j) meets in the strip that holds min(i, j), so this sees
     the same gaps as |M - M^T| without building it.  The test is written
     `not gap <= tol` so that a NaN gap (from NaN or infinite entries) fails.
+    A PenaltyMatrix is symmetric by construction and finite by its own
+    check, so it passes at once.
     """
+    if isinstance(matrix, PenaltyMatrix):
+        return
     n = matrix.shape[0]
     for i in range(0, n, _SYMMETRY_STRIP):
         j = i + _SYMMETRY_STRIP
@@ -92,7 +252,10 @@ class ValueVector:
     entry lies in [0, 1], the smallest is 0 and they sum to 1.  A constant
     vector has no spread to scale and normalizes to all zeros; any
     arrangement of it is optimal.  The field is derived in the
-    constructor; any value passed for it is ignored.
+    constructor; any value passed for it is ignored.  When the shift or
+    its sum would overflow (a spread beyond the float range), x is first
+    scaled by a power of two, which keeps every order; every other input
+    normalizes without it.
 
     The shift changes no optimum.  The objective -x^T P^T ranks of every
     arrangement P moves by min(x) * sum(ranks), the same constant for all
@@ -120,8 +283,16 @@ class ValueVector:
         if entries.ndim != 1 or entries.size == 0:
             raise InvalidSize("need a one-dimensional vector with at least one entry")
         _require_finite(entries, "entries")
-        shifted = entries - entries.min()
-        scale = float(shifted.sum())
+        with np.errstate(over="ignore"):
+            shifted = entries - entries.min()
+            scale = float(shifted.sum())
+        if not math.isfinite(scale):
+            # The spread or its sum is beyond the float range.  Scaling by a
+            # power of two keeps every order; 2^-(2 + bits of n) brings the
+            # largest spread, 2 * max|x|, summed n times, back within it.
+            shrunk = np.ldexp(entries, -(2 + entries.size.bit_length()))
+            shifted = shrunk - shrunk.min()
+            scale = float(shifted.sum())
         if scale > 0.0:
             shifted /= scale
         shifted.setflags(write=False)
@@ -174,16 +345,19 @@ class OrderProgram:
 
 @dataclass(frozen=True, eq=False)
 class QuboInstance:
-    """Minimize z^T R z + r^T z over binary z of length source_n squared."""
+    """Minimize z^T R z + r^T z over binary z of length source_n squared.
 
-    matrix_R: np.ndarray
+    matrix_R is a dense ndarray or a PenaltyMatrix.
+    """
+
+    matrix_R: Union[np.ndarray, PenaltyMatrix]
     vector_r: np.ndarray
     lambda_r: float
     lambda_c: float
     source_n: int
 
     def __post_init__(self):
-        R = _readonly(self.matrix_R)
+        R = _matrix(self.matrix_R)
         r = _readonly(self.vector_r)
         if R.ndim != 2 or R.shape[0] != R.shape[1] or r.shape != (R.shape[0],):
             raise DimensionMismatch("matrix_R must be square and match vector_r")
@@ -206,19 +380,22 @@ class QuboInstance:
 
 @dataclass(frozen=True, eq=False)
 class IsingInstance:
-    """Energy s^T Q s + q^T s over bipolar s; Q keeps an exactly zero diagonal."""
+    """Energy s^T Q s + q^T s over bipolar s; Q keeps an exactly zero diagonal.
 
-    matrix_Q: np.ndarray
+    matrix_Q is a dense ndarray or a PenaltyMatrix.
+    """
+
+    matrix_Q: Union[np.ndarray, PenaltyMatrix]
     vector_q: np.ndarray
 
     def __post_init__(self):
-        Q = _readonly(self.matrix_Q)
+        Q = _matrix(self.matrix_Q)
         q = _readonly(self.vector_q)
         if Q.ndim != 2 or Q.shape[0] != Q.shape[1] or q.shape != (Q.shape[0],):
             raise DimensionMismatch("matrix_Q must be square and match vector_q")
         _require_finite(q, "vector_q")
         _require_symmetric(Q, "matrix_Q")
-        if np.any(np.diag(Q) != 0.0):
+        if np.any(Q.diagonal() != 0.0):
             raise NonZeroDiagonal("matrix_Q must have an exactly zero diagonal")
         object.__setattr__(self, "matrix_Q", Q)
         object.__setattr__(self, "vector_q", q)
@@ -230,19 +407,23 @@ class IsingInstance:
 
 @dataclass(frozen=True, eq=False)
 class HopfieldInstance:
-    """Energy -1/2 s^T W s + theta^T s over bipolar s, with zero self-coupling."""
+    """Energy -1/2 s^T W s + theta^T s over bipolar s, with zero self-coupling.
 
-    weights_W: np.ndarray
+    weights_W is a dense ndarray or a PenaltyMatrix; solve runs the same
+    descent on either.
+    """
+
+    weights_W: Union[np.ndarray, PenaltyMatrix]
     bias_theta: np.ndarray
 
     def __post_init__(self):
-        W = _readonly(self.weights_W)
+        W = _matrix(self.weights_W)
         theta = _readonly(self.bias_theta)
         if W.ndim != 2 or W.shape[0] != W.shape[1] or theta.shape != (W.shape[0],):
             raise DimensionMismatch("weights_W must be square and match bias_theta")
         _require_finite(theta, "bias_theta")
         _require_symmetric(W, "weights_W")
-        if np.any(np.diag(W) != 0.0):
+        if np.any(W.diagonal() != 0.0):
             raise DomainError("weights_W must have an exactly zero diagonal")
         object.__setattr__(self, "weights_W", W)
         object.__setattr__(self, "bias_theta", theta)

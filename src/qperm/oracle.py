@@ -138,12 +138,15 @@ def certify(x: ValueVector, program: OrderProgram, solver_state) -> CertificateR
     A state that fails to decode yields a failed certificate rather than
     an exception.  Optimality compares the achieved -x^T P^T ranks to
     sort_optimum at relative/absolute tolerance 1e-9, so no size guard
-    applies.  For bst and heap programs the arranged values must also pass
-    the matching structure validator; other kinds skip that check
+    applies.  When either objective overflows, the two are compared on x
+    scaled by a power of two instead; the report keeps the unscaled ones.
+    For bst and heap programs the arranged values must also pass the
+    matching structure validator; other kinds skip that check
     (structure_valid is None).
     """
     ranks = np.asarray(program.ranks, dtype=float)
-    best_value = sort_optimum(x, program)
+    with np.errstate(over="ignore"):  # an overflow is handled below
+        best_value = sort_optimum(x, program)
     notes: list[str] = []
     if len(np.unique(x.entries)) < x.n:
         notes.append("objective-tie: duplicate input values admit several optimal arrangements")
@@ -163,9 +166,20 @@ def certify(x: ValueVector, program: OrderProgram, solver_state) -> CertificateR
             notes=tuple(notes),
         )
     arranged = apply_permutation(p, x)
-    achieved = -float(arranged @ ranks)
-    optimal = math.isclose(
-        achieved, best_value, rel_tol=_OBJECTIVE_REL_TOL, abs_tol=_OBJECTIVE_ABS_TOL
+    with np.errstate(over="ignore"):
+        achieved = -float(arranged @ ranks)
+    pair = (achieved, best_value)
+    if not (math.isfinite(achieved) and math.isfinite(best_value)):
+        # An objective overflowed, and two infinities would compare equal.
+        # Scaling x by a power of two keeps every order; past 2 * sum(ranks)
+        # it brings both objectives, at most sum(ranks) * max|x|, into range.
+        shrink = math.ldexp(1.0, -(2 + int(ranks.sum()).bit_length()))
+        pair = (
+            -float((arranged * shrink) @ ranks),
+            sort_optimum(ValueVector(x.entries * shrink), program),
+        )
+    optimal = all(map(math.isfinite, pair)) and math.isclose(
+        *pair, rel_tol=_OBJECTIVE_REL_TOL, abs_tol=_OBJECTIVE_ABS_TOL
     )
     structure_valid: Optional[bool] = None
     if program.kind in ("bst", "heap"):

@@ -3,6 +3,8 @@ import pytest
 
 from qperm import (
     BuilderConfig,
+    HopfieldInstance,
+    QuboInstance,
     SolverConfig,
     ValueVector,
     ascending_program,
@@ -61,6 +63,22 @@ def run_pipeline(x, program, config=None, builder_config=None):
     network = to_hopfield(to_ising(fold_diagonal(instance)))
     state, trace = solve(network, config or SolverConfig())
     return bipolar_to_binary(state), trace, instance
+
+
+def dense_qubo(instance):
+    """The same QUBO with its penalty materialized, for the dense chain."""
+    return QuboInstance(
+        matrix_R=np.asarray(instance.matrix_R),
+        vector_r=instance.vector_r,
+        lambda_r=instance.lambda_r,
+        lambda_c=instance.lambda_c,
+        source_n=instance.source_n,
+    )
+
+
+def materialized(network):
+    """The same network with dense weights, which solve descends with _descend."""
+    return HopfieldInstance(weights_W=np.asarray(network.weights_W), bias_theta=network.bias_theta)
 
 
 def random_start(N, seed):

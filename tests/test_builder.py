@@ -63,7 +63,7 @@ class TestBuildQubo:
 
     def test_matrix_symmetric_with_constant_diagonal(self):
         inst = build_qubo(ValueVector([46.0, 52.0, -12.0]), ascending_program(3))
-        R = inst.matrix_R
+        R = np.asarray(inst.matrix_R)
         assert np.array_equal(R, R.T)
         assert np.allclose(np.diag(R), inst.lambda_r + inst.lambda_c)
 

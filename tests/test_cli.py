@@ -337,6 +337,23 @@ class TestVerifyCommand:
         assert main(["verify", x_path, str(prog)]) == 0
         assert "objective vs oracle      PASS" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "values, arranged",
+        [
+            ([1e308, -1e308, 0.0], "-1e+308 0 1e+308"),  # the shift overflows
+            ([1e308, 1.5e308, 0.0], "0 1e+308 1.5e+308"),  # the shifted sum overflows
+        ],
+    )
+    def test_spread_beyond_float_range(self, tmp_path, capsys, values, arranged):
+        x_path = write_json(tmp_path / "x.json", values)
+        prog = tmp_path / "prog.json"
+        assert main(["program", "--kind", "ascending", "--n", "3", "-o", str(prog)]) == 0
+        assert main(["build", x_path, str(prog), "-o", str(tmp_path / "qubo.json")]) == 0
+        assert main(["solve", str(tmp_path / "qubo.json")]) == 0
+        assert f"values: {arranged}\n" in capsys.readouterr().out
+        assert main(["verify", x_path, str(prog)]) == 0
+        assert "objective vs oracle      PASS" in capsys.readouterr().out
+
     def test_duplicate_values_note(self, tmp_path, capsys):
         x_path = write_json(tmp_path / "x.json", [5.0, 5.0])
         prog = tmp_path / "prog.json"

@@ -4,7 +4,9 @@ build_qubo writes R in place and r from an outer product, fold_diagonal
 zeroes the diagonal of a copy, and descent updates its field by one row of W
 per flip.  These tests hold each of them to the product form it replaced:
 _descend_two_products is the earlier descent, copied verbatim, which
-recomputes W @ s and the energy from scratch at every step.  The current
+recomputes W @ s and the energy from scratch at every step.  Builder
+networks enter these tests materialized, so that they take the dense
+descent.  The current
 descent differs from it only where it stops before a flip that fails to
 lower the energy.
 """
@@ -39,7 +41,14 @@ from qperm import (
 )
 from qperm import hopfield
 
-from .conftest import flip_positions, make_program, paper_faithful, random_start
+from .conftest import (
+    dense_qubo,
+    flip_positions,
+    make_program,
+    materialized,
+    paper_faithful,
+    random_start,
+)
 
 
 def _descend_two_products(
@@ -175,7 +184,7 @@ def builder_networks(draw, max_n=12):
         )
     )
     instance = build_qubo(x, make_program(kind, n), config)
-    return to_hopfield(to_ising(fold_diagonal(instance)))
+    return materialized(to_hopfield(to_ising(fold_diagonal(instance))))
 
 
 @st.composite
@@ -246,7 +255,8 @@ class TestDescentMatchesTwoProducts:
         updates leaves the two equal, which would send the flip to 1.
         """
         x, config = paper_faithful([-2.0, 2.0], lambda_r=0.9, lambda_c=0.5)
-        network = to_hopfield(to_ising(fold_diagonal(build_qubo(x, make_program("bst", 2), config))))
+        instance = build_qubo(x, make_program("bst", 2), config)
+        network = materialized(to_hopfield(to_ising(fold_diagonal(instance))))
         start = np.full(4, -1, dtype=np.int8)
         _, trace = hopfield._descend(network, start, 16)
         assert flip_positions(trace) == [2, 3]
@@ -328,6 +338,7 @@ class TestInPlaceMatrices:
 
     def test_builder_output_is_adopted_downstream(self):
         x = ValueVector([3.0, 1.0, 2.0])
-        network = to_hopfield(to_ising(fold_diagonal(build_qubo(x, make_program("heap", 3)))))
+        instance = dense_qubo(build_qubo(x, make_program("heap", 3)))
+        network = to_hopfield(to_ising(fold_diagonal(instance)))
         assert not network.weights_W.flags.writeable
         assert network.weights_W.flags.owndata

@@ -52,6 +52,22 @@ class TestValueVector:
         assert x.normalized_entries.tolist() == [0.0, 0.0, 0.0]
         assert not x.normalized_entries.flags.writeable
 
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [1e308, -1e308, 0.0],  # the shift overflows
+            [1e308, 1.5e308, 0.0],  # the shifted sum overflows
+            [-1.7e308, 1.7e308, 1e307, -5e307],
+        ],
+    )
+    def test_spread_beyond_float_range_keeps_the_order(self, values):
+        with np.errstate(all="raise"):
+            x = ValueVector(values)
+        v = x.normalized_entries
+        assert np.isfinite(v).all() and v.min() == 0.0
+        assert v.sum() == pytest.approx(1.0)
+        assert np.argsort(v, kind="stable").tolist() == np.argsort(values, kind="stable").tolist()
+
     def test_empty_rejected(self):
         with pytest.raises(InvalidSize):
             ValueVector([])

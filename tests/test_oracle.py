@@ -29,6 +29,13 @@ from . import reference_run as ref
 from .conftest import make_program, run_pipeline
 
 
+def perm_matrix(mapping):
+    n = len(mapping)
+    m = np.zeros((n, n))
+    m[np.arange(n), list(mapping)] = 1.0
+    return m
+
+
 class TestBestPermutation:
     def test_sorting_semantics(self):
         p, _ = best_permutation(ValueVector([3.0, 1.0, 2.0]), ascending_program(3))
@@ -227,6 +234,23 @@ class TestCertify:
         assert not report.optimal
         assert not report.passed
         assert report.achieved_objective > report.best_objective
+
+    @pytest.mark.parametrize(
+        "values, wrong, right",
+        [
+            # both objectives of the wrong order overflow to -inf
+            ([1e308, 1.5e308, 0.0], (0, 1, 2), (2, 0, 1)),
+            # only the optimum overflows; the right order overflows too
+            ([1e308, -1e308, 0.0], (0, 1, 2), (1, 2, 0)),
+        ],
+    )
+    def test_objectives_beyond_float_range(self, values, wrong, right):
+        x = ValueVector(values)
+        program = ascending_program(3)
+        with np.errstate(all="raise"):
+            report = certify(x, program, vectorize(perm_matrix(wrong)))
+            assert report.feasible and not report.optimal
+            assert certify(x, program, vectorize(perm_matrix(right))).optimal
 
     def test_duplicate_values_noted(self):
         x = ValueVector([5.0, 5.0])

@@ -1,0 +1,386 @@
+"""The structured chain against the dense one, bit for bit or within tolerance.
+
+build_qubo returns its penalty as a PenaltyMatrix, the conversions keep it
+one, and solve runs the dense network's descent on it.  The dense chain
+stays as the reference: these tests materialize each structured stage with
+np.asarray and run the dense stage on the materialized input.  With integer
+penalty weights every sum of coefficients is exact, so the two agree bit for
+bit, matrices, vectors, flips, states and energies alike.  With any other
+weights they agree within a relative tolerance of 1e-9.
+"""
+
+import json
+import os
+import tempfile
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qperm import (
+    BuilderConfig,
+    DimensionMismatch,
+    DomainError,
+    HopfieldInstance,
+    InvalidSize,
+    IsingInstance,
+    MaxStepsExceeded,
+    NonZeroDiagonal,
+    PenaltyMatrix,
+    QuboInstance,
+    ValueVector,
+    build_Cc,
+    build_Cr,
+    build_qubo,
+    certify,
+    descending_program,
+    energy,
+    exhaustive_qubo_min,
+    flip_gain,
+    fold_diagonal,
+    qubo_objective,
+    solve,
+    to_hopfield,
+    to_ising,
+)
+from qperm import hopfield
+from qperm.cli import main
+
+from . import reference_run as ref
+from .conftest import (
+    dense_qubo,
+    flip_positions,
+    make_program,
+    materialized,
+    paper_faithful,
+    random_start,
+    run_pipeline,
+)
+
+
+def bits(a) -> bytes:
+    return np.ascontiguousarray(a, dtype=float).tobytes()
+
+
+def program_for(kind, n):
+    return descending_program(n) if kind == "descending" else make_program(kind, n)
+
+
+def chain(instance):
+    """fold -> Ising -> Hopfield; returns the three instances."""
+    folded = fold_diagonal(instance)
+    ising = to_ising(folded)
+    return folded, ising, to_hopfield(ising)
+
+
+def assert_bitwise_same_descent(network, start, budget=None):
+    """_descend takes the same flips through the same states at the same
+    energies on the structured network and on its materialized form, or
+    raises the same error on both."""
+    dense = materialized(network)
+    budget = network.dimension ** 2 if budget is None else budget
+    try:
+        dense_run = hopfield._descend(dense, start, budget)
+    except MaxStepsExceeded:
+        with pytest.raises(MaxStepsExceeded):
+            hopfield._descend(network, start, budget)
+        return None
+    state, trace = hopfield._descend(network, start, budget)
+    dense_state, dense_trace = dense_run
+    assert np.array_equal(state, dense_state)
+    assert trace.flips == dense_trace.flips and trace.converged == dense_trace.converged
+    assert len(trace.steps) == len(dense_trace.steps)
+    for step, dense_step in zip(trace.steps, dense_trace.steps):
+        assert np.array_equal(step.state, dense_step.state)
+        assert bits(step.energy) == bits(dense_step.energy)
+    return trace
+
+
+# --- inputs ---------------------------------------------------------------
+
+KINDS = ("ascending", "descending", "bst", "heap")
+
+
+@st.composite
+def input_values(draw, n):
+    style = draw(st.sampled_from(("integer", "duplicate", "signed", "constant")))
+    if style == "integer":
+        vals = draw(st.lists(st.integers(0, 10 * n), min_size=n, max_size=n, unique=True))
+    elif style == "duplicate":
+        vals = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    elif style == "signed":
+        vals = draw(
+            st.lists(
+                st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False),
+                min_size=n,
+                max_size=n,
+            )
+        )
+    else:
+        vals = [draw(st.integers(-5, 5))] * n
+    return [float(v) for v in vals]
+
+
+@st.composite
+def builder_instances(draw, integer_lambda, max_n=12):
+    n = draw(st.integers(1, max_n))
+    x = ValueVector(draw(input_values(n)))
+    weights = st.integers(1, 30).map(float) if integer_lambda else st.floats(0.05, 30.0)
+    config = draw(
+        st.one_of(
+            st.none(),
+            st.builds(BuilderConfig, lambda_r=weights, lambda_c=weights, normalize=st.booleans()),
+        )
+    )
+    return build_qubo(x, program_for(draw(st.sampled_from(KINDS)), n), config)
+
+
+# --- the penalty matrix on its own ----------------------------------------
+
+
+class TestPenaltyMatrix:
+    def test_materializes_the_row_and_column_pattern(self):
+        # n = 2: z = (Z[0,0], Z[1,0], Z[0,1], Z[1,1]); same row: 0-2 and 1-3,
+        # same column: 0-1 and 2-3
+        expected = [
+            [5.0, 2.0, 1.0, 0.0],
+            [2.0, 5.0, 0.0, 1.0],
+            [1.0, 0.0, 5.0, 2.0],
+            [0.0, 1.0, 2.0, 5.0],
+        ]
+        M = PenaltyMatrix(2, 1.0, 2.0, 5.0)
+        assert M.shape == (4, 4) and M.ndim == 2
+        assert np.asarray(M).tolist() == expected
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7])
+    def test_builder_penalty_is_the_kronecker_sum(self, n):
+        Cr, Cc = build_Cr(n), build_Cc(n)
+        M = PenaltyMatrix(n, 3.0, 5.0, 8.0)
+        assert bits(M) == bits(3.0 * (Cr.T @ Cr) + 5.0 * (Cc.T @ Cc))
+
+    def test_coefficients_must_be_finite(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(DomainError):
+                PenaltyMatrix(2, bad, 1.0, 1.0)
+            with pytest.raises(DomainError):
+                PenaltyMatrix(2, 1.0, 1.0, bad)
+        with pytest.raises(InvalidSize):
+            PenaltyMatrix(0, 1.0, 1.0, 1.0)
+
+    @given(st.integers(1, 6), st.integers(0, 2**32 - 1), st.integers(0, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_products_match_the_dense_matrix(self, n, seed, rows):
+        rnd = np.random.default_rng(seed)
+        M = PenaltyMatrix(n, *rnd.normal(size=3))
+        dense = np.asarray(M)
+        v = rnd.normal(size=n * n)
+        np.testing.assert_allclose(M @ v, dense @ v, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(v @ M, v @ dense, rtol=1e-12, atol=1e-12)
+        stacked = rnd.normal(size=(rows, n * n))
+        np.testing.assert_allclose(stacked @ M, stacked @ dense, rtol=1e-12, atol=1e-12)
+
+    def test_product_checks_the_shape(self):
+        M = PenaltyMatrix(2, 1.0, 1.0, 1.0)
+        with pytest.raises(DimensionMismatch):
+            M @ np.ones(5)
+        with pytest.raises(DimensionMismatch):
+            np.ones((2, 5)) @ M
+        with pytest.raises(DimensionMismatch):
+            M @ np.eye(4)  # M @ X multiplies columns; only stacked rows Z @ M are supported
+
+    def test_scalar_operations_act_on_every_entry(self):
+        M = PenaltyMatrix(3, 1.5, 0.25, 0.0)
+        dense = np.asarray(M)
+        assert bits(M / 4.0) == bits(dense / 4.0)
+        assert bits(-2.0 * M) == bits(-2.0 * dense)  # zeros turn -0.0 in both
+        assert bits(M * 3.0) == bits(dense * 3.0)
+
+    def test_instances_take_it_in_place_of_a_dense_matrix(self):
+        M = PenaltyMatrix(2, 1.0, 1.0, 2.0)
+        assert QuboInstance(M, np.zeros(4), 1.0, 1.0, 2).matrix_R is M
+        with pytest.raises(DimensionMismatch):
+            QuboInstance(M, np.zeros(9), 1.0, 1.0, 3)
+        with pytest.raises(NonZeroDiagonal):
+            IsingInstance(M, np.zeros(4))
+        with pytest.raises(DomainError):
+            HopfieldInstance(M, np.zeros(4))
+        zero_diagonal = PenaltyMatrix(2, -1.0, -1.0, -0.0)
+        assert IsingInstance(zero_diagonal, np.zeros(4)).matrix_Q is zero_diagonal
+        assert HopfieldInstance(zero_diagonal, np.zeros(4)).weights_W is zero_diagonal
+
+    def test_library_chain_holds_no_matrix(self):
+        n = 40
+        x = ValueVector(np.random.default_rng(40).normal(size=n))
+        instance = build_qubo(x, make_program("heap", n))
+        for stage in (instance, *chain(instance)):
+            arrays = [v for v in vars(stage).values() if isinstance(v, np.ndarray)]
+            assert all(a.shape == (n * n,) for a in arrays)
+
+    @given(st.integers(1, 6), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_rows_diagonal_and_extremes_are_the_dense_ones(self, n, seed):
+        rnd = np.random.default_rng(seed)
+        M = PenaltyMatrix(n, *rnd.normal(size=3))
+        for m in (M, -2.0 * M):
+            dense = np.asarray(m)
+            for i in range(-n * n, n * n):
+                assert bits(m[i]) == bits(dense[i])
+            assert bits(m.diagonal()) == bits(dense.diagonal())
+            assert m.max() == dense.max() and m.min() == dense.min()
+            assert m.max(initial=0.0) == dense.max(initial=0.0)
+            assert m.min(initial=0.0) == dense.min(initial=0.0)
+        with pytest.raises(IndexError):
+            M[n * n]
+        with pytest.raises(TypeError):
+            M[0.5]
+
+    def test_solve_runs_one_descent_on_either_form(self):
+        instance = build_qubo(ValueVector(ref.INPUT_X), make_program("heap", 7))
+        network = chain(instance)[2]
+        with mock.patch.object(hopfield, "_descend", wraps=hopfield._descend) as descend:
+            solve(network)
+            solve(materialized(network))
+        first, second = (call.args[0].weights_W for call in descend.call_args_list)
+        assert first is network.weights_W and isinstance(second, np.ndarray)
+
+
+# --- stages and descent, integer penalty weights: bit for bit -------------
+
+
+class TestIntegerWeightsBitForBit:
+    @given(builder_instances(integer_lambda=True))
+    @settings(max_examples=100, deadline=None)
+    def test_every_stage_materializes_as_the_dense_stage(self, instance):
+        n = instance.source_n
+        Cr, Cc = build_Cr(n), build_Cc(n)
+        kronecker = instance.lambda_r * (Cr.T @ Cr) + instance.lambda_c * (Cc.T @ Cc)
+        assert bits(instance.matrix_R) == bits(kronecker)
+        structured = chain(instance)
+        dense = chain(dense_qubo(instance))
+        for (s, d), (matrix, vector) in zip(
+            zip(structured, dense),
+            (("matrix_R", "vector_r"), ("matrix_Q", "vector_q"), ("weights_W", "bias_theta")),
+        ):
+            assert isinstance(getattr(s, matrix), PenaltyMatrix)
+            assert bits(getattr(s, matrix)) == bits(getattr(d, matrix))
+            assert bits(getattr(s, vector)) == bits(getattr(d, vector))
+
+    @given(builder_instances(integer_lambda=True), st.one_of(st.none(), st.integers(0, 2**32 - 1)))
+    @settings(max_examples=120, deadline=None)
+    def test_descent_matches_dense_descent(self, instance, seed):
+        network = chain(instance)[2]
+        N = network.dimension
+        start = np.full(N, -1, dtype=np.int8) if seed is None else random_start(N, seed)
+        assert_bitwise_same_descent(network, start)
+
+    @given(builder_instances(integer_lambda=True, max_n=6), st.integers(0, 2**32 - 1),
+           st.integers(0, 4))
+    @settings(max_examples=40, deadline=None)
+    def test_step_budget(self, instance, seed, budget):
+        network = chain(instance)[2]
+        assert_bitwise_same_descent(network, random_start(network.dimension, seed), budget)
+
+    @pytest.mark.parametrize("kind", ["ascending", "bst", "heap"])
+    def test_frozen_reference_run(self, kind):
+        scaled, config = paper_faithful(ref.INPUT_X)
+        network = chain(build_qubo(scaled, make_program(kind, 7), config))[2]
+        trace = assert_bitwise_same_descent(network, np.full(49, -1, dtype=np.int8))
+        assert flip_positions(trace) == ref.FLIPS[kind]
+        assert [f"{s.energy:.1f}" for s in trace.steps] == ref.ENERGY_STRINGS
+
+    def test_two_negative_entries(self):
+        scaled, config = paper_faithful([-1.0, -2.0])
+        network = chain(build_qubo(scaled, make_program("ascending", 2), config))[2]
+        trace = assert_bitwise_same_descent(network, np.full(4, -1, dtype=np.int8))
+        assert flip_positions(trace) == [0, 3]  # stuck on [-1, -2], not sorted
+
+    def test_objectives_match_the_dense_forms(self):
+        scaled, config = paper_faithful([3.0, -1.0, 2.0])
+        instance = build_qubo(scaled, make_program("bst", 3), config)
+        dense = dense_qubo(instance)
+        network = chain(instance)[2]
+        dense_network = materialized(network)
+        rnd = np.random.default_rng(3)
+        for _ in range(20):
+            z = rnd.integers(0, 2, size=9)
+            s = 2 * z - 1
+            assert bits(qubo_objective(instance, z)) == bits(qubo_objective(dense, z))
+            assert bits(energy(network, s)) == bits(energy(dense_network, s))
+            i = int(rnd.integers(0, 9))
+            assert bits(flip_gain(network, s, i)) == bits(flip_gain(dense_network, s, i))
+        small = build_qubo(ValueVector([2.0, -1.0]), make_program("ascending", 2))
+        for folded in (small, fold_diagonal(small)):
+            state, value = exhaustive_qubo_min(folded)
+            dense_state, dense_value = exhaustive_qubo_min(dense_qubo(folded))
+            assert state.tolist() == dense_state.tolist() and value == dense_value
+
+
+# --- any positive finite weights: within tolerance -------------------------
+
+
+class TestAnyWeightsWithinTolerance:
+    @given(builder_instances(integer_lambda=False))
+    @settings(max_examples=120, deadline=None)
+    def test_endpoint_is_stable_and_energies_exact(self, instance):
+        network = chain(instance)[2]
+        dense = materialized(network)
+        state, trace = solve(network)
+        for step in trace.steps:
+            assert step.energy == pytest.approx(energy(dense, step.state), rel=1e-9, abs=1e-12)
+        scale = abs(energy(dense, state))
+        gains = [flip_gain(dense, state, i) for i in range(network.dimension)]
+        assert min(gains) >= -1e-9 * max(scale, 1.0)
+
+    def test_stops_before_a_flip_that_does_not_lower_the_energy(self):
+        """Flipping coordinate 0 at the endpoint has a gain of 0 in exact
+        arithmetic that rounds to -4.4e-16; the energy it leads to is no lower,
+        so descent stops there instead of failing the trace's check."""
+        x = ValueVector([1.0, 2.0, 0.0, 1.0])
+        config = BuilderConfig(lambda_r=0.7, lambda_c=0.3)
+        network = chain(build_qubo(x, descending_program(4), config))[2]
+        state, trace = solve(network)
+        assert trace.converged and flip_positions(trace) == [4, 5, 2, 15]
+        s = state.astype(float)
+        gains = 2.0 * s * (network.weights_W @ s - network.bias_theta)
+        assert -1e-15 < gains.min() < 0.0 and int(np.argmin(gains)) == 0
+        flipped = state.copy()
+        flipped[0] = -flipped[0]
+        assert not energy(network, flipped) < energy(network, state)
+
+
+# --- the CLI writes the materialized penalty -------------------------------
+
+
+@given(st.integers(1, 8), st.floats(0.05, 30.0), st.floats(0.05, 30.0),
+       st.sampled_from(KINDS), st.data())
+@settings(max_examples=25, deadline=None)
+def test_build_writes_the_kronecker_penalty(n, lambda_r, lambda_c, kind, data):
+    values = data.draw(input_values(n))
+    with tempfile.TemporaryDirectory() as tmp:
+        x_path, prog, out = (os.path.join(tmp, f) for f in ("x.json", "p.json", "q.json"))
+        with open(x_path, "w", encoding="utf-8") as handle:
+            json.dump(values, handle)
+        assert main(["program", "--kind", kind, "--n", str(n), "-o", prog]) == 0
+        assert main(["build", x_path, prog, "--lambda-r", repr(lambda_r),
+                     "--lambda-c", repr(lambda_c), "-o", out]) == 0
+        with open(out, encoding="utf-8") as handle:
+            R = np.array(json.load(handle)["R"], dtype=float)
+    Cr, Cc = build_Cr(n), build_Cc(n)
+    assert bits(R) == bits(lambda_r * (Cr.T @ Cr) + lambda_c * (Cc.T @ Cc))
+
+
+# --- beyond the dense chain's reach ---------------------------------------
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("kind", ["ascending", "bst", "heap"])
+def test_gaussian_inputs_at_n200(kind):
+    """n = 200: the dense penalty would hold 40000^2 floats, 12.8 GB."""
+    x = ValueVector(np.random.default_rng(200).normal(size=200))
+    program = make_program(kind, 200)
+    z, trace, instance = run_pipeline(x, program)
+    assert isinstance(instance.matrix_R, PenaltyMatrix)
+    assert trace.flips == 200
+    assert certify(x, program, z).passed
