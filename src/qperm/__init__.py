@@ -28,7 +28,7 @@ from .errors import (
     SizeBudgetExceeded,
     UnsupportedBranching,
 )
-from .hopfield import ALL_INACTIVE, SolverConfig, energy, flip_gain, solve
+from .hopfield import SolverConfig, energy, flip_gain, solve
 from .model import (
     HopfieldInstance,
     IsingInstance,
@@ -64,7 +64,6 @@ from .programs import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALL_INACTIVE",
     "BuilderConfig",
     "CertificateReport",
     "DimensionMismatch",

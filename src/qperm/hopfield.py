@@ -23,14 +23,16 @@ step and stopping at the first flip that fails to lower that energy.
 A network whose weights_W is a PenaltyMatrix (what the conversions make
 of build_qubo's penalty) runs the same descent: W @ s and row i of W
 cost O(N) there and max|W| O(1), so descent never forms W and needs
-O(N) memory beyond the trace, where a dense network holds N^2 weights.
-With integer penalty weights every field is exact, and the descent on
-the structured network agrees bit for bit in flips, states and energies
-with the one on its materialized form.
+O(N) memory, where a dense network holds N^2 weights.  With integer
+penalty weights every field is exact, and the descent on the structured
+network agrees bit for bit in flips, states and energies with the one on
+its materialized form.
 
-The returned trace keeps every visited state and appends one repeated
-final row, which makes the stability of the endpoint visible in
-renderings of the run.
+solve always starts from the all-inactive state.  The trace it returns
+holds that start, the coordinate of every accepted flip and the energy
+before and after each, O(N + flips) numbers; its steps rebuild every
+visited state, plus one repeated final row that makes the stability of
+the endpoint visible in renderings of the run, only when read.
 
 On the ordering instances produced by the builder, every feasible
 permutation encoding is single-flip stable, so the landscape has n! local
@@ -47,7 +49,7 @@ infeasible state; certify says which.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -57,26 +59,17 @@ from .errors import (
     IndexOutOfRange,
     MaxStepsExceeded,
 )
-from .model import SYMMETRY_TOL, HopfieldInstance, SolverTrace, TraceStep
-
-ALL_INACTIVE = "all_inactive"
+from .model import SYMMETRY_TOL, HopfieldInstance, SolverTrace
 
 
 @dataclass(frozen=True, eq=False)
 class SolverConfig:
-    """Descent controls.
+    """Descent controls: max_steps bounds the number of accepted flips and
+    defaults to N*N."""
 
-    initial_state is "all_inactive" (every neuron at -1) or an explicit
-    bipolar vector.  max_steps bounds the number of accepted flips and
-    defaults to N*N.
-    """
-
-    initial_state: Union[str, np.ndarray] = ALL_INACTIVE
     max_steps: Optional[int] = None
 
     def __post_init__(self):
-        if isinstance(self.initial_state, str) and self.initial_state != ALL_INACTIVE:
-            raise DomainError(f"initial_state must be {ALL_INACTIVE!r} or a bipolar vector")
         if self.max_steps is not None and int(self.max_steps) < 0:
             raise DomainError("max_steps must be non-negative")
 
@@ -102,13 +95,13 @@ def flip_gain(instance: HopfieldInstance, s, i: int) -> float:
 def solve(
     instance: HopfieldInstance, config: Optional[SolverConfig] = None
 ) -> tuple[np.ndarray, SolverTrace]:
-    """Run steepest descent from the configured start to a stable state.
+    """Run steepest descent from the all-inactive state to a stable state.
 
     Parameters
     ----------
     instance : HopfieldInstance
     config : SolverConfig, optional
-        Defaults to the all-inactive start and max_steps = N*N.
+        Defaults to max_steps = N*N.
 
     Returns
     -------
@@ -124,23 +117,13 @@ def solve(
     cfg = config if config is not None else SolverConfig()
     N = instance.dimension
     budget = int(cfg.max_steps) if cfg.max_steps is not None else N * N
-    return _descend(instance, _initial_state(cfg, N), budget)
-
-
-def _initial_state(cfg: SolverConfig, N: int) -> np.ndarray:
-    if isinstance(cfg.initial_state, str):
-        return np.full(N, -1, dtype=np.int8)
-    sv = np.asarray(cfg.initial_state)
-    if sv.ndim != 1 or sv.size != N:
-        raise DimensionMismatch(f"initial state has {sv.size} coordinates, instance has {N}")
-    if not np.isin(sv, (-1, 1)).all():
-        raise DomainError("initial state must be bipolar")
-    return sv.astype(np.int8)
+    return _descend(instance, np.full(N, -1, dtype=np.int8), budget)
 
 
 def _descend(
     instance: HopfieldInstance, start: np.ndarray, budget: int
 ) -> tuple[np.ndarray, SolverTrace]:
+    """Descend from start; the returned SolverTrace checks that start is bipolar."""
     W = instance.weights_W
     theta = instance.bias_theta
     N = theta.size
@@ -149,9 +132,8 @@ def _descend(
     s = start.astype(float)
     h = W @ s
     stale = 0  # row updates folded into h since it was last computed as W @ s
-    e = float(-0.5 * (s @ h) + theta @ s)
-    steps = [TraceStep(0, start, e)]
-    flips = 0
+    energies = [float(-0.5 * (s @ h) + theta @ s)]
+    flipped: list[int] = []
     while True:
         gain_err, energy_err = _rounding_bounds(N, stale + 1, scale)
         gains = 2.0 * s * (h - theta)
@@ -163,30 +145,26 @@ def _descend(
             i = int(np.argmin(gains))
         if gains[i] >= 0.0:
             break
-        if flips >= budget:
+        if len(flipped) >= budget:
             raise MaxStepsExceeded(f"no stable state within {budget} flips")
         # A gain this close to 0 may not lower the energy as computed.  Take
         # both energies from a fresh product, and treat a flip that does not
         # lower the fresh energy as no improvement: the state is stable.
         near_zero = gains[i] >= -(gain_err + 2.0 * energy_err)
         if near_zero:
-            e = _fresh_energy(W, theta, s)
-            steps[-1] = TraceStep(steps[-1].index, steps[-1].state, e)
+            energies[-1] = _fresh_energy(W, theta, s)
             s[i] = -s[i]
             e_next = _fresh_energy(W, theta, s)
-            if not e_next < e:
+            if not e_next < energies[-1]:
                 s[i] = -s[i]
                 break
         else:
             s[i] = -s[i]
         h += (2.0 * s[i]) * W[i]
         stale += 1
-        flips += 1
-        e = e_next if near_zero else float(-0.5 * (s @ h) + theta @ s)
-        steps.append(TraceStep(len(steps), s.astype(np.int8), e))
-    final = s.astype(np.int8)
-    steps.append(TraceStep(len(steps), final, e))
-    return final, SolverTrace(tuple(steps), converged=True, flips=flips)
+        flipped.append(i)
+        energies.append(e_next if near_zero else float(-0.5 * (s @ h) + theta @ s))
+    return s.astype(np.int8), SolverTrace(start, flipped, energies)
 
 
 def _fresh_energy(W, theta: np.ndarray, s: np.ndarray) -> float:

@@ -273,6 +273,11 @@ class ValueVector:
 
     With a negative entry a product can be largest for the smallest value
     and the smallest rank, so the same greedy pairing is no longer sorted.
+
+    The argument holds in exact arithmetic.  Distinct values closer than
+    about 2^-52 of the spread look equal to the descent's gains, and may
+    come back out of order; certify checks the order exactly and fails
+    such an arrangement.
     """
 
     entries: np.ndarray
@@ -480,45 +485,62 @@ class TraceStep:
 
 @dataclass(frozen=True, eq=False)
 class SolverTrace:
-    """A full descent record, ending in one repeated stable row.
+    """A descent record: the start state, the flipped coordinates, the energies.
 
-    Consecutive states differ in at most one coordinate and the energy
-    strictly decreases from row to row, except that the final row repeats
-    its predecessor to make the stability of the endpoint visible.
+    start is the bipolar state descent began from, flipped[k] the
+    coordinate flipped at step k + 1, and energies[k] the energy after k
+    flips, so energies holds one entry more than flipped and strictly
+    decreases.  The record holds O(N + flips) numbers; steps rebuilds the
+    full rows on demand, one state per row, and repeats the stable
+    endpoint once to make its stability visible in renderings of the run.
     """
 
-    steps: tuple[TraceStep, ...]
-    converged: bool
-    flips: int
+    start: np.ndarray
+    flipped: np.ndarray
+    energies: np.ndarray
 
     def __post_init__(self):
-        steps = tuple(self.steps)
-        if not steps:
-            raise InvalidSize("a trace needs at least one row")
-        flipped = 0
-        for k in range(1, len(steps)):
-            prev, cur = steps[k - 1], steps[k]
-            ndiff = int(np.sum(prev.state != cur.state))
-            if ndiff > 1:
-                raise DomainError("consecutive trace states may differ in one coordinate only")
-            flipped += ndiff
-            last = k == len(steps) - 1
-            repeated = last and ndiff == 0 and cur.energy == prev.energy
-            if cur.energy >= prev.energy and not repeated:
-                raise DomainError("trace energies must strictly decrease before the final repeat")
-        if flipped != int(self.flips):
-            raise DomainError(f"flips={self.flips} but the states record {flipped} flips")
-        object.__setattr__(self, "steps", steps)
-        object.__setattr__(self, "flips", int(self.flips))
-        object.__setattr__(self, "converged", bool(self.converged))
+        given = np.asarray(self.start)
+        if given.ndim != 1 or not np.isin(given, (-1, 1)).all():
+            raise DomainError("the start state must be a bipolar vector")
+        start = _readonly(given, dtype=np.int8)
+        flipped = _readonly(self.flipped, dtype=np.intp)
+        energies = _readonly(self.energies)
+        if flipped.ndim != 1 or not ((flipped >= 0) & (flipped < start.size)).all():
+            raise DomainError(f"flipped coordinates must lie in 0..{start.size - 1}")
+        if energies.shape != (flipped.size + 1,):
+            raise DomainError(
+                f"{flipped.size} flips need {flipped.size + 1} energies, got {energies.size}"
+            )
+        if not (np.diff(energies) < 0.0).all():
+            raise DomainError("trace energies must strictly decrease")
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "flipped", flipped)
+        object.__setattr__(self, "energies", energies)
+
+    @property
+    def flips(self) -> int:
+        return int(self.flipped.size)
 
     @property
     def final_state(self) -> np.ndarray:
-        return self.steps[-1].state
+        odd = np.bincount(self.flipped, minlength=self.start.size) % 2 == 1
+        return _readonly(np.where(odd, -self.start, self.start), dtype=np.int8)
 
     @property
     def final_energy(self) -> float:
-        return self.steps[-1].energy
+        return float(self.energies[-1])
+
+    @property
+    def steps(self) -> tuple[TraceStep, ...]:
+        """Every visited state with its energy, then the endpoint once more."""
+        state = self.start.copy()
+        rows = [TraceStep(0, state, self.energies[0])]  # each row copies the state
+        for k, i in enumerate(self.flipped, start=1):
+            state[i] = -state[i]
+            rows.append(TraceStep(k, state, self.energies[k]))
+        rows.append(TraceStep(len(rows), rows[-1].state, rows[-1].energy))
+        return tuple(rows)
 
 
 def vectorize(matrix) -> np.ndarray:

@@ -1,13 +1,13 @@
 """Exact optima and certification.
 
 sort_optimum reads the optimal objective off one sort, at any n, by the
-rearrangement inequality; certify compares a solver state against it.
-Two brute-force references stand beside it: best_permutation scores every
-one of the n! arrangements directly on the raw input values, and
-exhaustive_qubo_min scores every one of the 2^N binary states of a
-compiled instance.  None of the three knows anything about how the solver
-searches, which is the point: the tests hold the sort against both
-enumerations.
+rearrangement inequality, and certify checks a solver state exactly
+against the order that inequality demands.  Two brute-force references
+stand beside them: best_permutation scores every one of the n!
+arrangements directly on the raw input values, and exhaustive_qubo_min
+scores every one of the 2^N binary states of a compiled instance.  None
+of the three knows anything about how the solver searches, which is the
+point: the tests hold the sort against both enumerations.
 """
 
 from __future__ import annotations
@@ -35,9 +35,6 @@ MAX_EXHAUSTIVE_BITS = 20
 
 _PERM_CHUNK = 40320
 _STATE_CHUNK = 1 << 16
-
-_OBJECTIVE_REL_TOL = 1e-9
-_OBJECTIVE_ABS_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -136,16 +133,19 @@ def certify(x: ValueVector, program: OrderProgram, solver_state) -> CertificateR
     """Check a binary solver state for feasibility, optimality, and structure.
 
     A state that fails to decode yields a failed certificate rather than
-    an exception.  Optimality compares the achieved -x^T P^T ranks to
-    sort_optimum at relative/absolute tolerance 1e-9, so no size guard
-    applies.  When either objective overflows, the two are compared on x
-    scaled by a power of two instead; the report keeps the unscaled ones.
-    For bst and heap programs the arranged values must also pass the
-    matching structure validator; other kinds skip that check
-    (structure_valid is None).
+    an exception.  Optimality is an exact order check: the ranks are
+    distinct, so by the rearrangement inequality an arrangement y is
+    optimal exactly when ranks[i] < ranks[j] implies y[i] <= y[j], that
+    is, when y read in increasing rank order never decreases; any pair
+    that breaks this raises the objective by (r_j - r_i)(y_i - y_j) > 0
+    when swapped.  No tolerance and no size guard apply.  The report
+    keeps the achieved -x^T P^T ranks and sort_optimum as information
+    only; either may overflow to an infinity.  For bst and heap programs the
+    arranged values must also pass the matching structure validator;
+    other kinds skip that check (structure_valid is None).
     """
     ranks = np.asarray(program.ranks, dtype=float)
-    with np.errstate(over="ignore"):  # an overflow is handled below
+    with np.errstate(over="ignore"):
         best_value = sort_optimum(x, program)
     notes: list[str] = []
     if len(np.unique(x.entries)) < x.n:
@@ -168,19 +168,8 @@ def certify(x: ValueVector, program: OrderProgram, solver_state) -> CertificateR
     arranged = apply_permutation(p, x)
     with np.errstate(over="ignore"):
         achieved = -float(arranged @ ranks)
-    pair = (achieved, best_value)
-    if not (math.isfinite(achieved) and math.isfinite(best_value)):
-        # An objective overflowed, and two infinities would compare equal.
-        # Scaling x by a power of two keeps every order; past 2 * sum(ranks)
-        # it brings both objectives, at most sum(ranks) * max|x|, into range.
-        shrink = math.ldexp(1.0, -(2 + int(ranks.sum()).bit_length()))
-        pair = (
-            -float((arranged * shrink) @ ranks),
-            sort_optimum(ValueVector(x.entries * shrink), program),
-        )
-    optimal = all(map(math.isfinite, pair)) and math.isclose(
-        *pair, rel_tol=_OBJECTIVE_REL_TOL, abs_tol=_OBJECTIVE_ABS_TOL
-    )
+    by_rank = arranged[np.argsort(ranks)]
+    optimal = bool((by_rank[1:] >= by_rank[:-1]).all())
     structure_valid: Optional[bool] = None
     if program.kind in ("bst", "heap"):
         shape = TreeShape(x.n, program.branching)

@@ -84,13 +84,3 @@ def materialized(network):
 def random_start(N, seed):
     """A seeded bipolar start state of length N."""
     return (np.random.default_rng(seed).integers(0, 2, size=N) * 2 - 1).astype(np.int8)
-
-
-def flip_positions(trace):
-    """Coordinate flipped at each non-final step."""
-    out = []
-    for before, after in zip(trace.steps, trace.steps[1:]):
-        diff = np.nonzero(before.state != after.state)[0]
-        if diff.size:
-            out.append(int(diff[0]))
-    return out

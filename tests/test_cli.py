@@ -354,6 +354,14 @@ class TestVerifyCommand:
         assert main(["verify", x_path, str(prog)]) == 0
         assert "objective vs oracle      PASS" in capsys.readouterr().out
 
+    def test_input_below_float_resolution_fails(self, tmp_path, capsys):
+        # 1e17 + 32 and 1e17 + 64 are closer than the QUBO resolves at this spread
+        x_path = write_json(tmp_path / "x.json", [0.0, 1e17, 1e17 + 64, 1e17 + 32])
+        prog = tmp_path / "prog.json"
+        assert main(["program", "--kind", "ascending", "--n", "4", "-o", str(prog)]) == 0
+        assert main(["verify", x_path, str(prog)]) == 5
+        assert "objective vs oracle      FAIL" in capsys.readouterr().out
+
     def test_duplicate_values_note(self, tmp_path, capsys):
         x_path = write_json(tmp_path / "x.json", [5.0, 5.0])
         prog = tmp_path / "prog.json"

@@ -3,8 +3,10 @@
 build_qubo writes R in place and r from an outer product, fold_diagonal
 zeroes the diagonal of a copy, and descent updates its field by one row of W
 per flip.  These tests hold each of them to the product form it replaced:
-_descend_two_products is the earlier descent, copied verbatim, which
-recomputes W @ s and the energy from scratch at every step.  Builder
+_descend_two_products is the earlier descent, its loop copied verbatim,
+which recomputes W @ s and the energy from scratch at every step; it
+appends each row it builds to a list the caller holds, and packages them
+as a SolverTrace only on return.  Builder
 networks enter these tests materialized, so that they take the dense
 descent.  The current
 descent differs from it only where it stops before a flip that fails to
@@ -25,7 +27,6 @@ from qperm import (
     MaxStepsExceeded,
     OrderProgram,
     QuboInstance,
-    SolverConfig,
     SolverTrace,
     TraceStep,
     ValueVector,
@@ -43,7 +44,6 @@ from qperm import hopfield
 
 from .conftest import (
     dense_qubo,
-    flip_positions,
     make_program,
     materialized,
     paper_faithful,
@@ -52,13 +52,13 @@ from .conftest import (
 
 
 def _descend_two_products(
-    instance: HopfieldInstance, start: np.ndarray, budget: int
+    instance: HopfieldInstance, start: np.ndarray, budget: int, steps: list
 ) -> tuple[np.ndarray, SolverTrace]:
     W = instance.weights_W
     theta = instance.bias_theta
     s = start.astype(float)
     e = float(-0.5 * (s @ W @ s) + theta @ s)
-    steps = [TraceStep(0, start, e)]
+    steps.append(TraceStep(0, start, e))
     flips = 0
     while True:
         gains = 2.0 * s * (W @ s - theta)
@@ -66,7 +66,7 @@ def _descend_two_products(
         if gains[i] >= 0.0:
             final = s.astype(np.int8)
             steps.append(TraceStep(len(steps), final, e))
-            return final, SolverTrace(tuple(steps), converged=True, flips=flips)
+            return final, _packaged(steps)
         if flips >= budget:
             raise MaxStepsExceeded(f"no stable state within {budget} flips")
         s[i] = -s[i]
@@ -75,16 +75,23 @@ def _descend_two_products(
         steps.append(TraceStep(len(steps), s.astype(np.int8), e))
 
 
+def _packaged(steps: list) -> SolverTrace:
+    """The rows of a descent, the last repeating its predecessor, as a SolverTrace."""
+    flipped = []
+    for before, after in zip(steps[:-2], steps[1:-1]):
+        (i,) = np.flatnonzero(before.state != after.state)  # exactly one flip per row
+        flipped.append(int(i))
+    return SolverTrace(steps[0].state, flipped, [step.energy for step in steps[:-1]])
+
+
 def bits(a: np.ndarray) -> bytes:
     return np.ascontiguousarray(a, dtype=float).tobytes()
 
 
 def assert_same_descent(network, new, old):
     (state, trace), (old_state, old_trace) = new, old
-    assert flip_positions(trace) == flip_positions(old_trace)
+    assert trace.flipped.tolist() == old_trace.flipped.tolist()
     assert np.array_equal(state, old_state)
-    assert trace.converged == old_trace.converged
-    assert trace.flips == old_trace.flips
     for step in trace.steps:
         exact = energy(network, step.state)
         assert step.energy == pytest.approx(exact, rel=1e-9, abs=1e-12)
@@ -97,21 +104,15 @@ def compare_descents(network, start, budget=None):
     The earlier descent takes a flip whose true gain is 0 when that gain rounds
     negative; if the energies it computes then fail to decrease, its trace raises
     DomainError.  The current one stops before such a flip and returns the state
-    it had reached as converged.  Runs without such a flip are the same, or both
+    it had reached as its endpoint.  Runs without such a flip are the same, or both
     raise MaxStepsExceeded.  Returns the trace of the current descent, or None
     when it raises.
     """
     N = network.dimension
     budget = N * N if budget is None else budget
     old_steps = []  # every row the earlier descent builds, kept even when it raises
-
-    def record(*args):
-        old_steps.append(hopfield.TraceStep(*args))
-        return old_steps[-1]
-
     try:
-        with mock.patch(f"{__name__}.TraceStep", record):
-            old = _descend_two_products(network, start, budget)
+        old = _descend_two_products(network, start, budget, old_steps)
     except (MaxStepsExceeded, DomainError) as exc:
         old = exc
     rejected = next(
@@ -133,7 +134,6 @@ def compare_descents(network, start, budget=None):
         return new[1]
     state, trace = hopfield._descend(network, start, budget)
     kept = old_steps[:rejected]
-    assert trace.converged
     assert trace.flips == rejected - 1
     assert len(trace.steps) == rejected + 1
     for step, old_step in zip(trace.steps, kept):
@@ -229,24 +229,20 @@ class TestDescentMatchesTwoProducts:
     def test_step_budget(self, network, seed, budget):
         compare_descents(network, random_start(network.dimension, seed), budget)
 
-    @given(builder_networks(max_n=8), st.one_of(st.none(), st.integers(0, 2**32 - 1)))
+    @given(builder_networks(max_n=8))
     @settings(max_examples=60, deadline=None)
-    def test_solve_runs_one_descent(self, network, seed):
-        """solve is one descent from the configured start, with a budget of N*N flips."""
+    def test_solve_runs_one_descent(self, network):
+        """solve is one descent from the all-inactive state, with a budget of N*N flips."""
         N = network.dimension
-        if seed is None:
-            config, start = SolverConfig(), np.full(N, -1, dtype=np.int8)
-        else:
-            start = random_start(N, seed)
-            config = SolverConfig(initial_state=start)
+        start = np.full(N, -1, dtype=np.int8)
         with mock.patch.object(hopfield, "_descend", wraps=hopfield._descend) as descend:
-            state, trace = solve(network, config)
+            state, trace = solve(network)
         assert descend.call_count == 1
         _, called_start, budget = descend.call_args.args
         assert np.array_equal(called_start, start)
         assert budget == N * N
         assert np.array_equal(state, trace.final_state)
-        assert flip_positions(trace) == flip_positions(compare_descents(network, start))
+        assert trace.flipped.tolist() == compare_descents(network, start).flipped.tolist()
 
     def test_exact_tie_after_a_row_update(self):
         """Coordinates 1 and 3 tie at a gain of exactly -0.9 after the first flip.
@@ -259,7 +255,7 @@ class TestDescentMatchesTwoProducts:
         network = materialized(to_hopfield(to_ising(fold_diagonal(instance))))
         start = np.full(4, -1, dtype=np.int8)
         _, trace = hopfield._descend(network, start, 16)
-        assert flip_positions(trace) == [2, 3]
+        assert trace.flipped.tolist() == [2, 3]
         compare_descents(network, start)
 
     @pytest.mark.parametrize(
@@ -286,10 +282,10 @@ class TestDescentMatchesTwoProducts:
         W[np.triu_indices(N, 1)] = upper
         network = HopfieldInstance(weights_W=W + W.T, bias_theta=np.array(theta) * 3)
         start = np.array(start, dtype=np.int8)
-        assert flip_positions(compare_descents(network, start)) == flips
+        assert compare_descents(network, start).flipped.tolist() == flips
         if earlier_raises:
             with pytest.raises(DomainError):
-                _descend_two_products(network, start, N * N)
+                _descend_two_products(network, start, N * N, [])
 
 
 # --- builder and fold -----------------------------------------------------

@@ -19,12 +19,12 @@ from qperm import (
     energy,
     flip_gain,
     heap_program,
-    solve,
     vectorize,
 )
+from qperm import hopfield
 
 from . import reference_run as ref
-from .conftest import flip_positions, make_program, paper_faithful, random_start, run_pipeline
+from .conftest import make_program, paper_faithful, random_start, run_pipeline
 
 
 def small_network(seed, N=6):
@@ -34,6 +34,46 @@ def small_network(seed, N=6):
     np.fill_diagonal(W, 0.0)
     theta = rnd.normal(size=N)
     return HopfieldInstance(weights_W=W, bias_theta=theta)
+
+
+# The nine energies of the frozen run, bit for bit, as recorded from the
+# descent when its trace still stored every visited state.  A regression
+# pin for the rows that SolverTrace.steps rebuilds, not a hand-checked value.
+RECORDED_ENERGIES = {
+    "ascending": (
+        "-0x1.50bca1af286bcp+9",
+        "-0x1.5888fb823ee08p+9",
+        "-0x1.6034c59d31674p+9",
+        "-0x1.67b5e50d79434p+9",
+        "-0x1.6f00000000000p+9",
+        "-0x1.76286bca1af28p+9",
+        "-0x1.7d33a62ce98b4p+9",
+        "-0x1.842ce98b3a62cp+9",
+        "-0x1.842ce98b3a62cp+9",
+    ),
+    "bst": (
+        "-0x1.50bca1af286bcp+9",
+        "-0x1.5888fb823ee08p+9",
+        "-0x1.6034c59d31674p+9",
+        "-0x1.67b5e50d79434p+9",
+        "-0x1.6f00000000000p+9",
+        "-0x1.76286bca1af28p+9",
+        "-0x1.7d33a62ce98b4p+9",
+        "-0x1.842ce98b3a62cp+9",
+        "-0x1.842ce98b3a62cp+9",
+    ),
+    "heap": (
+        "-0x1.50bca1af286bep+9",
+        "-0x1.5888fb823ee0ap+9",
+        "-0x1.6034c59d31676p+9",
+        "-0x1.67b5e50d79436p+9",
+        "-0x1.6f00000000000p+9",
+        "-0x1.76286bca1af2ap+9",
+        "-0x1.7d33a62ce98b4p+9",
+        "-0x1.842ce98b3a62ep+9",
+        "-0x1.842ce98b3a62ep+9",
+    ),
+}
 
 
 class TestReferenceRun:
@@ -59,15 +99,26 @@ class TestReferenceRun:
         )
 
     def test_flip_positions(self):
-        assert flip_positions(self.trace) == ref.FLIPS[self.kind]
+        assert self.trace.flipped.tolist() == ref.FLIPS[self.kind]
 
     def test_seven_flips_then_stable_repeat(self):
-        assert self.trace.converged
         assert self.trace.flips == 7
         assert len(self.trace.steps) == 9
         last, prev = self.trace.steps[-1], self.trace.steps[-2]
         assert np.array_equal(last.state, prev.state)
         assert last.energy == prev.energy
+
+    def test_rows_match_the_recorded_run(self):
+        state = np.full(49, -1, dtype=np.int8)
+        states = [state.copy()]
+        for i in ref.FLIPS[self.kind]:
+            state[i] = -state[i]
+            states.append(state.copy())
+        states.append(state)  # the stable endpoint, repeated
+        rows = self.trace.steps
+        assert [row.index for row in rows] == list(range(9))
+        assert all(np.array_equal(row.state, s) for row, s in zip(rows, states, strict=True))
+        assert [row.energy.hex() for row in rows] == list(RECORDED_ENERGIES[self.kind])
 
     def test_starts_all_inactive(self):
         assert np.all(self.trace.steps[0].state == -1)
@@ -89,7 +140,7 @@ class TestReferenceRun:
         # the shift moves the energies but not the order of the greedy pairing
         program = make_program(self.kind, 7)
         z, trace, _ = run_pipeline(self.x, program)
-        assert flip_positions(trace) == ref.FLIPS[self.kind]
+        assert trace.flipped.tolist() == ref.FLIPS[self.kind]
         y = apply_permutation(decode_permutation(z), self.x)
         assert y.tolist() == ref.EXPECTED_Y[self.kind]
 
@@ -125,7 +176,7 @@ class TestGainBookkeeping:
 class TestDescent:
     def test_energy_strictly_decreases_until_stable(self):
         network = small_network(4)
-        _, trace = solve(network, SolverConfig(initial_state=random_start(6, 3)))
+        _, trace = hopfield._descend(network, random_start(6, 3), 36)
         energies = [s.energy for s in trace.steps]
         for a, b in zip(energies[:-2], energies[1:-1]):
             assert b < a
@@ -133,7 +184,7 @@ class TestDescent:
 
     def test_endpoint_is_single_flip_stable(self):
         network = small_network(8)
-        state, _ = solve(network, SolverConfig(initial_state=random_start(6, 1)))
+        state, _ = hopfield._descend(network, random_start(6, 1), 36)
         gains = [flip_gain(network, state, i) for i in range(6)]
         assert min(gains) >= 0.0
 
@@ -145,14 +196,11 @@ class TestDescent:
     def test_explicit_initial_state(self):
         network = small_network(6)
         s0 = np.array([1, -1, 1, -1, 1, -1], dtype=np.int8)
-        _, trace = solve(network, SolverConfig(initial_state=s0))
+        _, trace = hopfield._descend(network, s0, 36)
+        assert np.array_equal(trace.start, s0)
         assert np.array_equal(trace.steps[0].state, s0)
 
     def test_config_validation(self):
-        with pytest.raises(DomainError):
-            SolverConfig(initial_state="everything_on")
-        with pytest.raises(DomainError):
-            SolverConfig(initial_state="random")
         with pytest.raises(DomainError):
             SolverConfig(max_steps=-5)
 
@@ -189,7 +237,6 @@ class TestSpuriousMinima:
     def test_default_route_sorts_two_negative_case(self):
         x = ValueVector([-1.0, -2.0])
         z, trace, _ = run_pipeline(x, ascending_program(2))
-        assert trace.converged
         p = decode_permutation(z)
         assert apply_permutation(p, x).tolist() == [-2.0, -1.0]
 
@@ -290,5 +337,4 @@ class TestOneDescentIsExact:
         program = PROGRAMS[kind](n)
         z, trace, _ = run_pipeline(x, program)
         report = certify(x, program, z)
-        assert trace.converged
         assert report.feasible and report.optimal, (values.tolist(), kind, report)

@@ -228,36 +228,44 @@ class TestInstanceValidation:
             HopfieldInstance(weights_W=np.eye(2), bias_theta=np.zeros(2))
 
 
-def steps_from_states(states, energies):
-    return tuple(
-        TraceStep(i, np.asarray(s, dtype=np.int8), e)
-        for i, (s, e) in enumerate(zip(states, energies))
-    )
-
-
 class TestSolverTrace:
     def test_valid_trace(self):
-        steps = steps_from_states(
-            [[-1, -1], [1, -1], [1, -1]], [0.0, -1.0, -1.0]
-        )
-        trace = SolverTrace(steps, converged=True, flips=1)
-        assert trace.final_energy == -1.0
-        assert trace.final_state.tolist() == [1, -1]
+        trace = SolverTrace([-1, -1, 1], [0, 2, 2, 1], [0.0, -1.0, -1.5, -2.0, -3.0])
+        assert trace.flips == 4
+        assert trace.final_energy == -3.0
+        assert trace.final_state.tolist() == [1, 1, 1]
+        assert not trace.final_state.flags.writeable
 
-    def test_multi_coordinate_jump_rejected(self):
-        steps = steps_from_states([[-1, -1], [1, 1]], [0.0, -1.0])
-        with pytest.raises(DomainError):
-            SolverTrace(steps, converged=True, flips=1)
+    def test_steps_rebuild_every_row_then_repeat_the_endpoint(self):
+        trace = SolverTrace([-1, -1], [0, 1], [0.0, -1.0, -2.0])
+        rows = trace.steps
+        assert [row.index for row in rows] == [0, 1, 2, 3]
+        assert [row.state.tolist() for row in rows] == [[-1, -1], [1, -1], [1, 1], [1, 1]]
+        assert [row.energy for row in rows] == [0.0, -1.0, -2.0, -2.0]
+        stable = SolverTrace([1, -1], [], [0.5])
+        assert [row.state.tolist() for row in stable.steps] == [[1, -1], [1, -1]]
+        assert stable.flips == 0 and stable.final_state.tolist() == [1, -1]
+
+    def test_start_must_be_bipolar(self):
+        for start in ([0, 1], [2, -1], [0.5, 1.0], [[1, -1]]):
+            with pytest.raises(DomainError):
+                SolverTrace(start, [], [0.0])
+
+    def test_flip_index_out_of_range_rejected(self):
+        for flipped in ([2], [-1]):
+            with pytest.raises(DomainError):
+                SolverTrace([-1, -1], flipped, [0.0, -1.0])
 
     def test_energy_increase_rejected(self):
-        steps = steps_from_states([[-1, -1], [1, -1]], [0.0, 1.0])
-        with pytest.raises(DomainError):
-            SolverTrace(steps, converged=True, flips=1)
+        for energies in ([0.0, 1.0], [0.0, 0.0], [0.0, float("nan")]):
+            with pytest.raises(DomainError):
+                SolverTrace([-1, -1], [0], energies)
 
     def test_flip_count_must_match(self):
-        steps = steps_from_states([[-1, -1], [1, -1]], [0.0, -1.0])
-        with pytest.raises(DomainError):
-            SolverTrace(steps, converged=True, flips=2)
+        """One energy per flip, plus the start's."""
+        for energies in ([0.0], [0.0, -1.0, -2.0], []):
+            with pytest.raises(DomainError):
+                SolverTrace([-1, -1], [0], energies)
 
     def test_trace_step_requires_bipolar_state(self):
         with pytest.raises(DomainError):
@@ -306,6 +314,12 @@ FROZEN_TYPES = {
         lambda: [np.array([1, -1, 1], dtype=np.int8)],
         ("state",),
     ),
+    "SolverTrace": (
+        lambda a: SolverTrace(*a),
+        lambda: [np.array([1, -1, 1], dtype=np.int8), np.array([2], dtype=np.intp),
+                 np.array([0.0, -1.0])],
+        ("start", "flipped", "energies"),
+    ),
 }
 
 
@@ -323,7 +337,9 @@ class TestImmutability:
             assert not getattr(instance, f).flags.writeable
 
     @pytest.mark.parametrize(
-        "name", ["ValueVector", "QuboInstance", "IsingInstance", "HopfieldInstance", "TraceStep"]
+        "name",
+        ["ValueVector", "QuboInstance", "IsingInstance", "HopfieldInstance", "TraceStep",
+         "SolverTrace"],
     )
     def test_read_only_owned_arrays_are_adopted(self, name):
         make, arrays, fields = FROZEN_TYPES[name]

@@ -12,6 +12,7 @@ weights they agree within a relative tolerance of 1e-9.
 import json
 import os
 import tempfile
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -51,7 +52,6 @@ from qperm.cli import main
 from . import reference_run as ref
 from .conftest import (
     dense_qubo,
-    flip_positions,
     make_program,
     materialized,
     paper_faithful,
@@ -90,7 +90,7 @@ def assert_bitwise_same_descent(network, start, budget=None):
     state, trace = hopfield._descend(network, start, budget)
     dense_state, dense_trace = dense_run
     assert np.array_equal(state, dense_state)
-    assert trace.flips == dense_trace.flips and trace.converged == dense_trace.converged
+    assert trace.flipped.tolist() == dense_trace.flipped.tolist()
     assert len(trace.steps) == len(dense_trace.steps)
     for step, dense_step in zip(trace.steps, dense_trace.steps):
         assert np.array_equal(step.state, dense_step.state)
@@ -287,14 +287,14 @@ class TestIntegerWeightsBitForBit:
         scaled, config = paper_faithful(ref.INPUT_X)
         network = chain(build_qubo(scaled, make_program(kind, 7), config))[2]
         trace = assert_bitwise_same_descent(network, np.full(49, -1, dtype=np.int8))
-        assert flip_positions(trace) == ref.FLIPS[kind]
+        assert trace.flipped.tolist() == ref.FLIPS[kind]
         assert [f"{s.energy:.1f}" for s in trace.steps] == ref.ENERGY_STRINGS
 
     def test_two_negative_entries(self):
         scaled, config = paper_faithful([-1.0, -2.0])
         network = chain(build_qubo(scaled, make_program("ascending", 2), config))[2]
         trace = assert_bitwise_same_descent(network, np.full(4, -1, dtype=np.int8))
-        assert flip_positions(trace) == [0, 3]  # stuck on [-1, -2], not sorted
+        assert trace.flipped.tolist() == [0, 3]  # stuck on [-1, -2], not sorted
 
     def test_objectives_match_the_dense_forms(self):
         scaled, config = paper_faithful([3.0, -1.0, 2.0])
@@ -341,7 +341,7 @@ class TestAnyWeightsWithinTolerance:
         config = BuilderConfig(lambda_r=0.7, lambda_c=0.3)
         network = chain(build_qubo(x, descending_program(4), config))[2]
         state, trace = solve(network)
-        assert trace.converged and flip_positions(trace) == [4, 5, 2, 15]
+        assert trace.flipped.tolist() == [4, 5, 2, 15]
         s = state.astype(float)
         gains = 2.0 * s * (network.weights_W @ s - network.bias_theta)
         assert -1e-15 < gains.min() < 0.0 and int(np.argmin(gains)) == 0
@@ -372,6 +372,23 @@ def test_build_writes_the_kronecker_penalty(n, lambda_r, lambda_c, kind, data):
 
 
 # --- beyond the dense chain's reach ---------------------------------------
+
+
+def test_solve_holds_no_state_per_flip_at_n200():
+    """The trace keeps the start, one coordinate and one energy per flip: at
+    n = 200 the call holds well under 1 MB on return, where 200 stored
+    states of N = 40000 coordinates would take 8 MB."""
+    x = ValueVector(np.random.default_rng(1).normal(size=200))
+    network = chain(build_qubo(x, make_program("heap", 200)))[2]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        state, trace = solve(network)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert trace.flips == 200
+    assert held < 1_000_000
 
 
 @pytest.mark.slow
