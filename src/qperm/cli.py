@@ -11,9 +11,17 @@ Four subcommands cover the pipeline:
 Input vectors are read either as a JSON array of numbers or as plain
 text with one number per line.  Program files are JSON objects with keys
 "n", "kind", "branching", and "ranks".  QUBO files are JSON objects with
-keys "n", "lambda_r", "lambda_c", "normalized", "R" (row-major, full
-symmetric matrix), and "r"; build also embeds "x" and "program" so that
-solve can print the arranged values.
+keys "n", "lambda_r", "lambda_c", "normalized", "r", and the quadratic
+term in one of two forms.  build writes "penalty": {"n", "same_row",
+"same_col", "self_coupling"}, the fields of the PenaltyMatrix that
+build_qubo returns, so a file holds n^2 + 4 numbers besides "x" and
+"program"; solve reads it back as that PenaltyMatrix and takes the
+structured descent, which never forms the n^2 x n^2 matrix.  A file may
+instead hold a dense "R" (row-major, full symmetric matrix), as
+hand-made and external instances do; solve then takes the dense
+descent.  build also embeds "x" and "program" so that solve can print
+the arranged values.  solve checks the whole file, "x" included, before
+it descends or prints anything.
 
 verify builds with the defaults, runs one descent from the all-inactive
 state and reports the checks of certify on its endpoint.  The default
@@ -36,6 +44,7 @@ ended in a state that is no permutation or used up its step budget,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from typing import Optional
@@ -48,6 +57,7 @@ from .errors import MaxStepsExceeded, NonSquareLength, NotAPermutation, QpermErr
 from .hopfield import SolverConfig, solve
 from .model import (
     OrderProgram,
+    PenaltyMatrix,
     QuboInstance,
     SolverTrace,
     ValueVector,
@@ -61,6 +71,8 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_INFEASIBLE = 4
 EXIT_FAILED_CERTIFICATE = 5
+
+_PENALTY_FIELDS = tuple(f.name for f in dataclasses.fields(PenaltyMatrix))
 
 
 def render_trace(trace: SolverTrace) -> list[str]:
@@ -165,7 +177,7 @@ def _cmd_build(args) -> int:
         "lambda_r": instance.lambda_r,
         "lambda_c": instance.lambda_c,
         "normalized": config.normalize,
-        "R": np.asarray(instance.matrix_R).tolist(),
+        "penalty": dataclasses.asdict(instance.matrix_R),
         "r": instance.vector_r.tolist(),
         "x": x.entries.tolist(),
         "program": _program_to_dict(program, with_n=False),
@@ -175,7 +187,7 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    instance, x_values = _read_qubo(args.qubo_file)
+    instance, x = _read_qubo(args.qubo_file)
     trace, state_z = _descend(instance, args.max_steps)
     if args.trace:
         for line in render_trace(trace):
@@ -186,8 +198,8 @@ def _cmd_solve(args) -> int:
         print("descent ended in a state that is no permutation", file=sys.stderr)
         return EXIT_INFEASIBLE
     print("permutation:", " ".join(str(c) for c in p.as_mapping))
-    if x_values is not None:
-        arranged = apply_permutation(p, ValueVector(x_values))
+    if x is not None:
+        arranged = apply_permutation(p, x)
         print("values:", " ".join(_fmt(v) for v in arranged))
     print("flips:", trace.flips)
     print("energy:", repr(trace.final_energy))
@@ -241,12 +253,30 @@ def _read_values(path: str) -> np.ndarray:
         data = json.loads(text)
     except json.JSONDecodeError:
         data = [float(line) for line in text.splitlines() if line.strip()]
-    if not isinstance(data, list) or not data or not all(_is_number(v) for v in data):
-        raise QpermError(f"{path}: expected a non-empty array of numbers")
+    return _numbers(data, path)
+
+
+def _numbers(value, where: str, ndim: int = 1) -> np.ndarray:
+    """value as a float array; it must be a non-empty array of numbers, or
+    for ndim=2 a non-empty array of them."""
+    rows = value if ndim == 2 else [value]
+    if not (
+        isinstance(rows, list)
+        and rows
+        and all(isinstance(row, list) and row and all(map(_is_number, row)) for row in rows)
+    ):
+        shape = "array of numbers" if ndim == 1 else "array of arrays of numbers"
+        raise QpermError(f"{where}: expected a non-empty {shape}")
     try:
-        return np.asarray(data, dtype=float)
-    except OverflowError as exc:
-        raise QpermError(f"{path}: {exc}") from None
+        return np.asarray(value, dtype=float)
+    except (OverflowError, ValueError) as exc:  # beyond the float range, or ragged
+        raise QpermError(f"{where}: {exc}") from None
+
+
+def _number(value, where: str):
+    if not _is_number(value):
+        raise QpermError(f"{where}: expected a number, got {value!r}")
+    return value
 
 
 def _is_number(value) -> bool:
@@ -267,20 +297,35 @@ def _read_program(path: str) -> OrderProgram:
     return program
 
 
-def _read_qubo(path: str) -> tuple[QuboInstance, Optional[np.ndarray]]:
-    data = _read_object(path, ("n", "lambda_r", "lambda_c", "normalized", "R", "r"))
-    try:
-        instance = QuboInstance(
-            matrix_R=np.asarray(data["R"], dtype=float),
-            vector_r=np.asarray(data["r"], dtype=float),
-            lambda_r=data["lambda_r"],
-            lambda_c=data["lambda_c"],
-            source_n=int(data["n"]),
+def _read_qubo(path: str) -> tuple[QuboInstance, Optional[ValueVector]]:
+    """Check the whole file; its quadratic term is a PenaltyMatrix, or dense for "R"."""
+    data = _read_object(path, ("n", "lambda_r", "lambda_c", "normalized", "r"))
+    if ("penalty" in data) == ("R" in data):
+        found = "both" if "penalty" in data else "neither"
+        raise QpermError(f"{path}: expected one of the keys 'penalty' and 'R', found {found}")
+    if "penalty" in data:
+        penalty = data["penalty"]
+        if not isinstance(penalty, dict):
+            raise QpermError(f"{path}: 'penalty' must be an object")
+        missing = [name for name in _PENALTY_FIELDS if name not in penalty]
+        if missing:
+            raise QpermError(f"{path}: 'penalty' lacks {', '.join(map(repr, missing))}")
+        R = PenaltyMatrix(
+            **{name: _number(penalty[name], f"{path}: penalty.{name}") for name in _PENALTY_FIELDS}
         )
-        x_values = np.asarray(data["x"], dtype=float) if "x" in data else None
-    except (TypeError, OverflowError) as exc:
-        raise QpermError(f"{path}: {exc}") from None
-    return instance, x_values
+    else:
+        R = _numbers(data["R"], f"{path}: 'R'", ndim=2)
+    instance = QuboInstance(
+        matrix_R=R,
+        vector_r=_numbers(data["r"], f"{path}: 'r'"),
+        lambda_r=_number(data["lambda_r"], f"{path}: 'lambda_r'"),
+        lambda_c=_number(data["lambda_c"], f"{path}: 'lambda_c'"),
+        source_n=_number(data["n"], f"{path}: 'n'"),
+    )
+    x = ValueVector(_numbers(data["x"], f"{path}: 'x'")) if "x" in data else None
+    if x is not None and x.n != instance.source_n:
+        raise QpermError(f"{path}: 'x' holds {x.n} numbers, not n={instance.source_n}")
+    return instance, x
 
 
 def _read_object(path: str, keys: tuple[str, ...]) -> dict:

@@ -11,8 +11,8 @@ A PenaltyMatrix stays one through every hop: each hop applies its
 elementwise operation to the three coefficients and computes R @ 1 in
 closed form, in O(n^2).  The matrices materialize bit for bit as the
 dense hop's; so do the vectors wherever the dense R @ 1 sums exactly, as
-it does for integer penalty weights.  Dense matrices, such as those read
-from QUBO files, take the dense code, which stays as the reference.
+it does for integer penalty weights.  Dense matrices, such as a QUBO
+file's dense "R", take the dense code, which stays as the reference.
 """
 
 from __future__ import annotations

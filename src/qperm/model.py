@@ -16,13 +16,13 @@ Each instance takes its matrix in one of two forms.  A dense ndarray must
 be symmetric to within SYMMETRY_TOL and, like the vectors beside it,
 finite; NaN or infinite entries raise DomainError.  A PenaltyMatrix is the
 row/column penalty of the ordering QUBO held as three coefficients: it is
-symmetric by construction, so validating it checks that those three are
-finite, and it needs no n^4 memory.  build_qubo produces one and every
-conversion keeps it; np.asarray materializes it as the dense matrix the
-same stage builds from a dense input.  It answers the few ndarray calls
-the pipeline makes of its matrices (products, rows, the diagonal, max
-and min) in the ndarray's spelling, so only constructing a matrix asks
-which form it is.
+symmetric by construction, so validating it checks that n is a positive
+integer and those three are finite, and it needs no n^4 memory.
+build_qubo produces one and every conversion keeps it; np.asarray
+materializes it as the dense matrix the same stage builds from a dense
+input.  It answers the few ndarray calls the pipeline makes of its
+matrices (products, rows, the diagonal, max and min) in the ndarray's
+spelling, so only constructing a matrix asks which form it is.
 
 Conventions fixed here once and relied on everywhere:
 
@@ -94,14 +94,12 @@ class PenaltyMatrix:
     ndim = 2
 
     def __post_init__(self):
-        if int(self.n) < 1:
+        n = _integral(self.n, "n")
+        if n < 1:
             raise InvalidSize("n must be at least 1")
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", n)
         for name in ("same_row", "same_col", "self_coupling"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise DomainError(f"{name} must be finite")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, _finite(getattr(self, name), name))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -198,6 +196,28 @@ class PenaltyMatrix:
         return PenaltyMatrix(
             self.n, self.same_row / divisor, self.same_col / divisor, self.self_coupling / divisor
         )
+
+
+def _integral(value, name: str) -> int:
+    """value as an int, which it must equal: strings and fractions are rejected,
+    never truncated."""
+    try:
+        as_int = int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidSize(f"{name} must be an integer") from None
+    if isinstance(value, (str, bytes)) or as_int != value:
+        raise InvalidSize(f"{name} must be an integer, not {value!r}")
+    return as_int
+
+
+def _finite(value, name: str) -> float:
+    try:
+        value = float(value)
+    except OverflowError:  # an integer beyond the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise DomainError(f"{name} must be finite")
+    return value
 
 
 def _readonly(values, dtype=float) -> np.ndarray:
@@ -352,7 +372,8 @@ class OrderProgram:
 class QuboInstance:
     """Minimize z^T R z + r^T z over binary z of length source_n squared.
 
-    matrix_R is a dense ndarray or a PenaltyMatrix.
+    matrix_R is a dense ndarray or a PenaltyMatrix.  source_n must be an
+    integer and lambda_r, lambda_c finite, as in PenaltyMatrix.
     """
 
     matrix_R: Union[np.ndarray, PenaltyMatrix]
@@ -364,19 +385,20 @@ class QuboInstance:
     def __post_init__(self):
         R = _matrix(self.matrix_R)
         r = _readonly(self.vector_r)
+        source_n = _integral(self.source_n, "source_n")
         if R.ndim != 2 or R.shape[0] != R.shape[1] or r.shape != (R.shape[0],):
             raise DimensionMismatch("matrix_R must be square and match vector_r")
-        if R.shape[0] != int(self.source_n) ** 2:
+        if R.shape[0] != source_n**2:
             raise DimensionMismatch(
-                f"dimension {R.shape[0]} is not source_n**2 for source_n={self.source_n}"
+                f"dimension {R.shape[0]} is not source_n**2 for source_n={source_n}"
             )
         _require_finite(r, "vector_r")
         _require_symmetric(R, "matrix_R")
         object.__setattr__(self, "matrix_R", R)
         object.__setattr__(self, "vector_r", r)
-        object.__setattr__(self, "lambda_r", float(self.lambda_r))
-        object.__setattr__(self, "lambda_c", float(self.lambda_c))
-        object.__setattr__(self, "source_n", int(self.source_n))
+        object.__setattr__(self, "lambda_r", _finite(self.lambda_r, "lambda_r"))
+        object.__setattr__(self, "lambda_c", _finite(self.lambda_c, "lambda_c"))
+        object.__setattr__(self, "source_n", source_n)
 
     @property
     def dimension(self) -> int:

@@ -1,16 +1,55 @@
 import json
+import os
 
 import numpy as np
 import pytest
 
-from qperm.cli import main
+from qperm import (
+    BuilderConfig,
+    PenaltyMatrix,
+    ValueVector,
+    build_qubo,
+    certify,
+    decode_permutation,
+    heap_program,
+    vectorize,
+)
+from qperm import cli
+from qperm.cli import main, render_trace
 
 from . import reference_run as ref
+from .conftest import make_program
 
 
 def write_json(path, payload):
     path.write_text(json.dumps(payload) + "\n")
     return str(path)
+
+
+def materialized_penalty(data):
+    """The dense R of a built QUBO file, from its "penalty"."""
+    return np.asarray(PenaltyMatrix(**data["penalty"]))
+
+
+def build_file(tmp_path, values, kind, *flags):
+    """Write x, a program of the given kind and the QUBO file build makes of them."""
+    x_path = write_json(tmp_path / "x.json", list(values))
+    prog = tmp_path / "prog.json"
+    assert main(["program", "--kind", kind, "--n", str(len(values)), "-o", str(prog)]) == 0
+    qubo = str(tmp_path / "qubo.json")
+    assert main(["build", x_path, str(prog), *flags, "-o", qubo]) == 0
+    return qubo
+
+
+def to_dense(payload, entry=None):
+    """Swap the file's penalty for a dense "R", every entry set to entry if given."""
+    R = materialized_penalty(payload).tolist()
+    del payload["penalty"]
+    payload["R"] = R if entry is None else [[entry] * len(R)] * len(R)
+
+
+SIGNED_X = np.random.default_rng(7).normal(size=7).tolist()
+SCALED_X = (np.array(ref.INPUT_X) / np.abs(ref.INPUT_X).sum()).tolist()
 
 
 def expected_trace_lines(kind):
@@ -82,7 +121,9 @@ class TestBuildCommand:
         assert data["lambda_r"] == 7.0
         assert data["lambda_c"] == 7.0
         assert data["normalized"] is True
-        R = np.array(data["R"])
+        assert "R" not in data
+        assert data["penalty"] == {"n": 7, "same_row": 7.0, "same_col": 7.0, "self_coupling": 14.0}
+        R = materialized_penalty(data)
         assert R.shape == (49, 49)
         assert np.array_equal(R, R.T)
         assert np.allclose(np.diag(R), 14.0)
@@ -99,7 +140,7 @@ class TestBuildCommand:
         data = json.loads(out.read_text())
         assert data["lambda_r"] == 3.5
         assert data["lambda_c"] == 2.5
-        assert np.allclose(np.diag(np.array(data["R"])), 6.0)
+        assert np.allclose(np.diag(materialized_penalty(data)), 6.0)
 
     def test_zero_vector_exit_code(self, tmp_path):
         # a constant vector normalizes to zeros; any arrangement of it is optimal
@@ -228,7 +269,12 @@ class TestSolveCommand:
         qubo = tmp_path / "qubo.json"
         assert main(["build", x_path, program_path("heap"), "-o", str(qubo)]) == 0
         payload = json.loads(qubo.read_text())
+        to_dense(payload)
         payload["R"][3][5] = payload["R"][5][3] = float("nan")
+        assert main(["solve", write_json(tmp_path / "dense.json", payload)]) == 2
+        assert "finite" in capsys.readouterr().err
+        payload = json.loads(qubo.read_text())
+        payload["penalty"]["same_col"] = float("nan")
         assert main(["solve", write_json(qubo, payload)]) == 2
         assert "finite" in capsys.readouterr().err
 
@@ -287,6 +333,112 @@ class TestSolveCommand:
                 with pytest.raises(SystemExit) as exc:
                     main(command + flag)
                 assert exc.value.code == 2
+
+
+class TestQuboFileFormat:
+    """build writes the penalty as its four numbers, and solve reads them back
+    as a PenaltyMatrix and takes the structured descent; files with a dense
+    "R" still load and take the dense one."""
+
+    def test_read_back_as_a_penalty_matrix(self, tmp_path):
+        instance, x = cli._read_qubo(build_file(tmp_path, ref.INPUT_X, "heap"))
+        assert isinstance(instance.matrix_R, PenaltyMatrix)
+        assert x.entries.tolist() == ref.INPUT_X
+
+    def test_file_at_n24_holds_no_n4_numbers(self, tmp_path):
+        # with the penalty written dense, this file took about 1.7 MB
+        values = np.random.default_rng(24).normal(size=24).tolist()
+        assert os.path.getsize(build_file(tmp_path, values, "heap")) < 20_000
+
+    def test_build_and_solve_form_no_dense_matrix(self, tmp_path, monkeypatch):
+        def refuse(self, dtype=None, copy=None):
+            raise AssertionError("the penalty was materialized")
+
+        monkeypatch.setattr(PenaltyMatrix, "__array__", refuse)
+        assert main(["solve", build_file(tmp_path, ref.INPUT_X, "bst"), "--trace"]) == 0
+
+    @pytest.mark.parametrize("kind", ["ascending", "bst", "heap"])
+    @pytest.mark.parametrize(
+        "values, flags",
+        [(ref.INPUT_X, []), (SIGNED_X, []), (SCALED_X, ["--no-normalize"])],
+        ids=["paper", "signed", "frozen-route"],
+    )
+    def test_same_output_as_the_dense_file(self, tmp_path, capsys, kind, values, flags):
+        # integer penalty weights (the default n): both descents agree bit for bit
+        qubo = build_file(tmp_path, values, kind, *flags)
+        payload = json.loads(open(qubo, encoding="utf-8").read())
+        to_dense(payload)
+        outputs = []
+        for path in (qubo, write_json(tmp_path / "dense.json", payload)):
+            assert main(["solve", path, "--trace"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("kind", ["ascending", "bst", "heap"])
+    def test_non_integer_weights_match_the_library_chain(self, tmp_path, capsys, kind):
+        values = np.random.default_rng(3).normal(size=6).tolist()
+        qubo = build_file(tmp_path, values, kind, "--lambda-r", "6.3", "--lambda-c", "5.9")
+        assert main(["solve", qubo, "--trace"]) == 0
+        config = BuilderConfig(lambda_r=6.3, lambda_c=5.9)
+        x = ValueVector(values)
+        trace, state_z = cli._descend(build_qubo(x, make_program(kind, 6), config), None)
+        mapping = decode_permutation(state_z).as_mapping
+        expected = render_trace(trace) + [
+            "permutation: " + " ".join(map(str, mapping)),
+            "values: " + " ".join(f"{v:g}" for v in x.entries[list(mapping)]),
+            f"flips: {trace.flips}",
+            f"energy: {trace.final_energy!r}",
+        ]
+        assert capsys.readouterr().out.splitlines() == expected
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: d.update(x=[1, 2]), "'x' holds 2 numbers"),
+            (lambda d: d.update(x=None), "'x': expected"),
+            (lambda d: d.update(x=["3", "1", "2"]), "'x': expected"),
+            (lambda d: d.update(n=3.7), "must be an integer"),
+            (lambda d: d["penalty"].update(n=2.5), "must be an integer"),
+            (lambda d: d.update(r=[str(v) for v in d["r"]]), "'r': expected"),
+            (lambda d: d["penalty"].update(same_row="3"), "penalty.same_row"),
+            (lambda d: d["penalty"].update(self_coupling=float("nan")), "finite"),
+            (lambda d: d["penalty"].pop("same_col"), "lacks 'same_col'"),
+            (lambda d: d.update(penalty=[3, 3.0, 3.0, 6.0]), "must be an object"),
+            (lambda d: d.update(lambda_r=float("nan")), "lambda_r must be finite"),
+            (lambda d: d.update(lambda_c=10**400), "lambda_c must be finite"),
+            (lambda d: to_dense(d, entry="0"), "'R': expected"),
+            (lambda d: d.update(R=[[0.0] * 9] * 9), "found both"),
+            (lambda d: d.pop("penalty"), "'penalty' and 'R', found neither"),
+        ],
+        ids=[
+            "x-length", "x-null", "x-strings", "n-fraction", "penalty-n-fraction",
+            "r-strings", "penalty-string", "penalty-nan", "penalty-field-missing",
+            "penalty-not-object", "lambda-nan", "lambda-beyond-float", "R-strings",
+            "both-forms", "neither-form",
+        ],
+    )
+    def test_whole_file_checked_before_any_output(self, tmp_path, capsys, edit, message):
+        qubo = build_file(tmp_path, [3.0, 1.0, 2.0], "ascending")
+        payload = json.loads(open(qubo, encoding="utf-8").read())
+        edit(payload)
+        assert main(["solve", write_json(tmp_path / "bad.json", payload), "--trace"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error:") and message in err
+
+    @pytest.mark.slow
+    def test_heap_at_n200_through_a_file(self, tmp_path, capsys):
+        # written dense, the penalty would take 1.6e9 numbers
+        values = np.random.default_rng(200).normal(size=200)
+        qubo = build_file(tmp_path, values.tolist(), "heap")
+        assert os.path.getsize(qubo) < 2_000_000
+        assert main(["solve", qubo]) == 0
+        line = capsys.readouterr().out.splitlines()[0]
+        assert line.startswith("permutation: ")
+        P = np.zeros((200, 200))
+        P[np.arange(200), [int(tok) for tok in line.split()[1:]]] = 1.0
+        report = certify(ValueVector(values), heap_program(200), vectorize(P))
+        assert report.feasible and report.optimal and report.structure_valid
 
 
 class TestVerifyCommand:

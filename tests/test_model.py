@@ -219,6 +219,21 @@ class TestInstanceValidation:
                 source_n=1,
             )
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_qubo_penalty_weights_must_be_finite(self, bad):
+        for weights in ({"lambda_r": bad, "lambda_c": 1.0}, {"lambda_r": 1.0, "lambda_c": bad}):
+            with pytest.raises(DomainError):
+                QuboInstance(matrix_R=np.zeros((4, 4)), vector_r=np.zeros(4), source_n=2, **weights)
+
+    @pytest.mark.parametrize("bad", [2.5, "2", None, np.inf])
+    def test_qubo_source_n_must_be_an_integer(self, bad):
+        # never truncated: int(2.5) would give a matching 2
+        with pytest.raises(InvalidSize):
+            QuboInstance(
+                matrix_R=np.zeros((4, 4)), vector_r=np.zeros(4), lambda_r=1.0, lambda_c=1.0,
+                source_n=bad,
+            )
+
     def test_ising_requires_zero_diagonal(self):
         with pytest.raises(NonZeroDiagonal):
             IsingInstance(matrix_Q=np.eye(2), vector_q=np.zeros(2))

@@ -169,6 +169,12 @@ class TestPenaltyMatrix:
         with pytest.raises(InvalidSize):
             PenaltyMatrix(0, 1.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("bad", [2.5, "2", None, np.nan])
+    def test_n_must_be_an_integer(self, bad):
+        with pytest.raises(InvalidSize):
+            PenaltyMatrix(bad, 1.0, 1.0, 2.0)
+        assert PenaltyMatrix(2.0, 1.0, 1.0, 2.0).n == 2
+
     @given(st.integers(1, 6), st.integers(0, 2**32 - 1), st.integers(0, 3))
     @settings(max_examples=60, deadline=None)
     def test_products_match_the_dense_matrix(self, n, seed, rows):
@@ -366,7 +372,7 @@ def test_build_writes_the_kronecker_penalty(n, lambda_r, lambda_c, kind, data):
         assert main(["build", x_path, prog, "--lambda-r", repr(lambda_r),
                      "--lambda-c", repr(lambda_c), "-o", out]) == 0
         with open(out, encoding="utf-8") as handle:
-            R = np.array(json.load(handle)["R"], dtype=float)
+            R = np.asarray(PenaltyMatrix(**json.load(handle)["penalty"]))
     Cr, Cc = build_Cr(n), build_Cc(n)
     assert bits(R) == bits(lambda_r * (Cr.T @ Cr) + lambda_c * (Cc.T @ Cc))
 
