@@ -38,7 +38,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError, InvalidSize
-from .model import OrderProgram, PenaltyMatrix, QuboInstance, ValueVector
+from .model import OrderProgram, PenaltyMatrix, QuboInstance, ValueVector, _all_in
 
 
 @dataclass(frozen=True)
@@ -128,6 +128,6 @@ def qubo_objective(instance: QuboInstance, z) -> float:
         raise DimensionMismatch(
             f"state has {zv.size} coordinates, instance has {instance.dimension}"
         )
-    if not np.isin(zv, (0.0, 1.0)).all():
+    if not _all_in(zv, (0.0, 1.0)):
         raise DomainError("objective is defined on binary states")
     return float(zv @ instance.matrix_R @ zv + instance.vector_r @ zv)

@@ -21,7 +21,8 @@ instead hold a dense "R" (row-major, full symmetric matrix), as
 hand-made and external instances do; solve then takes the dense
 descent.  build also embeds "x" and "program" so that solve can print
 the arranged values.  solve checks the whole file, "x" included, before
-it descends or prints anything.
+it descends or prints anything; "normalized" must be a JSON boolean, and
+the "n" and "branching" of a program file integers, never truncated.
 
 verify builds with the defaults, runs one descent from the all-inactive
 state and reports the checks of certify on its endpoint.  The default
@@ -45,6 +46,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from typing import Optional
@@ -61,6 +63,7 @@ from .model import (
     QuboInstance,
     SolverTrace,
     ValueVector,
+    _integral,
     apply_permutation,
     decode_permutation,
 )
@@ -85,8 +88,7 @@ def render_trace(trace: SolverTrace) -> list[str]:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.handler(args)
     except MaxStepsExceeded as exc:
@@ -104,7 +106,9 @@ def run() -> None:
     sys.exit(main())
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: a build costs about 30 parses."""
     parser = argparse.ArgumentParser(
         prog="qperm",
         description="Compile ordering tasks into QUBO form and solve them by Hopfield descent.",
@@ -289,7 +293,7 @@ def _read_program(path: str) -> OrderProgram:
         program = OrderProgram(
             ranks=data["ranks"], kind=data["kind"], branching=data["branching"]
         )
-        n = int(data["n"])
+        n = _integral(data["n"], f"{path}: n")
     except (TypeError, OverflowError) as exc:
         raise QpermError(f"{path}: {exc}") from None
     if program.n != n:
@@ -300,6 +304,9 @@ def _read_program(path: str) -> OrderProgram:
 def _read_qubo(path: str) -> tuple[QuboInstance, Optional[ValueVector]]:
     """Check the whole file; its quadratic term is a PenaltyMatrix, or dense for "R"."""
     data = _read_object(path, ("n", "lambda_r", "lambda_c", "normalized", "r"))
+    if not isinstance(data["normalized"], bool):
+        found = data["normalized"]
+        raise QpermError(f"{path}: 'normalized' must be true or false, not {found!r}")
     if ("penalty" in data) == ("R" in data):
         found = "both" if "penalty" in data else "neither"
         raise QpermError(f"{path}: expected one of the keys 'penalty' and 'R', found {found}")

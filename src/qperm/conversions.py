@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError, NonZeroDiagonal
-from .model import HopfieldInstance, IsingInstance, PenaltyMatrix, QuboInstance
+from .model import HopfieldInstance, IsingInstance, PenaltyMatrix, QuboInstance, _all_in
 
 
 def fold_diagonal(instance: QuboInstance) -> QuboInstance:
@@ -77,7 +77,7 @@ def _sealed(arr):
 def binary_to_bipolar(z) -> np.ndarray:
     """Map {0,1} to {-1,+1} via s = 2z - 1."""
     zv = np.asarray(z)
-    if not np.isin(zv, (0, 1)).all():
+    if not _all_in(zv, (0, 1)):
         raise DomainError("expected entries in {0, 1}")
     return (2 * zv.astype(int) - 1).astype(np.int8)
 
@@ -85,6 +85,6 @@ def binary_to_bipolar(z) -> np.ndarray:
 def bipolar_to_binary(s) -> np.ndarray:
     """Map {-1,+1} to {0,1} via z = (s + 1) / 2."""
     sv = np.asarray(s)
-    if not np.isin(sv, (-1, 1)).all():
+    if not _all_in(sv, (-1, 1)):
         raise DomainError("expected entries in {-1, +1}")
     return ((sv.astype(int) + 1) // 2).astype(np.int8)

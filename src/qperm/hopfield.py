@@ -7,26 +7,30 @@ flip has negative gain.  Because every accepted flip strictly lowers the
 energy, no state repeats and termination is guaranteed; the step budget
 is a safety net for hand-crafted instances.
 
-Descent keeps the field h = W s: it computes h once, in O(N^2), and after
-flipping coordinate i adds row i of W, in O(N); gains and energies come
-from h.  Row updates round differently from a fresh W @ s, so a tie guard
-checks every choice: whenever the best gain lies within a proven rounding
-bound of 0, or within twice that bound of another gain, h is recomputed
-as W @ s and the choice is made from it.  A flip whose gain lies within
-the energy rounding bound of 0 also takes both of its energies from a
-fresh product; if the energy after it is not strictly below the energy
-before it, as happens when a gain that is 0 in exact arithmetic rounds
+Descent keeps the field h = W s and the gains it implies: it computes h
+once and after flipping coordinate i adds row i of W and recomputes the
+gains of the cells that row reaches; energies come from h.  Row updates
+round differently from a fresh W @ s, so a tie guard checks every
+choice: whenever the best gain lies within a proven rounding bound of 0,
+or within twice that bound of another gain, h is recomputed as W @ s and
+the choice is made from it.  The bound scales with the largest absolute
+row sum of W (see _rounding_bounds).  A flip whose gain lies within the
+energy rounding bound of 0 also takes both of its energies from a fresh
+product; if the energy after it is not strictly below the energy before
+it, as happens when a gain that is 0 in exact arithmetic rounds
 negative, the flip is not taken and descent stops there.  Flip sequences
 and outcomes are thereby exactly those of recomputing W @ s at every
 step and stopping at the first flip that fails to lower that energy.
 
 A network whose weights_W is a PenaltyMatrix (what the conversions make
-of build_qubo's penalty) runs the same descent: W @ s and row i of W
-cost O(N) there and max|W| O(1), so descent never forms W and needs
-O(N) memory, where a dense network holds N^2 weights.  With integer
-penalty weights every field is exact, and the descent on the structured
-network agrees bit for bit in flips, states and energies with the one on
-its materialized form.
+of build_qubo's penalty) runs the same descent.  There W @ s costs O(N)
+and row i has 2n - 1 nonzeros, so a flip updates the field and the gains
+of only those cells, in O(n); the argmin over all gains and the energy's
+two dot products stay O(N) per flip, in numpy.  Descent never forms W
+and needs O(N) memory, where a dense network holds N^2 weights and adds
+all N entries of a row per flip.  With integer penalty weights every
+field is exact, and the descent on the structured network agrees bit for
+bit in flips, states and energies with the one on its materialized form.
 
 solve always starts from the all-inactive state.  The trace it returns
 holds that start, the coordinate of every accepted flip and the energy
@@ -48,7 +52,9 @@ infeasible state; certify says which.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -59,7 +65,9 @@ from .errors import (
     IndexOutOfRange,
     MaxStepsExceeded,
 )
-from .model import SYMMETRY_TOL, HopfieldInstance, SolverTrace
+from .model import SYMMETRY_TOL, HopfieldInstance, PenaltyMatrix, SolverTrace, _all_in, _up
+
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,22 +135,22 @@ def _descend(
     W = instance.weights_W
     theta = instance.bias_theta
     N = theta.size
-    scale = N * max(float(W.max(initial=0.0)), -float(W.min(initial=0.0)))
-    scale += float(np.abs(theta).max(initial=0.0))
+    add_row = W.add_row if isinstance(W, PenaltyMatrix) else partial(_add_dense_row, W)
+    scale = _scale(W, theta)
     s = start.astype(float)
     h = W @ s
+    gains = 2.0 * s * (h - theta)
     stale = 0  # row updates folded into h since it was last computed as W @ s
     energies = [float(-0.5 * (s @ h) + theta @ s)]
     flipped: list[int] = []
     while True:
         gain_err, energy_err = _rounding_bounds(N, stale + 1, scale)
-        gains = 2.0 * s * (h - theta)
-        i = int(np.argmin(gains))  # ties: lowest index
+        i = int(gains.argmin())  # ties: lowest index
         if stale and _ambiguous(gains, i, gain_err):
             h = W @ s
             stale = 0
             gains = 2.0 * s * (h - theta)
-            i = int(np.argmin(gains))
+            i = int(gains.argmin())
         if gains[i] >= 0.0:
             break
         if len(flipped) >= budget:
@@ -160,11 +168,35 @@ def _descend(
                 break
         else:
             s[i] = -s[i]
-        h += (2.0 * s[i]) * W[i]
+        # Only the cells row i reaches change their field, so only their
+        # gains are computed again.
+        for cells in add_row(i, 2.0 * s[i], h):
+            gains[cells] = 2.0 * s[cells] * (h[cells] - theta[cells])
         stale += 1
         flipped.append(i)
         energies.append(e_next if near_zero else float(-0.5 * (s @ h) + theta @ s))
     return s.astype(np.int8), SolverTrace(start, flipped, energies)
+
+
+def _add_dense_row(W: np.ndarray, i: int, factor: float, h: np.ndarray) -> tuple[slice]:
+    """h += factor * W[i] for a dense W, which may reach every cell."""
+    h += factor * W[i]
+    return (slice(None),)
+
+
+def _scale(W, theta: np.ndarray) -> float:
+    """A float no smaller than max_j sum_k |W_jk| + max_j |theta_j|.
+
+    A PenaltyMatrix answers the row sum in closed form.  A dense W is read
+    once, row by row: math.fsum rounds each exact row sum to the nearest
+    float, so one step up from the largest of them is no smaller than any.
+    The final sum is rounded and stepped up the same way.
+    """
+    if isinstance(W, PenaltyMatrix):
+        rows = W.abs_row_sum()
+    else:
+        rows = _up(max((math.fsum(np.abs(row)) for row in W), default=0.0))
+    return _up(rows + float(np.abs(theta).max(initial=0.0)))
 
 
 def _fresh_energy(W, theta: np.ndarray, s: np.ndarray) -> float:
@@ -176,26 +208,36 @@ def _rounding_bounds(N: int, stale: int, scale: float) -> tuple[float, float]:
 
     Let u be the unit roundoff, gamma = gamma_{N+t+1} with
     gamma_k = k*u / (1 - k*u), t = stale, tau = SYMMETRY_TOL, and
-    scale = N*max|W| + max|theta|, which bounds |(W s)_j| + |theta_j|.
+    S = max_j (sum_k |W_jk| + |theta_j|), which bounds |(W s)_j| + |theta_j|
+    for every bipolar s.  scale is never below S: _scale takes it from
+    sums rounded to nearest and then stepped one float up, which lands
+    at or above the exact value.  Below, S is replaced by scale.
 
     Gains.  A dot product of length N is off by at most
-    gamma_N * sum_k |W_jk| in any summation order, so a fresh gain
+    gamma_N * sum_k |W_jk| in any summation order; a PenaltyMatrix forms
+    (W s)_j from exact integer row and column sums of s in three products
+    and two additions, within gamma_3 of the same sum, and N >= 4 unless
+    n = 1, where only the zero diagonal term remains.  So a fresh gain
     2*s_j*(fl(W @ s)_j - theta_j) (doubling is exact) lies within
-    2*gamma_{N+1}*scale of the exact one.  Each of the t row updates
-    folded into h since then rounds by at most u*|h_j|, which compounds
-    to gamma*scale.  It also adds W[i, j] where the field needs W[j, i],
-    which the instance guarantees to tau; the flip doubles that to 2*tau.
-    A gain from h is thus within 2*gamma*scale + 4*t*tau*(1 + gamma) of
-    the exact gain, and within gain_err = 4*gamma*scale + 4*t*tau*(1 + gamma)
+    2*gamma_{N+1}*S of the exact one.  Each of the t row updates folded
+    into h since then rounds by at most u*|h_j|, which compounds to
+    gamma*S.  It also adds W[i, j] where the field needs W[j, i], which
+    the instance guarantees to tau; the flip doubles that to 2*tau.  A
+    gain from h is thus within 2*gamma*S + 4*t*tau*(1 + gamma) of the
+    exact gain, and within gain_err = 4*gamma*scale + 4*t*tau*(1 + gamma)
     of the fresh one.
 
     Energies.  -1/2 s.h + theta.s sums N such fields against s, and so
     does the fresh -1/2 (s @ W) @ s + theta @ s; with the final roundings
     either is within energy_err = 4*N*(gamma*scale + t*tau) of the exact
     energy.
+
+    Only the row sum enters.  A PenaltyMatrix row holds 2n - 1 nonzeros,
+    so S is about 2n*max|W|, not N*max|W|: the bounds are n/2 times
+    tighter, and the guard lets that many more choices stand without the
+    O(N) fresh product, against O(n) for the row update of a flip.
     """
-    u = np.finfo(float).eps / 2.0
-    k = (N + stale + 1) * u
+    k = (N + stale + 1) * _UNIT_ROUNDOFF
     gamma = k / (1.0 - k)
     gain_err = 4.0 * gamma * scale + 4.0 * stale * SYMMETRY_TOL * (1.0 + gamma)
     energy_err = 4.0 * N * (gamma * scale + stale * SYMMETRY_TOL)
@@ -226,6 +268,6 @@ def _check_state(instance: HopfieldInstance, s) -> np.ndarray:
         raise DimensionMismatch(
             f"state has {sv.size} coordinates, instance has {instance.dimension}"
         )
-    if not np.isin(sv, (-1.0, 1.0)).all():
+    if not _all_in(sv, (-1.0, 1.0)):
         raise DomainError("state must be bipolar")
     return sv

@@ -22,7 +22,9 @@ build_qubo produces one and every conversion keeps it; np.asarray
 materializes it as the dense matrix the same stage builds from a dense
 input.  It answers the few ndarray calls the pipeline makes of its
 matrices (products, rows, the diagonal, max and min) in the ndarray's
-spelling, so only constructing a matrix asks which form it is.
+spelling, so only constructing a matrix asks which form it is, and
+descent, which adds rows through add_row and bounds them with
+abs_row_sum, two calls no ndarray has.
 
 Conventions fixed here once and relied on everywhere:
 
@@ -81,6 +83,10 @@ class PenaltyMatrix:
     coefficients what the dense operation applies to every entry.  shape
     and ndim are those of the dense matrix.  Every entry these return is
     bit for bit the entry np.asarray(M) holds.
+
+    Row i has only 2n - 1 nonzeros, so two calls of descent have no dense
+    spelling: add_row adds a multiple of row i to a vector in O(n), and
+    abs_row_sum bounds the absolute row sums in O(1).
     """
 
     n: int
@@ -154,6 +160,40 @@ class PenaltyMatrix:
             return np.array([self.self_coupling])
         return np.array([self.same_row, self.same_col, self.self_coupling, 0.0 * self.same_row])
 
+    def add_row(self, i: int, factor: float, v: np.ndarray) -> tuple[slice, slice]:
+        """v += factor * M[i] in place, in O(n); returns the cells it wrote.
+
+        For i = a*n + b, row i holds same_col on the cells of column a of
+        Z, slice(a*n, a*n + n), same_row on those of row b, slice(b, None,
+        n), and self_coupling where the two cross, at i.  Each written
+        entry is v[j] + factor * M[i, j], rounded as the dense update
+        rounds it.  The zeros elsewhere would leave v as it is, apart from
+        turning a -0.0 into +0.0, and are skipped.
+        """
+        n = self.n
+        a, b = divmod(i, n)
+        col_cells = slice(a * n, a * n + n)
+        row_cells = slice(b, None, n)
+        crossing = v[i]
+        # Add through views: v[cells] += x would also copy the result back.
+        col = v[col_cells]
+        col += factor * self.same_col
+        row = v[row_cells]
+        row += factor * self.same_row
+        v[i] = crossing + factor * self.self_coupling
+        return col_cells, row_cells
+
+    def abs_row_sum(self) -> float:
+        """A float no smaller than max_j sum_k |M_jk|, in O(1).
+
+        Every row sums to |self_coupling| + (n - 1)(|same_row| + |same_col|).
+        Each sum and product of that is rounded to nearest and then moved
+        one float up; a float rounded to nearest and moved up is never
+        below the exact value, so neither is the result.
+        """
+        pair = _up(abs(self.same_row) + abs(self.same_col))
+        return _up(abs(self.self_coupling) + _up((self.n - 1) * pair))
+
     def __matmul__(self, other) -> np.ndarray:
         """M @ v for a vector v."""
         v = np.asarray(other, dtype=float)
@@ -210,6 +250,11 @@ def _integral(value, name: str) -> int:
     return as_int
 
 
+def _up(value: float) -> float:
+    """The next float above value."""
+    return math.nextafter(value, math.inf)
+
+
 def _finite(value, name: str) -> float:
     try:
         value = float(value)
@@ -257,6 +302,13 @@ def _require_symmetric(matrix, name: str) -> None:
         gap = float(np.abs(diff, out=diff).max())
         if not gap <= SYMMETRY_TOL:
             raise DomainError(f"{name} must be symmetric and finite; asymmetry {gap:.3e}")
+
+
+def _all_in(values: np.ndarray, pair: tuple) -> bool:
+    """Whether every entry equals one of the two values in pair; NaN and
+    non-numeric entries equal neither.  Two comparisons, where np.isin sorts."""
+    low, high = pair
+    return bool(np.logical_or(values == low, values == high).all())
 
 
 def _require_finite(vector: np.ndarray, name: str) -> None:
@@ -337,7 +389,7 @@ class OrderProgram:
     ranks[i]-th smallest input value.  Each rank must equal its integer
     value: strings and fractions are rejected, never truncated.  kind
     records how the vector was generated; branching is the tree arity
-    where that applies.
+    where that applies, an integer of at least 2, checked as the ranks are.
     """
 
     ranks: tuple[int, ...]
@@ -358,10 +410,11 @@ class OrderProgram:
             raise NotAPermutation("ranks must be a permutation of 1..n")
         if self.kind not in PROGRAM_KINDS:
             raise DomainError(f"unknown program kind {self.kind!r}")
-        if int(self.branching) < 2:
+        branching = _integral(self.branching, "branching")
+        if branching < 2:
             raise DomainError("branching must be at least 2")
         object.__setattr__(self, "ranks", ranks)
-        object.__setattr__(self, "branching", int(self.branching))
+        object.__setattr__(self, "branching", branching)
 
     @property
     def n(self) -> int:
@@ -475,7 +528,7 @@ class PermutationMatrix:
         M = np.asarray(self.matrix)
         if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] == 0:
             raise NotAPermutation("need a non-empty square matrix")
-        if not np.isin(M, (0, 1)).all():
+        if not _all_in(M, (0, 1)):
             raise NotAPermutation("entries must be 0 or 1")
         M = M.astype(int)
         if np.any(M.sum(axis=0) != 1) or np.any(M.sum(axis=1) != 1):
@@ -499,7 +552,7 @@ class TraceStep:
 
     def __post_init__(self):
         state = _readonly(self.state, dtype=np.int8)
-        if not np.isin(state, (-1, 1)).all():
+        if not _all_in(state, (-1, 1)):
             raise DomainError("trace states must be bipolar")
         object.__setattr__(self, "state", state)
         object.__setattr__(self, "energy", float(self.energy))
@@ -523,7 +576,7 @@ class SolverTrace:
 
     def __post_init__(self):
         given = np.asarray(self.start)
-        if given.ndim != 1 or not np.isin(given, (-1, 1)).all():
+        if given.ndim != 1 or not _all_in(given, (-1, 1)):
             raise DomainError("the start state must be a bipolar vector")
         start = _readonly(given, dtype=np.int8)
         flipped = _readonly(self.flipped, dtype=np.intp)
@@ -605,7 +658,7 @@ def decode_permutation(z_star) -> PermutationMatrix:
         The state is never repaired.
     """
     M = matricize(z_star)
-    if not np.isin(M, (0.0, 1.0)).all():
+    if not _all_in(M, (0.0, 1.0)):
         raise NotAPermutation("state entries must be 0 or 1")
     return PermutationMatrix(M.astype(int))
 

@@ -83,20 +83,25 @@ def bst_program(n: int, branching: int = 2) -> OrderProgram:
 
 
 def heap_program(n: int, branching: int = 2) -> OrderProgram:
-    """Root gets rank n; child subtrees get contiguous blocks of 1..n-1."""
+    """Root gets rank n; child subtrees get contiguous blocks of 1..n-1.
+
+    Every subtree size comes from one bottom-up pass, each slot adding its
+    size to its parent's, and the blocks from one top-down pass, in O(n).
+    """
     _check_size(n)
     shape = TreeShape(n, branching)
+    sizes = [1] * n
+    for slot in range(n - 1, 0, -1):
+        sizes[(slot - 1) // shape.branching] += sizes[slot]
     ranks = [0] * n
-
-    def assign(root: int, low: int, high: int) -> None:
-        ranks[root] = high
-        block_low = low
-        for child in shape.children(root):
-            size = shape.subtree_size(child)
-            assign(child, block_low, block_low + size - 1)
-            block_low += size
-
-    assign(0, 1, n)
+    lows = [1] * n  # lows[slot]: the lowest rank of the block of slot's subtree
+    ranks[0] = n
+    for slot in range(n):
+        block_low = lows[slot]
+        for child in shape.children(slot):
+            lows[child] = block_low
+            block_low += sizes[child]
+            ranks[child] = block_low - 1
     return OrderProgram(tuple(ranks), kind="heap", branching=branching)
 
 

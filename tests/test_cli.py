@@ -204,6 +204,14 @@ class TestBuildCommand:
         assert main(["verify", x_path, prog]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, value", [("n", 3.7), ("n", "3"), ("branching", 2.9)])
+    def test_sizes_are_never_truncated_or_parsed(self, tmp_path, capsys, field, value):
+        x_path = write_json(tmp_path / "x.json", [3.0, 1.0, 2.0])
+        payload = {"n": 3, "kind": "heap", "branching": 2, "ranks": [3, 1, 2], field: value}
+        prog = write_json(tmp_path / "prog.json", payload)
+        assert main(["verify", x_path, prog]) == 2
+        assert "must be an integer" in capsys.readouterr().err
+
 
 class TestSolveCommand:
     @pytest.mark.parametrize("kind", ["ascending", "bst", "heap"])
@@ -409,12 +417,13 @@ class TestQuboFileFormat:
             (lambda d: to_dense(d, entry="0"), "'R': expected"),
             (lambda d: d.update(R=[[0.0] * 9] * 9), "found both"),
             (lambda d: d.pop("penalty"), "'penalty' and 'R', found neither"),
+            (lambda d: d.update(normalized="garbage"), "'normalized' must be true or false"),
         ],
         ids=[
             "x-length", "x-null", "x-strings", "n-fraction", "penalty-n-fraction",
             "r-strings", "penalty-string", "penalty-nan", "penalty-field-missing",
             "penalty-not-object", "lambda-nan", "lambda-beyond-float", "R-strings",
-            "both-forms", "neither-form",
+            "both-forms", "neither-form", "normalized-string",
         ],
     )
     def test_whole_file_checked_before_any_output(self, tmp_path, capsys, edit, message):

@@ -99,6 +99,12 @@ class TestOrderProgram:
         with pytest.raises(DomainError):
             OrderProgram(ranks=(1, 2), kind="custom", branching=1)
 
+    @pytest.mark.parametrize("branching", [2.9, "3", None])
+    def test_branching_is_never_truncated_or_parsed(self, branching):
+        with pytest.raises(InvalidSize):
+            OrderProgram(ranks=(1, 2), kind="heap", branching=branching)
+        assert OrderProgram(ranks=(1, 2), kind="heap", branching=3.0).branching == 3
+
     def test_n(self):
         assert OrderProgram(ranks=(2, 1), kind="custom", branching=2).n == 2
 

@@ -109,6 +109,24 @@ class TestHeapProgram:
     def test_ranks_are_permutations(self, n, b):
         assert sorted(heap_program(n, b).ranks) == list(range(1, n + 1))
 
+    @pytest.mark.parametrize("b", [2, 3, 4, 5])
+    def test_ranks_follow_the_tree_definition(self, b):
+        """Each slot holds the top rank of its block, and its children split
+        the rest in order, each block as large as the child's subtree."""
+        for n in range(1, 201):
+            shape = TreeShape(n, b)
+            want = [0] * n
+
+            def assign(root, low, high):
+                want[root] = high
+                for child in shape.children(root):
+                    size = shape.subtree_size(child)
+                    assign(child, low, low + size - 1)
+                    low += size
+
+            assign(0, 1, n)
+            assert heap_program(n, b).ranks == tuple(want), n
+
 
 class TestValidateBst:
     def test_arranged_values_pass(self):

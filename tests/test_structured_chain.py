@@ -13,6 +13,7 @@ import json
 import os
 import tempfile
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -252,6 +253,45 @@ class TestPenaltyMatrix:
         assert first is network.weights_W and isinstance(second, np.ndarray)
 
 
+    def test_descent_never_reads_a_row(self):
+        """The structured descent adds rows through add_row, in O(n), and never
+        builds a dense row of n^2 entries."""
+        instance = build_qubo(ValueVector(ref.INPUT_X), make_program("heap", 7))
+        network = chain(instance)[2]
+        with mock.patch.object(PenaltyMatrix, "__getitem__", side_effect=AssertionError("row read")):
+            _, trace = solve(network)
+            assert_bitwise_same_descent(network, np.full(49, -1, dtype=np.int8))
+        assert trace.flips == 7
+
+    @given(st.integers(1, 6), st.integers(0, 2**32 - 1), st.floats(-3.0, 3.0))
+    @settings(max_examples=60, deadline=None)
+    def test_add_row_is_the_dense_row_update(self, n, seed, factor):
+        rnd = np.random.default_rng(seed)
+        M = PenaltyMatrix(n, *rnd.normal(size=3))
+        v = rnd.normal(size=n * n)
+        dense = v + factor * np.asarray(M)[seed % (n * n)]
+        touched = M.add_row(seed % (n * n), factor, v)
+        assert bits(v) == bits(dense)
+        written = np.zeros(n * n, dtype=bool)
+        for cells in touched:
+            written[cells] = True
+        assert written.sum() == 2 * n - 1
+
+    @given(st.integers(1, 8), st.floats(0.05, 30.0), st.floats(0.05, 30.0),
+           st.sampled_from(KINDS), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_scale_bounds_every_row_sum(self, n, lambda_r, lambda_c, kind, data):
+        x = ValueVector(data.draw(input_values(n)))
+        config = BuilderConfig(lambda_r=lambda_r, lambda_c=lambda_c)
+        network = chain(build_qubo(x, program_for(kind, n), config))[2]
+        W = np.asarray(network.weights_W)
+        exact = max(sum(abs(Fraction(w)) for w in row) for row in W.tolist())
+        assert Fraction(network.weights_W.abs_row_sum()) >= exact
+        theta = max(abs(Fraction(v)) for v in network.bias_theta.tolist())
+        for weights in (network.weights_W, W):
+            assert Fraction(hopfield._scale(weights, network.bias_theta)) >= exact + theta
+
+
 # --- stages and descent, integer penalty weights: bit for bit -------------
 
 
@@ -395,6 +435,55 @@ def test_solve_holds_no_state_per_flip_at_n200():
         tracemalloc.stop()
     assert trace.flips == 200
     assert held < 1_000_000
+
+
+def gaussian_or_paper_networks(n, seed):
+    """(kind, network) for ascending, bst and heap, on the paper's distinct
+    integers and on Gaussian values, each drawn first from seed."""
+    inputs = (
+        np.random.default_rng(seed).choice(10 * n, size=n, replace=False).astype(float),
+        np.random.default_rng(seed).normal(size=n),
+    )
+    for kind in ("ascending", "bst", "heap"):
+        for values in inputs:
+            yield kind, chain(build_qubo(ValueVector(values), make_program(kind, n)))[2]
+
+
+def fresh_products(network):
+    """solve's trace and the number of W @ s it forms."""
+    with mock.patch.object(
+        PenaltyMatrix, "__matmul__", autospec=True, side_effect=PenaltyMatrix.__matmul__
+    ) as product:
+        _, trace = solve(network)
+    return trace, product.call_count
+
+
+def test_one_product_per_descent_at_n200():
+    """The tie guard, scaled by the row sum, never fires on these inputs: the
+    first W @ s is the only one.  Gains tied within the guard's bound force a
+    fresh product, so the count is pinned on fixed inputs."""
+    for kind, network in gaussian_or_paper_networks(200, 200):
+        trace, products = fresh_products(network)
+        assert trace.flips == 200 and products == 1, kind
+
+
+def test_few_products_per_descent_at_n400():
+    """At n = 400 the guard's bound, which grows as n^4, reaches the gaps
+    between gains: 9 to 24 of the 400 flips form a fresh product on these
+    inputs."""
+    for kind, network in gaussian_or_paper_networks(400, 400):
+        trace, products = fresh_products(network)
+        assert trace.flips == 400 and products <= 30, kind
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("kind", ["ascending", "heap"])
+def test_gaussian_inputs_at_n400(kind):
+    x = ValueVector(np.random.default_rng(400).normal(size=400))
+    program = make_program(kind, 400)
+    z, trace, _ = run_pipeline(x, program)
+    assert trace.flips == 400
+    assert certify(x, program, z).passed
 
 
 @pytest.mark.slow
