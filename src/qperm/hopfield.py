@@ -10,7 +10,7 @@ is a safety net for hand-crafted instances.
 Descent keeps the field h = W s and the gains it implies: it computes h
 once and after flipping coordinate i adds row i of W and recomputes the
 gains of the cells that row reaches; energies come from h.  Row updates
-round differently from a fresh W @ s, so a tie guard checks every
+can round differently from a fresh W @ s, so a tie guard checks every
 choice: whenever the best gain lies within a proven rounding bound of 0,
 or within twice that bound of another gain, h is recomputed as W @ s and
 the choice is made from it.  The bound scales with the largest absolute
@@ -28,9 +28,17 @@ and row i has 2n - 1 nonzeros, so a flip updates the field and the gains
 of only those cells, in O(n); the argmin over all gains and the energy's
 two dot products stay O(N) per flip, in numpy.  Descent never forms W
 and needs O(N) memory, where a dense network holds N^2 weights and adds
-all N entries of a row per flip.  With integer penalty weights every
-field is exact, and the descent on the structured network agrees bit for
-bit in flips, states and energies with the one on its materialized form.
+all N entries of a row per flip.
+
+When the penalty weights are short dyadic fractions, integers among
+them, as build_qubo's default lambda = n is, every field and every row
+update is exact (PenaltyMatrix.exact_fields says when, and proves it).
+Then h always equals a fresh W @ s in value, so it never goes stale:
+the tie guard never runs, no runner-up gain is sought, and a descent
+forms W @ s once, at its start.  A dense W, or weights such as
+lambda = 1.1001 * n, keep the guard.  With integer penalty weights the descent on the
+structured network agrees bit for bit in flips, states and energies with
+the one on its materialized form.
 
 solve always starts from the all-inactive state.  The trace it returns
 holds that start, the coordinate of every accepted flip and the energy
@@ -65,7 +73,15 @@ from .errors import (
     IndexOutOfRange,
     MaxStepsExceeded,
 )
-from .model import SYMMETRY_TOL, HopfieldInstance, PenaltyMatrix, SolverTrace, _all_in, _up
+from .model import (
+    SYMMETRY_TOL,
+    HopfieldInstance,
+    PenaltyMatrix,
+    SolverTrace,
+    _all_in,
+    _integral,
+    _up,
+)
 
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
 
@@ -73,13 +89,18 @@ _UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
 @dataclass(frozen=True, eq=False)
 class SolverConfig:
     """Descent controls: max_steps bounds the number of accepted flips and
-    defaults to N*N."""
+    defaults to N*N.  It must equal an integer: strings and fractions are
+    rejected, never truncated."""
 
     max_steps: Optional[int] = None
 
     def __post_init__(self):
-        if self.max_steps is not None and int(self.max_steps) < 0:
+        if self.max_steps is None:
+            return
+        max_steps = _integral(self.max_steps, "max_steps")
+        if max_steps < 0:
             raise DomainError("max_steps must be non-negative")
+        object.__setattr__(self, "max_steps", max_steps)
 
 
 def energy(instance: HopfieldInstance, s) -> float:
@@ -124,7 +145,7 @@ def solve(
     """
     cfg = config if config is not None else SolverConfig()
     N = instance.dimension
-    budget = int(cfg.max_steps) if cfg.max_steps is not None else N * N
+    budget = cfg.max_steps if cfg.max_steps is not None else N * N
     return _descend(instance, np.full(N, -1, dtype=np.int8), budget)
 
 
@@ -135,30 +156,39 @@ def _descend(
     W = instance.weights_W
     theta = instance.bias_theta
     N = theta.size
-    add_row = W.add_row if isinstance(W, PenaltyMatrix) else partial(_add_dense_row, W)
+    structured = isinstance(W, PenaltyMatrix)
+    add_row = W.add_row if structured else partial(_add_dense_row, W)
+    # With exact fields h always equals a fresh W @ s, so stale stays 0 and
+    # the tie guard never runs.
+    exact = structured and W.exact_fields()
     scale = _scale(W, theta)
     s = start.astype(float)
+    two_s = 2.0 * s
     h = W @ s
-    gains = 2.0 * s * (h - theta)
+    gains = two_s * (h - theta)
     stale = 0  # row updates folded into h since it was last computed as W @ s
-    energies = [float(-0.5 * (s @ h) + theta @ s)]
+    bounds_at = None  # the stale count gain_err and energy_err were taken for
+    energies = [-0.5 * float(s @ h) + float(theta @ s)]
     flipped: list[int] = []
     while True:
-        gain_err, energy_err = _rounding_bounds(N, stale + 1, scale)
+        if stale != bounds_at:
+            gain_err, energy_err = _rounding_bounds(N, stale + 1, scale)
+            bounds_at = stale
         i = int(gains.argmin())  # ties: lowest index
         if stale and _ambiguous(gains, i, gain_err):
             h = W @ s
             stale = 0
-            gains = 2.0 * s * (h - theta)
+            gains = two_s * (h - theta)
             i = int(gains.argmin())
-        if gains[i] >= 0.0:
+        gain = float(gains[i])
+        if gain >= 0.0:
             break
         if len(flipped) >= budget:
             raise MaxStepsExceeded(f"no stable state within {budget} flips")
         # A gain this close to 0 may not lower the energy as computed.  Take
         # both energies from a fresh product, and treat a flip that does not
         # lower the fresh energy as no improvement: the state is stable.
-        near_zero = gains[i] >= -(gain_err + 2.0 * energy_err)
+        near_zero = gain >= -(gain_err + 2.0 * energy_err)
         if near_zero:
             energies[-1] = _fresh_energy(W, theta, s)
             s[i] = -s[i]
@@ -168,13 +198,16 @@ def _descend(
                 break
         else:
             s[i] = -s[i]
+        two_s[i] = -two_s[i]
         # Only the cells row i reaches change their field, so only their
-        # gains are computed again.
-        for cells in add_row(i, 2.0 * s[i], h):
-            gains[cells] = 2.0 * s[cells] * (h[cells] - theta[cells])
-        stale += 1
+        # gains are computed again, in place.
+        for cells in add_row(i, two_s[i], h):
+            out = gains[cells]
+            np.subtract(h[cells], theta[cells], out=out)
+            out *= two_s[cells]
+        stale += not exact
         flipped.append(i)
-        energies.append(e_next if near_zero else float(-0.5 * (s @ h) + theta @ s))
+        energies.append(e_next if near_zero else -0.5 * float(s @ h) + float(theta @ s))
     return s.astype(np.int8), SolverTrace(start, flipped, energies)
 
 
@@ -236,6 +269,11 @@ def _rounding_bounds(N: int, stale: int, scale: float) -> tuple[float, float]:
     so S is about 2n*max|W|, not N*max|W|: the bounds are n/2 times
     tighter, and the guard lets that many more choices stand without the
     O(N) fresh product, against O(n) for the row update of a flip.
+
+    When W.exact_fields() holds, no row update rounds and h is a fresh
+    W @ s at every step, so descent keeps t = 0: the guard never runs, and
+    these bounds, taken once, serve only the energy check of a flip whose
+    gain is near 0.
     """
     k = (N + stale + 1) * _UNIT_ROUNDOFF
     gamma = k / (1.0 - k)
@@ -257,7 +295,7 @@ def _ambiguous(gains: np.ndarray, i: int, err: float) -> bool:
     if best >= -err:
         return True
     gains[i] = np.inf
-    runner_up = float(gains.min())
+    runner_up = float(gains[gains.argmin()])  # argmin is faster than min
     gains[i] = best
     return runner_up - best <= 2.0 * err
 

@@ -23,8 +23,9 @@ materializes it as the dense matrix the same stage builds from a dense
 input.  It answers the few ndarray calls the pipeline makes of its
 matrices (products, rows, the diagonal, max and min) in the ndarray's
 spelling, so only constructing a matrix asks which form it is, and
-descent, which adds rows through add_row and bounds them with
-abs_row_sum, two calls no ndarray has.
+descent, which adds rows through add_row, bounds them with abs_row_sum
+and asks exact_fields whether they round at all, three calls no ndarray
+has.
 
 Conventions fixed here once and relied on everywhere:
 
@@ -84,9 +85,11 @@ class PenaltyMatrix:
     and ndim are those of the dense matrix.  Every entry these return is
     bit for bit the entry np.asarray(M) holds.
 
-    Row i has only 2n - 1 nonzeros, so two calls of descent have no dense
-    spelling: add_row adds a multiple of row i to a vector in O(n), and
-    abs_row_sum bounds the absolute row sums in O(1).
+    Row i has only 2n - 1 nonzeros, so three calls of descent have no
+    dense spelling: add_row adds a multiple of row i to a vector in O(n),
+    abs_row_sum bounds the absolute row sums in O(1), and exact_fields
+    says, in O(1), whether products with bipolar vectors and row updates
+    are exact.
     """
 
     n: int
@@ -193,6 +196,42 @@ class PenaltyMatrix:
         """
         pair = _up(abs(self.same_row) + abs(self.same_col))
         return _up(abs(self.self_coupling) + _up((self.n - 1) * pair))
+
+    def exact_fields(self) -> bool:
+        """Whether M @ s and every add_row on it are exact for bipolar s, in O(1).
+
+        Every finite float is a fraction whose denominator is a power of
+        two.  Let 2^k be the largest denominator of the three coefficients,
+        so each is an integer multiple of 2^-k, and S = abs_row_sum().
+        When 4 * S * 2^k < 2^53 the fields are exact:
+
+        * M @ s multiplies each coefficient by an integer of magnitude
+          below n (a row or column sum of s, less the cell) and adds
+          three such products.  Each product and partial sum is a
+          multiple of 2^-k no larger than S in magnitude, so it fits in
+          the 53-bit significand and is computed without rounding.
+        * add_row(i, +-2, h) adds twice a coefficient to a field of
+          magnitude at most S, so each sum it forms, the crossing cell's
+          passing one included, is a multiple of 2^-k below 3 * S.
+          Where it leaves a value that value is the field of the flipped
+          state, exactly.
+
+        So a field kept by row updates equals a fresh M @ s in value, bit
+        for bit but for the sign of an exact 0: x + (-x) rounds to +0.0
+        where the product can give -0.0, and no comparison tells the two
+        apart.  Integer and dyadic weights such as build_qubo's default
+        lambda = n qualify up to n in the millions; weights like 0.7 or
+        1.1001 * n, whose step is about 2^-52 of their size, do not.  The
+        test runs in integers, from float.as_integer_ratio, since 2^k can
+        exceed the float range.
+        """
+        S = self.abs_row_sum()
+        if not math.isfinite(S):
+            return False
+        coefficients = (self.same_row, self.same_col, self.self_coupling)
+        step = max(c.as_integer_ratio()[1] for c in coefficients)  # 2^k
+        numerator, denominator = S.as_integer_ratio()
+        return 4 * numerator * step < 2**53 * denominator
 
     def __matmul__(self, other) -> np.ndarray:
         """M @ v for a vector v."""

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidSize, UnsupportedBranching
-from .model import OrderProgram
+from .model import OrderProgram, _integral
 
 
 @dataclass(frozen=True)
@@ -35,12 +35,14 @@ class TreeShape:
     branching: int = 2
 
     def __post_init__(self):
-        if int(self.size) < 1:
+        size = _integral(self.size, "size")
+        branching = _integral(self.branching, "branching")
+        if size < 1:
             raise InvalidSize("a tree needs at least one slot")
-        if int(self.branching) < 2:
+        if branching < 2:
             raise UnsupportedBranching("branching must be at least 2")
-        object.__setattr__(self, "size", int(self.size))
-        object.__setattr__(self, "branching", int(self.branching))
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "branching", branching)
 
     def children(self, slot: int) -> range:
         first = self.branching * slot + 1
@@ -58,13 +60,13 @@ class TreeShape:
 
 def ascending_program(n: int) -> OrderProgram:
     """Slot i receives the (i+1)-th smallest value: a plain sort."""
-    _check_size(n)
+    n = _check_size(n)
     return OrderProgram(tuple(range(1, n + 1)), kind="ascending")
 
 
 def descending_program(n: int) -> OrderProgram:
     """Reverse sort: slot 0 gets the largest value."""
-    _check_size(n)
+    n = _check_size(n)
     return OrderProgram(tuple(range(n, 0, -1)), kind="descending")
 
 
@@ -73,7 +75,7 @@ def bst_program(n: int, branching: int = 2) -> OrderProgram:
 
     Only branching 2 is meaningful for a search order.
     """
-    _check_size(n)
+    n = _check_size(n)
     if branching != 2:
         raise UnsupportedBranching("search-tree programs exist for branching 2 only")
     ranks = [0] * n
@@ -88,7 +90,7 @@ def heap_program(n: int, branching: int = 2) -> OrderProgram:
     Every subtree size comes from one bottom-up pass, each slot adding its
     size to its parent's, and the blocks from one top-down pass, in O(n).
     """
-    _check_size(n)
+    n = _check_size(n)
     shape = TreeShape(n, branching)
     sizes = [1] * n
     for slot in range(n - 1, 0, -1):
@@ -136,9 +138,12 @@ def validate_heap(values, shape: TreeShape) -> bool:
     )
 
 
-def _check_size(n: int) -> None:
-    if int(n) < 1:
+def _check_size(n: int) -> int:
+    """n as an int, which it must equal (3.0 is 3; 3.5 and "3" raise)."""
+    n = _integral(n, "n")
+    if n < 1:
         raise InvalidSize("programs exist for n >= 1")
+    return n
 
 
 def _inorder(n: int) -> list[int]:

@@ -7,6 +7,7 @@ from qperm import (
     DomainError,
     HopfieldInstance,
     IndexOutOfRange,
+    InvalidSize,
     MaxStepsExceeded,
     SolverConfig,
     ValueVector,
@@ -203,6 +204,19 @@ class TestDescent:
     def test_config_validation(self):
         with pytest.raises(DomainError):
             SolverConfig(max_steps=-5)
+
+    @pytest.mark.parametrize("bad", [2.9, "3"])
+    def test_max_steps_is_never_truncated_or_parsed(self, bad):
+        """2.9 once ran with a budget of 2 and "3" was parsed as 3."""
+        with pytest.raises(InvalidSize):
+            SolverConfig(max_steps=bad)
+
+    def test_integral_max_steps_is_kept_as_an_int(self):
+        config = SolverConfig(max_steps=3.0)
+        assert config.max_steps == 3 and type(config.max_steps) is int
+        x = ValueVector(ref.INPUT_X)
+        _, trace, _ = run_pipeline(x, ascending_program(7), SolverConfig(max_steps=np.int64(7)))
+        assert trace.flips == 7
 
 
 class TestSpuriousMinima:

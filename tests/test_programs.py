@@ -53,6 +53,21 @@ class TestTreeShape:
         with pytest.raises(UnsupportedBranching):
             TreeShape(3, 1)
 
+    @pytest.mark.parametrize(
+        "size, branching",
+        [(7.9, 2), (7, 2.9), (7.9, 2.9), ("7", 2), (7, "2")],
+        ids=["size-7.9", "branching-2.9", "both-fractions", "size-string", "branching-string"],
+    )
+    def test_sizes_are_never_truncated_or_parsed(self, size, branching):
+        """TreeShape(7.9, 2.9) once became size 7 with branching 2."""
+        with pytest.raises(InvalidSize):
+            TreeShape(size, branching)
+
+    def test_integral_floats_are_integers(self):
+        shape = TreeShape(7.0, 3.0)
+        assert (shape.size, shape.branching) == (7, 3)
+        assert type(shape.size) is int and type(shape.branching) is int
+
 
 class TestLinearPrograms:
     def test_ascending(self):
@@ -179,3 +194,17 @@ class TestValidateHeap:
         values = rnd.sample(range(-1000, 1000), n)
         y = arrange(values, heap_program(n, b).ranks)
         assert validate_heap(y, TreeShape(n, b))
+
+
+class TestProgramSizes:
+    @pytest.mark.parametrize("make", [ascending_program, descending_program, bst_program, heap_program])
+    @pytest.mark.parametrize("bad", [3.5, "3", None, 2**0.5])
+    def test_sizes_are_never_truncated_or_parsed(self, make, bad):
+        """ascending_program(3.5), bst_program(3.5) and heap_program("3") once
+        raised a bare TypeError, which is not a QpermError."""
+        with pytest.raises(InvalidSize):
+            make(bad)
+
+    @pytest.mark.parametrize("make", [ascending_program, descending_program, bst_program, heap_program])
+    def test_integral_float_size_is_that_size(self, make):
+        assert make(3.0) == make(3)

@@ -33,6 +33,7 @@ from qperm import (
     PenaltyMatrix,
     QuboInstance,
     ValueVector,
+    bipolar_to_binary,
     build_Cc,
     build_Cr,
     build_qubo,
@@ -277,6 +278,57 @@ class TestPenaltyMatrix:
             written[cells] = True
         assert written.sum() == 2 * n - 1
 
+    @given(st.integers(1, 8), st.integers(1, 2**20), st.integers(1, 2**20),
+           st.integers(0, 20), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_dyadic_weights_give_exact_fields(self, n, m_r, m_c, k, seed):
+        """Integer and dyadic lambda (m / 2^k) make exact fields at every stage:
+        each add_row leaves the field equal to a fresh M @ s.  The two agree
+        in value, so in every bit but the sign of an exact 0, which no
+        comparison sees."""
+        config = BuilderConfig(lambda_r=m_r / 2**k, lambda_c=m_c / 2**k)
+        x = ValueVector(np.random.default_rng(seed).normal(size=n))
+        instance = build_qubo(x, make_program("heap", n), config)
+        folded, ising, network = chain(instance)
+        stages = (instance.matrix_R, folded.matrix_R, ising.matrix_Q, network.weights_W)
+        assert all(M.exact_fields() for M in stages)
+        rnd = np.random.default_rng(seed)
+        for M in stages:
+            s = random_start(n * n, seed).astype(float)
+            h = M @ s
+            for i in rnd.integers(0, n * n, size=12):
+                s[i] = -s[i]
+                M.add_row(int(i), 2.0 * s[i], h)
+                fresh = M @ s
+                assert np.array_equal(h, fresh)
+                nonzero = fresh != 0.0
+                assert bits(h[nonzero]) == bits(fresh[nonzero])
+
+    def test_inexact_weights_are_not_exact_fields(self):
+        """At n = 1 the matrix is [[self_coupling]], exact for any weights."""
+        for n in (2, 8, 40):
+            x = ValueVector(np.arange(n, dtype=float))
+            for lam in (0.7, 5.6, 1.1001 * n):
+                config = BuilderConfig(lambda_r=lam, lambda_c=lam)
+                network = chain(build_qubo(x, make_program("ascending", n), config))[2]
+                assert not network.weights_W.exact_fields(), (n, lam)
+
+    @pytest.mark.parametrize("n", [1, 2, 1000])
+    @pytest.mark.parametrize("c", [5e-324, -5e-324, 1e300, -1e300, 1.7e308])
+    def test_exact_fields_at_the_ends_of_the_float_range(self, n, c):
+        """Decided in integers: 2^1074 and 1e300 * 2^k overflow a float."""
+        assert PenaltyMatrix(n, c, c, c).exact_fields() is (abs(c) < 1.0)
+        if n > 1:  # a step of 2^-1074 beside a weight of 1 needs 1074 more bits
+            assert PenaltyMatrix(n, 1.0, c, 0.0).exact_fields() is False
+
+    def test_exact_fields_threshold(self):
+        """4 * S * 2^k < 2^53: with S just above 2, a step of 2^-49 passes and
+        one of 2^-50 does not."""
+        assert PenaltyMatrix(2, 1 + 2.0**-49, 1 + 2.0**-49, 0.0).exact_fields()
+        assert not PenaltyMatrix(2, 1 + 2.0**-50, 1 + 2.0**-50, 0.0).exact_fields()
+        assert PenaltyMatrix(2**20, 2.0, -3.0, 0.0).exact_fields()  # S about 2^22.3
+        assert not PenaltyMatrix(2**49, 2.0, -3.0, 0.0).exact_fields()  # S about 2^51.3
+
     @given(st.integers(1, 8), st.floats(0.05, 30.0), st.floats(0.05, 30.0),
            st.sampled_from(KINDS), st.data())
     @settings(max_examples=60, deadline=None)
@@ -459,21 +511,58 @@ def fresh_products(network):
 
 
 def test_one_product_per_descent_at_n200():
-    """The tie guard, scaled by the row sum, never fires on these inputs: the
-    first W @ s is the only one.  Gains tied within the guard's bound force a
-    fresh product, so the count is pinned on fixed inputs."""
+    """The first W @ s is the only one: the default weights give exact
+    fields, so the tie guard never runs."""
     for kind, network in gaussian_or_paper_networks(200, 200):
         trace, products = fresh_products(network)
         assert trace.flips == 200 and products == 1, kind
 
 
 def test_few_products_per_descent_at_n400():
-    """At n = 400 the guard's bound, which grows as n^4, reaches the gaps
-    between gains: 9 to 24 of the 400 flips form a fresh product on these
-    inputs."""
+    """The default weights, lambda = n, are integers, so every field is exact
+    and the tie guard never runs: the first W @ s is the only one, though
+    the guard's bound would reach the gaps between gains here."""
     for kind, network in gaussian_or_paper_networks(400, 400):
+        assert network.weights_W.exact_fields(), kind
         trace, products = fresh_products(network)
-        assert trace.flips == 400 and products <= 30, kind
+        assert trace.flips == 400 and products == 1, kind
+
+
+@pytest.mark.parametrize("n", [40, 200])
+def test_exact_fields_never_consult_the_tie_guard(n):
+    """With exact fields descent never looks for a runner-up gain."""
+    guard = mock.patch.object(hopfield, "_ambiguous", side_effect=AssertionError("tie guard ran"))
+    for kind, network in gaussian_or_paper_networks(n, n):
+        with guard:
+            _, trace = solve(network)
+        assert trace.flips == n, kind
+
+
+def test_inexact_weights_keep_the_tie_guard_at_n400():
+    """lambda = 1.1001 * n is not a short dyadic fraction, so row updates
+    round and the guard still forms fresh products on a structured network
+    (24 on this input)."""
+    n = 400
+    x = ValueVector(np.random.default_rng(n).normal(size=n))
+    lam = 1.1001 * n
+    config = BuilderConfig(lambda_r=lam, lambda_c=lam)
+    network = chain(build_qubo(x, make_program("heap", n), config))[2]
+    assert not network.weights_W.exact_fields()
+    trace, products = fresh_products(network)
+    assert trace.flips == n and products > 1
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("kind", ["ascending", "heap"])
+def test_gaussian_inputs_at_n1000(kind):
+    """n = 1000, N = 10^6: one W @ s per descent, and the order certified."""
+    x = ValueVector(np.random.default_rng(1000).normal(size=1000))
+    program = make_program(kind, 1000)
+    network = chain(build_qubo(x, program))[2]
+    trace, products = fresh_products(network)
+    assert trace.flips == 1000 and products == 1
+    z = bipolar_to_binary(trace.final_state)
+    assert certify(x, program, z).passed
 
 
 @pytest.mark.slow
