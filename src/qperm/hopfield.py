@@ -7,38 +7,30 @@ flip has negative gain.  Because every accepted flip strictly lowers the
 energy, no state repeats and termination is guaranteed; the step budget
 is a safety net for hand-crafted instances.
 
-Descent keeps the field h = W s and the gains it implies: it computes h
-once and after flipping coordinate i adds row i of W and recomputes the
-gains of the cells that row reaches; energies come from h.  Row updates
-can round differently from a fresh W @ s, so a tie guard checks every
-choice: whenever the best gain lies within a proven rounding bound of 0,
-or within twice that bound of another gain, h is recomputed as W @ s and
-the choice is made from it.  The bound scales with the largest absolute
-row sum of W (see _rounding_bounds).  A flip whose gain lies within the
-energy rounding bound of 0 also takes both of its energies from a fresh
-product; if the energy after it is not strictly below the energy before
-it, as happens when a gain that is 0 in exact arithmetic rounds
-negative, the flip is not taken and descent stops there.  Flip sequences
-and outcomes are thereby exactly those of recomputing W @ s at every
-step and stopping at the first flip that fails to lower that energy.
+Descent keeps the field h = W s and the gains it implies, exact or
+fresh.  When the weights are a PenaltyMatrix with exact fields (what the
+conversions make of build_qubo's penalty with short dyadic weights,
+integers among them, such as the default lambda = n;
+PenaltyMatrix.exact_fields says when, and proves it), h is formed once:
+after flipping coordinate i, add_row adds row i of W to h and the gains
+of the 2n - 1 cells that row reaches are computed again, in O(n), and h
+stays equal to a fresh W @ s.  Otherwise (a dense W, or weights such as
+lambda = 1.1001 * n) h = W @ s and every gain are formed afresh after
+each flip, O(N) for a PenaltyMatrix and O(N^2) for a dense W.  The
+argmin over all gains is O(N) per flip either way, and descent never
+materializes a PenaltyMatrix, so it needs O(N) memory where a dense
+network holds N^2 weights.
 
-A network whose weights_W is a PenaltyMatrix (what the conversions make
-of build_qubo's penalty) runs the same descent.  There W @ s costs O(N)
-and row i has 2n - 1 nonzeros, so a flip updates the field and the gains
-of only those cells, in O(n); the argmin over all gains and the energy's
-two dot products stay O(N) per flip, in numpy.  Descent never forms W
-and needs O(N) memory, where a dense network holds N^2 weights and adds
-all N entries of a row per flip.
-
-When the penalty weights are short dyadic fractions, integers among
-them, as build_qubo's default lambda = n is, every field and every row
-update is exact (PenaltyMatrix.exact_fields says when, and proves it).
-Then h always equals a fresh W @ s in value, so it never goes stale:
-the tie guard never runs, no runner-up gain is sought, and a descent
-forms W @ s once, at its start.  A dense W, or weights such as
-lambda = 1.1001 * n, keep the guard.  With integer penalty weights the descent on the
-structured network agrees bit for bit in flips, states and energies with
-the one on its materialized form.
+Every energy comes from that h, -1/2 s.h + theta.s, save that a dense W
+forms s @ W afresh, as energy() does.  A flip stands only if its energy
+is strictly below the one before it.  A gain that is 0 in exact
+arithmetic can round negative; the flip it picks does not lower the
+energy, and descent undoes it and stops there.  Flip sequences and
+outcomes are thereby exactly those of recomputing W @ s at every step
+and stopping at the first flip that fails to lower that energy.  With
+integer penalty weights the descent on the structured network agrees bit
+for bit in flips, states and energies with the one on its materialized
+form.
 
 solve always starts from the all-inactive state.  The trace it returns
 holds that start, the coordinate of every accepted flip and the energy
@@ -60,9 +52,7 @@ infeasible state; certify says which.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -73,17 +63,7 @@ from .errors import (
     IndexOutOfRange,
     MaxStepsExceeded,
 )
-from .model import (
-    SYMMETRY_TOL,
-    HopfieldInstance,
-    PenaltyMatrix,
-    SolverTrace,
-    _all_in,
-    _integral,
-    _up,
-)
-
-_UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
+from .model import HopfieldInstance, PenaltyMatrix, SolverTrace, _all_in, _integral
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,6 +122,8 @@ def solve(
     MaxStepsExceeded
         If descent uses up its flip budget without reaching a stable
         state.
+    DomainError
+        If an energy overflows the float range.
     """
     cfg = config if config is not None else SolverConfig()
     N = instance.dimension
@@ -155,149 +137,48 @@ def _descend(
     """Descend from start; the returned SolverTrace checks that start is bipolar."""
     W = instance.weights_W
     theta = instance.bias_theta
-    N = theta.size
-    structured = isinstance(W, PenaltyMatrix)
-    add_row = W.add_row if structured else partial(_add_dense_row, W)
-    # With exact fields h always equals a fresh W @ s, so stale stays 0 and
-    # the tie guard never runs.
-    exact = structured and W.exact_fields()
-    scale = _scale(W, theta)
+    exact = isinstance(W, PenaltyMatrix) and W.exact_fields()
     s = start.astype(float)
     two_s = 2.0 * s
     h = W @ s
     gains = two_s * (h - theta)
-    stale = 0  # row updates folded into h since it was last computed as W @ s
-    bounds_at = None  # the stale count gain_err and energy_err were taken for
-    energies = [-0.5 * float(s @ h) + float(theta @ s)]
+    energies = [_energy(W, theta, s, h)]
     flipped: list[int] = []
     while True:
-        if stale != bounds_at:
-            gain_err, energy_err = _rounding_bounds(N, stale + 1, scale)
-            bounds_at = stale
         i = int(gains.argmin())  # ties: lowest index
-        if stale and _ambiguous(gains, i, gain_err):
-            h = W @ s
-            stale = 0
-            gains = two_s * (h - theta)
-            i = int(gains.argmin())
-        gain = float(gains[i])
-        if gain >= 0.0:
+        if gains[i] >= 0.0:
             break
         if len(flipped) >= budget:
             raise MaxStepsExceeded(f"no stable state within {budget} flips")
-        # A gain this close to 0 may not lower the energy as computed.  Take
-        # both energies from a fresh product, and treat a flip that does not
-        # lower the fresh energy as no improvement: the state is stable.
-        near_zero = gain >= -(gain_err + 2.0 * energy_err)
-        if near_zero:
-            energies[-1] = _fresh_energy(W, theta, s)
-            s[i] = -s[i]
-            e_next = _fresh_energy(W, theta, s)
-            if not e_next < energies[-1]:
-                s[i] = -s[i]
-                break
-        else:
-            s[i] = -s[i]
+        s[i] = -s[i]
         two_s[i] = -two_s[i]
-        # Only the cells row i reaches change their field, so only their
-        # gains are computed again, in place.
-        for cells in add_row(i, two_s[i], h):
-            out = gains[cells]
-            np.subtract(h[cells], theta[cells], out=out)
-            out *= two_s[cells]
-        stale += not exact
+        if exact:
+            # Only the cells row i reaches change their field, so only their
+            # gains are computed again, in place.
+            for cells in W.add_row(i, two_s[i], h):
+                out = gains[cells]
+                np.subtract(h[cells], theta[cells], out=out)
+                out *= two_s[cells]
+        else:
+            h = W @ s
+            gains = two_s * (h - theta)
+        e = _energy(W, theta, s, h)
+        if not e < energies[-1]:  # a gain that is 0 in exact arithmetic rounded negative
+            s[i] = -s[i]
+            break
         flipped.append(i)
-        energies.append(e_next if near_zero else -0.5 * float(s @ h) + float(theta @ s))
+        energies.append(e)
     return s.astype(np.int8), SolverTrace(start, flipped, energies)
 
 
-def _add_dense_row(W: np.ndarray, i: int, factor: float, h: np.ndarray) -> tuple[slice]:
-    """h += factor * W[i] for a dense W, which may reach every cell."""
-    h += factor * W[i]
-    return (slice(None),)
+def _energy(W, theta: np.ndarray, s: np.ndarray, h: np.ndarray) -> float:
+    """-1/2 s^T W s + theta^T s, given h = W @ s.
 
-
-def _scale(W, theta: np.ndarray) -> float:
-    """A float no smaller than max_j sum_k |W_jk| + max_j |theta_j|.
-
-    A PenaltyMatrix answers the row sum in closed form.  A dense W is read
-    once, row by row: math.fsum rounds each exact row sum to the nearest
-    float, so one step up from the largest of them is no smaller than any.
-    The final sum is rounded and stepped up the same way.
+    On a PenaltyMatrix s @ W is W @ s bit for bit, so h serves; a dense W
+    forms s @ W afresh, as energy() does.
     """
-    if isinstance(W, PenaltyMatrix):
-        rows = W.abs_row_sum()
-    else:
-        rows = _up(max((math.fsum(np.abs(row)) for row in W), default=0.0))
-    return _up(rows + float(np.abs(theta).max(initial=0.0)))
-
-
-def _fresh_energy(W, theta: np.ndarray, s: np.ndarray) -> float:
-    return float(-0.5 * (s @ W @ s) + theta @ s)
-
-
-def _rounding_bounds(N: int, stale: int, scale: float) -> tuple[float, float]:
-    """Bounds on how far gains and energies from h stray from a fresh W @ s.
-
-    Let u be the unit roundoff, gamma = gamma_{N+t+1} with
-    gamma_k = k*u / (1 - k*u), t = stale, tau = SYMMETRY_TOL, and
-    S = max_j (sum_k |W_jk| + |theta_j|), which bounds |(W s)_j| + |theta_j|
-    for every bipolar s.  scale is never below S: _scale takes it from
-    sums rounded to nearest and then stepped one float up, which lands
-    at or above the exact value.  Below, S is replaced by scale.
-
-    Gains.  A dot product of length N is off by at most
-    gamma_N * sum_k |W_jk| in any summation order; a PenaltyMatrix forms
-    (W s)_j from exact integer row and column sums of s in three products
-    and two additions, within gamma_3 of the same sum, and N >= 4 unless
-    n = 1, where only the zero diagonal term remains.  So a fresh gain
-    2*s_j*(fl(W @ s)_j - theta_j) (doubling is exact) lies within
-    2*gamma_{N+1}*S of the exact one.  Each of the t row updates folded
-    into h since then rounds by at most u*|h_j|, which compounds to
-    gamma*S.  It also adds W[i, j] where the field needs W[j, i], which
-    the instance guarantees to tau; the flip doubles that to 2*tau.  A
-    gain from h is thus within 2*gamma*S + 4*t*tau*(1 + gamma) of the
-    exact gain, and within gain_err = 4*gamma*scale + 4*t*tau*(1 + gamma)
-    of the fresh one.
-
-    Energies.  -1/2 s.h + theta.s sums N such fields against s, and so
-    does the fresh -1/2 (s @ W) @ s + theta @ s; with the final roundings
-    either is within energy_err = 4*N*(gamma*scale + t*tau) of the exact
-    energy.
-
-    Only the row sum enters.  A PenaltyMatrix row holds 2n - 1 nonzeros,
-    so S is about 2n*max|W|, not N*max|W|: the bounds are n/2 times
-    tighter, and the guard lets that many more choices stand without the
-    O(N) fresh product, against O(n) for the row update of a flip.
-
-    When W.exact_fields() holds, no row update rounds and h is a fresh
-    W @ s at every step, so descent keeps t = 0: the guard never runs, and
-    these bounds, taken once, serve only the energy check of a flip whose
-    gain is near 0.
-    """
-    k = (N + stale + 1) * _UNIT_ROUNDOFF
-    gamma = k / (1.0 - k)
-    gain_err = 4.0 * gamma * scale + 4.0 * stale * SYMMETRY_TOL * (1.0 + gamma)
-    energy_err = 4.0 * N * (gamma * scale + stale * SYMMETRY_TOL)
-    return gain_err, energy_err
-
-
-def _ambiguous(gains: np.ndarray, i: int, err: float) -> bool:
-    """Whether gains off by up to err each could make a fresh W @ s choose otherwise.
-
-    The choice stands when gains[i] > err (stop; every fresh gain is
-    positive), or when gains[i] < -err (flip) and every other gain exceeds
-    gains[i] by more than 2*err (the fresh argmin is still i).
-    """
-    best = float(gains[i])
-    if best > err:
-        return False
-    if best >= -err:
-        return True
-    gains[i] = np.inf
-    runner_up = float(gains[gains.argmin()])  # argmin is faster than min
-    gains[i] = best
-    return runner_up - best <= 2.0 * err
+    sW = h if isinstance(W, PenaltyMatrix) else s @ W
+    return -0.5 * float(sW @ s) + float(theta @ s)
 
 
 def _check_state(instance: HopfieldInstance, s) -> np.ndarray:

@@ -23,9 +23,8 @@ materializes it as the dense matrix the same stage builds from a dense
 input.  It answers the few ndarray calls the pipeline makes of its
 matrices (products, rows, the diagonal, max and min) in the ndarray's
 spelling, so only constructing a matrix asks which form it is, and
-descent, which adds rows through add_row, bounds them with abs_row_sum
-and asks exact_fields whether they round at all, three calls no ndarray
-has.
+descent, which adds rows through add_row and asks exact_fields whether
+they round at all, two calls no ndarray has.
 
 Conventions fixed here once and relied on everywhere:
 
@@ -85,11 +84,10 @@ class PenaltyMatrix:
     and ndim are those of the dense matrix.  Every entry these return is
     bit for bit the entry np.asarray(M) holds.
 
-    Row i has only 2n - 1 nonzeros, so three calls of descent have no
+    Row i has only 2n - 1 nonzeros, so two calls of descent have no
     dense spelling: add_row adds a multiple of row i to a vector in O(n),
-    abs_row_sum bounds the absolute row sums in O(1), and exact_fields
-    says, in O(1), whether products with bipolar vectors and row updates
-    are exact.
+    and exact_fields says, in O(1), whether products with bipolar vectors
+    and row updates are exact.
     """
 
     n: int
@@ -186,24 +184,14 @@ class PenaltyMatrix:
         v[i] = crossing + factor * self.self_coupling
         return col_cells, row_cells
 
-    def abs_row_sum(self) -> float:
-        """A float no smaller than max_j sum_k |M_jk|, in O(1).
-
-        Every row sums to |self_coupling| + (n - 1)(|same_row| + |same_col|).
-        Each sum and product of that is rounded to nearest and then moved
-        one float up; a float rounded to nearest and moved up is never
-        below the exact value, so neither is the result.
-        """
-        pair = _up(abs(self.same_row) + abs(self.same_col))
-        return _up(abs(self.self_coupling) + _up((self.n - 1) * pair))
-
     def exact_fields(self) -> bool:
         """Whether M @ s and every add_row on it are exact for bipolar s, in O(1).
 
         Every finite float is a fraction whose denominator is a power of
-        two.  Let 2^k be the largest denominator of the three coefficients,
-        so each is an integer multiple of 2^-k, and S = abs_row_sum().
-        When 4 * S * 2^k < 2^53 the fields are exact:
+        two.  Let 2^k be the largest denominator of the entries of M, so
+        each is an integer multiple of 2^-k, and S the absolute row sum
+        |self_coupling| + (n - 1)(|same_row| + |same_col|), the same for
+        every row.  When 4 * S * 2^k < 2^53 the fields are exact:
 
         * M @ s multiplies each coefficient by an integer of magnitude
           below n (a row or column sum of s, less the cell) and adds
@@ -215,6 +203,10 @@ class PenaltyMatrix:
           passing one included, is a multiple of 2^-k below 3 * S.
           Where it leaves a value that value is the field of the flipped
           state, exactly.
+        * At n = 1, M is [[self_coupling]].  M @ s multiplies same_row
+          and same_col by 0, and add_row overwrites the crossing cell's
+          passing sum, so 2^k comes from self_coupling alone and S need
+          not bound same_row or same_col.
 
         So a field kept by row updates equals a fresh M @ s in value, bit
         for bit but for the sign of an exact 0: x + (-x) rounds to +0.0
@@ -222,16 +214,15 @@ class PenaltyMatrix:
         apart.  Integer and dyadic weights such as build_qubo's default
         lambda = n qualify up to n in the millions; weights like 0.7 or
         1.1001 * n, whose step is about 2^-52 of their size, do not.  The
-        test runs in integers, from float.as_integer_ratio, since 2^k can
-        exceed the float range.
+        test runs in integers, from float.as_integer_ratio, since 2^k and S
+        can exceed the float range.
         """
-        S = self.abs_row_sum()
-        if not math.isfinite(S):
-            return False
-        coefficients = (self.same_row, self.same_col, self.self_coupling)
-        step = max(c.as_integer_ratio()[1] for c in coefficients)  # 2^k
-        numerator, denominator = S.as_integer_ratio()
-        return 4 * numerator * step < 2**53 * denominator
+        coefficients = (self.self_coupling, self.same_row, self.same_col)
+        # The entries of M: at n = 1, self_coupling alone.
+        ratios = [c.as_integer_ratio() for c in coefficients[: 1 if self.n == 1 else 3]]
+        step = max(q for _, q in ratios)  # 2^k
+        diagonal, *pair = (abs(p) * (step // q) for p, q in ratios)  # each times 2^k
+        return 4 * (diagonal + (self.n - 1) * sum(pair)) < 2**53  # 4 * S * 2^k
 
     def __matmul__(self, other) -> np.ndarray:
         """M @ v for a vector v."""
@@ -287,11 +278,6 @@ def _integral(value, name: str) -> int:
     if isinstance(value, (str, bytes)) or as_int != value:
         raise InvalidSize(f"{name} must be an integer, not {value!r}")
     return as_int
-
-
-def _up(value: float) -> float:
-    """The next float above value."""
-    return math.nextafter(value, math.inf)
 
 
 def _finite(value, name: str) -> float:
@@ -625,6 +611,10 @@ class SolverTrace:
         if energies.shape != (flipped.size + 1,):
             raise DomainError(
                 f"{flipped.size} flips need {flipped.size + 1} energies, got {energies.size}"
+            )
+        if not np.isfinite(energies).all():
+            raise DomainError(
+                "trace energies must be finite: the energy overflows the float range"
             )
         if not (np.diff(energies) < 0.0).all():
             raise DomainError("trace energies must strictly decrease")

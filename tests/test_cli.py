@@ -325,6 +325,13 @@ class TestSolveCommand:
         assert main(["solve", str(qubo)]) == 4
         assert "descent ended in a state that is no permutation" in capsys.readouterr().err
 
+    def test_energy_overflow_exit_code(self, tmp_path, capsys):
+        weights = ("--lambda-r", "3e306", "--lambda-c", "3e306")
+        qubo = build_file(tmp_path, [3, 1, 2, 5, 4, 0, 7, 6], "ascending", *weights)
+        with np.errstate(over="ignore"):
+            assert main(["solve", qubo]) == 2
+        assert "the energy overflows the float range" in capsys.readouterr().err
+
     def test_no_seed_or_restarts(self, reference_files, monkeypatch, capsys):
         # solve is one deterministic descent: QP_SEED changes nothing, and
         # neither solve nor verify takes --seed or --restarts

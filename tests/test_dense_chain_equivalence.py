@@ -1,16 +1,16 @@
 """The dense chain against the formulas it replaces, bit for bit or flip for flip.
 
-build_qubo writes R in place and r from an outer product, fold_diagonal
-zeroes the diagonal of a copy, and descent updates its field by one row of W
-per flip.  These tests hold each of them to the product form it replaced:
-_descend_two_products is the earlier descent, its loop copied verbatim,
-which recomputes W @ s and the energy from scratch at every step; it
-appends each row it builds to a list the caller holds, and packages them
-as a SolverTrace only on return.  Builder
-networks enter these tests materialized, so that they take the dense
-descent.  The current
-descent differs from it only where it stops before a flip that fails to
-lower the energy.
+build_qubo writes R in place and r from an outer product, and
+fold_diagonal zeroes the diagonal of a copy.  These tests hold each of them
+to the product form it replaced.  Descent on a dense W is itself the
+product form: _descend_two_products, the earlier descent with its loop
+copied verbatim, recomputes W @ s and the energy from scratch at every
+step, as the current one does on a dense W; it appends each row it builds
+to a list the caller holds, and packages them as a SolverTrace only on
+return.  Builder networks enter these tests materialized, so that they
+take the dense descent.  The two agree in every flip and every energy bit,
+except that the current descent stops before a flip that fails to lower
+the energy.
 """
 
 from unittest import mock
@@ -34,7 +34,6 @@ from qperm import (
     build_Cr,
     build_N,
     build_qubo,
-    energy,
     fold_diagonal,
     solve,
     to_hopfield,
@@ -88,13 +87,15 @@ def bits(a: np.ndarray) -> bytes:
     return np.ascontiguousarray(a, dtype=float).tobytes()
 
 
-def assert_same_descent(network, new, old):
+def hexes(energies) -> list[str]:
+    return [float(e).hex() for e in energies]
+
+
+def assert_same_descent(new, old):
     (state, trace), (old_state, old_trace) = new, old
     assert trace.flipped.tolist() == old_trace.flipped.tolist()
     assert np.array_equal(state, old_state)
-    for step in trace.steps:
-        exact = energy(network, step.state)
-        assert step.energy == pytest.approx(exact, rel=1e-9, abs=1e-12)
+    assert hexes(trace.energies) == hexes(old_trace.energies)
 
 
 def compare_descents(network, start, budget=None):
@@ -130,7 +131,7 @@ def compare_descents(network, start, budget=None):
                 hopfield._descend(network, start, budget)
             return None
         new = hopfield._descend(network, start, budget)
-        assert_same_descent(network, new, old)
+        assert_same_descent(new, old)
         return new[1]
     state, trace = hopfield._descend(network, start, budget)
     kept = old_steps[:rejected]
@@ -138,9 +139,8 @@ def compare_descents(network, start, budget=None):
     assert len(trace.steps) == rejected + 1
     for step, old_step in zip(trace.steps, kept):
         assert np.array_equal(step.state, old_step.state)
-        assert step.energy == pytest.approx(energy(network, step.state), rel=1e-9, abs=1e-12)
     assert np.array_equal(state, kept[-1].state)
-    assert trace.final_energy == kept[-1].energy  # both from a fresh product
+    assert hexes(trace.energies) == hexes(step.energy for step in kept)
     return trace
 
 

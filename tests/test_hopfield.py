@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qperm import (
+    BuilderConfig,
     DomainError,
     HopfieldInstance,
     IndexOutOfRange,
@@ -193,6 +194,14 @@ class TestDescent:
         x = ValueVector(ref.INPUT_X)
         with pytest.raises(MaxStepsExceeded):
             run_pipeline(x, ascending_program(7), SolverConfig(max_steps=2))
+
+    def test_energy_overflow_is_named(self):
+        """Penalty weights of 3e306 carry the start energy to -inf; the trace
+        names the overflow, where descent could only stop at the start."""
+        x = ValueVector([3, 1, 2, 5, 4, 0, 7, 6])
+        config = BuilderConfig(lambda_r=3e306, lambda_c=3e306)
+        with np.errstate(over="ignore"), pytest.raises(DomainError, match="overflows"):
+            run_pipeline(x, ascending_program(8), builder_config=config)
 
     def test_explicit_initial_state(self):
         network = small_network(6)

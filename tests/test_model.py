@@ -282,6 +282,11 @@ class TestSolverTrace:
             with pytest.raises(DomainError):
                 SolverTrace([-1, -1], [0], energies)
 
+    def test_non_finite_energy_names_the_overflow(self):
+        for energies in ([float("-inf")], [0.0, float("-inf")], [float("inf"), 0.0]):
+            with pytest.raises(DomainError, match="overflows the float range"):
+                SolverTrace([-1, -1], [0] * (len(energies) - 1), energies)
+
     def test_flip_count_must_match(self):
         """One energy per flip, plus the start's."""
         for energies in ([0.0], [0.0, -1.0, -2.0], []):

@@ -13,12 +13,13 @@ import json
 import os
 import tempfile
 import tracemalloc
+import warnings
 from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qperm import (
@@ -137,6 +138,14 @@ def builder_instances(draw, integer_lambda, max_n=12):
         )
     )
     return build_qubo(x, program_for(draw(st.sampled_from(KINDS)), n), config)
+
+
+# Dyadic (m / 2^k), non-dyadic, and the ends of the float range.
+coefficients = st.one_of(
+    st.builds(lambda m, k: m / 2**k, st.integers(-(2**30), 2**30), st.integers(0, 60)),
+    st.floats(-30.0, 30.0),
+    st.sampled_from([5e-324, -5e-324, 1e300, -1e300, 1.7e308]),
+)
 
 
 # --- the penalty matrix on its own ----------------------------------------
@@ -329,19 +338,21 @@ class TestPenaltyMatrix:
         assert PenaltyMatrix(2**20, 2.0, -3.0, 0.0).exact_fields()  # S about 2^22.3
         assert not PenaltyMatrix(2**49, 2.0, -3.0, 0.0).exact_fields()  # S about 2^51.3
 
-    @given(st.integers(1, 8), st.floats(0.05, 30.0), st.floats(0.05, 30.0),
-           st.sampled_from(KINDS), st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_scale_bounds_every_row_sum(self, n, lambda_r, lambda_c, kind, data):
-        x = ValueVector(data.draw(input_values(n)))
-        config = BuilderConfig(lambda_r=lambda_r, lambda_c=lambda_c)
-        network = chain(build_qubo(x, program_for(kind, n), config))[2]
-        W = np.asarray(network.weights_W)
-        exact = max(sum(abs(Fraction(w)) for w in row) for row in W.tolist())
-        assert Fraction(network.weights_W.abs_row_sum()) >= exact
-        theta = max(abs(Fraction(v)) for v in network.bias_theta.tolist())
-        for weights in (network.weights_W, W):
-            assert Fraction(hopfield._scale(weights, network.bias_theta)) >= exact + theta
+    @given(st.integers(1, 8), coefficients, coefficients, coefficients)
+    @example(1, 1.7e308, 1.7e308, 0.0)  # |same_row| + |same_col| overflows a float
+    @settings(max_examples=80, deadline=None)
+    def test_exact_fields_is_the_row_sum_criterion(self, n, same_row, same_col, self_coupling):
+        """exact_fields() is 4 * S * 2^k < 2^53, with S the largest absolute row
+        sum and 2^k the largest denominator of the dense matrix's entries, both
+        exact; it computes them without a float operation that could warn."""
+        M = PenaltyMatrix(n, same_row, same_col, self_coupling)
+        rows = [[Fraction(w) for w in row] for row in np.asarray(M).tolist()]
+        S = max(sum(abs(w) for w in row) for row in rows)
+        step = max(w.denominator for row in rows for w in row)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            exact = M.exact_fields()
+        assert exact is (4 * S * step < 2**53)
 
 
 # --- stages and descent, integer penalty weights: bit for bit -------------
@@ -512,7 +523,7 @@ def fresh_products(network):
 
 def test_one_product_per_descent_at_n200():
     """The first W @ s is the only one: the default weights give exact
-    fields, so the tie guard never runs."""
+    fields, so descent keeps h by row updates."""
     for kind, network in gaussian_or_paper_networks(200, 200):
         trace, products = fresh_products(network)
         assert trace.flips == 200 and products == 1, kind
@@ -520,28 +531,17 @@ def test_one_product_per_descent_at_n200():
 
 def test_few_products_per_descent_at_n400():
     """The default weights, lambda = n, are integers, so every field is exact
-    and the tie guard never runs: the first W @ s is the only one, though
-    the guard's bound would reach the gaps between gains here."""
+    and the first W @ s is the only one."""
     for kind, network in gaussian_or_paper_networks(400, 400):
         assert network.weights_W.exact_fields(), kind
         trace, products = fresh_products(network)
         assert trace.flips == 400 and products == 1, kind
 
 
-@pytest.mark.parametrize("n", [40, 200])
-def test_exact_fields_never_consult_the_tie_guard(n):
-    """With exact fields descent never looks for a runner-up gain."""
-    guard = mock.patch.object(hopfield, "_ambiguous", side_effect=AssertionError("tie guard ran"))
-    for kind, network in gaussian_or_paper_networks(n, n):
-        with guard:
-            _, trace = solve(network)
-        assert trace.flips == n, kind
-
-
-def test_inexact_weights_keep_the_tie_guard_at_n400():
+def test_inexact_weights_form_one_product_per_flip_at_n400():
     """lambda = 1.1001 * n is not a short dyadic fraction, so row updates
-    round and the guard still forms fresh products on a structured network
-    (24 on this input)."""
+    would round: descent forms W @ s afresh after every flip, one product
+    per flip and none for the energy."""
     n = 400
     x = ValueVector(np.random.default_rng(n).normal(size=n))
     lam = 1.1001 * n
@@ -549,18 +549,19 @@ def test_inexact_weights_keep_the_tie_guard_at_n400():
     network = chain(build_qubo(x, make_program("heap", n), config))[2]
     assert not network.weights_W.exact_fields()
     trace, products = fresh_products(network)
-    assert trace.flips == n and products > 1
+    assert trace.flips == n and products == trace.flips + 1
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("kind", ["ascending", "heap"])
-def test_gaussian_inputs_at_n1000(kind):
-    """n = 1000, N = 10^6: one W @ s per descent, and the order certified."""
-    x = ValueVector(np.random.default_rng(1000).normal(size=1000))
-    program = make_program(kind, 1000)
+@pytest.mark.parametrize("n", [1000, 1200])
+def test_gaussian_inputs_at_n1000_and_n1200(n, kind):
+    """N = 10^6 and 1.44 * 10^6: one W @ s per descent, and the order certified."""
+    x = ValueVector(np.random.default_rng(n).normal(size=n))
+    program = make_program(kind, n)
     network = chain(build_qubo(x, program))[2]
     trace, products = fresh_products(network)
-    assert trace.flips == 1000 and products == 1
+    assert trace.flips == n and products == 1
     z = bipolar_to_binary(trace.final_state)
     assert certify(x, program, z).passed
 
