@@ -8,10 +8,11 @@ shifts the objective by a state-independent constant at most, so
 minimizers carry over through the whole chain.
 
 A PenaltyMatrix stays one through every hop: each hop applies its
-elementwise operation to the three coefficients and computes R @ 1 in
-closed form, in O(n^2).  The matrices materialize bit for bit as the
-dense hop's; so do the vectors wherever the dense R @ 1 sums exactly, as
-it does for integer penalty weights.  Dense matrices, such as a QUBO
+elementwise operation to the three coefficients, and to_ising takes R @ 1
+as row_sum, the one number every row sums to, so each hop is O(n^2).  The
+matrices materialize bit for bit as the dense hop's; so do the vectors
+wherever the dense R @ 1 sums exactly, as it does for integer penalty
+weights.  Dense matrices, such as a QUBO
 file's dense "R", take the dense code, which stays as the reference.
 """
 
@@ -50,10 +51,13 @@ def to_ising(instance: QuboInstance) -> IsingInstance:
     R = instance.matrix_R
     if np.any(R.diagonal() != 0.0):
         raise NonZeroDiagonal("fold_diagonal must run before the bipolar substitution")
-    ones = np.ones(instance.dimension)
+    if isinstance(R, PenaltyMatrix):
+        row_sums = R.row_sum()  # one number, every entry of R @ 1
+    else:
+        row_sums = R @ np.ones(instance.dimension)
     return IsingInstance(
         matrix_Q=_sealed(R / 4.0),
-        vector_q=_sealed(0.5 * (R @ ones) + 0.5 * instance.vector_r),
+        vector_q=_sealed(0.5 * row_sums + 0.5 * instance.vector_r),
     )
 
 

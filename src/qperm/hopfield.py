@@ -11,25 +11,36 @@ Descent keeps the field h = W s and the gains it implies, exact or
 fresh.  When the weights are a PenaltyMatrix with exact fields (what the
 conversions make of build_qubo's penalty with short dyadic weights,
 integers among them, such as the default lambda = n;
-PenaltyMatrix.exact_fields says when, and proves it), h is formed once:
-after flipping coordinate i, add_row adds row i of W to h and the gains
-of the 2n - 1 cells that row reaches are computed again, in O(n), and h
-stays equal to a fresh W @ s.  Otherwise (a dense W, or weights such as
-lambda = 1.1001 * n) h = W @ s and every gain are formed afresh after
-each flip, O(N) for a PenaltyMatrix and O(N^2) for a dense W.  The
+PenaltyMatrix.exact_fields says when, and proves it), h is formed once.
+Viewed as the (n, n) grid of the PenaltyMatrix layout, flipping
+coordinate i adds twice row i of W to the two lines of h that row
+reaches, and the gains of those 2n - 1 cells are computed again, in
+O(n); h stays equal to a fresh W @ s.  Otherwise (a dense W, or weights
+such as lambda = 1.1001 * n) h = W @ s and every gain are formed afresh
+after each flip, O(N) for a PenaltyMatrix and O(N^2) for a dense W.  The
 argmin over all gains is O(N) per flip either way, and descent never
 materializes a PenaltyMatrix, so it needs O(N) memory where a dense
 network holds N^2 weights.
 
-Every energy comes from that h, -1/2 s.h + theta.s, save that a dense W
-forms s @ W afresh, as energy() does.  A flip stands only if its energy
-is strictly below the one before it.  A gain that is 0 in exact
-arithmetic can round negative; the flip it picks does not lower the
-energy, and descent undoes it and stops there.  Flip sequences and
-outcomes are thereby exactly those of recomputing W @ s at every step
-and stopping at the first flip that fails to lower that energy.  With
-integer penalty weights the descent on the structured network agrees bit
-for bit in flips, states and energies with the one on its materialized
+With exact fields, descent also keeps Q = s^T W s as an integer number
+of steps 2^-k (PenaltyMatrix.field_exponent): formed once by an integer
+sum over the first field, and changed by -4 s_i h_i per flip, with the
+old s_i and h_i, since W_ii = 0.  Q is exact at every size, so an energy
+is -1/2 Q + theta.s, with theta.s the one O(N) product a flip forms.  It
+equals the -1/2 s.h + theta.s of the fresh path bit for bit wherever
+s.h sums exactly, which holds while N S 2^k < 2^53 (S the absolute row
+sum), at lambda = n for every n up to about 8000; beyond, Q is the
+better sum.  Otherwise every energy comes from the fresh h, -1/2 s.h +
+theta.s, save that a dense W forms s @ W afresh, as energy() does.  An
+energy that overflows the float range is left to SolverTrace to name,
+with no numpy warning.  A flip stands only if its energy is strictly
+below the one before it.  A gain that is 0 in exact arithmetic can
+round negative; the flip it picks does not lower the energy, and
+descent undoes it and stops there.  Flip sequences and outcomes are
+thereby exactly those of recomputing W @ s at every step and stopping
+at the first flip that fails to lower that energy.  With integer
+penalty weights the descent on the structured network agrees bit for
+bit in flips, states and energies with the one on its materialized
 form.
 
 solve always starts from the all-inactive state.  The trace it returns
@@ -52,6 +63,7 @@ infeasible state; certify says which.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -137,37 +149,71 @@ def _descend(
     """Descend from start; the returned SolverTrace checks that start is bipolar."""
     W = instance.weights_W
     theta = instance.bias_theta
-    exact = isinstance(W, PenaltyMatrix) and W.exact_fields()
+    k = W.field_exponent() if isinstance(W, PenaltyMatrix) else None
     s = start.astype(float)
     two_s = 2.0 * s
-    h = W @ s
-    gains = two_s * (h - theta)
-    energies = [_energy(W, theta, s, h)]
     flipped: list[int] = []
-    while True:
-        i = int(gains.argmin())  # ties: lowest index
-        if gains[i] >= 0.0:
-            break
-        if len(flipped) >= budget:
-            raise MaxStepsExceeded(f"no stable state within {budget} flips")
-        s[i] = -s[i]
-        two_s[i] = -two_s[i]
-        if exact:
-            # Only the cells row i reaches change their field, so only their
-            # gains are computed again, in place.
-            for cells in W.add_row(i, two_s[i], h):
-                out = gains[cells]
-                np.subtract(h[cells], theta[cells], out=out)
-                out *= two_s[cells]
+    # An overflowing product leaves an energy SolverTrace names, not a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = W @ s
+        gains = two_s * (h - theta)
+        if k is None:
+            energies = [_energy(W, theta, s, h)]
         else:
-            h = W @ s
-            gains = two_s * (h - theta)
-        e = _energy(W, theta, s, h)
-        if not e < energies[-1]:  # a gain that is 0 in exact arithmetic rounded negative
+            # Exact fields: Q = s^T W s in steps of 2^-k, an integer.  Each
+            # field is below 2^51 steps, so a block of 2^12 sums below 2^63;
+            # blocks also keep the temporaries small.
+            n = W.n
+            Q = 0
+            for j in range(0, n * n, 2**12):
+                block = np.ldexp(h[j : j + 2**12] * s[j : j + 2**12], k)
+                Q += int(block.astype(np.int64).sum())
+            energies = [-0.5 * math.ldexp(Q, -k) + float(theta.dot(s))]
+            H, G, T, S2 = (v.reshape(n, n) for v in (h, gains, theta, two_s))
+            # A flip to s[i] = -1 or +1 adds -2 or +2 times each coefficient;
+            # 0-d arrays spare the in-place adds a scalar conversion.
+            updates = tuple(
+                (np.array(f * W.same_col), np.array(f * W.same_row), f * W.self_coupling)
+                for f in (-2.0, 2.0)
+            )
+        while True:
+            i = int(gains.argmin())  # ties: lowest index
+            if gains[i] >= 0.0:
+                break
+            if len(flipped) >= budget:
+                raise MaxStepsExceeded(f"no stable state within {budget} flips")
             s[i] = -s[i]
-            break
-        flipped.append(i)
-        energies.append(e)
+            two_s[i] = -two_s[i]
+            if k is None:
+                h = W @ s
+                gains = two_s * (h - theta)
+                e = _energy(W, theta, s, h)
+            else:
+                # Flipping s[i], i = a*n + b, adds 2 s[i] times row i to the
+                # field, on G[a] and G[:, b] (see PenaltyMatrix), and only
+                # there are gains computed again.  W_ii = 0 keeps the
+                # crossing's field h_i, and Q gains 4 s[i] h_i.
+                factor = two_s.item(i)
+                a, b = divmod(i, n)
+                crossing = h.item(i)
+                Q += int(math.ldexp(factor * crossing, k + 1))
+                col_step, row_step, self_step = updates[factor > 0.0]
+                column, row = H[a], H[:, b]
+                column += col_step
+                row += row_step
+                h[i] = crossing + self_step
+                out = G[a]
+                np.subtract(column, T[a], out=out)
+                out *= S2[a]
+                out = G[:, b]
+                np.subtract(row, T[:, b], out=out)
+                out *= S2[:, b]
+                e = -0.5 * math.ldexp(Q, -k) + float(theta.dot(s))
+            if not e < energies[-1]:  # a gain that is 0 in exact arithmetic rounded negative
+                s[i] = -s[i]
+                break
+            flipped.append(i)
+            energies.append(e)
     return s.astype(np.int8), SolverTrace(start, flipped, energies)
 
 

@@ -22,9 +22,10 @@ build_qubo produces one and every conversion keeps it; np.asarray
 materializes it as the dense matrix the same stage builds from a dense
 input.  It answers the few ndarray calls the pipeline makes of its
 matrices (products, rows, the diagonal, max and min) in the ndarray's
-spelling, so only constructing a matrix asks which form it is, and
-descent, which adds rows through add_row and asks exact_fields whether
-they round at all, two calls no ndarray has.
+spelling, so only constructing a matrix asks which form it is, along
+with to_ising, which takes its one row sum, and descent, which asks
+exact_fields whether its row updates round at all and, where they do
+not, updates its field on the (n, n) grid of the PenaltyMatrix layout.
 
 Conventions fixed here once and relied on everywhere:
 
@@ -42,7 +43,7 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -84,10 +85,13 @@ class PenaltyMatrix:
     and ndim are those of the dense matrix.  Every entry these return is
     bit for bit the entry np.asarray(M) holds.
 
-    Row i has only 2n - 1 nonzeros, so two calls of descent have no
-    dense spelling: add_row adds a multiple of row i to a vector in O(n),
-    and exact_fields says, in O(1), whether products with bipolar vectors
-    and row updates are exact.
+    Row i has only 2n - 1 nonzeros: viewed as the (n, n) grid G[a, b] =
+    v[a*n + b], it reaches G[a], the cells of column a of Z, with
+    same_col, and G[:, b], those of row b, with same_row, the two
+    crossing at i.  Descent updates its field there, in O(n) per flip;
+    exact_fields says, in O(1), whether products with bipolar vectors
+    and such row updates are exact, and field_exponent gives their
+    step.  row_sum is the one number every row sums to.
     """
 
     n: int
@@ -161,31 +165,8 @@ class PenaltyMatrix:
             return np.array([self.self_coupling])
         return np.array([self.same_row, self.same_col, self.self_coupling, 0.0 * self.same_row])
 
-    def add_row(self, i: int, factor: float, v: np.ndarray) -> tuple[slice, slice]:
-        """v += factor * M[i] in place, in O(n); returns the cells it wrote.
-
-        For i = a*n + b, row i holds same_col on the cells of column a of
-        Z, slice(a*n, a*n + n), same_row on those of row b, slice(b, None,
-        n), and self_coupling where the two cross, at i.  Each written
-        entry is v[j] + factor * M[i, j], rounded as the dense update
-        rounds it.  The zeros elsewhere would leave v as it is, apart from
-        turning a -0.0 into +0.0, and are skipped.
-        """
-        n = self.n
-        a, b = divmod(i, n)
-        col_cells = slice(a * n, a * n + n)
-        row_cells = slice(b, None, n)
-        crossing = v[i]
-        # Add through views: v[cells] += x would also copy the result back.
-        col = v[col_cells]
-        col += factor * self.same_col
-        row = v[row_cells]
-        row += factor * self.same_row
-        v[i] = crossing + factor * self.self_coupling
-        return col_cells, row_cells
-
     def exact_fields(self) -> bool:
-        """Whether M @ s and every add_row on it are exact for bipolar s, in O(1).
+        """Whether M @ s and descent's row updates are exact for bipolar s, in O(1).
 
         Every finite float is a fraction whose denominator is a power of
         two.  Let 2^k be the largest denominator of the entries of M, so
@@ -198,14 +179,18 @@ class PenaltyMatrix:
           three such products.  Each product and partial sum is a
           multiple of 2^-k no larger than S in magnitude, so it fits in
           the 53-bit significand and is computed without rounding.
-        * add_row(i, +-2, h) adds twice a coefficient to a field of
-          magnitude at most S, so each sum it forms, the crossing cell's
-          passing one included, is a multiple of 2^-k below 3 * S.
-          Where it leaves a value that value is the field of the flipped
-          state, exactly.
+        * Flipping s[i], i = a*n + b, changes the field by 2 * s[i] (its
+          new sign) times row i: same_col added on G[a], same_row on
+          G[:, b], in the grid of the class docstring.  Each sum that
+          forms, a field of magnitude at most S plus twice a
+          coefficient, is a multiple of 2^-k below 3 * S, and where it
+          is left it is the field of the flipped state, exactly.  The
+          crossing cell, which takes both additions, is written back
+          with its old field plus 2 * s[i] * self_coupling, which is
+          exact too.
         * At n = 1, M is [[self_coupling]].  M @ s multiplies same_row
-          and same_col by 0, and add_row overwrites the crossing cell's
-          passing sum, so 2^k comes from self_coupling alone and S need
+          and same_col by 0, and the row update writes the crossing
+          cell back, so 2^k comes from self_coupling alone and S need
           not bound same_row or same_col.
 
         So a field kept by row updates equals a fresh M @ s in value, bit
@@ -217,12 +202,31 @@ class PenaltyMatrix:
         test runs in integers, from float.as_integer_ratio, since 2^k and S
         can exceed the float range.
         """
+        return self.field_exponent() is not None
+
+    def field_exponent(self) -> Optional[int]:
+        """The k of exact_fields' step 2^-k, or None when fields are not exact.
+
+        Every field, and s^T M s for bipolar s, is then an integer
+        multiple of 2^-k, each field below 2^51 such steps in magnitude.
+        """
         coefficients = (self.self_coupling, self.same_row, self.same_col)
         # The entries of M: at n = 1, self_coupling alone.
         ratios = [c.as_integer_ratio() for c in coefficients[: 1 if self.n == 1 else 3]]
         step = max(q for _, q in ratios)  # 2^k
         diagonal, *pair = (abs(p) * (step // q) for p, q in ratios)  # each times 2^k
-        return 4 * (diagonal + (self.n - 1) * sum(pair)) < 2**53  # 4 * S * 2^k
+        if 4 * (diagonal + (self.n - 1) * sum(pair)) < 2**53:  # 4 * S * 2^k
+            return step.bit_length() - 1
+        return None
+
+    def row_sum(self) -> float:
+        """The sum of every row, M @ 1 entry by entry, bit for bit, in O(1).
+
+        M @ 1 adds self_coupling * 1, same_row * (n - 1) and same_col *
+        (n - 1) in that order, as __rmatmul__ does.
+        """
+        others = self.n - 1
+        return self.self_coupling * 1.0 + self.same_row * others + self.same_col * others
 
     def __matmul__(self, other) -> np.ndarray:
         """M @ v for a vector v."""
@@ -538,6 +542,10 @@ class HopfieldInstance:
         return int(self.bias_theta.size)
 
 
+class _NotBinary(NotAPermutation):
+    """A matrix entry that is neither 0 nor 1; decode_permutation names the state."""
+
+
 @dataclass(frozen=True, eq=False)
 class PermutationMatrix:
     """An n x n binary matrix with exactly one 1 per row and per column.
@@ -554,13 +562,12 @@ class PermutationMatrix:
         if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] == 0:
             raise NotAPermutation("need a non-empty square matrix")
         if not _all_in(M, (0, 1)):
-            raise NotAPermutation("entries must be 0 or 1")
-        M = M.astype(int)
-        if np.any(M.sum(axis=0) != 1) or np.any(M.sum(axis=1) != 1):
+            raise _NotBinary("entries must be 0 or 1")
+        M = _readonly(M, dtype=int)
+        if not ((M.sum(axis=0) == 1).all() and (M.sum(axis=1) == 1).all()):
             raise NotAPermutation("every row and column must contain exactly one 1")
-        mapping = tuple(int(c) for c in np.nonzero(M)[1])
-        object.__setattr__(self, "matrix", _readonly(M, dtype=int))
-        object.__setattr__(self, "as_mapping", mapping)
+        object.__setattr__(self, "matrix", M)
+        object.__setattr__(self, "as_mapping", tuple(M.argmax(axis=1).tolist()))
 
     @property
     def n(self) -> int:
@@ -686,10 +693,13 @@ def decode_permutation(z_star) -> PermutationMatrix:
         If the state is not binary or the matrix is not a permutation.
         The state is never repaired.
     """
+    # One conversion, to float; PermutationMatrix makes the one 0/1 check
+    # and the one int copy, which it seals and keeps.
     M = matricize(z_star)
-    if not _all_in(M, (0.0, 1.0)):
-        raise NotAPermutation("state entries must be 0 or 1")
-    return PermutationMatrix(M.astype(int))
+    try:
+        return PermutationMatrix(M)
+    except _NotBinary:
+        raise NotAPermutation("state entries must be 0 or 1") from None
 
 
 def apply_permutation(p: PermutationMatrix, x: ValueVector) -> np.ndarray:

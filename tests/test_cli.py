@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -331,6 +332,18 @@ class TestSolveCommand:
         with np.errstate(over="ignore"):
             assert main(["solve", qubo]) == 2
         assert "the energy overflows the float range" in capsys.readouterr().err
+
+    def test_energy_overflow_is_one_line_without_a_warning(self, tmp_path, capsys):
+        """numpy's overflow warning no longer precedes the named cause."""
+        weights = ("--lambda-r", "3e306", "--lambda-c", "3e306")
+        qubo = build_file(tmp_path, [3, 1, 2, 5, 4, 0, 7, 6], "ascending", *weights)
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["solve", qubo]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: trace energies must be finite: ")
+        assert err.count("\n") == 1
 
     def test_no_seed_or_restarts(self, reference_files, monkeypatch, capsys):
         # solve is one deterministic descent: QP_SEED changes nothing, and

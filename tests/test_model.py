@@ -172,6 +172,32 @@ class TestDecodePermutation:
         with pytest.raises(NonSquareLength):
             decode_permutation(np.array([1.0, 0.0, 0.0]))
 
+    @pytest.mark.parametrize(
+        "z, error, message",
+        [
+            ([0.5, 0.0, 0.0, 1.0], NotAPermutation, "state entries must be 0 or 1"),
+            ([np.nan, 0.0, 0.0, 1.0], NotAPermutation, "state entries must be 0 or 1"),
+            ([2, 0, 0, 0], NotAPermutation, "state entries must be 0 or 1"),
+            ([1, 1, 0, 0], NotAPermutation, "every row and column must contain exactly one 1"),
+            ([1, 0, 0], NonSquareLength, "length 3 is not a positive perfect square"),
+            (["a", "b", "c", "d"], ValueError, "could not convert string to float"),
+        ],
+    )
+    def test_errors_and_messages(self, z, error, message):
+        with pytest.raises(error, match=message) as raised:
+            decode_permutation(z)
+        assert type(raised.value) is error
+
+    def test_the_one_int_copy_is_kept(self):
+        """The state is converted once; PermutationMatrix seals the int copy it
+        makes and keeps it, and a sealed int matrix is adopted as it is."""
+        p = decode_permutation(np.array([0, 1, 1, 0], dtype=np.int8))
+        assert p.as_mapping == (1, 0)
+        assert p.matrix.dtype == int and not p.matrix.flags.writeable
+        assert PermutationMatrix(p.matrix).matrix is p.matrix
+        with pytest.raises(NotAPermutation, match="^entries must be 0 or 1$"):
+            PermutationMatrix(np.array([[2, -1], [-1, 2]]))
+
     @given(st.permutations(list(range(5))))
     @settings(max_examples=50)
     def test_round_trip_random_permutations(self, mapping):

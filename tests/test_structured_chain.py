@@ -264,8 +264,8 @@ class TestPenaltyMatrix:
 
 
     def test_descent_never_reads_a_row(self):
-        """The structured descent adds rows through add_row, in O(n), and never
-        builds a dense row of n^2 entries."""
+        """The structured descent adds rows on the grid of its field, in O(n),
+        and never builds a dense row of n^2 entries."""
         instance = build_qubo(ValueVector(ref.INPUT_X), make_program("heap", 7))
         network = chain(instance)[2]
         with mock.patch.object(PenaltyMatrix, "__getitem__", side_effect=AssertionError("row read")):
@@ -273,45 +273,63 @@ class TestPenaltyMatrix:
             assert_bitwise_same_descent(network, np.full(49, -1, dtype=np.int8))
         assert trace.flips == 7
 
-    @given(st.integers(1, 6), st.integers(0, 2**32 - 1), st.floats(-3.0, 3.0))
-    @settings(max_examples=60, deadline=None)
-    def test_add_row_is_the_dense_row_update(self, n, seed, factor):
-        rnd = np.random.default_rng(seed)
-        M = PenaltyMatrix(n, *rnd.normal(size=3))
-        v = rnd.normal(size=n * n)
-        dense = v + factor * np.asarray(M)[seed % (n * n)]
-        touched = M.add_row(seed % (n * n), factor, v)
-        assert bits(v) == bits(dense)
-        written = np.zeros(n * n, dtype=bool)
-        for cells in touched:
-            written[cells] = True
-        assert written.sum() == 2 * n - 1
+    def test_a_start_that_is_not_bipolar_is_named(self):
+        """The trace names a start of 2s, on either form, after descent ran."""
+        network = chain(build_qubo(ValueVector(ref.INPUT_X), make_program("heap", 7)))[2]
+        for form in (network, materialized(network)):
+            with pytest.raises(DomainError, match="start state must be a bipolar vector"):
+                hopfield._descend(form, np.full(49, 2, dtype=np.int8), 49 * 49)
 
     @given(st.integers(1, 8), st.integers(1, 2**20), st.integers(1, 2**20),
            st.integers(0, 20), st.integers(0, 2**32 - 1))
     @settings(max_examples=100, deadline=None)
     def test_dyadic_weights_give_exact_fields(self, n, m_r, m_c, k, seed):
         """Integer and dyadic lambda (m / 2^k) make exact fields at every stage:
-        each add_row leaves the field equal to a fresh M @ s.  The two agree
-        in value, so in every bit but the sign of an exact 0, which no
-        comparison sees."""
+        each field is a whole number of field_exponent() steps, below 2^51 of
+        them.  On the network, descent from a random start keeps its field by
+        row updates and s^T W s as an integer, and takes the materialized
+        descent's flips and the energies of a fresh W @ s, bit for bit."""
         config = BuilderConfig(lambda_r=m_r / 2**k, lambda_c=m_c / 2**k)
         x = ValueVector(np.random.default_rng(seed).normal(size=n))
         instance = build_qubo(x, make_program("heap", n), config)
         folded, ising, network = chain(instance)
         stages = (instance.matrix_R, folded.matrix_R, ising.matrix_Q, network.weights_W)
         assert all(M.exact_fields() for M in stages)
-        rnd = np.random.default_rng(seed)
+        s = random_start(n * n, seed).astype(float)
         for M in stages:
-            s = random_start(n * n, seed).astype(float)
-            h = M @ s
-            for i in rnd.integers(0, n * n, size=12):
-                s[i] = -s[i]
-                M.add_row(int(i), 2.0 * s[i], h)
-                fresh = M @ s
-                assert np.array_equal(h, fresh)
-                nonzero = fresh != 0.0
-                assert bits(h[nonzero]) == bits(fresh[nonzero])
+            steps = np.ldexp(M @ s, M.field_exponent())
+            assert np.array_equal(steps, np.trunc(steps)) and np.abs(steps).max() < 2**51
+        trace = assert_bitwise_same_descent(network, random_start(n * n, seed))
+        W, theta = network.weights_W, network.bias_theta
+        for step in trace.steps:
+            state = step.state.astype(float)
+            fresh = -0.5 * float((W @ state) @ state) + float(theta @ state)
+            assert bits(step.energy) == bits(fresh)
+
+    @given(st.integers(1, 8), coefficients, coefficients, coefficients, st.data())
+    @example(2, 1.7e308, 1.7e308, 0.0, None)  # the row sum overflows
+    @example(2, 2.0**-53 + 2.0**-80, -1.0, 1.0, None)  # the order of the sum shows
+    @settings(max_examples=80, deadline=None)
+    def test_row_sum_is_the_product_with_ones(self, n, same_row, same_col, self_coupling, data):
+        """row_sum() is every entry of M @ 1, and to_ising's q is 0.5 * (R @ 1) +
+        0.5 * r from it, byte for byte, for any finite coefficients."""
+        R = PenaltyMatrix(n, same_row, same_col, self_coupling)
+        ones = np.ones(n * n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            product = R @ ones
+        assert bits(np.full(n * n, R.row_sum())) == bits(product)
+        folded = PenaltyMatrix(n, same_row, same_col, 0.0)
+        r = np.random.default_rng(n).normal(size=n * n) if data is None else np.array(
+            data.draw(st.lists(st.floats(-1e300, 1e300), min_size=n * n, max_size=n * n))
+        )
+        instance = QuboInstance(folded, r, 1.0, 1.0, n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = 0.5 * (folded @ ones) + 0.5 * r
+        if np.isfinite(expected).all():
+            assert bits(to_ising(instance).vector_q) == bits(expected)
+        else:
+            with np.errstate(over="ignore"), pytest.raises(DomainError, match="vector_q"):
+                to_ising(instance)
 
     def test_inexact_weights_are_not_exact_fields(self):
         """At n = 1 the matrix is [[self_coupling]], exact for any weights."""
@@ -536,6 +554,23 @@ def test_few_products_per_descent_at_n400():
         assert network.weights_W.exact_fields(), kind
         trace, products = fresh_products(network)
         assert trace.flips == 400 and products == 1, kind
+
+
+@pytest.mark.parametrize("kind", ["ascending", "heap"])
+@pytest.mark.parametrize("n", [200, 400])
+def test_exact_energies_at_n200_and_n400(n, kind):
+    """Descent keeps s^T W s as an integer and forms one theta.s per flip;
+    every energy equals the one a fresh W @ s gives, bit for bit, at sizes
+    the dense comparison cannot reach."""
+    x = ValueVector(np.random.default_rng(n).normal(size=n))
+    network = chain(build_qubo(x, make_program(kind, n)))[2]
+    W, theta = network.weights_W, network.bias_theta
+    assert W.exact_fields()
+    _, trace = solve(network)
+    assert trace.flips == n
+    for step in trace.steps:
+        s = step.state.astype(float)
+        assert bits(step.energy) == bits(-0.5 * float((W @ s) @ s) + float(theta @ s))
 
 
 def test_inexact_weights_form_one_product_per_flip_at_n400():
