@@ -33,9 +33,11 @@ def fold_diagonal(instance: QuboInstance) -> QuboInstance:
     else:
         folded = R.copy()
         np.fill_diagonal(folded, 0.0)
+    with np.errstate(over="ignore"):  # an overflow is the inf QuboInstance names
+        vector_r = instance.vector_r + diag
     return QuboInstance(
-        matrix_R=_sealed(folded),
-        vector_r=_sealed(instance.vector_r + diag),
+        matrix_R=folded,
+        vector_r=vector_r,
         lambda_r=instance.lambda_r,
         lambda_c=instance.lambda_c,
         source_n=instance.source_n,
@@ -54,28 +56,14 @@ def to_ising(instance: QuboInstance) -> IsingInstance:
     if isinstance(R, PenaltyMatrix):
         row_sums = R.row_sum()  # one number, every entry of R @ 1
     else:
-        row_sums = R @ np.ones(instance.dimension)
-    return IsingInstance(
-        matrix_Q=_sealed(R / 4.0),
-        vector_q=_sealed(0.5 * row_sums + 0.5 * instance.vector_r),
-    )
+        with np.errstate(over="ignore", invalid="ignore"):  # IsingInstance names it
+            row_sums = R @ np.ones(instance.dimension)
+    return IsingInstance(matrix_Q=R / 4.0, vector_q=0.5 * row_sums + 0.5 * instance.vector_r)
 
 
 def to_hopfield(instance: IsingInstance) -> HopfieldInstance:
     """Rename to network form: W = -2Q, theta = q; energies are identical."""
-    return HopfieldInstance(
-        weights_W=_sealed(-2.0 * instance.matrix_Q), bias_theta=instance.vector_q
-    )
-
-
-def _sealed(arr):
-    """Mark a freshly made array read-only so the instance adopts it uncopied.
-
-    A PenaltyMatrix is immutable already and passes through.
-    """
-    if isinstance(arr, np.ndarray):
-        arr.setflags(write=False)
-    return arr
+    return HopfieldInstance(weights_W=-2.0 * instance.matrix_Q, bias_theta=instance.vector_q)
 
 
 def binary_to_bipolar(z) -> np.ndarray:

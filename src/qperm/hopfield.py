@@ -81,8 +81,8 @@ from .model import HopfieldInstance, PenaltyMatrix, SolverTrace, _all_in, _integ
 @dataclass(frozen=True, eq=False)
 class SolverConfig:
     """Descent controls: max_steps bounds the number of accepted flips and
-    defaults to N*N.  It must equal an integer: strings and fractions are
-    rejected, never truncated."""
+    defaults to N*N.  It must equal an integer: strings, booleans and
+    fractions are rejected, never truncated."""
 
     max_steps: Optional[int] = None
 
@@ -168,13 +168,14 @@ def _descend(
             for j in range(0, n * n, 2**12):
                 block = np.ldexp(h[j : j + 2**12] * s[j : j + 2**12], k)
                 Q += int(block.astype(np.int64).sum())
-            energies = [-0.5 * math.ldexp(Q, -k) + float(theta.dot(s))]
+            # Halving -Q rounds as negating half of Q does, but Q = 0 gives
+            # +0.0, as -1/2 s.h does on a one-cell network's fresh field.
+            energies = [0.5 * math.ldexp(-Q, -k) + float(theta.dot(s))]
             H, G, T, S2 = (v.reshape(n, n) for v in (h, gains, theta, two_s))
-            # A flip to s[i] = -1 or +1 adds -2 or +2 times each coefficient;
-            # 0-d arrays spare the in-place adds a scalar conversion.
+            # A flip to s[i] = -1 or +1 adds -2 or +2 times same_col and
+            # same_row; 0-d arrays spare the in-place adds a scalar conversion.
             updates = tuple(
-                (np.array(f * W.same_col), np.array(f * W.same_row), f * W.self_coupling)
-                for f in (-2.0, 2.0)
+                (np.array(f * W.same_col), np.array(f * W.same_row)) for f in (-2.0, 2.0)
             )
         while True:
             i = int(gains.argmin())  # ties: lowest index
@@ -197,18 +198,18 @@ def _descend(
                 a, b = divmod(i, n)
                 crossing = h.item(i)
                 Q += int(math.ldexp(factor * crossing, k + 1))
-                col_step, row_step, self_step = updates[factor > 0.0]
+                col_step, row_step = updates[factor > 0.0]
                 column, row = H[a], H[:, b]
                 column += col_step
                 row += row_step
-                h[i] = crossing + self_step
+                h[i] = crossing
                 out = G[a]
                 np.subtract(column, T[a], out=out)
                 out *= S2[a]
                 out = G[:, b]
                 np.subtract(row, T[:, b], out=out)
                 out *= S2[:, b]
-                e = -0.5 * math.ldexp(Q, -k) + float(theta.dot(s))
+                e = 0.5 * math.ldexp(-Q, -k) + float(theta.dot(s))
             if not e < energies[-1]:  # a gain that is 0 in exact arithmetic rounded negative
                 s[i] = -s[i]
                 break

@@ -1,16 +1,11 @@
 """Core value types and encoding conventions for the ordering pipeline.
 
 Every other module (builder, conversions, solver, oracle, CLI) speaks in
-terms of these types.  Instances are frozen and their arrays are marked
-read-only, so they can be shared freely between threads and calls.
-
-Adoption rule: an instance keeps an array it is given as it is, without
-copying, when that array is an ndarray of the right dtype that is already
-read-only and owns its buffer.  Nothing else can write through such an
-array unless its holder deliberately re-enables writing, so the stages of
-the pipeline mark what they build read-only and hand it over for free.
-Every other input (lists, writable arrays, views of someone else's
-memory) is copied and the copy is marked read-only.
+terms of these types.  Instances are frozen, and each copies the arrays it
+is given and marks the copy read-only, so no caller can change what an
+instance holds and instances can be shared freely between threads and
+calls.  On the library chain those copies are O(N) vectors; only a dense
+matrix, the reference path, is copied whole.
 
 Each instance takes its matrix in one of two forms.  A dense ndarray must
 be symmetric to within SYMMETRY_TOL and, like the vectors beside it,
@@ -21,8 +16,8 @@ integer and those three are finite, and it needs no n^4 memory.
 build_qubo produces one and every conversion keeps it; np.asarray
 materializes it as the dense matrix the same stage builds from a dense
 input.  It answers the few ndarray calls the pipeline makes of its
-matrices (products, rows, the diagonal, max and min) in the ndarray's
-spelling, so only constructing a matrix asks which form it is, along
+matrices (products, rows and the diagonal) in the ndarray's spelling,
+so only constructing a matrix asks which form it is, along
 with to_ising, which takes its one row sum, and descent, which asks
 exact_fields whether its row updates round at all and, where they do
 not, updates its field on the (n, n) grid of the PenaltyMatrix layout.
@@ -57,9 +52,6 @@ from .errors import (
 )
 
 SYMMETRY_TOL = 1e-12
-# Rows per strip of the symmetry check; a strip's temporary is at most
-# _SYMMETRY_STRIP x N floats, never N x N.
-_SYMMETRY_STRIP = 64
 
 PROGRAM_KINDS = ("ascending", "descending", "bst", "heap", "custom")
 
@@ -79,10 +71,9 @@ class PenaltyMatrix:
     the same spelling, so callers need not ask which form they hold:
     np.asarray materializes it; M @ v, v @ M and Z @ M (for stacked rows
     Z) multiply in O(N) per vector; M[i] is row i and M.diagonal() the
-    diagonal, in O(N); M.max() and M.min() take numpy's keywords, in
-    O(1); multiplying or dividing by a scalar applies to the three
-    coefficients what the dense operation applies to every entry.  shape
-    and ndim are those of the dense matrix.  Every entry these return is
+    diagonal, in O(N); multiplying or dividing by a scalar applies to the
+    three coefficients what the dense operation applies to every entry.
+    shape and ndim are those of the dense matrix.  Every entry these return is
     bit for bit the entry np.asarray(M) holds.
 
     Row i has only 2n - 1 nonzeros: viewed as the (n, n) grid G[a, b] =
@@ -153,18 +144,6 @@ class PenaltyMatrix:
     def diagonal(self) -> np.ndarray:
         return np.full(self.n * self.n, self.self_coupling)
 
-    def max(self, **kwargs) -> float:
-        return self._entries().max(**kwargs)
-
-    def min(self, **kwargs) -> float:
-        return self._entries().min(**kwargs)
-
-    def _entries(self) -> np.ndarray:
-        """The values the dense matrix holds; for n = 1 that is its one entry."""
-        if self.n == 1:
-            return np.array([self.self_coupling])
-        return np.array([self.same_row, self.same_col, self.self_coupling, 0.0 * self.same_row])
-
     def exact_fields(self) -> bool:
         """Whether M @ s and descent's row updates are exact for bipolar s, in O(1).
 
@@ -186,8 +165,8 @@ class PenaltyMatrix:
           coefficient, is a multiple of 2^-k below 3 * S, and where it
           is left it is the field of the flipped state, exactly.  The
           crossing cell, which takes both additions, is written back
-          with its old field plus 2 * s[i] * self_coupling, which is
-          exact too.
+          with the field it had: descent runs on networks, whose
+          self_coupling is 0, so flipping s[i] leaves h[i] as it was.
         * At n = 1, M is [[self_coupling]].  M @ s multiplies same_row
           and same_col by 0, and the row update writes the crossing
           cell back, so 2^k comes from self_coupling alone and S need
@@ -272,14 +251,18 @@ class PenaltyMatrix:
         )
 
 
+# Values that int() reads as integers but that are no integers.
+_NOT_INTEGERS = (str, bytes, bool, np.bool_)
+
+
 def _integral(value, name: str) -> int:
-    """value as an int, which it must equal: strings and fractions are rejected,
-    never truncated."""
+    """value as an int, which it must equal: strings, booleans and fractions
+    are rejected, never truncated or read as 0 and 1."""
     try:
         as_int = int(value)
     except (TypeError, ValueError, OverflowError):
         raise InvalidSize(f"{name} must be an integer") from None
-    if isinstance(value, (str, bytes)) or as_int != value:
+    if isinstance(value, _NOT_INTEGERS) or as_int != value:
         raise InvalidSize(f"{name} must be an integer, not {value!r}")
     return as_int
 
@@ -295,42 +278,33 @@ def _finite(value, name: str) -> float:
 
 
 def _readonly(values, dtype=float) -> np.ndarray:
-    if (
-        type(values) is np.ndarray
-        and values.dtype == dtype
-        and not values.flags.writeable
-        and values.flags.owndata
-    ):
-        return values
+    """A read-only copy of values as an array of dtype."""
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
     return arr
 
 
 def _matrix(values):
-    """Keep a PenaltyMatrix as it is; adopt anything else as a dense array."""
+    """Keep a PenaltyMatrix, which is immutable, as it is; copy anything else
+    into a read-only dense array."""
     return values if isinstance(values, PenaltyMatrix) else _readonly(values)
 
 
 def _require_symmetric(matrix, name: str) -> None:
-    """Compare each strip of rows above the diagonal with its column strip.
+    """Compare a dense matrix with its transpose, entry by entry.
 
-    Every pair (i, j) meets in the strip that holds min(i, j), so this sees
-    the same gaps as |M - M^T| without building it.  The test is written
-    `not gap <= tol` so that a NaN gap (from NaN or infinite entries) fails.
-    A PenaltyMatrix is symmetric by construction and finite by its own
-    check, so it passes at once.
+    The test is written `not gap <= tol` so that a NaN gap (from NaN or
+    infinite entries) fails; a gap that overflows is infinite and fails
+    too, without a numpy warning.  A PenaltyMatrix is symmetric by
+    construction and finite by its own check, so it passes at once.
     """
     if isinstance(matrix, PenaltyMatrix):
         return
-    n = matrix.shape[0]
-    for i in range(0, n, _SYMMETRY_STRIP):
-        j = i + _SYMMETRY_STRIP
-        with np.errstate(invalid="ignore"):  # inf - inf is the NaN we look for
-            diff = matrix[i:j, i:] - matrix[i:, i:j].T
-        gap = float(np.abs(diff, out=diff).max())
-        if not gap <= SYMMETRY_TOL:
-            raise DomainError(f"{name} must be symmetric and finite; asymmetry {gap:.3e}")
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is the NaN we look for
+        diff = matrix - matrix.T
+    gap = float(np.abs(diff, out=diff).max(initial=0.0))  # a 0 x 0 matrix passes
+    if not gap <= SYMMETRY_TOL:
+        raise DomainError(f"{name} must be symmetric and finite; asymmetry {gap:.3e}")
 
 
 def _all_in(values: np.ndarray, pair: tuple) -> bool:
@@ -416,7 +390,7 @@ class OrderProgram:
 
     ranks is a permutation of 1..n; output slot i is meant to hold the
     ranks[i]-th smallest input value.  Each rank must equal its integer
-    value: strings and fractions are rejected, never truncated.  kind
+    value: strings, booleans and fractions are rejected, never truncated.  kind
     records how the vector was generated; branching is the tree arity
     where that applies, an integer of at least 2, checked as the ranks are.
     """
@@ -431,8 +405,8 @@ class OrderProgram:
             ranks = tuple(int(v) for v in given)
         except (TypeError, ValueError, OverflowError):
             raise NotAPermutation("ranks must be a sequence of integers") from None
-        if any(isinstance(v, (str, bytes)) or r != v for r, v in zip(ranks, given)):
-            raise NotAPermutation("ranks must be integers, not strings or fractions")
+        if any(isinstance(v, _NOT_INTEGERS) or r != v for r, v in zip(ranks, given)):
+            raise NotAPermutation("ranks must be integers, not strings, booleans or fractions")
         if len(ranks) < 1:
             raise InvalidSize("a program needs at least one slot")
         if sorted(ranks) != list(range(1, len(ranks) + 1)):

@@ -205,13 +205,18 @@ class TestBuildCommand:
         assert main(["verify", x_path, prog]) == 2
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("field, value", [("n", 3.7), ("n", "3"), ("branching", 2.9)])
+    @pytest.mark.parametrize(
+        "field, value",
+        [("n", 3.7), ("n", "3"), ("branching", 2.9), ("n", True), ("ranks", [3, True, 2])],
+    )
     def test_sizes_are_never_truncated_or_parsed(self, tmp_path, capsys, field, value):
+        """A program file's "n": true once passed as 1, and a rank true as rank 1."""
         x_path = write_json(tmp_path / "x.json", [3.0, 1.0, 2.0])
         payload = {"n": 3, "kind": "heap", "branching": 2, "ranks": [3, 1, 2], field: value}
         prog = write_json(tmp_path / "prog.json", payload)
         assert main(["verify", x_path, prog]) == 2
-        assert "must be an integer" in capsys.readouterr().err
+        expected = "ranks must be integers" if field == "ranks" else "must be an integer"
+        assert expected in capsys.readouterr().err
 
 
 class TestSolveCommand:
@@ -343,6 +348,31 @@ class TestSolveCommand:
             assert main(["solve", qubo]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: trace energies must be finite: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "R, r, message",
+        [
+            ([[0.0, 1.7e308], [-1.7e308, 0.0]], [0.0, 0.0], "matrix_R must be symmetric"),
+            ([[1.7e308, 0.0], [0.0, 0.0]], [1.7e308, 0.0], "vector_r must be finite"),
+            ([[0.0, 1.7e308, 1.7e308], [1.7e308, 0.0, 0.0], [1.7e308, 0.0, 0.0]], [0.0],
+             "vector_q must be finite"),
+        ],
+        ids=["symmetry", "fold", "ising"],
+    )
+    def test_dense_overflow_is_one_line_without_a_warning(self, tmp_path, capsys, R, r, message):
+        """An overflow in the symmetry check, in fold_diagonal's r + diag or in
+        to_ising's dense R @ 1 once printed a numpy warning ahead of the error."""
+        pad = 4 - len(R)  # R and r are the leading entries of an n = 2 file
+        R = [row + [0.0] * pad for row in R] + [[0.0] * 4] * pad
+        payload = {"n": 2, "lambda_r": 1.0, "lambda_c": 1.0, "normalized": True, "R": R,
+                   "r": r + [0.0] * (4 - len(r))}
+        qubo = write_json(tmp_path / "qubo.json", payload)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["solve", qubo]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}")
         assert err.count("\n") == 1
 
     def test_no_seed_or_restarts(self, reference_files, monkeypatch, capsys):

@@ -332,7 +332,7 @@ class TestInPlaceMatrices:
         assert bits(folded.matrix_R) == bits(R - np.diag(np.diag(R)))
         assert bits(folded.vector_r) == bits(instance.vector_r + np.diag(R))
 
-    def test_builder_output_is_adopted_downstream(self):
+    def test_builder_output_stays_read_only_downstream(self):
         x = ValueVector([3.0, 1.0, 2.0])
         instance = dense_qubo(build_qubo(x, make_program("heap", 3)))
         network = to_hopfield(to_ising(fold_diagonal(instance)))

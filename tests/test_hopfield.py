@@ -214,9 +214,9 @@ class TestDescent:
         with pytest.raises(DomainError):
             SolverConfig(max_steps=-5)
 
-    @pytest.mark.parametrize("bad", [2.9, "3"])
+    @pytest.mark.parametrize("bad", [2.9, "3", True, np.True_])
     def test_max_steps_is_never_truncated_or_parsed(self, bad):
-        """2.9 once ran with a budget of 2 and "3" was parsed as 3."""
+        """2.9 once ran with a budget of 2, "3" was parsed as 3 and True read as 1."""
         with pytest.raises(InvalidSize):
             SolverConfig(max_steps=bad)
 

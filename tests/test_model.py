@@ -99,7 +99,7 @@ class TestOrderProgram:
         with pytest.raises(DomainError):
             OrderProgram(ranks=(1, 2), kind="custom", branching=1)
 
-    @pytest.mark.parametrize("branching", [2.9, "3", None])
+    @pytest.mark.parametrize("branching", [2.9, "3", None, True])
     def test_branching_is_never_truncated_or_parsed(self, branching):
         with pytest.raises(InvalidSize):
             OrderProgram(ranks=(1, 2), kind="heap", branching=branching)
@@ -109,7 +109,9 @@ class TestOrderProgram:
         assert OrderProgram(ranks=(2, 1), kind="custom", branching=2).n == 2
 
     @pytest.mark.parametrize(
-        "ranks", [(1.9, 2.2, 3.7), (1.5, 2, 3), "123", ("1", "2", "3"), (1, 2, float("inf")), 3]
+        "ranks",
+        [(1.9, 2.2, 3.7), (1.5, 2, 3), "123", ("1", "2", "3"), (1, 2, float("inf")), 3,
+         (True, 2), (np.True_, 2), (True,)],
     )
     def test_ranks_are_never_truncated_or_parsed(self, ranks):
         with pytest.raises(NotAPermutation):
@@ -190,11 +192,10 @@ class TestDecodePermutation:
 
     def test_the_one_int_copy_is_kept(self):
         """The state is converted once; PermutationMatrix seals the int copy it
-        makes and keeps it, and a sealed int matrix is adopted as it is."""
+        makes and keeps it."""
         p = decode_permutation(np.array([0, 1, 1, 0], dtype=np.int8))
         assert p.as_mapping == (1, 0)
         assert p.matrix.dtype == int and not p.matrix.flags.writeable
-        assert PermutationMatrix(p.matrix).matrix is p.matrix
         with pytest.raises(NotAPermutation, match="^entries must be 0 or 1$"):
             PermutationMatrix(np.array([[2, -1], [-1, 2]]))
 
@@ -388,20 +389,6 @@ class TestImmutability:
             assert np.array_equal(getattr(instance, f), before[f])
             assert not getattr(instance, f).flags.writeable
 
-    @pytest.mark.parametrize(
-        "name",
-        ["ValueVector", "QuboInstance", "IsingInstance", "HopfieldInstance", "TraceStep",
-         "SolverTrace"],
-    )
-    def test_read_only_owned_arrays_are_adopted(self, name):
-        make, arrays, fields = FROZEN_TYPES[name]
-        given_arrays = arrays()
-        for arr in given_arrays:
-            arr.setflags(write=False)
-        instance = make(given_arrays)
-        for f, arr in zip(fields, given_arrays):
-            assert getattr(instance, f) is arr
-
     def test_views_and_other_dtypes_are_copied(self):
         base = np.array([0.0, 3.0, -1.0, 2.0])
         base.setflags(write=False)
@@ -414,8 +401,8 @@ class TestImmutability:
         assert x.entries.dtype == float
 
 
-class TestTiledSymmetryCheck:
-    # 150 = 2 * 64 + 22 rows, so the last strip is a partial one
+class TestSymmetryCheck:
+    # pairs among the first, middle and last rows of a 150 x 150 matrix
     N = 150
     ROWS = (0, 1, 63, 64, 100, 127, 128, 140, 149)
 
@@ -424,12 +411,6 @@ class TestTiledSymmetryCheck:
             for j in self.ROWS:
                 if i != j:
                     yield i, j
-
-    def test_strip_height_leaves_a_partial_strip(self):
-        from qperm.model import _SYMMETRY_STRIP
-
-        assert self.N % _SYMMETRY_STRIP != 0
-        assert self.N > 2 * _SYMMETRY_STRIP
 
     @pytest.mark.parametrize("build", ["ising", "hopfield"])
     def test_gap_above_tolerance_rejected_in_every_strip(self, build):
@@ -450,8 +431,11 @@ class TestTiledSymmetryCheck:
             W[i, j] += 0.5e-12
             make(W)
 
+    def test_an_empty_matrix_is_symmetric(self):
+        assert IsingInstance(matrix_Q=np.zeros((0, 0)), vector_q=np.zeros(0)).dimension == 0
+
     def test_qubo_gap_in_last_partial_strip(self):
-        n = 12  # N = 144 = 2 * 64 + 16
+        n = 12  # N = 144
         R = symmetric(n * n, seed=4) + np.eye(n * n)
         r = np.zeros(n * n)
 

@@ -198,10 +198,11 @@ class TestValidateHeap:
 
 class TestProgramSizes:
     @pytest.mark.parametrize("make", [ascending_program, descending_program, bst_program, heap_program])
-    @pytest.mark.parametrize("bad", [3.5, "3", None, 2**0.5])
+    @pytest.mark.parametrize("bad", [3.5, "3", None, 2**0.5, True, np.True_])
     def test_sizes_are_never_truncated_or_parsed(self, make, bad):
         """ascending_program(3.5), bst_program(3.5) and heap_program("3") once
-        raised a bare TypeError, which is not a QpermError."""
+        raised a bare TypeError, which is not a QpermError; heap_program(True)
+        once made a one-slot program."""
         with pytest.raises(InvalidSize):
             make(bad)
 

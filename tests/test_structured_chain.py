@@ -180,7 +180,7 @@ class TestPenaltyMatrix:
         with pytest.raises(InvalidSize):
             PenaltyMatrix(0, 1.0, 1.0, 1.0)
 
-    @pytest.mark.parametrize("bad", [2.5, "2", None, np.nan])
+    @pytest.mark.parametrize("bad", [2.5, "2", None, np.nan, True, np.True_])
     def test_n_must_be_an_integer(self, bad):
         with pytest.raises(InvalidSize):
             PenaltyMatrix(bad, 1.0, 1.0, 2.0)
@@ -237,7 +237,7 @@ class TestPenaltyMatrix:
 
     @given(st.integers(1, 6), st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
-    def test_rows_diagonal_and_extremes_are_the_dense_ones(self, n, seed):
+    def test_rows_and_diagonal_are_the_dense_ones(self, n, seed):
         rnd = np.random.default_rng(seed)
         M = PenaltyMatrix(n, *rnd.normal(size=3))
         for m in (M, -2.0 * M):
@@ -245,9 +245,6 @@ class TestPenaltyMatrix:
             for i in range(-n * n, n * n):
                 assert bits(m[i]) == bits(dense[i])
             assert bits(m.diagonal()) == bits(dense.diagonal())
-            assert m.max() == dense.max() and m.min() == dense.min()
-            assert m.max(initial=0.0) == dense.max(initial=0.0)
-            assert m.min(initial=0.0) == dense.min(initial=0.0)
         with pytest.raises(IndexError):
             M[n * n]
         with pytest.raises(TypeError):
@@ -401,6 +398,16 @@ class TestIntegerWeightsBitForBit:
         N = network.dimension
         start = np.full(N, -1, dtype=np.int8) if seed is None else random_start(N, seed)
         assert_bitwise_same_descent(network, start)
+
+    @pytest.mark.parametrize("start", [-1, 1])
+    def test_one_cell_zero_energy_is_the_dense_one(self, start):
+        """Here theta = 0, so the energy is 0; exact-field descent once gave
+        -0.0 from the all-inactive start where the dense descent gives +0.0."""
+        instance = QuboInstance(PenaltyMatrix(1, 1.0, 1.0, 2.0), [-2.0], 1.0, 1.0, 1)
+        network = chain(instance)[2]
+        assert network.weights_W.exact_fields()
+        trace = assert_bitwise_same_descent(network, np.array([start], dtype=np.int8))
+        assert trace.energies[0].hex() == "0x0.0p+0"
 
     @given(builder_instances(integer_lambda=True, max_n=6), st.integers(0, 2**32 - 1),
            st.integers(0, 4))
