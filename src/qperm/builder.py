@@ -18,7 +18,12 @@ row and column sums away from one.  The pieces are Kronecker products:
 R couples cells of one row with lam_r and cells of one column with
 lam_c, so build_qubo returns it as PenaltyMatrix(n, lam_r, lam_c,
 lam_r + lam_c), three numbers in place of n^4 entries; np.asarray(R)
-gives the dense matrix above.
+gives the dense matrix above.  Every column of C_r and of C_c holds a
+single 1 and N^T x puts x[a] * ranks[b] at z[a*n + b], so r is the
+outer product of the values and the ranks less one offset,
+2 (lam_r + lam_c): 2n + 1 numbers.  reward_vector forms r from them;
+build_qubo and QUBO files that store those numbers (see cli) both call
+it, so the two give the same r bit for bit.
 
 Both penalty weights default to n, and by default x enters shifted by
 its minimum and L1-normalized (ValueVector.normalized_entries).  The
@@ -52,6 +57,20 @@ class BuilderConfig:
     def __post_init__(self):
         if not (0.0 < self.lambda_r < math.inf and 0.0 < self.lambda_c < math.inf):
             raise DomainError("penalty weights must be positive and finite")
+        try:  # in Python floats, which overflow without a numpy warning
+            offset = 2.0 * (float(self.lambda_r) + float(self.lambda_c))
+        except OverflowError:  # an integer weight beyond the float range
+            offset = math.inf
+        if not math.isfinite(offset):
+            raise DomainError(
+                "lambda_r and lambda_c are too large: the reward offset "
+                "2 * (lambda_r + lambda_c) overflows the float range"
+            )
+
+    @property
+    def reward_offset(self) -> float:
+        """2 (lambda_r + lambda_c), subtracted from every entry of r."""
+        return 2.0 * (self.lambda_r + self.lambda_c)
 
 
 def build_N(program: OrderProgram) -> np.ndarray:
@@ -108,10 +127,7 @@ def build_qubo(
     values = x.normalized_entries if config.normalize else x.entries
 
     R = PenaltyMatrix(n, config.lambda_r, config.lambda_c, config.lambda_r + config.lambda_c)
-    # N^T x puts x[a] * ranks[b] at z[a*n + b], and every column of C_r and
-    # of C_c holds a single 1.
-    ranks = np.asarray(program.ranks, dtype=float)
-    r = -np.outer(values, ranks).ravel() - 2.0 * (config.lambda_r + config.lambda_c)
+    r = reward_vector(values, np.asarray(program.ranks, dtype=float), config.reward_offset)
     return QuboInstance(
         matrix_R=R,
         vector_r=r,
@@ -119,6 +135,17 @@ def build_qubo(
         lambda_c=config.lambda_c,
         source_n=n,
     )
+
+
+def reward_vector(values: np.ndarray, ranks: np.ndarray, offset: float) -> np.ndarray:
+    """r = -outer(values, ranks).ravel() - offset, the reward at z[a*n + b].
+
+    An entry beyond the float range, or inf * 0 from a hand-made file,
+    comes out non-finite with no numpy warning, and QuboInstance then
+    rejects r as not finite.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return -np.outer(values, ranks).ravel() - offset
 
 
 def qubo_objective(instance: QuboInstance, z) -> float:

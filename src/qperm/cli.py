@@ -11,17 +11,23 @@ Four subcommands cover the pipeline:
 Input vectors are read either as a JSON array of numbers or as plain
 text with one number per line.  Program files are JSON objects with keys
 "n", "kind", "branching", and "ranks".  QUBO files are JSON objects with
-keys "n", "lambda_r", "lambda_c", "normalized", "r", and the quadratic
-term in one of two forms.  build writes "penalty": {"n", "same_row",
-"same_col", "self_coupling"}, the fields of the PenaltyMatrix that
-build_qubo returns, so a file holds n^2 + 4 numbers besides "x" and
-"program"; solve reads it back as that PenaltyMatrix and takes the
-structured descent, which never forms the n^2 x n^2 matrix.  A file may
-instead hold a dense "R" (row-major, full symmetric matrix), as
-hand-made and external instances do; solve then takes the dense
-descent.  build also embeds "x" and "program" so that solve can print
-the arranged values.  solve checks the whole file, "x" included, before
-it descends or prints anything; "normalized" must be a JSON boolean, and
+keys "n", "lambda_r", "lambda_c", "normalized", and each term in one of
+two forms.  build writes the quadratic term as "penalty": {"n",
+"same_row", "same_col", "self_coupling"}, the fields of the
+PenaltyMatrix that build_qubo returns, and the linear term as
+"reward": {"values", "ranks", "offset"}: the n values and n ranks whose
+outer product, less the offset 2 (lambda_r + lambda_c), is r (see
+builder.reward_vector).  A file thus holds 2n + 8 numbers besides "x"
+and "program".  solve reads the penalty back as that PenaltyMatrix and
+takes the structured descent, which never forms the n^2 x n^2 matrix,
+and forms r with the function build_qubo uses, so it is the same bit
+for bit.  A file may instead hold a dense "R" (row-major, full
+symmetric matrix) and a dense "r" (n^2 numbers), as hand-made and
+external instances do; a dense "R" takes the dense descent.  A file
+holds exactly one of "penalty" and "R", and exactly one of "reward" and
+"r".  build also embeds "x" and "program" so that solve can print the
+arranged values.  solve checks the whole file, "x" included, before it
+descends or prints anything; "normalized" must be a JSON boolean, and
 the "n" and "branching" of a program file integers, never truncated.
 
 verify builds with the defaults, runs one descent from the all-inactive
@@ -53,7 +59,7 @@ from typing import Optional
 
 import numpy as np
 
-from .builder import BuilderConfig, build_qubo
+from .builder import BuilderConfig, build_qubo, reward_vector
 from .conversions import bipolar_to_binary, fold_diagonal, to_hopfield, to_ising
 from .errors import MaxStepsExceeded, NonSquareLength, NotAPermutation, QpermError
 from .hopfield import SolverConfig, solve
@@ -76,6 +82,7 @@ EXIT_INFEASIBLE = 4
 EXIT_FAILED_CERTIFICATE = 5
 
 _PENALTY_FIELDS = tuple(f.name for f in dataclasses.fields(PenaltyMatrix))
+_REWARD_FIELDS = ("values", "ranks", "offset")
 
 
 def render_trace(trace: SolverTrace) -> list[str]:
@@ -176,13 +183,18 @@ def _cmd_build(args) -> int:
         normalize=not args.no_normalize,
     )
     instance = build_qubo(x, program, config)
+    values = x.normalized_entries if config.normalize else x.entries
     payload = {
         "n": n,
         "lambda_r": instance.lambda_r,
         "lambda_c": instance.lambda_c,
         "normalized": config.normalize,
         "penalty": dataclasses.asdict(instance.matrix_R),
-        "r": instance.vector_r.tolist(),
+        "reward": {
+            "values": values.tolist(),
+            "ranks": list(program.ranks),
+            "offset": config.reward_offset,
+        },
         "x": x.entries.tolist(),
         "program": _program_to_dict(program, with_n=False),
     }
@@ -283,6 +295,13 @@ def _number(value, where: str):
     return value
 
 
+def _float(value, where: str) -> float:
+    try:
+        return float(_number(value, where))
+    except OverflowError as exc:  # an integer beyond the float range
+        raise QpermError(f"{where}: {exc}") from None
+
+
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
@@ -302,37 +321,65 @@ def _read_program(path: str) -> OrderProgram:
 
 
 def _read_qubo(path: str) -> tuple[QuboInstance, Optional[ValueVector]]:
-    """Check the whole file; its quadratic term is a PenaltyMatrix, or dense for "R"."""
-    data = _read_object(path, ("n", "lambda_r", "lambda_c", "normalized", "r"))
+    """Check the whole file; its quadratic term is a PenaltyMatrix, or dense for
+    "R", and its linear term is formed from "reward", or read dense from "r"."""
+    data = _read_object(path, ("n", "lambda_r", "lambda_c", "normalized"))
     if not isinstance(data["normalized"], bool):
         found = data["normalized"]
         raise QpermError(f"{path}: 'normalized' must be true or false, not {found!r}")
-    if ("penalty" in data) == ("R" in data):
-        found = "both" if "penalty" in data else "neither"
-        raise QpermError(f"{path}: expected one of the keys 'penalty' and 'R', found {found}")
-    if "penalty" in data:
-        penalty = data["penalty"]
-        if not isinstance(penalty, dict):
-            raise QpermError(f"{path}: 'penalty' must be an object")
-        missing = [name for name in _PENALTY_FIELDS if name not in penalty]
-        if missing:
-            raise QpermError(f"{path}: 'penalty' lacks {', '.join(map(repr, missing))}")
+    n = _integral(data["n"], f"{path}: n")
+    if _one_of(data, "penalty", "R", path):
+        penalty = _fields(data, "penalty", _PENALTY_FIELDS, path)
         R = PenaltyMatrix(
             **{name: _number(penalty[name], f"{path}: penalty.{name}") for name in _PENALTY_FIELDS}
         )
     else:
         R = _numbers(data["R"], f"{path}: 'R'", ndim=2)
+    if _one_of(data, "reward", "r", path):
+        reward = _fields(data, "reward", _REWARD_FIELDS, path)
+        values = _n_numbers(reward["values"], n, f"{path}: reward.values")
+        ranks = _n_numbers(reward["ranks"], n, f"{path}: reward.ranks")
+        r = reward_vector(values, ranks, _float(reward["offset"], f"{path}: reward.offset"))
+    else:
+        r = _numbers(data["r"], f"{path}: 'r'")
     instance = QuboInstance(
         matrix_R=R,
-        vector_r=_numbers(data["r"], f"{path}: 'r'"),
+        vector_r=r,
         lambda_r=_number(data["lambda_r"], f"{path}: 'lambda_r'"),
         lambda_c=_number(data["lambda_c"], f"{path}: 'lambda_c'"),
-        source_n=_number(data["n"], f"{path}: 'n'"),
+        source_n=n,
     )
-    x = ValueVector(_numbers(data["x"], f"{path}: 'x'")) if "x" in data else None
-    if x is not None and x.n != instance.source_n:
-        raise QpermError(f"{path}: 'x' holds {x.n} numbers, not n={instance.source_n}")
+    x = ValueVector(_n_numbers(data["x"], n, f"{path}: 'x'")) if "x" in data else None
     return instance, x
+
+
+def _one_of(data: dict, structured: str, dense: str, path: str) -> bool:
+    """Whether data holds the structured key; it must hold exactly one of the two."""
+    if (structured in data) == (dense in data):
+        found = "both" if structured in data else "neither"
+        raise QpermError(
+            f"{path}: expected one of the keys {structured!r} and {dense!r}, found {found}"
+        )
+    return structured in data
+
+
+def _fields(data: dict, key: str, names: tuple[str, ...], path: str) -> dict:
+    """data[key], which must be an object holding every one of names."""
+    value = data[key]
+    if not isinstance(value, dict):
+        raise QpermError(f"{path}: {key!r} must be an object")
+    missing = [name for name in names if name not in value]
+    if missing:
+        raise QpermError(f"{path}: {key!r} lacks {', '.join(map(repr, missing))}")
+    return value
+
+
+def _n_numbers(value, n: int, where: str) -> np.ndarray:
+    """value as a float array, which must hold exactly n numbers."""
+    numbers = _numbers(value, where)
+    if numbers.size != n:
+        raise QpermError(f"{where} holds {numbers.size} numbers, not n={n}")
+    return numbers
 
 
 def _read_object(path: str, keys: tuple[str, ...]) -> dict:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -90,6 +92,19 @@ class TestBuildQubo:
             BuilderConfig(lambda_r=float("inf"), lambda_c=1.0)
         with pytest.raises(DomainError):
             BuilderConfig(lambda_r=1.0, lambda_c=float("nan"))
+
+    @pytest.mark.parametrize(
+        "weight",
+        [1e308, 8e307, np.float64(8e307), 10**308, 10**400],
+        ids=["sum", "offset", "numpy", "int", "int-beyond-float"],
+    )
+    def test_reward_offset_must_be_finite(self, weight):
+        """Each weight is finite, but 2 (lambda_r + lambda_c) overflows."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="lambda_r and lambda_c are too large"):
+                BuilderConfig(lambda_r=weight, lambda_c=weight)
+        assert BuilderConfig(lambda_r=4e307, lambda_c=4e307).reward_offset == 1.6e308
 
 
 class TestQuboObjective:

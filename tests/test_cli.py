@@ -1,17 +1,25 @@
 import json
 import os
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qperm import (
     BuilderConfig,
+    DomainError,
     PenaltyMatrix,
     ValueVector,
+    ascending_program,
+    bst_program,
     build_qubo,
     certify,
     decode_permutation,
+    descending_program,
     heap_program,
     vectorize,
 )
@@ -47,6 +55,13 @@ def to_dense(payload, entry=None):
     R = materialized_penalty(payload).tolist()
     del payload["penalty"]
     payload["R"] = R if entry is None else [[entry] * len(R)] * len(R)
+
+
+def dense_reward(payload):
+    """Swap the file's reward for a dense "r", each entry -(value * rank) - offset."""
+    reward = payload.pop("reward")
+    offset = reward["offset"]
+    payload["r"] = [-(v * k) - offset for v in reward["values"] for k in reward["ranks"]]
 
 
 SIGNED_X = np.random.default_rng(7).normal(size=7).tolist()
@@ -128,7 +143,12 @@ class TestBuildCommand:
         assert R.shape == (49, 49)
         assert np.array_equal(R, R.T)
         assert np.allclose(np.diag(R), 14.0)
-        assert len(data["r"]) == 49
+        assert "r" not in data
+        assert data["reward"] == {
+            "values": ValueVector(ref.INPUT_X).normalized_entries.tolist(),
+            "ranks": [1, 2, 3, 4, 5, 6, 7],
+            "offset": 28.0,
+        }
         assert data["x"] == ref.INPUT_X
         assert data["program"]["kind"] == "ascending"
 
@@ -166,6 +186,21 @@ class TestBuildCommand:
         x_path, program_path, tmp_path = reference_files
         short = write_json(tmp_path / "short.json", [1.0, 2.0])
         assert main(["build", short, program_path("ascending")]) == 2
+
+    @pytest.mark.parametrize("weight", ["1e308", "8e307"])
+    def test_weights_whose_reward_offset_overflows(self, tmp_path, capsys, weight):
+        """Each weight is finite but 2 (lambda_r + lambda_c) is not; this once ended
+        in "self_coupling must be finite" or "vector_r must be finite"."""
+        x_path = write_json(tmp_path / "x.json", [3.0, 1.0, 2.0])
+        prog = tmp_path / "prog.json"
+        assert main(["program", "--kind", "ascending", "--n", "3", "-o", str(prog)]) == 0
+        capsys.readouterr()
+        args = ["build", x_path, str(prog), "--lambda-r", weight, "--lambda-c", weight]
+        assert main(args) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: lambda_r and lambda_c are too large")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("payload", [{"a": 1}, None, 5.0, [], ["1", "2"], [[1.0, 2.0]], [True]])
     def test_x_file_must_be_an_array_of_numbers(self, reference_files, capsys, payload):
@@ -375,6 +410,24 @@ class TestSolveCommand:
         assert err.startswith(f"error: {message}")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "values, ranks",
+        [([1.7e308, 0.0], [2, 1]), ([float("inf"), 0.0], [1, 0])],
+        ids=["overflow", "inf-times-zero"],
+    )
+    def test_reward_overflow_is_one_line_without_a_warning(self, tmp_path, capsys, values, ranks):
+        penalty = {"n": 2, "same_row": 1.0, "same_col": 1.0, "self_coupling": 2.0}
+        payload = {"n": 2, "lambda_r": 1.0, "lambda_c": 1.0, "normalized": False,
+                   "penalty": penalty, "reward": {"values": values, "ranks": ranks, "offset": 4.0}}
+        qubo = write_json(tmp_path / "qubo.json", payload)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["solve", qubo]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: vector_r must be finite")
+        assert err.count("\n") == 1
+
     def test_no_seed_or_restarts(self, reference_files, monkeypatch, capsys):
         # solve is one deterministic descent: QP_SEED changes nothing, and
         # neither solve nor verify takes --seed or --restarts
@@ -393,10 +446,40 @@ class TestSolveCommand:
                 assert exc.value.code == 2
 
 
+PROGRAMS = {
+    "ascending": ascending_program,
+    "descending": descending_program,
+    "bst": bst_program,
+    "heap": heap_program,
+}
+
+
+@st.composite
+def build_cases(draw):
+    """(values, lambda_r, lambda_c, normalize) for a build at n <= 12."""
+    n = draw(st.integers(1, 12))
+    style = draw(st.sampled_from(("signed", "duplicate", "constant", "spread")))
+    if style == "signed":
+        entry = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+    elif style == "duplicate":
+        entry = st.integers(-3, 3)
+    elif style == "constant":
+        entry = st.just(draw(st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)))
+    else:  # x - min(x) or its sum beyond the float range
+        entry = st.sampled_from([-1.7e308, -1e308, -1.0, 0.0, 0.5, 1e308, 1.7e308])
+    values = [float(v) for v in draw(st.lists(entry, min_size=n, max_size=n))]
+    weight = st.one_of(
+        st.builds(lambda m, k: m / 2**k, st.integers(1, 64), st.integers(0, 4)),  # dyadic
+        st.floats(0.05, 30.0),
+    )
+    return values, draw(weight), draw(weight), draw(st.booleans())
+
+
 class TestQuboFileFormat:
-    """build writes the penalty as its four numbers, and solve reads them back
-    as a PenaltyMatrix and takes the structured descent; files with a dense
-    "R" still load and take the dense one."""
+    """build writes the penalty as its four numbers and the reward as its
+    2n + 1; solve reads them back as a PenaltyMatrix, which takes the
+    structured descent, and as the r that build_qubo forms.  Files with a
+    dense "R" or a dense "r" still load; a dense "R" takes the dense descent."""
 
     def test_read_back_as_a_penalty_matrix(self, tmp_path):
         instance, x = cli._read_qubo(build_file(tmp_path, ref.INPUT_X, "heap"))
@@ -404,9 +487,33 @@ class TestQuboFileFormat:
         assert x.entries.tolist() == ref.INPUT_X
 
     def test_file_at_n24_holds_no_n4_numbers(self, tmp_path):
-        # with the penalty written dense, this file took about 1.7 MB
+        # with the penalty written dense, this file took about 1.7 MB, and
+        # with r written dense about 12 kB
         values = np.random.default_rng(24).normal(size=24).tolist()
-        assert os.path.getsize(build_file(tmp_path, values, "heap")) < 20_000
+        assert os.path.getsize(build_file(tmp_path, values, "heap")) < 2_000
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from(sorted(PROGRAMS)), build_cases())
+    def test_reward_read_back_bit_for_bit(self, kind, case):
+        values, lambda_r, lambda_c, normalize = case
+        n = len(values)
+        flags = ["--lambda-r", repr(lambda_r), "--lambda-c", repr(lambda_c)]
+        if not normalize:
+            flags.append("--no-normalize")
+        config = BuilderConfig(lambda_r=lambda_r, lambda_c=lambda_c, normalize=normalize)
+        with tempfile.TemporaryDirectory() as tmp:
+            x_path = write_json(Path(tmp) / "x.json", values)
+            prog = str(Path(tmp) / "prog.json")
+            assert main(["program", "--kind", kind, "--n", str(n), "-o", prog]) == 0
+            qubo = str(Path(tmp) / "qubo.json")
+            try:
+                expected = build_qubo(ValueVector(values), PROGRAMS[kind](n), config).vector_r
+            except DomainError:  # r beyond the float range, unnormalized
+                assert main(["build", x_path, prog, *flags, "-o", qubo]) == 2
+                return
+            assert main(["build", x_path, prog, *flags, "-o", qubo]) == 0
+            got = cli._read_qubo(qubo)[0].vector_r
+        assert got.tobytes() == expected.tobytes()
 
     def test_build_and_solve_form_no_dense_matrix(self, tmp_path, monkeypatch):
         def refuse(self, dtype=None, copy=None):
@@ -426,11 +533,14 @@ class TestQuboFileFormat:
         qubo = build_file(tmp_path, values, kind, *flags)
         payload = json.loads(open(qubo, encoding="utf-8").read())
         to_dense(payload)
+        dense_R = write_json(tmp_path / "dense_R.json", payload)
+        dense_reward(payload)
+        dense_both = write_json(tmp_path / "dense_both.json", payload)
         outputs = []
-        for path in (qubo, write_json(tmp_path / "dense.json", payload)):
+        for path in (qubo, dense_R, dense_both):
             assert main(["solve", path, "--trace"]) == 0
             outputs.append(capsys.readouterr().out)
-        assert outputs[0] == outputs[1]
+        assert outputs[0] == outputs[1] == outputs[2]
 
     @pytest.mark.parametrize("kind", ["ascending", "bst", "heap"])
     def test_non_integer_weights_match_the_library_chain(self, tmp_path, capsys, kind):
@@ -457,7 +567,7 @@ class TestQuboFileFormat:
             (lambda d: d.update(x=["3", "1", "2"]), "'x': expected"),
             (lambda d: d.update(n=3.7), "must be an integer"),
             (lambda d: d["penalty"].update(n=2.5), "must be an integer"),
-            (lambda d: d.update(r=[str(v) for v in d["r"]]), "'r': expected"),
+            (lambda d: (dense_reward(d), d.update(r=[str(v) for v in d["r"]])), "'r': expected"),
             (lambda d: d["penalty"].update(same_row="3"), "penalty.same_row"),
             (lambda d: d["penalty"].update(self_coupling=float("nan")), "finite"),
             (lambda d: d["penalty"].pop("same_col"), "lacks 'same_col'"),
@@ -465,15 +575,28 @@ class TestQuboFileFormat:
             (lambda d: d.update(lambda_r=float("nan")), "lambda_r must be finite"),
             (lambda d: d.update(lambda_c=10**400), "lambda_c must be finite"),
             (lambda d: to_dense(d, entry="0"), "'R': expected"),
-            (lambda d: d.update(R=[[0.0] * 9] * 9), "found both"),
+            (lambda d: d.update(R=[[0.0] * 9] * 9), "'penalty' and 'R', found both"),
             (lambda d: d.pop("penalty"), "'penalty' and 'R', found neither"),
             (lambda d: d.update(normalized="garbage"), "'normalized' must be true or false"),
+            (lambda d: d.update(reward=[[0.5, 0.5, 0.0], [1, 2, 3], 12.0]), "must be an object"),
+            (lambda d: d["reward"].pop("ranks"), "'reward' lacks 'ranks'"),
+            (lambda d: d["reward"].update(values=["0.5", "0.5", "0"]), "reward.values: expected"),
+            (lambda d: d["reward"].update(ranks=["1", "2", "3"]), "reward.ranks: expected"),
+            (lambda d: d["reward"].update(offset="12"), "reward.offset: expected a number"),
+            (lambda d: d["reward"].update(offset=10**400), "reward.offset: int too large"),
+            (lambda d: d["reward"].update(values=[0.5, 0.5]), "reward.values holds 2 numbers"),
+            (lambda d: d["reward"]["ranks"].append(4), "reward.ranks holds 4 numbers"),
+            (lambda d: d.update(r=[0.0] * 9), "'reward' and 'r', found both"),
+            (lambda d: d.pop("reward"), "'reward' and 'r', found neither"),
         ],
         ids=[
             "x-length", "x-null", "x-strings", "n-fraction", "penalty-n-fraction",
             "r-strings", "penalty-string", "penalty-nan", "penalty-field-missing",
             "penalty-not-object", "lambda-nan", "lambda-beyond-float", "R-strings",
-            "both-forms", "neither-form", "normalized-string",
+            "both-forms", "neither-form", "normalized-string", "reward-not-object",
+            "reward-field-missing", "reward-values-strings", "reward-ranks-strings",
+            "reward-offset-string", "reward-offset-beyond-float", "reward-values-length", "reward-ranks-length",
+            "both-reward-forms", "neither-reward-form",
         ],
     )
     def test_whole_file_checked_before_any_output(self, tmp_path, capsys, edit, message):
@@ -490,7 +613,7 @@ class TestQuboFileFormat:
         # written dense, the penalty would take 1.6e9 numbers
         values = np.random.default_rng(200).normal(size=200)
         qubo = build_file(tmp_path, values.tolist(), "heap")
-        assert os.path.getsize(qubo) < 2_000_000
+        assert os.path.getsize(qubo) < 20_000
         assert main(["solve", qubo]) == 0
         line = capsys.readouterr().out.splitlines()[0]
         assert line.startswith("permutation: ")
