@@ -28,7 +28,7 @@ from .errors import (
     SizeBudgetExceeded,
     UnsupportedBranching,
 )
-from .hopfield import SolverConfig, energy, flip_gain, solve
+from .hopfield import energy, flip_gain, solve
 from .model import (
     HopfieldInstance,
     IsingInstance,
@@ -82,7 +82,6 @@ __all__ = [
     "QpermError",
     "QuboInstance",
     "SizeBudgetExceeded",
-    "SolverConfig",
     "SolverTrace",
     "TraceStep",
     "TreeShape",

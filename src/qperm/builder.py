@@ -128,13 +128,7 @@ def build_qubo(
 
     R = PenaltyMatrix(n, config.lambda_r, config.lambda_c, config.lambda_r + config.lambda_c)
     r = reward_vector(values, np.asarray(program.ranks, dtype=float), config.reward_offset)
-    return QuboInstance(
-        matrix_R=R,
-        vector_r=r,
-        lambda_r=config.lambda_r,
-        lambda_c=config.lambda_c,
-        source_n=n,
-    )
+    return QuboInstance(matrix_R=R, vector_r=r)
 
 
 def reward_vector(values: np.ndarray, ranks: np.ndarray, offset: float) -> np.ndarray:

@@ -10,15 +10,17 @@ Four subcommands cover the pipeline:
 
 Input vectors are read either as a JSON array of numbers or as plain
 text with one number per line.  Program files are JSON objects with keys
-"n", "kind", "branching", and "ranks".  QUBO files are JSON objects with
-keys "n", "lambda_r", "lambda_c", "normalized", and each term in one of
-two forms.  build writes the quadratic term as "penalty": {"n",
-"same_row", "same_col", "self_coupling"}, the fields of the
-PenaltyMatrix that build_qubo returns, and the linear term as
-"reward": {"values", "ranks", "offset"}: the n values and n ranks whose
-outer product, less the offset 2 (lambda_r + lambda_c), is r (see
-builder.reward_vector).  A file thus holds 2n + 8 numbers besides "x"
-and "program".  solve reads the penalty back as that PenaltyMatrix and
+"n", "kind", "branching", and "ranks"; --branching applies to bst and
+heap programs only.  QUBO files are JSON objects with the key "n" and
+each term in one of two forms.  build writes the quadratic term as
+"penalty": {"n", "same_row", "same_col", "self_coupling"}, the fields of
+the PenaltyMatrix that build_qubo returns, which hold the penalty
+weights, and the linear term as "reward": {"values", "ranks",
+"offset"}: the n values and n ranks whose outer product, less the
+offset 2 (lambda_r + lambda_c), is r (see builder.reward_vector).  A
+file thus holds 2n + 6 numbers besides "x" and "program".  solve reads
+"n", "penalty" or "R", "reward" or "r", and "x", and ignores every
+other key.  It reads the penalty back as that PenaltyMatrix and
 takes the structured descent, which never forms the n^2 x n^2 matrix,
 and forms r with the function build_qubo uses, so it is the same bit
 for bit.  A file may instead hold a dense "R" (row-major, full
@@ -27,8 +29,9 @@ external instances do; a dense "R" takes the dense descent.  A file
 holds exactly one of "penalty" and "R", and exactly one of "reward" and
 "r".  build also embeds "x" and "program" so that solve can print the
 arranged values.  solve checks the whole file, "x" included, before it
-descends or prints anything; "normalized" must be a JSON boolean, and
-the "n" and "branching" of a program file integers, never truncated.
+descends or prints anything; "n" must be an integer, never truncated,
+whose square is the dimension of both terms, and so must the "n" and
+"branching" of a program file.
 
 verify builds with the defaults, runs one descent from the all-inactive
 state and reports the checks of certify on its endpoint.  The default
@@ -62,7 +65,7 @@ import numpy as np
 from .builder import BuilderConfig, build_qubo, reward_vector
 from .conversions import bipolar_to_binary, fold_diagonal, to_hopfield, to_ising
 from .errors import MaxStepsExceeded, NonSquareLength, NotAPermutation, QpermError
-from .hopfield import SolverConfig, solve
+from .hopfield import solve
 from .model import (
     OrderProgram,
     PenaltyMatrix,
@@ -83,6 +86,12 @@ EXIT_FAILED_CERTIFICATE = 5
 
 _PENALTY_FIELDS = tuple(f.name for f in dataclasses.fields(PenaltyMatrix))
 _REWARD_FIELDS = ("values", "ranks", "offset")
+_PROGRAMS = {
+    "ascending": ascending_program,
+    "descending": descending_program,
+    "bst": bst_program,
+    "heap": heap_program,
+}
 
 
 def render_trace(trace: SolverTrace) -> list[str]:
@@ -123,11 +132,9 @@ def _parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(required=True, metavar="command")
 
     p_program = sub.add_parser("program", help="generate an order-program file")
-    p_program.add_argument(
-        "--kind", required=True, choices=("ascending", "descending", "bst", "heap")
-    )
+    p_program.add_argument("--kind", required=True, choices=tuple(_PROGRAMS))
     p_program.add_argument("--n", required=True, type=int)
-    p_program.add_argument("--branching", type=int, default=2)
+    p_program.add_argument("--branching", type=int, help="tree arity for bst and heap (default 2)")
     p_program.add_argument("-o", "--out", help="output path (default: stdout)")
     p_program.set_defaults(handler=_cmd_program)
 
@@ -160,15 +167,13 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _cmd_program(args) -> int:
-    n = args.n
-    if args.kind == "ascending":
-        program = ascending_program(n)
-    elif args.kind == "descending":
-        program = descending_program(n)
-    elif args.kind == "bst":
-        program = bst_program(n, args.branching)
+    make = _PROGRAMS[args.kind]
+    if args.branching is None:
+        program = make(args.n)
+    elif args.kind in ("bst", "heap"):
+        program = make(args.n, args.branching)
     else:
-        program = heap_program(n, args.branching)
+        raise QpermError(f"--branching applies to bst and heap programs, not {args.kind}")
     _write_text(json.dumps(_program_to_dict(program), indent=2) + "\n", args.out)
     return EXIT_OK
 
@@ -186,9 +191,6 @@ def _cmd_build(args) -> int:
     values = x.normalized_entries if config.normalize else x.entries
     payload = {
         "n": n,
-        "lambda_r": instance.lambda_r,
-        "lambda_c": instance.lambda_c,
-        "normalized": config.normalize,
         "penalty": dataclasses.asdict(instance.matrix_R),
         "reward": {
             "values": values.tolist(),
@@ -259,7 +261,7 @@ def _cmd_verify(args) -> int:
 def _descend(instance, max_steps):
     """Fold, convert, and run the network once; returns (trace, binary state)."""
     network = to_hopfield(to_ising(fold_diagonal(instance)))
-    state, trace = solve(network, SolverConfig(max_steps=max_steps))
+    state, trace = solve(network, max_steps)
     return trace, bipolar_to_binary(state)
 
 
@@ -322,11 +324,9 @@ def _read_program(path: str) -> OrderProgram:
 
 def _read_qubo(path: str) -> tuple[QuboInstance, Optional[ValueVector]]:
     """Check the whole file; its quadratic term is a PenaltyMatrix, or dense for
-    "R", and its linear term is formed from "reward", or read dense from "r"."""
-    data = _read_object(path, ("n", "lambda_r", "lambda_c", "normalized"))
-    if not isinstance(data["normalized"], bool):
-        found = data["normalized"]
-        raise QpermError(f"{path}: 'normalized' must be true or false, not {found!r}")
+    "R", and its linear term is formed from "reward", or read dense from "r".
+    Keys other than "n", those four and "x" are ignored."""
+    data = _read_object(path, ("n",))
     n = _integral(data["n"], f"{path}: n")
     if _one_of(data, "penalty", "R", path):
         penalty = _fields(data, "penalty", _PENALTY_FIELDS, path)
@@ -342,13 +342,9 @@ def _read_qubo(path: str) -> tuple[QuboInstance, Optional[ValueVector]]:
         r = reward_vector(values, ranks, _float(reward["offset"], f"{path}: reward.offset"))
     else:
         r = _numbers(data["r"], f"{path}: 'r'")
-    instance = QuboInstance(
-        matrix_R=R,
-        vector_r=r,
-        lambda_r=_number(data["lambda_r"], f"{path}: 'lambda_r'"),
-        lambda_c=_number(data["lambda_c"], f"{path}: 'lambda_c'"),
-        source_n=n,
-    )
+    instance = QuboInstance(matrix_R=R, vector_r=r)
+    if instance.n != n:
+        raise QpermError(f"{path}: n={n} but the terms have dimension {instance.dimension}")
     x = ValueVector(_n_numbers(data["x"], n, f"{path}: 'x'")) if "x" in data else None
     return instance, x
 

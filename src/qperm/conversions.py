@@ -35,13 +35,7 @@ def fold_diagonal(instance: QuboInstance) -> QuboInstance:
         np.fill_diagonal(folded, 0.0)
     with np.errstate(over="ignore"):  # an overflow is the inf QuboInstance names
         vector_r = instance.vector_r + diag
-    return QuboInstance(
-        matrix_R=folded,
-        vector_r=vector_r,
-        lambda_r=instance.lambda_r,
-        lambda_c=instance.lambda_c,
-        source_n=instance.source_n,
-    )
+    return QuboInstance(matrix_R=folded, vector_r=vector_r)
 
 
 def to_ising(instance: QuboInstance) -> IsingInstance:

@@ -64,7 +64,6 @@ infeasible state; certify says which.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -76,23 +75,6 @@ from .errors import (
     MaxStepsExceeded,
 )
 from .model import HopfieldInstance, PenaltyMatrix, SolverTrace, _all_in, _integral
-
-
-@dataclass(frozen=True, eq=False)
-class SolverConfig:
-    """Descent controls: max_steps bounds the number of accepted flips and
-    defaults to N*N.  It must equal an integer: strings, booleans and
-    fractions are rejected, never truncated."""
-
-    max_steps: Optional[int] = None
-
-    def __post_init__(self):
-        if self.max_steps is None:
-            return
-        max_steps = _integral(self.max_steps, "max_steps")
-        if max_steps < 0:
-            raise DomainError("max_steps must be non-negative")
-        object.__setattr__(self, "max_steps", max_steps)
 
 
 def energy(instance: HopfieldInstance, s) -> float:
@@ -107,22 +89,24 @@ def flip_gain(instance: HopfieldInstance, s, i: int) -> float:
     Equals energy(s with s[i] negated) - energy(s).
     """
     sv = _check_state(instance, s)
-    if not 0 <= int(i) < instance.dimension:
+    i = _integral(i, "coordinate")
+    if not 0 <= i < instance.dimension:
         raise IndexOutOfRange(f"coordinate {i} outside 0..{instance.dimension - 1}")
-    i = int(i)
     return float(2.0 * sv[i] * (instance.weights_W[i] @ sv - instance.bias_theta[i]))
 
 
 def solve(
-    instance: HopfieldInstance, config: Optional[SolverConfig] = None
+    instance: HopfieldInstance, max_steps: Optional[int] = None
 ) -> tuple[np.ndarray, SolverTrace]:
     """Run steepest descent from the all-inactive state to a stable state.
 
     Parameters
     ----------
     instance : HopfieldInstance
-    config : SolverConfig, optional
-        Defaults to max_steps = N*N.
+    max_steps : int, optional
+        Bounds the number of accepted flips; defaults to N*N.  It must
+        equal a non-negative integer: strings, booleans and fractions
+        are rejected, never truncated.
 
     Returns
     -------
@@ -131,15 +115,21 @@ def solve(
 
     Raises
     ------
+    InvalidSize
+        If max_steps is not an integer.
     MaxStepsExceeded
         If descent uses up its flip budget without reaching a stable
         state.
     DomainError
-        If an energy overflows the float range.
+        If max_steps is negative, or an energy overflows the float range.
     """
-    cfg = config if config is not None else SolverConfig()
     N = instance.dimension
-    budget = cfg.max_steps if cfg.max_steps is not None else N * N
+    if max_steps is None:
+        budget = N * N
+    else:
+        budget = _integral(max_steps, "max_steps")
+        if budget < 0:
+            raise DomainError("max_steps must be non-negative")
     return _descend(instance, np.full(N, -1, dtype=np.int8), budget)
 
 

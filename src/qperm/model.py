@@ -327,10 +327,9 @@ class ValueVector:
     entry lies in [0, 1], the smallest is 0 and they sum to 1.  A constant
     vector has no spread to scale and normalizes to all zeros; any
     arrangement of it is optimal.  The field is derived in the
-    constructor; any value passed for it is ignored.  When the shift or
-    its sum would overflow (a spread beyond the float range), x is first
-    scaled by a power of two, which keeps every order; every other input
-    normalizes without it.
+    constructor.  When the shift or its sum would overflow (a spread
+    beyond the float range), x is first scaled by a power of two, which
+    keeps every order; every other input normalizes without it.
 
     The shift changes no optimum.  The objective -x^T P^T ranks of every
     arrangement P moves by min(x) * sum(ranks), the same constant for all
@@ -356,7 +355,7 @@ class ValueVector:
     """
 
     entries: np.ndarray
-    normalized_entries: np.ndarray = field(default=None)
+    normalized_entries: np.ndarray = field(init=False)
 
     def __post_init__(self):
         entries = _readonly(self.entries)
@@ -426,39 +425,35 @@ class OrderProgram:
 
 @dataclass(frozen=True, eq=False)
 class QuboInstance:
-    """Minimize z^T R z + r^T z over binary z of length source_n squared.
+    """Minimize z^T R z + r^T z over binary z of length n squared.
 
-    matrix_R is a dense ndarray or a PenaltyMatrix.  source_n must be an
-    integer and lambda_r, lambda_c finite, as in PenaltyMatrix.
+    matrix_R is a dense ndarray or a PenaltyMatrix, which holds the
+    penalty weights as same_row and same_col.  z encodes an n x n matrix,
+    so the dimension must be a perfect square; n is its root.
     """
 
     matrix_R: Union[np.ndarray, PenaltyMatrix]
     vector_r: np.ndarray
-    lambda_r: float
-    lambda_c: float
-    source_n: int
 
     def __post_init__(self):
         R = _matrix(self.matrix_R)
         r = _readonly(self.vector_r)
-        source_n = _integral(self.source_n, "source_n")
         if R.ndim != 2 or R.shape[0] != R.shape[1] or r.shape != (R.shape[0],):
             raise DimensionMismatch("matrix_R must be square and match vector_r")
-        if R.shape[0] != source_n**2:
-            raise DimensionMismatch(
-                f"dimension {R.shape[0]} is not source_n**2 for source_n={source_n}"
-            )
+        if math.isqrt(r.size) ** 2 != r.size:
+            raise DimensionMismatch(f"dimension {r.size} is not the square of an integer n")
         _require_finite(r, "vector_r")
         _require_symmetric(R, "matrix_R")
         object.__setattr__(self, "matrix_R", R)
         object.__setattr__(self, "vector_r", r)
-        object.__setattr__(self, "lambda_r", _finite(self.lambda_r, "lambda_r"))
-        object.__setattr__(self, "lambda_c", _finite(self.lambda_c, "lambda_c"))
-        object.__setattr__(self, "source_n", source_n)
 
     @property
     def dimension(self) -> int:
         return int(self.vector_r.size)
+
+    @property
+    def n(self) -> int:
+        return math.isqrt(self.dimension)
 
 
 @dataclass(frozen=True, eq=False)
@@ -529,7 +524,7 @@ class PermutationMatrix:
     """
 
     matrix: np.ndarray
-    as_mapping: tuple[int, ...] = field(default=None)
+    as_mapping: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
         M = np.asarray(self.matrix)

@@ -5,7 +5,6 @@ from qperm import (
     BuilderConfig,
     HopfieldInstance,
     QuboInstance,
-    SolverConfig,
     ValueVector,
     ascending_program,
     bipolar_to_binary,
@@ -57,23 +56,17 @@ def make_program(kind, n):
     raise ValueError(kind)
 
 
-def run_pipeline(x, program, config=None, builder_config=None):
+def run_pipeline(x, program, max_steps=None, builder_config=None):
     """Build, convert, and descend once; returns (binary state, trace, instance)."""
     instance = build_qubo(x, program, builder_config)
     network = to_hopfield(to_ising(fold_diagonal(instance)))
-    state, trace = solve(network, config or SolverConfig())
+    state, trace = solve(network, max_steps)
     return bipolar_to_binary(state), trace, instance
 
 
 def dense_qubo(instance):
     """The same QUBO with its penalty materialized, for the dense chain."""
-    return QuboInstance(
-        matrix_R=np.asarray(instance.matrix_R),
-        vector_r=instance.vector_r,
-        lambda_r=instance.lambda_r,
-        lambda_c=instance.lambda_c,
-        source_n=instance.source_n,
-    )
+    return QuboInstance(matrix_R=np.asarray(instance.matrix_R), vector_r=instance.vector_r)
 
 
 def materialized(network):

@@ -58,16 +58,16 @@ class TestConstraintMatrices:
 class TestBuildQubo:
     def test_default_penalties_equal_n(self):
         inst = build_qubo(ValueVector([3.0, 1.0]), ascending_program(2))
-        assert inst.lambda_r == 2.0
-        assert inst.lambda_c == 2.0
-        assert inst.source_n == 2
+        assert inst.matrix_R.same_row == 2.0
+        assert inst.matrix_R.same_col == 2.0
+        assert inst.n == 2
         assert inst.dimension == 4
 
     def test_matrix_symmetric_with_constant_diagonal(self):
         inst = build_qubo(ValueVector([46.0, 52.0, -12.0]), ascending_program(3))
         R = np.asarray(inst.matrix_R)
         assert np.array_equal(R, R.T)
-        assert np.allclose(np.diag(R), inst.lambda_r + inst.lambda_c)
+        assert np.allclose(np.diag(R), inst.matrix_R.same_row + inst.matrix_R.same_col)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
@@ -129,7 +129,7 @@ class TestQuboObjective:
             for row, col in enumerate(mapping):
                 Z[row, col] = 1.0
             got = qubo_objective(inst, vectorize(Z))
-            want = -(inst.lambda_r + inst.lambda_c) * 3 - float(ranks @ Z @ xn)
+            want = -(inst.matrix_R.same_row + inst.matrix_R.same_col) * 3 - float(ranks @ Z @ xn)
             assert got == pytest.approx(want)
 
     def test_rejects_non_binary(self):
@@ -154,19 +154,21 @@ class TestQuboObjective:
         prog = make_program(kind, n)
         inst = build_qubo(x, prog)
         z = vectorize(random_binary_matrix(rnd, n))
-        want = independent_objective(inst, x, prog, z)
+        want = independent_objective(x, prog, z)
         assert qubo_objective(inst, z) == pytest.approx(want, abs=1e-9)
 
 
-def independent_objective(instance, x, program, z):
-    """Penalty-form oracle, written without the builder's matrices."""
+def independent_objective(x, program, z):
+    """Penalty-form oracle at the default weights lambda_r = lambda_c = n,
+    written without the builder's matrices."""
     Z = matricize(np.asarray(z, dtype=float))
     rows = Z.sum(axis=1)
     cols = Z.sum(axis=0)
     ranks = np.asarray(program.ranks, dtype=float)
     xn = x.normalized_entries
-    value = instance.lambda_r * ((rows - 1.0) ** 2).sum()
-    value += instance.lambda_c * ((cols - 1.0) ** 2).sum()
-    value -= instance.source_n * (instance.lambda_r + instance.lambda_c)
+    lambda_r = lambda_c = float(program.n)
+    value = lambda_r * ((rows - 1.0) ** 2).sum()
+    value += lambda_c * ((cols - 1.0) ** 2).sum()
+    value -= program.n * (lambda_r + lambda_c)
     value -= float(ranks @ Z @ xn)
     return value

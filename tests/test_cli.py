@@ -126,6 +126,19 @@ class TestProgramCommand:
     def test_nonpositive_size_rejected(self):
         assert main(["program", "--kind", "ascending", "--n", "0"]) == 2
 
+    @pytest.mark.parametrize("kind", ["ascending", "descending"])
+    def test_branching_refused_without_a_tree(self, capsys, kind):
+        # neither kind builds a tree, so there is no arity to set
+        assert main(["program", "--kind", kind, "--n", "3", "--branching", "7"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: --branching")
+
+    def test_bst_branching_defaults_to_two(self, capsys):
+        for flags in ([], ["--branching", "2"]):
+            assert main(["program", "--kind", "bst", "--n", "5", *flags]) == 0
+            assert json.loads(capsys.readouterr().out)["branching"] == 2
+
 
 class TestBuildCommand:
     def test_qubo_file_contents(self, reference_files):
@@ -134,9 +147,7 @@ class TestBuildCommand:
         assert main(["build", x_path, program_path("ascending"), "-o", str(out)]) == 0
         data = json.loads(out.read_text())
         assert data["n"] == 7
-        assert data["lambda_r"] == 7.0
-        assert data["lambda_c"] == 7.0
-        assert data["normalized"] is True
+        assert not {"lambda_r", "lambda_c", "normalized"} & data.keys()
         assert "R" not in data
         assert data["penalty"] == {"n": 7, "same_row": 7.0, "same_col": 7.0, "self_coupling": 14.0}
         R = materialized_penalty(data)
@@ -159,8 +170,8 @@ class TestBuildCommand:
                 "--lambda-r", "3.5", "--lambda-c", "2.5", "-o", str(out)]
         assert main(args) == 0
         data = json.loads(out.read_text())
-        assert data["lambda_r"] == 3.5
-        assert data["lambda_c"] == 2.5
+        assert data["penalty"] == {"n": 7, "same_row": 3.5, "same_col": 2.5, "self_coupling": 6.0}
+        assert not {"lambda_r", "lambda_c", "normalized"} & data.keys()
         assert np.allclose(np.diag(materialized_penalty(data)), 6.0)
 
     def test_zero_vector_exit_code(self, tmp_path):
@@ -290,14 +301,7 @@ class TestSolveCommand:
     def test_infeasible_endpoint_exit_code(self, tmp_path):
         stuck = write_json(
             tmp_path / "stuck.json",
-            {
-                "n": 1,
-                "lambda_r": 1.0,
-                "lambda_c": 1.0,
-                "normalized": True,
-                "R": [[0.0]],
-                "r": [1.0],
-            },
+            {"n": 1, "R": [[0.0]], "r": [1.0]},
         )
         assert main(["solve", stuck]) == 4
 
@@ -349,7 +353,7 @@ class TestSolveCommand:
         qubo = tmp_path / "qubo.json"
         assert main(["build", x_path, program_path("heap"), "-o", str(qubo)]) == 0
         payload = json.loads(qubo.read_text())
-        for field, value in (("n", None), ("lambda_r", None), ("n", float("inf"))):
+        for field, value in (("n", None), ("n", float("inf"))):
             assert main(["solve", write_json(qubo, {**payload, field: value})]) == 2
 
     def test_zero_gain_flip_is_not_malformed_input(self, tmp_path, capsys):
@@ -400,8 +404,7 @@ class TestSolveCommand:
         to_ising's dense R @ 1 once printed a numpy warning ahead of the error."""
         pad = 4 - len(R)  # R and r are the leading entries of an n = 2 file
         R = [row + [0.0] * pad for row in R] + [[0.0] * 4] * pad
-        payload = {"n": 2, "lambda_r": 1.0, "lambda_c": 1.0, "normalized": True, "R": R,
-                   "r": r + [0.0] * (4 - len(r))}
+        payload = {"n": 2, "R": R, "r": r + [0.0] * (4 - len(r))}
         qubo = write_json(tmp_path / "qubo.json", payload)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -417,8 +420,8 @@ class TestSolveCommand:
     )
     def test_reward_overflow_is_one_line_without_a_warning(self, tmp_path, capsys, values, ranks):
         penalty = {"n": 2, "same_row": 1.0, "same_col": 1.0, "self_coupling": 2.0}
-        payload = {"n": 2, "lambda_r": 1.0, "lambda_c": 1.0, "normalized": False,
-                   "penalty": penalty, "reward": {"values": values, "ranks": ranks, "offset": 4.0}}
+        payload = {"n": 2, "penalty": penalty,
+                   "reward": {"values": values, "ranks": ranks, "offset": 4.0}}
         qubo = write_json(tmp_path / "qubo.json", payload)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -572,12 +575,9 @@ class TestQuboFileFormat:
             (lambda d: d["penalty"].update(self_coupling=float("nan")), "finite"),
             (lambda d: d["penalty"].pop("same_col"), "lacks 'same_col'"),
             (lambda d: d.update(penalty=[3, 3.0, 3.0, 6.0]), "must be an object"),
-            (lambda d: d.update(lambda_r=float("nan")), "lambda_r must be finite"),
-            (lambda d: d.update(lambda_c=10**400), "lambda_c must be finite"),
             (lambda d: to_dense(d, entry="0"), "'R': expected"),
             (lambda d: d.update(R=[[0.0] * 9] * 9), "'penalty' and 'R', found both"),
             (lambda d: d.pop("penalty"), "'penalty' and 'R', found neither"),
-            (lambda d: d.update(normalized="garbage"), "'normalized' must be true or false"),
             (lambda d: d.update(reward=[[0.5, 0.5, 0.0], [1, 2, 3], 12.0]), "must be an object"),
             (lambda d: d["reward"].pop("ranks"), "'reward' lacks 'ranks'"),
             (lambda d: d["reward"].update(values=["0.5", "0.5", "0"]), "reward.values: expected"),
@@ -588,15 +588,16 @@ class TestQuboFileFormat:
             (lambda d: d["reward"]["ranks"].append(4), "reward.ranks holds 4 numbers"),
             (lambda d: d.update(r=[0.0] * 9), "'reward' and 'r', found both"),
             (lambda d: d.pop("reward"), "'reward' and 'r', found neither"),
+            (lambda d: (dense_reward(d), d.pop("x"), d.update(n=2)), "n=2 but the terms"),
         ],
         ids=[
             "x-length", "x-null", "x-strings", "n-fraction", "penalty-n-fraction",
             "r-strings", "penalty-string", "penalty-nan", "penalty-field-missing",
-            "penalty-not-object", "lambda-nan", "lambda-beyond-float", "R-strings",
-            "both-forms", "neither-form", "normalized-string", "reward-not-object",
+            "penalty-not-object", "R-strings",
+            "both-forms", "neither-form", "reward-not-object",
             "reward-field-missing", "reward-values-strings", "reward-ranks-strings",
             "reward-offset-string", "reward-offset-beyond-float", "reward-values-length", "reward-ranks-length",
-            "both-reward-forms", "neither-reward-form",
+            "both-reward-forms", "neither-reward-form", "n-not-the-penalty-n",
         ],
     )
     def test_whole_file_checked_before_any_output(self, tmp_path, capsys, edit, message):
@@ -607,6 +608,26 @@ class TestQuboFileFormat:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error:") and message in err
+
+    @pytest.mark.parametrize(
+        "legacy",
+        [
+            {"lambda_r": 7.0, "lambda_c": 7.0, "normalized": True},
+            {"lambda_r": 123, "lambda_c": 0.5, "normalized": False},
+            {"lambda_r": None, "lambda_c": "7", "normalized": "garbage"},
+        ],
+        ids=["as-written", "contradicting", "not-numbers"],
+    )
+    def test_legacy_keys_are_ignored(self, tmp_path, capsys, legacy):
+        """Files once carried "lambda_r", "lambda_c" and "normalized", which
+        nothing read; such files solve as before, whatever those keys hold."""
+        qubo = build_file(tmp_path, SIGNED_X, "heap")
+        assert main(["solve", qubo, "--trace"]) == 0
+        expected = capsys.readouterr()
+        payload = json.loads(open(qubo, encoding="utf-8").read())
+        legacy_file = write_json(tmp_path / "legacy.json", {**payload, **legacy})
+        assert main(["solve", legacy_file, "--trace"]) == 0
+        assert capsys.readouterr() == expected
 
     @pytest.mark.slow
     def test_heap_at_n200_through_a_file(self, tmp_path, capsys):

@@ -41,13 +41,7 @@ class TestFoldDiagonal:
                 [2.0, 0.0, 1.0, 0.0],
             ]
         )
-        inst = QuboInstance(
-            matrix_R=R,
-            vector_r=np.array([2.0, 3.0, -1.0, 0.0]),
-            lambda_r=1.0,
-            lambda_c=1.0,
-            source_n=2,
-        )
+        inst = QuboInstance(matrix_R=R, vector_r=np.array([2.0, 3.0, -1.0, 0.0]))
         folded = fold_diagonal(inst)
         assert np.array_equal(folded.matrix_R, inst.matrix_R)
         assert np.array_equal(folded.vector_r, inst.vector_r)
@@ -77,13 +71,7 @@ class TestToIsing:
             to_ising(inst)
 
     def test_zero_maps_to_zero(self):
-        inst = QuboInstance(
-            matrix_R=np.zeros((4, 4)),
-            vector_r=np.zeros(4),
-            lambda_r=1.0,
-            lambda_c=1.0,
-            source_n=2,
-        )
+        inst = QuboInstance(matrix_R=np.zeros((4, 4)), vector_r=np.zeros(4))
         ising = to_ising(inst)
         assert np.array_equal(ising.matrix_Q, np.zeros((4, 4)))
         assert np.array_equal(ising.vector_q, np.zeros(4))
@@ -111,13 +99,7 @@ class TestToIsing:
 class TestToHopfield:
     def test_zero_maps_to_zero(self):
         ising = to_ising(
-            QuboInstance(
-                matrix_R=np.zeros((4, 4)),
-                vector_r=np.zeros(4),
-                lambda_r=1.0,
-                lambda_c=1.0,
-                source_n=2,
-            )
+            QuboInstance(matrix_R=np.zeros((4, 4)), vector_r=np.zeros(4))
         )
         network = to_hopfield(ising)
         assert np.array_equal(network.weights_W, np.zeros((4, 4)))

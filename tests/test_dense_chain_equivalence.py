@@ -324,10 +324,7 @@ class TestInPlaceMatrices:
         R = A + A.T
         R[rnd.random(R.shape) < 0.3] = 0.0
         R = np.triu(R) + np.triu(R, 1).T
-        instance = QuboInstance(
-            matrix_R=R, vector_r=rnd.normal(size=n * n), lambda_r=1.0, lambda_c=1.0,
-            source_n=n,
-        )
+        instance = QuboInstance(matrix_R=R, vector_r=rnd.normal(size=n * n))
         folded = fold_diagonal(instance)
         assert bits(folded.matrix_R) == bits(R - np.diag(np.diag(R)))
         assert bits(folded.vector_r) == bits(instance.vector_r + np.diag(R))

@@ -10,7 +10,6 @@ from qperm import (
     IndexOutOfRange,
     InvalidSize,
     MaxStepsExceeded,
-    SolverConfig,
     ValueVector,
     apply_permutation,
     ascending_program,
@@ -21,6 +20,7 @@ from qperm import (
     energy,
     flip_gain,
     heap_program,
+    solve,
     vectorize,
 )
 from qperm import hopfield
@@ -173,6 +173,11 @@ class TestGainBookkeeping:
             flip_gain(network, s, 6)
         with pytest.raises(IndexOutOfRange):
             flip_gain(network, s, -1)
+        # 2.5 once gave the gain of coordinate 2, and True that of coordinate 1
+        for bad in (2.5, "1", True):
+            with pytest.raises(InvalidSize):
+                flip_gain(network, s, bad)
+        assert flip_gain(network, s, np.int64(2)) == flip_gain(network, s, 2.0)
 
 
 class TestDescent:
@@ -193,7 +198,7 @@ class TestDescent:
     def test_max_steps_budget_enforced(self):
         x = ValueVector(ref.INPUT_X)
         with pytest.raises(MaxStepsExceeded):
-            run_pipeline(x, ascending_program(7), SolverConfig(max_steps=2))
+            run_pipeline(x, ascending_program(7), max_steps=2)
 
     def test_energy_overflow_is_named(self):
         """Penalty weights of 3e306 carry the start energy to -inf; the trace
@@ -212,19 +217,23 @@ class TestDescent:
 
     def test_config_validation(self):
         with pytest.raises(DomainError):
-            SolverConfig(max_steps=-5)
+            solve(small_network(2), max_steps=-5)
 
     @pytest.mark.parametrize("bad", [2.9, "3", True, np.True_])
     def test_max_steps_is_never_truncated_or_parsed(self, bad):
         """2.9 once ran with a budget of 2, "3" was parsed as 3 and True read as 1."""
         with pytest.raises(InvalidSize):
-            SolverConfig(max_steps=bad)
+            solve(small_network(2), max_steps=bad)
 
     def test_integral_max_steps_is_kept_as_an_int(self):
-        config = SolverConfig(max_steps=3.0)
-        assert config.max_steps == 3 and type(config.max_steps) is int
         x = ValueVector(ref.INPUT_X)
-        _, trace, _ = run_pipeline(x, ascending_program(7), SolverConfig(max_steps=np.int64(7)))
+        messages = []
+        for budget in (3, 3.0):
+            with pytest.raises(MaxStepsExceeded) as exc:
+                run_pipeline(x, ascending_program(7), max_steps=budget)
+            messages.append(str(exc.value))
+        assert messages == ["no stable state within 3 flips"] * 2
+        _, trace, _ = run_pipeline(x, ascending_program(7), max_steps=np.int64(7))
         assert trace.flips == 7
 
 

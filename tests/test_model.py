@@ -13,6 +13,7 @@ from qperm import (
     HopfieldInstance,
     IsingInstance,
     OrderProgram,
+    PenaltyMatrix,
     PermutationMatrix,
     QuboInstance,
     SolverTrace,
@@ -45,6 +46,11 @@ class TestValueVector:
         x = ValueVector(np.array([2.0, 0.0, 3.0, 1.0]) + 1e15)
         assert x.normalized_entries.tolist() == [2 / 6, 0.0, 3 / 6, 1 / 6]
         assert ValueVector([-4.0, -1.0]).normalized_entries.tolist() == [0.0, 1.0]
+
+    def test_normalized_entries_are_not_an_argument(self):
+        # derived from the entries; given entries would be ignored
+        with pytest.raises(TypeError):
+            ValueVector([1.0, 2.0], normalized_entries=[9.0, 9.0])
 
     @pytest.mark.parametrize("value", [0.0, -3.5, 1e12])
     def test_constant_vector_normalizes_to_zeros(self, value):
@@ -228,44 +234,26 @@ class TestPermutationMatrix:
         with pytest.raises(NotAPermutation):
             PermutationMatrix(np.ones((2, 2)))
 
+    def test_mapping_is_not_an_argument(self):
+        # derived from the matrix; a given mapping would be ignored
+        with pytest.raises(TypeError):
+            PermutationMatrix(np.eye(2), as_mapping=(1, 0))
+
 
 class TestInstanceValidation:
     def test_qubo_requires_symmetry(self):
         R = np.zeros((4, 4))
         R[0, 1] = 1.0
         with pytest.raises(DomainError):
-            QuboInstance(
-                matrix_R=R,
-                vector_r=np.zeros(4),
-                lambda_r=1.0,
-                lambda_c=1.0,
-                source_n=2,
-            )
+            QuboInstance(matrix_R=R, vector_r=np.zeros(4))
 
     def test_qubo_requires_square_dimension(self):
         with pytest.raises(DimensionMismatch):
-            QuboInstance(
-                matrix_R=np.zeros((2, 2)),
-                vector_r=np.zeros(2),
-                lambda_r=1.0,
-                lambda_c=1.0,
-                source_n=1,
-            )
+            QuboInstance(matrix_R=np.zeros((2, 2)), vector_r=np.zeros(2))
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_qubo_penalty_weights_must_be_finite(self, bad):
-        for weights in ({"lambda_r": bad, "lambda_c": 1.0}, {"lambda_r": 1.0, "lambda_c": bad}):
-            with pytest.raises(DomainError):
-                QuboInstance(matrix_R=np.zeros((4, 4)), vector_r=np.zeros(4), source_n=2, **weights)
-
-    @pytest.mark.parametrize("bad", [2.5, "2", None, np.inf])
-    def test_qubo_source_n_must_be_an_integer(self, bad):
-        # never truncated: int(2.5) would give a matching 2
-        with pytest.raises(InvalidSize):
-            QuboInstance(
-                matrix_R=np.zeros((4, 4)), vector_r=np.zeros(4), lambda_r=1.0, lambda_c=1.0,
-                source_n=bad,
-            )
+    def test_qubo_n_is_the_root_of_its_dimension(self):
+        assert QuboInstance(matrix_R=np.zeros((9, 9)), vector_r=np.zeros(9)).n == 3
+        assert QuboInstance(matrix_R=PenaltyMatrix(4, 1.0, 1.0, 2.0), vector_r=np.zeros(16)).n == 4
 
     def test_ising_requires_zero_diagonal(self):
         with pytest.raises(NonZeroDiagonal):
@@ -341,9 +329,7 @@ FROZEN_TYPES = {
         ("entries", "normalized_entries"),
     ),
     "QuboInstance": (
-        lambda a: QuboInstance(
-            matrix_R=a[0], vector_r=a[1], lambda_r=1.0, lambda_c=1.0, source_n=2
-        ),
+        lambda a: QuboInstance(matrix_R=a[0], vector_r=a[1]),
         lambda: [symmetric(4), np.arange(4.0)],
         ("matrix_R", "vector_r"),
     ),
@@ -440,7 +426,7 @@ class TestSymmetryCheck:
         r = np.zeros(n * n)
 
         def make(M):
-            return QuboInstance(matrix_R=M, vector_r=r, lambda_r=1.0, lambda_c=1.0, source_n=n)
+            return QuboInstance(matrix_R=M, vector_r=r)
 
         make(R)
         for i, j in [(143, 130), (130, 143), (140, 5), (5, 140), (64, 143)]:
@@ -476,4 +462,4 @@ class TestNonFiniteData:
         R = symmetric(4)
         R[0, 0] = np.nan
         with pytest.raises(DomainError):
-            QuboInstance(matrix_R=R, vector_r=np.zeros(4), lambda_r=1.0, lambda_c=1.0, source_n=2)
+            QuboInstance(matrix_R=R, vector_r=np.zeros(4))

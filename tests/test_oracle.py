@@ -136,37 +136,19 @@ class TestSortOptimum:
 
 class TestExhaustiveQuboMin:
     def test_positive_linear_term_keeps_zero(self):
-        inst = QuboInstance(
-            matrix_R=np.zeros((4, 4)),
-            vector_r=np.ones(4),
-            lambda_r=1.0,
-            lambda_c=1.0,
-            source_n=2,
-        )
+        inst = QuboInstance(matrix_R=np.zeros((4, 4)), vector_r=np.ones(4))
         z, value = exhaustive_qubo_min(inst)
         assert z.tolist() == [0, 0, 0, 0]
         assert value == 0.0
 
     def test_negative_linear_term_fills_ones(self):
-        inst = QuboInstance(
-            matrix_R=np.zeros((4, 4)),
-            vector_r=-np.ones(4),
-            lambda_r=1.0,
-            lambda_c=1.0,
-            source_n=2,
-        )
+        inst = QuboInstance(matrix_R=np.zeros((4, 4)), vector_r=-np.ones(4))
         z, value = exhaustive_qubo_min(inst)
         assert z.tolist() == [1, 1, 1, 1]
         assert value == -4.0
 
     def test_tie_breaks_to_smallest_encoding(self):
-        inst = QuboInstance(
-            matrix_R=np.zeros((4, 4)),
-            vector_r=np.zeros(4),
-            lambda_r=1.0,
-            lambda_c=1.0,
-            source_n=2,
-        )
+        inst = QuboInstance(matrix_R=np.zeros((4, 4)), vector_r=np.zeros(4))
         z, value = exhaustive_qubo_min(inst)
         assert z.tolist() == [0, 0, 0, 0]
         assert value == 0.0
@@ -188,13 +170,7 @@ class TestExhaustiveQuboMin:
         assert value == pytest.approx(qubo_objective(inst, vectorize(zp.matrix)))
 
     def test_size_guard(self):
-        inst = QuboInstance(
-            matrix_R=np.zeros((25, 25)),
-            vector_r=np.zeros(25),
-            lambda_r=1.0,
-            lambda_c=1.0,
-            source_n=5,
-        )
+        inst = QuboInstance(matrix_R=np.zeros((25, 25)), vector_r=np.zeros(25))
         with pytest.raises(SizeBudgetExceeded):
             exhaustive_qubo_min(inst)
 

@@ -216,9 +216,9 @@ class TestPenaltyMatrix:
 
     def test_instances_take_it_in_place_of_a_dense_matrix(self):
         M = PenaltyMatrix(2, 1.0, 1.0, 2.0)
-        assert QuboInstance(M, np.zeros(4), 1.0, 1.0, 2).matrix_R is M
+        assert QuboInstance(M, np.zeros(4)).matrix_R is M
         with pytest.raises(DimensionMismatch):
-            QuboInstance(M, np.zeros(9), 1.0, 1.0, 3)
+            QuboInstance(M, np.zeros(9))
         with pytest.raises(NonZeroDiagonal):
             IsingInstance(M, np.zeros(4))
         with pytest.raises(DomainError):
@@ -319,7 +319,7 @@ class TestPenaltyMatrix:
         r = np.random.default_rng(n).normal(size=n * n) if data is None else np.array(
             data.draw(st.lists(st.floats(-1e300, 1e300), min_size=n * n, max_size=n * n))
         )
-        instance = QuboInstance(folded, r, 1.0, 1.0, n)
+        instance = QuboInstance(folded, r)
         with np.errstate(over="ignore", invalid="ignore"):
             expected = 0.5 * (folded @ ones) + 0.5 * r
         if np.isfinite(expected).all():
@@ -377,9 +377,9 @@ class TestIntegerWeightsBitForBit:
     @given(builder_instances(integer_lambda=True))
     @settings(max_examples=100, deadline=None)
     def test_every_stage_materializes_as_the_dense_stage(self, instance):
-        n = instance.source_n
+        n, R = instance.n, instance.matrix_R
         Cr, Cc = build_Cr(n), build_Cc(n)
-        kronecker = instance.lambda_r * (Cr.T @ Cr) + instance.lambda_c * (Cc.T @ Cc)
+        kronecker = R.same_row * (Cr.T @ Cr) + R.same_col * (Cc.T @ Cc)
         assert bits(instance.matrix_R) == bits(kronecker)
         structured = chain(instance)
         dense = chain(dense_qubo(instance))
@@ -403,7 +403,7 @@ class TestIntegerWeightsBitForBit:
     def test_one_cell_zero_energy_is_the_dense_one(self, start):
         """Here theta = 0, so the energy is 0; exact-field descent once gave
         -0.0 from the all-inactive start where the dense descent gives +0.0."""
-        instance = QuboInstance(PenaltyMatrix(1, 1.0, 1.0, 2.0), [-2.0], 1.0, 1.0, 1)
+        instance = QuboInstance(PenaltyMatrix(1, 1.0, 1.0, 2.0), [-2.0])
         network = chain(instance)[2]
         assert network.weights_W.exact_fields()
         trace = assert_bitwise_same_descent(network, np.array([start], dtype=np.int8))
