@@ -58,7 +58,7 @@ import dataclasses
 import functools
 import json
 import sys
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -94,13 +94,16 @@ _PROGRAMS = {
 }
 
 
-def render_trace(trace: SolverTrace) -> list[str]:
-    """Render each trace row in the documented glyph format."""
-    lines = []
-    for step in trace.steps:
-        glyphs = " ".join("+" if v > 0 else "-" for v in step.state)
-        lines.append(f"{step.index:4d}  {glyphs}  {step.energy:.1f}")
-    return lines
+def render_trace(trace: SolverTrace) -> Iterator[str]:
+    """Render the rows of trace.steps in the documented glyph format, one at a
+    time, from start, flipped and energies through one buffer of glyphs."""
+    glyphs = bytearray(" ".join("+" if v > 0 else "-" for v in trace.start.tolist()), "ascii")
+    energies = trace.energies.tolist()
+    yield f"{0:4d}  {glyphs.decode()}  {energies[0]:.1f}"
+    for k, i in enumerate(trace.flipped.tolist(), start=1):
+        glyphs[2 * i] = ord("+") + ord("-") - glyphs[2 * i]  # swap the glyph
+        yield f"{k:4d}  {glyphs.decode()}  {energies[k]:.1f}"
+    yield f"{len(energies):4d}  {glyphs.decode()}  {energies[-1]:.1f}"
 
 
 def main(argv: Optional[list[str]] = None) -> int:

@@ -7,41 +7,36 @@ flip has negative gain.  Because every accepted flip strictly lowers the
 energy, no state repeats and termination is guaranteed; the step budget
 is a safety net for hand-crafted instances.
 
-Descent keeps the field h = W s and the gains it implies, exact or
-fresh.  When the weights are a PenaltyMatrix with exact fields (what the
-conversions make of build_qubo's penalty with short dyadic weights,
-integers among them, such as the default lambda = n;
-PenaltyMatrix.exact_fields says when, and proves it), h is formed once.
-Viewed as the (n, n) grid of the PenaltyMatrix layout, flipping
-coordinate i adds twice row i of W to the two lines of h that row
-reaches, and the gains of those 2n - 1 cells are computed again, in
-O(n); h stays equal to a fresh W @ s.  Otherwise (a dense W, or weights
-such as lambda = 1.1001 * n) h = W @ s and every gain are formed afresh
-after each flip, O(N) for a PenaltyMatrix and O(N^2) for a dense W.  The
-argmin over all gains is O(N) per flip either way, and descent never
-materializes a PenaltyMatrix, so it needs O(N) memory where a dense
-network holds N^2 weights.
+Flipping s_i changes the energy by 2 s_i (h_i - theta_i), h = W s, as
+W_ii = 0.  Descent keeps half of each gain, which orders the flips as the
+gains do and overflows no sooner.  On a dense W, h = W @ s and every gain
+are formed afresh after each flip, O(N^2).  On a PenaltyMatrix, fields are
+read off counts, as in Hopfield and Tank's permutation networks: on the
+(n, n) grid of the PenaltyMatrix layout, cell (a, b) has the field
+w_r (R_b - s_ab) + w_c (C_a - s_ab), where R_b sums s over grid column b
+(row b of Z) and C_a over grid row a (column a of Z).  PenaltyMatrix @ s
+evaluates that expression, so every field is a fresh W @ s bit for bit at
+any finite weights.  Descent keeps the 2n counts and forms no W @ s: a
+flip at (a, b) recomputes grid row a and grid column b only, in O(n).  A
+line whose other cells are all inactive, as every line is while descent
+from the all-inactive state pairs free rows with free columns, takes two
+numpy calls: its fields add the term w_r (R_b + 1) of each cell to the
+line's w_c (C_a + 1), or the other way round, and descent keeps both
+terms as n-vectors.  The argmin over all gains is O(N) per flip either
+way, and no PenaltyMatrix is materialized.
 
-With exact fields, descent also keeps Q = s^T W s as an integer number
-of steps 2^-k (PenaltyMatrix.field_exponent): formed once by an integer
-sum over the first field, and changed by -4 s_i h_i per flip, with the
-old s_i and h_i, since W_ii = 0.  Q is exact at every size, so an energy
-is -1/2 Q + theta.s, with theta.s the one O(N) product a flip forms.  It
-equals the -1/2 s.h + theta.s of the fresh path bit for bit wherever
-s.h sums exactly, which holds while N S 2^k < 2^53 (S the absolute row
-sum), at lambda = n for every n up to about 8000; beyond, Q is the
-better sum.  Otherwise every energy comes from the fresh h, -1/2 s.h +
-theta.s, save that a dense W forms s @ W afresh, as energy() does.  An
-energy that overflows the float range is left to SolverTrace to name,
-with no numpy warning.  A flip stands only if its energy is strictly
-below the one before it.  A gain that is 0 in exact arithmetic can
-round negative; the flip it picks does not lower the energy, and
-descent undoes it and stops there.  Flip sequences and outcomes are
-thereby exactly those of recomputing W @ s at every step and stopping
-at the first flip that fails to lower that energy.  With integer
-penalty weights the descent on the structured network agrees bit for
-bit in flips, states and energies with the one on its materialized
-form.
+Every energy, in the trace and from energy(), is E(s) correctly rounded,
+the same on any BLAS and on either form of W.  2 E(s) is kept as an
+integer count of 2^u, u at or below the last significand bit of every
+entry of theta and W: theta.s is summed exactly once (_dyadic) and moves
+by 2 s_i theta_i per flip; s^T W s is w_r sum_b (R_b^2 - n) + w_c sum_a
+(C_a^2 - n) on a PenaltyMatrix, and on a dense W an exact sum that moves
+by 4 s_i (W s)_i per flip, that row summed exactly.  One int / int
+division, which Python rounds correctly, gives each energy; one beyond
+the float range is an infinity, which SolverTrace names.  A flip stands
+only if its energy is strictly below the one before it: a gain that is 0
+in exact arithmetic can round negative, and a true decrease can be below
+half an ulp of the energy, and descent undoes such a flip and stops.
 
 solve always starts from the all-inactive state.  The trace it returns
 holds that start, the coordinate of every accepted flip and the energy
@@ -78,9 +73,11 @@ from .model import HopfieldInstance, PenaltyMatrix, SolverTrace, _all_in, _integ
 
 
 def energy(instance: HopfieldInstance, s) -> float:
-    """Evaluate -1/2 s^T W s + theta^T s at a bipolar state; W dense or a PenaltyMatrix."""
+    """-1/2 s^T W s + theta^T s at a bipolar state, correctly rounded, as descent records it."""
     sv = _check_state(instance, s)
-    return float(-0.5 * (sv @ instance.weights_W @ sv) + instance.bias_theta @ sv)
+    W = instance.weights_W
+    descent = _counts if isinstance(W, PenaltyMatrix) else _dense
+    return next(descent(W, instance.bias_theta, sv, np.empty(sv.size)))
 
 
 def flip_gain(instance: HopfieldInstance, s, i: int) -> float:
@@ -136,71 +133,30 @@ def solve(
 def _descend(
     instance: HopfieldInstance, start: np.ndarray, budget: int
 ) -> tuple[np.ndarray, SolverTrace]:
-    """Descend from start; the returned SolverTrace checks that start is bipolar."""
+    """Descend from a bipolar start."""
+    if not _all_in(start, (-1, 1)):
+        raise DomainError("the start state must be a bipolar vector")
     W = instance.weights_W
     theta = instance.bias_theta
-    k = W.field_exponent() if isinstance(W, PenaltyMatrix) else None
     s = start.astype(float)
-    two_s = 2.0 * s
     flipped: list[int] = []
-    # An overflowing product leaves an energy SolverTrace names, not a warning.
+    # An overflowing field or gain is left to the energies, whose overflow
+    # SolverTrace names, with no numpy warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        h = W @ s
-        gains = two_s * (h - theta)
-        if k is None:
-            energies = [_energy(W, theta, s, h)]
-        else:
-            # Exact fields: Q = s^T W s in steps of 2^-k, an integer.  Each
-            # field is below 2^51 steps, so a block of 2^12 sums below 2^63;
-            # blocks also keep the temporaries small.
-            n = W.n
-            Q = 0
-            for j in range(0, n * n, 2**12):
-                block = np.ldexp(h[j : j + 2**12] * s[j : j + 2**12], k)
-                Q += int(block.astype(np.int64).sum())
-            # Halving -Q rounds as negating half of Q does, but Q = 0 gives
-            # +0.0, as -1/2 s.h does on a one-cell network's fresh field.
-            energies = [0.5 * math.ldexp(-Q, -k) + float(theta.dot(s))]
-            H, G, T, S2 = (v.reshape(n, n) for v in (h, gains, theta, two_s))
-            # A flip to s[i] = -1 or +1 adds -2 or +2 times same_col and
-            # same_row; 0-d arrays spare the in-place adds a scalar conversion.
-            updates = tuple(
-                (np.array(f * W.same_col), np.array(f * W.same_row)) for f in (-2.0, 2.0)
-            )
+        half = np.empty(s.size)  # half the gain of each flip
+        descent = (_counts if isinstance(W, PenaltyMatrix) else _dense)(W, theta, s, half)
+        energies = [next(descent)]
         while True:
-            i = int(gains.argmin())  # ties: lowest index
-            if gains[i] >= 0.0:
+            i = int(half.argmin())  # ties: lowest index
+            gain = half.item(i)
+            if gain >= 0.0:
                 break
+            if gain <= -(2.0**1023):  # doubled, such gains are -inf and tie
+                i = int((half <= -(2.0**1023)).argmax())
             if len(flipped) >= budget:
                 raise MaxStepsExceeded(f"no stable state within {budget} flips")
-            s[i] = -s[i]
-            two_s[i] = -two_s[i]
-            if k is None:
-                h = W @ s
-                gains = two_s * (h - theta)
-                e = _energy(W, theta, s, h)
-            else:
-                # Flipping s[i], i = a*n + b, adds 2 s[i] times row i to the
-                # field, on G[a] and G[:, b] (see PenaltyMatrix), and only
-                # there are gains computed again.  W_ii = 0 keeps the
-                # crossing's field h_i, and Q gains 4 s[i] h_i.
-                factor = two_s.item(i)
-                a, b = divmod(i, n)
-                crossing = h.item(i)
-                Q += int(math.ldexp(factor * crossing, k + 1))
-                col_step, row_step = updates[factor > 0.0]
-                column, row = H[a], H[:, b]
-                column += col_step
-                row += row_step
-                h[i] = crossing
-                out = G[a]
-                np.subtract(column, T[a], out=out)
-                out *= S2[a]
-                out = G[:, b]
-                np.subtract(row, T[:, b], out=out)
-                out *= S2[:, b]
-                e = 0.5 * math.ldexp(-Q, -k) + float(theta.dot(s))
-            if not e < energies[-1]:  # a gain that is 0 in exact arithmetic rounded negative
+            e = descent.send(i)
+            if not e < energies[-1]:  # a rounded gain or energy shows no decrease
                 s[i] = -s[i]
                 break
             flipped.append(i)
@@ -208,14 +164,105 @@ def _descend(
     return s.astype(np.int8), SolverTrace(start, flipped, energies)
 
 
-def _energy(W, theta: np.ndarray, s: np.ndarray, h: np.ndarray) -> float:
-    """-1/2 s^T W s + theta^T s, given h = W @ s.
+def _counts(W: PenaltyMatrix, theta: np.ndarray, s: np.ndarray, half: np.ndarray):
+    """Descent on a PenaltyMatrix: fills half and yields E(s), then, sent each
+    coordinate i, flips s_i, brings half up to date and yields the energy
+    after the flip.  The first value is energy()'s."""
+    n, w_r, w_c = W.n, W.same_row, W.same_col
+    S, G, T = s.reshape(n, n), half.reshape(n, n), theta.reshape(n, n)
+    R, C = S.sum(axis=0), S.sum(axis=1)
+    np.multiply(S, w_r * (R - S) + w_c * (C[:, None] - S) - T, G)
+    # 2^u divides both weights: their denominators are powers of two.
+    dot, u = _dyadic(theta * s, 1 - max(w.as_integer_ratio()[1] for w in (w_r, w_c)).bit_length())
+    units_r, units_c = _scaled(w_r, u), _scaled(w_c, u)
+    # s^T W s = w_r sum_b (R_b^2 - n) + w_c sum_a (C_a^2 - n), as W_ii = 0
+    twice = 2 * dot - units_r * (int(R @ R) - n * n) - units_c * (int(C @ C) - n * n)
+    i = yield _rounded(twice, u - 1)
 
-    On a PenaltyMatrix s @ W is W @ s bit for bit, so h serves; a dense W
-    forms s @ W afresh, as energy() does.
+    GT, TT, ST = G.T, T.T, S.T
+    # The two terms of the field of an inactive cell (a, b), by b and by a.
+    row_terms, col_terms = w_r * (R + 1.0), w_c * (C + 1.0)
+    line, term = np.empty(n), np.empty(())  # 0-d: no scalar conversion per call
+    while True:
+        a, b = divmod(i, n)
+        s[i] = d = -s.item(i)
+        r, c = R.item(b) + 2.0 * d, C.item(a) + 2.0 * d
+        # 2E gains 4 d (theta_i - (W s)_i), where (W s)_i = w_r (r - d) + w_c (c - d).
+        field = units_r * int(r - d) + units_c * int(c - d)
+        twice += 4 * int(d) * (_scaled(theta.item(i), u) - field)
+        gain = half.item(i)
+        R[b], C[a] = r, c
+        row_terms[b] = p = w_r * (r + 1.0)
+        col_terms[a] = q = w_c * (c + 1.0)
+        if c - d == 1 - n:  # grid row a, its other cells all inactive
+            term[()] = q
+            np.add(row_terms, term, line)
+            np.subtract(T[a], line, G[a])
+        else:
+            _line(G[a], T[a], S[a], R, w_r, c, w_c)
+        if r - d == 1 - n:  # grid column b, likewise
+            term[()] = p
+            np.add(col_terms, term, line)
+            np.subtract(TT[b], line, GT[b])
+        else:
+            _line(GT[b], TT[b], ST[b], C, w_c, r, w_r)
+        half[i] = -gain  # W_ii = 0: flipping s_i leaves h_i as it was
+        i = yield _rounded(twice, u - 1)
+
+
+def _line(out, t, states, counts, w, count, v):
+    """Half gains of a line whose sum is count, weight v, crossed by counts, weight w."""
+    h = w * (counts - states) + v * (count - states)
+    np.multiply(states, h - t, out)
+
+
+def _dense(W: np.ndarray, theta: np.ndarray, s: np.ndarray, half: np.ndarray):
+    """As _counts, on a dense W: half is formed afresh after each flip."""
+    np.multiply(s, W @ s - theta, out=half)
+    pairs, u = _dyadic((s[:, None] * W * s).ravel())  # s^T W s
+    dot, v = _dyadic(theta * s, u)
+    twice, u = 2 * dot - (pairs << (u - v)), v
+    i = yield _rounded(twice, u - 1)
+    while True:
+        field, _ = _dyadic(W[i] * s, u)  # (W s)_i exactly, s_i aside as W_ii = 0
+        s[i] = d = -s.item(i)
+        twice += 4 * int(d) * (_scaled(theta.item(i), u) - field)
+        np.multiply(s, W @ s - theta, out=half)
+        i = yield _rounded(twice, u - 1)
+
+
+def _dyadic(values: np.ndarray, u: int = 0) -> tuple[int, int]:
+    """(m, v): the sum of values is m * 2^v exactly, with v the least of u
+    and the exponents of the values' last significand bits.
+
+    np.frexp makes each value a 53-bit fraction times a power of two.  Split
+    in halves of 26 and 27 bits, the fractions of one power sum exactly in
+    float64 (np.bincount) up to 2^26 terms, and Python ints add the sums.
     """
-    sW = h if isinstance(W, PenaltyMatrix) else s @ W
-    return -0.5 * float(sW @ s) + float(theta @ s)
+    fractions, exponents = np.frexp(values)
+    low = int(exponents.min())
+    powers = exponents - low
+    scaled = np.ldexp(fractions, 26)
+    high = np.trunc(scaled)
+    rest = scaled - high  # 27 bits below the point
+    high, rest = (np.bincount(powers, weights=x).tolist() for x in (high, rest))
+    m = sum((int(h) << 27) + int(r * 2**27) << k for k, (h, r) in enumerate(zip(high, rest)))
+    v = min(u, low - 53)
+    return m << (low - 53 - v), v
+
+
+def _scaled(x: float, u: int) -> int:
+    """x / 2^u, for 2^u <= 1 that divides x."""
+    numerator, denominator = x.as_integer_ratio()
+    return numerator << (1 - denominator.bit_length() - u)
+
+
+def _rounded(m: int, u: int) -> float:
+    """m * 2^u correctly rounded, for u <= 0; beyond the float range, an infinity."""
+    try:
+        return m / (1 << -u)
+    except OverflowError:
+        return math.inf if m > 0 else -math.inf
 
 
 def _check_state(instance: HopfieldInstance, s) -> np.ndarray:

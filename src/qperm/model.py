@@ -17,10 +17,10 @@ build_qubo produces one and every conversion keeps it; np.asarray
 materializes it as the dense matrix the same stage builds from a dense
 input.  It answers the few ndarray calls the pipeline makes of its
 matrices (products, rows and the diagonal) in the ndarray's spelling,
-so only constructing a matrix asks which form it is, along
-with to_ising, which takes its one row sum, and descent, which asks
-exact_fields whether its row updates round at all and, where they do
-not, updates its field on the (n, n) grid of the PenaltyMatrix layout.
+so only constructing a matrix asks which form it is, along with
+to_ising, which takes its one row sum, and descent, which reads its
+fields off the row and column counts of the (n, n) grid of the
+PenaltyMatrix layout.
 
 Conventions fixed here once and relied on everywhere:
 
@@ -38,7 +38,7 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -79,10 +79,10 @@ class PenaltyMatrix:
     Row i has only 2n - 1 nonzeros: viewed as the (n, n) grid G[a, b] =
     v[a*n + b], it reaches G[a], the cells of column a of Z, with
     same_col, and G[:, b], those of row b, with same_row, the two
-    crossing at i.  Descent updates its field there, in O(n) per flip;
-    exact_fields says, in O(1), whether products with bipolar vectors
-    and such row updates are exact, and field_exponent gives their
-    step.  row_sum is the one number every row sums to.
+    crossing at i.  M @ v forms each entry from the sums of v over those
+    two lines, and descent, which keeps the sums of a bipolar state, forms
+    the same expression there, in O(n) per flip.  row_sum is the one
+    number every row sums to.
     """
 
     n: int
@@ -143,60 +143,6 @@ class PenaltyMatrix:
 
     def diagonal(self) -> np.ndarray:
         return np.full(self.n * self.n, self.self_coupling)
-
-    def exact_fields(self) -> bool:
-        """Whether M @ s and descent's row updates are exact for bipolar s, in O(1).
-
-        Every finite float is a fraction whose denominator is a power of
-        two.  Let 2^k be the largest denominator of the entries of M, so
-        each is an integer multiple of 2^-k, and S the absolute row sum
-        |self_coupling| + (n - 1)(|same_row| + |same_col|), the same for
-        every row.  When 4 * S * 2^k < 2^53 the fields are exact:
-
-        * M @ s multiplies each coefficient by an integer of magnitude
-          below n (a row or column sum of s, less the cell) and adds
-          three such products.  Each product and partial sum is a
-          multiple of 2^-k no larger than S in magnitude, so it fits in
-          the 53-bit significand and is computed without rounding.
-        * Flipping s[i], i = a*n + b, changes the field by 2 * s[i] (its
-          new sign) times row i: same_col added on G[a], same_row on
-          G[:, b], in the grid of the class docstring.  Each sum that
-          forms, a field of magnitude at most S plus twice a
-          coefficient, is a multiple of 2^-k below 3 * S, and where it
-          is left it is the field of the flipped state, exactly.  The
-          crossing cell, which takes both additions, is written back
-          with the field it had: descent runs on networks, whose
-          self_coupling is 0, so flipping s[i] leaves h[i] as it was.
-        * At n = 1, M is [[self_coupling]].  M @ s multiplies same_row
-          and same_col by 0, and the row update writes the crossing
-          cell back, so 2^k comes from self_coupling alone and S need
-          not bound same_row or same_col.
-
-        So a field kept by row updates equals a fresh M @ s in value, bit
-        for bit but for the sign of an exact 0: x + (-x) rounds to +0.0
-        where the product can give -0.0, and no comparison tells the two
-        apart.  Integer and dyadic weights such as build_qubo's default
-        lambda = n qualify up to n in the millions; weights like 0.7 or
-        1.1001 * n, whose step is about 2^-52 of their size, do not.  The
-        test runs in integers, from float.as_integer_ratio, since 2^k and S
-        can exceed the float range.
-        """
-        return self.field_exponent() is not None
-
-    def field_exponent(self) -> Optional[int]:
-        """The k of exact_fields' step 2^-k, or None when fields are not exact.
-
-        Every field, and s^T M s for bipolar s, is then an integer
-        multiple of 2^-k, each field below 2^51 such steps in magnitude.
-        """
-        coefficients = (self.self_coupling, self.same_row, self.same_col)
-        # The entries of M: at n = 1, self_coupling alone.
-        ratios = [c.as_integer_ratio() for c in coefficients[: 1 if self.n == 1 else 3]]
-        step = max(q for _, q in ratios)  # 2^k
-        diagonal, *pair = (abs(p) * (step // q) for p, q in ratios)  # each times 2^k
-        if 4 * (diagonal + (self.n - 1) * sum(pair)) < 2**53:  # 4 * S * 2^k
-            return step.bit_length() - 1
-        return None
 
     def row_sum(self) -> float:
         """The sum of every row, M @ 1 entry by entry, bit for bit, in O(1).
@@ -592,7 +538,7 @@ class SolverTrace:
             raise DomainError(
                 "trace energies must be finite: the energy overflows the float range"
             )
-        if not (np.diff(energies) < 0.0).all():
+        if not (energies[1:] < energies[:-1]).all():  # no difference to overflow
             raise DomainError("trace energies must strictly decrease")
         object.__setattr__(self, "start", start)
         object.__setattr__(self, "flipped", flipped)

@@ -3,6 +3,7 @@ import os
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from qperm import (
     BuilderConfig,
     DomainError,
     PenaltyMatrix,
+    SolverTrace,
     ValueVector,
     ascending_program,
     bst_program,
@@ -275,6 +277,24 @@ class TestSolveCommand:
         assert main(["solve", str(qubo), "--trace"]) == 0
         out_lines = capsys.readouterr().out.splitlines()
         assert out_lines[:9] == expected_trace_lines(kind)
+
+    def test_trace_is_rendered_one_state_at_a_time(self, tmp_path, capsys):
+        """solve --trace prints the rows of trace.steps, rendered from start,
+        flipped and energies through one state buffer: steps, which holds a
+        copy of every state, is never read."""
+        values = np.random.default_rng(5).uniform(0.0, 2000.0, size=6).tolist()
+        qubo = build_file(tmp_path, values, "ascending", "--no-normalize")
+        trace, _ = cli._descend(cli._read_qubo(qubo)[0], None)
+        expected = [
+            f"{row.index:4d}  {' '.join('+' if v > 0 else '-' for v in row.state)}  {row.energy:.1f}"
+            for row in trace.steps
+        ]
+        assert trace.flips > 6  # rewards this large outweigh the penalty
+        steps = mock.PropertyMock(side_effect=AssertionError("trace.steps read"))
+        with mock.patch.object(SolverTrace, "steps", new=steps):
+            assert list(render_trace(trace)) == expected
+            assert main(["solve", qubo, "--trace"]) == cli.EXIT_INFEASIBLE
+        assert capsys.readouterr().out.splitlines()[: len(expected)] == expected
 
     def test_report_lines(self, reference_files, capsys):
         x_path, program_path, tmp_path = reference_files
@@ -554,7 +574,8 @@ class TestQuboFileFormat:
         x = ValueVector(values)
         trace, state_z = cli._descend(build_qubo(x, make_program(kind, 6), config), None)
         mapping = decode_permutation(state_z).as_mapping
-        expected = render_trace(trace) + [
+        expected = [
+            *render_trace(trace),
             "permutation: " + " ".join(map(str, mapping)),
             "values: " + " ".join(f"{v:g}" for v in x.entries[list(mapping)]),
             f"flips: {trace.flips}",

@@ -2,15 +2,17 @@
 
 build_qubo writes R in place and r from an outer product, and
 fold_diagonal zeroes the diagonal of a copy.  These tests hold each of them
-to the product form it replaced.  Descent on a dense W is itself the
-product form: _descend_two_products, the earlier descent with its loop
-copied verbatim, recomputes W @ s and the energy from scratch at every
-step, as the current one does on a dense W; it appends each row it builds
-to a list the caller holds, and packages them as a SolverTrace only on
-return.  Builder networks enter these tests materialized, so that they
-take the dense descent.  The two agree in every flip and every energy bit,
-except that the current descent stops before a flip that fails to lower
-the energy.
+to the product form it replaced.  Descent is held to the product form too:
+_descend_two_products, the earlier descent with its loop copied verbatim,
+recomputes W @ s and the energy from scratch at every step; it appends
+each row it builds to a list the caller holds, and packages them as a
+SolverTrace only on return.  It runs on dense networks and on builder
+networks in both forms, a PenaltyMatrix and its materialization, whose
+products it forms as the current descent's fields are formed.  The two
+descents agree in every flip and state, except that the current one stops
+before a flip whose correctly rounded energy fails to fall.  Its energies
+are float(Fraction(E(s))) at every state, where the earlier descent's
+products could miss by a few ulp.
 """
 
 from unittest import mock
@@ -26,6 +28,7 @@ from qperm import (
     HopfieldInstance,
     MaxStepsExceeded,
     OrderProgram,
+    PenaltyMatrix,
     QuboInstance,
     SolverTrace,
     TraceStep,
@@ -43,6 +46,7 @@ from qperm import hopfield
 
 from .conftest import (
     dense_qubo,
+    fraction_energies,
     make_program,
     materialized,
     paper_faithful,
@@ -91,56 +95,50 @@ def hexes(energies) -> list[str]:
     return [float(e).hex() for e in energies]
 
 
-def assert_same_descent(new, old):
-    (state, trace), (old_state, old_trace) = new, old
-    assert trace.flipped.tolist() == old_trace.flipped.tolist()
-    assert np.array_equal(state, old_state)
-    assert hexes(trace.energies) == hexes(old_trace.energies)
-
-
 def compare_descents(network, start, budget=None):
-    """The current descent is the earlier one, stopped before a flip that fails
-    to lower the energy.
+    """The current descent takes the earlier one's flips and stops before the
+    first flip whose correctly rounded energy fails to fall; its energies are
+    float(Fraction(E(s))).
 
     The earlier descent takes a flip whose true gain is 0 when that gain rounds
-    negative; if the energies it computes then fail to decrease, its trace raises
-    DomainError.  The current one stops before such a flip and returns the state
-    it had reached as its endpoint.  Runs without such a flip are the same, or both
-    raise MaxStepsExceeded.  Returns the trace of the current descent, or None
-    when it raises.
+    negative, and one whose true decrease is below half an ulp of the energy.
+    Runs without such a flip are the same, or both raise MaxStepsExceeded.
+    Returns the trace of the current descent, or None when it raises.
     """
     N = network.dimension
     budget = N * N if budget is None else budget
     old_steps = []  # every row the earlier descent builds, kept even when it raises
+    exhausted = False
     try:
-        old = _descend_two_products(network, start, budget, old_steps)
-    except (MaxStepsExceeded, DomainError) as exc:
-        old = exc
+        with np.errstate(over="ignore", invalid="ignore"):  # its energies name an overflow
+            _descend_two_products(network, start, budget, old_steps)
+    except MaxStepsExceeded:
+        exhausted = True
+    except DomainError:  # its own energies failed to fall; the states are what count
+        pass
+    states = [step.state for step in old_steps]
+    energies = fraction_energies(network, states)
     rejected = next(
         (
             k
-            for k in range(1, len(old_steps))
-            if old_steps[k].energy >= old_steps[k - 1].energy
-            and not np.array_equal(old_steps[k].state, old_steps[k - 1].state)
+            for k in range(1, len(states))
+            if not energies[k] < energies[k - 1] and not np.array_equal(states[k], states[k - 1])
         ),
         None,
     )
-    if rejected is None:
-        if isinstance(old, Exception):
-            with pytest.raises(type(old)):
-                hopfield._descend(network, start, budget)
-            return None
-        new = hopfield._descend(network, start, budget)
-        assert_same_descent(new, old)
-        return new[1]
+    if rejected is None and exhausted:
+        with pytest.raises(MaxStepsExceeded):
+            hopfield._descend(network, start, budget)
+        return None
+    # Without a rejected flip, the rows are all but the repeated endpoint.
+    kept = len(states) - 1 if rejected is None else rejected
     state, trace = hopfield._descend(network, start, budget)
-    kept = old_steps[:rejected]
-    assert trace.flips == rejected - 1
-    assert len(trace.steps) == rejected + 1
-    for step, old_step in zip(trace.steps, kept):
-        assert np.array_equal(step.state, old_step.state)
-    assert np.array_equal(state, kept[-1].state)
-    assert hexes(trace.energies) == hexes(step.energy for step in kept)
+    assert trace.flips == kept - 1
+    assert len(trace.steps) == kept + 1
+    for step, old_state in zip(trace.steps, states[:kept]):
+        assert np.array_equal(step.state, old_state)
+    assert np.array_equal(state, states[kept - 1])
+    assert hexes(trace.energies) == hexes(energies[:kept])
     return trace
 
 
@@ -169,12 +167,20 @@ def input_values(draw, n):
 
 @st.composite
 def builder_networks(draw, max_n=12):
+    """Builder networks as PenaltyMatrix or materialized, at the default
+    weights, at lambda in {0.7, 1.1001, 3} * n, or at any weights."""
     n = draw(st.integers(1, max_n))
     kind = draw(st.sampled_from(KINDS))
     x = ValueVector(draw(input_values(n)))
+    factor = st.sampled_from((0.7, 1.1001, 3.0)).map(lambda f: f * n)
     config = draw(
         st.one_of(
             st.none(),
+            st.builds(
+                lambda lam, flag: BuilderConfig(lambda_r=lam, lambda_c=lam, normalize=flag),
+                factor,
+                st.booleans(),
+            ),
             st.builds(
                 BuilderConfig,
                 lambda_r=st.floats(0.05, 30.0),
@@ -184,7 +190,8 @@ def builder_networks(draw, max_n=12):
         )
     )
     instance = build_qubo(x, make_program(kind, n), config)
-    return materialized(to_hopfield(to_ising(fold_diagonal(instance))))
+    network = to_hopfield(to_ising(fold_diagonal(instance)))
+    return materialized(network) if draw(st.booleans()) else network
 
 
 @st.composite
@@ -269,14 +276,15 @@ class TestDescentMatchesTwoProducts:
                 [4, 1, 2, 3, 4],
                 False,
             ),
-            # after flipping coordinate 2 the earlier descent takes a zero-gain flip
-            # and its trace rejects it; the current one stops before that flip
-            ([-0.7, 0.2, -0.1], [-0.1, 0.2, -0.7], [-1, 1, -1], [2], True),
+            # after flipping coordinate 2 the earlier descent's energies show no fall
+            # at the next flip and its trace rejects it; the flip lowers E by
+            # 10 * 2^-55, which the correctly rounded energies show, and the current
+            # descent goes on to a stable state two flips further
+            ([-0.7, 0.2, -0.1], [-0.1, 0.2, -0.7], [-1, 1, -1], [2, 1, 0], True),
         ],
     )
     def test_flips_with_gain_near_zero(self, upper, theta, start, flips, earlier_raises):
-        """Energies computed from h alone would pass the strict-decrease check here
-        when the fresh ones fail it, or the other way round."""
+        """Gains near 0, where rounded energies decide whether a flip stands."""
         N = len(theta)
         W = np.zeros((N, N))
         W[np.triu_indices(N, 1)] = upper
@@ -286,6 +294,33 @@ class TestDescentMatchesTwoProducts:
         if earlier_raises:
             with pytest.raises(DomainError):
                 _descend_two_products(network, start, N * N, [])
+
+
+    def test_gains_beyond_the_float_range_tie(self):
+        """Half gains of -1e308 and -1.5e308 double to gains of -inf, which tie,
+        so descent flips the lower index, as the earlier descent does; the
+        energies, 1.5e308 and then -0.5e308, stay in range."""
+        W = np.array([[0.0, -1e308], [-1e308, 0.0]])
+        network = HopfieldInstance(W, np.array([0.0, 0.5e308]))
+        trace = compare_descents(network, np.array([1, 1], dtype=np.int8))
+        assert trace.flipped.tolist() == [0]
+        assert trace.energies.tolist() == [1.5e308, -0.5e308]
+
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    @pytest.mark.parametrize("c", [5e-324, -5e-324, 1e300, -1e300, 1.7e308])
+    def test_penalty_at_the_ends_of_the_float_range(self, n, c):
+        """PenaltyMatrix(n, c, -c/2, 0) with theta of c's size: descent takes the
+        earlier descent's flips with correctly rounded energies, or names an
+        energy beyond the float range."""
+        N = n * n
+        theta = np.random.default_rng(n).uniform(-1.0, 1.0, size=N) * c
+        network = HopfieldInstance(PenaltyMatrix(n, c, -c / 2, 0.0), theta)
+        start = random_start(N, n)
+        try:
+            compare_descents(network, start)
+        except OverflowError:  # float(Fraction(E(s))) is beyond the float range
+            with pytest.raises(DomainError, match="overflows"):
+                hopfield._descend(network, start, N * N)
 
 
 # --- builder and fold -----------------------------------------------------

@@ -26,7 +26,7 @@ from qperm import (
 from qperm import hopfield
 
 from . import reference_run as ref
-from .conftest import make_program, paper_faithful, random_start, run_pipeline
+from .conftest import fraction_energy, make_program, paper_faithful, random_start, run_pipeline
 
 
 def small_network(seed, N=6):
@@ -36,46 +36,6 @@ def small_network(seed, N=6):
     np.fill_diagonal(W, 0.0)
     theta = rnd.normal(size=N)
     return HopfieldInstance(weights_W=W, bias_theta=theta)
-
-
-# The nine energies of the frozen run, bit for bit, as recorded from the
-# descent when its trace still stored every visited state.  A regression
-# pin for the rows that SolverTrace.steps rebuilds, not a hand-checked value.
-RECORDED_ENERGIES = {
-    "ascending": (
-        "-0x1.50bca1af286bcp+9",
-        "-0x1.5888fb823ee08p+9",
-        "-0x1.6034c59d31674p+9",
-        "-0x1.67b5e50d79434p+9",
-        "-0x1.6f00000000000p+9",
-        "-0x1.76286bca1af28p+9",
-        "-0x1.7d33a62ce98b4p+9",
-        "-0x1.842ce98b3a62cp+9",
-        "-0x1.842ce98b3a62cp+9",
-    ),
-    "bst": (
-        "-0x1.50bca1af286bcp+9",
-        "-0x1.5888fb823ee08p+9",
-        "-0x1.6034c59d31674p+9",
-        "-0x1.67b5e50d79434p+9",
-        "-0x1.6f00000000000p+9",
-        "-0x1.76286bca1af28p+9",
-        "-0x1.7d33a62ce98b4p+9",
-        "-0x1.842ce98b3a62cp+9",
-        "-0x1.842ce98b3a62cp+9",
-    ),
-    "heap": (
-        "-0x1.50bca1af286bep+9",
-        "-0x1.5888fb823ee0ap+9",
-        "-0x1.6034c59d31676p+9",
-        "-0x1.67b5e50d79436p+9",
-        "-0x1.6f00000000000p+9",
-        "-0x1.76286bca1af2ap+9",
-        "-0x1.7d33a62ce98b4p+9",
-        "-0x1.842ce98b3a62ep+9",
-        "-0x1.842ce98b3a62ep+9",
-    ),
-}
 
 
 class TestReferenceRun:
@@ -120,7 +80,9 @@ class TestReferenceRun:
         rows = self.trace.steps
         assert [row.index for row in rows] == list(range(9))
         assert all(np.array_equal(row.state, s) for row, s in zip(rows, states, strict=True))
-        assert [row.energy.hex() for row in rows] == list(RECORDED_ENERGIES[self.kind])
+        network = _reference_network(self.instance)
+        expected = [float(fraction_energy(network, s)).hex() for s in states]
+        assert [row.energy.hex() for row in rows] == expected
 
     def test_starts_all_inactive(self):
         assert np.all(self.trace.steps[0].state == -1)

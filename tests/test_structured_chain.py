@@ -6,14 +6,14 @@ stays as the reference: these tests materialize each structured stage with
 np.asarray and run the dense stage on the materialized input.  With integer
 penalty weights every sum of coefficients is exact, so the two agree bit for
 bit, matrices, vectors, flips, states and energies alike.  With any other
-weights they agree within a relative tolerance of 1e-9.
+weights the stages agree within a relative tolerance of 1e-9, and every
+energy on either form is E(s) correctly rounded, float(Fraction(E(s))).
 """
 
 import json
 import os
 import tempfile
 import tracemalloc
-import warnings
 from fractions import Fraction
 from unittest import mock
 
@@ -55,6 +55,8 @@ from qperm.cli import main
 from . import reference_run as ref
 from .conftest import (
     dense_qubo,
+    exact_sum,
+    fraction_energy,
     make_program,
     materialized,
     paper_faithful,
@@ -261,8 +263,8 @@ class TestPenaltyMatrix:
 
 
     def test_descent_never_reads_a_row(self):
-        """The structured descent adds rows on the grid of its field, in O(n),
-        and never builds a dense row of n^2 entries."""
+        """The structured descent reads its fields off row and column counts,
+        in O(n) per flip, and never builds a dense row of n^2 entries."""
         instance = build_qubo(ValueVector(ref.INPUT_X), make_program("heap", 7))
         network = chain(instance)[2]
         with mock.patch.object(PenaltyMatrix, "__getitem__", side_effect=AssertionError("row read")):
@@ -280,28 +282,16 @@ class TestPenaltyMatrix:
     @given(st.integers(1, 8), st.integers(1, 2**20), st.integers(1, 2**20),
            st.integers(0, 20), st.integers(0, 2**32 - 1))
     @settings(max_examples=100, deadline=None)
-    def test_dyadic_weights_give_exact_fields(self, n, m_r, m_c, k, seed):
-        """Integer and dyadic lambda (m / 2^k) make exact fields at every stage:
-        each field is a whole number of field_exponent() steps, below 2^51 of
-        them.  On the network, descent from a random start keeps its field by
-        row updates and s^T W s as an integer, and takes the materialized
-        descent's flips and the energies of a fresh W @ s, bit for bit."""
+    def test_dyadic_weights_descend_bit_for_bit(self, n, m_r, m_c, k, seed):
+        """Dyadic lambda (m / 2^k) keeps every field exact on either form, so
+        descent from a random start takes the materialized descent's flips, and
+        both give every energy as float(Fraction(E(s)))."""
         config = BuilderConfig(lambda_r=m_r / 2**k, lambda_c=m_c / 2**k)
         x = ValueVector(np.random.default_rng(seed).normal(size=n))
-        instance = build_qubo(x, make_program("heap", n), config)
-        folded, ising, network = chain(instance)
-        stages = (instance.matrix_R, folded.matrix_R, ising.matrix_Q, network.weights_W)
-        assert all(M.exact_fields() for M in stages)
-        s = random_start(n * n, seed).astype(float)
-        for M in stages:
-            steps = np.ldexp(M @ s, M.field_exponent())
-            assert np.array_equal(steps, np.trunc(steps)) and np.abs(steps).max() < 2**51
+        network = chain(build_qubo(x, make_program("heap", n), config))[2]
         trace = assert_bitwise_same_descent(network, random_start(n * n, seed))
-        W, theta = network.weights_W, network.bias_theta
         for step in trace.steps:
-            state = step.state.astype(float)
-            fresh = -0.5 * float((W @ state) @ state) + float(theta @ state)
-            assert bits(step.energy) == bits(fresh)
+            assert step.energy == float(fraction_energy(network, step.state))
 
     @given(st.integers(1, 8), coefficients, coefficients, coefficients, st.data())
     @example(2, 1.7e308, 1.7e308, 0.0, None)  # the row sum overflows
@@ -327,48 +317,6 @@ class TestPenaltyMatrix:
         else:
             with np.errstate(over="ignore"), pytest.raises(DomainError, match="vector_q"):
                 to_ising(instance)
-
-    def test_inexact_weights_are_not_exact_fields(self):
-        """At n = 1 the matrix is [[self_coupling]], exact for any weights."""
-        for n in (2, 8, 40):
-            x = ValueVector(np.arange(n, dtype=float))
-            for lam in (0.7, 5.6, 1.1001 * n):
-                config = BuilderConfig(lambda_r=lam, lambda_c=lam)
-                network = chain(build_qubo(x, make_program("ascending", n), config))[2]
-                assert not network.weights_W.exact_fields(), (n, lam)
-
-    @pytest.mark.parametrize("n", [1, 2, 1000])
-    @pytest.mark.parametrize("c", [5e-324, -5e-324, 1e300, -1e300, 1.7e308])
-    def test_exact_fields_at_the_ends_of_the_float_range(self, n, c):
-        """Decided in integers: 2^1074 and 1e300 * 2^k overflow a float."""
-        assert PenaltyMatrix(n, c, c, c).exact_fields() is (abs(c) < 1.0)
-        if n > 1:  # a step of 2^-1074 beside a weight of 1 needs 1074 more bits
-            assert PenaltyMatrix(n, 1.0, c, 0.0).exact_fields() is False
-
-    def test_exact_fields_threshold(self):
-        """4 * S * 2^k < 2^53: with S just above 2, a step of 2^-49 passes and
-        one of 2^-50 does not."""
-        assert PenaltyMatrix(2, 1 + 2.0**-49, 1 + 2.0**-49, 0.0).exact_fields()
-        assert not PenaltyMatrix(2, 1 + 2.0**-50, 1 + 2.0**-50, 0.0).exact_fields()
-        assert PenaltyMatrix(2**20, 2.0, -3.0, 0.0).exact_fields()  # S about 2^22.3
-        assert not PenaltyMatrix(2**49, 2.0, -3.0, 0.0).exact_fields()  # S about 2^51.3
-
-    @given(st.integers(1, 8), coefficients, coefficients, coefficients)
-    @example(1, 1.7e308, 1.7e308, 0.0)  # |same_row| + |same_col| overflows a float
-    @settings(max_examples=80, deadline=None)
-    def test_exact_fields_is_the_row_sum_criterion(self, n, same_row, same_col, self_coupling):
-        """exact_fields() is 4 * S * 2^k < 2^53, with S the largest absolute row
-        sum and 2^k the largest denominator of the dense matrix's entries, both
-        exact; it computes them without a float operation that could warn."""
-        M = PenaltyMatrix(n, same_row, same_col, self_coupling)
-        rows = [[Fraction(w) for w in row] for row in np.asarray(M).tolist()]
-        S = max(sum(abs(w) for w in row) for row in rows)
-        step = max(w.denominator for row in rows for w in row)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            exact = M.exact_fields()
-        assert exact is (4 * S * step < 2**53)
-
 
 # --- stages and descent, integer penalty weights: bit for bit -------------
 
@@ -401,13 +349,13 @@ class TestIntegerWeightsBitForBit:
 
     @pytest.mark.parametrize("start", [-1, 1])
     def test_one_cell_zero_energy_is_the_dense_one(self, start):
-        """Here theta = 0, so the energy is 0; exact-field descent once gave
+        """Here theta = 0, so the energy is 0; structured descent once gave
         -0.0 from the all-inactive start where the dense descent gives +0.0."""
         instance = QuboInstance(PenaltyMatrix(1, 1.0, 1.0, 2.0), [-2.0])
         network = chain(instance)[2]
-        assert network.weights_W.exact_fields()
-        trace = assert_bitwise_same_descent(network, np.array([start], dtype=np.int8))
-        assert trace.energies[0].hex() == "0x0.0p+0"
+        s = np.array([start], dtype=np.int8)
+        trace = assert_bitwise_same_descent(network, s)
+        assert trace.energies[0].hex() == float(fraction_energy(network, s)).hex()
 
     @given(builder_instances(integer_lambda=True, max_n=6), st.integers(0, 2**32 - 1),
            st.integers(0, 4))
@@ -451,6 +399,43 @@ class TestIntegerWeightsBitForBit:
             assert state.tolist() == dense_state.tolist() and value == dense_value
 
 
+# --- every energy correctly rounded -----------------------------------------
+
+
+class TestCorrectlyRoundedEnergies:
+    @given(builder_instances(integer_lambda=False, max_n=6), st.booleans(),
+           st.one_of(st.none(), st.integers(0, 2**32 - 1)))
+    @settings(max_examples=100, deadline=None)
+    def test_every_energy_is_correctly_rounded(self, instance, dense, seed):
+        """Every trace energy and every energy() is float(Fraction(E(s))), on
+        either form, from the all-inactive start or a random one."""
+        network = chain(instance)[2]
+        network = materialized(network) if dense else network
+        N = network.dimension
+        start = np.full(N, -1, dtype=np.int8) if seed is None else random_start(N, seed)
+        try:
+            _, trace = hopfield._descend(network, start, N * N)
+        except MaxStepsExceeded:
+            return
+        for step in trace.steps:
+            exact = float(fraction_energy(network, step.state))
+            assert step.energy == exact and energy(network, step.state) == exact
+
+    @pytest.mark.parametrize("factor", [1.0, 0.7, 1.1001, 3.0])
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_energy_of_the_endpoint_is_the_final_energy(self, factor, normalize):
+        """energy() and the trace agree bit for bit, on a PenaltyMatrix network
+        and on its materialization, which here take the same flips."""
+        n = 12
+        x = ValueVector(np.random.default_rng(n).normal(size=n))
+        config = BuilderConfig(lambda_r=factor * n, lambda_c=factor * n, normalize=normalize)
+        network = chain(build_qubo(x, make_program("heap", n), config))[2]
+        for form in (network, materialized(network)):
+            _, trace = solve(form)
+            assert energy(form, trace.final_state) == trace.final_energy
+            assert trace.final_energy == float(fraction_energy(network, trace.final_state))
+
+
 # --- any positive finite weights: within tolerance -------------------------
 
 
@@ -462,7 +447,7 @@ class TestAnyWeightsWithinTolerance:
         dense = materialized(network)
         state, trace = solve(network)
         for step in trace.steps:
-            assert step.energy == pytest.approx(energy(dense, step.state), rel=1e-9, abs=1e-12)
+            assert step.energy == energy(dense, step.state)
         scale = abs(energy(dense, state))
         gains = [flip_gain(dense, state, i) for i in range(network.dimension)]
         assert min(gains) >= -1e-9 * max(scale, 1.0)
@@ -546,64 +531,71 @@ def fresh_products(network):
     return trace, product.call_count
 
 
-def test_one_product_per_descent_at_n200():
-    """The first W @ s is the only one: the default weights give exact
-    fields, so descent keeps h by row updates."""
+def test_no_product_at_n200():
+    """Descent reads every field off the row and column counts of its state,
+    and forms no W @ s."""
     for kind, network in gaussian_or_paper_networks(200, 200):
         trace, products = fresh_products(network)
-        assert trace.flips == 200 and products == 1, kind
+        assert trace.flips == 200 and products == 0, kind
 
 
-def test_few_products_per_descent_at_n400():
-    """The default weights, lambda = n, are integers, so every field is exact
-    and the first W @ s is the only one."""
+def test_no_product_at_n400():
     for kind, network in gaussian_or_paper_networks(400, 400):
-        assert network.weights_W.exact_fields(), kind
         trace, products = fresh_products(network)
-        assert trace.flips == 400 and products == 1, kind
+        assert trace.flips == 400 and products == 0, kind
 
 
 @pytest.mark.parametrize("kind", ["ascending", "heap"])
 @pytest.mark.parametrize("n", [200, 400])
 def test_exact_energies_at_n200_and_n400(n, kind):
-    """Descent keeps s^T W s as an integer and forms one theta.s per flip;
-    every energy equals the one a fresh W @ s gives, bit for bit, at sizes
-    the dense comparison cannot reach."""
+    """Every energy is float(Fraction(E(s))), at sizes the dense comparison
+    cannot reach: theta.s in Fractions, and s^T W s from the row and column
+    sums R and C of s, w_r sum (R_b^2 - n) + w_c sum (C_a^2 - n), as W has a
+    zero diagonal (test_every_energy_is_correctly_rounded checks the same
+    energies against every entry of W at small n)."""
     x = ValueVector(np.random.default_rng(n).normal(size=n))
     network = chain(build_qubo(x, make_program(kind, n)))[2]
     W, theta = network.weights_W, network.bias_theta
-    assert W.exact_fields()
     _, trace = solve(network)
     assert trace.flips == n
-    for step in trace.steps:
-        s = step.state.astype(float)
-        assert bits(step.energy) == bits(-0.5 * float((W @ s) @ s) + float(theta @ s))
+    state = trace.start.astype(int)
+    dot = exact_sum(theta * state)
+    for k, e in enumerate(trace.energies):
+        if k:
+            i = trace.flipped[k - 1]
+            state[i] = -state[i]
+            dot += 2 * int(state[i]) * Fraction(theta[i])
+        cells = state.reshape(n, n)
+        R, C = cells.sum(axis=0), cells.sum(axis=1)
+        pairs = Fraction(W.same_row) * int(R @ R - n * n)
+        pairs += Fraction(W.same_col) * int(C @ C - n * n)
+        assert e == float(dot - pairs / 2)
 
 
-def test_inexact_weights_form_one_product_per_flip_at_n400():
-    """lambda = 1.1001 * n is not a short dyadic fraction, so row updates
-    would round: descent forms W @ s afresh after every flip, one product
-    per flip and none for the energy."""
+def test_inexact_weights_take_the_same_descent_at_n400():
+    """lambda = 1.1001 * n, no short dyadic fraction, takes the descent of
+    lambda = n, with no W @ s and the same flips."""
     n = 400
     x = ValueVector(np.random.default_rng(n).normal(size=n))
     lam = 1.1001 * n
     config = BuilderConfig(lambda_r=lam, lambda_c=lam)
     network = chain(build_qubo(x, make_program("heap", n), config))[2]
-    assert not network.weights_W.exact_fields()
     trace, products = fresh_products(network)
-    assert trace.flips == n and products == trace.flips + 1
+    assert trace.flips == n and products == 0
+    default = chain(build_qubo(x, make_program("heap", n)))[2]
+    assert trace.flipped.tolist() == solve(default)[1].flipped.tolist()
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("kind", ["ascending", "heap"])
 @pytest.mark.parametrize("n", [1000, 1200])
 def test_gaussian_inputs_at_n1000_and_n1200(n, kind):
-    """N = 10^6 and 1.44 * 10^6: one W @ s per descent, and the order certified."""
+    """N = 10^6 and 1.44 * 10^6: no W @ s, and the order certified."""
     x = ValueVector(np.random.default_rng(n).normal(size=n))
     program = make_program(kind, n)
     network = chain(build_qubo(x, program))[2]
     trace, products = fresh_products(network)
-    assert trace.flips == n and products == 1
+    assert trace.flips == n and products == 0
     z = bipolar_to_binary(trace.final_state)
     assert certify(x, program, z).passed
 
