@@ -7,7 +7,7 @@ single-flip descent, and certify the decoded permutation against the
 exact optimum, which one sort gives.
 """
 
-from .builder import BuilderConfig, build_Cc, build_Cr, build_N, build_qubo, qubo_objective
+from .builder import build_Cc, build_Cr, build_N, build_qubo, qubo_objective
 from .conversions import (
     binary_to_bipolar,
     bipolar_to_binary,
@@ -64,7 +64,6 @@ from .programs import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BuilderConfig",
     "CertificateReport",
     "DimensionMismatch",
     "DomainError",

@@ -21,9 +21,10 @@ lam_r + lam_c), three numbers in place of n^4 entries; np.asarray(R)
 gives the dense matrix above.  Every column of C_r and of C_c holds a
 single 1 and N^T x puts x[a] * ranks[b] at z[a*n + b], so r is the
 outer product of the values and the ranks less one offset,
-2 (lam_r + lam_c): 2n + 1 numbers.  reward_vector forms r from them;
-build_qubo and QUBO files that store those numbers (see cli) both call
-it, so the two give the same r bit for bit.
+2 (lam_r + lam_c), which is twice R's diagonal: 2n + 1 numbers.
+reward_vector forms r from them; build_qubo and QUBO files that store
+those numbers (see cli) both call it, so the two give the same r bit
+for bit.
 
 Both penalty weights default to n, and by default x enters shifted by
 its minimum and L1-normalized (ValueVector.normalized_entries).  The
@@ -37,40 +38,12 @@ scaled by sum(|x|) beforehand.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError, InvalidSize
 from .model import OrderProgram, PenaltyMatrix, QuboInstance, ValueVector, _all_in
-
-
-@dataclass(frozen=True)
-class BuilderConfig:
-    """Penalty weights and the normalization switch for build_qubo."""
-
-    lambda_r: float
-    lambda_c: float
-    normalize: bool = True
-
-    def __post_init__(self):
-        if not (0.0 < self.lambda_r < math.inf and 0.0 < self.lambda_c < math.inf):
-            raise DomainError("penalty weights must be positive and finite")
-        try:  # in Python floats, which overflow without a numpy warning
-            offset = 2.0 * (float(self.lambda_r) + float(self.lambda_c))
-        except OverflowError:  # an integer weight beyond the float range
-            offset = math.inf
-        if not math.isfinite(offset):
-            raise DomainError(
-                "lambda_r and lambda_c are too large: the reward offset "
-                "2 * (lambda_r + lambda_c) overflows the float range"
-            )
-
-    @property
-    def reward_offset(self) -> float:
-        """2 (lambda_r + lambda_c), subtracted from every entry of r."""
-        return 2.0 * (self.lambda_r + self.lambda_c)
 
 
 def build_N(program: OrderProgram) -> np.ndarray:
@@ -100,34 +73,50 @@ def build_Cc(n: int) -> np.ndarray:
 def build_qubo(
     x: ValueVector,
     program: OrderProgram,
-    config: Optional[BuilderConfig] = None,
+    lambda_r: Optional[float] = None,
+    lambda_c: Optional[float] = None,
+    normalize: bool = True,
 ) -> QuboInstance:
     """Assemble the QUBO whose binary minimizer encodes the programmed order.
 
     Parameters
     ----------
     x : ValueVector
-        Input values; by default the shifted, L1-normalized copy feeds
-        the reward.
+        Input values; the shifted, L1-normalized copy feeds the reward
+        unless normalize is False.
     program : OrderProgram
         Rank vector of the same length as x.
-    config : BuilderConfig, optional
-        Defaults to lambda_r = lambda_c = n with normalization on.
+    lambda_r, lambda_c : float, optional
+        Row and column penalty weights; None means n.
 
     Raises
     ------
+    DomainError
+        If a weight is not positive and finite, or 2 (lambda_r + lambda_c)
+        overflows the float range.
     DimensionMismatch
         If x and the program disagree on n.
     """
     n = program.n
+    lambda_r = float(n) if lambda_r is None else lambda_r
+    lambda_c = float(n) if lambda_c is None else lambda_c
+    if not (0.0 < lambda_r < math.inf and 0.0 < lambda_c < math.inf):
+        raise DomainError("penalty weights must be positive and finite")
+    try:  # in Python floats, which overflow without a numpy warning
+        offset = 2.0 * (float(lambda_r) + float(lambda_c))
+    except OverflowError:  # an integer weight beyond the float range
+        offset = math.inf
+    if not math.isfinite(offset):
+        raise DomainError(
+            "lambda_r and lambda_c are too large: the reward offset "
+            "2 * (lambda_r + lambda_c) overflows the float range"
+        )
     if x.n != n:
         raise DimensionMismatch(f"x has {x.n} entries but the program has {n} slots")
-    if config is None:
-        config = BuilderConfig(lambda_r=float(n), lambda_c=float(n))
-    values = x.normalized_entries if config.normalize else x.entries
+    values = x.normalized_entries if normalize else x.entries
 
-    R = PenaltyMatrix(n, config.lambda_r, config.lambda_c, config.lambda_r + config.lambda_c)
-    r = reward_vector(values, np.asarray(program.ranks, dtype=float), config.reward_offset)
+    R = PenaltyMatrix(n, lambda_r, lambda_c, lambda_r + lambda_c)
+    r = reward_vector(values, np.asarray(program.ranks, dtype=float), 2.0 * R.self_coupling)
     return QuboInstance(matrix_R=R, vector_r=r)
 
 

@@ -17,10 +17,10 @@ each term in one of two forms.  build writes the quadratic term as
 the PenaltyMatrix that build_qubo returns, which hold the penalty
 weights, and the linear term as "reward": {"values", "ranks",
 "offset"}: the n values and n ranks whose outer product, less the
-offset 2 (lambda_r + lambda_c), is r (see builder.reward_vector).  A
-file thus holds 2n + 6 numbers besides "x" and "program".  solve reads
-"n", "penalty" or "R", "reward" or "r", and "x", and ignores every
-other key.  It reads the penalty back as that PenaltyMatrix and
+offset 2 * self_coupling, is r (see builder.reward_vector).  A file
+thus holds 2n + 6 numbers besides "x" and "program".  solve reads "n",
+"penalty" or "R", "reward" or "r", and "x", and ignores every other
+key.  It reads the penalty back as that PenaltyMatrix and
 takes the structured descent, which never forms the n^2 x n^2 matrix,
 and forms r with the function build_qubo uses, so it is the same bit
 for bit.  A file may instead hold a dense "R" (row-major, full
@@ -62,7 +62,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .builder import BuilderConfig, build_qubo, reward_vector
+from .builder import build_qubo, reward_vector
 from .conversions import bipolar_to_binary, fold_diagonal, to_hopfield, to_ising
 from .errors import MaxStepsExceeded, NonSquareLength, NotAPermutation, QpermError
 from .hopfield import solve
@@ -184,21 +184,15 @@ def _cmd_program(args) -> int:
 def _cmd_build(args) -> int:
     x = ValueVector(_read_values(args.x_file))
     program = _read_program(args.program_file)
-    n = program.n
-    config = BuilderConfig(
-        lambda_r=args.lambda_r if args.lambda_r is not None else float(n),
-        lambda_c=args.lambda_c if args.lambda_c is not None else float(n),
-        normalize=not args.no_normalize,
-    )
-    instance = build_qubo(x, program, config)
-    values = x.normalized_entries if config.normalize else x.entries
+    normalize = not args.no_normalize
+    instance = build_qubo(x, program, args.lambda_r, args.lambda_c, normalize)
     payload = {
-        "n": n,
+        "n": program.n,
         "penalty": dataclasses.asdict(instance.matrix_R),
         "reward": {
-            "values": values.tolist(),
+            "values": (x.normalized_entries if normalize else x.entries).tolist(),
             "ranks": list(program.ranks),
-            "offset": config.reward_offset,
+            "offset": 2.0 * instance.matrix_R.self_coupling,
         },
         "x": x.entries.tolist(),
         "program": _program_to_dict(program, with_n=False),

@@ -75,9 +75,7 @@ from .model import HopfieldInstance, PenaltyMatrix, SolverTrace, _all_in, _integ
 def energy(instance: HopfieldInstance, s) -> float:
     """-1/2 s^T W s + theta^T s at a bipolar state, correctly rounded, as descent records it."""
     sv = _check_state(instance, s)
-    W = instance.weights_W
-    descent = _counts if isinstance(W, PenaltyMatrix) else _dense
-    return next(descent(W, instance.bias_theta, sv, np.empty(sv.size)))
+    return next(_descent(instance, sv, np.empty(sv.size)))
 
 
 def flip_gain(instance: HopfieldInstance, s, i: int) -> float:
@@ -136,15 +134,13 @@ def _descend(
     """Descend from a bipolar start."""
     if not _all_in(start, (-1, 1)):
         raise DomainError("the start state must be a bipolar vector")
-    W = instance.weights_W
-    theta = instance.bias_theta
     s = start.astype(float)
     flipped: list[int] = []
     # An overflowing field or gain is left to the energies, whose overflow
     # SolverTrace names, with no numpy warning.
     with np.errstate(over="ignore", invalid="ignore"):
         half = np.empty(s.size)  # half the gain of each flip
-        descent = (_counts if isinstance(W, PenaltyMatrix) else _dense)(W, theta, s, half)
+        descent = _descent(instance, s, half)
         energies = [next(descent)]
         while True:
             i = int(half.argmin())  # ties: lowest index
@@ -162,6 +158,14 @@ def _descend(
             flipped.append(i)
             energies.append(e)
     return s.astype(np.int8), SolverTrace(start, flipped, energies)
+
+
+def _descent(instance: HopfieldInstance, s: np.ndarray, half: np.ndarray):
+    """The descent generator for the form of the weights: _counts on a
+    PenaltyMatrix, _dense on a dense W."""
+    W = instance.weights_W
+    descent = _counts if isinstance(W, PenaltyMatrix) else _dense
+    return descent(W, instance.bias_theta, s, half)
 
 
 def _counts(W: PenaltyMatrix, theta: np.ndarray, s: np.ndarray, half: np.ndarray):

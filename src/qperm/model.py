@@ -18,9 +18,9 @@ materializes it as the dense matrix the same stage builds from a dense
 input.  It answers the few ndarray calls the pipeline makes of its
 matrices (products, rows and the diagonal) in the ndarray's spelling,
 so only constructing a matrix asks which form it is, along with
-to_ising, which takes its one row sum, and descent, which reads its
-fields off the row and column counts of the (n, n) grid of the
-PenaltyMatrix layout.
+fold_diagonal, which zeroes its self_coupling, to_ising, which takes
+its one row sum, and descent, which reads its fields off the row and
+column counts of the (n, n) grid of the PenaltyMatrix layout.
 
 Conventions fixed here once and relied on everywhere:
 
@@ -49,6 +49,7 @@ from .errors import (
     NonSquareLength,
     NonZeroDiagonal,
     NotAPermutation,
+    UnsupportedBranching,
 )
 
 SYMMETRY_TOL = 1e-12
@@ -230,27 +231,30 @@ def _readonly(values, dtype=float) -> np.ndarray:
     return arr
 
 
-def _matrix(values):
-    """Keep a PenaltyMatrix, which is immutable, as it is; copy anything else
-    into a read-only dense array."""
-    return values if isinstance(values, PenaltyMatrix) else _readonly(values)
+def _checked(matrix, vector, matrix_name: str, vector_name: str) -> tuple:
+    """Read-only copies of an instance's matrix and vector, checked.
 
-
-def _require_symmetric(matrix, name: str) -> None:
-    """Compare a dense matrix with its transpose, entry by entry.
-
-    The test is written `not gap <= tol` so that a NaN gap (from NaN or
-    infinite entries) fails; a gap that overflows is infinite and fails
-    too, without a numpy warning.  A PenaltyMatrix is symmetric by
-    construction and finite by its own check, so it passes at once.
+    The matrix must be square and match the vector, the vector finite and
+    the matrix symmetric.  A PenaltyMatrix is immutable, symmetric by
+    construction and finite by its own check, so it is kept as it is.  A
+    dense matrix is compared with its transpose, entry by entry; the test
+    is written `not gap <= tol` so that a NaN gap (from NaN or infinite
+    entries) fails, and a gap that overflows is infinite and fails too,
+    without a numpy warning.
     """
-    if isinstance(matrix, PenaltyMatrix):
-        return
-    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is the NaN we look for
-        diff = matrix - matrix.T
-    gap = float(np.abs(diff, out=diff).max(initial=0.0))  # a 0 x 0 matrix passes
-    if not gap <= SYMMETRY_TOL:
-        raise DomainError(f"{name} must be symmetric and finite; asymmetry {gap:.3e}")
+    dense = not isinstance(matrix, PenaltyMatrix)
+    M = _readonly(matrix) if dense else matrix
+    v = _readonly(vector)
+    if M.ndim != 2 or M.shape[0] != M.shape[1] or v.shape != (M.shape[0],):
+        raise DimensionMismatch(f"{matrix_name} must be square and match {vector_name}")
+    _require_finite(v, vector_name)
+    if dense:
+        with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is the NaN we look for
+            diff = M - M.T
+        gap = float(np.abs(diff, out=diff).max(initial=0.0))  # a 0 x 0 matrix passes
+        if not gap <= SYMMETRY_TOL:
+            raise DomainError(f"{matrix_name} must be symmetric and finite; asymmetry {gap:.3e}")
+    return M, v
 
 
 def _all_in(values: np.ndarray, pair: tuple) -> bool:
@@ -337,7 +341,8 @@ class OrderProgram:
     ranks[i]-th smallest input value.  Each rank must equal its integer
     value: strings, booleans and fractions are rejected, never truncated.  kind
     records how the vector was generated; branching is the tree arity
-    where that applies, an integer of at least 2, checked as the ranks are.
+    where that applies, an integer of at least 2, checked as the ranks are,
+    and 2 for a bst program.
     """
 
     ranks: tuple[int, ...]
@@ -361,6 +366,8 @@ class OrderProgram:
         branching = _integral(self.branching, "branching")
         if branching < 2:
             raise DomainError("branching must be at least 2")
+        if self.kind == "bst" and branching != 2:
+            raise UnsupportedBranching("search-tree programs exist for branching 2 only")
         object.__setattr__(self, "ranks", ranks)
         object.__setattr__(self, "branching", branching)
 
@@ -382,14 +389,9 @@ class QuboInstance:
     vector_r: np.ndarray
 
     def __post_init__(self):
-        R = _matrix(self.matrix_R)
-        r = _readonly(self.vector_r)
-        if R.ndim != 2 or R.shape[0] != R.shape[1] or r.shape != (R.shape[0],):
-            raise DimensionMismatch("matrix_R must be square and match vector_r")
+        R, r = _checked(self.matrix_R, self.vector_r, "matrix_R", "vector_r")
         if math.isqrt(r.size) ** 2 != r.size:
             raise DimensionMismatch(f"dimension {r.size} is not the square of an integer n")
-        _require_finite(r, "vector_r")
-        _require_symmetric(R, "matrix_R")
         object.__setattr__(self, "matrix_R", R)
         object.__setattr__(self, "vector_r", r)
 
@@ -413,12 +415,7 @@ class IsingInstance:
     vector_q: np.ndarray
 
     def __post_init__(self):
-        Q = _matrix(self.matrix_Q)
-        q = _readonly(self.vector_q)
-        if Q.ndim != 2 or Q.shape[0] != Q.shape[1] or q.shape != (Q.shape[0],):
-            raise DimensionMismatch("matrix_Q must be square and match vector_q")
-        _require_finite(q, "vector_q")
-        _require_symmetric(Q, "matrix_Q")
+        Q, q = _checked(self.matrix_Q, self.vector_q, "matrix_Q", "vector_q")
         if np.any(Q.diagonal() != 0.0):
             raise NonZeroDiagonal("matrix_Q must have an exactly zero diagonal")
         object.__setattr__(self, "matrix_Q", Q)
@@ -441,12 +438,7 @@ class HopfieldInstance:
     bias_theta: np.ndarray
 
     def __post_init__(self):
-        W = _matrix(self.weights_W)
-        theta = _readonly(self.bias_theta)
-        if W.ndim != 2 or W.shape[0] != W.shape[1] or theta.shape != (W.shape[0],):
-            raise DimensionMismatch("weights_W must be square and match bias_theta")
-        _require_finite(theta, "bias_theta")
-        _require_symmetric(W, "weights_W")
+        W, theta = _checked(self.weights_W, self.bias_theta, "weights_W", "bias_theta")
         if np.any(W.diagonal() != 0.0):
             raise DomainError("weights_W must have an exactly zero diagonal")
         object.__setattr__(self, "weights_W", W)
@@ -526,10 +518,15 @@ class SolverTrace:
         if given.ndim != 1 or not _all_in(given, (-1, 1)):
             raise DomainError("the start state must be a bipolar vector")
         start = _readonly(given, dtype=np.int8)
-        flipped = _readonly(self.flipped, dtype=np.intp)
-        energies = _readonly(self.energies)
+        flipped = np.asarray(self.flipped)
+        if flipped.dtype.kind not in "iuf" or (flipped != np.trunc(flipped)).any():
+            raise InvalidSize(
+                "flipped coordinates must be integers, not strings, booleans or fractions"
+            )
         if flipped.ndim != 1 or not ((flipped >= 0) & (flipped < start.size)).all():
             raise DomainError(f"flipped coordinates must lie in 0..{start.size - 1}")
+        flipped = _readonly(flipped, dtype=np.intp)
+        energies = _readonly(self.energies)
         if energies.shape != (flipped.size + 1,):
             raise DomainError(
                 f"{flipped.size} flips need {flipped.size + 1} energies, got {energies.size}"

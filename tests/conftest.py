@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from qperm import (
-    BuilderConfig,
     HopfieldInstance,
     QuboInstance,
     ValueVector,
@@ -27,20 +26,11 @@ def reference_x():
     return ValueVector(ref.INPUT_X)
 
 
-def paper_faithful(values, lambda_r=None, lambda_c=None):
-    """The paper's route for raw values: x scaled by sum(|x|), built unshifted.
-
-    Returns (ValueVector, BuilderConfig) for build_qubo.  Penalties default
-    to n, as in the default route; only the shift is left out.
-    """
+def paper_faithful(values):
+    """The paper's route for raw values: x scaled by sum(|x|), for build_qubo
+    with normalize=False, which leaves out only the shift."""
     values = np.asarray(values, dtype=float)
-    n = float(values.size)
-    config = BuilderConfig(
-        lambda_r=n if lambda_r is None else lambda_r,
-        lambda_c=n if lambda_c is None else lambda_c,
-        normalize=False,
-    )
-    return ValueVector(values / np.abs(values).sum()), config
+    return ValueVector(values / np.abs(values).sum())
 
 
 @pytest.fixture(params=["ascending", "bst", "heap"])
@@ -58,9 +48,10 @@ def make_program(kind, n):
     raise ValueError(kind)
 
 
-def run_pipeline(x, program, max_steps=None, builder_config=None):
-    """Build, convert, and descend once; returns (binary state, trace, instance)."""
-    instance = build_qubo(x, program, builder_config)
+def run_pipeline(x, program, max_steps=None, **weights):
+    """Build with build_qubo's keywords, convert, and descend once; returns
+    (binary state, trace, instance)."""
+    instance = build_qubo(x, program, **weights)
     network = to_hopfield(to_ising(fold_diagonal(instance)))
     state, trace = solve(network, max_steps)
     return bipolar_to_binary(state), trace, instance

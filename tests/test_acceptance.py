@@ -82,10 +82,10 @@ def test_criterion_1_end_to_end_reproduction(reference_x):
 def test_criterion_2_energy_trace():
     # the frozen energies belong to the paper's route: x scaled by sum(|x|), unshifted
     expected = [-673.5, -689.1, -704.4, -719.4, -734.0, -748.3, -762.4, -776.4]
-    scaled, config = paper_faithful(ref.INPUT_X)
+    scaled = paper_faithful(ref.INPUT_X)
     problems = []
     for kind in KINDS:
-        _, trace, _ = run_pipeline(scaled, make_program(kind, 7), builder_config=config)
+        _, trace, _ = run_pipeline(scaled, make_program(kind, 7), normalize=False)
         energies = [s.energy for s in trace.steps]
         if len(energies) != 9 or trace.flips != 7:
             problems.append(f"{kind}: {trace.flips} flips, {len(energies)} rows")

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qperm import (
-    BuilderConfig,
     DimensionMismatch,
     DomainError,
     OrderProgram,
@@ -77,21 +76,36 @@ class TestBuildQubo:
         # a constant vector shifts to zeros: no reward, every arrangement optimal
         inst = build_qubo(ValueVector([-7.0] * 3), ascending_program(3))
         assert inst.vector_r.tolist() == [-12.0] * 9
-        cfg = BuilderConfig(lambda_r=2.0, lambda_c=2.0, normalize=False)
-        inst = build_qubo(ValueVector([0.0, 0.0]), ascending_program(2), cfg)
+        inst = build_qubo(ValueVector([0.0, 0.0]), ascending_program(2), normalize=False)
         assert inst.vector_r.tolist() == [-8.0] * 4
 
-    def test_penalties_must_be_positive(self):
-        with pytest.raises(DomainError):
-            BuilderConfig(lambda_r=0.0, lambda_c=1.0)
-        with pytest.raises(DomainError):
-            BuilderConfig(lambda_r=1.0, lambda_c=-1.0)
+    def test_one_weight_leaves_the_other_at_n(self):
+        R = build_qubo(ValueVector([3.0, 1.0, 2.0]), ascending_program(3), lambda_r=3.5).matrix_R
+        assert (R.same_row, R.same_col, R.self_coupling) == (3.5, 3.0, 6.5)
 
-    def test_penalties_must_be_finite(self):
-        with pytest.raises(DomainError):
-            BuilderConfig(lambda_r=float("inf"), lambda_c=1.0)
-        with pytest.raises(DomainError):
-            BuilderConfig(lambda_r=1.0, lambda_c=float("nan"))
+    @pytest.mark.parametrize(
+        "weights",
+        [dict(lambda_r=0.0, lambda_c=1.0), dict(lambda_r=1.0, lambda_c=-1.0), dict(lambda_c=0)],
+    )
+    def test_penalties_must_be_positive(self, weights):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="must be positive and finite"):
+                build_qubo(ValueVector([3.0, 1.0]), ascending_program(2), **weights)
+
+    @pytest.mark.parametrize(
+        "weights",
+        [dict(lambda_r=float("inf"), lambda_c=1.0), dict(lambda_r=1.0, lambda_c=float("nan"))],
+    )
+    def test_penalties_must_be_finite(self, weights):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="must be positive and finite"):
+                build_qubo(ValueVector([3.0, 1.0]), ascending_program(2), **weights)
+
+    def test_weights_are_checked_before_the_sizes(self):
+        with pytest.raises(DomainError, match="must be positive and finite"):
+            build_qubo(ValueVector([3.0, 1.0]), ascending_program(3), lambda_r=-1.0)
 
     @pytest.mark.parametrize(
         "weight",
@@ -100,11 +114,13 @@ class TestBuildQubo:
     )
     def test_reward_offset_must_be_finite(self, weight):
         """Each weight is finite, but 2 (lambda_r + lambda_c) overflows."""
+        x, program = ValueVector([0.0, 0.0]), ascending_program(2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match="lambda_r and lambda_c are too large"):
-                BuilderConfig(lambda_r=weight, lambda_c=weight)
-        assert BuilderConfig(lambda_r=4e307, lambda_c=4e307).reward_offset == 1.6e308
+                build_qubo(x, program, lambda_r=weight, lambda_c=weight)
+        instance = build_qubo(x, program, lambda_r=4e307, lambda_c=4e307, normalize=False)
+        assert instance.vector_r.tolist() == [-1.6e308] * 4
 
 
 class TestQuboObjective:
@@ -113,8 +129,7 @@ class TestQuboObjective:
         # R = 2 C_r^T C_r + 2 C_c^T C_c; every row/col sum is 2, so
         # z^T R z = 2*(4+4) + 2*(4+4) = 32; r = -2(C_r + C_c)^T 1 doubled
         # gives r^T z = -32; the penalties cancel exactly at 0.
-        cfg = BuilderConfig(lambda_r=2.0, lambda_c=2.0, normalize=False)
-        inst = build_qubo(ValueVector([0.0, 0.0]), ascending_program(2), cfg)
+        inst = build_qubo(ValueVector([0.0, 0.0]), ascending_program(2), normalize=False)
         z = np.ones(4)
         assert qubo_objective(inst, z) == pytest.approx(0.0)
         assert z @ inst.matrix_R @ z == pytest.approx(32.0)

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qperm import (
-    BuilderConfig,
     DomainError,
     PenaltyMatrix,
     SolverTrace,
@@ -175,6 +174,13 @@ class TestBuildCommand:
         assert data["penalty"] == {"n": 7, "same_row": 3.5, "same_col": 2.5, "self_coupling": 6.0}
         assert not {"lambda_r", "lambda_c", "normalized"} & data.keys()
         assert np.allclose(np.diag(materialized_penalty(data)), 6.0)
+
+    @pytest.mark.parametrize("n", [1, 8, 24])
+    def test_weights_of_n_give_the_default_file(self, tmp_path, n):
+        values = np.random.default_rng(n).normal(size=n).tolist()
+        default = Path(build_file(tmp_path, values, "heap")).read_bytes()
+        explicit = build_file(tmp_path, values, "heap", "--lambda-r", str(n), "--lambda-c", str(n))
+        assert Path(explicit).read_bytes() == default
 
     def test_zero_vector_exit_code(self, tmp_path):
         # a constant vector normalizes to zeros; any arrangement of it is optimal
@@ -523,20 +529,21 @@ class TestQuboFileFormat:
         flags = ["--lambda-r", repr(lambda_r), "--lambda-c", repr(lambda_c)]
         if not normalize:
             flags.append("--no-normalize")
-        config = BuilderConfig(lambda_r=lambda_r, lambda_c=lambda_c, normalize=normalize)
         with tempfile.TemporaryDirectory() as tmp:
             x_path = write_json(Path(tmp) / "x.json", values)
             prog = str(Path(tmp) / "prog.json")
             assert main(["program", "--kind", kind, "--n", str(n), "-o", prog]) == 0
             qubo = str(Path(tmp) / "qubo.json")
             try:
-                expected = build_qubo(ValueVector(values), PROGRAMS[kind](n), config).vector_r
+                instance = build_qubo(
+                    ValueVector(values), PROGRAMS[kind](n), lambda_r, lambda_c, normalize
+                )
             except DomainError:  # r beyond the float range, unnormalized
                 assert main(["build", x_path, prog, *flags, "-o", qubo]) == 2
                 return
             assert main(["build", x_path, prog, *flags, "-o", qubo]) == 0
             got = cli._read_qubo(qubo)[0].vector_r
-        assert got.tobytes() == expected.tobytes()
+        assert got.tobytes() == instance.vector_r.tobytes()
 
     def test_build_and_solve_form_no_dense_matrix(self, tmp_path, monkeypatch):
         def refuse(self, dtype=None, copy=None):
@@ -570,9 +577,9 @@ class TestQuboFileFormat:
         values = np.random.default_rng(3).normal(size=6).tolist()
         qubo = build_file(tmp_path, values, kind, "--lambda-r", "6.3", "--lambda-c", "5.9")
         assert main(["solve", qubo, "--trace"]) == 0
-        config = BuilderConfig(lambda_r=6.3, lambda_c=5.9)
         x = ValueVector(values)
-        trace, state_z = cli._descend(build_qubo(x, make_program(kind, 6), config), None)
+        instance = build_qubo(x, make_program(kind, 6), lambda_r=6.3, lambda_c=5.9)
+        trace, state_z = cli._descend(instance, None)
         mapping = decode_permutation(state_z).as_mapping
         expected = [
             *render_trace(trace),
@@ -688,6 +695,20 @@ class TestVerifyCommand:
         x_path, program_path, _ = reference_files
         assert main(["verify", x_path, program_path("ascending")]) == 0
         assert "structure (ascending)    SKIP" in capsys.readouterr().out
+
+    def test_ternary_search_tree_refused_before_any_descent(self, tmp_path, capsys, monkeypatch):
+        """A bst program file of branching 3 was once built and descended, and
+        verify then stopped with exit 2 in certify."""
+        x_path = write_json(tmp_path / "x.json", [3.0, 1.0, 2.0])
+        payload = {"n": 3, "kind": "bst", "branching": 3, "ranks": [2, 1, 3]}
+        prog = write_json(tmp_path / "bst3.json", payload)
+        solve = mock.Mock(side_effect=AssertionError("verify descended"))
+        monkeypatch.setattr(cli, "solve", solve)
+        assert main(["verify", x_path, prog]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: search-tree programs exist for branching 2 only\n"
+        solve.assert_not_called()
 
     def test_exhaustive_agreement_small_instance(self, tmp_path, capsys):
         x_path = write_json(tmp_path / "x.json", [3.0, 1.0, 4.0])

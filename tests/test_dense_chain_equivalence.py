@@ -23,7 +23,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qperm import (
-    BuilderConfig,
     DomainError,
     HopfieldInstance,
     MaxStepsExceeded,
@@ -173,23 +172,24 @@ def builder_networks(draw, max_n=12):
     kind = draw(st.sampled_from(KINDS))
     x = ValueVector(draw(input_values(n)))
     factor = st.sampled_from((0.7, 1.1001, 3.0)).map(lambda f: f * n)
-    config = draw(
+    weights = draw(
         st.one_of(
-            st.none(),
+            st.just({}),
             st.builds(
-                lambda lam, flag: BuilderConfig(lambda_r=lam, lambda_c=lam, normalize=flag),
+                lambda lam, flag: dict(lambda_r=lam, lambda_c=lam, normalize=flag),
                 factor,
                 st.booleans(),
             ),
-            st.builds(
-                BuilderConfig,
-                lambda_r=st.floats(0.05, 30.0),
-                lambda_c=st.floats(0.05, 30.0),
-                normalize=st.booleans(),
+            st.fixed_dictionaries(
+                dict(
+                    lambda_r=st.floats(0.05, 30.0),
+                    lambda_c=st.floats(0.05, 30.0),
+                    normalize=st.booleans(),
+                )
             ),
         )
     )
-    instance = build_qubo(x, make_program(kind, n), config)
+    instance = build_qubo(x, make_program(kind, n), **weights)
     network = to_hopfield(to_ising(fold_diagonal(instance)))
     return materialized(network) if draw(st.booleans()) else network
 
@@ -257,8 +257,10 @@ class TestDescentMatchesTwoProducts:
         A fresh W @ s puts coordinate 3 one ulp lower; the field kept by row
         updates leaves the two equal, which would send the flip to 1.
         """
-        x, config = paper_faithful([-2.0, 2.0], lambda_r=0.9, lambda_c=0.5)
-        instance = build_qubo(x, make_program("bst", 2), config)
+        x = paper_faithful([-2.0, 2.0])
+        instance = build_qubo(
+            x, make_program("bst", 2), lambda_r=0.9, lambda_c=0.5, normalize=False
+        )
         network = materialized(to_hopfield(to_ising(fold_diagonal(instance))))
         start = np.full(4, -1, dtype=np.int8)
         _, trace = hopfield._descend(network, start, 16)
@@ -343,8 +345,9 @@ class TestInPlaceMatrices:
             program = OrderProgram(ranks=tuple(ranks), kind="custom")
         else:
             program = make_program(kind, n)
-        config = BuilderConfig(lambda_r=lambda_r, lambda_c=lambda_c, normalize=normalize)
-        instance = build_qubo(x, program, config)
+        instance = build_qubo(
+            x, program, lambda_r=lambda_r, lambda_c=lambda_c, normalize=normalize
+        )
         Cr, Cc = build_Cr(n), build_Cc(n)
         assert bits(instance.matrix_R) == bits(lambda_r * (Cr.T @ Cr) + lambda_c * (Cc.T @ Cc))
         v = x.normalized_entries if normalize else x.entries

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qperm import (
-    BuilderConfig,
     DomainError,
     HopfieldInstance,
     IndexOutOfRange,
@@ -45,8 +44,8 @@ class TestReferenceRun:
     def _run(self, reference_x, program_kind):
         self.kind = program_kind
         program = make_program(program_kind, 7)
-        scaled, config = paper_faithful(ref.INPUT_X)
-        self.z, self.trace, self.instance = run_pipeline(scaled, program, builder_config=config)
+        scaled = paper_faithful(ref.INPUT_X)
+        self.z, self.trace, self.instance = run_pipeline(scaled, program, normalize=False)
         self.x = reference_x
 
     def test_energy_sequence_at_one_decimal(self):
@@ -166,9 +165,8 @@ class TestDescent:
         """Penalty weights of 3e306 carry the start energy to -inf; the trace
         names the overflow, where descent could only stop at the start."""
         x = ValueVector([3, 1, 2, 5, 4, 0, 7, 6])
-        config = BuilderConfig(lambda_r=3e306, lambda_c=3e306)
         with np.errstate(over="ignore"), pytest.raises(DomainError, match="overflows"):
-            run_pipeline(x, ascending_program(8), builder_config=config)
+            run_pipeline(x, ascending_program(8), lambda_r=3e306, lambda_c=3e306)
 
     def test_explicit_initial_state(self):
         network = small_network(6)
@@ -223,8 +221,8 @@ class TestSpuriousMinima:
 
     def test_two_negative_entries_defeat_default_start(self):
         x = ValueVector([-1.0, -2.0])
-        scaled, config = paper_faithful(x.entries)
-        z, _, _ = run_pipeline(scaled, ascending_program(2), builder_config=config)
+        scaled = paper_faithful(x.entries)
+        z, _, _ = run_pipeline(scaled, ascending_program(2), normalize=False)
         p = decode_permutation(z)
         assert apply_permutation(p, x).tolist() == [-1.0, -2.0]  # stuck, not sorted
 
@@ -249,8 +247,8 @@ class TestSpuriousMinima:
             values[int(rng.integers(0, n))] *= -1.0
         x = ValueVector(values)
         program = make_program(kind, n)
-        scaled, config = paper_faithful(values)
-        z, _, _ = run_pipeline(scaled, program, builder_config=config)
+        scaled = paper_faithful(values)
+        z, _, _ = run_pipeline(scaled, program, normalize=False)
         p = decode_permutation(z)
         got = apply_permutation(p, x)
         ordered = sorted(values)
@@ -272,8 +270,8 @@ class TestSpuriousMinima:
             values = rng.uniform(-50.0, 50.0, size=n)
         shifted = values - values.min()
         program = make_program(kind, n)
-        scaled, config = paper_faithful(shifted)
-        z, _, _ = run_pipeline(scaled, program, builder_config=config)
+        scaled = paper_faithful(shifted)
+        z, _, _ = run_pipeline(scaled, program, normalize=False)
         mapping = decode_permutation(z).as_mapping
         got = [float(values[c]) for c in mapping]
         ordered = sorted(float(v) for v in values)

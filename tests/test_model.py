@@ -18,6 +18,7 @@ from qperm import (
     QuboInstance,
     SolverTrace,
     TraceStep,
+    UnsupportedBranching,
     ValueVector,
     apply_permutation,
     decode_permutation,
@@ -110,6 +111,12 @@ class TestOrderProgram:
         with pytest.raises(InvalidSize):
             OrderProgram(ranks=(1, 2), kind="heap", branching=branching)
         assert OrderProgram(ranks=(1, 2), kind="heap", branching=3.0).branching == 3
+
+    def test_search_tree_is_binary(self):
+        """A bst program of branching 3 once constructed, and certify then raised."""
+        with pytest.raises(UnsupportedBranching, match="branching 2 only"):
+            OrderProgram(ranks=(2, 1, 3), kind="bst", branching=3)
+        assert OrderProgram(ranks=(2, 1, 3), kind="heap", branching=3).branching == 3
 
     def test_n(self):
         assert OrderProgram(ranks=(2, 1), kind="custom", branching=2).n == 2
@@ -291,6 +298,17 @@ class TestSolverTrace:
         for flipped in ([2], [-1]):
             with pytest.raises(DomainError):
                 SolverTrace([-1, -1], flipped, [0.0, -1.0])
+
+    @pytest.mark.parametrize("flipped", [[0.5], [1.7], [True], ["1"]])
+    def test_flips_are_never_truncated_or_parsed(self, flipped):
+        """0.5 was once read as coordinate 0, and 1.7, True and "1" as 1."""
+        with pytest.raises(InvalidSize, match="must be integers"):
+            SolverTrace([1, -1], flipped, [1.0, 0.0])
+
+    def test_integral_flips_are_kept_as_ints(self):
+        trace = SolverTrace([1, -1], [1.0], [1.0, 0.0])
+        assert trace.flipped.tolist() == [1]
+        assert trace.flipped.dtype == np.intp
 
     def test_energy_increase_rejected(self):
         for energies in ([0.0, 1.0], [0.0, 0.0], [0.0, float("nan")]):

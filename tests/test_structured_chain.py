@@ -23,7 +23,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qperm import (
-    BuilderConfig,
     DimensionMismatch,
     DomainError,
     HopfieldInstance,
@@ -133,13 +132,15 @@ def builder_instances(draw, integer_lambda, max_n=12):
     n = draw(st.integers(1, max_n))
     x = ValueVector(draw(input_values(n)))
     weights = st.integers(1, 30).map(float) if integer_lambda else st.floats(0.05, 30.0)
-    config = draw(
+    keywords = draw(
         st.one_of(
-            st.none(),
-            st.builds(BuilderConfig, lambda_r=weights, lambda_c=weights, normalize=st.booleans()),
+            st.just({}),
+            st.fixed_dictionaries(
+                dict(lambda_r=weights, lambda_c=weights, normalize=st.booleans())
+            ),
         )
     )
-    return build_qubo(x, program_for(draw(st.sampled_from(KINDS)), n), config)
+    return build_qubo(x, program_for(draw(st.sampled_from(KINDS)), n), **keywords)
 
 
 # Dyadic (m / 2^k), non-dyadic, and the ends of the float range.
@@ -286,9 +287,9 @@ class TestPenaltyMatrix:
         """Dyadic lambda (m / 2^k) keeps every field exact on either form, so
         descent from a random start takes the materialized descent's flips, and
         both give every energy as float(Fraction(E(s)))."""
-        config = BuilderConfig(lambda_r=m_r / 2**k, lambda_c=m_c / 2**k)
         x = ValueVector(np.random.default_rng(seed).normal(size=n))
-        network = chain(build_qubo(x, make_program("heap", n), config))[2]
+        program = make_program("heap", n)
+        network = chain(build_qubo(x, program, lambda_r=m_r / 2**k, lambda_c=m_c / 2**k))[2]
         trace = assert_bitwise_same_descent(network, random_start(n * n, seed))
         for step in trace.steps:
             assert step.energy == float(fraction_energy(network, step.state))
@@ -366,21 +367,21 @@ class TestIntegerWeightsBitForBit:
 
     @pytest.mark.parametrize("kind", ["ascending", "bst", "heap"])
     def test_frozen_reference_run(self, kind):
-        scaled, config = paper_faithful(ref.INPUT_X)
-        network = chain(build_qubo(scaled, make_program(kind, 7), config))[2]
+        scaled = paper_faithful(ref.INPUT_X)
+        network = chain(build_qubo(scaled, make_program(kind, 7), normalize=False))[2]
         trace = assert_bitwise_same_descent(network, np.full(49, -1, dtype=np.int8))
         assert trace.flipped.tolist() == ref.FLIPS[kind]
         assert [f"{s.energy:.1f}" for s in trace.steps] == ref.ENERGY_STRINGS
 
     def test_two_negative_entries(self):
-        scaled, config = paper_faithful([-1.0, -2.0])
-        network = chain(build_qubo(scaled, make_program("ascending", 2), config))[2]
+        scaled = paper_faithful([-1.0, -2.0])
+        network = chain(build_qubo(scaled, make_program("ascending", 2), normalize=False))[2]
         trace = assert_bitwise_same_descent(network, np.full(4, -1, dtype=np.int8))
         assert trace.flipped.tolist() == [0, 3]  # stuck on [-1, -2], not sorted
 
     def test_objectives_match_the_dense_forms(self):
-        scaled, config = paper_faithful([3.0, -1.0, 2.0])
-        instance = build_qubo(scaled, make_program("bst", 3), config)
+        scaled = paper_faithful([3.0, -1.0, 2.0])
+        instance = build_qubo(scaled, make_program("bst", 3), normalize=False)
         dense = dense_qubo(instance)
         network = chain(instance)[2]
         dense_network = materialized(network)
@@ -428,8 +429,11 @@ class TestCorrectlyRoundedEnergies:
         and on its materialization, which here take the same flips."""
         n = 12
         x = ValueVector(np.random.default_rng(n).normal(size=n))
-        config = BuilderConfig(lambda_r=factor * n, lambda_c=factor * n, normalize=normalize)
-        network = chain(build_qubo(x, make_program("heap", n), config))[2]
+        lam = factor * n
+        instance = build_qubo(
+            x, make_program("heap", n), lambda_r=lam, lambda_c=lam, normalize=normalize
+        )
+        network = chain(instance)[2]
         for form in (network, materialized(network)):
             _, trace = solve(form)
             assert energy(form, trace.final_state) == trace.final_energy
@@ -457,8 +461,7 @@ class TestAnyWeightsWithinTolerance:
         arithmetic that rounds to -4.4e-16; the energy it leads to is no lower,
         so descent stops there instead of failing the trace's check."""
         x = ValueVector([1.0, 2.0, 0.0, 1.0])
-        config = BuilderConfig(lambda_r=0.7, lambda_c=0.3)
-        network = chain(build_qubo(x, descending_program(4), config))[2]
+        network = chain(build_qubo(x, descending_program(4), lambda_r=0.7, lambda_c=0.3))[2]
         state, trace = solve(network)
         assert trace.flipped.tolist() == [4, 5, 2, 15]
         s = state.astype(float)
@@ -578,8 +581,7 @@ def test_inexact_weights_take_the_same_descent_at_n400():
     n = 400
     x = ValueVector(np.random.default_rng(n).normal(size=n))
     lam = 1.1001 * n
-    config = BuilderConfig(lambda_r=lam, lambda_c=lam)
-    network = chain(build_qubo(x, make_program("heap", n), config))[2]
+    network = chain(build_qubo(x, make_program("heap", n), lambda_r=lam, lambda_c=lam))[2]
     trace, products = fresh_products(network)
     assert trace.flips == n and products == 0
     default = chain(build_qubo(x, make_program("heap", n)))[2]
