@@ -46,6 +46,12 @@ columns, two spaces, the state as '-'/'+' glyphs separated by single
 spaces, two spaces, the energy with one decimal.  JSON files carry full
 precision.
 
+program and build write to stdout, or with -o over the named file in
+place: the file is written from its start and any longer tail is cut
+off.  No file is truncated to zero bytes first, so ext4 starts no
+writeback of it on close, which the writing process pays for in system
+time.
+
 Exit codes: 0 success, 2 bad arguments or malformed input, 4 descent
 ended in a state that is no permutation or used up its step budget,
 5 failed certificate.
@@ -57,6 +63,8 @@ import argparse
 import dataclasses
 import functools
 import json
+import os
+import stat
 import sys
 from typing import Iterator, Optional
 
@@ -398,11 +406,26 @@ def _program_to_dict(program: OrderProgram, with_n: bool = True) -> dict:
 
 
 def _write_text(text: str, path: Optional[str]) -> None:
+    """Write text to stdout, or over the file at path in place.
+
+    The file is opened without O_TRUNC and cut to the new length only if
+    it is a regular file that was longer, never a device or a FIFO; text
+    ends in a newline, so that length is never zero.  A new file gets mode
+    0o666 less the umask, as open(path, "w") gives it."""
     if path is None:
         sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        return
+    data = memoryview(text.encode("utf-8"))
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        written = 0
+        while written < len(data):
+            written += os.write(fd, data[written:])
+        info = os.fstat(fd)
+        if stat.S_ISREG(info.st_mode) and info.st_size > written:
+            os.ftruncate(fd, written)
+    finally:
+        os.close(fd)
 
 
 def _read_text(path: str) -> str:

@@ -200,6 +200,7 @@ class PenaltyMatrix:
 
 # Values that int() reads as integers but that are no integers.
 _NOT_INTEGERS = (str, bytes, bool, np.bool_)
+_BOOLEANS = frozenset((bool, np.bool_))  # neither type can be subclassed
 
 
 def _integral(value, name: str) -> int:
@@ -519,7 +520,16 @@ class SolverTrace:
             raise DomainError("the start state must be a bipolar vector")
         start = _readonly(given, dtype=np.int8)
         flipped = np.asarray(self.flipped)
-        if flipped.dtype.kind not in "iuf" or (flipped != np.trunc(flipped)).any():
+        if (
+            flipped.dtype.kind not in "iuf"
+            or (flipped != np.trunc(flipped)).any()
+            # np.asarray reads [0, True] as integers, so look at the elements
+            or (
+                flipped.ndim == 1
+                and not isinstance(self.flipped, np.ndarray)
+                and not _BOOLEANS.isdisjoint(map(type, self.flipped))
+            )
+        ):
             raise InvalidSize(
                 "flipped coordinates must be integers, not strings, booleans or fractions"
             )

@@ -1,6 +1,8 @@
 import json
 import os
+import stat
 import tempfile
+import threading
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -271,6 +273,96 @@ class TestBuildCommand:
         assert main(["verify", x_path, prog]) == 2
         expected = "ranks must be integers" if field == "ranks" else "must be an integer"
         assert expected in capsys.readouterr().err
+
+
+def write_outputs(tmp_path, n, out_prog, out_qubo):
+    """Run program and build at size n, writing to the two paths given."""
+    x_path = write_json(tmp_path / f"x{n}.json", np.random.default_rng(n).normal(size=n).tolist())
+    assert main(["program", "--kind", "heap", "--n", str(n), "-o", str(out_prog)]) == 0
+    assert main(["build", x_path, str(out_prog), "-o", str(out_qubo)]) == 0
+
+
+class TestOutputFiles:
+    """-o overwrites a file in place and cuts any longer tail."""
+
+    @pytest.mark.parametrize("old, new", [(24, 8), (8, 24), (200, 1)])
+    def test_over_an_existing_file_as_to_a_new_path(self, tmp_path, old, new):
+        write_outputs(tmp_path, old, tmp_path / "prog.json", tmp_path / "qubo.json")
+        write_outputs(tmp_path, new, tmp_path / "prog.json", tmp_path / "qubo.json")
+        write_outputs(tmp_path, new, tmp_path / "fresh_prog.json", tmp_path / "fresh_qubo.json")
+        for name in ("prog.json", "qubo.json"):
+            assert (tmp_path / name).read_bytes() == (tmp_path / f"fresh_{name}").read_bytes()
+
+    def test_to_dev_null(self, tmp_path):
+        x_path = write_json(tmp_path / "x.json", [3.0, 1.0, 2.0])
+        prog = tmp_path / "prog.json"
+        assert main(["program", "--kind", "heap", "--n", "3", "-o", str(prog)]) == 0
+        assert main(["program", "--kind", "heap", "--n", "3", "-o", os.devnull]) == 0
+        assert main(["build", x_path, str(prog), "-o", os.devnull]) == 0
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_to_a_fifo(self, tmp_path, capsys):
+        assert main(["program", "--kind", "heap", "--n", "8"]) == 0
+        expected = capsys.readouterr().out.encode()
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        assert main(["program", "--kind", "heap", "--n", "8", "-o", str(fifo)]) == 0
+        reader.join(timeout=10)
+        assert received == [expected]
+
+    @pytest.mark.parametrize("umask", [0o000, 0o022, 0o077])
+    def test_new_file_mode_as_open_gives_it(self, tmp_path, umask):
+        previous = os.umask(umask)
+        try:
+            with open(tmp_path / "reference", "w"):
+                pass
+            write_outputs(tmp_path, 3, tmp_path / "prog.json", tmp_path / "qubo.json")
+        finally:
+            os.umask(previous)
+        mode = stat.S_IMODE((tmp_path / "reference").stat().st_mode)
+        assert mode == 0o666 & ~umask
+        for name in ("prog.json", "qubo.json"):
+            assert stat.S_IMODE((tmp_path / name).stat().st_mode) == mode
+
+    def test_hard_link_sees_the_new_bytes(self, tmp_path):
+        out = tmp_path / "prog.json"
+        out.write_text("x" * 10_000)
+        os.link(out, tmp_path / "link.json")
+        assert main(["program", "--kind", "bst", "--n", "7", "-o", str(out)]) == 0
+        assert json.loads((tmp_path / "link.json").read_text())["kind"] == "bst"
+        assert (tmp_path / "link.json").read_bytes() == out.read_bytes()
+
+    def test_directory_is_one_error_line(self, tmp_path, capsys):
+        assert main(["program", "--kind", "heap", "--n", "3", "-o", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error:")
+
+    def test_no_file_is_truncated_to_zero_bytes(self, tmp_path, monkeypatch):
+        opened, cuts = [], []
+
+        def spy_open(path, flags, *args, **kwargs):
+            opened.append((os.fspath(path), flags))
+            return real_open(path, flags, *args, **kwargs)
+
+        def spy_ftruncate(fd, length):
+            cuts.append(length)
+            return real_ftruncate(fd, length)
+
+        real_open, real_ftruncate = os.open, os.ftruncate
+        monkeypatch.setattr(os, "open", spy_open)
+        monkeypatch.setattr(os, "ftruncate", spy_ftruncate)
+        prog, qubo = tmp_path / "prog.json", tmp_path / "qubo.json"
+        for n in (24, 8, 8, 24):  # new files, then longer, equal and shorter ones
+            write_outputs(tmp_path, n, prog, qubo)
+        outputs = [(path, flags) for path, flags in opened if path in (str(prog), str(qubo))]
+        assert [path for path, _ in outputs] == [str(prog), str(qubo)] * 4
+        assert not any(flags & os.O_TRUNC for _, flags in outputs)
+        assert len(cuts) == 2 and 0 not in cuts  # only the writes over n=24 files cut a tail
+        assert qubo.stat().st_size > 0
 
 
 class TestSolveCommand:

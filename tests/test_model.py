@@ -305,6 +305,14 @@ class TestSolverTrace:
         with pytest.raises(InvalidSize, match="must be integers"):
             SolverTrace([1, -1], flipped, [1.0, 0.0])
 
+    @pytest.mark.parametrize(
+        "flipped", [[0, True], [1, False], (0, True), [np.bool_(True), 0], [0.0, True]]
+    )
+    def test_booleans_among_integers_rejected(self, flipped):
+        """np.asarray reads [0, True] as the integers [0, 1]."""
+        with pytest.raises(InvalidSize, match="must be integers"):
+            SolverTrace([1, -1, 1], flipped, [2.0, 1.0, 0.0])
+
     def test_integral_flips_are_kept_as_ints(self):
         trace = SolverTrace([1, -1], [1.0], [1.0, 0.0])
         assert trace.flipped.tolist() == [1]
