@@ -196,7 +196,7 @@ def _cmd_build(args) -> int:
     instance = build_qubo(x, program, args.lambda_r, args.lambda_c, normalize)
     payload = {
         "n": program.n,
-        "penalty": dataclasses.asdict(instance.matrix_R),
+        "penalty": {name: getattr(instance.matrix_R, name) for name in _PENALTY_FIELDS},
         "reward": {
             "values": (x.normalized_entries if normalize else x.entries).tolist(),
             "ranks": list(program.ranks),

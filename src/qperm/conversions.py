@@ -8,12 +8,15 @@ shifts the objective by a state-independent constant at most, so
 minimizers carry over through the whole chain.
 
 A PenaltyMatrix stays one through every hop: each hop applies its
-elementwise operation to the three coefficients, and to_ising takes R @ 1
-as row_sum, the one number every row sums to, so each hop is O(n^2).  The
-matrices materialize bit for bit as the dense hop's; so do the vectors
-wherever the dense R @ 1 sums exactly, as it does for integer penalty
-weights.  Dense matrices, such as a QUBO
-file's dense "R", take the dense code, which stays as the reference.
+elementwise operation to the three coefficients, fold_diagonal adds
+self_coupling to r as the scalar that every diagonal entry is, to_ising
+takes R @ 1 as row_sum, the one number every row sums to, and every
+zero-diagonal check reads self_coupling (model._nonzero_diagonal), so
+each hop is O(n^2) and none forms the N-length diagonal.  The matrices
+materialize bit for bit as the dense hop's; so do the vectors wherever
+the dense R @ 1 sums exactly, as it does for integer penalty weights.
+Dense matrices, such as a QUBO file's dense "R", take the dense code,
+which stays as the reference.
 """
 
 from __future__ import annotations
@@ -21,16 +24,25 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError, NonZeroDiagonal
-from .model import HopfieldInstance, IsingInstance, PenaltyMatrix, QuboInstance, _all_in
+from .model import (
+    HopfieldInstance,
+    IsingInstance,
+    PenaltyMatrix,
+    QuboInstance,
+    _all_in,
+    _nonzero_diagonal,
+)
 
 
 def fold_diagonal(instance: QuboInstance) -> QuboInstance:
     """Zero the diagonal of R, compensating in r; exact on binary states."""
     R = instance.matrix_R
-    diag = R.diagonal()
     if isinstance(R, PenaltyMatrix):
+        # Adding the scalar is the same add, entry by entry, as adding its diagonal.
+        diag = R.self_coupling
         folded = PenaltyMatrix(R.n, R.same_row, R.same_col, 0.0)
     else:
+        diag = R.diagonal()
         folded = R.copy()
         np.fill_diagonal(folded, 0.0)
     with np.errstate(over="ignore"):  # an overflow is the inf QuboInstance names
@@ -45,7 +57,7 @@ def to_ising(instance: QuboInstance) -> IsingInstance:
     dropped constant is 1^T R 1 / 4 + r^T 1 / 2.
     """
     R = instance.matrix_R
-    if np.any(R.diagonal() != 0.0):
+    if _nonzero_diagonal(R):
         raise NonZeroDiagonal("fold_diagonal must run before the bipolar substitution")
     if isinstance(R, PenaltyMatrix):
         row_sums = R.row_sum()  # one number, every entry of R @ 1
@@ -73,4 +85,4 @@ def bipolar_to_binary(s) -> np.ndarray:
     sv = np.asarray(s)
     if not _all_in(sv, (-1, 1)):
         raise DomainError("expected entries in {-1, +1}")
-    return ((sv.astype(int) + 1) // 2).astype(np.int8)
+    return (sv > 0).astype(np.int8)

@@ -19,11 +19,13 @@ evaluates that expression, so every field is a fresh W @ s bit for bit at
 any finite weights.  Descent keeps the 2n counts and forms no W @ s: a
 flip at (a, b) recomputes grid row a and grid column b only, in O(n).  A
 line whose other cells are all inactive, as every line is while descent
-from the all-inactive state pairs free rows with free columns, takes two
-numpy calls: its fields add the term w_r (R_b + 1) of each cell to the
-line's w_c (C_a + 1), or the other way round, and descent keeps both
-terms as n-vectors.  The argmin over all gains is O(N) per flip either
-way, and no PenaltyMatrix is materialized.
+from the all-inactive state pairs free rows with free columns, takes one
+numpy call.  Its fields are w_r (R_b + 1) + w_c (C_a + 1), and the
+line's own term can then be only w_c (1 - n), when the flip cleared its
+cell, or w_c (3 - n), when it set it (w_r for a column), so descent keeps
+the four sums as n-vectors and moves each by one float add per flip.
+The argmin over all gains is O(N) per flip either way, and no
+PenaltyMatrix is materialized.
 
 Every energy, in the trace and from energy(), is E(s) correctly rounded,
 the same on any BLAS and on either form of W.  2 E(s) is kept as an
@@ -157,7 +159,7 @@ def _descend(
                 break
             flipped.append(i)
             energies.append(e)
-    return s.astype(np.int8), SolverTrace(start, flipped, energies)
+    return s.astype(np.int8), SolverTrace(start, np.array(flipped, dtype=np.intp), energies)
 
 
 def _descent(instance: HopfieldInstance, s: np.ndarray, half: np.ndarray):
@@ -184,9 +186,15 @@ def _counts(W: PenaltyMatrix, theta: np.ndarray, s: np.ndarray, half: np.ndarray
     i = yield _rounded(twice, u - 1)
 
     GT, TT, ST = G.T, T.T, S.T
-    # The two terms of the field of an inactive cell (a, b), by b and by a.
-    row_terms, col_terms = w_r * (R + 1.0), w_c * (C + 1.0)
-    line, term = np.empty(n), np.empty(())  # 0-d: no scalar conversion per call
+    # An inactive cell (a, b) has the field w_r (R_b + 1) + w_c (C_a + 1).
+    # On a line whose other cells are all inactive, the flipped cell's count
+    # is 1 - n after a clear (d = -1) and 3 - n after a set, so the crossing
+    # term is one of two numbers: rows[d > 0][b] holds the field of every
+    # inactive cell of grid row a, and cols[d > 0][a] of grid column b.
+    crossing_c = w_c * (1.0 - n), w_c * (3.0 - n)
+    crossing_r = w_r * (1.0 - n), w_r * (3.0 - n)
+    rows = tuple(w_r * (R + 1.0) + k for k in crossing_c)
+    cols = tuple(w_c * (C + 1.0) + k for k in crossing_r)
     while True:
         a, b = divmod(i, n)
         s[i] = d = -s.item(i)
@@ -196,18 +204,15 @@ def _counts(W: PenaltyMatrix, theta: np.ndarray, s: np.ndarray, half: np.ndarray
         twice += 4 * int(d) * (_scaled(theta.item(i), u) - field)
         gain = half.item(i)
         R[b], C[a] = r, c
-        row_terms[b] = p = w_r * (r + 1.0)
-        col_terms[a] = q = w_c * (c + 1.0)
+        p, q = w_r * (r + 1.0), w_c * (c + 1.0)
+        rows[0][b], rows[1][b] = p + crossing_c[0], p + crossing_c[1]
+        cols[0][a], cols[1][a] = q + crossing_r[0], q + crossing_r[1]
         if c - d == 1 - n:  # grid row a, its other cells all inactive
-            term[()] = q
-            np.add(row_terms, term, line)
-            np.subtract(T[a], line, G[a])
+            np.subtract(T[a], rows[d > 0], G[a])
         else:
             _line(G[a], T[a], S[a], R, w_r, c, w_c)
         if r - d == 1 - n:  # grid column b, likewise
-            term[()] = p
-            np.add(col_terms, term, line)
-            np.subtract(TT[b], line, GT[b])
+            np.subtract(TT[b], cols[d > 0], GT[b])
         else:
             _line(GT[b], TT[b], ST[b], C, w_c, r, w_r)
         half[i] = -gain  # W_ii = 0: flipping s_i leaves h_i as it was
@@ -241,16 +246,24 @@ def _dyadic(values: np.ndarray, u: int = 0) -> tuple[int, int]:
 
     np.frexp makes each value a 53-bit fraction times a power of two.  Split
     in halves of 26 and 27 bits, the fractions of one power sum exactly in
-    float64 (np.bincount) up to 2^26 terms, and Python ints add the sums.
+    float64, in any order, up to 2^26 terms: the high halves are integers
+    whose sum stays below 2^52, the rest multiples of 2^-27 whose sum stays
+    below 2^26.  When every value has the same power, as theta.s of the
+    default build has at n = 8, 24 and 40, one .sum() adds each half;
+    otherwise np.bincount adds them power by power, and Python ints add
+    the sums.
     """
     fractions, exponents = np.frexp(values)
     low = int(exponents.min())
-    powers = exponents - low
     scaled = np.ldexp(fractions, 26)
     high = np.trunc(scaled)
     rest = scaled - high  # 27 bits below the point
-    high, rest = (np.bincount(powers, weights=x).tolist() for x in (high, rest))
-    m = sum((int(h) << 27) + int(r * 2**27) << k for k, (h, r) in enumerate(zip(high, rest)))
+    if exponents.max() == low:
+        m = (int(high.sum()) << 27) + int(rest.sum() * 2**27)
+    else:
+        powers = exponents - low
+        high, rest = (np.bincount(powers, weights=x).tolist() for x in (high, rest))
+        m = sum((int(h) << 27) + int(r * 2**27) << k for k, (h, r) in enumerate(zip(high, rest)))
     v = min(u, low - 53)
     return m << (low - 53 - v), v
 

@@ -16,11 +16,15 @@ integer and those three are finite, and it needs no n^4 memory.
 build_qubo produces one and every conversion keeps it; np.asarray
 materializes it as the dense matrix the same stage builds from a dense
 input.  It answers the few ndarray calls the pipeline makes of its
-matrices (products, rows and the diagonal) in the ndarray's spelling,
-so only constructing a matrix asks which form it is, along with
-fold_diagonal, which zeroes its self_coupling, to_ising, which takes
-its one row sum, and descent, which reads its fields off the row and
-column counts of the (n, n) grid of the PenaltyMatrix layout.
+matrices (products, rows and scaling) in the ndarray's spelling, so only a
+few places ask which form they hold: constructing an instance;
+_nonzero_diagonal, which tests the one diagonal entry self_coupling
+where a dense matrix has its diagonal compared, so the structured chain
+forms no N-length diagonal; fold_diagonal, which adds self_coupling to
+r and zeroes it; to_ising, which takes its one row sum; and descent,
+which reads its fields off the row and column counts of the (n, n) grid
+of the PenaltyMatrix layout.  M.diagonal() stays for callers that want
+the diagonal as an array.
 
 Conventions fixed here once and relied on everywhere:
 
@@ -258,6 +262,14 @@ def _checked(matrix, vector, matrix_name: str, vector_name: str) -> tuple:
     return M, v
 
 
+def _nonzero_diagonal(matrix) -> bool:
+    """Whether a diagonal entry of matrix differs from 0; -0.0 does not.  On a
+    PenaltyMatrix every one is self_coupling, so this forms no diagonal."""
+    if isinstance(matrix, PenaltyMatrix):
+        return matrix.self_coupling != 0.0
+    return bool(np.any(matrix.diagonal() != 0.0))
+
+
 def _all_in(values: np.ndarray, pair: tuple) -> bool:
     """Whether every entry equals one of the two values in pair; NaN and
     non-numeric entries equal neither.  Two comparisons, where np.isin sorts."""
@@ -417,7 +429,7 @@ class IsingInstance:
 
     def __post_init__(self):
         Q, q = _checked(self.matrix_Q, self.vector_q, "matrix_Q", "vector_q")
-        if np.any(Q.diagonal() != 0.0):
+        if _nonzero_diagonal(Q):
             raise NonZeroDiagonal("matrix_Q must have an exactly zero diagonal")
         object.__setattr__(self, "matrix_Q", Q)
         object.__setattr__(self, "vector_q", q)
@@ -440,7 +452,7 @@ class HopfieldInstance:
 
     def __post_init__(self):
         W, theta = _checked(self.weights_W, self.bias_theta, "weights_W", "bias_theta")
-        if np.any(W.diagonal() != 0.0):
+        if _nonzero_diagonal(W):
             raise DomainError("weights_W must have an exactly zero diagonal")
         object.__setattr__(self, "weights_W", W)
         object.__setattr__(self, "bias_theta", theta)
@@ -522,7 +534,7 @@ class SolverTrace:
         flipped = np.asarray(self.flipped)
         if (
             flipped.dtype.kind not in "iuf"
-            or (flipped != np.trunc(flipped)).any()
+            or (flipped.dtype.kind == "f" and (flipped != np.trunc(flipped)).any())
             # np.asarray reads [0, True] as integers, so look at the elements
             or (
                 flipped.ndim == 1

@@ -1,6 +1,8 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qperm import (
@@ -25,7 +27,14 @@ from qperm import (
 from qperm import hopfield
 
 from . import reference_run as ref
-from .conftest import fraction_energy, make_program, paper_faithful, random_start, run_pipeline
+from .conftest import (
+    exact_sum,
+    fraction_energy,
+    make_program,
+    paper_faithful,
+    random_start,
+    run_pipeline,
+)
 
 
 def small_network(seed, N=6):
@@ -112,6 +121,55 @@ def _reference_network(instance):
     from qperm import fold_diagonal, to_hopfield, to_ising
 
     return to_hopfield(to_ising(fold_diagonal(instance)))
+
+
+class TestDyadicSum:
+    """_dyadic(values, u) is (m, v): the exact sum is m * 2^v, and v is the
+    least of u and the exponents of the values' last significand bits."""
+
+    @staticmethod
+    def assert_exact(values, u):
+        v = min(u, int(np.frexp(values)[1].min()) - 53)
+        m = exact_sum(values) / Fraction(2) ** v
+        assert m.denominator == 1
+        assert hopfield._dyadic(values, u) == (m.numerator, v)
+
+    @given(st.integers(1, 5000), st.one_of(st.just(0), st.integers(-1021, 1024)),
+           st.integers(0, 2**32 - 1), st.integers(-1200, 0))
+    @example(1, 0, 0, 0)
+    @example(5000, 1024, 1, 0)  # every term near the top of the float range
+    @settings(max_examples=60, deadline=None)
+    def test_values_of_one_exponent(self, size, exponent, seed, u):
+        """Every value m 2^(e - 53), 2^52 <= |m| < 2^53, of one sign or mixed;
+        at e = 0 some are zeros of either sign, whose exponent is 0 too."""
+        rnd = np.random.default_rng(seed)
+        signs = rnd.choice([-1.0, 1.0], size=size) if seed % 3 else np.full(size, 1.0)
+        mantissas = rnd.integers(2**52, 2**53, size=size).astype(float) * signs
+        values = np.ldexp(mantissas, exponent - 53)
+        if exponent == 0:
+            zeros = rnd.random(size) < 0.2
+            values[zeros] = np.copysign(0.0, signs[zeros])
+        assert np.ptp(np.frexp(values)[1]) == 0  # the one-sum branch
+        self.assert_exact(values, u)
+
+    @pytest.mark.parametrize("values", [[-0.0], [0.0, -0.0, -0.0], [-0.5, 0.75, -0.0]])
+    def test_zeros_of_either_sign(self, values):
+        self.assert_exact(np.array(values), 0)
+
+    @given(st.integers(2, 5000), st.integers(0, 2**32 - 1), st.integers(-1200, 0))
+    @example(2, 0, 0)
+    @settings(max_examples=60, deadline=None)
+    def test_values_of_mixed_exponents(self, size, seed, u):
+        """Any finite bit patterns, with zeros and subnormals among them."""
+        rnd = np.random.default_rng(seed)
+        values = rnd.integers(0, 2**64, size=size, dtype=np.uint64).view(np.float64)
+        values[~np.isfinite(values)] = 0.0
+        kind = rnd.integers(0, 3, size=size)
+        subnormals = rnd.integers(-(2**52), 2**52, size=size) * 5e-324
+        values = np.where(kind == 1, subnormals, np.where(kind == 2, -0.0, values))
+        values[0] = 5e-324  # exponent -1073, with any other value: mixed
+        assume(np.ptp(np.frexp(values)[1]) > 0)
+        self.assert_exact(values, u)
 
 
 class TestGainBookkeeping:

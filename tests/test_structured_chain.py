@@ -217,18 +217,28 @@ class TestPenaltyMatrix:
         assert bits(-2.0 * M) == bits(-2.0 * dense)  # zeros turn -0.0 in both
         assert bits(M * 3.0) == bits(dense * 3.0)
 
-    def test_instances_take_it_in_place_of_a_dense_matrix(self):
-        M = PenaltyMatrix(2, 1.0, 1.0, 2.0)
-        assert QuboInstance(M, np.zeros(4)).matrix_R is M
-        with pytest.raises(DimensionMismatch):
-            QuboInstance(M, np.zeros(9))
-        with pytest.raises(NonZeroDiagonal):
-            IsingInstance(M, np.zeros(4))
-        with pytest.raises(DomainError):
-            HopfieldInstance(M, np.zeros(4))
+    @mock.patch.object(PenaltyMatrix, "diagonal", side_effect=AssertionError("diagonal formed"))
+    def test_instances_take_it_in_place_of_a_dense_matrix(self, _):
+        """A nonzero self_coupling is refused without forming the diagonal;
+        -0.0 is a zero diagonal."""
+        r = np.zeros(4)
+        for self_coupling in (1.0, 2.0):
+            M = PenaltyMatrix(2, 1.0, 1.0, self_coupling)
+            assert QuboInstance(M, r).matrix_R is M
+            with pytest.raises(DimensionMismatch):
+                QuboInstance(M, np.zeros(9))
+            with pytest.raises(
+                NonZeroDiagonal, match="^fold_diagonal must run before the bipolar substitution$"
+            ):
+                to_ising(QuboInstance(M, r))
+            with pytest.raises(NonZeroDiagonal, match="^matrix_Q must have an exactly zero diagonal$"):
+                IsingInstance(M, r)
+            with pytest.raises(DomainError, match="^weights_W must have an exactly zero diagonal$"):
+                HopfieldInstance(M, r)
         zero_diagonal = PenaltyMatrix(2, -1.0, -1.0, -0.0)
-        assert IsingInstance(zero_diagonal, np.zeros(4)).matrix_Q is zero_diagonal
-        assert HopfieldInstance(zero_diagonal, np.zeros(4)).weights_W is zero_diagonal
+        assert to_ising(QuboInstance(zero_diagonal, r)).matrix_Q.self_coupling == 0.0
+        assert IsingInstance(zero_diagonal, r).matrix_Q is zero_diagonal
+        assert HopfieldInstance(zero_diagonal, r).weights_W is zero_diagonal
 
     def test_library_chain_holds_no_matrix(self):
         n = 40
@@ -272,6 +282,47 @@ class TestPenaltyMatrix:
             _, trace = solve(network)
             assert_bitwise_same_descent(network, np.full(49, -1, dtype=np.int8))
         assert trace.flips == 7
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 40])
+    def test_chain_never_forms_a_diagonal(self, n):
+        """Every zero-diagonal check reads self_coupling, and fold_diagonal adds
+        it to r as a scalar, the same add as the dense diagonal's."""
+        x = ValueVector(np.random.default_rng(n).normal(size=n))
+        with mock.patch.object(
+            PenaltyMatrix, "diagonal", side_effect=AssertionError("diagonal formed")
+        ):
+            instance = build_qubo(x, make_program("heap", n))
+            folded, _, network = chain(instance)
+            state, trace = solve(network)
+            assert bits(energy(network, state)) == bits(trace.final_energy)
+        dense_fold = instance.vector_r + np.asarray(instance.matrix_R).diagonal()
+        assert bits(folded.vector_r) == bits(dense_fold)
+        assert trace.flips == n
+
+    def test_descent_clears_a_cell_alone_in_its_lines(self):
+        """A flip that clears the one active cell of its grid row and grid
+        column gives both lines the gains of an all-inactive line after a
+        clear, as a descent started afresh there has them; the start was
+        found by a seeded search over random starts."""
+        n = 4
+        instance = build_qubo(
+            ValueVector([0.0, 3.0, -5.0, 3.0]), make_program("ascending", n), normalize=False
+        )
+        network = chain(instance)[2]
+        start = np.full(n * n, -1, dtype=np.int8)
+        start[[5, 10, 15]] = 1
+        trace = assert_bitwise_same_descent(network, start)
+        assert trace.flipped.tolist() == [0, 10, 6, 14]
+        before = trace.steps[1].state.reshape(n, n)  # the state the second flip clears
+        assert before[2, 2] == 1
+        assert before[2].sum() == before[:, 2].sum() == 2 - n
+        s, half, fresh = start.astype(float), np.empty(n * n), np.empty(n * n)
+        descent = hopfield._descent(network, s, half)
+        next(descent)
+        for i in trace.flipped.tolist():
+            descent.send(i)
+            next(hopfield._descent(network, s.copy(), fresh))
+            np.testing.assert_array_equal(half, fresh)
 
     def test_a_start_that_is_not_bipolar_is_named(self):
         """The trace names a start of 2s, on either form, after descent ran."""
