@@ -28,7 +28,7 @@ from .errors import (
     SizeBudgetExceeded,
     UnsupportedBranching,
 )
-from .hopfield import energy, flip_gain, solve
+from .hopfield import energy, flip_gain, solve, solve_qubo
 from .model import (
     HopfieldInstance,
     IsingInstance,
@@ -107,6 +107,7 @@ __all__ = [
     "matricize",
     "qubo_objective",
     "solve",
+    "solve_qubo",
     "sort_optimum",
     "to_hopfield",
     "to_ising",

@@ -33,13 +33,13 @@ descends or prints anything; "n" must be an integer, never truncated,
 whose square is the dimension of both terms, and so must the "n" and
 "branching" of a program file.
 
-verify builds with the defaults, runs one descent from the all-inactive
-state and reports the checks of certify on its endpoint.  The default
-build shifts x by its minimum before scaling, which makes that one
-descent exact (see ValueVector).  certify compares with the sort
-optimum, so verify runs at any n; --exhaustive enumerates all 2^(n*n)
-binary states and is refused before any descent when n*n exceeds
-oracle.MAX_EXHAUSTIVE_BITS.
+solve and verify run one descent from the all-inactive state through
+hopfield.solve_qubo; verify builds with the defaults and reports the
+checks of certify on its endpoint.  The default build shifts x by its
+minimum before scaling, which makes that one descent exact (see
+ValueVector).  certify compares with the sort optimum, so verify runs at
+any n; --exhaustive enumerates all 2^(n*n) binary states and is refused
+before any descent when n*n exceeds oracle.MAX_EXHAUSTIVE_BITS.
 
 Trace lines follow a fixed format: the step index right-aligned in four
 columns, two spaces, the state as '-'/'+' glyphs separated by single
@@ -71,9 +71,9 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .builder import build_qubo, reward_vector
-from .conversions import bipolar_to_binary, fold_diagonal, to_hopfield, to_ising
+from .conversions import fold_diagonal
 from .errors import MaxStepsExceeded, NonSquareLength, NotAPermutation, QpermError
-from .hopfield import solve
+from .hopfield import solve_qubo
 from .model import (
     OrderProgram,
     PenaltyMatrix,
@@ -211,7 +211,7 @@ def _cmd_build(args) -> int:
 
 def _cmd_solve(args) -> int:
     instance, x = _read_qubo(args.qubo_file)
-    trace, state_z = _descend(instance, args.max_steps)
+    state_z, trace = solve_qubo(instance, args.max_steps)
     if args.trace:
         for line in render_trace(trace):
             print(line)
@@ -239,7 +239,7 @@ def _cmd_verify(args) -> int:
         return EXIT_USAGE
 
     instance = build_qubo(x, program)
-    _, state_z = _descend(instance, None)
+    state_z, _ = solve_qubo(instance)
     report = certify(x, program, state_z)
 
     checks: list[tuple[str, Optional[bool]]] = [
@@ -261,13 +261,6 @@ def _cmd_verify(args) -> int:
     for note in report.notes:
         print(f"note: {note}")
     return EXIT_FAILED_CERTIFICATE if failed else EXIT_OK
-
-
-def _descend(instance, max_steps):
-    """Fold, convert, and run the network once; returns (trace, binary state)."""
-    network = to_hopfield(to_ising(fold_diagonal(instance)))
-    state, trace = solve(network, max_steps)
-    return trace, bipolar_to_binary(state)
 
 
 def _read_values(path: str) -> np.ndarray:

@@ -46,6 +46,9 @@ before and after each, O(N + flips) numbers; its steps rebuild every
 visited state, plus one repeated final row that makes the stability of
 the endpoint visible in renderings of the run, only when read.
 
+solve_qubo is the whole chain from a QuboInstance to a binary endpoint:
+fold_diagonal, to_ising, to_hopfield, solve, then bipolar_to_binary.
+
 On the ordering instances produced by the builder, every feasible
 permutation encoding is single-flip stable, so the landscape has n! local
 minima and descent cannot cross between them.  Descent from the
@@ -65,13 +68,22 @@ from typing import Optional
 
 import numpy as np
 
+from .conversions import bipolar_to_binary, fold_diagonal, to_hopfield, to_ising
 from .errors import (
     DimensionMismatch,
     DomainError,
     IndexOutOfRange,
     MaxStepsExceeded,
 )
-from .model import HopfieldInstance, PenaltyMatrix, SolverTrace, _all_in, _integral
+from .model import (
+    HopfieldInstance,
+    PenaltyMatrix,
+    QuboInstance,
+    SolverTrace,
+    _all_in,
+    _integral,
+    _readonly,
+)
 
 
 def energy(instance: HopfieldInstance, s) -> float:
@@ -128,6 +140,18 @@ def solve(
         if budget < 0:
             raise DomainError("max_steps must be non-negative")
     return _descend(instance, np.full(N, -1, dtype=np.int8), budget)
+
+
+def solve_qubo(
+    instance: QuboInstance, max_steps: Optional[int] = None
+) -> tuple[np.ndarray, SolverTrace]:
+    """Fold, convert to the Hopfield network and descend once, as solve does.
+
+    Returns the binary endpoint z, which decode_permutation reads, and the
+    trace of the descent.  max_steps and the errors raised are solve's.
+    """
+    state, trace = solve(to_hopfield(to_ising(fold_diagonal(instance))), max_steps)
+    return bipolar_to_binary(state), trace
 
 
 def _descend(
@@ -283,7 +307,7 @@ def _rounded(m: int, u: int) -> float:
 
 
 def _check_state(instance: HopfieldInstance, s) -> np.ndarray:
-    sv = np.asarray(s, dtype=float).ravel()
+    sv = _readonly(s, "state").ravel()
     if sv.size != instance.dimension:
         raise DimensionMismatch(
             f"state has {sv.size} coordinates, instance has {instance.dimension}"

@@ -229,9 +229,13 @@ def _finite(value, name: str) -> float:
     return value
 
 
-def _readonly(values, dtype=float) -> np.ndarray:
-    """A read-only copy of values as an array of dtype."""
-    arr = np.array(values, dtype=dtype)
+def _readonly(values, name: str, dtype=float) -> np.ndarray:
+    """A read-only copy of values as an array of dtype; an integer beyond
+    the range of dtype is a DomainError that names the field."""
+    try:
+        arr = np.array(values, dtype=dtype)
+    except OverflowError:
+        raise DomainError(f"{name} holds an integer beyond the {np.dtype(dtype)} range") from None
     arr.setflags(write=False)
     return arr
 
@@ -239,24 +243,26 @@ def _readonly(values, dtype=float) -> np.ndarray:
 def _checked(matrix, vector, matrix_name: str, vector_name: str) -> tuple:
     """Read-only copies of an instance's matrix and vector, checked.
 
-    The matrix must be square and match the vector, the vector finite and
-    the matrix symmetric.  A PenaltyMatrix is immutable, symmetric by
-    construction and finite by its own check, so it is kept as it is.  A
-    dense matrix is compared with its transpose, entry by entry; the test
-    is written `not gap <= tol` so that a NaN gap (from NaN or infinite
-    entries) fails, and a gap that overflows is infinite and fails too,
-    without a numpy warning.
+    The matrix must be square and match the vector, hold at least one
+    entry, the vector finite and the matrix symmetric.  A PenaltyMatrix is
+    immutable, symmetric by construction and finite by its own check, so
+    it is kept as it is.  A dense matrix is compared with its transpose,
+    entry by entry; the test is written `not gap <= tol` so that a NaN gap
+    (from NaN or infinite entries) fails, and a gap that overflows is
+    infinite and fails too, without a numpy warning.
     """
     dense = not isinstance(matrix, PenaltyMatrix)
-    M = _readonly(matrix) if dense else matrix
-    v = _readonly(vector)
+    M = _readonly(matrix, matrix_name) if dense else matrix
+    v = _readonly(vector, vector_name)
     if M.ndim != 2 or M.shape[0] != M.shape[1] or v.shape != (M.shape[0],):
         raise DimensionMismatch(f"{matrix_name} must be square and match {vector_name}")
+    if v.size == 0:
+        raise InvalidSize(f"{vector_name} needs at least one entry")
     _require_finite(v, vector_name)
     if dense:
         with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is the NaN we look for
             diff = M - M.T
-        gap = float(np.abs(diff, out=diff).max(initial=0.0))  # a 0 x 0 matrix passes
+        gap = float(np.abs(diff, out=diff).max())
         if not gap <= SYMMETRY_TOL:
             raise DomainError(f"{matrix_name} must be symmetric and finite; asymmetry {gap:.3e}")
     return M, v
@@ -321,7 +327,7 @@ class ValueVector:
     normalized_entries: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        entries = _readonly(self.entries)
+        entries = _readonly(self.entries, "entries")
         if entries.ndim != 1 or entries.size == 0:
             raise InvalidSize("need a one-dimensional vector with at least one entry")
         _require_finite(entries, "entries")
@@ -483,7 +489,7 @@ class PermutationMatrix:
             raise NotAPermutation("need a non-empty square matrix")
         if not _all_in(M, (0, 1)):
             raise _NotBinary("entries must be 0 or 1")
-        M = _readonly(M, dtype=int)
+        M = _readonly(M, "matrix", dtype=int)
         if not ((M.sum(axis=0) == 1).all() and (M.sum(axis=1) == 1).all()):
             raise NotAPermutation("every row and column must contain exactly one 1")
         object.__setattr__(self, "matrix", M)
@@ -503,7 +509,7 @@ class TraceStep:
     energy: float
 
     def __post_init__(self):
-        state = _readonly(self.state, dtype=np.int8)
+        state = _readonly(self.state, "state", dtype=np.int8)
         if not _all_in(state, (-1, 1)):
             raise DomainError("trace states must be bipolar")
         object.__setattr__(self, "state", state)
@@ -530,7 +536,7 @@ class SolverTrace:
         given = np.asarray(self.start)
         if given.ndim != 1 or not _all_in(given, (-1, 1)):
             raise DomainError("the start state must be a bipolar vector")
-        start = _readonly(given, dtype=np.int8)
+        start = _readonly(given, "start", dtype=np.int8)
         flipped = np.asarray(self.flipped)
         if (
             flipped.dtype.kind not in "iuf"
@@ -547,8 +553,8 @@ class SolverTrace:
             )
         if flipped.ndim != 1 or not ((flipped >= 0) & (flipped < start.size)).all():
             raise DomainError(f"flipped coordinates must lie in 0..{start.size - 1}")
-        flipped = _readonly(flipped, dtype=np.intp)
-        energies = _readonly(self.energies)
+        flipped = _readonly(flipped, "flipped", dtype=np.intp)
+        energies = _readonly(self.energies, "energies")
         if energies.shape != (flipped.size + 1,):
             raise DomainError(
                 f"{flipped.size} flips need {flipped.size + 1} energies, got {energies.size}"
@@ -570,7 +576,7 @@ class SolverTrace:
     @property
     def final_state(self) -> np.ndarray:
         odd = np.bincount(self.flipped, minlength=self.start.size) % 2 == 1
-        return _readonly(np.where(odd, -self.start, self.start), dtype=np.int8)
+        return _readonly(np.where(odd, -self.start, self.start), "final_state", dtype=np.int8)
 
     @property
     def final_energy(self) -> float:
@@ -643,4 +649,4 @@ def apply_permutation(p: PermutationMatrix, x: ValueVector) -> np.ndarray:
     """
     if p.n != x.n:
         raise DimensionMismatch(f"permutation is {p.n}x{p.n} but x has {x.n} entries")
-    return _readonly(x.entries[list(p.as_mapping)])
+    return _readonly(x.entries[list(p.as_mapping)], "arranged values")

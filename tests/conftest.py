@@ -8,14 +8,10 @@ from qperm import (
     QuboInstance,
     ValueVector,
     ascending_program,
-    bipolar_to_binary,
     bst_program,
     build_qubo,
-    fold_diagonal,
     heap_program,
-    solve,
-    to_hopfield,
-    to_ising,
+    solve_qubo,
 )
 
 from . import reference_run as ref
@@ -49,12 +45,10 @@ def make_program(kind, n):
 
 
 def run_pipeline(x, program, max_steps=None, **weights):
-    """Build with build_qubo's keywords, convert, and descend once; returns
+    """Build with build_qubo's keywords and descend once; returns
     (binary state, trace, instance)."""
     instance = build_qubo(x, program, **weights)
-    network = to_hopfield(to_ising(fold_diagonal(instance)))
-    state, trace = solve(network, max_steps)
-    return bipolar_to_binary(state), trace, instance
+    return (*solve_qubo(instance, max_steps), instance)
 
 
 def dense_qubo(instance):

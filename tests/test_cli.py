@@ -24,6 +24,7 @@ from qperm import (
     decode_permutation,
     descending_program,
     heap_program,
+    solve_qubo,
     vectorize,
 )
 from qperm import cli
@@ -382,7 +383,7 @@ class TestSolveCommand:
         copy of every state, is never read."""
         values = np.random.default_rng(5).uniform(0.0, 2000.0, size=6).tolist()
         qubo = build_file(tmp_path, values, "ascending", "--no-normalize")
-        trace, _ = cli._descend(cli._read_qubo(qubo)[0], None)
+        _, trace = solve_qubo(cli._read_qubo(qubo)[0])
         expected = [
             f"{row.index:4d}  {' '.join('+' if v > 0 else '-' for v in row.state)}  {row.energy:.1f}"
             for row in trace.steps
@@ -653,7 +654,7 @@ class TestQuboFileFormat:
     def test_same_output_as_the_dense_file(self, tmp_path, capsys, kind, values, flags):
         # integer penalty weights (the default n): both descents agree bit for bit
         qubo = build_file(tmp_path, values, kind, *flags)
-        payload = json.loads(open(qubo, encoding="utf-8").read())
+        payload = json.loads(Path(qubo).read_text(encoding="utf-8"))
         to_dense(payload)
         dense_R = write_json(tmp_path / "dense_R.json", payload)
         dense_reward(payload)
@@ -671,7 +672,7 @@ class TestQuboFileFormat:
         assert main(["solve", qubo, "--trace"]) == 0
         x = ValueVector(values)
         instance = build_qubo(x, make_program(kind, 6), lambda_r=6.3, lambda_c=5.9)
-        trace, state_z = cli._descend(instance, None)
+        state_z, trace = solve_qubo(instance)
         mapping = decode_permutation(state_z).as_mapping
         expected = [
             *render_trace(trace),
@@ -722,7 +723,7 @@ class TestQuboFileFormat:
     )
     def test_whole_file_checked_before_any_output(self, tmp_path, capsys, edit, message):
         qubo = build_file(tmp_path, [3.0, 1.0, 2.0], "ascending")
-        payload = json.loads(open(qubo, encoding="utf-8").read())
+        payload = json.loads(Path(qubo).read_text(encoding="utf-8"))
         edit(payload)
         assert main(["solve", write_json(tmp_path / "bad.json", payload), "--trace"]) == 2
         out, err = capsys.readouterr()
@@ -744,7 +745,7 @@ class TestQuboFileFormat:
         qubo = build_file(tmp_path, SIGNED_X, "heap")
         assert main(["solve", qubo, "--trace"]) == 0
         expected = capsys.readouterr()
-        payload = json.loads(open(qubo, encoding="utf-8").read())
+        payload = json.loads(Path(qubo).read_text(encoding="utf-8"))
         legacy_file = write_json(tmp_path / "legacy.json", {**payload, **legacy})
         assert main(["solve", legacy_file, "--trace"]) == 0
         assert capsys.readouterr() == expected
@@ -795,7 +796,7 @@ class TestVerifyCommand:
         payload = {"n": 3, "kind": "bst", "branching": 3, "ranks": [2, 1, 3]}
         prog = write_json(tmp_path / "bst3.json", payload)
         solve = mock.Mock(side_effect=AssertionError("verify descended"))
-        monkeypatch.setattr(cli, "solve", solve)
+        monkeypatch.setattr(cli, "solve_qubo", solve)
         assert main(["verify", x_path, prog]) == 2
         out, err = capsys.readouterr()
         assert out == ""

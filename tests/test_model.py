@@ -22,6 +22,7 @@ from qperm import (
     ValueVector,
     apply_permutation,
     decode_permutation,
+    energy,
     matricize,
     vectorize,
 )
@@ -443,8 +444,12 @@ class TestSymmetryCheck:
             W[i, j] += 0.5e-12
             make(W)
 
-    def test_an_empty_matrix_is_symmetric(self):
-        assert IsingInstance(matrix_Q=np.zeros((0, 0)), vector_q=np.zeros(0)).dimension == 0
+    @pytest.mark.parametrize("make", [QuboInstance, IsingInstance, HopfieldInstance])
+    def test_an_empty_instance_is_refused(self, make):
+        """A 0 x 0 instance was once accepted, and solve and energy then
+        raised a bare numpy ValueError."""
+        with pytest.raises(InvalidSize, match="at least one entry"):
+            make(np.zeros((0, 0)), np.zeros(0))
 
     def test_qubo_gap_in_last_partial_strip(self):
         n = 12  # N = 144
@@ -483,6 +488,24 @@ class TestNonFiniteData:
         given_arrays[1][3] = bad
         with pytest.raises(DomainError):
             make(given_arrays)
+
+    @pytest.mark.parametrize(
+        "make, field",
+        [
+            (lambda: ValueVector([10**400, 1]), "entries"),
+            (lambda: QuboInstance(np.zeros((1, 1)), [10**400]), "vector_r"),
+            (lambda: QuboInstance([[10**400]], [1.0]), "matrix_R"),
+            (lambda: SolverTrace([-1], [], [10**400]), "energies"),
+            (lambda: TraceStep(0, [300, 1], 0.0), "state"),
+            (lambda: energy(HopfieldInstance(np.zeros((1, 1)), [0.0]), [10**400]), "state"),
+        ],
+        ids=["ValueVector", "QuboInstance-r", "QuboInstance-R", "SolverTrace", "TraceStep",
+             "energy"],
+    )
+    def test_integer_beyond_range_rejected(self, make, field):
+        """Each raised a bare OverflowError, not a QpermError."""
+        with pytest.raises(DomainError, match=f"^{field} holds an integer beyond"):
+            make()
 
     def test_nan_on_the_diagonal_rejected(self):
         R = symmetric(4)

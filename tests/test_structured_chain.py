@@ -45,6 +45,7 @@ from qperm import (
     fold_diagonal,
     qubo_objective,
     solve,
+    solve_qubo,
     to_hopfield,
     to_ising,
 )
@@ -521,6 +522,30 @@ class TestAnyWeightsWithinTolerance:
         flipped = state.copy()
         flipped[0] = -flipped[0]
         assert not energy(network, flipped) < energy(network, state)
+
+
+# --- solve_qubo is the chain in one call ----------------------------------
+
+
+@given(builder_instances(integer_lambda=False), st.booleans(),
+       st.one_of(st.none(), st.integers(0, 40)))
+@settings(max_examples=120, deadline=None)
+def test_solve_qubo_is_the_chain_written_out(instance, dense, max_steps):
+    """Default builds, normalize=False and any weights, structured or dense:
+    the same endpoint, flips and energies bit for bit, or the same error."""
+    if dense:
+        instance = dense_qubo(instance)
+    try:
+        state, trace = solve(chain(instance)[2], max_steps)
+    except MaxStepsExceeded:
+        with pytest.raises(MaxStepsExceeded):
+            solve_qubo(instance, max_steps)
+        return
+    z, got = solve_qubo(instance, max_steps)
+    expected = bipolar_to_binary(state)
+    assert z.dtype == expected.dtype and bits(z) == bits(expected)
+    assert got.flipped.tolist() == trace.flipped.tolist()
+    assert [e.hex() for e in got.energies.tolist()] == [e.hex() for e in trace.energies.tolist()]
 
 
 # --- the CLI writes the materialized penalty -------------------------------
