@@ -7,18 +7,11 @@ single-flip descent, and certify the decoded permutation against the
 exact optimum, which one sort gives.
 """
 
-from .builder import build_Cc, build_Cr, build_N, build_qubo, qubo_objective
-from .conversions import (
-    binary_to_bipolar,
-    bipolar_to_binary,
-    fold_diagonal,
-    to_hopfield,
-    to_ising,
-)
+from .builder import build_qubo
+from .conversions import bipolar_to_binary, fold_diagonal, to_hopfield, to_ising
 from .errors import (
     DimensionMismatch,
     DomainError,
-    IndexOutOfRange,
     InvalidSize,
     MaxStepsExceeded,
     NonSquareLength,
@@ -28,7 +21,7 @@ from .errors import (
     SizeBudgetExceeded,
     UnsupportedBranching,
 )
-from .hopfield import energy, flip_gain, solve, solve_qubo
+from .hopfield import energy, solve, solve_qubo
 from .model import (
     HopfieldInstance,
     IsingInstance,
@@ -41,8 +34,6 @@ from .model import (
     ValueVector,
     apply_permutation,
     decode_permutation,
-    matricize,
-    vectorize,
 )
 from .oracle import (
     CertificateReport,
@@ -68,7 +59,6 @@ __all__ = [
     "DimensionMismatch",
     "DomainError",
     "HopfieldInstance",
-    "IndexOutOfRange",
     "InvalidSize",
     "IsingInstance",
     "MaxStepsExceeded",
@@ -89,23 +79,16 @@ __all__ = [
     "apply_permutation",
     "ascending_program",
     "best_permutation",
-    "binary_to_bipolar",
     "bipolar_to_binary",
     "bst_program",
-    "build_Cc",
-    "build_Cr",
-    "build_N",
     "build_qubo",
     "certify",
     "decode_permutation",
     "descending_program",
     "energy",
     "exhaustive_qubo_min",
-    "flip_gain",
     "fold_diagonal",
     "heap_program",
-    "matricize",
-    "qubo_objective",
     "solve",
     "solve_qubo",
     "sort_optimum",
@@ -113,5 +96,4 @@ __all__ = [
     "to_ising",
     "validate_bst",
     "validate_heap",
-    "vectorize",
 ]

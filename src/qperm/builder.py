@@ -7,7 +7,8 @@ column, flattened column-wise into z.  The compiled objective
 
 rewards activating cell (row b, column a) with -x[a] * ranks[b], so the
 minimizer pairs the largest values with the highest ranks, and penalizes
-row and column sums away from one.  The pieces are Kronecker products:
+row and column sums away from one.  The paper writes the pieces as
+Kronecker products:
 
     N   = I (x) ranks^T          rank reward,     N @ z = Z^T @ ranks
     C_r = 1^T (x) I              row sums,      C_r @ z = Z @ 1
@@ -18,7 +19,8 @@ row and column sums away from one.  The pieces are Kronecker products:
 R couples cells of one row with lam_r and cells of one column with
 lam_c, so build_qubo returns it as PenaltyMatrix(n, lam_r, lam_c,
 lam_r + lam_c), three numbers in place of n^4 entries; np.asarray(R)
-gives the dense matrix above.  Every column of C_r and of C_c holds a
+gives the dense matrix above, which the tests build from the Kronecker
+products and hold build_qubo to.  Every column of C_r and of C_c holds a
 single 1 and N^T x puts x[a] * ranks[b] at z[a*n + b], so r is the
 outer product of the values and the ranks less one offset,
 2 (lam_r + lam_c), which is twice R's diagonal: 2n + 1 numbers.
@@ -42,32 +44,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, InvalidSize
-from .model import OrderProgram, PenaltyMatrix, QuboInstance, ValueVector, _all_in
-
-
-def build_N(program: OrderProgram) -> np.ndarray:
-    """Rank reward matrix, n rows by n*n columns, block diagonal.
-
-    Row i holds the program's ranks in columns i*n .. i*n+n-1, so that
-    build_N(p) @ vectorize(Z) equals Z.T @ ranks.
-    """
-    ranks = np.asarray(program.ranks, dtype=float)
-    return np.kron(np.eye(program.n), ranks[None, :])
-
-
-def build_Cr(n: int) -> np.ndarray:
-    """Row-sum reader: build_Cr(n) @ vectorize(Z) equals Z @ 1."""
-    if n < 1:
-        raise InvalidSize("n must be at least 1")
-    return np.kron(np.ones((1, n)), np.eye(n))
-
-
-def build_Cc(n: int) -> np.ndarray:
-    """Column-sum reader: build_Cc(n) @ vectorize(Z) equals Z.T @ 1."""
-    if n < 1:
-        raise InvalidSize("n must be at least 1")
-    return np.kron(np.eye(n), np.ones((1, n)))
+from .errors import DimensionMismatch, DomainError
+from .model import OrderProgram, PenaltyMatrix, QuboInstance, ValueVector, _real
 
 
 def build_qubo(
@@ -92,15 +70,15 @@ def build_qubo(
     Raises
     ------
     DomainError
-        If a weight is not positive and finite, or 2 (lambda_r + lambda_c)
-        overflows the float range.
+        If a weight is not a positive and finite real number (a boolean is
+        none), or 2 (lambda_r + lambda_c) overflows the float range.
     DimensionMismatch
         If x and the program disagree on n.
     """
     n = program.n
     lambda_r = float(n) if lambda_r is None else lambda_r
     lambda_c = float(n) if lambda_c is None else lambda_c
-    if not (0.0 < lambda_r < math.inf and 0.0 < lambda_c < math.inf):
+    if not all(_real(w) and 0.0 < w < math.inf for w in (lambda_r, lambda_c)):
         raise DomainError("penalty weights must be positive and finite")
     try:  # in Python floats, which overflow without a numpy warning
         offset = 2.0 * (float(lambda_r) + float(lambda_c))
@@ -129,15 +107,3 @@ def reward_vector(values: np.ndarray, ranks: np.ndarray, offset: float) -> np.nd
     """
     with np.errstate(over="ignore", invalid="ignore"):
         return -np.outer(values, ranks).ravel() - offset
-
-
-def qubo_objective(instance: QuboInstance, z) -> float:
-    """Evaluate z^T R z + r^T z at a binary state z; R dense or a PenaltyMatrix."""
-    zv = np.asarray(z, dtype=float).ravel()
-    if zv.size != instance.dimension:
-        raise DimensionMismatch(
-            f"state has {zv.size} coordinates, instance has {instance.dimension}"
-        )
-    if not _all_in(zv, (0.0, 1.0)):
-        raise DomainError("objective is defined on binary states")
-    return float(zv @ instance.matrix_R @ zv + instance.vector_r @ zv)

@@ -20,18 +20,20 @@ weights, and the linear term as "reward": {"values", "ranks",
 offset 2 * self_coupling, is r (see builder.reward_vector).  A file
 thus holds 2n + 6 numbers besides "x" and "program".  solve reads "n",
 "penalty" or "R", "reward" or "r", and "x", and ignores every other
-key.  It reads the penalty back as that PenaltyMatrix and
-takes the structured descent, which never forms the n^2 x n^2 matrix,
-and forms r with the function build_qubo uses, so it is the same bit
-for bit.  A file may instead hold a dense "R" (row-major, full
-symmetric matrix) and a dense "r" (n^2 numbers), as hand-made and
-external instances do; a dense "R" takes the dense descent.  A file
-holds exactly one of "penalty" and "R", and exactly one of "reward" and
-"r".  build also embeds "x" and "program" so that solve can print the
-arranged values.  solve checks the whole file, "x" included, before it
-descends or prints anything; "n" must be an integer, never truncated,
-whose square is the dimension of both terms, and so must the "n" and
-"branching" of a program file.
+key.  It reads the penalty back as that PenaltyMatrix, whose descent
+never forms the n^2 x n^2 matrix, and forms r with the function
+build_qubo uses, so it is the same bit for bit.  A file may instead hold
+a dense "R" (row-major, n^2 x n^2) and a dense "r" (n^2 numbers), as
+files of earlier versions and hand-made instances do.  A dense "R" is
+read as the PenaltyMatrix it equals entry for entry, with the
+coefficients R[0][n], R[0][1] and R[0][0]; every file that build wrote
+has that form, so every form of one instance prints the same output.
+Any other "R" exits 2.  A file holds exactly one of "penalty" and "R",
+and exactly one of "reward" and "r".  build also embeds "x" and
+"program" so that solve can print the arranged values.  solve checks
+the whole file, "x" included, before it descends or prints anything;
+"n" must be an integer, never truncated, whose square is the dimension
+of both terms, and so must the "n" and "branching" of a program file.
 
 solve and verify run one descent from the all-inactive state through
 hopfield.solve_qubo; verify builds with the defaults and reports the
@@ -321,9 +323,10 @@ def _read_program(path: str) -> OrderProgram:
 
 
 def _read_qubo(path: str) -> tuple[QuboInstance, Optional[ValueVector]]:
-    """Check the whole file; its quadratic term is a PenaltyMatrix, or dense for
-    "R", and its linear term is formed from "reward", or read dense from "r".
-    Keys other than "n", those four and "x" are ignored."""
+    """Check the whole file; its quadratic term is read as a PenaltyMatrix,
+    from "penalty" or from a dense "R" that equals one, and its linear term
+    is formed from "reward", or read dense from "r".  Keys other than "n",
+    those four and "x" are ignored."""
     data = _read_object(path, ("n",))
     n = _integral(data["n"], f"{path}: n")
     if _one_of(data, "penalty", "R", path):
@@ -331,8 +334,10 @@ def _read_qubo(path: str) -> tuple[QuboInstance, Optional[ValueVector]]:
         R = PenaltyMatrix(
             **{name: _number(penalty[name], f"{path}: penalty.{name}") for name in _PENALTY_FIELDS}
         )
+        if R.n != n:
+            raise QpermError(f"{path}: penalty.n={R.n} but n={n}")
     else:
-        R = _numbers(data["R"], f"{path}: 'R'", ndim=2)
+        R = _penalty_from_R(_numbers(data["R"], f"{path}: 'R'", ndim=2), n, path)
     if _one_of(data, "reward", "r", path):
         reward = _fields(data, "reward", _REWARD_FIELDS, path)
         values = _n_numbers(reward["values"], n, f"{path}: reward.values")
@@ -340,11 +345,33 @@ def _read_qubo(path: str) -> tuple[QuboInstance, Optional[ValueVector]]:
         r = reward_vector(values, ranks, _float(reward["offset"], f"{path}: reward.offset"))
     else:
         r = _numbers(data["r"], f"{path}: 'r'")
-    instance = QuboInstance(matrix_R=R, vector_r=r)
-    if instance.n != n:
-        raise QpermError(f"{path}: n={n} but the terms have dimension {instance.dimension}")
+        if r.size != n * n:
+            raise QpermError(f"{path}: 'r' holds {r.size} numbers, not n*n={n * n}")
     x = ValueVector(_n_numbers(data["x"], n, f"{path}: 'x'")) if "x" in data else None
-    return instance, x
+    return QuboInstance(matrix_R=R, vector_r=r), x
+
+
+def _penalty_from_R(R: np.ndarray, n: int, path: str) -> PenaltyMatrix:
+    """The PenaltyMatrix that a dense "R" equals entry for entry.
+
+    Its coefficients are read off row 0: R[0][0] is self_coupling, R[0][1]
+    couples cell 0 with another cell of its column of Z and R[0][n] with
+    another cell of its row.  Any other R is refused.
+    """
+    N = n * n
+    try:
+        if R.shape == (N, N):
+            same_row, same_col = (R[0, n], R[0, 1]) if n > 1 else (0.0, 0.0)
+            penalty = PenaltyMatrix(n, same_row, same_col, R[0, 0])
+            if np.array_equal(np.asarray(penalty), R):
+                return penalty
+    except QpermError:  # a non-finite coefficient, or n below 1
+        pass
+    raise QpermError(
+        f"{path}: 'R' is not the {N}x{N} matrix of a finite penalty: self_coupling on the "
+        "diagonal, same_row or same_col between two cells of one row or one column of Z, "
+        "and 0 elsewhere"
+    )
 
 
 def _one_of(data: dict, structured: str, dense: str, path: str) -> bool:

@@ -33,10 +33,6 @@ class DomainError(QpermError, ValueError):
     """An entry lies outside the expected alphabet or value domain."""
 
 
-class IndexOutOfRange(QpermError, IndexError):
-    """Coordinate index is outside 0..N-1."""
-
-
 class MaxStepsExceeded(QpermError, RuntimeError):
     """Descent did not reach a stable state within its flip budget."""
 

@@ -9,8 +9,7 @@ is a safety net for hand-crafted instances.
 
 Flipping s_i changes the energy by 2 s_i (h_i - theta_i), h = W s, as
 W_ii = 0.  Descent keeps half of each gain, which orders the flips as the
-gains do and overflows no sooner.  On a dense W, h = W @ s and every gain
-are formed afresh after each flip, O(N^2).  On a PenaltyMatrix, fields are
+gains do and overflows no sooner.  W is a PenaltyMatrix, and fields are
 read off counts, as in Hopfield and Tank's permutation networks: on the
 (n, n) grid of the PenaltyMatrix layout, cell (a, b) has the field
 w_r (R_b - s_ab) + w_c (C_a - s_ab), where R_b sums s over grid column b
@@ -24,16 +23,14 @@ numpy call.  Its fields are w_r (R_b + 1) + w_c (C_a + 1), and the
 line's own term can then be only w_c (1 - n), when the flip cleared its
 cell, or w_c (3 - n), when it set it (w_r for a column), so descent keeps
 the four sums as n-vectors and moves each by one float add per flip.
-The argmin over all gains is O(N) per flip either way, and no
-PenaltyMatrix is materialized.
+The argmin over all gains is O(N) per flip, and no PenaltyMatrix is
+materialized.
 
 Every energy, in the trace and from energy(), is E(s) correctly rounded,
-the same on any BLAS and on either form of W.  2 E(s) is kept as an
-integer count of 2^u, u at or below the last significand bit of every
-entry of theta and W: theta.s is summed exactly once (_dyadic) and moves
-by 2 s_i theta_i per flip; s^T W s is w_r sum_b (R_b^2 - n) + w_c sum_a
-(C_a^2 - n) on a PenaltyMatrix, and on a dense W an exact sum that moves
-by 4 s_i (W s)_i per flip, that row summed exactly.  One int / int
+the same on any BLAS.  2 E(s) is kept as an integer count of 2^u, u at or
+below the last significand bit of every entry of theta and W: theta.s is
+summed exactly once (_dyadic) and moves by 2 s_i theta_i per flip, and
+s^T W s is w_r sum_b (R_b^2 - n) + w_c sum_a (C_a^2 - n).  One int / int
 division, which Python rounds correctly, gives each energy; one beyond
 the float range is an infinity, which SolverTrace names.  A flip stands
 only if its energy is strictly below the one before it: a gain that is 0
@@ -69,12 +66,7 @@ from typing import Optional
 import numpy as np
 
 from .conversions import bipolar_to_binary, fold_diagonal, to_hopfield, to_ising
-from .errors import (
-    DimensionMismatch,
-    DomainError,
-    IndexOutOfRange,
-    MaxStepsExceeded,
-)
+from .errors import DimensionMismatch, DomainError, MaxStepsExceeded
 from .model import (
     HopfieldInstance,
     PenaltyMatrix,
@@ -89,19 +81,7 @@ from .model import (
 def energy(instance: HopfieldInstance, s) -> float:
     """-1/2 s^T W s + theta^T s at a bipolar state, correctly rounded, as descent records it."""
     sv = _check_state(instance, s)
-    return next(_descent(instance, sv, np.empty(sv.size)))
-
-
-def flip_gain(instance: HopfieldInstance, s, i: int) -> float:
-    """Energy change from flipping coordinate i of s, in O(N) time.
-
-    Equals energy(s with s[i] negated) - energy(s).
-    """
-    sv = _check_state(instance, s)
-    i = _integral(i, "coordinate")
-    if not 0 <= i < instance.dimension:
-        raise IndexOutOfRange(f"coordinate {i} outside 0..{instance.dimension - 1}")
-    return float(2.0 * sv[i] * (instance.weights_W[i] @ sv - instance.bias_theta[i]))
+    return next(_counts(instance.weights_W, instance.bias_theta, sv, np.empty(sv.size)))
 
 
 def solve(
@@ -166,7 +146,7 @@ def _descend(
     # SolverTrace names, with no numpy warning.
     with np.errstate(over="ignore", invalid="ignore"):
         half = np.empty(s.size)  # half the gain of each flip
-        descent = _descent(instance, s, half)
+        descent = _counts(instance.weights_W, instance.bias_theta, s, half)
         energies = [next(descent)]
         while True:
             i = int(half.argmin())  # ties: lowest index
@@ -186,18 +166,10 @@ def _descend(
     return s.astype(np.int8), SolverTrace(start, np.array(flipped, dtype=np.intp), energies)
 
 
-def _descent(instance: HopfieldInstance, s: np.ndarray, half: np.ndarray):
-    """The descent generator for the form of the weights: _counts on a
-    PenaltyMatrix, _dense on a dense W."""
-    W = instance.weights_W
-    descent = _counts if isinstance(W, PenaltyMatrix) else _dense
-    return descent(W, instance.bias_theta, s, half)
-
-
 def _counts(W: PenaltyMatrix, theta: np.ndarray, s: np.ndarray, half: np.ndarray):
-    """Descent on a PenaltyMatrix: fills half and yields E(s), then, sent each
-    coordinate i, flips s_i, brings half up to date and yields the energy
-    after the flip.  The first value is energy()'s."""
+    """Fills half and yields E(s), then, sent each coordinate i, flips s_i,
+    brings half up to date and yields the energy after the flip.  The first
+    value is energy()'s."""
     n, w_r, w_c = W.n, W.same_row, W.same_col
     S, G, T = s.reshape(n, n), half.reshape(n, n), theta.reshape(n, n)
     R, C = S.sum(axis=0), S.sum(axis=1)
@@ -247,21 +219,6 @@ def _line(out, t, states, counts, w, count, v):
     """Half gains of a line whose sum is count, weight v, crossed by counts, weight w."""
     h = w * (counts - states) + v * (count - states)
     np.multiply(states, h - t, out)
-
-
-def _dense(W: np.ndarray, theta: np.ndarray, s: np.ndarray, half: np.ndarray):
-    """As _counts, on a dense W: half is formed afresh after each flip."""
-    np.multiply(s, W @ s - theta, out=half)
-    pairs, u = _dyadic((s[:, None] * W * s).ravel())  # s^T W s
-    dot, v = _dyadic(theta * s, u)
-    twice, u = 2 * dot - (pairs << (u - v)), v
-    i = yield _rounded(twice, u - 1)
-    while True:
-        field, _ = _dyadic(W[i] * s, u)  # (W s)_i exactly, s_i aside as W_ii = 0
-        s[i] = d = -s.item(i)
-        twice += 4 * int(d) * (_scaled(theta.item(i), u) - field)
-        np.multiply(s, W @ s - theta, out=half)
-        i = yield _rounded(twice, u - 1)
 
 
 def _dyadic(values: np.ndarray, u: int = 0) -> tuple[int, int]:

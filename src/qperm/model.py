@@ -1,38 +1,29 @@
 """Core value types and encoding conventions for the ordering pipeline.
 
 Every other module (builder, conversions, solver, oracle, CLI) speaks in
-terms of these types.  Instances are frozen, and each copies the arrays it
+terms of these types.  Instances are frozen, and each copies the vector it
 is given and marks the copy read-only, so no caller can change what an
 instance holds and instances can be shared freely between threads and
-calls.  On the library chain those copies are O(N) vectors; only a dense
-matrix, the reference path, is copied whole.
+calls.  Those copies are O(N) vectors.
 
-Each instance takes its matrix in one of two forms.  A dense ndarray must
-be symmetric to within SYMMETRY_TOL and, like the vectors beside it,
-finite; NaN or infinite entries raise DomainError.  A PenaltyMatrix is the
-row/column penalty of the ordering QUBO held as three coefficients: it is
-symmetric by construction, so validating it checks that n is a positive
-integer and those three are finite, and it needs no n^4 memory.
+Every instance holds its matrix as a PenaltyMatrix: the row/column penalty
+of the ordering QUBO held as three coefficients, in place of the n^4
+entries of the paper's dense matrix.  It is symmetric by construction, so
+validating it checks that n is a positive integer and those three are
+finite; any other matrix, an ndarray included, is refused with a
+DomainError that names the field.  The vector beside it must be finite.
 build_qubo produces one and every conversion keeps it; np.asarray
-materializes it as the dense matrix the same stage builds from a dense
-input.  It answers the few ndarray calls the pipeline makes of its
-matrices (products, rows and scaling) in the ndarray's spelling, so only a
-few places ask which form they hold: constructing an instance;
-_nonzero_diagonal, which tests the one diagonal entry self_coupling
-where a dense matrix has its diagonal compared, so the structured chain
-forms no N-length diagonal; fold_diagonal, which adds self_coupling to
-r and zeroes it; to_ising, which takes its one row sum; and descent,
-which reads its fields off the row and column counts of the (n, n) grid
-of the PenaltyMatrix layout.  M.diagonal() stays for callers that want
-the diagonal as an array.
+materializes it as the dense matrix, which the tests hold every stage to.
+Descent reads its fields off the row and column counts of the (n, n) grid
+of the PenaltyMatrix layout, and no stage forms the N-length diagonal: a
+zero-diagonal check reads self_coupling.
 
 Conventions fixed here once and relied on everywhere:
 
-* vectorization stacks matrix columns (Fortran order), and matricization
-  is its exact inverse;
-* a solver state z of length n*n encodes the permutation matrix
-  P = matricize(z), whose row i holds its single 1 in column
-  as_mapping[i], so applying P reads y[i] = x[as_mapping[i]];
+* a solver state z of length n*n stacks the columns of an n x n matrix
+  (Fortran order), and encodes the permutation matrix
+  P = z.reshape((n, n), order="F"), whose row i holds its single 1 in
+  column as_mapping[i], so applying P reads y[i] = x[as_mapping[i]];
 * binary vectors live in {0, 1}, bipolar states in {-1, +1}.
 """
 
@@ -40,9 +31,7 @@ from __future__ import annotations
 
 import math
 import numbers
-import operator
 from dataclasses import dataclass, field
-from typing import Union
 
 import numpy as np
 
@@ -56,8 +45,6 @@ from .errors import (
     UnsupportedBranching,
 )
 
-SYMMETRY_TOL = 1e-12
-
 PROGRAM_KINDS = ("ascending", "descending", "bst", "heap", "custom")
 
 
@@ -65,21 +52,19 @@ PROGRAM_KINDS = ("ascending", "descending", "bst", "heap", "custom")
 class PenaltyMatrix:
     """The N x N matrix, N = n*n, that couples cells of one row or one column of Z.
 
-    Coordinate i = a*n + b is cell (row b, column a) of Z, as vectorize
-    stacks columns.  Entry (i, j) is self_coupling when i == j, same_row
+    Coordinate i = a*n + b is cell (row b, column a) of Z, as z stacks
+    the columns of Z.  Entry (i, j) is self_coupling when i == j, same_row
     when cells i and j are distinct cells of one row of Z, same_col when
     they are distinct cells of one column, and 0 elsewhere.  The builder's
     penalty lam_r C_r^T C_r + lam_c C_c^T C_c is PenaltyMatrix(n, lam_r,
     lam_c, lam_r + lam_c), a Kronecker sum fixed by three numbers.
 
-    It stands in for the dense matrix where the pipeline needs one, with
-    the same spelling, so callers need not ask which form they hold:
+    It answers the few ndarray calls made of it in the ndarray's spelling:
     np.asarray materializes it; M @ v, v @ M and Z @ M (for stacked rows
-    Z) multiply in O(N) per vector; M[i] is row i and M.diagonal() the
-    diagonal, in O(N); multiplying or dividing by a scalar applies to the
-    three coefficients what the dense operation applies to every entry.
-    shape and ndim are those of the dense matrix.  Every entry these return is
-    bit for bit the entry np.asarray(M) holds.
+    Z) multiply in O(N) per vector; multiplying or dividing by a scalar
+    applies to the three coefficients what the dense operation applies to
+    every entry.  shape and ndim are those of the dense matrix.  Every
+    entry these return is bit for bit the entry np.asarray(M) holds.
 
     Row i has only 2n - 1 nonzeros: viewed as the (n, n) grid G[a, b] =
     v[a*n + b], it reaches G[a], the cells of column a of Z, with
@@ -118,9 +103,9 @@ class PenaltyMatrix:
 
         Viewed as cells[a, b, a', b'] for z[a*n + b], same_row sits where
         b = b' and same_col where a = a'.  The zeros elsewhere take the sign
-        of same_row, as 0 times each coefficient's factor does in the dense
-        stages, so every stage materializes bit for bit as its dense
-        counterpart (to_hopfield's W = -2Q holds -0.0 there).
+        of same_row, as 0 times each coefficient's factor does in the
+        paper's dense stages, so every stage materializes bit for bit as its
+        dense counterpart (to_hopfield's W = -2Q holds -0.0 there).
         """
         n = self.n
         dense = np.full(self.shape, 0.0 * self.same_row)
@@ -130,24 +115,6 @@ class PenaltyMatrix:
         cells[k, :, k, :] = self.same_col
         np.fill_diagonal(dense, self.self_coupling)
         return dense if dtype is None else dense.astype(dtype, copy=False)
-
-    def __getitem__(self, i) -> np.ndarray:
-        """Row i, written as __array__ writes it."""
-        N = self.n * self.n
-        i = operator.index(i)
-        if not -N <= i < N:
-            raise IndexError(f"row {i} outside a {self.shape} penalty")
-        i %= N
-        a, b = divmod(i, self.n)
-        row = np.full(N, 0.0 * self.same_row)
-        cells = row.reshape(self.n, self.n)
-        cells[:, b] = self.same_row
-        cells[a, :] = self.same_col
-        row[i] = self.self_coupling
-        return row
-
-    def diagonal(self) -> np.ndarray:
-        return np.full(self.n * self.n, self.self_coupling)
 
     def row_sum(self) -> float:
         """The sum of every row, M @ 1 entry by entry, bit for bit, in O(1).
@@ -219,7 +186,16 @@ def _integral(value, name: str) -> int:
     return as_int
 
 
+def _real(value) -> bool:
+    """Whether value is a real number: strings, booleans and complex numbers
+    are not, so none is ever parsed or read as 0 and 1."""
+    return isinstance(value, numbers.Real) and not isinstance(value, _NOT_INTEGERS)
+
+
 def _finite(value, name: str) -> float:
+    """value, a real number, as a finite float."""
+    if not _real(value):
+        raise DomainError(f"{name} must be a finite number, not {value!r}")
     try:
         value = float(value)
     except OverflowError:  # an integer beyond the float range
@@ -240,40 +216,21 @@ def _readonly(values, name: str, dtype=float) -> np.ndarray:
     return arr
 
 
-def _checked(matrix, vector, matrix_name: str, vector_name: str) -> tuple:
-    """Read-only copies of an instance's matrix and vector, checked.
+def _checked(matrix, vector, matrix_name: str, vector_name: str) -> np.ndarray:
+    """A read-only copy of an instance's vector, checked with its matrix.
 
-    The matrix must be square and match the vector, hold at least one
-    entry, the vector finite and the matrix symmetric.  A PenaltyMatrix is
-    immutable, symmetric by construction and finite by its own check, so
-    it is kept as it is.  A dense matrix is compared with its transpose,
-    entry by entry; the test is written `not gap <= tol` so that a NaN gap
-    (from NaN or infinite entries) fails, and a gap that overflows is
-    infinite and fails too, without a numpy warning.
+    The matrix must be a PenaltyMatrix, which is immutable, symmetric by
+    construction and finite by its own check, so the instance keeps it as
+    it is.  The vector must match it and be finite.
     """
-    dense = not isinstance(matrix, PenaltyMatrix)
-    M = _readonly(matrix, matrix_name) if dense else matrix
+    if not isinstance(matrix, PenaltyMatrix):
+        raise DomainError(f"{matrix_name} must be a PenaltyMatrix, not {type(matrix).__name__}")
     v = _readonly(vector, vector_name)
-    if M.ndim != 2 or M.shape[0] != M.shape[1] or v.shape != (M.shape[0],):
-        raise DimensionMismatch(f"{matrix_name} must be square and match {vector_name}")
-    if v.size == 0:
-        raise InvalidSize(f"{vector_name} needs at least one entry")
+    N = matrix.shape[0]
+    if v.shape != (N,):
+        raise DimensionMismatch(f"{matrix_name} is {N}x{N} but {vector_name} has shape {v.shape}")
     _require_finite(v, vector_name)
-    if dense:
-        with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is the NaN we look for
-            diff = M - M.T
-        gap = float(np.abs(diff, out=diff).max())
-        if not gap <= SYMMETRY_TOL:
-            raise DomainError(f"{matrix_name} must be symmetric and finite; asymmetry {gap:.3e}")
-    return M, v
-
-
-def _nonzero_diagonal(matrix) -> bool:
-    """Whether a diagonal entry of matrix differs from 0; -0.0 does not.  On a
-    PenaltyMatrix every one is self_coupling, so this forms no diagonal."""
-    if isinstance(matrix, PenaltyMatrix):
-        return matrix.self_coupling != 0.0
-    return bool(np.any(matrix.diagonal() != 0.0))
+    return v
 
 
 def _all_in(values: np.ndarray, pair: tuple) -> bool:
@@ -399,19 +356,16 @@ class OrderProgram:
 class QuboInstance:
     """Minimize z^T R z + r^T z over binary z of length n squared.
 
-    matrix_R is a dense ndarray or a PenaltyMatrix, which holds the
-    penalty weights as same_row and same_col.  z encodes an n x n matrix,
-    so the dimension must be a perfect square; n is its root.
+    matrix_R is a PenaltyMatrix, which holds the penalty weights as
+    same_row and same_col.  z encodes an n x n matrix, so the dimension
+    is n squared.
     """
 
-    matrix_R: Union[np.ndarray, PenaltyMatrix]
+    matrix_R: PenaltyMatrix
     vector_r: np.ndarray
 
     def __post_init__(self):
-        R, r = _checked(self.matrix_R, self.vector_r, "matrix_R", "vector_r")
-        if math.isqrt(r.size) ** 2 != r.size:
-            raise DimensionMismatch(f"dimension {r.size} is not the square of an integer n")
-        object.__setattr__(self, "matrix_R", R)
+        r = _checked(self.matrix_R, self.vector_r, "matrix_R", "vector_r")
         object.__setattr__(self, "vector_r", r)
 
     @property
@@ -420,24 +374,20 @@ class QuboInstance:
 
     @property
     def n(self) -> int:
-        return math.isqrt(self.dimension)
+        return self.matrix_R.n
 
 
 @dataclass(frozen=True, eq=False)
 class IsingInstance:
-    """Energy s^T Q s + q^T s over bipolar s; Q keeps an exactly zero diagonal.
+    """Energy s^T Q s + q^T s over bipolar s; Q keeps an exactly zero diagonal."""
 
-    matrix_Q is a dense ndarray or a PenaltyMatrix.
-    """
-
-    matrix_Q: Union[np.ndarray, PenaltyMatrix]
+    matrix_Q: PenaltyMatrix
     vector_q: np.ndarray
 
     def __post_init__(self):
-        Q, q = _checked(self.matrix_Q, self.vector_q, "matrix_Q", "vector_q")
-        if _nonzero_diagonal(Q):
+        q = _checked(self.matrix_Q, self.vector_q, "matrix_Q", "vector_q")
+        if self.matrix_Q.self_coupling != 0.0:  # -0.0 is a zero diagonal
             raise NonZeroDiagonal("matrix_Q must have an exactly zero diagonal")
-        object.__setattr__(self, "matrix_Q", Q)
         object.__setattr__(self, "vector_q", q)
 
     @property
@@ -447,20 +397,15 @@ class IsingInstance:
 
 @dataclass(frozen=True, eq=False)
 class HopfieldInstance:
-    """Energy -1/2 s^T W s + theta^T s over bipolar s, with zero self-coupling.
+    """Energy -1/2 s^T W s + theta^T s over bipolar s, with zero self-coupling."""
 
-    weights_W is a dense ndarray or a PenaltyMatrix; solve runs the same
-    descent on either.
-    """
-
-    weights_W: Union[np.ndarray, PenaltyMatrix]
+    weights_W: PenaltyMatrix
     bias_theta: np.ndarray
 
     def __post_init__(self):
-        W, theta = _checked(self.weights_W, self.bias_theta, "weights_W", "bias_theta")
-        if _nonzero_diagonal(W):
+        theta = _checked(self.weights_W, self.bias_theta, "weights_W", "bias_theta")
+        if self.weights_W.self_coupling != 0.0:
             raise DomainError("weights_W must have an exactly zero diagonal")
-        object.__setattr__(self, "weights_W", W)
         object.__setattr__(self, "bias_theta", theta)
 
     @property
@@ -513,7 +458,7 @@ class TraceStep:
         if not _all_in(state, (-1, 1)):
             raise DomainError("trace states must be bipolar")
         object.__setattr__(self, "state", state)
-        object.__setattr__(self, "energy", float(self.energy))
+        object.__setattr__(self, "energy", _finite(self.energy, "energy"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -594,23 +539,6 @@ class SolverTrace:
         return tuple(rows)
 
 
-def vectorize(matrix) -> np.ndarray:
-    """Stack the columns of a square matrix into one vector."""
-    M = np.asarray(matrix, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise DimensionMismatch("vectorize expects a square matrix")
-    return M.ravel(order="F")
-
-
-def matricize(vector) -> np.ndarray:
-    """Invert vectorize: rebuild the n x n matrix column by column."""
-    v = np.asarray(vector, dtype=float).ravel()
-    n = math.isqrt(v.size)
-    if v.size == 0 or n * n != v.size:
-        raise NonSquareLength(f"length {v.size} is not a positive perfect square")
-    return v.reshape((n, n), order="F")
-
-
 def decode_permutation(z_star) -> PermutationMatrix:
     """Read the permutation matrix P encoded by a binary solver state.
 
@@ -622,8 +550,8 @@ def decode_permutation(z_star) -> PermutationMatrix:
     Returns
     -------
     PermutationMatrix
-        P = matricize(z_star).  P acts on the original input vector as
-        y = P x, i.e. y[i] = x[P.as_mapping[i]].
+        P = z_star.reshape((n, n), order="F").  P acts on the original
+        input vector as y = P x, i.e. y[i] = x[P.as_mapping[i]].
 
     Raises
     ------
@@ -635,9 +563,12 @@ def decode_permutation(z_star) -> PermutationMatrix:
     """
     # One conversion, to float; PermutationMatrix makes the one 0/1 check
     # and the one int copy, which it seals and keeps.
-    M = matricize(z_star)
+    z = np.asarray(z_star, dtype=float).ravel()
+    n = math.isqrt(z.size)
+    if z.size == 0 or n * n != z.size:
+        raise NonSquareLength(f"length {z.size} is not a positive perfect square")
     try:
-        return PermutationMatrix(M)
+        return PermutationMatrix(z.reshape((n, n), order="F"))
     except _NotBinary:
         raise NotAPermutation("state entries must be 0 or 1") from None
 

@@ -15,26 +15,23 @@ from qperm import (
     ValueVector,
     apply_permutation,
     best_permutation,
-    binary_to_bipolar,
     bst_program,
-    build_N,
     build_qubo,
     decode_permutation,
     energy,
     exhaustive_qubo_min,
     fold_diagonal,
     heap_program,
-    qubo_objective,
     to_hopfield,
     to_ising,
     validate_bst,
     validate_heap,
-    vectorize,
 )
 from qperm.programs import TreeShape
 
 from . import reference_run as ref
 from .conftest import make_program, paper_faithful, run_pipeline
+from .reference import binary_to_bipolar, build_N, dense, qubo_objective, vectorize
 
 KINDS = ("ascending", "bst", "heap")
 
@@ -208,11 +205,12 @@ def test_criterion_7_conversion_consistency():
         ising = to_ising(folded)
         network = to_hopfield(ising)
         N = instance.dimension
+        R, r = dense(instance)
         qubo_values, ising_values, hopfield_values = [], [], []
         for bits in itertools.product((0, 1), repeat=N):
             z = np.array(bits, dtype=float)
             s = binary_to_bipolar(z)
-            qubo_values.append(qubo_objective(instance, z))
+            qubo_values.append(qubo_objective(R, r, z))
             ising_values.append(float(s @ ising.matrix_Q @ s + ising.vector_q @ s))
             hopfield_values.append(energy(network, s))
         qubo_values = np.array(qubo_values)

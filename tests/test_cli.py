@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import stat
@@ -25,13 +27,13 @@ from qperm import (
     descending_program,
     heap_program,
     solve_qubo,
-    vectorize,
 )
 from qperm import cli
 from qperm.cli import main, render_trace
 
 from . import reference_run as ref
 from .conftest import make_program
+from .reference import vectorize
 
 
 def write_json(path, payload):
@@ -443,8 +445,11 @@ class TestSolveCommand:
         payload = json.loads(qubo.read_text())
         to_dense(payload)
         payload["R"][3][5] = payload["R"][5][3] = float("nan")
-        assert main(["solve", write_json(tmp_path / "dense.json", payload)]) == 2
-        assert "finite" in capsys.readouterr().err
+        dense = write_json(tmp_path / "dense.json", payload)
+        assert main(["solve", dense]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {dense}: 'R' is not the 49x49 matrix of a finite penalty: "
+        )
         payload = json.loads(qubo.read_text())
         payload["penalty"]["same_col"] = float("nan")
         assert main(["solve", write_json(qubo, payload)]) == 2
@@ -509,18 +514,18 @@ class TestSolveCommand:
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize(
-        "R, r, message",
+        "R, r",
         [
-            ([[0.0, 1.7e308], [-1.7e308, 0.0]], [0.0, 0.0], "matrix_R must be symmetric"),
-            ([[1.7e308, 0.0], [0.0, 0.0]], [1.7e308, 0.0], "vector_r must be finite"),
-            ([[0.0, 1.7e308, 1.7e308], [1.7e308, 0.0, 0.0], [1.7e308, 0.0, 0.0]], [0.0],
-             "vector_q must be finite"),
+            ([[0.0, 1.7e308], [-1.7e308, 0.0]], [0.0, 0.0]),
+            ([[1.7e308, 0.0], [0.0, 0.0]], [1.7e308, 0.0]),
+            ([[0.0, 1.7e308, 1.7e308], [1.7e308, 0.0, 0.0], [1.7e308, 0.0, 0.0]], [0.0]),
         ],
         ids=["symmetry", "fold", "ising"],
     )
-    def test_dense_overflow_is_one_line_without_a_warning(self, tmp_path, capsys, R, r, message):
+    def test_dense_overflow_is_one_line_without_a_warning(self, tmp_path, capsys, R, r):
         """An overflow in the symmetry check, in fold_diagonal's r + diag or in
-        to_ising's dense R @ 1 once printed a numpy warning ahead of the error."""
+        to_ising's dense R @ 1 once printed a numpy warning ahead of the error.
+        None of these R is a penalty, so each is now refused, in one line."""
         pad = 4 - len(R)  # R and r are the leading entries of an n = 2 file
         R = [row + [0.0] * pad for row in R] + [[0.0] * 4] * pad
         payload = {"n": 2, "R": R, "r": r + [0.0] * (4 - len(r))}
@@ -528,8 +533,9 @@ class TestSolveCommand:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["solve", qubo]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {message}")
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {qubo}: 'R' is not the 4x4 matrix of a finite penalty: ")
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize(
@@ -599,9 +605,10 @@ def build_cases(draw):
 
 class TestQuboFileFormat:
     """build writes the penalty as its four numbers and the reward as its
-    2n + 1; solve reads them back as a PenaltyMatrix, which takes the
-    structured descent, and as the r that build_qubo forms.  Files with a
-    dense "R" or a dense "r" still load; a dense "R" takes the dense descent."""
+    2n + 1; solve reads them back as a PenaltyMatrix and as the r that
+    build_qubo forms.  Files with a dense "R" or a dense "r" still load; a
+    dense "R" is read as the PenaltyMatrix it equals, and any other is
+    refused."""
 
     def test_read_back_as_a_penalty_matrix(self, tmp_path):
         instance, x = cli._read_qubo(build_file(tmp_path, ref.INPUT_X, "heap"))
@@ -652,7 +659,7 @@ class TestQuboFileFormat:
         ids=["paper", "signed", "frozen-route"],
     )
     def test_same_output_as_the_dense_file(self, tmp_path, capsys, kind, values, flags):
-        # integer penalty weights (the default n): both descents agree bit for bit
+        # a dense "R" is read as the file's PenaltyMatrix, so one descent runs
         qubo = build_file(tmp_path, values, kind, *flags)
         payload = json.loads(Path(qubo).read_text(encoding="utf-8"))
         to_dense(payload)
@@ -709,7 +716,10 @@ class TestQuboFileFormat:
             (lambda d: d["reward"]["ranks"].append(4), "reward.ranks holds 4 numbers"),
             (lambda d: d.update(r=[0.0] * 9), "'reward' and 'r', found both"),
             (lambda d: d.pop("reward"), "'reward' and 'r', found neither"),
-            (lambda d: (dense_reward(d), d.pop("x"), d.update(n=2)), "n=2 but the terms"),
+            (lambda d: (dense_reward(d), d.pop("x"), d.update(n=2)), "penalty.n=3 but n=2"),
+            (lambda d: d["penalty"].update(n=2), "penalty.n=2 but n=3"),
+            (lambda d: (dense_reward(d), d["r"].pop()), "'r' holds 8 numbers, not n*n=9"),
+            (lambda d: (to_dense(d), d.update(n=2)), "'R' is not the 4x4 matrix of a finite"),
         ],
         ids=[
             "x-length", "x-null", "x-strings", "n-fraction", "penalty-n-fraction",
@@ -719,6 +729,7 @@ class TestQuboFileFormat:
             "reward-field-missing", "reward-values-strings", "reward-ranks-strings",
             "reward-offset-string", "reward-offset-beyond-float", "reward-values-length", "reward-ranks-length",
             "both-reward-forms", "neither-reward-form", "n-not-the-penalty-n",
+            "penalty-n-not-n", "r-not-n-squared", "R-not-n-squared",
         ],
     )
     def test_whole_file_checked_before_any_output(self, tmp_path, capsys, edit, message):
@@ -729,6 +740,68 @@ class TestQuboFileFormat:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error:") and message in err
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 6),
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=3, max_size=3),
+        st.randoms(use_true_random=False),
+    )
+    def test_dense_R_solves_as_its_penalty(self, n, coefficients, rnd):
+        """Any PenaltyMatrix, materialized and written as "R", prints what its
+        "penalty" file prints: negative weights, +-0.0 and weights whose
+        energies overflow included."""
+        same_row, same_col, self_coupling = coefficients
+        penalty = {"n": n, "same_row": same_row, "same_col": same_col,
+                   "self_coupling": self_coupling}
+        reward = {"values": [rnd.uniform(-10.0, 10.0) for _ in range(n)],
+                  "ranks": rnd.sample(range(1, n + 1), n), "offset": rnd.uniform(-50.0, 50.0)}
+        payload = {"n": n, "penalty": penalty, "reward": reward}
+        outputs = []
+        with tempfile.TemporaryDirectory() as tmp:
+            for form in ("penalty", "R"):
+                if form == "R":
+                    to_dense(payload)
+                qubo = write_json(Path(tmp) / "qubo.json", payload)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    with contextlib.redirect_stdout(io.StringIO()) as out, \
+                            contextlib.redirect_stderr(io.StringIO()) as err:
+                        code = main(["solve", qubo, "--trace"])
+                outputs.append((code, out.getvalue(), err.getvalue()))
+        assert outputs[0] == outputs[1]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(2, 6),
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=3, max_size=3),
+        st.one_of(st.floats().filter(lambda v: v != 0.0), st.sampled_from([5e-324, -1.0])),
+        st.data(),
+    )
+    def test_R_off_the_penalty_pattern_is_refused(self, n, coefficients, entry, data):
+        """Changing one entry that couples cells of different rows and columns
+        of Z, and its mirror, makes R no penalty: one error line, no output."""
+        N = n * n
+        i = data.draw(st.integers(0, N - 1))
+        j = data.draw(st.integers(0, N - 1).filter(
+            lambda j: j // n != i // n and j % n != i % n))
+        payload = {"n": n, "penalty": dict(zip(("same_row", "same_col", "self_coupling"),
+                                               coefficients), n=n),
+                   "r": [0.0] * N}
+        to_dense(payload)
+        payload["R"][i][j] = payload["R"][j][i] = entry
+        with tempfile.TemporaryDirectory() as tmp:
+            qubo = write_json(Path(tmp) / "qubo.json", payload)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with contextlib.redirect_stdout(io.StringIO()) as out, \
+                        contextlib.redirect_stderr(io.StringIO()) as err:
+                    assert main(["solve", qubo]) == 2
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith(
+            f"error: {qubo}: 'R' is not the {N}x{N} matrix of a finite penalty: "
+        )
+        assert err.getvalue().count("\n") == 1
 
     @pytest.mark.parametrize(
         "legacy",

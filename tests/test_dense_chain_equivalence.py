@@ -1,20 +1,25 @@
-"""The dense chain against the formulas it replaces, bit for bit or flip for flip.
+"""The dense reference chain against the formulas it replaces, and the
+library's descent against an earlier, product-form descent.
 
-build_qubo writes R in place and r from an outer product, and
-fold_diagonal zeroes the diagonal of a copy.  These tests hold each of them
-to the product form it replaced.  Descent is held to the product form too:
-_descend_two_products, the earlier descent with its loop copied verbatim,
-recomputes W @ s and the energy from scratch at every step; it appends
-each row it builds to a list the caller holds, and packages them as a
-SolverTrace only on return.  It runs on dense networks and on builder
-networks in both forms, a PenaltyMatrix and its materialization, whose
-products it forms as the current descent's fields are formed.  The two
-descents agree in every flip and state, except that the current one stops
-before a flip whose correctly rounded energy fails to fall.  Its energies
-are float(Fraction(E(s))) at every state, where the earlier descent's
-products could miss by a few ulp.
+build_qubo writes R as a PenaltyMatrix and r from an outer product.  These
+tests hold both to the paper's Kronecker products (tests/reference.py),
+and the library's fold_diagonal to the dense diagonal subtraction.
+Descent is held to the product form too: _descend_two_products, the
+earlier descent with its loop copied verbatim, recomputes W @ s and the
+energy from scratch at every step; it appends each row it builds to a
+list the caller holds, and packages them as a SolverTrace only on return.
+It runs on random dense networks, which the reference descent takes, and
+on builder networks in both forms: the library's PenaltyMatrix network
+and its materialization, which the reference descent takes, and whose
+products it forms as the current descents' fields are formed.  The
+earlier and the current descents agree in every flip and state, except
+that a current one stops before a flip whose correctly rounded energy
+fails to fall.  Its energies are float(Fraction(E(s))) at every state,
+where the earlier descent's products could miss by a few ulp.
 """
 
+import dataclasses
+from collections import namedtuple
 from unittest import mock
 
 import numpy as np
@@ -30,11 +35,7 @@ from qperm import (
     PenaltyMatrix,
     QuboInstance,
     SolverTrace,
-    TraceStep,
     ValueVector,
-    build_Cc,
-    build_Cr,
-    build_N,
     build_qubo,
     fold_diagonal,
     solve,
@@ -43,38 +44,35 @@ from qperm import (
 )
 from qperm import hopfield
 
-from .conftest import (
-    dense_qubo,
-    fraction_energies,
-    make_program,
-    materialized,
-    paper_faithful,
-    random_start,
-)
+from . import reference
+from .conftest import make_program, paper_faithful, random_start
+
+
+# A row of the earlier descent; unlike a TraceStep it keeps an energy that
+# overflowed its products, so the states of such a run can be compared.
+Row = namedtuple("Row", "index state energy")
 
 
 def _descend_two_products(
-    instance: HopfieldInstance, start: np.ndarray, budget: int, steps: list
+    W, theta: np.ndarray, start: np.ndarray, budget: int, steps: list
 ) -> tuple[np.ndarray, SolverTrace]:
-    W = instance.weights_W
-    theta = instance.bias_theta
     s = start.astype(float)
     e = float(-0.5 * (s @ W @ s) + theta @ s)
-    steps.append(TraceStep(0, start, e))
+    steps.append(Row(0, start, e))
     flips = 0
     while True:
         gains = 2.0 * s * (W @ s - theta)
         i = int(np.argmin(gains))  # ties: lowest index
         if gains[i] >= 0.0:
             final = s.astype(np.int8)
-            steps.append(TraceStep(len(steps), final, e))
+            steps.append(Row(len(steps), final, e))
             return final, _packaged(steps)
         if flips >= budget:
             raise MaxStepsExceeded(f"no stable state within {budget} flips")
         s[i] = -s[i]
         flips += 1
         e = float(-0.5 * (s @ W @ s) + theta @ s)
-        steps.append(TraceStep(len(steps), s.astype(np.int8), e))
+        steps.append(Row(len(steps), s.astype(np.int8), e))
 
 
 def _packaged(steps: list) -> SolverTrace:
@@ -84,6 +82,12 @@ def _packaged(steps: list) -> SolverTrace:
         (i,) = np.flatnonzero(before.state != after.state)  # exactly one flip per row
         flipped.append(int(i))
     return SolverTrace(steps[0].state, flipped, [step.energy for step in steps[:-1]])
+
+
+def size(network) -> int:
+    """N, for a library network or a dense (W, theta) pair."""
+    theta = network.bias_theta if isinstance(network, HopfieldInstance) else network[1]
+    return theta.size
 
 
 def bits(a: np.ndarray) -> bytes:
@@ -99,24 +103,36 @@ def compare_descents(network, start, budget=None):
     first flip whose correctly rounded energy fails to fall; its energies are
     float(Fraction(E(s))).
 
-    The earlier descent takes a flip whose true gain is 0 when that gain rounds
+    network is a library HopfieldInstance, which hopfield._descend takes, or
+    a dense (W, theta) pair, which the reference descent takes.  The earlier
+    descent takes a flip whose true gain is 0 when that gain rounds
     negative, and one whose true decrease is below half an ulp of the energy.
     Runs without such a flip are the same, or both raise MaxStepsExceeded.
     Returns the trace of the current descent, or None when it raises.
     """
-    N = network.dimension
+    N = size(network)
     budget = N * N if budget is None else budget
+    library = isinstance(network, HopfieldInstance)
+    # the earlier descent forms its products on the form the current one takes
+    products, theta = (network.weights_W, network.bias_theta) if library else network
+    W = np.asarray(products)
+
+    def current():
+        if library:
+            return hopfield._descend(network, start, budget)
+        return reference.descend(W, theta, start, budget)
+
     old_steps = []  # every row the earlier descent builds, kept even when it raises
     exhausted = False
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # its energies name an overflow
-            _descend_two_products(network, start, budget, old_steps)
+            _descend_two_products(products, theta, start, budget, old_steps)
     except MaxStepsExceeded:
         exhausted = True
     except DomainError:  # its own energies failed to fall; the states are what count
         pass
     states = [step.state for step in old_steps]
-    energies = fraction_energies(network, states)
+    energies = reference.fraction_energies(W, theta, states)
     rejected = next(
         (
             k
@@ -127,11 +143,11 @@ def compare_descents(network, start, budget=None):
     )
     if rejected is None and exhausted:
         with pytest.raises(MaxStepsExceeded):
-            hopfield._descend(network, start, budget)
+            current()
         return None
     # Without a rejected flip, the rows are all but the repeated endpoint.
     kept = len(states) - 1 if rejected is None else rejected
-    state, trace = hopfield._descend(network, start, budget)
+    state, trace = current()
     assert trace.flips == kept - 1
     assert len(trace.steps) == kept + 1
     for step, old_state in zip(trace.steps, states[:kept]):
@@ -165,9 +181,10 @@ def input_values(draw, n):
 
 
 @st.composite
-def builder_networks(draw, max_n=12):
-    """Builder networks as PenaltyMatrix or materialized, at the default
-    weights, at lambda in {0.7, 1.1001, 3} * n, or at any weights."""
+def builder_networks(draw, max_n=12, materialize=True):
+    """Builder networks as the library's PenaltyMatrix network or, if
+    materialize, its dense (W, theta), at the default weights, at lambda in
+    {0.7, 1.1001, 3} * n, or at any weights."""
     n = draw(st.integers(1, max_n))
     kind = draw(st.sampled_from(KINDS))
     x = ValueVector(draw(input_values(n)))
@@ -191,7 +208,7 @@ def builder_networks(draw, max_n=12):
     )
     instance = build_qubo(x, make_program(kind, n), **weights)
     network = to_hopfield(to_ising(fold_diagonal(instance)))
-    return materialized(network) if draw(st.booleans()) else network
+    return reference.dense(network) if materialize and draw(st.booleans()) else network
 
 
 @st.composite
@@ -209,7 +226,7 @@ def dense_networks(draw):
         levels = np.array([-0.7, -0.3, -0.1, 0.1, 0.2, 0.3])
         W, theta = rnd.choice(levels, size=(N, N)), rnd.choice(levels, size=N) * 3
     W = np.triu(W.astype(float), 1)
-    return HopfieldInstance(weights_W=W + W.T, bias_theta=theta.astype(float))
+    return W + W.T, theta.astype(float)
 
 
 # --- descent --------------------------------------------------------------
@@ -219,24 +236,24 @@ class TestDescentMatchesTwoProducts:
     @given(builder_networks())
     @settings(max_examples=120, deadline=None)
     def test_builder_instances_from_all_inactive(self, network):
-        compare_descents(network, np.full(network.dimension, -1, dtype=np.int8))
+        compare_descents(network, np.full(size(network), -1, dtype=np.int8))
 
     @given(builder_networks(), st.integers(0, 2**32 - 1))
     @settings(max_examples=120, deadline=None)
     def test_builder_instances_from_random_starts(self, network, seed):
-        compare_descents(network, random_start(network.dimension, seed))
+        compare_descents(network, random_start(size(network), seed))
 
     @given(dense_networks(), st.integers(0, 2**32 - 1))
     @settings(max_examples=150, deadline=None)
     def test_dense_networks(self, network, seed):
-        compare_descents(network, random_start(network.dimension, seed))
+        compare_descents(network, random_start(size(network), seed))
 
     @given(dense_networks(), st.integers(0, 2**32 - 1), st.integers(0, 5))
     @settings(max_examples=40, deadline=None)
     def test_step_budget(self, network, seed, budget):
-        compare_descents(network, random_start(network.dimension, seed), budget)
+        compare_descents(network, random_start(size(network), seed), budget)
 
-    @given(builder_networks(max_n=8))
+    @given(builder_networks(max_n=8, materialize=False))
     @settings(max_examples=60, deadline=None)
     def test_solve_runs_one_descent(self, network):
         """solve is one descent from the all-inactive state, with a budget of N*N flips."""
@@ -261,9 +278,9 @@ class TestDescentMatchesTwoProducts:
         instance = build_qubo(
             x, make_program("bst", 2), lambda_r=0.9, lambda_c=0.5, normalize=False
         )
-        network = materialized(to_hopfield(to_ising(fold_diagonal(instance))))
+        network = reference.dense(to_hopfield(to_ising(fold_diagonal(instance))))
         start = np.full(4, -1, dtype=np.int8)
-        _, trace = hopfield._descend(network, start, 16)
+        _, trace = reference.descend(*network, start, 16)
         assert trace.flipped.tolist() == [2, 3]
         compare_descents(network, start)
 
@@ -290,12 +307,12 @@ class TestDescentMatchesTwoProducts:
         N = len(theta)
         W = np.zeros((N, N))
         W[np.triu_indices(N, 1)] = upper
-        network = HopfieldInstance(weights_W=W + W.T, bias_theta=np.array(theta) * 3)
+        network = W + W.T, np.array(theta) * 3
         start = np.array(start, dtype=np.int8)
         assert compare_descents(network, start).flipped.tolist() == flips
         if earlier_raises:
             with pytest.raises(DomainError):
-                _descend_two_products(network, start, N * N, [])
+                _descend_two_products(*network, start, N * N, [])
 
 
     def test_gains_beyond_the_float_range_tie(self):
@@ -303,8 +320,7 @@ class TestDescentMatchesTwoProducts:
         so descent flips the lower index, as the earlier descent does; the
         energies, 1.5e308 and then -0.5e308, stay in range."""
         W = np.array([[0.0, -1e308], [-1e308, 0.0]])
-        network = HopfieldInstance(W, np.array([0.0, 0.5e308]))
-        trace = compare_descents(network, np.array([1, 1], dtype=np.int8))
+        trace = compare_descents((W, np.array([0.0, 0.5e308])), np.array([1, 1], dtype=np.int8))
         assert trace.flipped.tolist() == [0]
         assert trace.energies.tolist() == [1.5e308, -0.5e308]
 
@@ -348,28 +364,30 @@ class TestInPlaceMatrices:
         instance = build_qubo(
             x, program, lambda_r=lambda_r, lambda_c=lambda_c, normalize=normalize
         )
-        Cr, Cc = build_Cr(n), build_Cc(n)
-        assert bits(instance.matrix_R) == bits(lambda_r * (Cr.T @ Cr) + lambda_c * (Cc.T @ Cc))
         v = x.normalized_entries if normalize else x.entries
-        penalty = (lambda_r * Cr + lambda_c * Cc).T @ np.ones(n)
-        assert bits(instance.vector_r) == bits(-(build_N(program).T @ v) - 2.0 * penalty)
+        R, r = reference.kronecker_qubo(v, program, lambda_r, lambda_c)
+        assert bits(instance.matrix_R) == bits(R)
+        assert bits(instance.vector_r) == bits(r)
 
     @given(st.integers(1, 10), st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_fold_matches_diagonal_subtraction(self, n, seed):
         rnd = np.random.default_rng(seed)
-        A = rnd.normal(size=(n * n, n * n)) * rnd.choice([1e-3, 1.0, 1e6])
-        R = A + A.T
-        R[rnd.random(R.shape) < 0.3] = 0.0
-        R = np.triu(R) + np.triu(R, 1).T
-        instance = QuboInstance(matrix_R=R, vector_r=rnd.normal(size=n * n))
+        coefficients = rnd.normal(size=3) * rnd.choice([1e-3, 1.0, 1e6])
+        coefficients[rnd.random(3) < 0.3] = 0.0
+        instance = QuboInstance(PenaltyMatrix(n, *coefficients), rnd.normal(size=n * n))
+        R = np.asarray(instance.matrix_R)
         folded = fold_diagonal(instance)
         assert bits(folded.matrix_R) == bits(R - np.diag(np.diag(R)))
         assert bits(folded.vector_r) == bits(instance.vector_r + np.diag(R))
 
     def test_builder_output_stays_read_only_downstream(self):
         x = ValueVector([3.0, 1.0, 2.0])
-        instance = dense_qubo(build_qubo(x, make_program("heap", 3)))
-        network = to_hopfield(to_ising(fold_diagonal(instance)))
-        assert not network.weights_W.flags.writeable
-        assert network.weights_W.flags.owndata
+        instance = build_qubo(x, make_program("heap", 3))
+        folded = fold_diagonal(instance)
+        ising = to_ising(folded)
+        for stage in (instance, folded, ising, to_hopfield(ising)):
+            matrix, vector = vars(stage).values()
+            assert not vector.flags.writeable and vector.flags.owndata
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                matrix.same_row = 0.0

@@ -1,8 +1,12 @@
+import dataclasses
+from decimal import Decimal
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qperm
 from qperm import (
     DimensionMismatch,
     DomainError,
@@ -21,11 +25,13 @@ from qperm import (
     UnsupportedBranching,
     ValueVector,
     apply_permutation,
+    build_qubo,
     decode_permutation,
     energy,
-    matricize,
-    vectorize,
+    heap_program,
 )
+
+from .reference import matricize, vectorize
 
 
 def perm_matrix(mapping):
@@ -137,6 +143,8 @@ class TestOrderProgram:
 
 
 class TestVectorizeMatricize:
+    """The reference's column stacking, which decode_permutation reads."""
+
     def test_column_stacking(self):
         m = np.array([[1.0, 2.0], [3.0, 4.0]])
         assert vectorize(m).tolist() == [1.0, 3.0, 2.0, 4.0]
@@ -145,9 +153,12 @@ class TestVectorizeMatricize:
         m = np.arange(9.0).reshape(3, 3)
         assert np.array_equal(matricize(vectorize(m)), m)
 
-    def test_non_square_length(self):
-        with pytest.raises(NonSquareLength):
-            matricize(np.zeros(5))
+    @pytest.mark.parametrize("size", [0, 5])
+    def test_non_square_length(self, size):
+        """decode_permutation stacks columns as matricize does, and refuses a
+        length that is no positive square."""
+        with pytest.raises(NonSquareLength, match=f"^length {size} is not"):
+            decode_permutation(np.zeros(size))
 
     @given(st.integers(min_value=1, max_value=6), st.randoms(use_true_random=False))
     def test_round_trip_random(self, n, rnd):
@@ -249,27 +260,27 @@ class TestPermutationMatrix:
 
 
 class TestInstanceValidation:
-    def test_qubo_requires_symmetry(self):
+    def test_qubo_requires_a_penalty_matrix(self):
         R = np.zeros((4, 4))
         R[0, 1] = 1.0
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^matrix_R must be a PenaltyMatrix, not ndarray$"):
             QuboInstance(matrix_R=R, vector_r=np.zeros(4))
 
-    def test_qubo_requires_square_dimension(self):
-        with pytest.raises(DimensionMismatch):
-            QuboInstance(matrix_R=np.zeros((2, 2)), vector_r=np.zeros(2))
+    def test_qubo_requires_a_vector_of_its_dimension(self):
+        with pytest.raises(DimensionMismatch, match="matrix_R is 4x4 but vector_r has shape"):
+            QuboInstance(matrix_R=PenaltyMatrix(2, 1.0, 1.0, 2.0), vector_r=np.zeros(2))
 
     def test_qubo_n_is_the_root_of_its_dimension(self):
-        assert QuboInstance(matrix_R=np.zeros((9, 9)), vector_r=np.zeros(9)).n == 3
+        assert QuboInstance(matrix_R=PenaltyMatrix(3, 1.0, 1.0, 2.0), vector_r=np.zeros(9)).n == 3
         assert QuboInstance(matrix_R=PenaltyMatrix(4, 1.0, 1.0, 2.0), vector_r=np.zeros(16)).n == 4
 
     def test_ising_requires_zero_diagonal(self):
         with pytest.raises(NonZeroDiagonal):
-            IsingInstance(matrix_Q=np.eye(2), vector_q=np.zeros(2))
+            IsingInstance(matrix_Q=PenaltyMatrix(2, 0.0, 0.0, 1.0), vector_q=np.zeros(4))
 
     def test_hopfield_requires_zero_diagonal(self):
         with pytest.raises(DomainError):
-            HopfieldInstance(weights_W=np.eye(2), bias_theta=np.zeros(2))
+            HopfieldInstance(weights_W=PenaltyMatrix(2, 0.0, 0.0, 1.0), bias_theta=np.zeros(4))
 
 
 class TestSolverTrace:
@@ -340,15 +351,12 @@ class TestSolverTrace:
             TraceStep(0, np.array([0, 1], dtype=np.int8), 0.0)
 
 
-def symmetric(N, seed=0):
-    rnd = np.random.default_rng(seed)
-    A = rnd.normal(size=(N, N))
-    A = A + A.T
-    np.fill_diagonal(A, 0.0)
-    return A
+def penalty(seed=0):
+    """A PenaltyMatrix on a 2 x 2 grid with a zero diagonal."""
+    return PenaltyMatrix(2, *np.random.default_rng(seed).normal(size=2), 0.0)
 
 
-# name -> (build from the caller's arrays, fresh caller arrays, array fields)
+# name -> (build from the caller's arguments, fresh caller arguments, array fields)
 FROZEN_TYPES = {
     "ValueVector": (
         lambda a: ValueVector(a[0]),
@@ -357,18 +365,18 @@ FROZEN_TYPES = {
     ),
     "QuboInstance": (
         lambda a: QuboInstance(matrix_R=a[0], vector_r=a[1]),
-        lambda: [symmetric(4), np.arange(4.0)],
-        ("matrix_R", "vector_r"),
+        lambda: [penalty(), np.arange(4.0)],
+        ("vector_r",),
     ),
     "IsingInstance": (
         lambda a: IsingInstance(matrix_Q=a[0], vector_q=a[1]),
-        lambda: [symmetric(4), np.arange(4.0)],
-        ("matrix_Q", "vector_q"),
+        lambda: [penalty(), np.arange(4.0)],
+        ("vector_q",),
     ),
     "HopfieldInstance": (
         lambda a: HopfieldInstance(weights_W=a[0], bias_theta=a[1]),
-        lambda: [symmetric(4), np.arange(4.0)],
-        ("weights_W", "bias_theta"),
+        lambda: [penalty(), np.arange(4.0)],
+        ("bias_theta",),
     ),
     "PermutationMatrix": (
         lambda a: PermutationMatrix(a[0]),
@@ -397,7 +405,8 @@ class TestImmutability:
         instance = make(given_arrays)
         before = {f: getattr(instance, f).copy() for f in fields}
         for arr in given_arrays:
-            arr[...] = -7
+            if isinstance(arr, np.ndarray):  # a PenaltyMatrix is frozen
+                arr[...] = -7
         for f in fields:
             assert np.array_equal(getattr(instance, f), before[f])
             assert not getattr(instance, f).flags.writeable
@@ -414,71 +423,74 @@ class TestImmutability:
         assert x.entries.dtype == float
 
 
-class TestSymmetryCheck:
-    # pairs among the first, middle and last rows of a 150 x 150 matrix
-    N = 150
-    ROWS = (0, 1, 63, 64, 100, 127, 128, 140, 149)
+class TestMatrixForm:
+    """Instances once took a dense matrix, symmetric to within 1e-12 and
+    compared with its transpose in strips; now each takes a PenaltyMatrix
+    only, symmetric by construction, and refuses any other matrix with one
+    error that names the field."""
 
-    def pairs(self):
-        for i in self.ROWS:
-            for j in self.ROWS:
-                if i != j:
-                    yield i, j
+    @pytest.mark.parametrize("name", ["QuboInstance", "IsingInstance", "HopfieldInstance"])
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            np.zeros((4, 4)),
+            np.asarray(PenaltyMatrix(2, 1.0, 1.0, 0.0)),
+            [[0.0] * 4] * 4,
+            np.zeros((0, 0)),
+        ],
+        ids=["zeros", "materialized", "list", "empty"],
+    )
+    def test_any_other_matrix_is_refused(self, name, matrix):
+        make, arrays, _ = FROZEN_TYPES[name]
+        given = arrays()
+        field = dataclasses.fields(getattr(qperm, name))[0].name
+        with pytest.raises(DomainError, match=f"^{field} must be a PenaltyMatrix, not "):
+            make([matrix, given[1]])
 
-    @pytest.mark.parametrize("build", ["ising", "hopfield"])
-    def test_gap_above_tolerance_rejected_in_every_strip(self, build):
-        base = symmetric(self.N, seed=3)
-        theta = np.zeros(self.N)
-        make = (
-            (lambda W: IsingInstance(matrix_Q=W, vector_q=theta))
-            if build == "ising"
-            else (lambda W: HopfieldInstance(weights_W=W, bias_theta=theta))
-        )
-        make(base)
-        for i, j in self.pairs():
-            W = base.copy()
-            W[i, j] += 1.5e-12
-            with pytest.raises(DomainError):
-                make(W)
-            W = base.copy()
-            W[i, j] += 0.5e-12
-            make(W)
+    def test_the_library_chain_takes_no_dense_matrix(self):
+        x = ValueVector(np.random.default_rng(5).normal(size=5))
+        instance = build_qubo(x, heap_program(5))
+        assert isinstance(instance.matrix_R, PenaltyMatrix)
+        with pytest.raises(DomainError, match="^matrix_R must be a PenaltyMatrix"):
+            QuboInstance(np.asarray(instance.matrix_R), instance.vector_r)
 
-    @pytest.mark.parametrize("make", [QuboInstance, IsingInstance, HopfieldInstance])
-    def test_an_empty_instance_is_refused(self, make):
-        """A 0 x 0 instance was once accepted, and solve and energy then
-        raised a bare numpy ValueError."""
-        with pytest.raises(InvalidSize, match="at least one entry"):
-            make(np.zeros((0, 0)), np.zeros(0))
 
-    def test_qubo_gap_in_last_partial_strip(self):
-        n = 12  # N = 144
-        R = symmetric(n * n, seed=4) + np.eye(n * n)
-        r = np.zeros(n * n)
-
-        def make(M):
-            return QuboInstance(matrix_R=M, vector_r=r)
-
-        make(R)
-        for i, j in [(143, 130), (130, 143), (140, 5), (5, 140), (64, 143)]:
-            M = R.copy()
-            M[i, j] += 1.5e-12
-            with pytest.raises(DomainError):
-                make(M)
-            M = R.copy()
-            M[i, j] += 0.5e-12
-            make(M)
+# name -> (a call that takes one scalar, the start of its error)
+SCALAR_CHECKS = {
+    "TraceStep-energy": (lambda v: TraceStep(0, [1], v), "^energy must be"),
+    "PenaltyMatrix-same_row": (lambda v: PenaltyMatrix(2, v, 1.0, 1.0), "^same_row must be"),
+    "PenaltyMatrix-self_coupling": (
+        lambda v: PenaltyMatrix(2, 1.0, 1.0, v), "^self_coupling must be"
+    ),
+    "build_qubo-lambda_r": (
+        lambda v: build_qubo(ValueVector([3.0, 1.0]), heap_program(2), lambda_r=v),
+        "^(penalty weights must be positive|lambda_r and lambda_c are too large)",
+    ),
+    "build_qubo-lambda_c": (
+        lambda v: build_qubo(ValueVector([3.0, 1.0]), heap_program(2), lambda_c=v),
+        "^(penalty weights must be positive|lambda_r and lambda_c are too large)",
+    ),
+}
+BAD_SCALARS = {
+    "int-beyond-float": 10**400,
+    "None": None,
+    "word": "x",
+    "numeral": "3",
+    "True": True,
+    "np.True_": np.True_,
+    "list": [1.0],
+    "complex": 1j,
+    "decimal": Decimal("3"),
+}
 
 
 class TestNonFiniteData:
-    @pytest.mark.parametrize("name", ["QuboInstance", "IsingInstance", "HopfieldInstance"])
+    @pytest.mark.parametrize("name", ["same_row", "same_col", "self_coupling"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_matrix_rejected(self, name, bad):
-        make, arrays, _ = FROZEN_TYPES[name]
-        given_arrays = arrays()
-        given_arrays[0][1, 2] = given_arrays[0][2, 1] = bad
-        with pytest.raises(DomainError):
-            make(given_arrays)
+        coefficients = dict(same_row=1.0, same_col=-0.5, self_coupling=0.0)
+        with pytest.raises(DomainError, match=f"^{name} must be finite$"):
+            PenaltyMatrix(2, **{**coefficients, name: bad})
 
     @pytest.mark.parametrize("name", ["QuboInstance", "IsingInstance", "HopfieldInstance"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -493,14 +505,13 @@ class TestNonFiniteData:
         "make, field",
         [
             (lambda: ValueVector([10**400, 1]), "entries"),
-            (lambda: QuboInstance(np.zeros((1, 1)), [10**400]), "vector_r"),
-            (lambda: QuboInstance([[10**400]], [1.0]), "matrix_R"),
+            (lambda: QuboInstance(PenaltyMatrix(1, 0.0, 0.0, 0.0), [10**400]), "vector_r"),
             (lambda: SolverTrace([-1], [], [10**400]), "energies"),
             (lambda: TraceStep(0, [300, 1], 0.0), "state"),
-            (lambda: energy(HopfieldInstance(np.zeros((1, 1)), [0.0]), [10**400]), "state"),
+            (lambda: energy(HopfieldInstance(PenaltyMatrix(1, 0.0, 0.0, 0.0), [0.0]), [10**400]),
+             "state"),
         ],
-        ids=["ValueVector", "QuboInstance-r", "QuboInstance-R", "SolverTrace", "TraceStep",
-             "energy"],
+        ids=["ValueVector", "QuboInstance-r", "SolverTrace", "TraceStep", "energy"],
     )
     def test_integer_beyond_range_rejected(self, make, field):
         """Each raised a bare OverflowError, not a QpermError."""
@@ -508,7 +519,21 @@ class TestNonFiniteData:
             make()
 
     def test_nan_on_the_diagonal_rejected(self):
-        R = symmetric(4)
-        R[0, 0] = np.nan
-        with pytest.raises(DomainError):
-            QuboInstance(matrix_R=R, vector_r=np.zeros(4))
+        with pytest.raises(DomainError, match="^self_coupling must be finite$"):
+            PenaltyMatrix(2, 1.0, 1.0, np.nan)
+
+    @pytest.mark.parametrize(
+        "check, value",
+        [
+            (check, value)
+            for check in SCALAR_CHECKS
+            for value in BAD_SCALARS
+            if not (check.startswith("build_qubo") and value == "None")  # None means n
+        ],
+    )
+    def test_scalars_are_never_parsed_or_coerced(self, check, value):
+        """Each once raised a bare OverflowError, TypeError or ValueError, or
+        read "3" as 3.0 and True as 1.0."""
+        make, message = SCALAR_CHECKS[check]
+        with pytest.raises(DomainError, match=message):
+            make(BAD_SCALARS[value])

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from qperm import (
     DimensionMismatch,
     OrderProgram,
+    PenaltyMatrix,
     QuboInstance,
     SizeBudgetExceeded,
     ValueVector,
@@ -21,11 +22,11 @@ from qperm import (
     fold_diagonal,
     heap_program,
     sort_optimum,
-    vectorize,
 )
 
 from . import reference_run as ref
 from .conftest import make_program, run_pipeline
+from .reference import dense, qubo_objective, vectorize
 
 
 def perm_matrix(mapping):
@@ -136,19 +137,19 @@ class TestSortOptimum:
 
 class TestExhaustiveQuboMin:
     def test_positive_linear_term_keeps_zero(self):
-        inst = QuboInstance(matrix_R=np.zeros((4, 4)), vector_r=np.ones(4))
+        inst = QuboInstance(matrix_R=PenaltyMatrix(2, 0.0, 0.0, 0.0), vector_r=np.ones(4))
         z, value = exhaustive_qubo_min(inst)
         assert z.tolist() == [0, 0, 0, 0]
         assert value == 0.0
 
     def test_negative_linear_term_fills_ones(self):
-        inst = QuboInstance(matrix_R=np.zeros((4, 4)), vector_r=-np.ones(4))
+        inst = QuboInstance(matrix_R=PenaltyMatrix(2, 0.0, 0.0, 0.0), vector_r=-np.ones(4))
         z, value = exhaustive_qubo_min(inst)
         assert z.tolist() == [1, 1, 1, 1]
         assert value == -4.0
 
     def test_tie_breaks_to_smallest_encoding(self):
-        inst = QuboInstance(matrix_R=np.zeros((4, 4)), vector_r=np.zeros(4))
+        inst = QuboInstance(matrix_R=PenaltyMatrix(2, 0.0, 0.0, 0.0), vector_r=np.zeros(4))
         z, value = exhaustive_qubo_min(inst)
         assert z.tolist() == [0, 0, 0, 0]
         assert value == 0.0
@@ -165,12 +166,10 @@ class TestExhaustiveQuboMin:
         inst = build_qubo(x, ascending_program(3))
         _, value = exhaustive_qubo_min(inst)
         zp, best_value = best_permutation(x, ascending_program(3))
-        from qperm import qubo_objective
-
-        assert value == pytest.approx(qubo_objective(inst, vectorize(zp.matrix)))
+        assert value == pytest.approx(qubo_objective(*dense(inst), vectorize(zp.matrix)))
 
     def test_size_guard(self):
-        inst = QuboInstance(matrix_R=np.zeros((25, 25)), vector_r=np.zeros(25))
+        inst = QuboInstance(matrix_R=PenaltyMatrix(5, 0.0, 0.0, 0.0), vector_r=np.zeros(25))
         with pytest.raises(SizeBudgetExceeded):
             exhaustive_qubo_min(inst)
 

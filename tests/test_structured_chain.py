@@ -1,13 +1,15 @@
-"""The structured chain against the dense one, bit for bit or within tolerance.
+"""The library's structured chain against the dense reference, bit for bit
+or within tolerance.
 
 build_qubo returns its penalty as a PenaltyMatrix, the conversions keep it
-one, and solve runs the dense network's descent on it.  The dense chain
-stays as the reference: these tests materialize each structured stage with
-np.asarray and run the dense stage on the materialized input.  With integer
-penalty weights every sum of coefficients is exact, so the two agree bit for
-bit, matrices, vectors, flips, states and energies alike.  With any other
-weights the stages agree within a relative tolerance of 1e-9, and every
-energy on either form is E(s) correctly rounded, float(Fraction(E(s))).
+one, and solve descends on it.  The paper's dense chain is the reference
+(tests/reference.py): these tests materialize each library stage with
+np.asarray and run the reference stage on the materialized input.  With
+integer penalty weights every sum of coefficients is exact, so the two
+agree bit for bit, matrices, vectors, flips, states and energies alike.
+With any other weights the stages agree within a relative tolerance of
+1e-9, and every energy on either form is E(s) correctly rounded,
+float(Fraction(E(s))).
 """
 
 import json
@@ -34,16 +36,12 @@ from qperm import (
     QuboInstance,
     ValueVector,
     bipolar_to_binary,
-    build_Cc,
-    build_Cr,
     build_qubo,
     certify,
     descending_program,
     energy,
     exhaustive_qubo_min,
-    flip_gain,
     fold_diagonal,
-    qubo_objective,
     solve,
     solve_qubo,
     to_hopfield,
@@ -52,17 +50,10 @@ from qperm import (
 from qperm import hopfield
 from qperm.cli import main
 
+from . import reference
 from . import reference_run as ref
-from .conftest import (
-    dense_qubo,
-    exact_sum,
-    fraction_energy,
-    make_program,
-    materialized,
-    paper_faithful,
-    random_start,
-    run_pipeline,
-)
+from .conftest import make_program, paper_faithful, random_start, run_pipeline
+from .reference import build_Cc, build_Cr, dense, exact_sum, fraction_energy
 
 
 def bits(a) -> bytes:
@@ -81,13 +72,12 @@ def chain(instance):
 
 
 def assert_bitwise_same_descent(network, start, budget=None):
-    """_descend takes the same flips through the same states at the same
-    energies on the structured network and on its materialized form, or
-    raises the same error on both."""
-    dense = materialized(network)
+    """hopfield._descend on the structured network takes the same flips
+    through the same states at the same energies as the reference descent on
+    its materialized form, or raises the same error."""
     budget = network.dimension ** 2 if budget is None else budget
     try:
-        dense_run = hopfield._descend(dense, start, budget)
+        dense_run = reference.descend(*dense(network), start, budget)
     except MaxStepsExceeded:
         with pytest.raises(MaxStepsExceeded):
             hopfield._descend(network, start, budget)
@@ -218,10 +208,8 @@ class TestPenaltyMatrix:
         assert bits(-2.0 * M) == bits(-2.0 * dense)  # zeros turn -0.0 in both
         assert bits(M * 3.0) == bits(dense * 3.0)
 
-    @mock.patch.object(PenaltyMatrix, "diagonal", side_effect=AssertionError("diagonal formed"))
-    def test_instances_take_it_in_place_of_a_dense_matrix(self, _):
-        """A nonzero self_coupling is refused without forming the diagonal;
-        -0.0 is a zero diagonal."""
+    def test_instances_take_it_as_their_matrix(self):
+        """A nonzero self_coupling is refused; -0.0 is a zero diagonal."""
         r = np.zeros(4)
         for self_coupling in (1.0, 2.0):
             M = PenaltyMatrix(2, 1.0, 1.0, self_coupling)
@@ -249,49 +237,31 @@ class TestPenaltyMatrix:
             arrays = [v for v in vars(stage).values() if isinstance(v, np.ndarray)]
             assert all(a.shape == (n * n,) for a in arrays)
 
-    @given(st.integers(1, 6), st.integers(0, 2**32 - 1))
-    @settings(max_examples=60, deadline=None)
-    def test_rows_and_diagonal_are_the_dense_ones(self, n, seed):
-        rnd = np.random.default_rng(seed)
-        M = PenaltyMatrix(n, *rnd.normal(size=3))
-        for m in (M, -2.0 * M):
-            dense = np.asarray(m)
-            for i in range(-n * n, n * n):
-                assert bits(m[i]) == bits(dense[i])
-            assert bits(m.diagonal()) == bits(dense.diagonal())
-        with pytest.raises(IndexError):
-            M[n * n]
-        with pytest.raises(TypeError):
-            M[0.5]
-
-    def test_solve_runs_one_descent_on_either_form(self):
+    def test_solve_runs_one_descent(self):
         instance = build_qubo(ValueVector(ref.INPUT_X), make_program("heap", 7))
         network = chain(instance)[2]
         with mock.patch.object(hopfield, "_descend", wraps=hopfield._descend) as descend:
             solve(network)
-            solve(materialized(network))
-        first, second = (call.args[0].weights_W for call in descend.call_args_list)
-        assert first is network.weights_W and isinstance(second, np.ndarray)
+        (call,) = descend.call_args_list
+        assert call.args[0].weights_W is network.weights_W
 
-
-    def test_descent_never_reads_a_row(self):
+    def test_descent_never_materializes(self):
         """The structured descent reads its fields off row and column counts,
-        in O(n) per flip, and never builds a dense row of n^2 entries."""
+        in O(n) per flip, and never builds a dense row or matrix."""
         instance = build_qubo(ValueVector(ref.INPUT_X), make_program("heap", 7))
         network = chain(instance)[2]
-        with mock.patch.object(PenaltyMatrix, "__getitem__", side_effect=AssertionError("row read")):
+        with mock.patch.object(PenaltyMatrix, "__array__", side_effect=AssertionError("dense")):
             _, trace = solve(network)
-            assert_bitwise_same_descent(network, np.full(49, -1, dtype=np.int8))
+        assert_bitwise_same_descent(network, np.full(49, -1, dtype=np.int8))
         assert trace.flips == 7
 
     @pytest.mark.parametrize("n", [1, 2, 7, 40])
     def test_chain_never_forms_a_diagonal(self, n):
         """Every zero-diagonal check reads self_coupling, and fold_diagonal adds
-        it to r as a scalar, the same add as the dense diagonal's."""
+        it to r as a scalar, the same add as the dense diagonal's; nothing
+        materializes."""
         x = ValueVector(np.random.default_rng(n).normal(size=n))
-        with mock.patch.object(
-            PenaltyMatrix, "diagonal", side_effect=AssertionError("diagonal formed")
-        ):
+        with mock.patch.object(PenaltyMatrix, "__array__", side_effect=AssertionError("dense")):
             instance = build_qubo(x, make_program("heap", n))
             folded, _, network = chain(instance)
             state, trace = solve(network)
@@ -318,19 +288,18 @@ class TestPenaltyMatrix:
         assert before[2, 2] == 1
         assert before[2].sum() == before[:, 2].sum() == 2 - n
         s, half, fresh = start.astype(float), np.empty(n * n), np.empty(n * n)
-        descent = hopfield._descent(network, s, half)
+        W, theta = network.weights_W, network.bias_theta
+        descent = hopfield._counts(W, theta, s, half)
         next(descent)
         for i in trace.flipped.tolist():
             descent.send(i)
-            next(hopfield._descent(network, s.copy(), fresh))
+            next(hopfield._counts(W, theta, s.copy(), fresh))
             np.testing.assert_array_equal(half, fresh)
 
     def test_a_start_that_is_not_bipolar_is_named(self):
-        """The trace names a start of 2s, on either form, after descent ran."""
         network = chain(build_qubo(ValueVector(ref.INPUT_X), make_program("heap", 7)))[2]
-        for form in (network, materialized(network)):
-            with pytest.raises(DomainError, match="start state must be a bipolar vector"):
-                hopfield._descend(form, np.full(49, 2, dtype=np.int8), 49 * 49)
+        with pytest.raises(DomainError, match="start state must be a bipolar vector"):
+            hopfield._descend(network, np.full(49, 2, dtype=np.int8), 49 * 49)
 
     @given(st.integers(1, 8), st.integers(1, 2**20), st.integers(1, 2**20),
            st.integers(0, 20), st.integers(0, 2**32 - 1))
@@ -344,7 +313,7 @@ class TestPenaltyMatrix:
         network = chain(build_qubo(x, program, lambda_r=m_r / 2**k, lambda_c=m_c / 2**k))[2]
         trace = assert_bitwise_same_descent(network, random_start(n * n, seed))
         for step in trace.steps:
-            assert step.energy == float(fraction_energy(network, step.state))
+            assert step.energy == float(fraction_energy(*dense(network), step.state))
 
     @given(st.integers(1, 8), coefficients, coefficients, coefficients, st.data())
     @example(2, 1.7e308, 1.7e308, 0.0, None)  # the row sum overflows
@@ -382,15 +351,11 @@ class TestIntegerWeightsBitForBit:
         Cr, Cc = build_Cr(n), build_Cc(n)
         kronecker = R.same_row * (Cr.T @ Cr) + R.same_col * (Cc.T @ Cc)
         assert bits(instance.matrix_R) == bits(kronecker)
-        structured = chain(instance)
-        dense = chain(dense_qubo(instance))
-        for (s, d), (matrix, vector) in zip(
-            zip(structured, dense),
-            (("matrix_R", "vector_r"), ("matrix_Q", "vector_q"), ("weights_W", "bias_theta")),
-        ):
-            assert isinstance(getattr(s, matrix), PenaltyMatrix)
-            assert bits(getattr(s, matrix)) == bits(getattr(d, matrix))
-            assert bits(getattr(s, vector)) == bits(getattr(d, vector))
+        for stage, (matrix, vector) in zip(chain(instance), reference.chain(*dense(instance))):
+            structured_matrix, structured_vector = vars(stage).values()
+            assert isinstance(structured_matrix, PenaltyMatrix)
+            assert bits(structured_matrix) == bits(matrix)
+            assert bits(structured_vector) == bits(vector)
 
     @given(builder_instances(integer_lambda=True), st.one_of(st.none(), st.integers(0, 2**32 - 1)))
     @settings(max_examples=120, deadline=None)
@@ -408,7 +373,7 @@ class TestIntegerWeightsBitForBit:
         network = chain(instance)[2]
         s = np.array([start], dtype=np.int8)
         trace = assert_bitwise_same_descent(network, s)
-        assert trace.energies[0].hex() == float(fraction_energy(network, s)).hex()
+        assert trace.energies[0].hex() == float(fraction_energy(*dense(network), s)).hex()
 
     @given(builder_instances(integer_lambda=True, max_n=6), st.integers(0, 2**32 - 1),
            st.integers(0, 4))
@@ -434,22 +399,20 @@ class TestIntegerWeightsBitForBit:
     def test_objectives_match_the_dense_forms(self):
         scaled = paper_faithful([3.0, -1.0, 2.0])
         instance = build_qubo(scaled, make_program("bst", 3), normalize=False)
-        dense = dense_qubo(instance)
         network = chain(instance)[2]
-        dense_network = materialized(network)
+        dense_network = dense(network)
         rnd = np.random.default_rng(3)
         for _ in range(20):
-            z = rnd.integers(0, 2, size=9)
-            s = 2 * z - 1
-            assert bits(qubo_objective(instance, z)) == bits(qubo_objective(dense, z))
-            assert bits(energy(network, s)) == bits(energy(dense_network, s))
-            i = int(rnd.integers(0, 9))
-            assert bits(flip_gain(network, s, i)) == bits(flip_gain(dense_network, s, i))
+            s = 2 * rnd.integers(0, 2, size=9) - 1
+            assert bits(energy(network, s)) == bits(reference.energy(*dense_network, s))
         small = build_qubo(ValueVector([2.0, -1.0]), make_program("ascending", 2))
+        states = (np.arange(16)[:, None] >> np.arange(4) & 1).astype(float)
         for folded in (small, fold_diagonal(small)):
             state, value = exhaustive_qubo_min(folded)
-            dense_state, dense_value = exhaustive_qubo_min(dense_qubo(folded))
-            assert state.tolist() == dense_state.tolist() and value == dense_value
+            R, r = dense(folded)
+            values = ((states @ R) * states).sum(axis=1) + states @ r
+            k = int(np.argmin(values))
+            assert state.tolist() == states[k].tolist() and value == values[k]
 
 
 # --- every energy correctly rounded -----------------------------------------
@@ -459,26 +422,34 @@ class TestCorrectlyRoundedEnergies:
     @given(builder_instances(integer_lambda=False, max_n=6), st.booleans(),
            st.one_of(st.none(), st.integers(0, 2**32 - 1)))
     @settings(max_examples=100, deadline=None)
-    def test_every_energy_is_correctly_rounded(self, instance, dense, seed):
-        """Every trace energy and every energy() is float(Fraction(E(s))), on
-        either form, from the all-inactive start or a random one."""
+    def test_every_energy_is_correctly_rounded(self, instance, on_reference, seed):
+        """Every trace energy and every energy() is float(Fraction(E(s))), in
+        the library and in the reference, from the all-inactive start or a
+        random one."""
         network = chain(instance)[2]
-        network = materialized(network) if dense else network
+        W, theta = dense(network)
         N = network.dimension
         start = np.full(N, -1, dtype=np.int8) if seed is None else random_start(N, seed)
         try:
-            _, trace = hopfield._descend(network, start, N * N)
+            if on_reference:
+                _, trace = reference.descend(W, theta, start, N * N)
+            else:
+                _, trace = hopfield._descend(network, start, N * N)
         except MaxStepsExceeded:
             return
         for step in trace.steps:
-            exact = float(fraction_energy(network, step.state))
-            assert step.energy == exact and energy(network, step.state) == exact
+            exact = float(fraction_energy(W, theta, step.state))
+            assert step.energy == exact
+            if on_reference:
+                assert reference.energy(W, theta, step.state) == exact
+            else:
+                assert energy(network, step.state) == exact
 
     @pytest.mark.parametrize("factor", [1.0, 0.7, 1.1001, 3.0])
     @pytest.mark.parametrize("normalize", [True, False])
     def test_energy_of_the_endpoint_is_the_final_energy(self, factor, normalize):
-        """energy() and the trace agree bit for bit, on a PenaltyMatrix network
-        and on its materialization, which here take the same flips."""
+        """energy() and the trace agree bit for bit, in the library and in the
+        reference on the materialized network, which here take the same flips."""
         n = 12
         x = ValueVector(np.random.default_rng(n).normal(size=n))
         lam = factor * n
@@ -486,10 +457,14 @@ class TestCorrectlyRoundedEnergies:
             x, make_program("heap", n), lambda_r=lam, lambda_c=lam, normalize=normalize
         )
         network = chain(instance)[2]
-        for form in (network, materialized(network)):
-            _, trace = solve(form)
-            assert energy(form, trace.final_state) == trace.final_energy
-            assert trace.final_energy == float(fraction_energy(network, trace.final_state))
+        W, theta = dense(network)
+        _, trace = solve(network)
+        _, dense_trace = reference.descend(W, theta)
+        assert dense_trace.flipped.tolist() == trace.flipped.tolist()
+        final = trace.final_state
+        assert energy(network, final) == reference.energy(W, theta, final) == trace.final_energy
+        assert dense_trace.final_energy == trace.final_energy
+        assert trace.final_energy == float(fraction_energy(W, theta, final))
 
 
 # --- any positive finite weights: within tolerance -------------------------
@@ -500,12 +475,12 @@ class TestAnyWeightsWithinTolerance:
     @settings(max_examples=120, deadline=None)
     def test_endpoint_is_stable_and_energies_exact(self, instance):
         network = chain(instance)[2]
-        dense = materialized(network)
+        W, theta = dense(network)
         state, trace = solve(network)
         for step in trace.steps:
-            assert step.energy == energy(dense, step.state)
-        scale = abs(energy(dense, state))
-        gains = [flip_gain(dense, state, i) for i in range(network.dimension)]
+            assert step.energy == reference.energy(W, theta, step.state)
+        scale = abs(reference.energy(W, theta, state))
+        gains = [reference.flip_gain(W, theta, state, i) for i in range(network.dimension)]
         assert min(gains) >= -1e-9 * max(scale, 1.0)
 
     def test_stops_before_a_flip_that_does_not_lower_the_energy(self):
@@ -527,14 +502,11 @@ class TestAnyWeightsWithinTolerance:
 # --- solve_qubo is the chain in one call ----------------------------------
 
 
-@given(builder_instances(integer_lambda=False), st.booleans(),
-       st.one_of(st.none(), st.integers(0, 40)))
+@given(builder_instances(integer_lambda=False), st.one_of(st.none(), st.integers(0, 40)))
 @settings(max_examples=120, deadline=None)
-def test_solve_qubo_is_the_chain_written_out(instance, dense, max_steps):
-    """Default builds, normalize=False and any weights, structured or dense:
-    the same endpoint, flips and energies bit for bit, or the same error."""
-    if dense:
-        instance = dense_qubo(instance)
+def test_solve_qubo_is_the_chain_written_out(instance, max_steps):
+    """Default builds, normalize=False and any weights: the same endpoint,
+    flips and energies bit for bit, or the same error."""
     try:
         state, trace = solve(chain(instance)[2], max_steps)
     except MaxStepsExceeded:
@@ -567,6 +539,28 @@ def test_build_writes_the_kronecker_penalty(n, lambda_r, lambda_c, kind, data):
             R = np.asarray(PenaltyMatrix(**json.load(handle)["penalty"]))
     Cr, Cc = build_Cr(n), build_Cc(n)
     assert bits(R) == bits(lambda_r * (Cr.T @ Cr) + lambda_c * (Cc.T @ Cc))
+
+
+# --- the inputs of CI's dense-file comparison -------------------------------
+
+
+@pytest.mark.parametrize("n", [8, 24])
+def test_heap_input_descends_as_the_reference(n):
+    """A default build of default_rng(n).normal(size=n) into a heap, the input
+    that CI solves from a penalty file and from its dense twin: the library
+    takes the reference descent's flips through its states at its energies,
+    bit for bit, on the paper's Kronecker build of the same values."""
+    x = ValueVector(np.random.default_rng(n).normal(size=n))
+    program = make_program("heap", n)
+    z, trace = solve_qubo(build_qubo(x, program))
+    R, r = reference.kronecker_qubo(x.normalized_entries, program, float(n), float(n))
+    state, dense_trace = reference.descend(*reference.chain(R, r)[2])
+    assert z.tolist() == bipolar_to_binary(state).tolist()
+    assert trace.flips == n
+    assert trace.flipped.tolist() == dense_trace.flipped.tolist()
+    assert [e.hex() for e in trace.energies.tolist()] == [
+        e.hex() for e in dense_trace.energies.tolist()
+    ]
 
 
 # --- beyond the dense chain's reach ---------------------------------------
