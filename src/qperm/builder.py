@@ -70,8 +70,8 @@ def build_qubo(
     Raises
     ------
     DomainError
-        If a weight is not a positive and finite real number (a boolean is
-        none), or 2 (lambda_r + lambda_c) overflows the float range.
+        If a weight is not a positive and finite real number, or
+        2 (lambda_r + lambda_c) overflows the float range.
     DimensionMismatch
         If x and the program disagree on n.
     """

@@ -32,8 +32,9 @@ Any other "R" exits 2.  A file holds exactly one of "penalty" and "R",
 and exactly one of "reward" and "r".  build also embeds "x" and
 "program" so that solve can print the arranged values.  solve checks
 the whole file, "x" included, before it descends or prints anything;
-"n" must be an integer, never truncated, whose square is the dimension
-of both terms, and so must the "n" and "branching" of a program file.
+"n" must be an integer whose square is the dimension of both terms, and
+so must the "n" and "branching" of a program file.  An error in a QUBO
+file's content names the file.
 
 solve and verify run one descent from the all-inactive state through
 hopfield.solve_qubo; verify builds with the defaults and reports the
@@ -83,6 +84,7 @@ from .model import (
     SolverTrace,
     ValueVector,
     _integral,
+    _real,
     apply_permutation,
     decode_permutation,
 )
@@ -126,7 +128,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except QpermError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
@@ -281,7 +283,7 @@ def _numbers(value, where: str, ndim: int = 1) -> np.ndarray:
     if not (
         isinstance(rows, list)
         and rows
-        and all(isinstance(row, list) and row and all(map(_is_number, row)) for row in rows)
+        and all(isinstance(row, list) and row and all(map(_real, row)) for row in rows)
     ):
         shape = "array of numbers" if ndim == 1 else "array of arrays of numbers"
         raise QpermError(f"{where}: expected a non-empty {shape}")
@@ -292,7 +294,7 @@ def _numbers(value, where: str, ndim: int = 1) -> np.ndarray:
 
 
 def _number(value, where: str):
-    if not _is_number(value):
+    if not _real(value):
         raise QpermError(f"{where}: expected a number, got {value!r}")
     return value
 
@@ -304,19 +306,10 @@ def _float(value, where: str) -> float:
         raise QpermError(f"{where}: {exc}") from None
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _read_program(path: str) -> OrderProgram:
     data = _read_object(path, ("n", "kind", "branching", "ranks"))
-    try:
-        program = OrderProgram(
-            ranks=data["ranks"], kind=data["kind"], branching=data["branching"]
-        )
-        n = _integral(data["n"], f"{path}: n")
-    except (TypeError, OverflowError) as exc:
-        raise QpermError(f"{path}: {exc}") from None
+    program = OrderProgram(ranks=data["ranks"], kind=data["kind"], branching=data["branching"])
+    n = _integral(data["n"], f"{path}: n")
     if program.n != n:
         raise QpermError(f"{path}: n={data['n']} does not match {program.n} ranks")
     return program
@@ -326,32 +319,37 @@ def _read_qubo(path: str) -> tuple[QuboInstance, Optional[ValueVector]]:
     """Check the whole file; its quadratic term is read as a PenaltyMatrix,
     from "penalty" or from a dense "R" that equals one, and its linear term
     is formed from "reward", or read dense from "r".  Keys other than "n",
-    those four and "x" are ignored."""
+    those four and "x" are ignored.  Every error names the file."""
     data = _read_object(path, ("n",))
-    n = _integral(data["n"], f"{path}: n")
-    if _one_of(data, "penalty", "R", path):
-        penalty = _fields(data, "penalty", _PENALTY_FIELDS, path)
-        R = PenaltyMatrix(
-            **{name: _number(penalty[name], f"{path}: penalty.{name}") for name in _PENALTY_FIELDS}
-        )
+    try:
+        return _qubo(data)
+    except QpermError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+
+
+def _qubo(data: dict) -> tuple[QuboInstance, Optional[ValueVector]]:
+    n = _integral(data["n"], "n")
+    if _one_of(data, "penalty", "R"):
+        penalty = _fields(data, "penalty", _PENALTY_FIELDS)
+        R = PenaltyMatrix(**{k: _number(penalty[k], f"penalty.{k}") for k in _PENALTY_FIELDS})
         if R.n != n:
-            raise QpermError(f"{path}: penalty.n={R.n} but n={n}")
+            raise QpermError(f"penalty.n={R.n} but n={n}")
     else:
-        R = _penalty_from_R(_numbers(data["R"], f"{path}: 'R'", ndim=2), n, path)
-    if _one_of(data, "reward", "r", path):
-        reward = _fields(data, "reward", _REWARD_FIELDS, path)
-        values = _n_numbers(reward["values"], n, f"{path}: reward.values")
-        ranks = _n_numbers(reward["ranks"], n, f"{path}: reward.ranks")
-        r = reward_vector(values, ranks, _float(reward["offset"], f"{path}: reward.offset"))
+        R = _penalty_from_R(_numbers(data["R"], "'R'", ndim=2), n)
+    if _one_of(data, "reward", "r"):
+        reward = _fields(data, "reward", _REWARD_FIELDS)
+        values = _n_numbers(reward["values"], n, "reward.values")
+        ranks = _n_numbers(reward["ranks"], n, "reward.ranks")
+        r = reward_vector(values, ranks, _float(reward["offset"], "reward.offset"))
     else:
-        r = _numbers(data["r"], f"{path}: 'r'")
+        r = _numbers(data["r"], "'r'")
         if r.size != n * n:
-            raise QpermError(f"{path}: 'r' holds {r.size} numbers, not n*n={n * n}")
-    x = ValueVector(_n_numbers(data["x"], n, f"{path}: 'x'")) if "x" in data else None
+            raise QpermError(f"'r' holds {r.size} numbers, not n*n={n * n}")
+    x = ValueVector(_n_numbers(data["x"], n, "'x'")) if "x" in data else None
     return QuboInstance(matrix_R=R, vector_r=r), x
 
 
-def _penalty_from_R(R: np.ndarray, n: int, path: str) -> PenaltyMatrix:
+def _penalty_from_R(R: np.ndarray, n: int) -> PenaltyMatrix:
     """The PenaltyMatrix that a dense "R" equals entry for entry.
 
     Its coefficients are read off row 0: R[0][0] is self_coupling, R[0][1]
@@ -368,30 +366,27 @@ def _penalty_from_R(R: np.ndarray, n: int, path: str) -> PenaltyMatrix:
     except QpermError:  # a non-finite coefficient, or n below 1
         pass
     raise QpermError(
-        f"{path}: 'R' is not the {N}x{N} matrix of a finite penalty: self_coupling on the "
-        "diagonal, same_row or same_col between two cells of one row or one column of Z, "
-        "and 0 elsewhere"
+        f"'R' is not the {N}x{N} matrix of a finite penalty: self_coupling on the diagonal, "
+        "same_row or same_col between two cells of one row or one column of Z, and 0 elsewhere"
     )
 
 
-def _one_of(data: dict, structured: str, dense: str, path: str) -> bool:
+def _one_of(data: dict, structured: str, dense: str) -> bool:
     """Whether data holds the structured key; it must hold exactly one of the two."""
     if (structured in data) == (dense in data):
         found = "both" if structured in data else "neither"
-        raise QpermError(
-            f"{path}: expected one of the keys {structured!r} and {dense!r}, found {found}"
-        )
+        raise QpermError(f"expected one of the keys {structured!r} and {dense!r}, found {found}")
     return structured in data
 
 
-def _fields(data: dict, key: str, names: tuple[str, ...], path: str) -> dict:
+def _fields(data: dict, key: str, names: tuple[str, ...]) -> dict:
     """data[key], which must be an object holding every one of names."""
     value = data[key]
     if not isinstance(value, dict):
-        raise QpermError(f"{path}: {key!r} must be an object")
+        raise QpermError(f"{key!r} must be an object")
     missing = [name for name in names if name not in value]
     if missing:
-        raise QpermError(f"{path}: {key!r} lacks {', '.join(map(repr, missing))}")
+        raise QpermError(f"{key!r} lacks {', '.join(map(repr, missing))}")
     return value
 
 

@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError, NonZeroDiagonal
-from .model import HopfieldInstance, IsingInstance, PenaltyMatrix, QuboInstance, _all_in
+from .errors import NonZeroDiagonal
+from .model import HopfieldInstance, IsingInstance, PenaltyMatrix, QuboInstance, _bipolar
 
 
 def fold_diagonal(instance: QuboInstance) -> QuboInstance:
@@ -55,7 +55,4 @@ def to_hopfield(instance: IsingInstance) -> HopfieldInstance:
 
 def bipolar_to_binary(s) -> np.ndarray:
     """Map {-1,+1} to {0,1} via z = (s + 1) / 2."""
-    sv = np.asarray(s)
-    if not _all_in(sv, (-1, 1)):
-        raise DomainError("expected entries in {-1, +1}")
-    return (sv > 0).astype(np.int8)
+    return (_bipolar(s, "s") > 0).astype(np.int8)

@@ -72,15 +72,18 @@ from .model import (
     PenaltyMatrix,
     QuboInstance,
     SolverTrace,
-    _all_in,
+    _bipolar,
     _integral,
-    _readonly,
 )
 
 
 def energy(instance: HopfieldInstance, s) -> float:
     """-1/2 s^T W s + theta^T s at a bipolar state, correctly rounded, as descent records it."""
-    sv = _check_state(instance, s)
+    sv = _bipolar(s, "state").ravel().astype(float)
+    if sv.size != instance.dimension:
+        raise DimensionMismatch(
+            f"state has {sv.size} coordinates, instance has {instance.dimension}"
+        )
     return next(_counts(instance.weights_W, instance.bias_theta, sv, np.empty(sv.size)))
 
 
@@ -94,8 +97,7 @@ def solve(
     instance : HopfieldInstance
     max_steps : int, optional
         Bounds the number of accepted flips; defaults to N*N.  It must
-        equal a non-negative integer: strings, booleans and fractions
-        are rejected, never truncated.
+        equal a non-negative integer.
 
     Returns
     -------
@@ -138,9 +140,7 @@ def _descend(
     instance: HopfieldInstance, start: np.ndarray, budget: int
 ) -> tuple[np.ndarray, SolverTrace]:
     """Descend from a bipolar start."""
-    if not _all_in(start, (-1, 1)):
-        raise DomainError("the start state must be a bipolar vector")
-    s = start.astype(float)
+    s = _bipolar(start, "start state").astype(float)
     flipped: list[int] = []
     # An overflowing field or gain is left to the energies, whose overflow
     # SolverTrace names, with no numpy warning.
@@ -163,7 +163,8 @@ def _descend(
                 break
             flipped.append(i)
             energies.append(e)
-    return s.astype(np.int8), SolverTrace(start, np.array(flipped, dtype=np.intp), energies)
+    trace = SolverTrace(start, np.array(flipped, dtype=np.intp), np.array(energies))
+    return s.astype(np.int8), trace
 
 
 def _counts(W: PenaltyMatrix, theta: np.ndarray, s: np.ndarray, half: np.ndarray):
@@ -261,14 +262,3 @@ def _rounded(m: int, u: int) -> float:
         return m / (1 << -u)
     except OverflowError:
         return math.inf if m > 0 else -math.inf
-
-
-def _check_state(instance: HopfieldInstance, s) -> np.ndarray:
-    sv = _readonly(s, "state").ravel()
-    if sv.size != instance.dimension:
-        raise DimensionMismatch(
-            f"state has {sv.size} coordinates, instance has {instance.dimension}"
-        )
-    if not _all_in(sv, (-1.0, 1.0)):
-        raise DomainError("state must be bipolar")
-    return sv

@@ -18,6 +18,13 @@ Descent reads its fields off the row and column counts of the (n, n) grid
 of the PenaltyMatrix layout, and no stage forms the N-length diagonal: a
 zero-diagonal check reads self_coupling.
 
+One rule, stated here only, reads every scalar, vector, state and index
+list a caller gives: each entry must be a real number, so strings,
+booleans, None and ragged nestings are refused, never parsed or read as 0
+and 1; sizes, ranks, coordinates and step budgets must equal integers,
+never truncated; a bipolar state must hold exactly -1 and +1, checked
+before any cast.  Each refusal is a QpermError that names the field.
+
 Conventions fixed here once and relied on everywhere:
 
 * a solver state z of length n*n stacks the columns of an n x n matrix
@@ -169,27 +176,22 @@ class PenaltyMatrix:
         )
 
 
-# Values that int() reads as integers but that are no integers.
-_NOT_INTEGERS = (str, bytes, bool, np.bool_)
-_BOOLEANS = frozenset((bool, np.bool_))  # neither type can be subclassed
-
-
 def _integral(value, name: str) -> int:
-    """value as an int, which it must equal: strings, booleans and fractions
-    are rejected, never truncated or read as 0 and 1."""
+    """value as an int, which it must equal (see the module docstring)."""
     try:
         as_int = int(value)
     except (TypeError, ValueError, OverflowError):
         raise InvalidSize(f"{name} must be an integer") from None
-    if isinstance(value, _NOT_INTEGERS) or as_int != value:
+    if not _real(value) or as_int != value:
         raise InvalidSize(f"{name} must be an integer, not {value!r}")
     return as_int
 
 
 def _real(value) -> bool:
-    """Whether value is a real number: strings, booleans and complex numbers
-    are not, so none is ever parsed or read as 0 and 1."""
-    return isinstance(value, numbers.Real) and not isinstance(value, _NOT_INTEGERS)
+    """Whether value is a real number; a bool is none."""
+    if isinstance(value, (int, float)):  # the common case, without the slower ABC check
+        return not isinstance(value, bool)
+    return isinstance(value, numbers.Real)
 
 
 def _finite(value, name: str) -> float:
@@ -205,15 +207,59 @@ def _finite(value, name: str) -> float:
     return value
 
 
-def _readonly(values, name: str, dtype=float) -> np.ndarray:
-    """A read-only copy of values as an array of dtype; an integer beyond
-    the range of dtype is a DomainError that names the field."""
+def _reals(values, name: str, *, error=DomainError, want: str = "real numbers") -> np.ndarray:
+    """values as an ndarray of _real entries, else error naming the field.
+
+    An ndarray of an integer or float dtype is returned as it is, with no
+    pass over its entries.  Anything else is read as objects, one entry of
+    each type is checked, and a new array of integers or floats is returned.
+    """
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iuf":
+        return values
     try:
-        arr = np.array(values, dtype=dtype)
+        items = np.array(values, dtype=object)
+    except ValueError:  # nested arrays whose shapes disagree
+        raise error(f"{name} must be {want}, not a ragged nesting") from None
+    entries = items.ravel().tolist()
+    for entry in dict(zip(map(type, entries), entries)).values():
+        if not _real(entry):
+            raise error(f"{name} must be {want}, not {type(entry).__name__}")
+    try:
+        reals = np.array(entries)
+        if reals.dtype.kind not in "iuf":  # integers beyond 64 bits, fractions.Fraction
+            reals = np.array(entries, dtype=float)
+        return reals.reshape(items.shape)
     except OverflowError:
-        raise DomainError(f"{name} holds an integer beyond the {np.dtype(dtype)} range") from None
+        raise error(f"{name} holds an integer beyond the float64 range") from None
+
+
+def _readonly(values, name: str, dtype=float) -> np.ndarray:
+    """A read-only copy of _reals(values) as dtype, which the entries must fit."""
+    arr = np.array(_reals(values, name), dtype=dtype)
     arr.setflags(write=False)
     return arr
+
+
+def _integers(values, name: str, error=InvalidSize) -> np.ndarray:
+    """_integral over an array, as a read-only np.intp copy.  Entries that are
+    read as floats must be below 2^53 in magnitude, where floats are exact."""
+    given = _reals(values, name, error=error, want="integers")
+    if not np.can_cast(given.dtype, np.intp):
+        whole = (given == np.trunc(given)) & (np.abs(given) < 2.0**53)  # NaN and inf are not
+        if not whole.all():
+            bad = given[~whole][0].item()
+            raise error(f"{name} must be integers below 2^53 in magnitude, not {bad!r}")
+    return _readonly(given, name, np.intp)
+
+
+def _bipolar(values, name: str) -> np.ndarray:
+    """A read-only int8 copy of a state whose every entry is exactly -1 or +1,
+    checked before the cast, so no entry is ever truncated or wrapped."""
+    given = _reals(values, name, want="a bipolar vector")
+    unit = np.abs(given) == 1  # NaN is not
+    if not unit.all():
+        raise DomainError(f"{name} must be a bipolar vector, not {given[~unit][0].item()!r}")
+    return _readonly(given, name, np.int8)
 
 
 def _checked(matrix, vector, matrix_name: str, vector_name: str) -> np.ndarray:
@@ -231,13 +277,6 @@ def _checked(matrix, vector, matrix_name: str, vector_name: str) -> np.ndarray:
         raise DimensionMismatch(f"{matrix_name} is {N}x{N} but {vector_name} has shape {v.shape}")
     _require_finite(v, vector_name)
     return v
-
-
-def _all_in(values: np.ndarray, pair: tuple) -> bool:
-    """Whether every entry equals one of the two values in pair; NaN and
-    non-numeric entries equal neither.  Two comparisons, where np.isin sorts."""
-    low, high = pair
-    return bool(np.logical_or(values == low, values == high).all())
 
 
 def _require_finite(vector: np.ndarray, name: str) -> None:
@@ -314,11 +353,9 @@ class OrderProgram:
     """A target arrangement, given as the rank each output slot receives.
 
     ranks is a permutation of 1..n; output slot i is meant to hold the
-    ranks[i]-th smallest input value.  Each rank must equal its integer
-    value: strings, booleans and fractions are rejected, never truncated.  kind
-    records how the vector was generated; branching is the tree arity
-    where that applies, an integer of at least 2, checked as the ranks are,
-    and 2 for a bst program.
+    ranks[i]-th smallest input value.  kind records how the vector was
+    generated; branching is the tree arity where that applies, an integer
+    of at least 2, and 2 for a bst program.
     """
 
     ranks: tuple[int, ...]
@@ -326,13 +363,10 @@ class OrderProgram:
     branching: int = 2
 
     def __post_init__(self):
-        try:
-            given = tuple(self.ranks)
-            ranks = tuple(int(v) for v in given)
-        except (TypeError, ValueError, OverflowError):
-            raise NotAPermutation("ranks must be a sequence of integers") from None
-        if any(isinstance(v, _NOT_INTEGERS) or r != v for r, v in zip(ranks, given)):
-            raise NotAPermutation("ranks must be integers, not strings, booleans or fractions")
+        given = _integers(self.ranks, "ranks", NotAPermutation)
+        if given.ndim != 1:
+            raise NotAPermutation("ranks must be a sequence of integers")
+        ranks = tuple(given.tolist())
         if len(ranks) < 1:
             raise InvalidSize("a program needs at least one slot")
         if sorted(ranks) != list(range(1, len(ranks) + 1)):
@@ -429,10 +463,10 @@ class PermutationMatrix:
     as_mapping: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
-        M = np.asarray(self.matrix)
+        M = _reals(self.matrix, "matrix entries", error=_NotBinary, want="0 or 1")
         if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] == 0:
             raise NotAPermutation("need a non-empty square matrix")
-        if not _all_in(M, (0, 1)):
+        if not ((M == 0.0) | (M == 1.0)).all():  # NaN is neither
             raise _NotBinary("entries must be 0 or 1")
         M = _readonly(M, "matrix", dtype=int)
         if not ((M.sum(axis=0) == 1).all() and (M.sum(axis=1) == 1).all()):
@@ -454,10 +488,7 @@ class TraceStep:
     energy: float
 
     def __post_init__(self):
-        state = _readonly(self.state, "state", dtype=np.int8)
-        if not _all_in(state, (-1, 1)):
-            raise DomainError("trace states must be bipolar")
-        object.__setattr__(self, "state", state)
+        object.__setattr__(self, "state", _bipolar(self.state, "state"))
         object.__setattr__(self, "energy", _finite(self.energy, "energy"))
 
 
@@ -478,27 +509,12 @@ class SolverTrace:
     energies: np.ndarray
 
     def __post_init__(self):
-        given = np.asarray(self.start)
-        if given.ndim != 1 or not _all_in(given, (-1, 1)):
-            raise DomainError("the start state must be a bipolar vector")
-        start = _readonly(given, "start", dtype=np.int8)
-        flipped = np.asarray(self.flipped)
-        if (
-            flipped.dtype.kind not in "iuf"
-            or (flipped.dtype.kind == "f" and (flipped != np.trunc(flipped)).any())
-            # np.asarray reads [0, True] as integers, so look at the elements
-            or (
-                flipped.ndim == 1
-                and not isinstance(self.flipped, np.ndarray)
-                and not _BOOLEANS.isdisjoint(map(type, self.flipped))
-            )
-        ):
-            raise InvalidSize(
-                "flipped coordinates must be integers, not strings, booleans or fractions"
-            )
+        start = _bipolar(self.start, "start state")
+        if start.ndim != 1:
+            raise DomainError(f"start state must be a bipolar vector, not of shape {start.shape}")
+        flipped = _integers(self.flipped, "flipped")
         if flipped.ndim != 1 or not ((flipped >= 0) & (flipped < start.size)).all():
             raise DomainError(f"flipped coordinates must lie in 0..{start.size - 1}")
-        flipped = _readonly(flipped, "flipped", dtype=np.intp)
         energies = _readonly(self.energies, "energies")
         if energies.shape != (flipped.size + 1,):
             raise DomainError(
@@ -561,9 +577,7 @@ def decode_permutation(z_star) -> PermutationMatrix:
         If the state is not binary or the matrix is not a permutation.
         The state is never repaired.
     """
-    # One conversion, to float; PermutationMatrix makes the one 0/1 check
-    # and the one int copy, which it seals and keeps.
-    z = np.asarray(z_star, dtype=float).ravel()
+    z = _reals(z_star, "state entries", error=NotAPermutation, want="0 or 1").ravel()
     n = math.isqrt(z.size)
     if z.size == 0 or n * n != z.size:
         raise NonSquareLength(f"length {z.size} is not a positive perfect square")

@@ -25,6 +25,7 @@ from .model import (
     PermutationMatrix,
     QuboInstance,
     ValueVector,
+    _reals,
     apply_permutation,
     decode_permutation,
 )
@@ -136,7 +137,8 @@ def certify(x: ValueVector, program: OrderProgram, solver_state) -> CertificateR
     """Check a binary solver state for feasibility, optimality, and structure.
 
     A state that fails to decode yields a failed certificate rather than
-    an exception.  Optimality is an exact order check: the ranks are
+    an exception; one with an entry that is no real number is refused
+    with DomainError.  Optimality is an exact order check: the ranks are
     distinct, so by the rearrangement inequality an arrangement y is
     optimal exactly when ranks[i] < ranks[j] implies y[i] <= y[j], that
     is, when y read in increasing rank order never decreases; any pair
@@ -154,7 +156,7 @@ def certify(x: ValueVector, program: OrderProgram, solver_state) -> CertificateR
     if len(np.unique(x.entries)) < x.n:
         notes.append("objective-tie: duplicate input values admit several optimal arrangements")
     try:
-        p = decode_permutation(solver_state)
+        p = decode_permutation(_reals(solver_state, "solver_state"))
         if p.n != x.n:
             raise NotAPermutation(f"state encodes {p.n} slots but x has {x.n} entries")
     except (NotAPermutation, NonSquareLength) as exc:

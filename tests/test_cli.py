@@ -553,8 +553,26 @@ class TestSolveCommand:
             assert main(["solve", qubo]) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.startswith("error: vector_r must be finite")
+        assert err.startswith(f"error: {qubo}: vector_r must be finite")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: d["penalty"].update(same_row=float("nan")), "same_row must be finite"),
+            (lambda d: d["penalty"].update(n=0), "n must be at least 1"),
+            (lambda d: d["x"].__setitem__(0, float("nan")), "entries must be finite"),
+        ],
+        ids=["penalty-nan", "penalty-n-zero", "x-nan"],
+    )
+    def test_errors_in_built_values_name_the_file(self, tmp_path, capsys, edit, message):
+        """Each once printed its message with no path."""
+        qubo = build_file(tmp_path, [3.0, 1.0, 2.0], "ascending")
+        payload = json.loads(Path(qubo).read_text(encoding="utf-8"))
+        edit(payload)
+        bad = write_json(tmp_path / "bad.json", payload)
+        assert main(["solve", bad]) == 2
+        assert capsys.readouterr() == ("", f"error: {bad}: {message}\n")
 
     def test_no_seed_or_restarts(self, reference_files, monkeypatch, capsys):
         # solve is one deterministic descent: QP_SEED changes nothing, and

@@ -19,13 +19,17 @@ from qperm import (
     OrderProgram,
     PenaltyMatrix,
     PermutationMatrix,
+    QpermError,
     QuboInstance,
     SolverTrace,
     TraceStep,
     UnsupportedBranching,
     ValueVector,
     apply_permutation,
+    ascending_program,
+    bipolar_to_binary,
     build_qubo,
+    certify,
     decode_permutation,
     energy,
     heap_program,
@@ -207,7 +211,7 @@ class TestDecodePermutation:
             ([2, 0, 0, 0], NotAPermutation, "state entries must be 0 or 1"),
             ([1, 1, 0, 0], NotAPermutation, "every row and column must contain exactly one 1"),
             ([1, 0, 0], NonSquareLength, "length 3 is not a positive perfect square"),
-            (["a", "b", "c", "d"], ValueError, "could not convert string to float"),
+            (["a", "b", "c", "d"], NotAPermutation, "state entries must be 0 or 1"),
         ],
     )
     def test_errors_and_messages(self, z, error, message):
@@ -507,7 +511,7 @@ class TestNonFiniteData:
             (lambda: ValueVector([10**400, 1]), "entries"),
             (lambda: QuboInstance(PenaltyMatrix(1, 0.0, 0.0, 0.0), [10**400]), "vector_r"),
             (lambda: SolverTrace([-1], [], [10**400]), "energies"),
-            (lambda: TraceStep(0, [300, 1], 0.0), "state"),
+            (lambda: TraceStep(0, [10**400, 1], 0.0), "state"),
             (lambda: energy(HopfieldInstance(PenaltyMatrix(1, 0.0, 0.0, 0.0), [0.0]), [10**400]),
              "state"),
         ],
@@ -537,3 +541,108 @@ class TestNonFiniteData:
         make, message = SCALAR_CHECKS[check]
         with pytest.raises(DomainError, match=message):
             make(BAD_SCALARS[value])
+
+
+def _network():
+    return HopfieldInstance(PenaltyMatrix(2, -1.0, -1.0, 0.0), np.zeros(4))
+
+
+# name -> (a call that takes one array, an array it accepts, the field its
+# errors start with, whether the entries must be integers or +-1)
+ARRAY_READERS = {
+    "ValueVector": (ValueVector, [3.0, 1.0], "entries", False),
+    "QuboInstance": (
+        lambda v: QuboInstance(PenaltyMatrix(2, 1.0, 1.0, 2.0), v), [0.0] * 4, "vector_r", False
+    ),
+    "IsingInstance": (
+        lambda v: IsingInstance(PenaltyMatrix(2, 1.0, 1.0, 0.0), v), [0.0] * 4, "vector_q", False
+    ),
+    "HopfieldInstance": (
+        lambda v: HopfieldInstance(PenaltyMatrix(2, 1.0, 1.0, 0.0), v), [0.0] * 4, "bias_theta",
+        False,
+    ),
+    "OrderProgram": (lambda v: OrderProgram(ranks=v), [2, 1, 3], "ranks", True),
+    "SolverTrace-start": (lambda v: SolverTrace(v, [], [0.0]), [1, -1], "start", True),
+    "SolverTrace-flipped": (
+        lambda v: SolverTrace([1, -1, 1], v, [2.0, 1.0, 0.0]), [0, 1], "flipped", True
+    ),
+    "SolverTrace-energies": (lambda v: SolverTrace([1, -1], [0], v), [1.0, 0.0], "energies", False),
+    "TraceStep": (lambda v: TraceStep(0, v, 0.0), [1, -1], "state", True),
+    "energy": (lambda v: energy(_network(), v), [1, -1, -1, 1], "state", True),
+    "bipolar_to_binary": (bipolar_to_binary, [1, -1], "s", True),
+    "decode_permutation": (decode_permutation, [1, 0, 0, 1], "state", False),
+    "certify": (
+        lambda v: certify(ValueVector([3.0, 1.0]), ascending_program(2), v), [0, 1, 1, 0],
+        "solver_state", False,
+    ),
+    "PermutationMatrix": (PermutationMatrix, [[1, 0], [0, 1]], "matrix", False),
+}
+
+
+def _first_replaced(values, entry):
+    """values with its first scalar entry replaced by entry."""
+    head = values[0]
+    return [_first_replaced(head, entry) if isinstance(head, list) else entry, *values[1:]]
+
+
+def _last_replaced(values, entry):
+    """values with its last scalar entry replaced by entry."""
+    tail = values[-1]
+    return [*values[:-1], _last_replaced(tail, entry) if isinstance(tail, list) else entry]
+
+
+# name -> (make the bad array from an accepted one, whether only integer and
+# +-1 entries refuse it)
+BAD_ARRAYS = {
+    "word": (lambda v: _first_replaced(v, "x"), False),
+    "numeral": (lambda v: _first_replaced(v, "1"), False),
+    "True": (lambda v: True, False),
+    "np.True_": (lambda v: _first_replaced(v, np.True_), False),
+    "bool-ndarray": (lambda v: np.ones(np.shape(v), dtype=bool), False),
+    "int-then-True": (lambda v: _last_replaced(v, True), False),
+    "int-then-False": (lambda v: _last_replaced(v, False), False),
+    "1.5": (lambda v: _first_replaced(v, 1.5), True),
+    "None": (lambda v: _first_replaced(v, None), False),
+    "ragged": (lambda v: [[1, 2], [3]], False),
+}
+
+
+class TestArrayEntries:
+    """One rule for every array an entry point reads: strings and booleans
+    are refused, never parsed or read as 0 and 1, and so are None and
+    ragged nestings; integers and +-1 are never truncated into."""
+
+    @pytest.mark.parametrize("reader", sorted(ARRAY_READERS))
+    def test_the_accepted_array_is_accepted(self, reader):
+        make, accepted, _, _ = ARRAY_READERS[reader]
+        make(accepted)
+
+    @pytest.mark.parametrize(
+        "reader, bad",
+        [
+            (reader, bad)
+            for reader in sorted(ARRAY_READERS)
+            for bad in BAD_ARRAYS
+            if ARRAY_READERS[reader][3] or not BAD_ARRAYS[bad][1]
+        ],
+    )
+    def test_bad_entries_are_refused_naming_the_field(self, reader, bad):
+        """Strings, booleans, None, 1.5 and ragged lists were each accepted by
+        some of these, or raised a bare numpy error."""
+        make, accepted, field, _ = ARRAY_READERS[reader]
+        with pytest.raises(QpermError, match=rf"^{field}\b"):
+            make(BAD_ARRAYS[bad][0](accepted))
+
+    def test_a_state_is_checked_before_the_int8_cast(self):
+        """An int64 257 was once cast to int8 first, as 1, and passed the +-1
+        check; 300 was refused as beyond the int8 range, not as no +-1."""
+        with pytest.raises(DomainError, match="^state must be a bipolar vector, not 300"):
+            TraceStep(0, [300, 1], 0.0)
+        with pytest.raises(DomainError, match="^state must be a bipolar vector, not 257"):
+            TraceStep(0, np.array([257, 1], dtype=np.int64), 0.0)
+
+    def test_numeric_arrays_of_any_dtype_are_read(self):
+        assert TraceStep(0, np.array([1.0, -1.0], dtype=np.float32), 0.0).state.tolist() == [1, -1]
+        assert OrderProgram(ranks=np.array([2, 1], dtype=np.uint8)).ranks == (2, 1)
+        assert SolverTrace([1, -1], np.array([1], dtype=np.uint64), [1.0, 0.0]).flips == 1
+        assert ValueVector([1, 2**70]).entries.tolist() == [1.0, 2.0**70]
