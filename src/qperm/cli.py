@@ -8,8 +8,9 @@ Four subcommands cover the pipeline:
     qperm solve qubo.json [--trace] [--max-steps M]
     qperm verify x.txt prog.json [--exhaustive]
 
-Input vectors are read either as a JSON array of numbers or as plain
-text with one number per line.  Program files are JSON objects with keys
+An x file is a JSON array of numbers, or else plain text with one
+number per line; a file of one number is one entry in either form.
+Program files are JSON objects with keys
 "n", "kind", "branching", and "ranks"; --branching applies to bst and
 heap programs only.  QUBO files are JSON objects with the key "n" and
 each term in one of two forms.  build writes the quadratic term as
@@ -33,8 +34,8 @@ and exactly one of "reward" and "r".  build also embeds "x" and
 "program" so that solve can print the arranged values.  solve checks
 the whole file, "x" included, before it descends or prints anything;
 "n" must be an integer whose square is the dimension of both terms, and
-so must the "n" and "branching" of a program file.  An error in a QUBO
-file's content names the file.
+so must the "n" and "branching" of a program file.  Every error in the
+content of an x, program or QUBO file is one line that names the file.
 
 solve and verify run one descent from the all-inactive state through
 hopfield.solve_qubo; verify builds with the defaults and reports the
@@ -83,8 +84,9 @@ from .model import (
     QuboInstance,
     SolverTrace,
     ValueVector,
+    _finite,
     _integral,
-    _real,
+    _reals,
     apply_permutation,
     decode_permutation,
 )
@@ -125,10 +127,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except MaxStepsExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except QpermError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (OSError, ValueError) as exc:
+    except (QpermError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
@@ -194,8 +193,8 @@ def _cmd_program(args) -> int:
 
 
 def _cmd_build(args) -> int:
-    x = ValueVector(_read_values(args.x_file))
-    program = _read_program(args.program_file)
+    x = _load(args.x_file, _values)
+    program = _load(args.program_file, _program)
     normalize = not args.no_normalize
     instance = build_qubo(x, program, args.lambda_r, args.lambda_c, normalize)
     payload = {
@@ -214,7 +213,7 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    instance, x = _read_qubo(args.qubo_file)
+    instance, x = _load(args.qubo_file, _qubo)
     state_z, trace = solve_qubo(instance, args.max_steps)
     if args.trace:
         for line in render_trace(trace):
@@ -234,13 +233,11 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    x = ValueVector(_read_values(args.x_file))
-    program = _read_program(args.program_file)
+    x = _load(args.x_file, _values)
+    program = _load(args.program_file, _program)
     n = program.n
     if args.exhaustive and n * n > MAX_EXHAUSTIVE_BITS:
-        print(f"error: --exhaustive enumerates 2^(n*n) states; n*n <= {MAX_EXHAUSTIVE_BITS}",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise QpermError(f"--exhaustive enumerates 2^(n*n) states; n*n <= {MAX_EXHAUSTIVE_BITS}")
 
     instance = build_qubo(x, program)
     state_z, _ = solve_qubo(instance)
@@ -267,86 +264,72 @@ def _cmd_verify(args) -> int:
     return EXIT_FAILED_CERTIFICATE if failed else EXIT_OK
 
 
-def _read_values(path: str) -> np.ndarray:
-    text = _read_text(path)
+def _load(path: str, read):
+    """read(text) of the UTF-8 file at path.
+
+    A QpermError or ValueError raised while the file is read, decoded or
+    parsed, or the RecursionError of JSON nested too deep, is raised again
+    as one QpermError that names the file; an OSError names it already
+    and passes through.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return read(handle.read())
+    except (QpermError, ValueError, RecursionError) as exc:
+        raise QpermError(f"{path}: {exc}") from None
+
+
+def _values(text: str) -> ValueVector:
+    """An x file: a JSON array, or else one number per line.  A file whose
+    JSON is no array, such as one number alone, is read as one entry."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError:
         data = [float(line) for line in text.splitlines() if line.strip()]
-    return _numbers(data, path)
+    return ValueVector(data if isinstance(data, list) else [data])
 
 
-def _numbers(value, where: str, ndim: int = 1) -> np.ndarray:
-    """value as a float array; it must be a non-empty array of numbers, or
-    for ndim=2 a non-empty array of them."""
-    rows = value if ndim == 2 else [value]
-    if not (
-        isinstance(rows, list)
-        and rows
-        and all(isinstance(row, list) and row and all(map(_real, row)) for row in rows)
-    ):
-        shape = "array of numbers" if ndim == 1 else "array of arrays of numbers"
-        raise QpermError(f"{where}: expected a non-empty {shape}")
-    try:
-        return np.asarray(value, dtype=float)
-    except (OverflowError, ValueError) as exc:  # beyond the float range, or ragged
-        raise QpermError(f"{where}: {exc}") from None
-
-
-def _number(value, where: str):
-    if not _real(value):
-        raise QpermError(f"{where}: expected a number, got {value!r}")
-    return value
-
-
-def _float(value, where: str) -> float:
-    try:
-        return float(_number(value, where))
-    except OverflowError as exc:  # an integer beyond the float range
-        raise QpermError(f"{where}: {exc}") from None
-
-
-def _read_program(path: str) -> OrderProgram:
-    data = _read_object(path, ("n", "kind", "branching", "ranks"))
+def _program(text: str) -> OrderProgram:
+    """A program file: the fields of an OrderProgram and an "n" equal to its size."""
+    data = _object(text, ("n", "kind", "branching", "ranks"))
     program = OrderProgram(ranks=data["ranks"], kind=data["kind"], branching=data["branching"])
-    n = _integral(data["n"], f"{path}: n")
-    if program.n != n:
-        raise QpermError(f"{path}: n={data['n']} does not match {program.n} ranks")
+    if program.n != _integral(data["n"], "n"):
+        raise QpermError(f"n={data['n']} does not match {program.n} ranks")
     return program
 
 
-def _read_qubo(path: str) -> tuple[QuboInstance, Optional[ValueVector]]:
-    """Check the whole file; its quadratic term is read as a PenaltyMatrix,
-    from "penalty" or from a dense "R" that equals one, and its linear term
-    is formed from "reward", or read dense from "r".  Keys other than "n",
-    those four and "x" are ignored.  Every error names the file."""
-    data = _read_object(path, ("n",))
-    try:
-        return _qubo(data)
-    except QpermError as exc:
-        raise type(exc)(f"{path}: {exc}") from None
-
-
-def _qubo(data: dict) -> tuple[QuboInstance, Optional[ValueVector]]:
+def _qubo(text: str) -> tuple[QuboInstance, Optional[ValueVector]]:
+    """A QUBO file, checked whole; its quadratic term is read as a
+    PenaltyMatrix, from "penalty" or from a dense "R" that equals one, and
+    its linear term is formed from "reward", or read dense from "r".  Keys
+    other than "n", those four and "x" are ignored."""
+    data = _object(text, ("n",))
     n = _integral(data["n"], "n")
     if _one_of(data, "penalty", "R"):
-        penalty = _fields(data, "penalty", _PENALTY_FIELDS)
-        R = PenaltyMatrix(**{k: _number(penalty[k], f"penalty.{k}") for k in _PENALTY_FIELDS})
+        R = PenaltyMatrix(**_fields(data, "penalty", _PENALTY_FIELDS))
         if R.n != n:
             raise QpermError(f"penalty.n={R.n} but n={n}")
     else:
-        R = _penalty_from_R(_numbers(data["R"], "'R'", ndim=2), n)
+        R = _penalty_from_R(_reals(data["R"], "'R'"), n)
     if _one_of(data, "reward", "r"):
         reward = _fields(data, "reward", _REWARD_FIELDS)
-        values = _n_numbers(reward["values"], n, "reward.values")
-        ranks = _n_numbers(reward["ranks"], n, "reward.ranks")
-        r = reward_vector(values, ranks, _float(reward["offset"], "reward.offset"))
+        # as floats, as build_qubo forms r, so no product of integers wraps
+        values, ranks = (
+            np.asarray(_reals(reward[k], f"reward.{k}"), dtype=float) for k in ("values", "ranks")
+        )
+        if values.shape != (n,) or ranks.shape != (n,):
+            raise QpermError(
+                f"reward.values and reward.ranks must hold n={n} numbers each, "
+                f"not shapes {values.shape} and {ranks.shape}"
+            )
+        r = reward_vector(values, ranks, _finite(reward["offset"], "reward.offset"))
     else:
-        r = _numbers(data["r"], "'r'")
-        if r.size != n * n:
-            raise QpermError(f"'r' holds {r.size} numbers, not n*n={n * n}")
-    x = ValueVector(_n_numbers(data["x"], n, "'x'")) if "x" in data else None
-    return QuboInstance(matrix_R=R, vector_r=r), x
+        r = data["r"]
+    instance = QuboInstance(matrix_R=R, vector_r=r)
+    x = ValueVector(_reals(data["x"], "'x'")) if "x" in data else None
+    if x is not None and x.n != n:
+        raise QpermError(f"'x' holds {x.n} numbers, not n={n}")
+    return instance, x
 
 
 def _penalty_from_R(R: np.ndarray, n: int) -> PenaltyMatrix:
@@ -380,32 +363,24 @@ def _one_of(data: dict, structured: str, dense: str) -> bool:
 
 
 def _fields(data: dict, key: str, names: tuple[str, ...]) -> dict:
-    """data[key], which must be an object holding every one of names."""
+    """The named fields of data[key], an object that must hold every one."""
     value = data[key]
     if not isinstance(value, dict):
         raise QpermError(f"{key!r} must be an object")
     missing = [name for name in names if name not in value]
     if missing:
         raise QpermError(f"{key!r} lacks {', '.join(map(repr, missing))}")
-    return value
+    return {name: value[name] for name in names}
 
 
-def _n_numbers(value, n: int, where: str) -> np.ndarray:
-    """value as a float array, which must hold exactly n numbers."""
-    numbers = _numbers(value, where)
-    if numbers.size != n:
-        raise QpermError(f"{where} holds {numbers.size} numbers, not n={n}")
-    return numbers
-
-
-def _read_object(path: str, keys: tuple[str, ...]) -> dict:
-    """Parse a JSON file whose top level must be an object holding every key."""
-    data = json.loads(_read_text(path))
+def _object(text: str, keys: tuple[str, ...]) -> dict:
+    """Parse JSON text whose top level must be an object holding every key."""
+    data = json.loads(text)
     if not isinstance(data, dict):
-        raise QpermError(f"{path}: expected a JSON object")
+        raise QpermError("expected a JSON object")
     for key in keys:
         if key not in data:
-            raise QpermError(f"{path}: missing key {key!r}")
+            raise QpermError(f"missing key {key!r}")
     return data
 
 
@@ -441,11 +416,6 @@ def _write_text(text: str, path: Optional[str]) -> None:
             os.ftruncate(fd, written)
     finally:
         os.close(fd)
-
-
-def _read_text(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
 
 
 def _fmt(value: float) -> str:

@@ -73,15 +73,14 @@ def descending_program(n: int) -> OrderProgram:
 def bst_program(n: int, branching: int = 2) -> OrderProgram:
     """Ranks equal to each slot's in-order position in the complete tree.
 
-    Only branching 2 is meaningful for a search order.
+    Only branching 2 is meaningful for a search order; OrderProgram
+    refuses any other.
     """
     n = _check_size(n)
-    if branching != 2:
-        raise UnsupportedBranching("search-tree programs exist for branching 2 only")
     ranks = [0] * n
     for position, slot in enumerate(_inorder(n)):
         ranks[slot] = position + 1
-    return OrderProgram(tuple(ranks), kind="bst", branching=2)
+    return OrderProgram(tuple(ranks), kind="bst", branching=branching)
 
 
 def heap_program(n: int, branching: int = 2) -> OrderProgram:

@@ -226,12 +226,25 @@ class TestBuildCommand:
         assert err.startswith("error: lambda_r and lambda_c are too large")
         assert err.count("\n") == 1
 
-    @pytest.mark.parametrize("payload", [{"a": 1}, None, 5.0, [], ["1", "2"], [[1.0, 2.0]], [True]])
-    def test_x_file_must_be_an_array_of_numbers(self, reference_files, capsys, payload):
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ({"a": 1}, "{x}: entries must be real numbers, not dict"),
+            (None, "{x}: entries must be real numbers, not NoneType"),
+            # a lone number is one entry, read as the text form reads it
+            (5.0, "x has 1 entries but the program has 7 slots"),
+            ([], "{x}: need a one-dimensional vector with at least one entry"),
+            (["1", "2"], "{x}: entries must be real numbers, not str"),
+            ([[1.0, 2.0]], "{x}: need a one-dimensional vector with at least one entry"),
+            ([True], "{x}: entries must be real numbers, not bool"),
+        ],
+        ids=["object", "null", "one-number", "empty", "strings", "nested", "bool"],
+    )
+    def test_x_file_must_be_an_array_of_numbers(self, reference_files, capsys, payload, message):
         _, program_path, tmp_path = reference_files
         x_path = write_json(tmp_path / "bad_x.json", payload)
         assert main(["build", x_path, program_path("ascending")]) == 2
-        assert "array of numbers" in capsys.readouterr().err
+        assert capsys.readouterr() == ("", "error: " + message.format(x=x_path) + "\n")
 
     def test_integer_beyond_float_range(self, reference_files):
         _, program_path, tmp_path = reference_files
@@ -385,7 +398,7 @@ class TestSolveCommand:
         copy of every state, is never read."""
         values = np.random.default_rng(5).uniform(0.0, 2000.0, size=6).tolist()
         qubo = build_file(tmp_path, values, "ascending", "--no-normalize")
-        _, trace = solve_qubo(cli._read_qubo(qubo)[0])
+        _, trace = solve_qubo(cli._load(qubo, cli._qubo)[0])
         expected = [
             f"{row.index:4d}  {' '.join('+' if v > 0 else '-' for v in row.state)}  {row.energy:.1f}"
             for row in trace.steps
@@ -557,22 +570,52 @@ class TestSolveCommand:
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize(
-        "edit, message",
+        "kind, bad, message",
         [
-            (lambda d: d["penalty"].update(same_row=float("nan")), "same_row must be finite"),
-            (lambda d: d["penalty"].update(n=0), "n must be at least 1"),
-            (lambda d: d["x"].__setitem__(0, float("nan")), "entries must be finite"),
+            ("qubo", lambda d: d["penalty"].update(same_row=float("nan")), "same_row must be finite"),
+            ("qubo", lambda d: d["penalty"].update(n=0), "n must be at least 1"),
+            ("qubo", lambda d: d["x"].__setitem__(0, float("nan")), "entries must be finite"),
+            ("qubo", b"{not json",
+             "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+            ("x", b"[NaN, 1, 2]", "entries must be finite"),
+            ("x", b'"1"', "entries must be real numbers, not str"),
+            ("x", b"[]", "need a one-dimensional vector with at least one entry"),
+            ("x", b"3\nabc\n2\n", "could not convert string to float: 'abc'"),
+            ("x", b"\xff\n1\n2\n",
+             "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+            ("prog", lambda d: d.update(ranks=[3, True, 2]), "ranks must be integers, not bool"),
+            ("prog", lambda d: d.update(kind="bst", branching=3, ranks=[2, 1, 3]),
+             "search-tree programs exist for branching 2 only"),
+            ("prog", b"not json", "Expecting value: line 1 column 1 (char 0)"),
+            ("x", b"[" * 100_000,
+             "maximum recursion depth exceeded while decoding a JSON array from a unicode string"),
         ],
-        ids=["penalty-nan", "penalty-n-zero", "x-nan"],
+        ids=[
+            "penalty-nan", "penalty-n-zero", "x-nan", "qubo-not-json",
+            "x-nan-entry", "x-string", "x-empty", "x-text-word", "x-not-utf8",
+            "prog-bool-rank", "prog-ternary-bst", "prog-not-json", "x-nested-too-deep",
+        ],
     )
-    def test_errors_in_built_values_name_the_file(self, tmp_path, capsys, edit, message):
-        """Each once printed its message with no path."""
+    def test_errors_in_built_values_name_the_file(self, tmp_path, capsys, kind, bad, message):
+        """Every error in the content of an x, program or QUBO file is one
+        line that names the file; only those of QUBO files once did."""
         qubo = build_file(tmp_path, [3.0, 1.0, 2.0], "ascending")
-        payload = json.loads(Path(qubo).read_text(encoding="utf-8"))
-        edit(payload)
-        bad = write_json(tmp_path / "bad.json", payload)
-        assert main(["solve", bad]) == 2
-        assert capsys.readouterr() == ("", f"error: {bad}: {message}\n")
+        path = tmp_path / f"{kind}.json"
+        if callable(bad):
+            payload = json.loads(path.read_text(encoding="utf-8"))
+            bad(payload)
+            write_json(path, payload)
+        else:
+            path.write_bytes(bad)
+        x_path, prog = str(tmp_path / "x.json"), str(tmp_path / "prog.json")
+        commands = {
+            "qubo": [["solve", qubo, "--trace"]],
+            "x": [["build", x_path, prog], ["verify", x_path, prog]],
+            "prog": [["build", x_path, prog], ["verify", x_path, prog]],
+        }[kind]
+        for command in commands:
+            assert main(command) == 2
+            assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
 
     def test_no_seed_or_restarts(self, reference_files, monkeypatch, capsys):
         # solve is one deterministic descent: QP_SEED changes nothing, and
@@ -629,9 +672,17 @@ class TestQuboFileFormat:
     refused."""
 
     def test_read_back_as_a_penalty_matrix(self, tmp_path):
-        instance, x = cli._read_qubo(build_file(tmp_path, ref.INPUT_X, "heap"))
+        instance, x = cli._load(build_file(tmp_path, ref.INPUT_X, "heap"), cli._qubo)
         assert isinstance(instance.matrix_R, PenaltyMatrix)
         assert x.entries.tolist() == ref.INPUT_X
+
+    def test_integer_rewards_are_multiplied_as_floats(self, tmp_path):
+        """values and ranks are read as floats, as build_qubo forms r: an
+        integer product beyond 2^63 would wrap silently."""
+        penalty = {"n": 1, "same_row": 0.0, "same_col": 0.0, "self_coupling": 2.0}
+        payload = {"n": 1, "penalty": penalty, "reward": {"values": [2**62], "ranks": [4], "offset": 0}}
+        instance, _ = cli._load(write_json(tmp_path / "qubo.json", payload), cli._qubo)
+        assert instance.vector_r.tolist() == [-(2.0**64)]
 
     def test_file_at_n24_holds_no_n4_numbers(self, tmp_path):
         # with the penalty written dense, this file took about 1.7 MB, and
@@ -660,7 +711,7 @@ class TestQuboFileFormat:
                 assert main(["build", x_path, prog, *flags, "-o", qubo]) == 2
                 return
             assert main(["build", x_path, prog, *flags, "-o", qubo]) == 0
-            got = cli._read_qubo(qubo)[0].vector_r
+            got = cli._load(qubo, cli._qubo)[0].vector_r
         assert got.tobytes() == instance.vector_r.tobytes()
 
     def test_build_and_solve_form_no_dense_matrix(self, tmp_path, monkeypatch):
@@ -712,31 +763,37 @@ class TestQuboFileFormat:
         "edit, message",
         [
             (lambda d: d.update(x=[1, 2]), "'x' holds 2 numbers"),
-            (lambda d: d.update(x=None), "'x': expected"),
-            (lambda d: d.update(x=["3", "1", "2"]), "'x': expected"),
+            (lambda d: d.update(x=None), "'x' must be real numbers, not NoneType"),
+            (lambda d: d.update(x=["3", "1", "2"]), "'x' must be real numbers, not str"),
             (lambda d: d.update(n=3.7), "must be an integer"),
             (lambda d: d["penalty"].update(n=2.5), "must be an integer"),
-            (lambda d: (dense_reward(d), d.update(r=[str(v) for v in d["r"]])), "'r': expected"),
-            (lambda d: d["penalty"].update(same_row="3"), "penalty.same_row"),
+            (lambda d: (dense_reward(d), d.update(r=[str(v) for v in d["r"]])),
+             "vector_r must be real numbers, not str"),
+            (lambda d: d["penalty"].update(same_row="3"), "same_row must be a finite number, not '3'"),
             (lambda d: d["penalty"].update(self_coupling=float("nan")), "finite"),
             (lambda d: d["penalty"].pop("same_col"), "lacks 'same_col'"),
             (lambda d: d.update(penalty=[3, 3.0, 3.0, 6.0]), "must be an object"),
-            (lambda d: to_dense(d, entry="0"), "'R': expected"),
+            (lambda d: to_dense(d, entry="0"), "'R' must be real numbers, not str"),
             (lambda d: d.update(R=[[0.0] * 9] * 9), "'penalty' and 'R', found both"),
             (lambda d: d.pop("penalty"), "'penalty' and 'R', found neither"),
             (lambda d: d.update(reward=[[0.5, 0.5, 0.0], [1, 2, 3], 12.0]), "must be an object"),
             (lambda d: d["reward"].pop("ranks"), "'reward' lacks 'ranks'"),
-            (lambda d: d["reward"].update(values=["0.5", "0.5", "0"]), "reward.values: expected"),
-            (lambda d: d["reward"].update(ranks=["1", "2", "3"]), "reward.ranks: expected"),
-            (lambda d: d["reward"].update(offset="12"), "reward.offset: expected a number"),
-            (lambda d: d["reward"].update(offset=10**400), "reward.offset: int too large"),
-            (lambda d: d["reward"].update(values=[0.5, 0.5]), "reward.values holds 2 numbers"),
-            (lambda d: d["reward"]["ranks"].append(4), "reward.ranks holds 4 numbers"),
+            (lambda d: d["reward"].update(values=["0.5", "0.5", "0"]),
+             "reward.values must be real numbers, not str"),
+            (lambda d: d["reward"].update(ranks=["1", "2", "3"]),
+             "reward.ranks must be real numbers, not str"),
+            (lambda d: d["reward"].update(offset="12"),
+             "reward.offset must be a finite number, not '12'"),
+            (lambda d: d["reward"].update(offset=10**400), "reward.offset must be finite"),
+            (lambda d: d["reward"].update(values=[0.5, 0.5]),
+             "must hold n=3 numbers each, not shapes (2,) and (3,)"),
+            (lambda d: d["reward"]["ranks"].append(4),
+             "must hold n=3 numbers each, not shapes (3,) and (4,)"),
             (lambda d: d.update(r=[0.0] * 9), "'reward' and 'r', found both"),
             (lambda d: d.pop("reward"), "'reward' and 'r', found neither"),
             (lambda d: (dense_reward(d), d.pop("x"), d.update(n=2)), "penalty.n=3 but n=2"),
             (lambda d: d["penalty"].update(n=2), "penalty.n=2 but n=3"),
-            (lambda d: (dense_reward(d), d["r"].pop()), "'r' holds 8 numbers, not n*n=9"),
+            (lambda d: (dense_reward(d), d["r"].pop()), "matrix_R is 9x9 but vector_r has shape (8,)"),
             (lambda d: (to_dense(d), d.update(n=2)), "'R' is not the 4x4 matrix of a finite"),
         ],
         ids=[
@@ -754,10 +811,12 @@ class TestQuboFileFormat:
         qubo = build_file(tmp_path, [3.0, 1.0, 2.0], "ascending")
         payload = json.loads(Path(qubo).read_text(encoding="utf-8"))
         edit(payload)
-        assert main(["solve", write_json(tmp_path / "bad.json", payload), "--trace"]) == 2
+        bad = write_json(tmp_path / "bad.json", payload)
+        assert main(["solve", bad, "--trace"]) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.startswith("error:") and message in err
+        assert err.startswith(f"error: {bad}: ") and message in err
+        assert err.count("\n") == 1
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -891,8 +950,21 @@ class TestVerifyCommand:
         assert main(["verify", x_path, prog]) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == "error: search-tree programs exist for branching 2 only\n"
+        assert err == f"error: {prog}: search-tree programs exist for branching 2 only\n"
         solve.assert_not_called()
+
+    @pytest.mark.parametrize("text", ["5\n", "5", "[5]\n", " 5.0 \n\n"])
+    def test_one_number_is_one_entry(self, tmp_path, capsys, text):
+        """A plain-text x file of one number once exited 2: JSON read the
+        line as a number, which was no array."""
+        one = tmp_path / "one.txt"
+        one.write_text(text)
+        prog = tmp_path / "p1.json"
+        assert main(["program", "--kind", "ascending", "--n", "1", "-o", str(prog)]) == 0
+        assert main(["verify", str(one), str(prog)]) == 0
+        assert "objective vs oracle      PASS" in capsys.readouterr().out
+        assert main(["build", str(one), str(prog)]) == 0
+        assert json.loads(capsys.readouterr().out)["x"] == [5.0]
 
     def test_exhaustive_agreement_small_instance(self, tmp_path, capsys):
         x_path = write_json(tmp_path / "x.json", [3.0, 1.0, 4.0])
