@@ -32,10 +32,10 @@ below the last significand bit of every entry of theta and W: theta.s is
 summed exactly once (_dyadic) and moves by 2 s_i theta_i per flip, and
 s^T W s is w_r sum_b (R_b^2 - n) + w_c sum_a (C_a^2 - n).  One int / int
 division, which Python rounds correctly, gives each energy; one beyond
-the float range is an infinity, which SolverTrace names.  A flip stands
-only if its energy is strictly below the one before it: a gain that is 0
-in exact arithmetic can round negative, and a true decrease can be below
-half an ulp of the energy, and descent undoes such a flip and stops.
+the float range is an infinity, which SolverTrace names.  A flip is taken
+only after its exact energy, rounded, is seen to fall strictly: a gain
+that is 0 in exact arithmetic can round negative, and a true decrease can
+be below half an ulp of the energy, and descent stops before such a flip.
 
 solve always starts from the all-inactive state.  The trace it returns
 holds that start, the coordinate of every accepted flip and the energy
@@ -69,7 +69,6 @@ from .conversions import bipolar_to_binary, fold_diagonal, to_hopfield, to_ising
 from .errors import DimensionMismatch, DomainError, MaxStepsExceeded
 from .model import (
     HopfieldInstance,
-    PenaltyMatrix,
     QuboInstance,
     SolverTrace,
     _bipolar,
@@ -84,7 +83,9 @@ def energy(instance: HopfieldInstance, s) -> float:
         raise DimensionMismatch(
             f"state has {sv.size} coordinates, instance has {instance.dimension}"
         )
-    return next(_counts(instance.weights_W, instance.bias_theta, sv, np.empty(sv.size)))
+    S = sv.reshape(instance.weights_W.n, -1)
+    twice, u, _, _ = _twice_energy(instance, sv, S.sum(axis=0), S.sum(axis=1))
+    return _rounded(twice, u - 1)
 
 
 def solve(
@@ -140,80 +141,79 @@ def _descend(
     instance: HopfieldInstance, start: np.ndarray, budget: int
 ) -> tuple[np.ndarray, SolverTrace]:
     """Descend from a bipolar start."""
+    W, theta = instance.weights_W, instance.bias_theta
+    n, w_r, w_c = W.n, W.same_row, W.same_col
     s = _bipolar(start, "start state").astype(float)
+    half = np.empty(s.size)  # half the gain of each flip
+    S, G, T = s.reshape(n, n), half.reshape(n, n), theta.reshape(n, n)
+    R, C = S.sum(axis=0), S.sum(axis=1)
+    twice, u, units_r, units_c = _twice_energy(instance, s, R, C)
+    energies = [_rounded(twice, u - 1)]
     flipped: list[int] = []
     # An overflowing field or gain is left to the energies, whose overflow
     # SolverTrace names, with no numpy warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        half = np.empty(s.size)  # half the gain of each flip
-        descent = _counts(instance.weights_W, instance.bias_theta, s, half)
-        energies = [next(descent)]
+        np.multiply(S, w_r * (R - S) + w_c * (C[:, None] - S) - T, G)
+        GT, TT, ST = G.T, T.T, S.T
+        # An inactive cell (a, b) has the field w_r (R_b + 1) + w_c (C_a + 1).
+        # On a line whose other cells are all inactive, the flipped cell's count
+        # is 1 - n after a clear (d = -1) and 3 - n after a set, so the crossing
+        # term is one of two numbers: rows[d > 0][b] holds the field of every
+        # inactive cell of grid row a, and cols[d > 0][a] of grid column b.
+        crossing_c = w_c * (1.0 - n), w_c * (3.0 - n)
+        crossing_r = w_r * (1.0 - n), w_r * (3.0 - n)
+        rows = tuple(w_r * (R + 1.0) + k for k in crossing_c)
+        cols = tuple(w_c * (C + 1.0) + k for k in crossing_r)
         while True:
             i = int(half.argmin())  # ties: lowest index
+            if half.item(i) <= -(2.0**1023):  # doubled, such gains are -inf and tie
+                i = int((half <= -(2.0**1023)).argmax())
             gain = half.item(i)
             if gain >= 0.0:
                 break
-            if gain <= -(2.0**1023):  # doubled, such gains are -inf and tie
-                i = int((half <= -(2.0**1023)).argmax())
             if len(flipped) >= budget:
                 raise MaxStepsExceeded(f"no stable state within {budget} flips")
-            e = descent.send(i)
+            a, b = divmod(i, n)
+            d = -s.item(i)
+            r, c = R.item(b) + 2.0 * d, C.item(a) + 2.0 * d  # the line sums after the flip
+            # 2E gains 4 d (theta_i - (W s)_i), where (W s)_i = w_r (r - d) + w_c (c - d).
+            field = units_r * int(r - d) + units_c * int(c - d)
+            step = 4 * int(d) * (_scaled(theta.item(i), u) - field)
+            e = _rounded(twice + step, u - 1)
             if not e < energies[-1]:  # a rounded gain or energy shows no decrease
-                s[i] = -s[i]
                 break
+            twice += step
             flipped.append(i)
             energies.append(e)
+            s[i] = d
+            R[b], C[a] = r, c
+            p, q = w_r * (r + 1.0), w_c * (c + 1.0)
+            rows[0][b], rows[1][b] = p + crossing_c[0], p + crossing_c[1]
+            cols[0][a], cols[1][a] = q + crossing_r[0], q + crossing_r[1]
+            if c - d == 1 - n:  # grid row a, its other cells all inactive
+                np.subtract(T[a], rows[d > 0], G[a])
+            else:
+                _line(G[a], T[a], S[a], R, w_r, c, w_c)
+            if r - d == 1 - n:  # grid column b, likewise
+                np.subtract(TT[b], cols[d > 0], GT[b])
+            else:
+                _line(GT[b], TT[b], ST[b], C, w_c, r, w_r)
+            half[i] = -gain  # W_ii = 0: flipping s_i leaves h_i as it was
     trace = SolverTrace(start, np.array(flipped, dtype=np.intp), np.array(energies))
     return s.astype(np.int8), trace
 
 
-def _counts(W: PenaltyMatrix, theta: np.ndarray, s: np.ndarray, half: np.ndarray):
-    """Fills half and yields E(s), then, sent each coordinate i, flips s_i,
-    brings half up to date and yields the energy after the flip.  The first
-    value is energy()'s."""
+def _twice_energy(instance: HopfieldInstance, s: np.ndarray, R, C) -> tuple[int, int, int, int]:
+    """(twice, u, units_r, units_c): 2 E(s), w_r and w_c, exactly, in units of 2^u."""
+    W = instance.weights_W
     n, w_r, w_c = W.n, W.same_row, W.same_col
-    S, G, T = s.reshape(n, n), half.reshape(n, n), theta.reshape(n, n)
-    R, C = S.sum(axis=0), S.sum(axis=1)
-    np.multiply(S, w_r * (R - S) + w_c * (C[:, None] - S) - T, G)
     # 2^u divides both weights: their denominators are powers of two.
-    dot, u = _dyadic(theta * s, 1 - max(w.as_integer_ratio()[1] for w in (w_r, w_c)).bit_length())
+    u = 1 - max(w.as_integer_ratio()[1] for w in (w_r, w_c)).bit_length()
+    dot, u = _dyadic(instance.bias_theta * s, u)
     units_r, units_c = _scaled(w_r, u), _scaled(w_c, u)
     # s^T W s = w_r sum_b (R_b^2 - n) + w_c sum_a (C_a^2 - n), as W_ii = 0
     twice = 2 * dot - units_r * (int(R @ R) - n * n) - units_c * (int(C @ C) - n * n)
-    i = yield _rounded(twice, u - 1)
-
-    GT, TT, ST = G.T, T.T, S.T
-    # An inactive cell (a, b) has the field w_r (R_b + 1) + w_c (C_a + 1).
-    # On a line whose other cells are all inactive, the flipped cell's count
-    # is 1 - n after a clear (d = -1) and 3 - n after a set, so the crossing
-    # term is one of two numbers: rows[d > 0][b] holds the field of every
-    # inactive cell of grid row a, and cols[d > 0][a] of grid column b.
-    crossing_c = w_c * (1.0 - n), w_c * (3.0 - n)
-    crossing_r = w_r * (1.0 - n), w_r * (3.0 - n)
-    rows = tuple(w_r * (R + 1.0) + k for k in crossing_c)
-    cols = tuple(w_c * (C + 1.0) + k for k in crossing_r)
-    while True:
-        a, b = divmod(i, n)
-        s[i] = d = -s.item(i)
-        r, c = R.item(b) + 2.0 * d, C.item(a) + 2.0 * d
-        # 2E gains 4 d (theta_i - (W s)_i), where (W s)_i = w_r (r - d) + w_c (c - d).
-        field = units_r * int(r - d) + units_c * int(c - d)
-        twice += 4 * int(d) * (_scaled(theta.item(i), u) - field)
-        gain = half.item(i)
-        R[b], C[a] = r, c
-        p, q = w_r * (r + 1.0), w_c * (c + 1.0)
-        rows[0][b], rows[1][b] = p + crossing_c[0], p + crossing_c[1]
-        cols[0][a], cols[1][a] = q + crossing_r[0], q + crossing_r[1]
-        if c - d == 1 - n:  # grid row a, its other cells all inactive
-            np.subtract(T[a], rows[d > 0], G[a])
-        else:
-            _line(G[a], T[a], S[a], R, w_r, c, w_c)
-        if r - d == 1 - n:  # grid column b, likewise
-            np.subtract(TT[b], cols[d > 0], GT[b])
-        else:
-            _line(GT[b], TT[b], ST[b], C, w_c, r, w_r)
-        half[i] = -gain  # W_ii = 0: flipping s_i leaves h_i as it was
-        i = yield _rounded(twice, u - 1)
+    return twice, u, units_r, units_c
 
 
 def _line(out, t, states, counts, w, count, v):

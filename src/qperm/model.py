@@ -375,7 +375,7 @@ class OrderProgram:
             raise DomainError(f"unknown program kind {self.kind!r}")
         branching = _integral(self.branching, "branching")
         if branching < 2:
-            raise DomainError("branching must be at least 2")
+            raise UnsupportedBranching("branching must be at least 2")
         if self.kind == "bst" and branching != 2:
             raise UnsupportedBranching("search-tree programs exist for branching 2 only")
         object.__setattr__(self, "ranks", ranks)

@@ -23,6 +23,7 @@ from qperm import (
     QuboInstance,
     SolverTrace,
     TraceStep,
+    TreeShape,
     UnsupportedBranching,
     ValueVector,
     apply_permutation,
@@ -113,9 +114,19 @@ class TestOrderProgram:
         with pytest.raises(DomainError):
             OrderProgram(ranks=(1, 2), kind="sorted", branching=2)
 
-    def test_branching_checked(self):
-        with pytest.raises(DomainError):
-            OrderProgram(ranks=(1, 2), kind="custom", branching=1)
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: OrderProgram(ranks=(1, 2), kind="custom", branching=1),
+            lambda: TreeShape(5, 1),
+            lambda: heap_program(5, 1),
+        ],
+        ids=["OrderProgram", "TreeShape", "heap_program"],
+    )
+    def test_branching_checked(self, make):
+        """One fault, one error type: OrderProgram once raised DomainError."""
+        with pytest.raises(UnsupportedBranching, match="^branching must be at least 2$"):
+            make()
 
     @pytest.mark.parametrize("branching", [2.9, "3", None, True])
     def test_branching_is_never_truncated_or_parsed(self, branching):
