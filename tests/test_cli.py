@@ -3,6 +3,7 @@ import io
 import json
 import os
 import stat
+import sys
 import tempfile
 import threading
 import warnings
@@ -1053,3 +1054,173 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "objective vs oracle      PASS" in out
         assert "structure (heap)         PASS" in out
+
+
+TOP_USAGE = "usage: qperm [-h] command ...\n"
+TOP_HELP = TOP_USAGE + """
+Compile ordering tasks into QUBO form and solve them by Hopfield descent.
+
+positional arguments:
+  command
+    program   generate an order-program file
+    build     compile an input vector and a program into a QUBO
+    solve     run the descent on a QUBO file
+    verify    end-to-end run plus brute-force certification
+
+options:
+  -h, --help  show this help message and exit
+"""
+PROGRAM_USAGE = """usage: qperm program [-h] --kind {ascending,descending,bst,heap} --n N
+                     [--branching BRANCHING] [-o OUT]
+"""
+SOLVE_USAGE = "usage: qperm solve [-h] [--trace] [--max-steps MAX_STEPS] qubo_file\n"
+COMMAND_HELP = {
+    "program": PROGRAM_USAGE
+    + """
+options:
+  -h, --help            show this help message and exit
+  --kind {ascending,descending,bst,heap}
+  --n N
+  --branching BRANCHING
+                        tree arity for bst and heap (default 2)
+  -o OUT, --out OUT     output path (default: stdout)
+""",
+    "build": """usage: qperm build [-h] [--lambda-r LAMBDA_R] [--lambda-c LAMBDA_C]
+                   [--no-normalize] [-o OUT]
+                   x_file program_file
+
+positional arguments:
+  x_file
+  program_file
+
+options:
+  -h, --help           show this help message and exit
+  --lambda-r LAMBDA_R  row penalty (default n)
+  --lambda-c LAMBDA_C  column penalty (default n)
+  --no-normalize
+  -o OUT, --out OUT    output path (default: stdout)
+""",
+    "solve": SOLVE_USAGE
+    + """
+positional arguments:
+  qubo_file
+
+options:
+  -h, --help            show this help message and exit
+  --trace               print one line per step
+  --max-steps MAX_STEPS
+""",
+    "verify": """usage: qperm verify [-h] [--exhaustive] x_file program_file
+
+positional arguments:
+  x_file
+  program_file
+
+options:
+  -h, --help    show this help message and exit
+  --exhaustive  also enumerate all binary states (n*n <= 20)
+""",
+}
+if sys.version_info >= (3, 13):  # argparse names the metavar once: "-o, --out OUT"
+    COMMAND_HELP = {
+        c: h.replace("-o OUT, --out OUT", "-o, --out OUT    ") for c, h in COMMAND_HELP.items()
+    }
+
+
+def run_cli(argv, capsys):
+    """(code, stdout, stderr) of main(argv); code is what main returns or
+    the code of the SystemExit that argparse raises."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+class TestCommandLineParsing:
+    """What argparse prints and exits with, byte for byte, for the command
+    lines that reach the top-level parser's help and errors."""
+
+    @pytest.fixture(autouse=True)
+    def _fixed_width(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (
+                [],
+                (2, "", TOP_USAGE + "qperm: error: the following arguments are required: command\n"),
+            ),
+            (["-h"], (0, TOP_HELP, "")),
+            (["--help"], (0, TOP_HELP, "")),
+            (["-h", "program"], (0, TOP_HELP, "")),
+            (
+                ["bogus"],
+                (
+                    2,
+                    "",
+                    TOP_USAGE + "qperm: error: argument command: invalid choice: 'bogus' "
+                    "(choose from 'program', 'build', 'solve', 'verify')\n",
+                ),
+            ),
+            (
+                ["program", "--kind", "heap"],
+                (
+                    2,
+                    "",
+                    PROGRAM_USAGE + "qperm program: error: the following arguments are required: --n\n",
+                ),
+            ),
+            (
+                ["solve"],
+                (
+                    2,
+                    "",
+                    SOLVE_USAGE + "qperm solve: error: the following arguments are required: qubo_file\n",
+                ),
+            ),
+            (
+                ["solve", "q.json", "extra"],
+                (2, "", TOP_USAGE + "qperm: error: unrecognized arguments: extra\n"),
+            ),
+            (
+                ["verify", "x.json", "p.json", "--exh", "-x", "y"],
+                (2, "", TOP_USAGE + "qperm: error: unrecognized arguments: -x y\n"),
+            ),
+        ],
+    )
+    def test_help_and_errors(self, capsys, argv, expected):
+        assert run_cli(argv, capsys) == expected
+
+    @pytest.mark.parametrize("command", sorted(COMMAND_HELP))
+    def test_command_help(self, capsys, command):
+        assert run_cli([command, "-h"], capsys) == (0, COMMAND_HELP[command], "")
+
+    def test_abbreviated_options_and_double_dash(self, tmp_path, capsys):
+        """Each unique prefix of a long option, and a -- before the
+        positionals, parses as the full command line does."""
+        qubo = build_file(tmp_path, [3.0, 1.0, 2.0], "bst")
+        prog = str(tmp_path / "prog.json")
+        x_path = str(tmp_path / "x.json")
+        same = [
+            (
+                ["program", "--kind", "heap", "--n", "5", "--bran", "3"],
+                ["program", "--kind", "heap", "--n", "5", "--branching", "3"],
+            ),
+            (["verify", x_path, prog, "--exh"], ["verify", x_path, prog, "--exhaustive"]),
+            (["solve", qubo, "--max", "2"], ["solve", qubo, "--max-steps", "2"]),
+            (["solve", "--", qubo], ["solve", qubo]),
+            (["verify", x_path, "--", prog], ["verify", x_path, prog]),
+        ]
+        for short, full in same:
+            assert run_cli(short, capsys) == run_cli(full, capsys)
+        code, out, err = run_cli(same[0][0], capsys)
+        assert (code, err) == (0, "") and json.loads(out)["branching"] == 3
+        code, out, err = run_cli(same[1][0], capsys)
+        assert (code, err) == (0, "") and "exhaustive agreement     PASS" in out
+        code, out, err = run_cli(same[2][0], capsys)
+        assert (code, out) == (4, "") and err.startswith("error: ")
+        code, out, err = run_cli(same[3][0], capsys)
+        assert (code, err) == (0, "") and out.startswith("permutation: ")

@@ -1,9 +1,10 @@
 import dataclasses
+import math
 from decimal import Decimal
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qperm
@@ -35,6 +36,7 @@ from qperm import (
     energy,
     heap_program,
 )
+from qperm.model import _reals
 
 from .reference import matricize, vectorize
 
@@ -657,3 +659,36 @@ class TestArrayEntries:
         assert OrderProgram(ranks=np.array([2, 1], dtype=np.uint8)).ranks == (2, 1)
         assert SolverTrace([1, -1], np.array([1], dtype=np.uint64), [1.0, 0.0]).flips == 1
         assert ValueVector([1, 2**70]).entries.tolist() == [1.0, 2.0**70]
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.integers(),
+                st.sampled_from([2**63, 2**64, -(2**63) - 1, 10**400]),
+                st.floats(),
+                st.sampled_from([-0.0, math.nan, math.inf, -math.inf]),
+                st.sampled_from([True, False, np.float64(2.5), None, "3"]),
+            ),
+            max_size=6,
+        ),
+        st.booleans(),
+    )
+    @example([], False)
+    @example([], True)
+    @example([0, True], False)
+    @example([1, 2**64, -0.0, math.nan, math.inf], True)
+    @example([10**400, 1.5], False)
+    @settings(max_examples=300, deadline=None)
+    def test_flat_lists_read_as_their_object_array(self, entries, as_tuple):
+        """A flat list or tuple gives what its object array gives: the same
+        dtype, shape and bytes, or the same error."""
+        seq = tuple(entries) if as_tuple else entries
+
+        def outcome(values):
+            try:
+                reals = _reals(values, "v")
+            except Exception as exc:  # compared by type and message below
+                return type(exc), str(exc)
+            return reals.dtype, reals.shape, reals.tobytes()
+
+        assert outcome(seq) == outcome(np.array(seq, dtype=object))

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qperm import (
@@ -260,6 +260,18 @@ class TestCertify:
         report = certify(x, ascending_program(2), vectorize(np.eye(2)))
         assert report.optimal
         assert any("objective-tie" in note for note in report.notes)
+
+    @given(st.lists(st.sampled_from([0.0, -0.0, 1.0, 2.5, -3.0, 1e300]), min_size=1, max_size=6))
+    @example([0.0, -0.0, 1.0])
+    @example([1.0, 2.0, 1.0])
+    @example([1.0, 2.0])
+    @settings(max_examples=60, deadline=None)
+    def test_tie_note_exactly_when_a_value_repeats(self, values):
+        """-0.0 and 0.0 are one value, as == has it."""
+        x = ValueVector(values)
+        report = certify(x, ascending_program(x.n), vectorize(np.eye(x.n)))
+        noted = any("objective-tie" in note for note in report.notes)
+        assert noted == (len(set(values)) < len(values))
 
     def test_wrong_state_size_fails(self, reference_x):
         report = certify(reference_x, ascending_program(7), vectorize(np.eye(2)))
