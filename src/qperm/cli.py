@@ -8,6 +8,10 @@ Four subcommands cover the pipeline:
     qperm solve qubo.json [--trace] [--max-steps M]
     qperm verify x.txt prog.json [--exhaustive]
 
+A command line is parsed once, by the parser of the command its first
+word names; any other command line goes to the top-level parser, which
+prints the help or the usage error.
+
 An x file is a JSON array of numbers, or else plain text with one
 number per line; a file of one number is one entry in either form.
 Program files are JSON objects with keys
@@ -121,7 +125,7 @@ def render_trace(trace: SolverTrace) -> Iterator[str]:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.handler(args)
     except MaxStepsExceeded as exc:
@@ -136,9 +140,26 @@ def run() -> None:
     sys.exit(main())
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """argv parsed once.  When argv[0] names a command, that command's
+    parser reads the rest, which the top-level parser would hand it only
+    after scanning every token itself; tokens it leaves over are reported
+    as the top-level parser reports them.  Any other argv, such as -h or an
+    unknown command, goes to the top-level parser."""
+    parser, commands = _parser()
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
+
+
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built once per process: a build costs about 30 parses."""
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each command's parser by name, built once
+    per process: a build costs about 30 parses."""
     parser = argparse.ArgumentParser(
         prog="qperm",
         description="Compile ordering tasks into QUBO form and solve them by Hopfield descent.",
@@ -177,7 +198,7 @@ def _parser() -> argparse.ArgumentParser:
     )
     p_verify.set_defaults(handler=_cmd_verify)
 
-    return parser
+    return parser, sub.choices
 
 
 def _cmd_program(args) -> int:

@@ -207,28 +207,36 @@ def _finite(value, name: str) -> float:
     return value
 
 
+_PLAIN_REALS = frozenset((int, float))
+
+
 def _reals(values, name: str, *, error=DomainError, want: str = "real numbers") -> np.ndarray:
     """values as an ndarray of _real entries, else error naming the field.
 
     An ndarray of an integer or float dtype is returned as it is, with no
-    pass over its entries.  Anything else is read as objects, one entry of
-    each type is checked, and a new array of integers or floats is returned.
+    pass over its entries.  A plain list or tuple whose entries are all of
+    type int or float, such as a JSON list of numbers, is read in one numpy
+    call.  Anything else is read as objects, one entry of each type is
+    checked, and a new array of integers or floats is returned.
     """
     if isinstance(values, np.ndarray) and values.dtype.kind in "iuf":
         return values
-    try:
-        items = np.array(values, dtype=object)
-    except ValueError:  # nested arrays whose shapes disagree
-        raise error(f"{name} must be {want}, not a ragged nesting") from None
-    entries = items.ravel().tolist()
-    for entry in dict(zip(map(type, entries), entries)).values():
-        if not _real(entry):
-            raise error(f"{name} must be {want}, not {type(entry).__name__}")
+    if type(values) in (list, tuple) and _PLAIN_REALS.issuperset(map(type, values)):
+        entries, shape = values, (len(values),)
+    else:
+        try:
+            items = np.array(values, dtype=object)
+        except ValueError:  # nested arrays whose shapes disagree
+            raise error(f"{name} must be {want}, not a ragged nesting") from None
+        entries, shape = items.ravel().tolist(), items.shape
+        for entry in dict(zip(map(type, entries), entries)).values():
+            if not _real(entry):
+                raise error(f"{name} must be {want}, not {type(entry).__name__}")
     try:
         reals = np.array(entries)
         if reals.dtype.kind not in "iuf":  # integers beyond 64 bits, fractions.Fraction
             reals = np.array(entries, dtype=float)
-        return reals.reshape(items.shape)
+        return reals.reshape(shape)
     except OverflowError:
         raise error(f"{name} holds an integer beyond the float64 range") from None
 

@@ -153,7 +153,8 @@ def certify(x: ValueVector, program: OrderProgram, solver_state) -> CertificateR
     with np.errstate(over="ignore"):
         best_value = sort_optimum(x, program)
     notes: list[str] = []
-    if len(np.unique(x.entries)) < x.n:
+    ordered = np.sort(x.entries)
+    if (ordered[1:] == ordered[:-1]).any():  # equal values sort next to each other; -0.0 == 0.0
         notes.append("objective-tie: duplicate input values admit several optimal arrangements")
     try:
         p = decode_permutation(_reals(solver_state, "solver_state"))
