@@ -35,13 +35,7 @@ from .model import (
     apply_permutation,
     decode_permutation,
 )
-from .oracle import (
-    CertificateReport,
-    best_permutation,
-    certify,
-    exhaustive_qubo_min,
-    sort_optimum,
-)
+from .oracle import CertificateReport, best_permutation, certify, sort_optimum
 from .programs import (
     TreeShape,
     ascending_program,
@@ -86,7 +80,6 @@ __all__ = [
     "decode_permutation",
     "descending_program",
     "energy",
-    "exhaustive_qubo_min",
     "fold_diagonal",
     "heap_program",
     "solve",

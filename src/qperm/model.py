@@ -455,36 +455,55 @@ class HopfieldInstance:
         return int(self.bias_theta.size)
 
 
-class _NotBinary(NotAPermutation):
-    """A matrix entry that is neither 0 nor 1; decode_permutation names the state."""
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class PermutationMatrix:
     """An n x n binary matrix with exactly one 1 per row and per column.
 
-    as_mapping[i] is the column of the 1 in row i; it is derived from the
-    matrix on construction.
+    It holds only as_mapping, where as_mapping[i] is the column of the 1
+    in row i, read off the matrix on construction; matrix rebuilds the
+    read-only n x n int array on each read.
     """
 
-    matrix: np.ndarray
-    as_mapping: tuple[int, ...] = field(init=False)
+    as_mapping: tuple[int, ...]
 
-    def __post_init__(self):
-        M = _reals(self.matrix, "matrix entries", error=_NotBinary, want="0 or 1")
+    def __init__(self, matrix):
+        M = _reals(matrix, "matrix entries", error=NotAPermutation, want="0 or 1")
         if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] == 0:
             raise NotAPermutation("need a non-empty square matrix")
-        if not ((M == 0.0) | (M == 1.0)).all():  # NaN is neither
-            raise _NotBinary("entries must be 0 or 1")
-        M = _readonly(M, "matrix", dtype=int)
-        if not ((M.sum(axis=0) == 1).all() and (M.sum(axis=1) == 1).all()):
-            raise NotAPermutation("every row and column must contain exactly one 1")
-        object.__setattr__(self, "matrix", M)
-        object.__setattr__(self, "as_mapping", tuple(M.argmax(axis=1).tolist()))
+        object.__setattr__(self, "as_mapping", _one_per_line(M.ravel(), M.shape[0], "entries"))
+
+    @classmethod
+    def _of(cls, mapping: tuple[int, ...]) -> PermutationMatrix:
+        p = object.__new__(cls)
+        object.__setattr__(p, "as_mapping", mapping)
+        return p
+
+    @property
+    def matrix(self) -> np.ndarray:
+        n = self.n
+        M = np.zeros((n, n), dtype=int)
+        M[np.arange(n), self.as_mapping] = 1
+        M.setflags(write=False)
+        return M
 
     @property
     def n(self) -> int:
-        return int(self.matrix.shape[0])
+        return len(self.as_mapping)
+
+
+def _one_per_line(flat: np.ndarray, n: int, entries: str, column_stacked: bool = False):
+    """The mapping of the n x n permutation matrix that flat holds row by row,
+    or column by column, read in O(n) memory.  Every nonzero entry must be
+    exactly 1 (NaN, inf, 2 and 0.5 are not).  flatnonzero lists them in order,
+    so each line along the stacking holds one when their line numbers are
+    0..n-1, and each line across it when no number repeats among theirs."""
+    ones = np.flatnonzero(flat)
+    if not (flat[ones] == 1).all():
+        raise NotAPermutation(f"{entries} must be 0 or 1")
+    along, across = divmod(ones, n)
+    if ones.size != n or (along != np.arange(n)).any() or np.bincount(across).max() > 1:
+        raise NotAPermutation("every row and column must contain exactly one 1")
+    return tuple((np.argsort(across) if column_stacked else across).tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -566,6 +585,9 @@ class SolverTrace:
 def decode_permutation(z_star) -> PermutationMatrix:
     """Read the permutation matrix P encoded by a binary solver state.
 
+    The state is read in place, column by column, and only the mapping is
+    kept, so decoding takes O(n) memory besides the state.
+
     Parameters
     ----------
     z_star : array_like
@@ -589,10 +611,7 @@ def decode_permutation(z_star) -> PermutationMatrix:
     n = math.isqrt(z.size)
     if z.size == 0 or n * n != z.size:
         raise NonSquareLength(f"length {z.size} is not a positive perfect square")
-    try:
-        return PermutationMatrix(z.reshape((n, n), order="F"))
-    except _NotBinary:
-        raise NotAPermutation("state entries must be 0 or 1") from None
+    return PermutationMatrix._of(_one_per_line(z, n, "state entries", column_stacked=True))
 
 
 def apply_permutation(p: PermutationMatrix, x: ValueVector) -> np.ndarray:

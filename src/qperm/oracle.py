@@ -2,12 +2,12 @@
 
 sort_optimum reads the optimal objective off one sort, at any n, by the
 rearrangement inequality, and certify checks a solver state exactly
-against the order that inequality demands.  Two brute-force references
-stand beside them: best_permutation scores every one of the n!
-arrangements directly on the raw input values, and exhaustive_qubo_min
-scores every one of the 2^N binary states of a compiled instance.  None
-of the three knows anything about how the solver searches, which is the
-point: the tests hold the sort against both enumerations.
+against the order that inequality demands.  Neither knows anything about
+how the solver searches, and neither enumerates anything.
+best_permutation, which scores every one of the n! arrangements on the
+raw input values, stays beside them as a reference for the tests of
+sort_optimum and for the benchmark's own tests; the enumeration of the
+2^N binary states of a compiled instance lives in the tests.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .errors import DimensionMismatch, NonSquareLength, NotAPermutation, SizeBud
 from .model import (
     OrderProgram,
     PermutationMatrix,
-    QuboInstance,
     ValueVector,
     _reals,
     apply_permutation,
@@ -32,15 +31,13 @@ from .model import (
 from .programs import TreeShape, validate_bst, validate_heap
 
 MAX_ORACLE_N = 10
-MAX_EXHAUSTIVE_BITS = 20
 
 _PERM_CHUNK = 40320
-_STATE_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
 class CertificateReport:
-    """Outcome of checking one solver state against brute force.
+    """Outcome of checking one solver state against the sort optimum.
 
     structure_valid is None when the program kind carries no tree
     structure to check.  achieved_objective and mapping are None when the
@@ -89,9 +86,7 @@ def best_permutation(x: ValueVector, program: OrderProgram) -> tuple[Permutation
         if float(scores[k]) < best_value:
             best_value = float(scores[k])
             best_mapping = tuple(int(c) for c in chunk[k])
-    matrix = np.zeros((n, n), dtype=int)
-    matrix[np.arange(n), list(best_mapping)] = 1
-    return PermutationMatrix(matrix), best_value
+    return PermutationMatrix._of(best_mapping), best_value
 
 
 def sort_optimum(x: ValueVector, program: OrderProgram) -> float:
@@ -105,32 +100,6 @@ def sort_optimum(x: ValueVector, program: OrderProgram) -> float:
         raise DimensionMismatch(f"x has {x.n} entries but the program has {program.n} slots")
     ranks = np.asarray(program.ranks)
     return -float(np.sort(x.entries)[ranks - 1] @ ranks.astype(float))
-
-
-def exhaustive_qubo_min(instance: QuboInstance) -> tuple[np.ndarray, float]:
-    """Enumerate all 2^N binary states and return a global minimizer.
-
-    State k has coordinate j equal to bit j of k; ties go to the
-    smallest k.  Guarded at N <= 20.
-    """
-    N = instance.dimension
-    if N > MAX_EXHAUSTIVE_BITS:
-        raise SizeBudgetExceeded(f"N={N} exceeds the N<={MAX_EXHAUSTIVE_BITS} enumeration budget")
-    R = instance.matrix_R
-    r = instance.vector_r
-    bits = np.arange(N)
-    total = 1 << N
-    best_value = math.inf
-    best_state: Optional[np.ndarray] = None
-    for start in range(0, total, _STATE_CHUNK):
-        ks = np.arange(start, min(start + _STATE_CHUNK, total), dtype=np.int64)
-        Z = ((ks[:, None] >> bits) & 1).astype(float)
-        values = ((Z @ R) * Z).sum(axis=1) + Z @ r
-        k = int(np.argmin(values))
-        if float(values[k]) < best_value:
-            best_value = float(values[k])
-            best_state = Z[k].astype(int)
-    return best_state, best_value
 
 
 def certify(x: ValueVector, program: OrderProgram, solver_state) -> CertificateReport:

@@ -109,8 +109,10 @@ def heap_program(n: int, branching: int = 2) -> OrderProgram:
 def validate_bst(values, shape: TreeShape) -> bool:
     """True when every slot separates its whole left and right subtrees.
 
-    Strict inequalities: equal values on both sides fail.  Never raises
-    on value content; the shape must have branching 2.
+    Non-strict inequalities: no value in the left subtree is above the
+    slot's and none in the right subtree is below it, so the values read in
+    order never decrease and repeated values pass.  NaN fails.  Never
+    raises on value content; the shape must have branching 2.
     """
     if shape.branching != 2:
         raise UnsupportedBranching("search-tree validation exists for branching 2 only")
@@ -120,7 +122,7 @@ def validate_bst(values, shape: TreeShape) -> bool:
         if slot >= shape.size:
             return True
         v = vals[slot]
-        if not (low < v < high):
+        if not (low <= v <= high):
             return False
         return within(2 * slot + 1, low, v) and within(2 * slot + 2, v, high)
 

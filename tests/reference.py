@@ -10,7 +10,9 @@ arrays of n^2 x n^2 matrices and n^2 vectors:
 * steepest single-flip descent on a dense W, which forms W s afresh
   after every flip and records every energy E(s) correctly rounded from
   exact integers, as the library's descent does;
-* exact energies in Fractions.
+* exact energies in Fractions;
+* exhaustive_qubo_min, the global minimizer of a QUBO over all 2^N
+  binary states, guarded at N <= 20.
 
 dense(stage) materializes a library instance as its (matrix, vector)
 pair, so a test runs the reference on the same input as the library.
@@ -22,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from qperm import MaxStepsExceeded, SolverTrace
+from qperm import MaxStepsExceeded, SizeBudgetExceeded, SolverTrace
 from qperm.hopfield import _dyadic, _rounded, _scaled
 
 # --- states and the column-stacking convention ------------------------------
@@ -80,6 +82,37 @@ def qubo_objective(R, r, z) -> float:
     """z^T R z + r^T z at a binary state z."""
     zv = np.asarray(z, dtype=float).ravel()
     return float(zv @ R @ zv + r @ zv)
+
+
+MAX_EXHAUSTIVE_BITS = 20
+_STATE_CHUNK = 1 << 16
+
+
+def exhaustive_qubo_min(instance) -> tuple:
+    """Enumerate all 2^N binary states of a QuboInstance and return a global
+    minimizer and its value.
+
+    State k has coordinate j equal to bit j of k; ties go to the
+    smallest k.  Guarded at N <= 20.
+    """
+    N = instance.dimension
+    if N > MAX_EXHAUSTIVE_BITS:
+        raise SizeBudgetExceeded(f"N={N} exceeds the N<={MAX_EXHAUSTIVE_BITS} enumeration budget")
+    R = instance.matrix_R
+    r = instance.vector_r
+    bits = np.arange(N)
+    total = 1 << N
+    best_value = math.inf
+    best_state = None
+    for start in range(0, total, _STATE_CHUNK):
+        ks = np.arange(start, min(start + _STATE_CHUNK, total), dtype=np.int64)
+        Z = ((ks[:, None] >> bits) & 1).astype(float)
+        values = ((Z @ R) * Z).sum(axis=1) + Z @ r
+        k = int(np.argmin(values))
+        if float(values[k]) < best_value:
+            best_value = float(values[k])
+            best_state = Z[k].astype(int)
+    return best_state, best_value
 
 
 # --- the dense chain --------------------------------------------------------

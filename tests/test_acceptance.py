@@ -19,7 +19,6 @@ from qperm import (
     build_qubo,
     decode_permutation,
     energy,
-    exhaustive_qubo_min,
     fold_diagonal,
     heap_program,
     to_hopfield,
@@ -31,7 +30,14 @@ from qperm.programs import TreeShape
 
 from . import reference_run as ref
 from .conftest import make_program, paper_faithful, run_pipeline
-from .reference import binary_to_bipolar, build_N, dense, qubo_objective, vectorize
+from .reference import (
+    binary_to_bipolar,
+    build_N,
+    dense,
+    exhaustive_qubo_min,
+    qubo_objective,
+    vectorize,
+)
 
 KINDS = ("ascending", "bst", "heap")
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 from decimal import Decimal
 
 import numpy as np
@@ -233,8 +234,8 @@ class TestDecodePermutation:
         assert type(raised.value) is error
 
     def test_the_one_int_copy_is_kept(self):
-        """The state is converted once; PermutationMatrix seals the int copy it
-        makes and keeps it."""
+        """The state is read once; matrix is a read-only int array, built
+        from the mapping when it is read."""
         p = decode_permutation(np.array([0, 1, 1, 0], dtype=np.int8))
         assert p.as_mapping == (1, 0)
         assert p.matrix.dtype == int and not p.matrix.flags.writeable
@@ -246,6 +247,117 @@ class TestDecodePermutation:
     def test_round_trip_random_permutations(self, mapping):
         m = perm_matrix(mapping)
         assert decode_permutation(vectorize(m)).as_mapping == tuple(mapping)
+
+    def test_decode_and_certify_keep_no_matrix_at_n2000(self):
+        """Both read the 32 MB state in place: decode once kept a 31 MiB int
+        copy of it and peaked at 61 MiB, and so did certify."""
+        n = 2000
+        x = ValueVector(np.random.default_rng(n).normal(size=n))
+        mapping = np.argsort(x.entries)
+        z = np.zeros(n * n)
+        z[mapping * n + np.arange(n)] = 1.0  # column mapping[i] holds row i's 1
+        tracemalloc.start()
+        try:
+            p = decode_permutation(z)
+            _, decode_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            report = certify(x, ascending_program(n), z)
+            _, certify_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert p.as_mapping == report.mapping == tuple(mapping.tolist())
+        assert report.passed
+        assert decode_peak < 8 * 2**20 and certify_peak < 8 * 2**20
+        assert not any(isinstance(v, np.ndarray) for v in vars(p).values())
+        assert all(type(c) is int for c in p.as_mapping)
+
+
+def _edited(cells):
+    """The matrix of the mapping (1, 2, 0) with the given cells set."""
+    m = perm_matrix((1, 2, 0))
+    for (row, col), entry in cells.items():
+        m[row, col] = entry
+    return m
+
+
+NOT_BINARY = "entries must be 0 or 1"
+NOT_ONE_PER_LINE = "every row and column must contain exactly one 1"
+
+# name -> (a 3 x 3 matrix, or the 2 x 2 one named, that no permutation is;
+# the end of its refusal message)
+REFUSED_MATRICES = {
+    **{
+        f"{entry} for a 0": (_edited({(0, 0): entry}), NOT_BINARY)
+        for entry in (2.0, -1.0, 0.5, math.nan, math.inf, -math.inf)
+    },
+    **{
+        f"{entry} for a 1": (_edited({(0, 1): entry}), NOT_BINARY)
+        for entry in (2.0, -1.0, 0.5, math.nan, math.inf)
+    },
+    "two 1s in a row": (_edited({(0, 0): 1.0}), NOT_ONE_PER_LINE),
+    "two 1s in a column": (_edited({(1, 1): 1.0}), NOT_ONE_PER_LINE),
+    "a -0.0 for the 1": (_edited({(0, 1): -0.0}), NOT_ONE_PER_LINE),
+    "all zero": (np.zeros((3, 3)), NOT_ONE_PER_LINE),
+    "all one": (np.ones((3, 3)), NOT_ONE_PER_LINE),
+    "a 2 and two 1s in a row": (np.array([[1.0, 1.0], [2.0, 0.0]]), NOT_BINARY),
+}
+
+
+class TestDecodeRefusals:
+    """Every refusal of decode_permutation, PermutationMatrix and the decode
+    inside certify, by exception type and whole message."""
+
+    @pytest.mark.parametrize("name", sorted(REFUSED_MATRICES))
+    def test_decode(self, name):
+        matrix, message = REFUSED_MATRICES[name]
+        expected = f"state {message}" if message == NOT_BINARY else message
+        with pytest.raises(NotAPermutation, match=f"^{expected}$") as raised:
+            decode_permutation(vectorize(matrix))
+        assert type(raised.value) is NotAPermutation
+
+    @pytest.mark.parametrize("name", sorted(REFUSED_MATRICES))
+    def test_constructor(self, name):
+        matrix, message = REFUSED_MATRICES[name]
+        with pytest.raises(NotAPermutation, match=f"^{message}$"):
+            PermutationMatrix(matrix)
+
+    @pytest.mark.parametrize("name", sorted(REFUSED_MATRICES))
+    def test_certify(self, name):
+        matrix, message = REFUSED_MATRICES[name]
+        expected = f"state {message}" if message == NOT_BINARY else message
+        x = ValueVector([3.0, 1.0, 2.0][: len(matrix)])
+        report = certify(x, ascending_program(x.n), vectorize(matrix))
+        assert not report.feasible and report.mapping is None
+        assert report.notes == (f"decode failed: {expected}",)
+
+    @pytest.mark.parametrize(
+        "state", [[], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [math.nan] * 5, np.zeros((2, 3))]
+    )
+    def test_decode_non_square_length(self, state):
+        """The length is checked before any entry."""
+        size = np.size(state)
+        with pytest.raises(
+            NonSquareLength, match=f"^length {size} is not a positive perfect square$"
+        ) as raised:
+            decode_permutation(state)
+        assert type(raised.value) is NonSquareLength
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            [1.0],
+            np.zeros((0, 0)),
+            [[1, 0, 0], [0, 1, 0]],
+            [[2, 0, 0], [0, 1, 0]],
+            [[[1]]],
+        ],
+        ids=["vector", "empty", "2x3", "2x3-with-a-2", "3-d"],
+    )
+    def test_constructor_non_square_matrix(self, matrix):
+        """The shape is checked before any entry."""
+        with pytest.raises(NotAPermutation, match="^need a non-empty square matrix$") as raised:
+            PermutationMatrix(matrix)
+        assert type(raised.value) is NotAPermutation
 
 
 class TestApplyPermutation:

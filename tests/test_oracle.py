@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import qperm
 from qperm import (
     DimensionMismatch,
     OrderProgram,
@@ -18,7 +19,6 @@ from qperm import (
     certify,
     decode_permutation,
     descending_program,
-    exhaustive_qubo_min,
     fold_diagonal,
     heap_program,
     sort_optimum,
@@ -26,7 +26,7 @@ from qperm import (
 
 from . import reference_run as ref
 from .conftest import make_program, run_pipeline
-from .reference import dense, qubo_objective, vectorize
+from .reference import dense, exhaustive_qubo_min, qubo_objective, vectorize
 
 
 def perm_matrix(mapping):
@@ -173,6 +173,13 @@ class TestExhaustiveQuboMin:
         with pytest.raises(SizeBudgetExceeded):
             exhaustive_qubo_min(inst)
 
+    def test_lives_in_the_tests_only(self):
+        """The package exported it and qperm verify --exhaustive called it;
+        certify is exact at every n, so only the tests enumerate states."""
+        assert "exhaustive_qubo_min" not in qperm.__all__
+        assert not hasattr(qperm, "exhaustive_qubo_min")
+        assert not hasattr(qperm.oracle, "exhaustive_qubo_min")
+
 
 class TestCertify:
     def test_reference_sorting_run_passes(self, reference_x):
@@ -260,6 +267,20 @@ class TestCertify:
         report = certify(x, ascending_program(2), vectorize(np.eye(2)))
         assert report.optimal
         assert any("objective-tie" in note for note in report.notes)
+
+    @pytest.mark.parametrize(
+        "values, arranged",
+        [([1.0, 1.0, 1.0], [1.0, 1.0, 1.0]), ([3, 1, 1, 2, 3, 0, 2], [2, 1, 3, 0, 1, 2, 3])],
+    )
+    def test_search_tree_with_repeated_values_passes(self, values, arranged):
+        """Both once certified feasible and optimal but failed the structure
+        check, whose bounds were strict."""
+        x = ValueVector(values)
+        program = bst_program(x.n)
+        z, _, _ = run_pipeline(x, program)
+        assert apply_permutation(decode_permutation(z), x).tolist() == arranged
+        report = certify(x, program, z)
+        assert report.structure_valid is True and report.passed
 
     @given(st.lists(st.sampled_from([0.0, -0.0, 1.0, 2.5, -3.0, 1e300]), min_size=1, max_size=6))
     @example([0.0, -0.0, 1.0])

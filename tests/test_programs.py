@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qperm import (
@@ -153,8 +153,34 @@ class TestValidateBst:
     def test_violation_detected(self):
         assert not validate_bst([1.0, 2.0, 3.0], TreeShape(3, 2))
 
-    def test_duplicates_fail_strict_ordering(self):
-        assert not validate_bst([1.0, 1.0], TreeShape(2, 2))
+    def test_duplicates_allowed(self):
+        """Equal values once failed, however they were placed: the bounds
+        were strict."""
+        assert validate_bst([1.0, 1.0], TreeShape(2, 2))
+        assert validate_bst([1.0, 1.0, 1.0], TreeShape(3, 2))
+        assert not validate_bst([1.0, 1.0, 0.0], TreeShape(3, 2))
+
+    @given(
+        st.lists(
+            st.sampled_from([-2.0, -0.0, 0.0, 1.0, 1.5, 3.0, 1e300]), min_size=2, max_size=15
+        ).filter(lambda v: len(set(v)) < len(v))
+    )
+    @example([3.0, 1.0, 1.0, 2.0, 3.0, 0.0, 2.0])
+    @example([1.0, 1.0, 1.0])
+    @settings(max_examples=60)
+    def test_repeated_values_in_order_pass_and_any_swap_fails(self, values):
+        """The bst arrangement of values with repeats passes, and swapping any
+        two unequal values in it breaks the non-decreasing in-order reading."""
+        n = len(values)
+        shape = TreeShape(n, 2)
+        y = arrange(values, bst_program(n).ranks)
+        assert validate_bst(y, shape)
+        for i in range(n):
+            for j in range(i + 1, n):
+                if y[i] != y[j]:
+                    swapped = list(y)
+                    swapped[i], swapped[j] = y[j], y[i]
+                    assert not validate_bst(swapped, shape), (i, j)
 
     def test_binary_only(self):
         with pytest.raises(UnsupportedBranching):

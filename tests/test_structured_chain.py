@@ -40,7 +40,6 @@ from qperm import (
     certify,
     descending_program,
     energy,
-    exhaustive_qubo_min,
     fold_diagonal,
     solve,
     solve_qubo,
@@ -53,7 +52,14 @@ from qperm.cli import main
 from . import reference
 from . import reference_run as ref
 from .conftest import make_program, paper_faithful, random_start, run_pipeline
-from .reference import build_Cc, build_Cr, dense, exact_sum, fraction_energy
+from .reference import (
+    build_Cc,
+    build_Cr,
+    dense,
+    exact_sum,
+    exhaustive_qubo_min,
+    fraction_energy,
+)
 
 
 def bits(a) -> bytes:
