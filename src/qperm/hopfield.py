@@ -17,14 +17,14 @@ w_r (R_b - s_ab) + w_c (C_a - s_ab), where R_b sums s over grid column b
 evaluates that expression, so every field is a fresh W @ s bit for bit at
 any finite weights.  Descent keeps the 2n counts and forms no W @ s: a
 flip at (a, b) recomputes grid row a and grid column b only, in O(n).  A
-line whose other cells are all inactive, as every line is while descent
-from the all-inactive state pairs free rows with free columns, takes one
-numpy call.  Its fields are w_r (R_b + 1) + w_c (C_a + 1), and the
-line's own term can then be only w_c (1 - n), when the flip cleared its
-cell, or w_c (3 - n), when it set it (w_r for a column), so descent keeps
-the four sums as n-vectors and moves each by one float add per flip.
-The argmin over all gains is O(N) per flip, and no PenaltyMatrix is
-materialized.
+flip that sets the only active cell of a line, as every flip does while
+descent from the all-inactive state pairs free rows with free columns,
+leaves its other cells the fields w_r (R_b + 1) + w_c (C_a + 1) with the
+line's own count at 2 - n, so the line takes one numpy call: descent
+keeps w_r (R + 1) + w_c (3 - n) and w_c (C + 1) + w_r (3 - n) as two
+n-vectors and moves one entry of each per flip.  A clear, or a line with
+another active cell, forms the line's gains from its cells.  The argmin
+over all gains is O(N) per flip, and no PenaltyMatrix is materialized.
 
 Every energy, in the trace and from energy(), is E(s) correctly rounded,
 the same on any BLAS.  2 E(s) is kept as an integer count of 2^u, u at or
@@ -143,64 +143,74 @@ def _descend(
     """Descend from a bipolar start."""
     W, theta = instance.weights_W, instance.bias_theta
     n, w_r, w_c = W.n, W.same_row, W.same_col
-    s = _bipolar(start, "start state").astype(float)
+    start = _bipolar(start, "start state")
+    s = start.astype(float)
     half = np.empty(s.size)  # half the gain of each flip
     S, G, T = s.reshape(n, n), half.reshape(n, n), theta.reshape(n, n)
     R, C = S.sum(axis=0), S.sum(axis=1)
     twice, u, units_r, units_c = _twice_energy(instance, s, R, C)
     energies = [_rounded(twice, u - 1)]
     flipped: list[int] = []
+    shift = 1 - u  # _scaled(x, u) and _rounded(m, u - 1), inline, both shift by 1 - u
+    scale = 1 << shift
+    argmin, s_item, theta_item, R_item, C_item = half.argmin, s.item, theta.item, R.item, C.item
+    last = energies[0]
     # An overflowing field or gain is left to the energies, whose overflow
     # SolverTrace names, with no numpy warning.
     with np.errstate(over="ignore", invalid="ignore"):
         np.multiply(S, w_r * (R - S) + w_c * (C[:, None] - S) - T, G)
         GT, TT, ST = G.T, T.T, S.T
         # An inactive cell (a, b) has the field w_r (R_b + 1) + w_c (C_a + 1).
-        # On a line whose other cells are all inactive, the flipped cell's count
-        # is 1 - n after a clear (d = -1) and 3 - n after a set, so the crossing
-        # term is one of two numbers: rows[d > 0][b] holds the field of every
-        # inactive cell of grid row a, and cols[d > 0][a] of grid column b.
-        crossing_c = w_c * (1.0 - n), w_c * (3.0 - n)
-        crossing_r = w_r * (1.0 - n), w_r * (3.0 - n)
-        rows = tuple(w_r * (R + 1.0) + k for k in crossing_c)
-        cols = tuple(w_c * (C + 1.0) + k for k in crossing_r)
+        # After a flip that sets the only active cell of grid row a, C_a is
+        # 2 - n and every other cell (a, b') is inactive with the field
+        # rows[b']; cols[a'] likewise holds that of (a', b) when grid column b
+        # is left so.  A clear, or a line with another active cell, goes
+        # through _line.
+        free = 2.0 - n
+        crossing_c, crossing_r = w_c * (3.0 - n), w_r * (3.0 - n)
+        rows, cols = w_r * (R + 1.0) + crossing_c, w_c * (C + 1.0) + crossing_r
         while True:
-            i = int(half.argmin())  # ties: lowest index
-            if half.item(i) <= -(2.0**1023):  # doubled, such gains are -inf and tie
-                i = int((half <= -(2.0**1023)).argmax())
+            i = int(argmin())  # ties: lowest index
             gain = half.item(i)
+            if gain <= -(2.0**1023):  # doubled, such gains are -inf and tie
+                i = int((half <= -(2.0**1023)).argmax())
+                gain = half.item(i)
             if gain >= 0.0:
                 break
             if len(flipped) >= budget:
                 raise MaxStepsExceeded(f"no stable state within {budget} flips")
             a, b = divmod(i, n)
-            d = -s.item(i)
-            r, c = R.item(b) + 2.0 * d, C.item(a) + 2.0 * d  # the line sums after the flip
-            # 2E gains 4 d (theta_i - (W s)_i), where (W s)_i = w_r (r - d) + w_c (c - d).
-            field = units_r * int(r - d) + units_c * int(c - d)
-            step = 4 * int(d) * (_scaled(theta.item(i), u) - field)
-            e = _rounded(twice + step, u - 1)
-            if not e < energies[-1]:  # a rounded gain or energy shows no decrease
+            d = -s_item(i)
+            sets = d > 0.0
+            r, c = R_item(b) + d, C_item(a) + d  # the line sums without cell i
+            # 2E gains 4 d (theta_i - (W s)_i), where (W s)_i = w_r r + w_c c.
+            numerator, denominator = theta_item(i).as_integer_ratio()
+            t = numerator << (shift - denominator.bit_length())  # _scaled(theta_i, u)
+            step = 4 * (t - units_r * int(r) - units_c * int(c))
+            m = twice + step if sets else twice - step
+            try:
+                e = m / scale
+            except OverflowError:
+                e = _rounded(m, u - 1)
+            if not e < last:  # a rounded gain or energy shows no decrease
                 break
-            twice += step
+            twice, last = m, e
             flipped.append(i)
             energies.append(e)
             s[i] = d
+            r, c = r + d, c + d  # the line sums after the flip
             R[b], C[a] = r, c
-            p, q = w_r * (r + 1.0), w_c * (c + 1.0)
-            rows[0][b], rows[1][b] = p + crossing_c[0], p + crossing_c[1]
-            cols[0][a], cols[1][a] = q + crossing_r[0], q + crossing_r[1]
-            if c - d == 1 - n:  # grid row a, its other cells all inactive
-                np.subtract(T[a], rows[d > 0], G[a])
+            rows[b], cols[a] = w_r * (r + 1.0) + crossing_c, w_c * (c + 1.0) + crossing_r
+            if sets and c == free:  # grid row a, its other cells all inactive
+                np.subtract(T[a], rows, G[a])
             else:
                 _line(G[a], T[a], S[a], R, w_r, c, w_c)
-            if r - d == 1 - n:  # grid column b, likewise
-                np.subtract(TT[b], cols[d > 0], GT[b])
+            if sets and r == free:  # grid column b, likewise
+                np.subtract(TT[b], cols, GT[b])
             else:
                 _line(GT[b], TT[b], ST[b], C, w_c, r, w_r)
             half[i] = -gain  # W_ii = 0: flipping s_i leaves h_i as it was
-    trace = SolverTrace(start, np.array(flipped, dtype=np.intp), np.array(energies))
-    return s.astype(np.int8), trace
+    return s.astype(np.int8), SolverTrace._of(start, flipped, energies)
 
 
 def _twice_energy(instance: HopfieldInstance, s: np.ndarray, R, C) -> tuple[int, int, int, int]:

@@ -519,6 +519,9 @@ class TraceStep:
         object.__setattr__(self, "energy", _finite(self.energy, "energy"))
 
 
+_OVERFLOW = "trace energies must be finite: the energy overflows the float range"
+
+
 @dataclass(frozen=True, eq=False)
 class SolverTrace:
     """A descent record: the start state, the flipped coordinates, the energies.
@@ -529,6 +532,11 @@ class SolverTrace:
     decreases.  The record holds O(N + flips) numbers; steps rebuilds the
     full rows on demand, one state per row, and repeats the stable
     endpoint once to make its stability visible in renderings of the run.
+
+    The constructor checks every field.  Descent builds its trace with the
+    private _of instead, which adopts the read-only start that descent
+    checked once and the lists it kept, and checks only what descent cannot
+    guarantee: that the first and the last energy are finite.
     """
 
     start: np.ndarray
@@ -548,14 +556,28 @@ class SolverTrace:
                 f"{flipped.size} flips need {flipped.size + 1} energies, got {energies.size}"
             )
         if not np.isfinite(energies).all():
-            raise DomainError(
-                "trace energies must be finite: the energy overflows the float range"
-            )
+            raise DomainError(_OVERFLOW)
         if not (energies[1:] < energies[:-1]).all():  # no difference to overflow
             raise DomainError("trace energies must strictly decrease")
         object.__setattr__(self, "start", start)
         object.__setattr__(self, "flipped", flipped)
         object.__setattr__(self, "energies", energies)
+
+    @classmethod
+    def _of(cls, start: np.ndarray, flipped: list[int], energies: list[float]) -> SolverTrace:
+        """The trace of a descent, which gives a read-only bipolar start, flips
+        in range and strictly decreasing energies: only an overflow, which
+        leaves the first or the last energy infinite, is checked."""
+        if not (math.isfinite(energies[0]) and math.isfinite(energies[-1])):
+            raise DomainError(_OVERFLOW)
+        flips, values = np.array(flipped, dtype=np.intp), np.array(energies)
+        flips.setflags(write=False)
+        values.setflags(write=False)
+        trace = object.__new__(cls)
+        object.__setattr__(trace, "start", start)
+        object.__setattr__(trace, "flipped", flips)
+        object.__setattr__(trace, "energies", values)
+        return trace
 
     @property
     def flips(self) -> int:
@@ -604,13 +626,15 @@ def decode_permutation(z_star) -> PermutationMatrix:
     NonSquareLength
         If the length is not a positive perfect square.
     NotAPermutation
-        If the state is not binary or the matrix is not a permutation.
-        The state is never repaired.
+        If the state is not one-dimensional, is not binary, or its matrix
+        is not a permutation.  The state is never repaired.
     """
-    z = _reals(z_star, "state entries", error=NotAPermutation, want="0 or 1").ravel()
+    z = _reals(z_star, "state entries", error=NotAPermutation, want="0 or 1")
     n = math.isqrt(z.size)
     if z.size == 0 or n * n != z.size:
         raise NonSquareLength(f"length {z.size} is not a positive perfect square")
+    if z.ndim != 1:  # an n x n matrix is no column-stacked state
+        raise NotAPermutation(f"state must be a one-dimensional vector, not of shape {z.shape}")
     return PermutationMatrix._of(_one_per_line(z, n, "state entries", column_stacked=True))
 
 

@@ -1,4 +1,6 @@
+import hashlib
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from qperm import (
     InvalidSize,
     MaxStepsExceeded,
     PenaltyMatrix,
+    SolverTrace,
     ValueVector,
     apply_permutation,
     ascending_program,
@@ -25,7 +28,15 @@ from qperm import hopfield
 
 from . import reference_run as ref
 from .conftest import make_program, paper_faithful, random_start, run_pipeline
-from .reference import binary_to_bipolar, dense, exact_sum, flip_gain, fraction_energy, vectorize
+from .reference import (
+    binary_to_bipolar,
+    dense,
+    descend,
+    exact_sum,
+    flip_gain,
+    fraction_energy,
+    vectorize,
+)
 
 
 def small_network(seed, n=3):
@@ -368,3 +379,175 @@ class TestOneDescentIsExact:
         z, trace, _ = run_pipeline(x, program)
         report = certify(x, program, z)
         assert report.feasible and report.optimal, (values.tolist(), kind, report)
+
+
+def x_of(regime, n):
+    """Distinct non-negative integers (the paper's regime) or Gaussian reals."""
+    rng = np.random.default_rng(n)
+    if regime == "paper":
+        return rng.choice(10 * n, size=n, replace=False).astype(float)
+    return rng.standard_normal(n)
+
+
+class TestFreeLines:
+    """A flip that sets the only active cell of a line reads the line's gains
+    off one kept n-vector; every other flip forms them with _line.  Both give
+    the same numbers, so only the call count shows which one ran."""
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 40])
+    @pytest.mark.parametrize("kind", sorted(PROGRAMS))
+    def test_default_builds_never_call_line(self, n, kind):
+        for regime in ("paper", "gaussian"):
+            with mock.patch.object(hopfield, "_line", wraps=hopfield._line) as line:
+                _, trace, _ = run_pipeline(ValueVector(x_of(regime, n)), PROGRAMS[kind](n))
+            assert trace.flips == n
+            assert line.call_count == 0
+
+    def test_unnormalized_build_and_random_start_call_line(self):
+        with mock.patch.object(hopfield, "_line", wraps=hopfield._line) as line:
+            run_pipeline(ValueVector(x_of("paper", 8)), heap_program(8), normalize=False)
+        assert line.call_count > 0
+        with mock.patch.object(hopfield, "_line", wraps=hopfield._line) as line:
+            hopfield._descend(small_network(4), random_start(9, 3), 81)
+        assert line.call_count > 0
+
+    def test_clearing_the_only_active_cell_of_a_line(self):
+        """Cell 4 is the start's one active cell, so the first flip clears the
+        only active cell of grid row 1 and of grid column 1; the clear goes
+        through _line, and descent takes the reference's flips, states and
+        energies bit for bit."""
+        theta = [1.25, -0.75, -2.0, -1.5, 0.25, -1.25, -0.75, -2.0, 1.25]
+        network = HopfieldInstance(PenaltyMatrix(3, 0.25, 0.5, 0.0), theta)
+        start = np.full(9, -1, dtype=np.int8)
+        start[4] = 1
+        with mock.patch.object(hopfield, "_line", wraps=hopfield._line) as line:
+            state, trace = hopfield._descend(network, start, 81)
+        assert trace.flipped.tolist() == [4, 2, 7, 1, 5, 3, 4, 6, 0, 8]
+        assert line.call_count > 0
+        reference_state, reference_trace = descend(*dense(network), start, 81)
+        assert state.tobytes() == reference_state.tobytes()
+        assert trace.flipped.tolist() == reference_trace.flipped.tolist()
+        assert trace.energies.tobytes() == reference_trace.energies.tobytes()
+
+
+class TestDescentTrace:
+    """SolverTrace._of adopts what descent kept and checks only its overflow."""
+
+    @pytest.mark.parametrize(
+        "energies", [[np.inf], [-np.inf], [np.inf, 0.0], [0.0, -np.inf], [1.0, 0.0, -np.inf]]
+    )
+    def test_refuses_an_infinite_first_or_last_energy(self, energies):
+        start = np.full(4, -1, dtype=np.int8)
+        with pytest.raises(
+            DomainError,
+            match="^trace energies must be finite: the energy overflows the float range$",
+        ):
+            SolverTrace._of(start, list(range(len(energies) - 1)), energies)
+
+    def test_holds_what_the_constructor_holds(self):
+        start = np.array([-1, 1, -1, -1], dtype=np.int8)
+        start.setflags(write=False)
+        adopted = SolverTrace._of(start, [0, 1], [2.0, 1.0, 0.5])
+        checked = SolverTrace(start, [0, 1], [2.0, 1.0, 0.5])
+        assert adopted.start is start
+        for name in ("start", "flipped", "energies"):
+            a, b = getattr(adopted, name), getattr(checked, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            assert not a.flags.writeable
+
+
+# sha256 of the bipolar endpoint (int8), trace.flipped (<i8) and
+# trace.energies (<f8), recorded before the free-line rewrite of descent.
+DESCENT_DIGESTS = {
+    ("paper", "ascending", 8, "default"):
+        "39a85d4ab73ffc5914e5ebb3ad2b07511043e2526c3d8c4de242945ae8f81afa",
+    ("paper", "bst", 8, "default"):
+        "a4fff5052a304d31e5d560a541e5ca025b10ffcbc13ca3b5293f2cec1a57bb07",
+    ("paper", "heap", 8, "default"):
+        "a496295844e2ec44688f044daec68cdf5ace4e6d06ccca668c4bb30c11e8c5a1",
+    ("gaussian", "ascending", 8, "default"):
+        "c4f7669fb5ba132a6e45e72b8cb7e1d0599ab87741b787de3b29f691ca6512f9",
+    ("gaussian", "bst", 8, "default"):
+        "0d198ae5235bf0fa9691ec34aac57e21bfe46b024a816dccf87b1fec8c4492e9",
+    ("gaussian", "heap", 8, "default"):
+        "5668a59f04153d3cc2129e528a6a4ae8e6b414c8ef4ae734f7f1079b402d33af",
+    ("paper", "ascending", 24, "default"):
+        "ce896305622b842e0e3f0dcbbdf081258d32decb19931f3fab913115d012ef75",
+    ("paper", "bst", 24, "default"):
+        "604c450dd9a379a6a279e35dd113d8e4c509fcd9b9f171a774535583d24a4e61",
+    ("paper", "heap", 24, "default"):
+        "54b0150e148cf3fb1c58718d7da634148c88388a4e68bf4028139748583b01a2",
+    ("gaussian", "ascending", 24, "default"):
+        "79e91ba75e6df05ce26826b5a406a7db88467f6dc9ecd61f35f8eef03ec299b3",
+    ("gaussian", "bst", 24, "default"):
+        "e7c3057a0bdee461e9a408e96a25f263d39fe634be2e4fd752fef5b15f7278fa",
+    ("gaussian", "heap", 24, "default"):
+        "2b120eae47cff45efee65a704034816526ae422d70eed045d85bdb3cdcbfbd94",
+    ("paper", "ascending", 40, "default"):
+        "eac7accf2f7b57373b6e34f667bbe24c6d458126989fab3b9b7261640ba8c03b",
+    ("paper", "bst", 40, "default"):
+        "fa96d836fe204bbe03bc49cf73c0021d32e351f4917aff256874e05d0831226e",
+    ("paper", "heap", 40, "default"):
+        "43750b194a9c685de1a6dda65da11c47eb294539d37c439e55fdb579a765ca57",
+    ("gaussian", "ascending", 40, "default"):
+        "e1f4df4b70008f6afc5922122b3aad296f41b8a7a0a61cf43565c60c7be315e0",
+    ("gaussian", "bst", 40, "default"):
+        "0ed19bdb001080e03e1ec29cbee4995f7639199fb822dfea2ed4f5e18b5cff06",
+    ("gaussian", "heap", 40, "default"):
+        "318ee55b12b1b852ed39f1ea8ca1d91c333b00f7ad3fcc488a9bad5286a2ed97",
+    ("paper", "ascending", 200, "default"):
+        "a74d34c4e036c9565d43bba7a4c42b42a61052a2243525cc7e530f13aa42d075",
+    ("paper", "bst", 200, "default"):
+        "553b211c1f2ff6d99c31312d9867f1840e47528e78aa4af28aeaa8cc94d7a317",
+    ("paper", "heap", 200, "default"):
+        "f6649b35e837f12702a6e89f32f2fe984c6d82712afb75aa2bbb8f015128ecd9",
+    ("gaussian", "ascending", 200, "default"):
+        "5cff0f2e17b32f4be1c012d3e1bc7521955daf62ba44b5f09cba4b05efaee3f9",
+    ("gaussian", "bst", 200, "default"):
+        "62512b2f3bd812932efc484a2a74378e4ac062321fbe0e996b5a54e1b9f9b6b8",
+    ("gaussian", "heap", 200, "default"):
+        "bb07dcdf8710554283cc4c0d12e1c16fa866c254726c97623cbcb96c13205981",
+    ("paper", "ascending", 40, "lambda"):
+        "5cee95528b51ed5bbca93dca2f75bc731d1de852ce524e09a61142139d064c41",
+    ("paper", "bst", 40, "lambda"):
+        "7f8fa656f4cb754d0ea63d6b5bfa7063e1b7992aec8a4b9ca8e02120734c906a",
+    ("paper", "heap", 40, "lambda"):
+        "2c83012a174ffc2e9f131668fb561c57f72cfe6c9245c0a31c0b6b75768e4f16",
+    ("gaussian", "ascending", 40, "lambda"):
+        "590c605dde21abf7b47c9ef35d8454ef6eec777255b262253f174230a8c41dd4",
+    ("gaussian", "bst", 40, "lambda"):
+        "830151234b5e05d5c95918c16b3bd38579209ba57fb823a8cbfb66ae109b66ee",
+    ("gaussian", "heap", 40, "lambda"):
+        "f4193df5b139c8f0e7aa48ede8ca70330a8ed6dc12d6ea731d0707e406036465",
+    ("paper", "ascending", 40, "raw"):
+        "4f7301fd059476b4bbbc6e70a3d5750e9fad4dc00986ccb6fe1f997ede17a9aa",
+    ("paper", "bst", 40, "raw"):
+        "eb35f47e1d0a4bf047cd54dbd1422dad6917ec214ff2f6c36ce7e91337541e73",
+    ("paper", "heap", 40, "raw"):
+        "0e8422198b3acad2d554a84f0f3e8c2502d46f363fdd4aa665de34ec57aff476",
+    ("gaussian", "ascending", 40, "raw"):
+        "67a603ca6da8a4051f53ec778a641f95454fb532834058d37881bf828e8ec458",
+    ("gaussian", "bst", 40, "raw"):
+        "3297739d2dbe08c83f41f4f4183aeabf7168ef98040397a06c417128f1a3a4d9",
+    ("gaussian", "heap", 40, "raw"):
+        "53a876148bf18b8445140cb83f3dad93b77fc0b1945863dbb4a56ea3fc1afdc9",
+}
+
+
+class TestPinnedDescent:
+    """Flips, states and energies at the sizes the benchmark runs, where the
+    reference descent is too slow to compare with."""
+
+    @pytest.mark.parametrize("regime, kind, n, build", sorted(DESCENT_DIGESTS))
+    def test_descent_digest(self, regime, kind, n, build):
+        weights = {
+            "default": {},
+            "lambda": {"lambda_r": 1.1001 * n, "lambda_c": 1.1001 * n},
+            "raw": {"normalize": False},
+        }[build]
+        z, trace, _ = run_pipeline(ValueVector(x_of(regime, n)), make_program(kind, n), **weights)
+        digest = hashlib.sha256()
+        for values, dtype in ((binary_to_bipolar(z), "<i1"), (trace.flipped, "<i8"),
+                              (trace.energies, "<f8")):
+            digest.update(np.ascontiguousarray(values, dtype=dtype).tobytes())
+        assert digest.hexdigest() == DESCENT_DIGESTS[regime, kind, n, build]

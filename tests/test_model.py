@@ -233,6 +233,21 @@ class TestDecodePermutation:
             decode_permutation(z)
         assert type(raised.value) is error
 
+    @pytest.mark.parametrize(
+        "state", [perm_matrix((1, 2, 0)), [[1, 0, 0, 1]], [[0], [1], [1], [0]], np.eye(1)]
+    )
+    def test_a_state_of_more_than_one_dimension_is_refused(self, state):
+        """The matrix of the mapping (1, 2, 0) once decoded as its transpose,
+        (2, 0, 1), and certify reported that mapping."""
+        message = f"state must be a one-dimensional vector, not of shape {np.shape(state)}"
+        with pytest.raises(NotAPermutation) as raised:
+            decode_permutation(state)
+        assert str(raised.value) == message
+        x = ValueVector([3.0, 1.0, 2.0][: math.isqrt(np.size(state))])
+        report = certify(x, ascending_program(x.n), state)
+        assert not report.feasible and report.mapping is None
+        assert report.notes == (f"decode failed: {message}",)
+
     def test_the_one_int_copy_is_kept(self):
         """The state is read once; matrix is a read-only int array, built
         from the mapping when it is read."""
