@@ -204,7 +204,7 @@ def _cmd_program(args) -> int:
         program = make(args.n, args.branching)
     else:
         raise QpermError(f"--branching applies to bst and heap programs, not {args.kind}")
-    _write_text(json.dumps(_program_to_dict(program), indent=2) + "\n", args.out)
+    _write_text(_program_text(program), args.out)
     return EXIT_OK
 
 
@@ -222,7 +222,7 @@ def _cmd_build(args) -> int:
             "offset": 2.0 * instance.matrix_R.self_coupling,
         },
         "x": x.entries.tolist(),
-        "program": _program_to_dict(program, with_n=False),
+        "program": _program_to_dict(program),
     }
     _write_text(json.dumps(payload) + "\n", args.out)
     return EXIT_OK
@@ -391,15 +391,20 @@ def _object(text: str, keys: tuple[str, ...]) -> dict:
     return data
 
 
-def _program_to_dict(program: OrderProgram, with_n: bool = True) -> dict:
-    payload = {
-        "kind": program.kind,
-        "branching": program.branching,
-        "ranks": list(program.ranks),
-    }
-    if with_n:
-        payload = {"n": program.n, **payload}
-    return payload
+def _program_to_dict(program: OrderProgram) -> dict:
+    return {"kind": program.kind, "branching": program.branching, "ranks": list(program.ranks)}
+
+
+def _program_text(program: OrderProgram) -> str:
+    """A program file: json.dumps of its n, kind, branching and ranks with
+    indent=2, and a newline.  json runs its pure-Python encoder whenever it
+    indents, so the layout is written out here; n, branching and the ranks
+    are ints, and only the kind needs json's escaping."""
+    ranks = ",\n    ".join(map(str, program.ranks))
+    return (
+        f'{{\n  "n": {program.n},\n  "kind": {json.dumps(program.kind)},\n'
+        f'  "branching": {program.branching},\n  "ranks": [\n    {ranks}\n  ]\n}}\n'
+    )
 
 
 def _write_text(text: str, path: Optional[str]) -> None:

@@ -17,14 +17,13 @@ w_r (R_b - s_ab) + w_c (C_a - s_ab), where R_b sums s over grid column b
 evaluates that expression, so every field is a fresh W @ s bit for bit at
 any finite weights.  Descent keeps the 2n counts and forms no W @ s: a
 flip at (a, b) recomputes grid row a and grid column b only, in O(n).  A
-flip that sets the only active cell of a line, as every flip does while
-descent from the all-inactive state pairs free rows with free columns,
-leaves its other cells the fields w_r (R_b + 1) + w_c (C_a + 1) with the
-line's own count at 2 - n, so the line takes one numpy call: descent
-keeps w_r (R + 1) + w_c (3 - n) and w_c (C + 1) + w_r (3 - n) as two
-n-vectors and moves one entry of each per flip.  A clear, or a line with
-another active cell, forms the line's gains from its cells.  The argmin
-over all gains is O(N) per flip, and no PenaltyMatrix is materialized.
+flip that sets the only active cell of a line leaves its other cells the
+fields w_r (R_b + 1) + w_c (C_a + 1) with the line's own count at 2 - n,
+so the line takes one numpy call: descent keeps w_r (R + 1) + w_c (3 - n)
+and w_c (C + 1) + w_r (3 - n) as two n-vectors and moves one entry of each
+per flip.  A clear, or a line with another active cell, forms the line's
+gains from its cells.  The argmin over all gains is O(N) per flip, and no
+PenaltyMatrix is materialized.
 
 Every energy, in the trace and from energy(), is E(s) correctly rounded,
 the same on any BLAS.  2 E(s) is kept as an integer count of 2^u, u at or
@@ -37,11 +36,27 @@ only after its exact energy, rounded, is seen to fall strictly: a gain
 that is 0 in exact arithmetic can round negative, and a true decrease can
 be below half an ulp of the energy, and descent stops before such a flip.
 
-solve always starts from the all-inactive state.  The trace it returns
-holds that start, the coordinate of every accepted flip and the energy
-before and after each, O(N + flips) numbers; its steps rebuild every
-visited state, plus one repeated final row that makes the stability of
-the endpoint visible in renderings of the run, only when read.
+solve always starts from the all-inactive state, and descent sets it up in
+closed form: every line sums to -n, so 2 E = -2 sum(theta) - (w_r + w_c)
+(n^3 - n^2), with sum(theta) summed exactly once, and every half gain is
+theta_i - h_0, h_0 = w_r (1 - n) + w_c (1 - n).  Its free-line phase lasts
+while every flip sets a cell in a free grid row and a free grid column.
+Every line then sums to -n or 2 - n, so an inactive cell of a taken line
+has one of three fields, and its half gain, rounding being monotone, is
+at least the bound min(theta) less the largest of them (once all n lines
+are taken, the field of a taken row and a taken column alone); an active
+cell's is above 0.  So a flip writes +inf over its grid row and column
+and keeps no counts: the least gain left is the argmin of all when it is
+below the bound, and the state is stable when it and the bound are both
+at least 0.  Otherwise, a NaN or a tie below -2^1023 included, descent
+forms every gain from the state once, as it does for any other start,
+and goes on flip by flip as above.  Default builds never leave that phase;
+normalize=False builds mostly do, many after the first flip.
+
+The trace solve returns holds the start, the coordinate of every accepted
+flip and the energy before and after each, O(N + flips) numbers; its steps
+rebuild every visited state, plus one repeated final row that makes the
+stability of the endpoint visible in renderings of the run, only when read.
 
 solve_qubo is the whole chain from a QuboInstance to a binary endpoint:
 fold_diagonal, to_ising, to_hopfield, solve, then bipolar_to_binary.
@@ -75,6 +90,8 @@ from .model import (
     _integral,
 )
 
+_TIED = -(2.0**1023)  # doubled, half gains at or below this are -inf and tie
+
 
 def energy(instance: HopfieldInstance, s) -> float:
     """-1/2 s^T W s + theta^T s at a bipolar state, correctly rounded, as descent records it."""
@@ -83,8 +100,7 @@ def energy(instance: HopfieldInstance, s) -> float:
         raise DimensionMismatch(
             f"state has {sv.size} coordinates, instance has {instance.dimension}"
         )
-    S = sv.reshape(instance.weights_W.n, -1)
-    twice, u, _, _ = _twice_energy(instance, sv, S.sum(axis=0), S.sum(axis=1))
+    twice, u, _, _ = _twice_energy(instance, sv)
     return _rounded(twice, u - 1)
 
 
@@ -122,7 +138,7 @@ def solve(
         budget = _integral(max_steps, "max_steps")
         if budget < 0:
             raise DomainError("max_steps must be non-negative")
-    return _descend(instance, np.full(N, -1, dtype=np.int8), budget)
+    return _descend(instance, None, budget)
 
 
 def solve_qubo(
@@ -138,92 +154,162 @@ def solve_qubo(
 
 
 def _descend(
-    instance: HopfieldInstance, start: np.ndarray, budget: int
+    instance: HopfieldInstance, start: Optional[np.ndarray], budget: int
 ) -> tuple[np.ndarray, SolverTrace]:
-    """Descend from a bipolar start."""
+    """Descend from a bipolar start, or from the all-inactive state if start is None."""
     W, theta = instance.weights_W, instance.bias_theta
     n, w_r, w_c = W.n, W.same_row, W.same_col
-    start = _bipolar(start, "start state")
-    s = start.astype(float)
+    free = start is None  # descent starts in its free-line phase
+    if free:
+        start = np.full(theta.size, -1, dtype=np.int8)
+        start.setflags(write=False)
+        s = np.full(theta.size, -1.0)
+        # Every line sums to -n: theta.s = -sum(theta), s^T W s = (w_r + w_c)(n^3 - n^2)
+        total, u, units_r, units_c = _units(W, theta)
+        twice = -2 * total - (units_r + units_c) * (n**3 - n**2)
+    else:
+        start = _bipolar(start, "start state")
+        s = start.astype(float)
+        twice, u, units_r, units_c = _twice_energy(instance, s)
     half = np.empty(s.size)  # half the gain of each flip
     S, G, T = s.reshape(n, n), half.reshape(n, n), theta.reshape(n, n)
-    R, C = S.sum(axis=0), S.sum(axis=1)
-    twice, u, units_r, units_c = _twice_energy(instance, s, R, C)
+    GT, TT, ST = G.T, T.T, S.T
     energies = [_rounded(twice, u - 1)]
     flipped: list[int] = []
     shift = 1 - u  # _scaled(x, u) and _rounded(m, u - 1), inline, both shift by 1 - u
     scale = 1 << shift
-    argmin, s_item, theta_item, R_item, C_item = half.argmin, s.item, theta.item, R.item, C.item
+    argmin, s_item, theta_item = half.argmin, s.item, theta.item
     last = energies[0]
+    stable = False
     # An overflowing field or gain is left to the energies, whose overflow
     # SolverTrace names, with no numpy warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        np.multiply(S, w_r * (R - S) + w_c * (C[:, None] - S) - T, G)
-        GT, TT, ST = G.T, T.T, S.T
-        # An inactive cell (a, b) has the field w_r (R_b + 1) + w_c (C_a + 1).
-        # After a flip that sets the only active cell of grid row a, C_a is
-        # 2 - n and every other cell (a, b') is inactive with the field
-        # rows[b']; cols[a'] likewise holds that of (a', b) when grid column b
-        # is left so.  A clear, or a line with another active cell, goes
-        # through _line.
-        free = 2.0 - n
         crossing_c, crossing_r = w_c * (3.0 - n), w_r * (3.0 - n)
-        rows, cols = w_r * (R + 1.0) + crossing_c, w_c * (C + 1.0) + crossing_r
-        while True:
-            i = int(argmin())  # ties: lowest index
-            gain = half.item(i)
-            if gain <= -(2.0**1023):  # doubled, such gains are -inf and tie
-                i = int((half <= -(2.0**1023)).argmax())
+        if free:
+            # Only free cells keep their gains.  An inactive cell (a, b) has the
+            # field w_r (R_b + 1) + w_c (C_a + 1), in a taken line one of taken,
+            # so its half gain is at least bound_some, or bound_all once all n
+            # lines are taken and only taken[2] is left.
+            free_c, free_r = w_c * (1.0 - n), w_r * (1.0 - n)
+            np.subtract(T, free_r + free_c, G)
+            low = theta.min()
+            taken = (free_r + crossing_c, crossing_r + free_c, crossing_r + crossing_c)
+            bound_some = float((low - np.array(taken)).min())  # NaN if a field is
+            bound_all = float(low - taken[2]) if n > 1 else math.inf
+            paired = (units_r + units_c) * (1 - n)  # w_r r + w_c c in units of 2^u, r = c = 1 - n
+            bound = math.inf  # no line is taken
+            while True:
+                i = int(argmin())  # ties: lowest index
                 gain = half.item(i)
-            if gain >= 0.0:
-                break
-            if len(flipped) >= budget:
-                raise MaxStepsExceeded(f"no stable state within {budget} flips")
-            a, b = divmod(i, n)
-            d = -s_item(i)
-            sets = d > 0.0
-            r, c = R_item(b) + d, C_item(a) + d  # the line sums without cell i
-            # 2E gains 4 d (theta_i - (W s)_i), where (W s)_i = w_r r + w_c c.
-            numerator, denominator = theta_item(i).as_integer_ratio()
-            t = numerator << (shift - denominator.bit_length())  # _scaled(theta_i, u)
-            step = 4 * (t - units_r * int(r) - units_c * int(c))
-            m = twice + step if sets else twice - step
-            try:
-                e = m / scale
-            except OverflowError:
-                e = _rounded(m, u - 1)
-            if not e < last:  # a rounded gain or energy shows no decrease
-                break
-            twice, last = m, e
-            flipped.append(i)
-            energies.append(e)
-            s[i] = d
-            r, c = r + d, c + d  # the line sums after the flip
-            R[b], C[a] = r, c
-            rows[b], cols[a] = w_r * (r + 1.0) + crossing_c, w_c * (c + 1.0) + crossing_r
-            if sets and c == free:  # grid row a, its other cells all inactive
-                np.subtract(T[a], rows, G[a])
-            else:
-                _line(G[a], T[a], S[a], R, w_r, c, w_c)
-            if sets and r == free:  # grid column b, likewise
-                np.subtract(TT[b], cols, GT[b])
-            else:
-                _line(GT[b], TT[b], ST[b], C, w_c, r, w_r)
-            half[i] = -gain  # W_ii = 0: flipping s_i leaves h_i as it was
+                if gain <= _TIED:
+                    i = int((half <= _TIED).argmax())
+                    gain = half.item(i)
+                if not (gain < bound and bound > _TIED):  # a cell of a taken line may be lower
+                    stable = gain >= 0.0 and bound >= 0.0
+                    break
+                if gain >= 0.0:
+                    stable = True
+                    break
+                if len(flipped) >= budget:
+                    raise MaxStepsExceeded(f"no stable state within {budget} flips")
+                numerator, denominator = theta_item(i).as_integer_ratio()
+                t = numerator << (shift - denominator.bit_length())  # _scaled(theta_i, u)
+                m = twice + 4 * (t - paired)
+                try:
+                    e = m / scale
+                except OverflowError:
+                    e = _rounded(m, u - 1)
+                if not e < last:  # a rounded gain or energy shows no decrease
+                    stable = True
+                    break
+                twice, last = m, e
+                flipped.append(i)
+                energies.append(e)
+                s[i] = 1.0
+                a, b = divmod(i, n)
+                G[a] = GT[b] = math.inf
+                bound = bound_some if len(flipped) < n else bound_all
+        if not stable:
+            R, C = _gains(G, S, T, w_r, w_c)
+            R_item, C_item = R.item, C.item
+            # An inactive cell (a, b) has the field w_r (R_b + 1) + w_c (C_a + 1).
+            # After a flip that sets the only active cell of grid row a, C_a is
+            # 2 - n and every other cell (a, b') is inactive with the field
+            # rows[b']; cols[a'] likewise holds that of (a', b) when grid column b
+            # is left so.  A clear, or a line with another active cell, goes
+            # through _line.
+            rows, cols = w_r * (R + 1.0) + crossing_c, w_c * (C + 1.0) + crossing_r
+            single = 2.0 - n  # the sum of a line with one active cell
+            while True:
+                i = int(argmin())  # ties: lowest index
+                gain = half.item(i)
+                if gain <= _TIED:
+                    i = int((half <= _TIED).argmax())
+                    gain = half.item(i)
+                if gain >= 0.0:
+                    break
+                if len(flipped) >= budget:
+                    raise MaxStepsExceeded(f"no stable state within {budget} flips")
+                a, b = divmod(i, n)
+                d = -s_item(i)
+                sets = d > 0.0
+                r, c = R_item(b) + d, C_item(a) + d  # the line sums without cell i
+                # 2E gains 4 d (theta_i - (W s)_i), where (W s)_i = w_r r + w_c c.
+                numerator, denominator = theta_item(i).as_integer_ratio()
+                t = numerator << (shift - denominator.bit_length())  # _scaled(theta_i, u)
+                step = 4 * (t - units_r * int(r) - units_c * int(c))
+                m = twice + step if sets else twice - step
+                try:
+                    e = m / scale
+                except OverflowError:
+                    e = _rounded(m, u - 1)
+                if not e < last:  # a rounded gain or energy shows no decrease
+                    break
+                twice, last = m, e
+                flipped.append(i)
+                energies.append(e)
+                s[i] = d
+                r, c = r + d, c + d  # the line sums after the flip
+                R[b], C[a] = r, c
+                rows[b], cols[a] = w_r * (r + 1.0) + crossing_c, w_c * (c + 1.0) + crossing_r
+                if sets and c == single:  # grid row a, its other cells all inactive
+                    np.subtract(T[a], rows, G[a])
+                else:
+                    _line(G[a], T[a], S[a], R, w_r, c, w_c)
+                if sets and r == single:  # grid column b, likewise
+                    np.subtract(TT[b], cols, GT[b])
+                else:
+                    _line(GT[b], TT[b], ST[b], C, w_c, r, w_r)
+                half[i] = -gain  # W_ii = 0: flipping s_i leaves h_i as it was
     return s.astype(np.int8), SolverTrace._of(start, flipped, energies)
 
 
-def _twice_energy(instance: HopfieldInstance, s: np.ndarray, R, C) -> tuple[int, int, int, int]:
+def _gains(G, S, T, w_r, w_c):
+    """Write half the gain of every flip at the grid state S into G; return
+    the line sums R (grid columns) and C (grid rows)."""
+    R, C = S.sum(axis=0), S.sum(axis=1)
+    np.multiply(S, w_r * (R - S) + w_c * (C[:, None] - S) - T, G)
+    return R, C
+
+
+def _twice_energy(instance: HopfieldInstance, s: np.ndarray) -> tuple[int, int, int, int]:
     """(twice, u, units_r, units_c): 2 E(s), w_r and w_c, exactly, in units of 2^u."""
     W = instance.weights_W
-    n, w_r, w_c = W.n, W.same_row, W.same_col
-    # 2^u divides both weights: their denominators are powers of two.
-    u = 1 - max(w.as_integer_ratio()[1] for w in (w_r, w_c)).bit_length()
-    dot, u = _dyadic(instance.bias_theta * s, u)
-    units_r, units_c = _scaled(w_r, u), _scaled(w_c, u)
+    n = W.n
+    S = s.reshape(n, n)
+    R, C = S.sum(axis=0), S.sum(axis=1)
+    dot, u, units_r, units_c = _units(W, instance.bias_theta * s)
     # s^T W s = w_r sum_b (R_b^2 - n) + w_c sum_a (C_a^2 - n), as W_ii = 0
     twice = 2 * dot - units_r * (int(R @ R) - n * n) - units_c * (int(C @ C) - n * n)
     return twice, u, units_r, units_c
+
+
+def _units(W, values: np.ndarray) -> tuple[int, int, int, int]:
+    """(m, u, units_r, units_c): the sum of values, w_r and w_c, exactly, in units of 2^u."""
+    # 2^u divides both weights: their denominators are powers of two.
+    u = 1 - max(w.as_integer_ratio()[1] for w in (W.same_row, W.same_col)).bit_length()
+    m, u = _dyadic(values, u)
+    return m, u, _scaled(W.same_row, u), _scaled(W.same_col, u)
 
 
 def _line(out, t, states, counts, w, count, v):

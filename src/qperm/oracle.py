@@ -96,10 +96,16 @@ def sort_optimum(x: ValueVector, program: OrderProgram) -> float:
     slot i holds the ranks[i]-th smallest value, so the optimum is
     -sum_i ranks[i] * sorted(x)[ranks[i] - 1].  No size guard applies.
     """
+    return _sort_optimum(x, program)[0]
+
+
+def _sort_optimum(x: ValueVector, program: OrderProgram) -> tuple[float, np.ndarray]:
+    """(sort_optimum(x, program), the entries of x sorted)."""
     if program.n != x.n:
         raise DimensionMismatch(f"x has {x.n} entries but the program has {program.n} slots")
+    ordered = np.sort(x.entries)
     ranks = np.asarray(program.ranks)
-    return -float(np.sort(x.entries)[ranks - 1] @ ranks.astype(float))
+    return -float(ordered[ranks - 1] @ ranks.astype(float)), ordered
 
 
 def certify(x: ValueVector, program: OrderProgram, solver_state) -> CertificateReport:
@@ -120,9 +126,8 @@ def certify(x: ValueVector, program: OrderProgram, solver_state) -> CertificateR
     """
     ranks = np.asarray(program.ranks, dtype=float)
     with np.errstate(over="ignore"):
-        best_value = sort_optimum(x, program)
+        best_value, ordered = _sort_optimum(x, program)
     notes: list[str] = []
-    ordered = np.sort(x.entries)
     if (ordered[1:] == ordered[:-1]).any():  # equal values sort next to each other; -0.0 == 0.0
         notes.append("objective-tie: duplicate input values admit several optimal arrangements")
     try:

@@ -146,6 +146,28 @@ class TestProgramCommand:
             assert main(["program", "--kind", "bst", "--n", "5", *flags]) == 0
             assert json.loads(capsys.readouterr().out)["branching"] == 2
 
+    @pytest.mark.parametrize("n", [1, 7, 40])
+    @pytest.mark.parametrize(
+        "kind, branching",
+        [("ascending", None), ("descending", None), ("bst", None), ("bst", 2),
+         ("heap", None), ("heap", 2), ("heap", 3)],
+    )
+    def test_text_is_json_indented_by_two(self, tmp_path, capsys, kind, branching, n):
+        """The file and stdout hold json.dumps(program, indent=2) and a newline, byte for byte."""
+        flags = [] if branching is None else ["--branching", str(branching)]
+        make = {"ascending": ascending_program, "descending": descending_program,
+                "bst": bst_program, "heap": heap_program}[kind]
+        program = make(n) if branching is None else make(n, branching)
+        expected = json.dumps(
+            {"n": n, "kind": kind, "branching": branching or 2, "ranks": list(program.ranks)},
+            indent=2,
+        ) + "\n"
+        out = tmp_path / "prog.json"
+        assert main(["program", "--kind", kind, "--n", str(n), *flags, "-o", str(out)]) == 0
+        assert out.read_bytes() == expected.encode()
+        assert main(["program", "--kind", kind, "--n", str(n), *flags]) == 0
+        assert capsys.readouterr().out == expected
+
 
 class TestBuildCommand:
     def test_qubo_file_contents(self, reference_files):

@@ -256,17 +256,21 @@ class TestDescentMatchesTwoProducts:
     @given(builder_networks(max_n=8, materialize=False))
     @settings(max_examples=60, deadline=None)
     def test_solve_runs_one_descent(self, network):
-        """solve is one descent from the all-inactive state, with a budget of N*N flips."""
+        """solve is one descent from the all-inactive state, which it leaves to
+        _descend to set up (start None), with a budget of N*N flips."""
         N = network.dimension
         start = np.full(N, -1, dtype=np.int8)
         with mock.patch.object(hopfield, "_descend", wraps=hopfield._descend) as descend:
             state, trace = solve(network)
         assert descend.call_count == 1
         _, called_start, budget = descend.call_args.args
-        assert np.array_equal(called_start, start)
+        assert called_start is None
         assert budget == N * N
+        assert np.array_equal(trace.start, start)
         assert np.array_equal(state, trace.final_state)
-        assert trace.flipped.tolist() == compare_descents(network, start).flipped.tolist()
+        checked = compare_descents(network, start)
+        assert trace.flipped.tolist() == checked.flipped.tolist()
+        assert bits(trace.energies) == bits(checked.energies)
 
     def test_exact_tie_after_a_row_update(self):
         """Coordinates 1 and 3 tie at a gain of exactly -0.9 after the first flip.

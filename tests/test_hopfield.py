@@ -13,10 +13,12 @@ from qperm import (
     InvalidSize,
     MaxStepsExceeded,
     PenaltyMatrix,
+    QpermError,
     SolverTrace,
     ValueVector,
     apply_permutation,
     ascending_program,
+    build_qubo,
     certify,
     decode_permutation,
     descending_program,
@@ -37,6 +39,8 @@ from .reference import (
     fraction_energy,
     vectorize,
 )
+from .test_dense_chain_equivalence import builder_networks
+from .test_structured_chain import builder_instances, chain, coefficients
 
 
 def small_network(seed, n=3):
@@ -430,6 +434,125 @@ class TestFreeLines:
         assert trace.energies.tobytes() == reference_trace.energies.tobytes()
 
 
+@st.composite
+def penalty_networks(draw):
+    """Any finite penalty weights and biases, the ends of the float range among them."""
+    n = draw(st.integers(1, 5))
+    theta = draw(st.lists(coefficients, min_size=n * n, max_size=n * n))
+    return HopfieldInstance(PenaltyMatrix(n, draw(coefficients), draw(coefficients), 0.0), theta)
+
+
+def networks():
+    """Every network strategy of the descent tests, on the library's PenaltyMatrix."""
+    return st.one_of(
+        builder_networks(materialize=False),
+        builder_instances(integer_lambda=True).map(lambda instance: chain(instance)[2]),
+        builder_instances(integer_lambda=False).map(lambda instance: chain(instance)[2]),
+        st.builds(small_network, st.integers(0, 2**32 - 1), st.integers(1, 6)),
+        penalty_networks(),
+    )
+
+
+def outcome(network, start, budget):
+    """What _descend returns, as comparable values, or the error it raises."""
+    try:
+        state, trace = hopfield._descend(network, start, budget)
+    except QpermError as exc:
+        return type(exc), str(exc)
+    return (state.dtype, state.tobytes(), trace.start.dtype, trace.start.flags.writeable,
+            trace.start.tobytes(), trace.flipped.tolist(), trace.energies.tobytes())
+
+
+def rebuilds(run):
+    """run() and the number of active cells at each call of _gains during it."""
+    gains, active = hopfield._gains, []
+
+    def counted(G, S, *rest):
+        active.append(int((S > 0).sum()))
+        return gains(G, S, *rest)
+
+    with mock.patch.object(hopfield, "_gains", side_effect=counted):
+        return run(), active
+
+
+class TestAllInactiveStart:
+    """solve passes no start: _descend sets the all-inactive state up in closed
+    form and keeps only the gains of free lines while every flip pairs a free
+    row with a free column, forming every gain from the state, once, when the
+    argmin may be a cell it does not keep.  An explicit start forms every gain
+    from the state from the outset, so the two descents must agree."""
+
+    @given(networks(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_same_descent_as_from_the_explicit_start(self, network, data):
+        N = network.dimension
+        budget = data.draw(st.integers(0, N * N), label="budget")
+        explicit = outcome(network, np.full(N, -1, dtype=np.int8), budget)
+        assert outcome(network, None, budget) == explicit
+
+    @pytest.mark.parametrize(
+        "w_r, w_c, theta",
+        [
+            # the first flip: cells 1, 2 and 3 have gains of -1.1e308 to -1.6e308
+            (-5e307, -6e307, [9.5e307, 1.0, 0.0, -5e307]),
+            # every free field overflows, so after the first flip the free
+            # cell 3 has the gain -inf, and cell 1, in the taken row, -1.6e308
+            (-1.7e308, -1e307, [1.5e308, 1.0, 1.0, 5e307]),
+        ],
+    )
+    def test_gains_tied_below_the_float_range(self, w_r, w_c, theta):
+        """Doubled, half gains at or below -2^1023 are -inf and tie, so the
+        lowest index among them is flipped, not the least gain."""
+        network = HopfieldInstance(PenaltyMatrix(2, w_r, w_c, 0.0), theta)
+        explicit = outcome(network, np.full(4, -1, dtype=np.int8), 16)
+        assert outcome(network, None, 16) == explicit
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8])
+    @pytest.mark.parametrize("kind", sorted(PROGRAMS))
+    @pytest.mark.parametrize("weights", ["default", "lambda"])
+    def test_default_and_scaled_builds_never_rebuild(self, n, kind, weights):
+        keywords = {} if weights == "default" else {"lambda_r": 1.1001 * n, "lambda_c": 1.1001 * n}
+        for regime in ("paper", "gaussian"):
+            x = ValueVector(x_of(regime, n))
+            (_, trace, _), active = rebuilds(lambda: run_pipeline(x, PROGRAMS[kind](n), **keywords))
+            assert trace.flips == n
+            assert active == []
+
+    @pytest.mark.parametrize(
+        "x, active, flips, lines",
+        [(x_of("paper", 8), [1], 40, 64),  # the paper's regime: after the first flip
+         (np.random.default_rng(2).normal(size=8), [7], 8, 1)],  # signed: after 7 of 8
+    )
+    def test_unnormalized_builds_rebuild_once(self, x, active, flips, lines):
+        """A normalize=False build leaves the free-line phase once; the flips
+        after it update 2 (flips - active) lines, some off the kept n-vectors
+        and the rest with _line, and descent takes the reference's flips,
+        states and energies on the materialized network."""
+        with mock.patch.object(hopfield, "_line", wraps=hopfield._line) as line:
+            (z, trace, instance), seen = rebuilds(
+                lambda: run_pipeline(ValueVector(x), heap_program(8), normalize=False)
+            )
+        assert seen == active
+        assert trace.flips == flips
+        assert line.call_count == lines
+        reference_state, reference_trace = descend(*dense(_reference_network(instance)))
+        assert binary_to_bipolar(z).tobytes() == reference_state.tobytes()
+        assert trace.flipped.tolist() == reference_trace.flipped.tolist()
+        assert trace.energies.tobytes() == reference_trace.energies.tobytes()
+
+    def test_an_explicit_start_forms_the_gains_at_set_up(self):
+        _, active = rebuilds(lambda: hopfield._descend(small_network(4), random_start(9, 3), 81))
+        assert active == [int((random_start(9, 3) > 0).sum())]
+
+    def test_an_overflowing_start_energy_is_named_from_either_start(self):
+        """Penalty weights of 3e306 carry the start energy to -inf."""
+        x = ValueVector([3, 1, 2, 5, 4, 0, 7, 6])
+        network = chain(build_qubo(x, ascending_program(8), lambda_r=3e306, lambda_c=3e306))[2]
+        named = (DomainError, "trace energies must be finite: the energy overflows the float range")
+        assert outcome(network, None, 64 * 64) == named
+        assert outcome(network, np.full(64, -1, dtype=np.int8), 64 * 64) == named
+
+
 class TestDescentTrace:
     """SolverTrace._of adopts what descent kept and checks only its overflow."""
 
@@ -545,7 +668,10 @@ class TestPinnedDescent:
             "lambda": {"lambda_r": 1.1001 * n, "lambda_c": 1.1001 * n},
             "raw": {"normalize": False},
         }[build]
-        z, trace, _ = run_pipeline(ValueVector(x_of(regime, n)), make_program(kind, n), **weights)
+        (z, trace, _), active = rebuilds(
+            lambda: run_pipeline(ValueVector(x_of(regime, n)), make_program(kind, n), **weights)
+        )
+        assert len(active) == (build == "raw")  # only normalize=False leaves the free lines
         digest = hashlib.sha256()
         for values, dtype in ((binary_to_bipolar(z), "<i1"), (trace.flipped, "<i8"),
                               (trace.energies, "<f8")):

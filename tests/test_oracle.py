@@ -1,9 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qperm
+from qperm import oracle
 from qperm import (
     DimensionMismatch,
     OrderProgram,
@@ -293,6 +296,16 @@ class TestCertify:
         report = certify(x, ascending_program(x.n), vectorize(np.eye(x.n)))
         noted = any("objective-tie" in note for note in report.notes)
         assert noted == (len(set(values)) < len(values))
+
+    @pytest.mark.parametrize("kind", ["ascending", "bst", "heap"])
+    def test_sorts_the_values_once(self, reference_x, kind):
+        """The optimum and the tie note read one sort of x."""
+        program = make_program(kind, 7)
+        z, _, _ = run_pipeline(reference_x, program)
+        with mock.patch.object(oracle.np, "sort", wraps=np.sort) as sort:
+            report = certify(reference_x, program, z)
+        assert report.passed
+        assert sort.call_count == 1
 
     def test_wrong_state_size_fails(self, reference_x):
         report = certify(reference_x, ascending_program(7), vectorize(np.eye(2)))
