@@ -259,16 +259,11 @@ def _cmd_verify(args) -> int:
         ("objective vs oracle", report.optimal),
         (f"structure ({program.kind})", report.structure_valid),
     ]
-    failed = False
     for label, outcome in checks:
-        if outcome is None:
-            print(f"{label:<24} SKIP")
-            continue
-        print(f"{label:<24} {'PASS' if outcome else 'FAIL'}")
-        failed = failed or not outcome
+        print(f"{label:<24} {'SKIP' if outcome is None else 'PASS' if outcome else 'FAIL'}")
     for note in report.notes:
         print(f"note: {note}")
-    return EXIT_FAILED_CERTIFICATE if failed else EXIT_OK
+    return EXIT_OK if report.passed else EXIT_FAILED_CERTIFICATE
 
 
 def _load(path: str, read):

@@ -45,13 +45,19 @@ Every line then sums to -n or 2 - n, so an inactive cell of a taken line
 has one of three fields, and its half gain, rounding being monotone, is
 at least the bound min(theta) less the largest of them (once all n lines
 are taken, the field of a taken row and a taken column alone); an active
-cell's is above 0.  So a flip writes +inf over its grid row and column
-and keeps no counts: the least gain left is the argmin of all when it is
-below the bound, and the state is stable when it and the bound are both
-at least 0.  Otherwise, a NaN or a tie below -2^1023 included, descent
-forms every gain from the state once, as it does for any other start,
-and goes on flip by flip as above.  Default builds never leave that phase;
-normalize=False builds mostly do, many after the first flip.
+cell's is above 0.  So a flip's line sums without its cell are 1 - n, and
+the flip writes +inf over its grid row and column and keeps no counts:
+the least gain left is the argmin of all when it is below the bound, and
+the state is stable when it and the bound are both at least 0.
+Otherwise, a NaN or a tie below -2^1023 included, descent leaves the
+phase: it forms every gain and the 2n counts from the state once, and the
+same loop goes on flip by flip as above.  That rebuild is the only way
+into the general phase; an explicit start, whose bound is -inf, takes it
+before its first flip.  Default builds never leave the free-line phase;
+normalize=False builds mostly do, many after the first flip.  Both
+phases run one loop, which differs between them only in the exit test,
+the step's line sums (1 - n, or the counts) and the rewrite of the flip's
+grid row and column (+inf, or their gains).
 
 The trace solve returns holds the start, the coordinate of every accepted
 flip and the energy before and after each, O(N + flips) numbers; its steps
@@ -94,8 +100,15 @@ _TIED = -(2.0**1023)  # doubled, half gains at or below this are -inf and tie
 
 
 def energy(instance: HopfieldInstance, s) -> float:
-    """-1/2 s^T W s + theta^T s at a bipolar state, correctly rounded, as descent records it."""
-    sv = _bipolar(s, "state").ravel().astype(float)
+    """-1/2 s^T W s + theta^T s at a bipolar state, correctly rounded, as descent records it.
+
+    The state is the column-stacked vector of length N; an n x n grid is
+    refused, not read as its transpose.
+    """
+    sv = _bipolar(s, "state")
+    if sv.ndim != 1:
+        raise DomainError(f"state must be a bipolar vector, not of shape {sv.shape}")
+    sv = sv.astype(float)
     if sv.size != instance.dimension:
         raise DimensionMismatch(
             f"state has {sv.size} coordinates, instance has {instance.dimension}"
@@ -159,128 +172,109 @@ def _descend(
     """Descend from a bipolar start, or from the all-inactive state if start is None."""
     W, theta = instance.weights_W, instance.bias_theta
     n, w_r, w_c = W.n, W.same_row, W.same_col
-    free = start is None  # descent starts in its free-line phase
-    if free:
-        start = np.full(theta.size, -1, dtype=np.int8)
-        start.setflags(write=False)
-        s = np.full(theta.size, -1.0)
-        # Every line sums to -n: theta.s = -sum(theta), s^T W s = (w_r + w_c)(n^3 - n^2)
-        total, u, units_r, units_c = _units(W, theta)
-        twice = -2 * total - (units_r + units_c) * (n**3 - n**2)
-    else:
-        start = _bipolar(start, "start state")
-        s = start.astype(float)
-        twice, u, units_r, units_c = _twice_energy(instance, s)
-    half = np.empty(s.size)  # half the gain of each flip
-    S, G, T = s.reshape(n, n), half.reshape(n, n), theta.reshape(n, n)
-    GT, TT, ST = G.T, T.T, S.T
-    energies = [_rounded(twice, u - 1)]
-    flipped: list[int] = []
-    shift = 1 - u  # _scaled(x, u) and _rounded(m, u - 1), inline, both shift by 1 - u
-    scale = 1 << shift
-    argmin, s_item, theta_item = half.argmin, s.item, theta.item
-    last = energies[0]
-    stable = False
     # An overflowing field or gain is left to the energies, whose overflow
     # SolverTrace names, with no numpy warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        crossing_c, crossing_r = w_c * (3.0 - n), w_r * (3.0 - n)
-        if free:
-            # Only free cells keep their gains.  An inactive cell (a, b) has the
-            # field w_r (R_b + 1) + w_c (C_a + 1), in a taken line one of taken,
-            # so its half gain is at least bound_some, or bound_all once all n
-            # lines are taken and only taken[2] is left.
-            free_c, free_r = w_c * (1.0 - n), w_r * (1.0 - n)
-            np.subtract(T, free_r + free_c, G)
-            low = theta.min()
-            taken = (free_r + crossing_c, crossing_r + free_c, crossing_r + crossing_c)
-            bound_some = float((low - np.array(taken)).min())  # NaN if a field is
-            bound_all = float(low - taken[2]) if n > 1 else math.inf
-            paired = (units_r + units_c) * (1 - n)  # w_r r + w_c c in units of 2^u, r = c = 1 - n
+        free_c, free_r = w_c * (1.0 - n), w_r * (1.0 - n)  # w (R + 1) with R = -n
+        crossing_c, crossing_r = w_c * (3.0 - n), w_r * (3.0 - n)  # and with R = 2 - n
+        if start is None:
+            start = np.full(theta.size, -1, dtype=np.int8)
+            start.setflags(write=False)
+            s = np.full(theta.size, -1.0)
+            # Every line sums to -n: theta.s = -sum(theta), s^T W s = (w_r + w_c)(n^3 - n^2)
+            total, u, units_r, units_c = _units(W, theta)
+            twice = -2 * total - (units_r + units_c) * (n**3 - n**2)
+            half = theta - (free_r + free_c)  # half the gain of each flip
             bound = math.inf  # no line is taken
-            while True:
-                i = int(argmin())  # ties: lowest index
+        else:
+            start = _bipolar(start, "start state")
+            s = start.astype(float)
+            twice, u, units_r, units_c = _twice_energy(instance, s)
+            half = np.zeros(s.size)  # formed by the rebuild, before the first flip
+            bound = -math.inf  # the first pick leaves the free-line phase
+        S, G, T = s.reshape(n, n), half.reshape(n, n), theta.reshape(n, n)
+        GT, TT, ST = G.T, T.T, S.T
+        # While free, only free cells keep their gains.  An inactive cell (a, b)
+        # has the field w_r (R_b + 1) + w_c (C_a + 1), in a taken line one of
+        # taken, so its half gain is at least bound_some, or bound_all once all
+        # n lines are taken and only taken[2] is left.
+        low = theta.min()
+        taken = (free_r + crossing_c, crossing_r + free_c, crossing_r + crossing_c)
+        bound_some = float((low - np.array(taken)).min())  # NaN if a field is
+        bound_all = float(low - taken[2]) if n > 1 else math.inf
+        paired = (units_r + units_c) * (1 - n)  # w_r r + w_c c in units of 2^u, r = c = 1 - n
+        free = True  # descent starts in its free-line phase
+        single = 2.0 - n  # the sum of a line with one active cell
+        energies = [_rounded(twice, u - 1)]
+        flipped: list[int] = []
+        shift = 1 - u  # _scaled(x, u) and _rounded(m, u - 1), inline, both shift by 1 - u
+        scale = 1 << shift
+        argmin, s_item, theta_item = half.argmin, s.item, theta.item
+        last = energies[0]
+        while True:
+            i = int(argmin())  # ties: lowest index
+            gain = half.item(i)
+            if gain <= _TIED:
+                i = int((half <= _TIED).argmax())
                 gain = half.item(i)
-                if gain <= _TIED:
-                    i = int((half <= _TIED).argmax())
-                    gain = half.item(i)
-                if not (gain < bound and bound > _TIED):  # a cell of a taken line may be lower
-                    stable = gain >= 0.0 and bound >= 0.0
+            if free and not (gain < bound and bound > _TIED):  # a taken line's cell may be lower
+                if gain >= 0.0 and bound >= 0.0:
                     break
-                if gain >= 0.0:
-                    stable = True
-                    break
-                if len(flipped) >= budget:
-                    raise MaxStepsExceeded(f"no stable state within {budget} flips")
-                numerator, denominator = theta_item(i).as_integer_ratio()
-                t = numerator << (shift - denominator.bit_length())  # _scaled(theta_i, u)
-                m = twice + 4 * (t - paired)
-                try:
-                    e = m / scale
-                except OverflowError:
-                    e = _rounded(m, u - 1)
-                if not e < last:  # a rounded gain or energy shows no decrease
-                    stable = True
-                    break
-                twice, last = m, e
-                flipped.append(i)
-                energies.append(e)
-                s[i] = 1.0
-                a, b = divmod(i, n)
+                # Leave the free-line phase: form every gain from the state, once.
+                free = False
+                R, C = _gains(G, S, T, w_r, w_c)
+                R_item, C_item = R.item, C.item
+                # An inactive cell (a, b) has the field w_r (R_b + 1) + w_c (C_a + 1).
+                # After a flip that sets the only active cell of grid row a, C_a is
+                # 2 - n and every other cell (a, b') is inactive with the field
+                # rows[b']; cols[a'] likewise holds that of (a', b) when grid column
+                # b is left so.  A clear, or a line with another active cell, goes
+                # through _line.
+                rows, cols = w_r * (R + 1.0) + crossing_c, w_c * (C + 1.0) + crossing_r
+                continue
+            if gain >= 0.0:
+                break
+            if len(flipped) >= budget:
+                raise MaxStepsExceeded(f"no stable state within {budget} flips")
+            a, b = divmod(i, n)
+            if free:  # a free row and a free column: it sets the cell
+                d, lines = 1.0, paired
+            else:
+                d = -s_item(i)
+                r, c = R_item(b) + d, C_item(a) + d  # the line sums without cell i
+                lines = units_r * int(r) + units_c * int(c)
+            sets = d > 0.0
+            # 2E gains 4 d (theta_i - (W s)_i), where (W s)_i = w_r r + w_c c.
+            numerator, denominator = theta_item(i).as_integer_ratio()
+            t = numerator << (shift - denominator.bit_length())  # _scaled(theta_i, u)
+            step = 4 * (t - lines)
+            m = twice + step if sets else twice - step
+            try:
+                e = m / scale
+            except OverflowError:
+                e = _rounded(m, u - 1)
+            if not e < last:  # a rounded gain or energy shows no decrease
+                break
+            twice, last = m, e
+            flipped.append(i)
+            energies.append(e)
+            s[i] = d
+            if free:  # its line's other cells are taken: keep no gain there
                 G[a] = GT[b] = math.inf
                 bound = bound_some if len(flipped) < n else bound_all
-        if not stable:
-            R, C = _gains(G, S, T, w_r, w_c)
-            R_item, C_item = R.item, C.item
-            # An inactive cell (a, b) has the field w_r (R_b + 1) + w_c (C_a + 1).
-            # After a flip that sets the only active cell of grid row a, C_a is
-            # 2 - n and every other cell (a, b') is inactive with the field
-            # rows[b']; cols[a'] likewise holds that of (a', b) when grid column b
-            # is left so.  A clear, or a line with another active cell, goes
-            # through _line.
-            rows, cols = w_r * (R + 1.0) + crossing_c, w_c * (C + 1.0) + crossing_r
-            single = 2.0 - n  # the sum of a line with one active cell
-            while True:
-                i = int(argmin())  # ties: lowest index
-                gain = half.item(i)
-                if gain <= _TIED:
-                    i = int((half <= _TIED).argmax())
-                    gain = half.item(i)
-                if gain >= 0.0:
-                    break
-                if len(flipped) >= budget:
-                    raise MaxStepsExceeded(f"no stable state within {budget} flips")
-                a, b = divmod(i, n)
-                d = -s_item(i)
-                sets = d > 0.0
-                r, c = R_item(b) + d, C_item(a) + d  # the line sums without cell i
-                # 2E gains 4 d (theta_i - (W s)_i), where (W s)_i = w_r r + w_c c.
-                numerator, denominator = theta_item(i).as_integer_ratio()
-                t = numerator << (shift - denominator.bit_length())  # _scaled(theta_i, u)
-                step = 4 * (t - units_r * int(r) - units_c * int(c))
-                m = twice + step if sets else twice - step
-                try:
-                    e = m / scale
-                except OverflowError:
-                    e = _rounded(m, u - 1)
-                if not e < last:  # a rounded gain or energy shows no decrease
-                    break
-                twice, last = m, e
-                flipped.append(i)
-                energies.append(e)
-                s[i] = d
-                r, c = r + d, c + d  # the line sums after the flip
-                R[b], C[a] = r, c
-                rows[b], cols[a] = w_r * (r + 1.0) + crossing_c, w_c * (c + 1.0) + crossing_r
-                if sets and c == single:  # grid row a, its other cells all inactive
-                    np.subtract(T[a], rows, G[a])
-                else:
-                    _line(G[a], T[a], S[a], R, w_r, c, w_c)
-                if sets and r == single:  # grid column b, likewise
-                    np.subtract(TT[b], cols, GT[b])
-                else:
-                    _line(GT[b], TT[b], ST[b], C, w_c, r, w_r)
-                half[i] = -gain  # W_ii = 0: flipping s_i leaves h_i as it was
+                continue
+            r, c = r + d, c + d  # the line sums after the flip
+            R[b], C[a] = r, c
+            rows[b], cols[a] = w_r * (r + 1.0) + crossing_c, w_c * (c + 1.0) + crossing_r
+            if sets and c == single:  # grid row a, its other cells all inactive
+                np.subtract(T[a], rows, G[a])
+            else:
+                _line(G[a], T[a], S[a], R, w_r, c, w_c)
+            if sets and r == single:  # grid column b, likewise
+                np.subtract(TT[b], cols, GT[b])
+            else:
+                _line(GT[b], TT[b], ST[b], C, w_c, r, w_r)
+            half[i] = -gain  # W_ii = 0: flipping s_i leaves h_i as it was
     return s.astype(np.int8), SolverTrace._of(start, flipped, energies)
 
 
@@ -288,7 +282,7 @@ def _gains(G, S, T, w_r, w_c):
     """Write half the gain of every flip at the grid state S into G; return
     the line sums R (grid columns) and C (grid rows)."""
     R, C = S.sum(axis=0), S.sum(axis=1)
-    np.multiply(S, w_r * (R - S) + w_c * (C[:, None] - S) - T, G)
+    _line(G, T, S, R, w_r, C[:, None], w_c)
     return R, C
 
 
@@ -313,7 +307,8 @@ def _units(W, values: np.ndarray) -> tuple[int, int, int, int]:
 
 
 def _line(out, t, states, counts, w, count, v):
-    """Half gains of a line whose sum is count, weight v, crossed by counts, weight w."""
+    """Half gains of a line whose sum is count, weight v, crossed by counts,
+    weight w; of the whole grid when count is a column of the grid rows' sums."""
     h = w * (counts - states) + v * (count - states)
     np.multiply(states, h - t, out)
 

@@ -321,10 +321,14 @@ class ValueVector:
     With a negative entry a product can be largest for the smallest value
     and the smallest rank, so the same greedy pairing is no longer sorted.
 
-    The argument holds in exact arithmetic.  Distinct values closer than
-    about 2^-52 of the spread look equal to the descent's gains, and may
-    come back out of order; certify checks the order exactly and fails
-    such an arrangement.
+    The argument holds in exact arithmetic.  Distinct values close
+    together look equal to the descent's gains, and may come back out of
+    order; certify checks the order exactly and fails such an
+    arrangement.  How close is far more than 2^-52 of the spread, and
+    grows with n: on ascending programs over the integers {0, 1, 2} plus
+    N(0, sigma^2) noise, 5 of 5 seeds failed at n = 100 with sigma = 1e-9,
+    though no two values were closer than 9.8e-15 of the spread, and 4 of
+    5 at n = 600 with sigma = 1e-6, no two closer than 7.5e-13.
     """
 
     entries: np.ndarray

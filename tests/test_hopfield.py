@@ -194,6 +194,33 @@ class TestGainBookkeeping:
             )
 
 
+class TestEnergyOfAState:
+    """energy() reads the column-stacked state of length N.  Ravelled row by
+    row, an n x n grid would read as its transpose: the endpoint of x =
+    [3, 1, 2], ascending, as its bipolar matrix grid gave -16.67, not the
+    endpoint's -17.67."""
+
+    @pytest.fixture
+    def endpoint(self):
+        z, trace, instance = run_pipeline(ValueVector([3, 1, 2]), ascending_program(3))
+        return chain(instance)[2], z, trace
+
+    def test_a_vector_gives_the_final_energy(self, endpoint):
+        network, z, trace = endpoint
+        s = binary_to_bipolar(z)
+        for state in (s, s.tolist(), s.astype(float)):
+            assert energy(network, state) == trace.final_energy == -17.666666666666664
+
+    @pytest.mark.parametrize("shape", [(3, 3), (1, 9)])
+    def test_any_other_shape_is_refused(self, endpoint, shape):
+        network, z, _ = endpoint
+        grid = 2 * decode_permutation(z).matrix - 1
+        for state in (binary_to_bipolar(z).reshape(shape), grid.reshape(shape)):
+            with pytest.raises(DomainError) as raised:
+                energy(network, state)
+            assert str(raised.value) == f"state must be a bipolar vector, not of shape {shape}"
+
+
 class TestDescent:
     def test_energy_strictly_decreases_until_stable(self):
         network = small_network(4)
@@ -520,14 +547,15 @@ class TestAllInactiveStart:
 
     @pytest.mark.parametrize(
         "x, active, flips, lines",
-        [(x_of("paper", 8), [1], 40, 64),  # the paper's regime: after the first flip
-         (np.random.default_rng(2).normal(size=8), [7], 8, 1)],  # signed: after 7 of 8
+        [(x_of("paper", 8), [1], 40, 65),  # the paper's regime: after the first flip
+         (np.random.default_rng(2).normal(size=8), [7], 8, 2)],  # signed: after 7 of 8
     )
     def test_unnormalized_builds_rebuild_once(self, x, active, flips, lines):
-        """A normalize=False build leaves the free-line phase once; the flips
-        after it update 2 (flips - active) lines, some off the kept n-vectors
-        and the rest with _line, and descent takes the reference's flips,
-        states and energies on the materialized network."""
+        """A normalize=False build leaves the free-line phase once; the rebuild
+        forms the whole grid with one _line call, the flips after it update
+        2 (flips - active) lines, some off the kept n-vectors and the rest
+        with _line, and descent takes the reference's flips, states and
+        energies on the materialized network."""
         with mock.patch.object(hopfield, "_line", wraps=hopfield._line) as line:
             (z, trace, instance), seen = rebuilds(
                 lambda: run_pipeline(ValueVector(x), heap_program(8), normalize=False)
@@ -543,6 +571,33 @@ class TestAllInactiveStart:
     def test_an_explicit_start_forms_the_gains_at_set_up(self):
         _, active = rebuilds(lambda: hopfield._descend(small_network(4), random_start(9, 3), 81))
         assert active == [int((random_start(9, 3) > 0).sum())]
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("network", [
+        HopfieldInstance(PenaltyMatrix(3, 0.25, 0.5, 0.0),
+                         [1.25, -0.75, -2.0, -1.5, 0.25, -1.25, -0.75, -2.0, 1.25]),
+        chain(build_qubo(ValueVector(x_of("paper", 4)), heap_program(4), normalize=False))[2],
+    ], ids=["dyadic", "unnormalized"])
+    def test_an_explicit_start_rebuilds_once_before_its_first_flip(self, network, seed):
+        """An explicit start leaves the free-line phase at its first pick:
+        _gains runs once, on the start itself, and descent takes the
+        reference's flips, states and energies bit for bit."""
+        N = network.dimension
+        start = random_start(N, seed)
+        gains, seen = hopfield._gains, []
+
+        def recorded(G, S, *rest):
+            seen.append(S.ravel().astype(np.int8))
+            return gains(G, S, *rest)
+
+        with mock.patch.object(hopfield, "_gains", side_effect=recorded):
+            state, trace = hopfield._descend(network, start, N * N)
+        assert trace.flips > 0
+        assert [s.tobytes() for s in seen] == [start.tobytes()]
+        reference_state, reference_trace = descend(*dense(network), start, N * N)
+        assert state.tobytes() == reference_state.tobytes()
+        assert trace.flipped.tolist() == reference_trace.flipped.tolist()
+        assert trace.energies.tobytes() == reference_trace.energies.tobytes()
 
     def test_an_overflowing_start_energy_is_named_from_either_start(self):
         """Penalty weights of 3e306 carry the start energy to -inf."""
