@@ -34,9 +34,10 @@ read as the PenaltyMatrix it equals entry for entry, with the
 coefficients R[0][n], R[0][1] and R[0][0]; every file that build wrote
 has that form, so every form of one instance prints the same output.
 Any other "R" exits 2.  A file holds exactly one of "penalty" and "R",
-and exactly one of "reward" and "r".  build also embeds "x" and
-"program" so that solve can print the arranged values.  solve checks
-the whole file, "x" included, before it descends or prints anything;
+and exactly one of "reward" and "r".  build also embeds "x", from which
+solve prints the arranged values, and "program", which solve ignores:
+it records the arrangement the file was built for.  solve checks the
+whole file, "x" included, before it descends or prints anything;
 "n" must be an integer whose square is the dimension of both terms, and
 so must the "n" and "branching" of a program file.  Every error in the
 content of an x, program or QUBO file is one line that names the file.

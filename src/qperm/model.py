@@ -134,7 +134,7 @@ class PenaltyMatrix:
 
     def __matmul__(self, other) -> np.ndarray:
         """M @ v for a vector v."""
-        v = np.asarray(other, dtype=float)
+        v = _reals(other, "the operand")
         if v.ndim != 1:
             raise DimensionMismatch("M @ v takes a vector; multiply stacked rows as Z @ M")
         return self.__rmatmul__(v)
@@ -145,7 +145,7 @@ class PenaltyMatrix:
         M is symmetric, so each row times M is M times that row; it is
         read off the row and column sums of the row's cells.
         """
-        v = np.asarray(other, dtype=float)
+        v = np.asarray(_reals(other, "the operand"), dtype=float)
         n = self.n
         if v.ndim == 0 or v.shape[-1] != n * n:
             raise DimensionMismatch(f"cannot multiply shape {v.shape} by a {self.shape} penalty")

@@ -1,20 +1,23 @@
-"""Rank-vector generators for the supported orderings, plus validators.
+"""Order programs for the built-in arrangements, plus structure checks.
+
+A program is an order of the slots: the slot that comes k-th in the
+order receives rank k, the k-th smallest value.  The built-in orders are
+
+* ascending: slots 0, 1, ..., n-1;
+* descending: the same, reversed;
+* bst: the in-order of the binary tree, so the filled tree is a binary
+  search tree;
+* heap: the post-order, each slot after the subtrees of its children,
+  left to right.  A slot thus follows its whole subtree and takes the
+  top rank in it, so the filled tree is a max-heap for any branching.
 
 Trees are stored in breadth-first array form: slot 0 is the root and the
 children of slot i are slots b*i+1 .. b*i+b (those below n).  All levels
 are full except possibly the last, which fills left to right, so a size
 alone fixes the shape.
 
-A generated program assigns rank k to the slot that should end up with
-the k-th smallest value:
-
-* ascending / descending are the two trivial rank lines;
-* bst gives each slot its in-order position, so the filled tree is a
-  binary search tree;
-* heap gives the root the top rank and splits the remaining ranks into
-  contiguous blocks, one block per child subtree, lowest block to the
-  leftmost child, recursing; the filled tree is a max-heap and works for
-  any branching factor.
+The structure checks read the values the same way: validate_bst along
+the in-order, validate_heap from every slot to its parent.
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidSize, UnsupportedBranching
-from .model import OrderProgram, _integral
+from .errors import DimensionMismatch, DomainError, InvalidSize, UnsupportedBranching
+from .model import OrderProgram, _integral, _reals
 
 
 @dataclass(frozen=True)
@@ -48,95 +51,56 @@ class TreeShape:
         first = self.branching * slot + 1
         return range(first, min(first + self.branching, self.size))
 
-    def subtree_size(self, slot: int) -> int:
-        total = 0
-        frontier = [slot]
-        while frontier:
-            j = frontier.pop()
-            total += 1
-            frontier.extend(self.children(j))
-        return total
-
 
 def ascending_program(n: int) -> OrderProgram:
     """Slot i receives the (i+1)-th smallest value: a plain sort."""
-    n = _check_size(n)
-    return OrderProgram(tuple(range(1, n + 1)), kind="ascending")
+    return _ranked(range(_check_size(n)), "ascending")
 
 
 def descending_program(n: int) -> OrderProgram:
     """Reverse sort: slot 0 gets the largest value."""
-    n = _check_size(n)
-    return OrderProgram(tuple(range(n, 0, -1)), kind="descending")
+    return _ranked(range(_check_size(n) - 1, -1, -1), "descending")
 
 
 def bst_program(n: int, branching: int = 2) -> OrderProgram:
-    """Ranks equal to each slot's in-order position in the complete tree.
+    """Ranks along the in-order of the binary tree.
 
     Only branching 2 is meaningful for a search order; OrderProgram
     refuses any other.
     """
-    n = _check_size(n)
-    ranks = [0] * n
-    for position, slot in enumerate(_inorder(n)):
-        ranks[slot] = position + 1
-    return OrderProgram(tuple(ranks), kind="bst", branching=branching)
+    return _ranked(_inorder(_check_size(n)), "bst", branching)
 
 
 def heap_program(n: int, branching: int = 2) -> OrderProgram:
-    """Root gets rank n; child subtrees get contiguous blocks of 1..n-1.
-
-    Every subtree size comes from one bottom-up pass, each slot adding its
-    size to its parent's, and the blocks from one top-down pass, in O(n).
-    """
-    n = _check_size(n)
-    shape = TreeShape(n, branching)
-    sizes = [1] * n
-    for slot in range(n - 1, 0, -1):
-        sizes[(slot - 1) // shape.branching] += sizes[slot]
-    ranks = [0] * n
-    lows = [1] * n  # lows[slot]: the lowest rank of the block of slot's subtree
-    ranks[0] = n
-    for slot in range(n):
-        block_low = lows[slot]
-        for child in shape.children(slot):
-            lows[child] = block_low
-            block_low += sizes[child]
-            ranks[child] = block_low - 1
-    return OrderProgram(tuple(ranks), kind="heap", branching=branching)
+    """Ranks along the post-order: the root gets rank n, and each child
+    subtree a contiguous block of 1..n-1, the lowest to the leftmost."""
+    shape = TreeShape(_check_size(n), branching)
+    return _ranked(_postorder(shape), "heap", shape.branching)
 
 
 def validate_bst(values, shape: TreeShape) -> bool:
-    """True when every slot separates its whole left and right subtrees.
+    """True when the values read in in-order never decrease, so no slot's
+    left subtree holds a larger value and no right subtree a smaller one.
 
-    Non-strict inequalities: no value in the left subtree is above the
-    slot's and none in the right subtree is below it, so the values read in
-    order never decrease and repeated values pass.  NaN fails.  Never
-    raises on value content; the shape must have branching 2.
+    Repeated values pass; a NaN entry fails.  Never raises on the value of
+    an entry; the shape must have branching 2.
     """
     if shape.branching != 2:
         raise UnsupportedBranching("search-tree validation exists for branching 2 only")
-    vals = _as_values(values, shape)
-
-    def within(slot: int, low: float, high: float) -> bool:
-        if slot >= shape.size:
-            return True
-        v = vals[slot]
-        if not (low <= v <= high):
-            return False
-        return within(2 * slot + 1, low, v) and within(2 * slot + 2, v, high)
-
-    return within(0, -np.inf, np.inf)
+    vals = _slot_values(values, shape)
+    read = vals[_inorder(shape.size)]
+    return bool((read[:-1] <= read[1:]).all()) and not np.isnan(vals).any()
 
 
 def validate_heap(values, shape: TreeShape) -> bool:
-    """True when every slot's value is >= each of its children's values."""
-    vals = _as_values(values, shape)
-    return all(
-        vals[slot] >= vals[child]
-        for slot in range(shape.size)
-        for child in shape.children(slot)
-    )
+    """True when no slot's value is above its parent's.
+
+    Repeated values pass; a NaN entry fails.  Never raises on the value of
+    an entry.
+    """
+    vals = _slot_values(values, shape)
+    parents = np.arange(shape.size - 1) // shape.branching  # of slots 1 .. n-1
+    return bool((vals[1:] <= vals[parents]).all()) and not np.isnan(vals).any()
 
 
 def _check_size(n: int) -> int:
@@ -147,7 +111,17 @@ def _check_size(n: int) -> int:
     return n
 
 
+def _ranked(order, kind: str, branching: int = 2) -> OrderProgram:
+    """The program that gives the k-th slot of order rank k."""
+    ranks = [0] * len(order)
+    for rank, slot in enumerate(order, 1):
+        ranks[slot] = rank
+    return OrderProgram(tuple(ranks), kind=kind, branching=branching)
+
+
 def _inorder(n: int) -> list[int]:
+    """The slots of the binary tree, each after its left subtree and before
+    its right one."""
     order: list[int] = []
 
     def walk(slot: int) -> None:
@@ -161,8 +135,24 @@ def _inorder(n: int) -> list[int]:
     return order
 
 
-def _as_values(values, shape: TreeShape) -> np.ndarray:
-    vals = np.asarray(values, dtype=float).ravel()
+def _postorder(shape: TreeShape) -> list[int]:
+    """The slots, each after the subtrees of its children, left to right."""
+    order: list[int] = []
+
+    def walk(slot: int) -> None:
+        for child in shape.children(slot):
+            walk(child)
+        order.append(slot)
+
+    walk(0)
+    return order
+
+
+def _slot_values(values, shape: TreeShape) -> np.ndarray:
+    """values under the value rule, one real number per slot of shape."""
+    vals = _reals(values, "values")
+    if vals.ndim != 1:
+        raise DomainError(f"values must be a vector, not of shape {vals.shape}")
     if vals.size != shape.size:
         raise DimensionMismatch(f"{vals.size} values for a tree of {shape.size} slots")
     return vals

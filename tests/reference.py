@@ -12,7 +12,10 @@ arrays of n^2 x n^2 matrices and n^2 vectors:
   exact integers, as the library's descent does;
 * exact energies in Fractions;
 * exhaustive_qubo_min, the global minimizer of a QUBO over all 2^N
-  binary states, guarded at N <= 20.
+  binary states, guarded at N <= 20;
+* the structure checks as the tree definitions state them: validate_bst
+  bounds every slot by its ancestors, validate_heap compares every slot
+  with each of its children.
 
 dense(stage) materializes a library instance as its (matrix, vector)
 pair, so a test runs the reference on the same input as the library.
@@ -248,3 +251,34 @@ def fraction_energies(W, theta, states) -> list[float]:
             E += 2 * int(after[i]) * (Fraction(theta[i]) - exact_sum(W[i] * before))
         energies.append(float(E))
     return energies
+
+
+# --- structure checks -------------------------------------------------------
+
+
+def validate_bst(values, size: int) -> bool:
+    """True when every slot of the binary tree lies between the bounds its
+    ancestors set: no value in a left subtree above the slot's, none in a
+    right subtree below it.  Any comparison with NaN fails."""
+    vals = np.asarray(values, dtype=float).ravel()
+
+    def within(slot: int, low: float, high: float) -> bool:
+        if slot >= size:
+            return True
+        v = vals[slot]
+        if not (low <= v <= high):
+            return False
+        return within(2 * slot + 1, low, v) and within(2 * slot + 2, v, high)
+
+    return within(0, -np.inf, np.inf)
+
+
+def validate_heap(values, size: int, branching: int) -> bool:
+    """True when every slot's value is >= each of its children's values.  A
+    lone slot has no child, so it passes whatever it holds, NaN included."""
+    vals = np.asarray(values, dtype=float).ravel()
+    return all(
+        vals[slot] >= vals[child]
+        for slot in range(size)
+        for child in range(branching * slot + 1, min(branching * slot + branching + 1, size))
+    )

@@ -36,6 +36,8 @@ from qperm import (
     decode_permutation,
     energy,
     heap_program,
+    validate_bst,
+    validate_heap,
 )
 from qperm.model import _reals
 
@@ -716,6 +718,14 @@ ARRAY_READERS = {
         "solver_state", False,
     ),
     "PermutationMatrix": (PermutationMatrix, [[1, 0], [0, 1]], "matrix", False),
+    "PenaltyMatrix-matmul": (
+        lambda v: PenaltyMatrix(2, 1.0, 2.0, 3.0) @ v, [1, 0, 0, 1], "the operand", False
+    ),
+    "PenaltyMatrix-rmatmul": (
+        lambda v: v @ PenaltyMatrix(2, 1.0, 2.0, 3.0), [1, 0, 0, 1], "the operand", False
+    ),
+    "validate_bst": (lambda v: validate_bst(v, TreeShape(3)), [2, 1, 3], "values", False),
+    "validate_heap": (lambda v: validate_heap(v, TreeShape(3)), [3, 1, 2], "values", False),
 }
 
 

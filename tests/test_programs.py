@@ -1,10 +1,17 @@
+import hashlib
+import itertools
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qperm import (
+    DimensionMismatch,
     InvalidSize,
+    QpermError,
     TreeShape,
     UnsupportedBranching,
     ascending_program,
@@ -14,6 +21,8 @@ from qperm import (
     validate_bst,
     validate_heap,
 )
+
+from . import reference
 
 
 def arrange(values, ranks):
@@ -38,12 +47,6 @@ class TestTreeShape:
         shape = TreeShape(8, 3)
         assert list(shape.children(0)) == [1, 2, 3]
         assert list(shape.children(2)) == [7]
-
-    def test_subtree_size(self):
-        shape = TreeShape(7, 2)
-        assert shape.subtree_size(0) == 7
-        assert shape.subtree_size(1) == 3
-        assert shape.subtree_size(3) == 1
 
     def test_size_validated(self):
         with pytest.raises(InvalidSize):
@@ -132,15 +135,34 @@ class TestHeapProgram:
             shape = TreeShape(n, b)
             want = [0] * n
 
+            def subtree_size(slot):
+                return 1 + sum(subtree_size(child) for child in shape.children(slot))
+
             def assign(root, low, high):
                 want[root] = high
                 for child in shape.children(root):
-                    size = shape.subtree_size(child)
+                    size = subtree_size(child)
                     assign(child, low, low + size - 1)
                     low += size
 
             assign(0, 1, n)
             assert heap_program(n, b).ranks == tuple(want), n
+
+
+class TestRankDigest:
+    def test_every_built_in_program_keeps_its_ranks(self):
+        """The ranks of every kind at n = 1..300, heap at branching 2..6,
+        hashed as first recorded, when heap_program filled subtree blocks
+        top down and bst_program walked its own in-order."""
+        digest = hashlib.sha256()
+        for n in range(1, 301):
+            programs = [ascending_program(n), descending_program(n), bst_program(n)]
+            programs += [heap_program(n, b) for b in range(2, 7)]
+            for p in programs:
+                digest.update(f"{p.kind} {p.branching} {p.ranks}\n".encode())
+        assert digest.hexdigest() == (
+            "954998a475a73ac9c9a6ddd133efbee974c4b0fd6230e11bde8d1ad792ab7cb6"
+        )
 
 
 class TestValidateBst:
@@ -235,3 +257,86 @@ class TestProgramSizes:
     @pytest.mark.parametrize("make", [ascending_program, descending_program, bst_program, heap_program])
     def test_integral_float_size_is_that_size(self, make):
         assert make(3.0) == make(3)
+
+
+ALPHABET = (-math.inf, -1.0, -0.0, 0.0, 1.0, math.inf, math.nan)
+
+
+def reference_verdicts(values, b):
+    """(bst, heap) verdicts of the reference checks; bst is None unless b is
+    2.  A lone NaN fails both library checks, unlike the reference heap."""
+    lone_nan = len(values) == 1 and math.isnan(values[0])
+    bst = reference.validate_bst(values, len(values)) if b == 2 else None
+    heap = reference.validate_heap(values, len(values), b) and not lone_nan
+    return bst, heap
+
+
+def verdicts(values, b):
+    shape = TreeShape(len(values), b)
+    return (validate_bst(values, shape) if b == 2 else None), validate_heap(values, shape)
+
+
+class TestValidatorsMatchTheReference:
+    @pytest.mark.parametrize("b", [2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_every_list_over_the_alphabet(self, n, b):
+        """Signed zeros, infinities and NaN in every position, as lists and
+        as float arrays."""
+        for values in itertools.product(ALPHABET, repeat=n):
+            want = reference_verdicts(values, b)
+            assert verdicts(list(values), b) == want, values
+            assert verdicts(np.array(values), b) == want, values
+
+    @given(
+        st.lists(st.floats() | st.integers(-3, 3), min_size=1, max_size=40),
+        st.integers(min_value=2, max_value=5),
+    )
+    @example([math.nan], 2)
+    @example([2, 1, 2**70], 2)
+    @settings(max_examples=200)
+    def test_any_real_list(self, values, b):
+        assert verdicts(values, b) == reference_verdicts(values, b)
+
+
+class TestOneNanRule:
+    def test_a_lone_nan_fails_both_checks(self):
+        """validate_heap once passed [nan]: a lone slot has no child to
+        compare with, while validate_bst's bounds failed it."""
+        assert not validate_bst([math.nan], TreeShape(1))
+        assert not validate_heap([math.nan], TreeShape(1))
+        assert not validate_heap([math.nan], TreeShape(1, 3))
+        assert validate_bst([math.inf], TreeShape(1))
+        assert validate_heap([-math.inf], TreeShape(1))
+
+
+class TestValidatorValueRule:
+    @pytest.mark.parametrize("check", [validate_bst, validate_heap])
+    @pytest.mark.parametrize(
+        "values, shape, what",
+        [
+            ([[3, 2], [1, 0]], TreeShape(4), "(2, 2)"),
+            ([[3, 2, 1]], TreeShape(3), "(1, 3)"),
+            (5, TreeShape(1), "()"),
+        ],
+        ids=["grid", "row", "scalar"],
+    )
+    def test_refuses_what_is_not_a_vector(self, check, values, shape, what):
+        """A grid was once flattened.  Strings, booleans, None and ragged
+        nestings are refused as in every array reader (test_model)."""
+        message = f"values must be a vector, not of shape {what}"
+        with pytest.raises(QpermError, match=f"^{re.escape(message)}$"):
+            check(values, shape)
+
+    @pytest.mark.parametrize("check", [validate_bst, validate_heap])
+    def test_size_must_match_the_shape(self, check):
+        with pytest.raises(DimensionMismatch, match="2 values for a tree of 3 slots"):
+            check([1.0, 2.0], TreeShape(3))
+
+    @pytest.mark.parametrize("check", [validate_bst, validate_heap])
+    def test_integers_and_arrays_are_read_as_given(self, check):
+        """Integers are compared as integers: 2^60 + 1 once equalled 2^60,
+        both rounded to the same float."""
+        assert check([2, 1, 3] if check is validate_bst else [3, 1, 2], TreeShape(3))
+        assert check(np.array([1, 1, 1], dtype=np.int8), TreeShape(3))
+        assert check((2**70, 2**70), TreeShape(2))
+        assert not check([2**60, 2**60 + 1], TreeShape(2))

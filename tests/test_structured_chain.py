@@ -207,6 +207,19 @@ class TestPenaltyMatrix:
         with pytest.raises(DimensionMismatch):
             M @ np.eye(4)  # M @ X multiplies columns; only stacked rows Z @ M are supported
 
+    def test_products_read_operands_through_the_value_rule(self):
+        """Integers are read as the floats they equal, and a refused shape
+        keeps its message when the operand is a list."""
+        M = PenaltyMatrix(2, 1.0, 2.0, 3.0)
+        want = np.asarray(M) @ np.array([1.0, 0.0, 0.0, 1.0])
+        assert bits(M @ [1, 0, 0, 1]) == bits(want)
+        assert bits([1, 0, 0, 1] @ M) == bits(want)
+        assert bits(np.array([[1, 0, 0, 1]], dtype=np.int8) @ M) == bits(want[None, :])
+        with pytest.raises(DimensionMismatch, match="^M @ v takes a vector"):
+            M @ [[1, 0, 0, 1]]
+        with pytest.raises(DimensionMismatch, match=r"^cannot multiply shape \(5,\) by a \(4, 4\)"):
+            [1, 2, 3, 4, 5] @ M
+
     def test_scalar_operations_act_on_every_entry(self):
         M = PenaltyMatrix(3, 1.5, 0.25, 0.0)
         dense = np.asarray(M)
