@@ -7,22 +7,22 @@ diagonal.  to_hopfield only renames: W = -2Q and theta = q, which makes
 shifts the objective by a state-independent constant at most, so
 minimizers carry over through the whole chain.
 
-The matrix stays a PenaltyMatrix through every hop: each hop applies its
-elementwise operation to the three coefficients, fold_diagonal adds
-self_coupling to r as the scalar that every diagonal entry is, to_ising
-takes R @ 1 as row_sum, the one number every row sums to, and every
-zero-diagonal check reads self_coupling, so each hop is O(n^2) and none
-forms the N-length diagonal.  The matrices materialize bit for bit as
-the paper's dense hops make them; so do the vectors wherever the dense
-R @ 1 sums exactly, as it does for integer penalty weights.
+Each hop writes the next PenaltyMatrix from the last one's three
+numbers: fold_diagonal zeroes self_coupling and adds it to r as the
+scalar every diagonal entry is, to_ising divides each by 4 and forms
+R @ 1 as the one number every row sums to, to_hopfield multiplies each
+by -2, and every zero-diagonal check reads self_coupling, so each hop
+is O(n^2) and none forms the N-length diagonal.  The matrices
+materialize bit for bit as the paper's dense hops make them; so do the
+vectors wherever the dense R @ 1 sums exactly, as for integer weights.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import NonZeroDiagonal
-from .model import HopfieldInstance, IsingInstance, PenaltyMatrix, QuboInstance, _bipolar
+from .model import HopfieldInstance, IsingInstance, PenaltyMatrix, QuboInstance
+from .model import _bipolar, _zero_diagonal
 
 
 def fold_diagonal(instance: QuboInstance) -> QuboInstance:
@@ -42,15 +42,19 @@ def to_ising(instance: QuboInstance) -> IsingInstance:
     dropped constant is 1^T R 1 / 4 + r^T 1 / 2.
     """
     R = instance.matrix_R
-    if R.self_coupling != 0.0:  # -0.0 is a zero diagonal
-        raise NonZeroDiagonal("fold_diagonal must run before the bipolar substitution")
-    # row_sum() is one number, every entry of R @ 1
-    return IsingInstance(matrix_Q=R / 4.0, vector_q=0.5 * R.row_sum() + 0.5 * instance.vector_r)
+    # Checked on R: a subnormal self_coupling divided by 4 is 0.
+    _zero_diagonal(R, "fold_diagonal must run before the bipolar substitution")
+    Q = PenaltyMatrix(R.n, R.same_row / 4.0, R.same_col / 4.0, R.self_coupling / 4.0)
+    # Every entry of R @ 1, added in the order R @ 1 adds a row.
+    row_sum = R.self_coupling * 1.0 + R.same_row * (R.n - 1) + R.same_col * (R.n - 1)
+    return IsingInstance(matrix_Q=Q, vector_q=0.5 * row_sum + 0.5 * instance.vector_r)
 
 
 def to_hopfield(instance: IsingInstance) -> HopfieldInstance:
     """Rename to network form: W = -2Q, theta = q; energies are identical."""
-    return HopfieldInstance(weights_W=-2.0 * instance.matrix_Q, bias_theta=instance.vector_q)
+    Q = instance.matrix_Q
+    W = PenaltyMatrix(Q.n, -2.0 * Q.same_row, -2.0 * Q.same_col, -2.0 * Q.self_coupling)
+    return HopfieldInstance(weights_W=W, bias_theta=instance.vector_q)
 
 
 def bipolar_to_binary(s) -> np.ndarray:

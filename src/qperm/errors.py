@@ -25,12 +25,12 @@ class UnsupportedBranching(QpermError, ValueError):
     """Tree operation is not defined for this branching factor."""
 
 
-class NonZeroDiagonal(QpermError, ValueError):
-    """Bipolar substitution needs a zero quadratic diagonal; fold it first."""
-
-
 class DomainError(QpermError, ValueError):
     """An entry lies outside the expected alphabet or value domain."""
+
+
+class NonZeroDiagonal(DomainError):
+    """Bipolar substitution needs a zero quadratic diagonal; fold it first."""
 
 
 class MaxStepsExceeded(QpermError, RuntimeError):

@@ -105,10 +105,7 @@ def energy(instance: HopfieldInstance, s) -> float:
     The state is the column-stacked vector of length N; an n x n grid is
     refused, not read as its transpose.
     """
-    sv = _bipolar(s, "state")
-    if sv.ndim != 1:
-        raise DomainError(f"state must be a bipolar vector, not of shape {sv.shape}")
-    sv = sv.astype(float)
+    sv = _bipolar(s, "state").astype(float)
     if sv.size != instance.dimension:
         raise DimensionMismatch(
             f"state has {sv.size} coordinates, instance has {instance.dimension}"

@@ -67,19 +67,18 @@ class PenaltyMatrix:
     lam_c, lam_r + lam_c), a Kronecker sum fixed by three numbers.
 
     It answers the few ndarray calls made of it in the ndarray's spelling:
-    np.asarray materializes it; M @ v, v @ M and Z @ M (for stacked rows
-    Z) multiply in O(N) per vector; multiplying or dividing by a scalar
-    applies to the three coefficients what the dense operation applies to
-    every entry.  shape and ndim are those of the dense matrix.  Every
-    entry these return is bit for bit the entry np.asarray(M) holds.
+    np.asarray materializes it, and M @ v, v @ M and Z @ M (for stacked
+    rows Z) multiply in O(N) per vector.  shape and ndim are those of the
+    dense matrix.  Every entry these return is bit for bit the entry
+    np.asarray(M) holds.  The conversions write each stage's three
+    coefficients from the last stage's, so it has no scalar arithmetic.
 
     Row i has only 2n - 1 nonzeros: viewed as the (n, n) grid G[a, b] =
     v[a*n + b], it reaches G[a], the cells of column a of Z, with
     same_col, and G[:, b], those of row b, with same_row, the two
     crossing at i.  M @ v forms each entry from the sums of v over those
     two lines, and descent, which keeps the sums of a bipolar state, forms
-    the same expression there, in O(n) per flip.  row_sum is the one
-    number every row sums to.
+    the same expression there, in O(n) per flip.
     """
 
     n: int
@@ -87,8 +86,7 @@ class PenaltyMatrix:
     same_col: float
     self_coupling: float
 
-    # Binary numpy operations with a PenaltyMatrix defer to its own methods
-    # instead of materializing it.
+    # ndarray @ M defers to __rmatmul__, and every other numpy operation on M is refused.
     __array_ufunc__ = None
     ndim = 2
 
@@ -123,15 +121,6 @@ class PenaltyMatrix:
         np.fill_diagonal(dense, self.self_coupling)
         return dense if dtype is None else dense.astype(dtype, copy=False)
 
-    def row_sum(self) -> float:
-        """The sum of every row, M @ 1 entry by entry, bit for bit, in O(1).
-
-        M @ 1 adds self_coupling * 1, same_row * (n - 1) and same_col *
-        (n - 1) in that order, as __rmatmul__ does.
-        """
-        others = self.n - 1
-        return self.self_coupling * 1.0 + self.same_row * others + self.same_col * others
-
     def __matmul__(self, other) -> np.ndarray:
         """M @ v for a vector v."""
         v = _reals(other, "the operand")
@@ -158,22 +147,6 @@ class PenaltyMatrix:
             + self.same_col * (col_sums - cells)
         )
         return out.reshape(v.shape)
-
-    def __mul__(self, factor):
-        if not isinstance(factor, numbers.Real):
-            return NotImplemented
-        return PenaltyMatrix(
-            self.n, factor * self.same_row, factor * self.same_col, factor * self.self_coupling
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, divisor):
-        if not isinstance(divisor, numbers.Real):
-            return NotImplemented
-        return PenaltyMatrix(
-            self.n, self.same_row / divisor, self.same_col / divisor, self.self_coupling / divisor
-        )
 
 
 def _integral(value, name: str) -> int:
@@ -231,7 +204,9 @@ def _reals(values, name: str, *, error=DomainError, want: str = "real numbers") 
         entries, shape = items.ravel().tolist(), items.shape
         for entry in dict(zip(map(type, entries), entries)).values():
             if not _real(entry):
-                raise error(f"{name} must be {want}, not {type(entry).__name__}")
+                nested = isinstance(entry, (list, tuple, np.ndarray))  # a ragged nesting's row
+                what = "a ragged nesting" if nested else type(entry).__name__
+                raise error(f"{name} must be {want}, not {what}")
     try:
         reals = np.array(entries)
         if reals.dtype.kind not in "iuf":  # integers beyond 64 bits, fractions.Fraction
@@ -261,12 +236,14 @@ def _integers(values, name: str, error=InvalidSize) -> np.ndarray:
 
 
 def _bipolar(values, name: str) -> np.ndarray:
-    """A read-only int8 copy of a state whose every entry is exactly -1 or +1,
-    checked before the cast, so no entry is ever truncated or wrapped."""
+    """A read-only int8 copy of a state vector whose every entry is exactly -1
+    or +1, checked before the cast, so none is ever truncated or wrapped."""
     given = _reals(values, name, want="a bipolar vector")
     unit = np.abs(given) == 1  # NaN is not
     if not unit.all():
         raise DomainError(f"{name} must be a bipolar vector, not {given[~unit][0].item()!r}")
+    if given.ndim != 1:
+        raise DomainError(f"{name} must be a bipolar vector, not of shape {given.shape}")
     return _readonly(given, name, np.int8)
 
 
@@ -285,6 +262,12 @@ def _checked(matrix, vector, matrix_name: str, vector_name: str) -> np.ndarray:
         raise DimensionMismatch(f"{matrix_name} is {N}x{N} but {vector_name} has shape {v.shape}")
     _require_finite(v, vector_name)
     return v
+
+
+def _zero_diagonal(matrix: PenaltyMatrix, message: str) -> None:
+    """Raise NonZeroDiagonal(message) unless matrix has an exactly zero diagonal."""
+    if matrix.self_coupling != 0.0:  # -0.0 is a zero diagonal
+        raise NonZeroDiagonal(message)
 
 
 def _require_finite(vector: np.ndarray, name: str) -> None:
@@ -432,8 +415,7 @@ class IsingInstance:
 
     def __post_init__(self):
         q = _checked(self.matrix_Q, self.vector_q, "matrix_Q", "vector_q")
-        if self.matrix_Q.self_coupling != 0.0:  # -0.0 is a zero diagonal
-            raise NonZeroDiagonal("matrix_Q must have an exactly zero diagonal")
+        _zero_diagonal(self.matrix_Q, "matrix_Q must have an exactly zero diagonal")
         object.__setattr__(self, "vector_q", q)
 
     @property
@@ -450,8 +432,7 @@ class HopfieldInstance:
 
     def __post_init__(self):
         theta = _checked(self.weights_W, self.bias_theta, "weights_W", "bias_theta")
-        if self.weights_W.self_coupling != 0.0:
-            raise DomainError("weights_W must have an exactly zero diagonal")
+        _zero_diagonal(self.weights_W, "weights_W must have an exactly zero diagonal")
         object.__setattr__(self, "bias_theta", theta)
 
     @property
@@ -549,8 +530,6 @@ class SolverTrace:
 
     def __post_init__(self):
         start = _bipolar(self.start, "start state")
-        if start.ndim != 1:
-            raise DomainError(f"start state must be a bipolar vector, not of shape {start.shape}")
         flipped = _integers(self.flipped, "flipped")
         if flipped.ndim != 1 or not ((flipped >= 0) & (flipped < start.size)).all():
             raise DomainError(f"flipped coordinates must lie in 0..{start.size - 1}")

@@ -64,6 +64,13 @@ def to_dense(payload, entry=None):
     payload["R"] = R if entry is None else [[entry] * len(R)] * len(R)
 
 
+def infinite_diagonal(payload):
+    """Swap the file's penalty for a dense "R" that holds Infinity on its diagonal."""
+    to_dense(payload)
+    for i, row in enumerate(payload["R"]):
+        row[i] = float("inf")
+
+
 def dense_reward(payload):
     """Swap the file's reward for a dense "r", each entry -(value * rank) - offset."""
     reward = payload.pop("reward")
@@ -260,8 +267,9 @@ class TestBuildCommand:
             (["1", "2"], "{x}: entries must be real numbers, not str"),
             ([[1.0, 2.0]], "{x}: need a one-dimensional vector with at least one entry"),
             ([True], "{x}: entries must be real numbers, not bool"),
+            ([[1, 2], [3]], "{x}: entries must be real numbers, not a ragged nesting"),
         ],
-        ids=["object", "null", "one-number", "empty", "strings", "nested", "bool"],
+        ids=["object", "null", "one-number", "empty", "strings", "nested", "bool", "ragged"],
     )
     def test_x_file_must_be_an_array_of_numbers(self, reference_files, capsys, payload, message):
         _, program_path, tmp_path = reference_files
@@ -299,6 +307,13 @@ class TestBuildCommand:
         prog = write_json(tmp_path / "prog.json", payload)
         assert main(["verify", x_path, prog]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_program_n_must_count_its_ranks(self, tmp_path, capsys):
+        x_path = write_json(tmp_path / "x.json", [3.0, 1.0, 2.0])
+        payload = {"n": 4, "kind": "custom", "branching": 2, "ranks": [1, 2, 3]}
+        prog = write_json(tmp_path / "prog.json", payload)
+        assert main(["verify", x_path, prog]) == 2
+        assert capsys.readouterr() == ("", f"error: {prog}: n=4 does not match 3 ranks\n")
 
     @pytest.mark.parametrize(
         "field, value",
@@ -818,6 +833,9 @@ class TestQuboFileFormat:
             (lambda d: d["penalty"].update(n=2), "penalty.n=2 but n=3"),
             (lambda d: (dense_reward(d), d["r"].pop()), "matrix_R is 9x9 but vector_r has shape (8,)"),
             (lambda d: (to_dense(d), d.update(n=2)), "'R' is not the 4x4 matrix of a finite"),
+            (infinite_diagonal,
+             "'R' is not the 9x9 matrix of a finite penalty: self_coupling on the diagonal"),
+            (lambda d: d.pop("n"), "missing key 'n'"),
         ],
         ids=[
             "x-length", "x-null", "x-strings", "n-fraction", "penalty-n-fraction",
@@ -827,7 +845,8 @@ class TestQuboFileFormat:
             "reward-field-missing", "reward-values-strings", "reward-ranks-strings",
             "reward-offset-string", "reward-offset-beyond-float", "reward-values-length", "reward-ranks-length",
             "both-reward-forms", "neither-reward-form", "n-not-the-penalty-n",
-            "penalty-n-not-n", "r-not-n-squared", "R-not-n-squared",
+            "penalty-n-not-n", "r-not-n-squared", "R-not-n-squared", "R-infinite-diagonal",
+            "n-missing",
         ],
     )
     def test_whole_file_checked_before_any_output(self, tmp_path, capsys, edit, message):
@@ -1211,6 +1230,16 @@ class TestCommandLineParsing:
     @pytest.mark.parametrize("command", sorted(COMMAND_HELP))
     def test_command_help(self, capsys, command):
         assert run_cli([command, "-h"], capsys) == (0, COMMAND_HELP[command], "")
+
+    def test_console_script_exits_with_the_code_of_main(self, monkeypatch, capsys, tmp_path):
+        absent = str(tmp_path / "absent.json")
+        for argv, code in ((["program", "--kind", "heap", "--n", "3"], 0), (["solve", absent], 2)):
+            monkeypatch.setattr(sys, "argv", ["qperm", *argv])
+            with pytest.raises(SystemExit) as raised:
+                cli.run()
+            assert raised.value.code == code
+        out, err = capsys.readouterr()
+        assert out.startswith('{\n  "n": 3,') and err.count("\n") == 1 and absent in err
 
     def test_abbreviated_options_and_double_dash(self, tmp_path, capsys):
         """Each unique prefix of a long option, and a -- before the

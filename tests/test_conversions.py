@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from qperm import (
     DomainError,
+    IsingInstance,
     NonZeroDiagonal,
     PenaltyMatrix,
     QuboInstance,
@@ -21,6 +23,10 @@ from qperm import (
 )
 
 from .reference import binary_to_bipolar, dense, qubo_objective
+
+
+def bits(a) -> bytes:
+    return np.ascontiguousarray(a, dtype=float).tobytes()
 
 
 def sorting_instance(values):
@@ -73,11 +79,9 @@ class TestToIsing:
     def test_coefficients(self):
         folded = fold_diagonal(sorting_instance([3.0, 1.0]))
         ising = to_ising(folded)
-        assert np.allclose(ising.matrix_Q, folded.matrix_R / 4.0)
-        assert np.allclose(
-            ising.vector_q,
-            0.5 * folded.matrix_R @ np.ones(4) + 0.5 * folded.vector_r,
-        )
+        R = np.asarray(folded.matrix_R)
+        assert bits(ising.matrix_Q) == bits(R / 4.0)
+        assert bits(ising.vector_q) == bits(0.5 * (R @ np.ones(4)) + 0.5 * folded.vector_r)
 
     def test_gap_is_state_independent(self):
         folded = fold_diagonal(sorting_instance([3.0, -1.0, 2.0]))
@@ -103,13 +107,80 @@ class TestToHopfield:
         folded = fold_diagonal(sorting_instance([5.0, -2.0, 7.0]))
         ising = to_ising(folded)
         network = to_hopfield(ising)
-        assert np.allclose(network.weights_W, -2.0 * ising.matrix_Q)
-        assert np.allclose(network.bias_theta, ising.vector_q)
+        assert bits(network.weights_W) == bits(-2.0 * np.asarray(ising.matrix_Q))
+        assert bits(network.bias_theta) == bits(ising.vector_q)
         rnd = np.random.default_rng(5)
         for _ in range(100):
             s = (rnd.integers(0, 2, size=9) * 2 - 1).astype(float)
             ising_value = float(s @ ising.matrix_Q @ s + ising.vector_q @ s)
             assert energy(network, s) == pytest.approx(ising_value, abs=1e-12)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+edges = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308])
+
+
+class TestEachStageWritesItsCoefficients:
+    """Each hop writes the next PenaltyMatrix from the last one's three
+    numbers; every stage is its dense hop, byte for byte."""
+
+    @given(
+        st.integers(1, 6),
+        st.one_of(edges, finite),
+        st.one_of(edges, finite),
+        st.one_of(st.sampled_from([0.0, -0.0]), edges, finite),
+        st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_the_chain_is_the_dense_chain(self, n, same_row, same_col, self_coupling, data):
+        """Where the dense hops call for a refusal, the same DomainError
+        comes, with the same message."""
+        R = PenaltyMatrix(n, same_row, same_col, self_coupling)
+        r = np.array(data.draw(st.lists(st.one_of(edges, finite), min_size=n * n, max_size=n * n)))
+        instance = QuboInstance(R, r)
+        if self_coupling != 0.0:
+            with pytest.raises(NonZeroDiagonal) as raised:
+                to_ising(instance)
+            assert str(raised.value) == "fold_diagonal must run before the bipolar substitution"
+            return
+        with np.errstate(over="ignore", invalid="ignore"):
+            q = 0.5 * (R @ np.ones(n * n)) + 0.5 * r
+        if not np.isfinite(q).all():
+            with pytest.raises(DomainError) as raised:
+                to_ising(instance)
+            assert str(raised.value) == "vector_q must be finite"
+            return
+        ising = to_ising(instance)
+        assert bits(ising.matrix_Q) == bits(np.asarray(R) / 4.0)
+        assert bits(ising.vector_q) == bits(q)
+        network = to_hopfield(ising)
+        assert bits(network.weights_W) == bits(-2.0 * np.asarray(ising.matrix_Q))
+        assert bits(network.bias_theta) == bits(q)
+
+    @pytest.mark.parametrize("self_coupling", [5e-324, -5e-324])
+    def test_a_subnormal_diagonal_is_refused_on_R(self, self_coupling):
+        """Divided by 4 it is 0, so only the check on R refuses it."""
+        assert self_coupling / 4.0 == 0.0
+        R = PenaltyMatrix(2, 1.0, 1.0, self_coupling)
+        with pytest.raises(NonZeroDiagonal, match="^fold_diagonal must run before the bipolar"):
+            to_ising(QuboInstance(R, np.zeros(4)))
+
+    @given(st.integers(1, 6), st.one_of(edges, finite), st.one_of(edges, finite),
+           st.sampled_from([0.0, -0.0]))
+    @settings(max_examples=200, deadline=None)
+    def test_hopfield_weights_are_minus_two_q(self, n, same_row, same_col, zero):
+        """A Q written directly may be too large to double: the first
+        coefficient that overflows is named, as PenaltyMatrix names it."""
+        Q = PenaltyMatrix(n, same_row, same_col, zero)
+        ising = IsingInstance(Q, np.zeros(n * n))
+        overflows = [name for name, c in (("same_row", same_row), ("same_col", same_col))
+                     if not math.isfinite(-2.0 * c)]
+        if overflows:
+            with pytest.raises(DomainError) as raised:
+                to_hopfield(ising)
+            assert str(raised.value) == f"{overflows[0]} must be finite"
+        else:
+            assert bits(to_hopfield(ising).weights_W) == bits(-2.0 * np.asarray(Q))
 
 
 class TestStateConversions:

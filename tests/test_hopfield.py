@@ -8,6 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qperm import (
+    DimensionMismatch,
     DomainError,
     HopfieldInstance,
     InvalidSize,
@@ -219,6 +220,11 @@ class TestEnergyOfAState:
             with pytest.raises(DomainError) as raised:
                 energy(network, state)
             assert str(raised.value) == f"state must be a bipolar vector, not of shape {shape}"
+
+    def test_a_vector_of_another_length_is_refused(self, endpoint):
+        network, z, _ = endpoint
+        with pytest.raises(DimensionMismatch, match="^state has 8 coordinates, instance has 9$"):
+            energy(network, binary_to_bipolar(z)[:8])
 
 
 class TestDescent:

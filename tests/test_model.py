@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qperm
+from qperm import hopfield
 from qperm import (
     DimensionMismatch,
     DomainError,
@@ -118,6 +119,10 @@ class TestOrderProgram:
     def test_kind_checked(self):
         with pytest.raises(DomainError):
             OrderProgram(ranks=(1, 2), kind="sorted", branching=2)
+
+    def test_needs_a_slot(self):
+        with pytest.raises(InvalidSize, match="^a program needs at least one slot$"):
+            OrderProgram(())
 
     @pytest.mark.parametrize(
         "make",
@@ -428,6 +433,20 @@ class TestInstanceValidation:
         with pytest.raises(DomainError):
             HopfieldInstance(weights_W=PenaltyMatrix(2, 0.0, 0.0, 1.0), bias_theta=np.zeros(4))
 
+    @pytest.mark.parametrize("self_coupling", [1.0, -2.5, 5e-324])
+    def test_one_zero_diagonal_error_for_both_stages(self, self_coupling):
+        """HopfieldInstance raised a plain DomainError, IsingInstance a
+        NonZeroDiagonal; both raise NonZeroDiagonal, which is a DomainError."""
+        assert issubclass(NonZeroDiagonal, DomainError)
+        M = PenaltyMatrix(2, 1.0, 1.0, self_coupling)
+        with pytest.raises(NonZeroDiagonal, match="^matrix_Q must have an exactly zero diagonal$"):
+            IsingInstance(matrix_Q=M, vector_q=np.zeros(4))
+        with pytest.raises(NonZeroDiagonal, match="^weights_W must have an exactly zero diagonal$"):
+            HopfieldInstance(weights_W=M, bias_theta=np.zeros(4))
+
+    def test_ising_dimension_is_its_vector_length(self):
+        assert IsingInstance(PenaltyMatrix(3, 1.0, 1.0, -0.0), np.zeros(9)).dimension == 9
+
 
 class TestSolverTrace:
     def test_valid_trace(self):
@@ -689,6 +708,30 @@ def _network():
     return HopfieldInstance(PenaltyMatrix(2, -1.0, -1.0, 0.0), np.zeros(4))
 
 
+# name -> (a call that takes one bipolar state, the field its errors start with)
+STATE_READERS = {
+    "TraceStep": (lambda s: TraceStep(0, s, 0.0), "state"),
+    "SolverTrace": (lambda s: SolverTrace(s, [], [0.0]), "start state"),
+    "energy": (lambda s: energy(_network(), s), "state"),
+    "bipolar_to_binary": (bipolar_to_binary, "s"),
+    "descent's start": (lambda s: hopfield._descend(_network(), s, 4), "start state"),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(STATE_READERS))
+@pytest.mark.parametrize(
+    "state, shape", [([[1, -1], [-1, 1]], (2, 2)), ([[1, -1, -1, 1]], (1, 4)), (1, ())],
+    ids=["grid", "row", "scalar"],
+)
+def test_every_state_is_a_vector(reader, state, shape):
+    """TraceStep kept a grid and a 0-d state, bipolar_to_binary read a grid,
+    and descent read a grid as its column-stacked state."""
+    read, field = STATE_READERS[reader]
+    with pytest.raises(DomainError) as raised:
+        read(state)
+    assert str(raised.value) == f"{field} must be a bipolar vector, not of shape {shape}"
+
+
 # name -> (a call that takes one array, an array it accepts, the field its
 # errors start with, whether the entries must be integers or +-1)
 ARRAY_READERS = {
@@ -782,6 +825,26 @@ class TestArrayEntries:
         make, accepted, field, _ = ARRAY_READERS[reader]
         with pytest.raises(QpermError, match=rf"^{field}\b"):
             make(BAD_ARRAYS[bad][0](accepted))
+
+    @pytest.mark.parametrize(
+        "nesting",
+        [[[1, 2], [3]], ((1, 2), (3,)), [np.ones(2), [1.0]], [np.ones(2), np.ones((2, 2))]],
+        ids=["lists", "tuples", "array-and-list", "arrays"],
+    )
+    @pytest.mark.parametrize(
+        "read, message",
+        [
+            (ValueVector, "entries must be real numbers, not a ragged nesting"),
+            (lambda v: OrderProgram(ranks=v), "ranks must be integers, not a ragged nesting"),
+        ],
+        ids=["ValueVector", "OrderProgram"],
+    )
+    def test_a_ragged_nesting_is_named(self, read, message, nesting):
+        """numpy reads rows of unequal lengths as entries, and [[1, 2], [3]]
+        was refused as "not list"; only nested arrays were named ragged."""
+        with pytest.raises(QpermError) as raised:
+            read(nesting)
+        assert str(raised.value) == message
 
     def test_a_state_is_checked_before_the_int8_cast(self):
         """An int64 257 was once cast to int8 first, as 1, and passed the +-1

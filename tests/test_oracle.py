@@ -70,6 +70,10 @@ class TestBestPermutation:
         with pytest.raises(SizeBudgetExceeded):
             best_permutation(ValueVector(list(range(1, 12))), ascending_program(11))
 
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch, match="^x has 2 entries but the program has 3 slots$"):
+            best_permutation(ValueVector([1.0, 2.0]), ascending_program(3))
+
     @given(
         st.integers(min_value=1, max_value=6),
         st.randoms(use_true_random=False),
