@@ -52,8 +52,7 @@ the state is stable when it and the bound are both at least 0.
 Otherwise, a NaN or a tie below -2^1023 included, descent leaves the
 phase: it forms every gain and the 2n counts from the state once, and the
 same loop goes on flip by flip as above.  That rebuild is the only way
-into the general phase; an explicit start, whose bound is -inf, takes it
-before its first flip.  Default builds never leave the free-line phase;
+into the general phase.  Default builds never leave the free-line phase;
 normalize=False builds mostly do, many after the first flip.  Both
 phases run one loop, which differs between them only in the exit test,
 the step's line sums (1 - n, or the counts) and the rewrite of the flip's
@@ -110,7 +109,13 @@ def energy(instance: HopfieldInstance, s) -> float:
         raise DimensionMismatch(
             f"state has {sv.size} coordinates, instance has {instance.dimension}"
         )
-    twice, u, _, _ = _twice_energy(instance, sv)
+    W = instance.weights_W
+    n = W.n
+    S = sv.reshape(n, n)
+    R, C = S.sum(axis=0), S.sum(axis=1)
+    dot, u, units_r, units_c = _units(W, instance.bias_theta * sv)
+    # s^T W s = w_r sum_b (R_b^2 - n) + w_c sum_a (C_a^2 - n), as W_ii = 0
+    twice = 2 * dot - units_r * (int(R @ R) - n * n) - units_c * (int(C @ C) - n * n)
     return _rounded(twice, u - 1)
 
 
@@ -148,47 +153,21 @@ def solve(
         budget = _integral(max_steps, "max_steps")
         if budget < 0:
             raise DomainError("max_steps must be non-negative")
-    return _descend(instance, None, budget)
-
-
-def solve_qubo(
-    instance: QuboInstance, max_steps: Optional[int] = None
-) -> tuple[np.ndarray, SolverTrace]:
-    """Fold, convert to the Hopfield network and descend once, as solve does.
-
-    Returns the binary endpoint z, which decode_permutation reads, and the
-    trace of the descent.  max_steps and the errors raised are solve's.
-    """
-    state, trace = solve(to_hopfield(to_ising(fold_diagonal(instance))), max_steps)
-    return bipolar_to_binary(state), trace
-
-
-def _descend(
-    instance: HopfieldInstance, start: Optional[np.ndarray], budget: int
-) -> tuple[np.ndarray, SolverTrace]:
-    """Descend from a bipolar start, or from the all-inactive state if start is None."""
     W, theta = instance.weights_W, instance.bias_theta
     n, w_r, w_c = W.n, W.same_row, W.same_col
+    start = np.full(N, -1, dtype=np.int8)
+    start.setflags(write=False)
+    s = np.full(N, -1.0)
+    # Every line sums to -n: theta.s = -sum(theta), s^T W s = (w_r + w_c)(n^3 - n^2)
+    total, u, units_r, units_c = _units(W, theta)
+    twice = -2 * total - (units_r + units_c) * (n**3 - n**2)
     # An overflowing field or gain is left to the energies, whose overflow
     # SolverTrace names, with no numpy warning.
     with np.errstate(over="ignore", invalid="ignore"):
         free_c, free_r = w_c * (1.0 - n), w_r * (1.0 - n)  # w (R + 1) with R = -n
         crossing_c, crossing_r = w_c * (3.0 - n), w_r * (3.0 - n)  # and with R = 2 - n
-        if start is None:
-            start = np.full(theta.size, -1, dtype=np.int8)
-            start.setflags(write=False)
-            s = np.full(theta.size, -1.0)
-            # Every line sums to -n: theta.s = -sum(theta), s^T W s = (w_r + w_c)(n^3 - n^2)
-            total, u, units_r, units_c = _units(W, theta)
-            twice = -2 * total - (units_r + units_c) * (n**3 - n**2)
-            half = theta - (free_r + free_c)  # half the gain of each flip
-            bound = math.inf  # no line is taken
-        else:
-            start = _bipolar(start, "start state")
-            s = start.astype(float)
-            twice, u, units_r, units_c = _twice_energy(instance, s)
-            half = np.zeros(s.size)  # formed by the rebuild, before the first flip
-            bound = -math.inf  # the first pick leaves the free-line phase
+        half = theta - (free_r + free_c)  # half the gain of each flip
+        bound = math.inf  # no line is taken
         S, G, T = s.reshape(n, n), half.reshape(n, n), theta.reshape(n, n)
         GT, TT, ST = G.T, T.T, S.T
         # While free, only free cells keep their gains.  An inactive cell (a, b)
@@ -275,24 +254,24 @@ def _descend(
     return s.astype(np.int8), SolverTrace._of(start, flipped, energies)
 
 
+def solve_qubo(
+    instance: QuboInstance, max_steps: Optional[int] = None
+) -> tuple[np.ndarray, SolverTrace]:
+    """Fold, convert to the Hopfield network and descend once, as solve does.
+
+    Returns the binary endpoint z, which decode_permutation reads, and the
+    trace of the descent.  max_steps and the errors raised are solve's.
+    """
+    state, trace = solve(to_hopfield(to_ising(fold_diagonal(instance))), max_steps)
+    return bipolar_to_binary(state), trace
+
+
 def _gains(G, S, T, w_r, w_c):
     """Write half the gain of every flip at the grid state S into G; return
     the line sums R (grid columns) and C (grid rows)."""
     R, C = S.sum(axis=0), S.sum(axis=1)
     _line(G, T, S, R, w_r, C[:, None], w_c)
     return R, C
-
-
-def _twice_energy(instance: HopfieldInstance, s: np.ndarray) -> tuple[int, int, int, int]:
-    """(twice, u, units_r, units_c): 2 E(s), w_r and w_c, exactly, in units of 2^u."""
-    W = instance.weights_W
-    n = W.n
-    S = s.reshape(n, n)
-    R, C = S.sum(axis=0), S.sum(axis=1)
-    dot, u, units_r, units_c = _units(W, instance.bias_theta * s)
-    # s^T W s = w_r sum_b (R_b^2 - n) + w_c sum_a (C_a^2 - n), as W_ii = 0
-    twice = 2 * dot - units_r * (int(R @ R) - n * n) - units_c * (int(C @ C) - n * n)
-    return twice, u, units_r, units_c
 
 
 def _units(W, values: np.ndarray) -> tuple[int, int, int, int]:

@@ -204,7 +204,7 @@ def _reals(values, name: str, *, error=DomainError, want: str = "real numbers") 
         entries, shape = items.ravel().tolist(), items.shape
         for entry in dict(zip(map(type, entries), entries)).values():
             if not _real(entry):
-                nested = isinstance(entry, (list, tuple, np.ndarray))  # a ragged nesting's row
+                nested = isinstance(entry, (list, tuple)) or np.ndim(entry) > 0  # a ragged row
                 what = "a ragged nesting" if nested else type(entry).__name__
                 raise error(f"{name} must be {want}, not {what}")
     try:
@@ -455,7 +455,7 @@ class PermutationMatrix:
         M = _reals(matrix, "matrix entries", error=NotAPermutation, want="0 or 1")
         if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] == 0:
             raise NotAPermutation("need a non-empty square matrix")
-        object.__setattr__(self, "as_mapping", _one_per_line(M.ravel(), M.shape[0], "entries"))
+        object.__setattr__(self, "as_mapping", _one_per_line(M.ravel("F"), M.shape[0], "entries"))
 
     @classmethod
     def _of(cls, mapping: tuple[int, ...]) -> PermutationMatrix:
@@ -476,19 +476,19 @@ class PermutationMatrix:
         return len(self.as_mapping)
 
 
-def _one_per_line(flat: np.ndarray, n: int, entries: str, column_stacked: bool = False):
-    """The mapping of the n x n permutation matrix that flat holds row by row,
-    or column by column, read in O(n) memory.  Every nonzero entry must be
-    exactly 1 (NaN, inf, 2 and 0.5 are not).  flatnonzero lists them in order,
-    so each line along the stacking holds one when their line numbers are
-    0..n-1, and each line across it when no number repeats among theirs."""
+def _one_per_line(flat: np.ndarray, n: int, entries: str):
+    """The mapping of the n x n permutation matrix that flat holds column by
+    column, read in O(n) memory.  Every nonzero entry must be exactly 1 (NaN,
+    inf, 2 and 0.5 are not).  flatnonzero lists them in order, so each column
+    holds one when their column numbers are 0..n-1, and each row when no row
+    number repeats among theirs."""
     ones = np.flatnonzero(flat)
     if not (flat[ones] == 1).all():
         raise NotAPermutation(f"{entries} must be 0 or 1")
-    along, across = divmod(ones, n)
-    if ones.size != n or (along != np.arange(n)).any() or np.bincount(across).max() > 1:
+    columns, rows = divmod(ones, n)
+    if ones.size != n or (columns != np.arange(n)).any() or np.bincount(rows).max() > 1:
         raise NotAPermutation("every row and column must contain exactly one 1")
-    return tuple((np.argsort(across) if column_stacked else across).tolist())
+    return tuple(np.argsort(rows).tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -618,7 +618,7 @@ def decode_permutation(z_star) -> PermutationMatrix:
         raise NonSquareLength(f"length {z.size} is not a positive perfect square")
     if z.ndim != 1:  # an n x n matrix is no column-stacked state
         raise NotAPermutation(f"state must be a one-dimensional vector, not of shape {z.shape}")
-    return PermutationMatrix._of(_one_per_line(z, n, "state entries", column_stacked=True))
+    return PermutationMatrix._of(_one_per_line(z, n, "state entries"))
 
 
 def apply_permutation(p: PermutationMatrix, x: ValueVector) -> np.ndarray:

@@ -171,9 +171,10 @@ def flip_gain(W, theta, s, i: int) -> float:
 
 
 def descend(W, theta, start=None, budget=None) -> tuple:
-    """Steepest descent on a dense W, as hopfield._descend runs it on a
-    PenaltyMatrix: from start (all inactive if None), with a budget of N*N
-    flips if None; returns the final bipolar state and the trace."""
+    """Steepest descent on a dense W, as hopfield.solve runs it on a
+    PenaltyMatrix: from start (all inactive if None, the only start solve
+    takes), with a budget of N*N flips if None; returns the final bipolar
+    state and the trace."""
     N = theta.size
     start = np.full(N, -1, dtype=np.int8) if start is None else start
     budget = N * N if budget is None else budget
@@ -242,15 +243,24 @@ def fraction_energy(W, theta, s) -> Fraction:
 def fraction_energies(W, theta, states) -> list[float]:
     """float(Fraction(E(s))) for each of states, consecutive ones equal or one
     flip apart: E of the first from every entry of W, and flipping s_i to s'_i
-    adds 2 s'_i (theta_i - (W s)_i) exactly, since W_ii = 0."""
+    adds 2 s'_i (theta_i - (W s)_i) exactly, since W_ii = 0.  An energy
+    beyond the float range is an infinity, as descent records it."""
     states = [np.asarray(state, dtype=float) for state in states]
     E = fraction_energy(W, theta, states[0])
-    energies = [float(E)]
+    energies = [_float(E)]
     for before, after in zip(states, states[1:]):
         for i in np.flatnonzero(before != after).tolist():  # at most one
             E += 2 * int(after[i]) * (Fraction(theta[i]) - exact_sum(W[i] * before))
-        energies.append(float(E))
+        energies.append(_float(E))
     return energies
+
+
+def _float(E: Fraction) -> float:
+    """E correctly rounded; beyond the float range, an infinity."""
+    try:
+        return float(E)
+    except OverflowError:
+        return math.inf if E > 0 else -math.inf
 
 
 # --- structure checks -------------------------------------------------------

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qperm import (
@@ -125,18 +125,23 @@ class TestEachStageWritesItsCoefficients:
     numbers; every stage is its dense hop, byte for byte."""
 
     @given(
-        st.integers(1, 6),
+        st.integers(1, 8),
         st.one_of(edges, finite),
         st.one_of(edges, finite),
         st.one_of(st.sampled_from([0.0, -0.0]), edges, finite),
         st.data(),
     )
+    @example(2, 1.7e308, 1.7e308, 0.0, None)  # the row sum overflows
+    @example(2, 2.0**-53 + 2.0**-80, -1.0, 0.0, None)  # the order of the sum shows
     @settings(max_examples=300, deadline=None)
     def test_the_chain_is_the_dense_chain(self, n, same_row, same_col, self_coupling, data):
         """Where the dense hops call for a refusal, the same DomainError
-        comes, with the same message."""
+        comes, with the same message.  An example without data takes a
+        Gaussian r."""
         R = PenaltyMatrix(n, same_row, same_col, self_coupling)
-        r = np.array(data.draw(st.lists(st.one_of(edges, finite), min_size=n * n, max_size=n * n)))
+        r = np.random.default_rng(n).normal(size=n * n) if data is None else np.array(
+            data.draw(st.lists(st.one_of(edges, finite), min_size=n * n, max_size=n * n))
+        )
         instance = QuboInstance(R, r)
         if self_coupling != 0.0:
             with pytest.raises(NonZeroDiagonal) as raised:

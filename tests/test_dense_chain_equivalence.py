@@ -20,7 +20,6 @@ where the earlier descent's products could miss by a few ulp.
 
 import dataclasses
 from collections import namedtuple
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -42,7 +41,6 @@ from qperm import (
     to_hopfield,
     to_ising,
 )
-from qperm import hopfield
 
 from . import reference
 from .conftest import make_program, paper_faithful, random_start
@@ -98,28 +96,33 @@ def hexes(energies) -> list[str]:
     return [float(e).hex() for e in energies]
 
 
-def compare_descents(network, start, budget=None):
+def compare_descents(network, start=None, budget=None):
     """The current descent takes the earlier one's flips and stops before the
     first flip whose correctly rounded energy fails to fall; its energies are
-    float(Fraction(E(s))).
+    float(Fraction(E(s))), and one beyond the float range at either end of
+    the run is named.
 
-    network is a library HopfieldInstance, which hopfield._descend takes, or
-    a dense (W, theta) pair, which the reference descent takes.  The earlier
-    descent takes a flip whose true gain is 0 when that gain rounds
-    negative, and one whose true decrease is below half an ulp of the energy.
-    Runs without such a flip are the same, or both raise MaxStepsExceeded.
-    Returns the trace of the current descent, or None when it raises.
+    network is a library HopfieldInstance, which solve takes, or a dense
+    (W, theta) pair, which the reference descent takes.  solve descends from
+    the all-inactive state, the start when start is None; only the reference
+    descent takes another.  The earlier descent takes a flip whose true gain
+    is 0 when that gain rounds negative, and one whose true decrease is
+    below half an ulp of the energy.  Runs without such a flip are the
+    same, or both raise MaxStepsExceeded.  Returns the trace of the current
+    descent, or None when it raises.
     """
     N = size(network)
+    start = np.full(N, -1, dtype=np.int8) if start is None else start
     budget = N * N if budget is None else budget
     library = isinstance(network, HopfieldInstance)
+    assert not library or (start == -1).all()
     # the earlier descent forms its products on the form the current one takes
     products, theta = (network.weights_W, network.bias_theta) if library else network
     W = np.asarray(products)
 
     def current():
         if library:
-            return hopfield._descend(network, start, budget)
+            return solve(network, budget)
         return reference.descend(W, theta, start, budget)
 
     old_steps = []  # every row the earlier descent builds, kept even when it raises
@@ -147,6 +150,10 @@ def compare_descents(network, start, budget=None):
         return None
     # Without a rejected flip, the rows are all but the repeated endpoint.
     kept = len(states) - 1 if rejected is None else rejected
+    if not np.isfinite([energies[0], energies[kept - 1]]).all():
+        with pytest.raises(DomainError, match="overflows the float range"):
+            current()
+        return None
     state, trace = current()
     assert trace.flips == kept - 1
     assert len(trace.steps) == kept + 1
@@ -211,6 +218,11 @@ def builder_networks(draw, max_n=12, materialize=True):
     return reference.dense(network) if materialize and draw(st.booleans()) else network
 
 
+def _materialized(network):
+    """A builder network as its dense (W, theta) pair."""
+    return reference.dense(network) if isinstance(network, HopfieldInstance) else network
+
+
 @st.composite
 def dense_networks(draw):
     """Random symmetric networks; coarse value sets make exact and rounded ties common."""
@@ -236,11 +248,13 @@ class TestDescentMatchesTwoProducts:
     @given(builder_networks())
     @settings(max_examples=120, deadline=None)
     def test_builder_instances_from_all_inactive(self, network):
-        compare_descents(network, np.full(size(network), -1, dtype=np.int8))
+        compare_descents(network)
 
-    @given(builder_networks(), st.integers(0, 2**32 - 1))
+    @given(builder_networks().map(_materialized), st.integers(0, 2**32 - 1))
     @settings(max_examples=120, deadline=None)
     def test_builder_instances_from_random_starts(self, network, seed):
+        """The reference descent, which takes any start, on materialized
+        builder networks; solve starts only from the all-inactive state."""
         compare_descents(network, random_start(size(network), seed))
 
     @given(dense_networks(), st.integers(0, 2**32 - 1))
@@ -256,21 +270,20 @@ class TestDescentMatchesTwoProducts:
     @given(builder_networks(max_n=8, materialize=False))
     @settings(max_examples=60, deadline=None)
     def test_solve_runs_one_descent(self, network):
-        """solve is one descent from the all-inactive state, which it leaves to
-        _descend to set up (start None), with a budget of N*N flips."""
+        """solve is one descent from the all-inactive state, the earlier
+        descent's at a budget of N*N flips, and a budget of one flip fewer
+        than it takes is not enough."""
         N = network.dimension
-        start = np.full(N, -1, dtype=np.int8)
-        with mock.patch.object(hopfield, "_descend", wraps=hopfield._descend) as descend:
-            state, trace = solve(network)
-        assert descend.call_count == 1
-        _, called_start, budget = descend.call_args.args
-        assert called_start is None
-        assert budget == N * N
-        assert np.array_equal(trace.start, start)
+        state, trace = solve(network)
+        assert np.array_equal(trace.start, np.full(N, -1, dtype=np.int8))
+        assert state.dtype == trace.start.dtype == np.int8 and not trace.start.flags.writeable
         assert np.array_equal(state, trace.final_state)
-        checked = compare_descents(network, start)
+        checked = compare_descents(network, budget=N * N)
         assert trace.flipped.tolist() == checked.flipped.tolist()
         assert bits(trace.energies) == bits(checked.energies)
+        if trace.flips:
+            with pytest.raises(MaxStepsExceeded):
+                solve(network, trace.flips - 1)
 
     def test_exact_tie_after_a_row_update(self):
         """Coordinates 1 and 3 tie at a gain of exactly -0.9 after the first flip.
@@ -337,12 +350,7 @@ class TestDescentMatchesTwoProducts:
         N = n * n
         theta = np.random.default_rng(n).uniform(-1.0, 1.0, size=N) * c
         network = HopfieldInstance(PenaltyMatrix(n, c, -c / 2, 0.0), theta)
-        start = random_start(N, n)
-        try:
-            compare_descents(network, start)
-        except OverflowError:  # float(Fraction(E(s))) is beyond the float range
-            with pytest.raises(DomainError, match="overflows"):
-                hopfield._descend(network, start, N * N)
+        compare_descents(network)
 
 
 # --- builder and fold -----------------------------------------------------

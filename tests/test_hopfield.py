@@ -14,7 +14,6 @@ from qperm import (
     InvalidSize,
     MaxStepsExceeded,
     PenaltyMatrix,
-    QpermError,
     SolverTrace,
     ValueVector,
     apply_permutation,
@@ -30,7 +29,7 @@ from qperm import (
 from qperm import hopfield
 
 from . import reference_run as ref
-from .conftest import make_program, paper_faithful, random_start, run_pipeline
+from .conftest import make_program, paper_faithful, run_pipeline
 from .reference import (
     binary_to_bipolar,
     dense,
@@ -40,7 +39,7 @@ from .reference import (
     fraction_energy,
     vectorize,
 )
-from .test_dense_chain_equivalence import builder_networks
+from .test_dense_chain_equivalence import builder_networks, compare_descents
 from .test_structured_chain import builder_instances, chain, coefficients
 
 
@@ -229,8 +228,8 @@ class TestEnergyOfAState:
 
 class TestDescent:
     def test_energy_strictly_decreases_until_stable(self):
-        network = small_network(4)
-        _, trace = hopfield._descend(network, random_start(9, 3), 81)
+        _, trace = solve(small_network(4))
+        assert trace.flips > 1
         energies = [s.energy for s in trace.steps]
         for a, b in zip(energies[:-2], energies[1:-1]):
             assert b < a
@@ -238,7 +237,7 @@ class TestDescent:
 
     def test_endpoint_is_single_flip_stable(self):
         network = small_network(8)
-        state, _ = hopfield._descend(network, random_start(9, 1), 81)
+        state, _ = solve(network)
         gains = [flip_gain(*dense(network), state, i) for i in range(9)]
         assert min(gains) >= 0.0
 
@@ -253,13 +252,6 @@ class TestDescent:
         x = ValueVector([3, 1, 2, 5, 4, 0, 7, 6])
         with np.errstate(over="ignore"), pytest.raises(DomainError, match="overflows"):
             run_pipeline(x, ascending_program(8), lambda_r=3e306, lambda_c=3e306)
-
-    def test_explicit_initial_state(self):
-        network = small_network(6)
-        s0 = np.array([1, -1, 1, -1, 1, -1, 1, -1, 1], dtype=np.int8)
-        _, trace = hopfield._descend(network, s0, 81)
-        assert np.array_equal(trace.start, s0)
-        assert np.array_equal(trace.steps[0].state, s0)
 
     def test_config_validation(self):
         with pytest.raises(DomainError):
@@ -440,28 +432,29 @@ class TestFreeLines:
             assert trace.flips == n
             assert line.call_count == 0
 
-    def test_unnormalized_build_and_random_start_call_line(self):
+    def test_unnormalized_build_and_signed_weights_call_line(self):
         with mock.patch.object(hopfield, "_line", wraps=hopfield._line) as line:
             run_pipeline(ValueVector(x_of("paper", 8)), heap_program(8), normalize=False)
         assert line.call_count > 0
         with mock.patch.object(hopfield, "_line", wraps=hopfield._line) as line:
-            hopfield._descend(small_network(4), random_start(9, 3), 81)
+            solve(small_network(4))
         assert line.call_count > 0
 
     def test_clearing_the_only_active_cell_of_a_line(self):
-        """Cell 4 is the start's one active cell, so the first flip clears the
-        only active cell of grid row 1 and of grid column 1; the clear goes
-        through _line, and descent takes the reference's flips, states and
-        energies bit for bit."""
-        theta = [1.25, -0.75, -2.0, -1.5, 0.25, -1.25, -0.75, -2.0, 1.25]
-        network = HopfieldInstance(PenaltyMatrix(3, 0.25, 0.5, 0.0), theta)
-        start = np.full(9, -1, dtype=np.int8)
-        start[4] = 1
+        """The last flip clears cell 7, the only active cell of grid column 1;
+        grid row 2 holds cell 8 too.  The clear goes through _line, the
+        endpoint's grid column 2 holds three active cells, and descent takes
+        the reference's flips, states and energies bit for bit."""
+        theta = [1.25, 2.0, -2.0, 3.0, 3.0, 1.5, -0.25, -2.25, 1.75]
+        network = HopfieldInstance(PenaltyMatrix(3, 1.5, -1.0, 0.0), theta)
         with mock.patch.object(hopfield, "_line", wraps=hopfield._line) as line:
-            state, trace = hopfield._descend(network, start, 81)
-        assert trace.flipped.tolist() == [4, 2, 7, 1, 5, 3, 4, 6, 0, 8]
+            state, trace = solve(network)
+        assert trace.flipped.tolist() == [7, 2, 5, 8, 7]
+        before = trace.steps[4].state.reshape(3, 3)  # the state the last flip clears
+        assert before[2].tolist() == [-1, 1, 1] and before[:, 1].tolist() == [-1, -1, 1]
         assert line.call_count > 0
-        reference_state, reference_trace = descend(*dense(network), start, 81)
+        assert state.reshape(3, 3)[:, 2].tolist() == [1, 1, 1]
+        reference_state, reference_trace = descend(*dense(network))
         assert state.tobytes() == reference_state.tobytes()
         assert trace.flipped.tolist() == reference_trace.flipped.tolist()
         assert trace.energies.tobytes() == reference_trace.energies.tobytes()
@@ -486,16 +479,6 @@ def networks():
     )
 
 
-def outcome(network, start, budget):
-    """What _descend returns, as comparable values, or the error it raises."""
-    try:
-        state, trace = hopfield._descend(network, start, budget)
-    except QpermError as exc:
-        return type(exc), str(exc)
-    return (state.dtype, state.tobytes(), trace.start.dtype, trace.start.flags.writeable,
-            trace.start.tobytes(), trace.flipped.tolist(), trace.energies.tobytes())
-
-
 def rebuilds(run):
     """run() and the number of active cells at each call of _gains during it."""
     gains, active = hopfield._gains, []
@@ -509,19 +492,18 @@ def rebuilds(run):
 
 
 class TestAllInactiveStart:
-    """solve passes no start: _descend sets the all-inactive state up in closed
-    form and keeps only the gains of free lines while every flip pairs a free
-    row with a free column, forming every gain from the state, once, when the
-    argmin may be a cell it does not keep.  An explicit start forms every gain
-    from the state from the outset, so the two descents must agree."""
+    """solve sets the all-inactive state up in closed form and keeps only the
+    gains of free lines while every flip pairs a free row with a free column,
+    forming every gain from the state, once, when the argmin may be a cell it
+    does not keep.  Either way it takes the flips of the two-product descent,
+    which forms W @ s afresh at every step."""
 
     @given(networks(), st.data())
     @settings(max_examples=300, deadline=None)
-    def test_same_descent_as_from_the_explicit_start(self, network, data):
+    def test_same_descent_as_the_two_products(self, network, data):
         N = network.dimension
         budget = data.draw(st.integers(0, N * N), label="budget")
-        explicit = outcome(network, np.full(N, -1, dtype=np.int8), budget)
-        assert outcome(network, None, budget) == explicit
+        compare_descents(network, budget=budget)
 
     @pytest.mark.parametrize(
         "w_r, w_c, theta",
@@ -537,8 +519,7 @@ class TestAllInactiveStart:
         """Doubled, half gains at or below -2^1023 are -inf and tie, so the
         lowest index among them is flipped, not the least gain."""
         network = HopfieldInstance(PenaltyMatrix(2, w_r, w_c, 0.0), theta)
-        explicit = outcome(network, np.full(4, -1, dtype=np.int8), 16)
-        assert outcome(network, None, 16) == explicit
+        compare_descents(network)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 8])
     @pytest.mark.parametrize("kind", sorted(PROGRAMS))
@@ -574,22 +555,21 @@ class TestAllInactiveStart:
         assert trace.flipped.tolist() == reference_trace.flipped.tolist()
         assert trace.energies.tobytes() == reference_trace.energies.tobytes()
 
-    def test_an_explicit_start_forms_the_gains_at_set_up(self):
-        _, active = rebuilds(lambda: hopfield._descend(small_network(4), random_start(9, 3), 81))
-        assert active == [int((random_start(9, 3) > 0).sum())]
-
-    @pytest.mark.parametrize("seed", range(4))
-    @pytest.mark.parametrize("network", [
-        HopfieldInstance(PenaltyMatrix(3, 0.25, 0.5, 0.0),
-                         [1.25, -0.75, -2.0, -1.5, 0.25, -1.25, -0.75, -2.0, 1.25]),
-        chain(build_qubo(ValueVector(x_of("paper", 4)), heap_program(4), normalize=False))[2],
-    ], ids=["dyadic", "unnormalized"])
-    def test_an_explicit_start_rebuilds_once_before_its_first_flip(self, network, seed):
-        """An explicit start leaves the free-line phase at its first pick:
-        _gains runs once, on the start itself, and descent takes the
-        reference's flips, states and energies bit for bit."""
-        N = network.dimension
-        start = random_start(N, seed)
+    @pytest.mark.parametrize(
+        "family, seed",
+        [("gaussian", seed) for seed in (0, 3, 5, 7)]
+        + [("unnormalized", seed) for seed in (2, 3, 6, 34)],
+    )
+    def test_the_one_rebuild_reads_the_state_of_the_free_line_flips(self, family, seed):
+        """The rebuild is the only way into the general phase: _gains runs
+        once, on the state after the free-line flips, one active cell each,
+        and descent takes the two-product descent's flips, states and
+        energies."""
+        if family == "gaussian":
+            network = small_network(seed, 4)
+        else:
+            x = ValueVector(np.random.default_rng(seed).normal(size=4))
+            network = chain(build_qubo(x, heap_program(4), normalize=False))[2]
         gains, seen = hopfield._gains, []
 
         def recorded(G, S, *rest):
@@ -597,21 +577,21 @@ class TestAllInactiveStart:
             return gains(G, S, *rest)
 
         with mock.patch.object(hopfield, "_gains", side_effect=recorded):
-            state, trace = hopfield._descend(network, start, N * N)
-        assert trace.flips > 0
-        assert [s.tobytes() for s in seen] == [start.tobytes()]
-        reference_state, reference_trace = descend(*dense(network), start, N * N)
-        assert state.tobytes() == reference_state.tobytes()
-        assert trace.flipped.tolist() == reference_trace.flipped.tolist()
-        assert trace.energies.tobytes() == reference_trace.energies.tobytes()
+            trace = compare_descents(network)
+        assert len(seen) == 1
+        active = int((seen[0] > 0).sum())
+        assert 0 < active < trace.flips
+        assert seen[0].tobytes() == trace.steps[active].state.tobytes()
 
-    def test_an_overflowing_start_energy_is_named_from_either_start(self):
+    def test_an_overflowing_start_energy_is_named(self):
         """Penalty weights of 3e306 carry the start energy to -inf."""
         x = ValueVector([3, 1, 2, 5, 4, 0, 7, 6])
         network = chain(build_qubo(x, ascending_program(8), lambda_r=3e306, lambda_c=3e306))[2]
-        named = (DomainError, "trace energies must be finite: the energy overflows the float range")
-        assert outcome(network, None, 64 * 64) == named
-        assert outcome(network, np.full(64, -1, dtype=np.int8), 64 * 64) == named
+        with pytest.raises(DomainError) as raised:
+            solve(network)
+        assert str(raised.value) == (
+            "trace energies must be finite: the energy overflows the float range"
+        )
 
 
 class TestDescentTrace:

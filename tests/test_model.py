@@ -9,7 +9,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qperm
-from qperm import hopfield
 from qperm import (
     DimensionMismatch,
     DomainError,
@@ -714,7 +713,6 @@ STATE_READERS = {
     "SolverTrace": (lambda s: SolverTrace(s, [], [0.0]), "start state"),
     "energy": (lambda s: energy(_network(), s), "state"),
     "bipolar_to_binary": (bipolar_to_binary, "s"),
-    "descent's start": (lambda s: hopfield._descend(_network(), s, 4), "start state"),
 }
 
 
@@ -724,8 +722,8 @@ STATE_READERS = {
     ids=["grid", "row", "scalar"],
 )
 def test_every_state_is_a_vector(reader, state, shape):
-    """TraceStep kept a grid and a 0-d state, bipolar_to_binary read a grid,
-    and descent read a grid as its column-stacked state."""
+    """TraceStep kept a grid and a 0-d state, and bipolar_to_binary and
+    energy read a grid."""
     read, field = STATE_READERS[reader]
     with pytest.raises(DomainError) as raised:
         read(state)
@@ -845,6 +843,31 @@ class TestArrayEntries:
         with pytest.raises(QpermError) as raised:
             read(nesting)
         assert str(raised.value) == message
+
+    @pytest.mark.parametrize(
+        "values, what",
+        [
+            ([1.0, np.array(2.0)], "ndarray"),
+            ([np.array(1.0), np.array(2.0)], "ndarray"),
+            ([[1, 2], [3]], "a ragged nesting"),
+            ([np.ones(2), np.ones(3)], "a ragged nesting"),
+        ],
+        ids=["number-and-0d", "0d-arrays", "lists", "arrays"],
+    )
+    @pytest.mark.parametrize(
+        "read, field",
+        [
+            (ValueVector, "entries must be real numbers"),
+            (lambda v: OrderProgram(ranks=v), "ranks must be integers"),
+        ],
+        ids=["ValueVector", "OrderProgram"],
+    )
+    def test_a_0d_array_entry_is_named_by_its_type(self, read, field, values, what):
+        """A 0-d array among the entries is refused by its type, as an entry
+        of no real number type; it was named a ragged nesting."""
+        with pytest.raises(QpermError) as raised:
+            read(values)
+        assert str(raised.value) == f"{field}, not {what}"
 
     def test_a_state_is_checked_before_the_int8_cast(self):
         """An int64 257 was once cast to int8 first, as 1, and passed the +-1

@@ -21,7 +21,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qperm import (
@@ -46,12 +46,11 @@ from qperm import (
     to_hopfield,
     to_ising,
 )
-from qperm import hopfield
 from qperm.cli import main
 
 from . import reference
 from . import reference_run as ref
-from .conftest import make_program, paper_faithful, random_start, run_pipeline
+from .conftest import make_program, paper_faithful, run_pipeline
 from .reference import (
     build_Cc,
     build_Cr,
@@ -77,18 +76,18 @@ def chain(instance):
     return folded, ising, to_hopfield(ising)
 
 
-def assert_bitwise_same_descent(network, start, budget=None):
-    """hopfield._descend on the structured network takes the same flips
-    through the same states at the same energies as the reference descent on
-    its materialized form, or raises the same error."""
+def assert_bitwise_same_descent(network, budget=None):
+    """solve on the structured network takes the same flips through the same
+    states at the same energies as the reference descent on its materialized
+    form, both from the all-inactive state, or raises the same error."""
     budget = network.dimension ** 2 if budget is None else budget
     try:
-        dense_run = reference.descend(*dense(network), start, budget)
+        dense_run = reference.descend(*dense(network), None, budget)
     except MaxStepsExceeded:
         with pytest.raises(MaxStepsExceeded):
-            hopfield._descend(network, start, budget)
+            solve(network, budget)
         return None
-    state, trace = hopfield._descend(network, start, budget)
+    state, trace = solve(network, budget)
     dense_state, dense_trace = dense_run
     assert np.array_equal(state, dense_state)
     assert trace.flipped.tolist() == dense_trace.flipped.tolist()
@@ -260,12 +259,16 @@ class TestPenaltyMatrix:
             assert all(a.shape == (n * n,) for a in arrays)
 
     def test_solve_runs_one_descent(self):
+        """One descent from the all-inactive state: its flips use up a budget
+        of their own number, and one flip fewer is not enough."""
         instance = build_qubo(ValueVector(ref.INPUT_X), make_program("heap", 7))
         network = chain(instance)[2]
-        with mock.patch.object(hopfield, "_descend", wraps=hopfield._descend) as descend:
-            solve(network)
-        (call,) = descend.call_args_list
-        assert call.args[0].weights_W is network.weights_W
+        state, trace = solve(network)
+        assert trace.start.tolist() == [-1] * 49
+        assert trace.flips == 7
+        assert bits(solve(network, 7)[1].energies) == bits(trace.energies)
+        with pytest.raises(MaxStepsExceeded):
+            solve(network, 6)
 
     def test_descent_never_materializes(self):
         """The structured descent reads its fields off row and column counts,
@@ -274,7 +277,7 @@ class TestPenaltyMatrix:
         network = chain(instance)[2]
         with mock.patch.object(PenaltyMatrix, "__array__", side_effect=AssertionError("dense")):
             _, trace = solve(network)
-        assert_bitwise_same_descent(network, np.full(49, -1, dtype=np.int8))
+        assert_bitwise_same_descent(network)
         assert trace.flips == 7
 
     @pytest.mark.parametrize("n", [1, 2, 7, 40])
@@ -292,68 +295,20 @@ class TestPenaltyMatrix:
         assert bits(folded.vector_r) == bits(dense_fold)
         assert trace.flips == n
 
-    def test_descent_clears_a_cell_alone_in_its_lines(self):
-        """A flip that clears the one active cell of its grid row and grid
-        column gives both lines the gains of an all-inactive line after a
-        clear, so a descent started afresh after any prefix of the trace
-        takes the rest of it bit for bit; the start was found by a seeded
-        search over random starts."""
-        n = 4
-        instance = build_qubo(
-            ValueVector([0.0, 3.0, -5.0, 3.0]), make_program("ascending", n), normalize=False
-        )
-        network = chain(instance)[2]
-        start = np.full(n * n, -1, dtype=np.int8)
-        start[[5, 10, 15]] = 1
-        trace = assert_bitwise_same_descent(network, start)
-        assert trace.flipped.tolist() == [0, 10, 6, 14]
-        before = trace.steps[1].state.reshape(n, n)  # the state the second flip clears
-        assert before[2, 2] == 1
-        assert before[2].sum() == before[:, 2].sum() == 2 - n
-        for k, step in enumerate(trace.steps[: trace.flips + 1]):
-            rest = hopfield._descend(network, step.state, n**4)[1]
-            assert rest.flipped.tolist() == trace.flipped[k:].tolist()
-            assert bits(rest.energies) == bits(trace.energies[k:])
-
-    def test_a_start_that_is_not_bipolar_is_named(self):
-        network = chain(build_qubo(ValueVector(ref.INPUT_X), make_program("heap", 7)))[2]
-        with pytest.raises(DomainError, match="start state must be a bipolar vector"):
-            hopfield._descend(network, np.full(49, 2, dtype=np.int8), 49 * 49)
-
     @given(st.integers(1, 8), st.integers(1, 2**20), st.integers(1, 2**20),
            st.integers(0, 20), st.integers(0, 2**32 - 1))
     @settings(max_examples=100, deadline=None)
     def test_dyadic_weights_descend_bit_for_bit(self, n, m_r, m_c, k, seed):
         """Dyadic lambda (m / 2^k) keeps every field exact on either form, so
-        descent from a random start takes the materialized descent's flips, and
-        both give every energy as float(Fraction(E(s)))."""
+        descent takes the materialized descent's flips, and both give every
+        energy as float(Fraction(E(s)))."""
         x = ValueVector(np.random.default_rng(seed).normal(size=n))
         program = make_program("heap", n)
         network = chain(build_qubo(x, program, lambda_r=m_r / 2**k, lambda_c=m_c / 2**k))[2]
-        trace = assert_bitwise_same_descent(network, random_start(n * n, seed))
+        trace = assert_bitwise_same_descent(network)
         for step in trace.steps:
             assert step.energy == float(fraction_energy(*dense(network), step.state))
 
-    @given(st.integers(1, 8), coefficients, coefficients, coefficients, st.data())
-    @example(2, 1.7e308, 1.7e308, 0.0, None)  # the row sum overflows
-    @example(2, 2.0**-53 + 2.0**-80, -1.0, 1.0, None)  # the order of the sum shows
-    @settings(max_examples=80, deadline=None)
-    def test_row_sum_is_the_product_with_ones(self, n, same_row, same_col, self_coupling, data):
-        """to_ising's q is 0.5 * (R @ 1) + 0.5 * r, byte for byte, for any
-        finite coefficients."""
-        ones = np.ones(n * n)
-        folded = PenaltyMatrix(n, same_row, same_col, 0.0)
-        r = np.random.default_rng(n).normal(size=n * n) if data is None else np.array(
-            data.draw(st.lists(st.floats(-1e300, 1e300), min_size=n * n, max_size=n * n))
-        )
-        instance = QuboInstance(folded, r)
-        with np.errstate(over="ignore", invalid="ignore"):
-            expected = 0.5 * (folded @ ones) + 0.5 * r
-        if np.isfinite(expected).all():
-            assert bits(to_ising(instance).vector_q) == bits(expected)
-        else:
-            with np.errstate(over="ignore"), pytest.raises(DomainError, match="vector_q"):
-                to_ising(instance)
 
 # --- stages and descent, integer penalty weights: bit for bit -------------
 
@@ -372,43 +327,47 @@ class TestIntegerWeightsBitForBit:
             assert bits(structured_matrix) == bits(matrix)
             assert bits(structured_vector) == bits(vector)
 
-    @given(builder_instances(integer_lambda=True), st.one_of(st.none(), st.integers(0, 2**32 - 1)))
+    @given(builder_instances(integer_lambda=True))
     @settings(max_examples=120, deadline=None)
-    def test_descent_matches_dense_descent(self, instance, seed):
-        network = chain(instance)[2]
-        N = network.dimension
-        start = np.full(N, -1, dtype=np.int8) if seed is None else random_start(N, seed)
-        assert_bitwise_same_descent(network, start)
+    def test_descent_matches_dense_descent(self, instance):
+        assert_bitwise_same_descent(chain(instance)[2])
 
-    @pytest.mark.parametrize("start", [-1, 1])
-    def test_one_cell_zero_energy_is_the_dense_one(self, start):
-        """Here theta = 0, so the energy is 0; structured descent once gave
-        -0.0 from the all-inactive start where the dense descent gives +0.0."""
-        instance = QuboInstance(PenaltyMatrix(1, 1.0, 1.0, 2.0), [-2.0])
-        network = chain(instance)[2]
-        s = np.array([start], dtype=np.int8)
-        trace = assert_bitwise_same_descent(network, s)
-        assert trace.energies[0].hex() == float(fraction_energy(*dense(network), s)).hex()
+    ONE_CELL = QuboInstance(PenaltyMatrix(1, 1.0, 1.0, 2.0), [-2.0])
 
-    @given(builder_instances(integer_lambda=True, max_n=6), st.integers(0, 2**32 - 1),
-           st.integers(0, 4))
+    @pytest.mark.parametrize("state", [-1, 1])
+    def test_one_cell_zero_energy_is_the_dense_one(self, state):
+        """Here theta = 0, so the energy is 0 at either state."""
+        network = chain(self.ONE_CELL)[2]
+        s = np.array([state], dtype=np.int8)
+        zero = float(fraction_energy(*dense(network), s)).hex()
+        assert energy(network, s).hex() == reference.energy(*dense(network), s).hex() == zero
+
+    def test_one_cell_descent_starts_at_positive_zero(self):
+        """Structured descent once gave -0.0 from the all-inactive start
+        where the dense descent gives +0.0."""
+        network = chain(self.ONE_CELL)[2]
+        inactive = -np.ones(1, dtype=np.int8)
+        zero = float(fraction_energy(*dense(network), inactive)).hex()
+        trace = assert_bitwise_same_descent(network)
+        assert trace.energies[0].hex() == zero
+
+    @given(builder_instances(integer_lambda=True, max_n=6), st.integers(0, 4))
     @settings(max_examples=40, deadline=None)
-    def test_step_budget(self, instance, seed, budget):
-        network = chain(instance)[2]
-        assert_bitwise_same_descent(network, random_start(network.dimension, seed), budget)
+    def test_step_budget(self, instance, budget):
+        assert_bitwise_same_descent(chain(instance)[2], budget)
 
     @pytest.mark.parametrize("kind", ["ascending", "bst", "heap"])
     def test_frozen_reference_run(self, kind):
         scaled = paper_faithful(ref.INPUT_X)
         network = chain(build_qubo(scaled, make_program(kind, 7), normalize=False))[2]
-        trace = assert_bitwise_same_descent(network, np.full(49, -1, dtype=np.int8))
+        trace = assert_bitwise_same_descent(network)
         assert trace.flipped.tolist() == ref.FLIPS[kind]
         assert [f"{s.energy:.1f}" for s in trace.steps] == ref.ENERGY_STRINGS
 
     def test_two_negative_entries(self):
         scaled = paper_faithful([-1.0, -2.0])
         network = chain(build_qubo(scaled, make_program("ascending", 2), normalize=False))[2]
-        trace = assert_bitwise_same_descent(network, np.full(4, -1, dtype=np.int8))
+        trace = assert_bitwise_same_descent(network)
         assert trace.flipped.tolist() == [0, 3]  # stuck on [-1, -2], not sorted
 
     def test_objectives_match_the_dense_forms(self):
@@ -434,22 +393,18 @@ class TestIntegerWeightsBitForBit:
 
 
 class TestCorrectlyRoundedEnergies:
-    @given(builder_instances(integer_lambda=False, max_n=6), st.booleans(),
-           st.one_of(st.none(), st.integers(0, 2**32 - 1)))
+    @given(builder_instances(integer_lambda=False, max_n=6), st.booleans())
     @settings(max_examples=100, deadline=None)
-    def test_every_energy_is_correctly_rounded(self, instance, on_reference, seed):
+    def test_every_energy_is_correctly_rounded(self, instance, on_reference):
         """Every trace energy and every energy() is float(Fraction(E(s))), in
-        the library and in the reference, from the all-inactive start or a
-        random one."""
+        the library and in the reference."""
         network = chain(instance)[2]
         W, theta = dense(network)
-        N = network.dimension
-        start = np.full(N, -1, dtype=np.int8) if seed is None else random_start(N, seed)
         try:
             if on_reference:
-                _, trace = reference.descend(W, theta, start, N * N)
+                _, trace = reference.descend(W, theta)
             else:
-                _, trace = hopfield._descend(network, start, N * N)
+                _, trace = solve(network)
         except MaxStepsExceeded:
             return
         for step in trace.steps:
