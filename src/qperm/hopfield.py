@@ -16,14 +16,9 @@ w_r (R_b - s_ab) + w_c (C_a - s_ab), where R_b sums s over grid column b
 (row b of Z) and C_a over grid row a (column a of Z).  PenaltyMatrix @ s
 evaluates that expression, so every field is a fresh W @ s bit for bit at
 any finite weights.  Descent keeps the 2n counts and forms no W @ s: a
-flip at (a, b) recomputes grid row a and grid column b only, in O(n).  A
-flip that sets the only active cell of a line leaves its other cells the
-fields w_r (R_b + 1) + w_c (C_a + 1) with the line's own count at 2 - n,
-so the line takes one numpy call: descent keeps w_r (R + 1) + w_c (3 - n)
-and w_c (C + 1) + w_r (3 - n) as two n-vectors and moves one entry of each
-per flip.  A clear, or a line with another active cell, forms the line's
-gains from its cells.  The argmin over all gains is O(N) per flip, and no
-PenaltyMatrix is materialized.
+flip at (a, b) forms the gains of grid row a and grid column b from their
+cells, its own among them, in O(n).  The argmin over all gains is O(N) per
+flip, and no PenaltyMatrix is materialized.
 
 Every energy, in the trace and from energy(), is E(s) correctly rounded,
 the same on any BLAS.  2 E(s) is kept as an integer count of 2^u, u at or
@@ -128,8 +123,9 @@ def solve(
     ----------
     instance : HopfieldInstance
     max_steps : int, optional
-        Bounds the number of accepted flips; defaults to N*N.  It must
-        equal a non-negative integer.
+        Bounds the number of committed flips; defaults to N*N.  It must
+        equal a non-negative integer.  A descent that stops by itself
+        after k flips runs the same with max_steps=k and raises with k - 1.
 
     Returns
     -------
@@ -141,8 +137,7 @@ def solve(
     InvalidSize
         If max_steps is not an integer.
     MaxStepsExceeded
-        If descent uses up its flip budget without reaching a stable
-        state.
+        If descent would commit a flip beyond its budget.
     DomainError
         If max_steps is negative, or an energy overflows the float range.
     """
@@ -180,7 +175,6 @@ def solve(
         bound_all = float(low - taken[2]) if n > 1 else math.inf
         paired = (units_r + units_c) * (1 - n)  # w_r r + w_c c in units of 2^u, r = c = 1 - n
         free = True  # descent starts in its free-line phase
-        single = 2.0 - n  # the sum of a line with one active cell
         energies = [_rounded(twice, u - 1)]
         flipped: list[int] = []
         shift = 1 - u  # _scaled(x, u) and _rounded(m, u - 1), inline, both shift by 1 - u
@@ -198,39 +192,31 @@ def solve(
                     break
                 # Leave the free-line phase: form every gain from the state, once.
                 free = False
+                # After each flip, _line forms the gains of its grid row and column.
                 R, C = _gains(G, S, T, w_r, w_c)
-                R_item, C_item = R.item, C.item
-                # An inactive cell (a, b) has the field w_r (R_b + 1) + w_c (C_a + 1).
-                # After a flip that sets the only active cell of grid row a, C_a is
-                # 2 - n and every other cell (a, b') is inactive with the field
-                # rows[b']; cols[a'] likewise holds that of (a', b) when grid column
-                # b is left so.  A clear, or a line with another active cell, goes
-                # through _line.
-                rows, cols = w_r * (R + 1.0) + crossing_c, w_c * (C + 1.0) + crossing_r
                 continue
             if gain >= 0.0:
                 break
-            if len(flipped) >= budget:
-                raise MaxStepsExceeded(f"no stable state within {budget} flips")
             a, b = divmod(i, n)
             if free:  # a free row and a free column: it sets the cell
                 d, lines = 1.0, paired
             else:
                 d = -s_item(i)
-                r, c = R_item(b) + d, C_item(a) + d  # the line sums without cell i
+                r, c = R.item(b) + d, C.item(a) + d  # the line sums without cell i
                 lines = units_r * int(r) + units_c * int(c)
-            sets = d > 0.0
             # 2E gains 4 d (theta_i - (W s)_i), where (W s)_i = w_r r + w_c c.
             numerator, denominator = theta_item(i).as_integer_ratio()
             t = numerator << (shift - denominator.bit_length())  # _scaled(theta_i, u)
             step = 4 * (t - lines)
-            m = twice + step if sets else twice - step
+            m = twice + step if d > 0.0 else twice - step
             try:
                 e = m / scale
             except OverflowError:
                 e = _rounded(m, u - 1)
             if not e < last:  # a rounded gain or energy shows no decrease
                 break
+            if len(flipped) >= budget:
+                raise MaxStepsExceeded(f"no stable state within {budget} flips")
             twice, last = m, e
             flipped.append(i)
             energies.append(e)
@@ -241,16 +227,8 @@ def solve(
                 continue
             r, c = r + d, c + d  # the line sums after the flip
             R[b], C[a] = r, c
-            rows[b], cols[a] = w_r * (r + 1.0) + crossing_c, w_c * (c + 1.0) + crossing_r
-            if sets and c == single:  # grid row a, its other cells all inactive
-                np.subtract(T[a], rows, G[a])
-            else:
-                _line(G[a], T[a], S[a], R, w_r, c, w_c)
-            if sets and r == single:  # grid column b, likewise
-                np.subtract(TT[b], cols, GT[b])
-            else:
-                _line(GT[b], TT[b], ST[b], C, w_c, r, w_r)
-            half[i] = -gain  # W_ii = 0: flipping s_i leaves h_i as it was
+            _line(G[a], T[a], S[a], R, w_r, c, w_c)
+            _line(GT[b], TT[b], ST[b], C, w_c, r, w_r)
     return s.astype(np.int8), SolverTrace._of(start, flipped, energies)
 
 

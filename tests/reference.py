@@ -191,12 +191,12 @@ def descend(W, theta, start=None, budget=None) -> tuple:
                 break
             if gain <= -(2.0**1023):  # doubled, such gains are -inf and tie
                 i = int((half <= -(2.0**1023)).argmax())
-            if len(flipped) >= budget:
-                raise MaxStepsExceeded(f"no stable state within {budget} flips")
             e = descent.send(i)
             if not e < energies[-1]:  # a rounded gain or energy shows no decrease
                 s[i] = -s[i]
                 break
+            if len(flipped) >= budget:
+                raise MaxStepsExceeded(f"no stable state within {budget} flips")
             flipped.append(i)
             energies.append(e)
     return s.astype(np.int8), SolverTrace(start, np.array(flipped, dtype=np.intp), energies)

@@ -5,9 +5,11 @@ build_qubo writes R as a PenaltyMatrix and r from an outer product.  These
 tests hold both to the paper's Kronecker products (tests/reference.py),
 and the library's fold_diagonal to the dense diagonal subtraction.
 Descent is held to the product form too: _descend_two_products, the
-earlier descent with its loop copied verbatim, recomputes W @ s and the
-energy from scratch at every step; it appends each row it builds to a
-list the caller holds, and packages them as a SolverTrace only on return.
+earlier descent with its loop copied verbatim but for its budget check,
+recomputes W @ s and the energy from scratch at every step; it appends
+each row it builds to a list the caller holds, the row it would flip to
+past its budget included, and packages them as a SolverTrace only on
+return.
 It runs on random dense networks, which the reference descent takes, and
 on builder networks in both forms: the library's PenaltyMatrix network
 and its materialization, which the reference descent takes, and whose
@@ -65,12 +67,12 @@ def _descend_two_products(
             final = s.astype(np.int8)
             steps.append(Row(len(steps), final, e))
             return final, _packaged(steps)
-        if flips >= budget:
-            raise MaxStepsExceeded(f"no stable state within {budget} flips")
         s[i] = -s[i]
-        flips += 1
         e = float(-0.5 * (s @ W @ s) + theta @ s)
         steps.append(Row(len(steps), s.astype(np.int8), e))
+        if flips >= budget:  # the row it would flip to next is kept
+            raise MaxStepsExceeded(f"no stable state within {budget} flips")
+        flips += 1
 
 
 def _packaged(steps: list) -> SolverTrace:
@@ -108,8 +110,11 @@ def compare_descents(network, start=None, budget=None):
     descent takes another.  The earlier descent takes a flip whose true gain
     is 0 when that gain rounds negative, and one whose true decrease is
     below half an ulp of the energy.  Runs without such a flip are the
-    same, or both raise MaxStepsExceeded.  Returns the trace of the current
-    descent, or None when it raises.
+    same, or both raise MaxStepsExceeded.  Past its budget the earlier
+    descent keeps the row it would flip to, so a current descent whose
+    budget runs out right before a flip it rejects stops there and does not
+    raise.  Returns the trace of the current descent, or None when it
+    raises.
     """
     N = size(network)
     start = np.full(N, -1, dtype=np.int8) if start is None else start

@@ -419,9 +419,9 @@ def x_of(regime, n):
 
 
 class TestFreeLines:
-    """A flip that sets the only active cell of a line reads the line's gains
-    off one kept n-vector; every other flip forms them with _line.  Both give
-    the same numbers, so only the call count shows which one ran."""
+    """A free-line flip writes +inf over its grid row and column; a flip in
+    the general phase forms the gains of both with _line.  Both give the
+    gains a fresh W @ s gives, so only the call count shows which one ran."""
 
     @pytest.mark.parametrize("n", [1, 2, 8, 40])
     @pytest.mark.parametrize("kind", sorted(PROGRAMS))
@@ -505,6 +505,39 @@ class TestAllInactiveStart:
         budget = data.draw(st.integers(0, N * N), label="budget")
         compare_descents(network, budget=budget)
 
+    @given(networks())
+    @settings(max_examples=300, deadline=None)
+    def test_a_budget_of_its_own_flip_count_is_enough(self, network):
+        """max_steps bounds committed flips: a budget of the descent's own
+        flip count gives the same trace, and one flip fewer raises."""
+        try:
+            state, trace = solve(network)
+        except DomainError:  # an energy beyond the float range
+            assume(False)
+        again, capped = solve(network, trace.flips)
+        assert again.tobytes() == state.tobytes()
+        assert capped.flipped.tolist() == trace.flipped.tolist()
+        assert capped.energies.tobytes() == trace.energies.tobytes()
+        if trace.flips:
+            with pytest.raises(MaxStepsExceeded):
+                solve(network, trace.flips - 1)
+
+    def test_a_budget_runs_out_only_on_a_flip_it_would_commit(self):
+        """The fifth flip's rounded energy does not fall, so descent stops
+        after 4 flips, within a budget of 4, where the two-product descent,
+        which would take that flip, runs out."""
+        instance = build_qubo(ValueVector([0, 3, 0, 0]), ascending_program(4),
+                              lambda_r=4.4004, lambda_c=4.4004, normalize=False)
+        network = chain(instance)[2]
+        state, trace = solve(network)
+        assert trace.flipped.tolist() == [7, 6, 0, 9]
+        capped_state, capped = solve(network, 4)
+        assert capped_state.tobytes() == state.tobytes()
+        assert capped.energies.tobytes() == trace.energies.tobytes()
+        with pytest.raises(MaxStepsExceeded, match="^no stable state within 3 flips$"):
+            solve(network, 3)
+        assert compare_descents(network, budget=4).flipped.tolist() == [7, 6, 0, 9]
+
     @pytest.mark.parametrize(
         "w_r, w_c, theta",
         [
@@ -533,23 +566,23 @@ class TestAllInactiveStart:
             assert active == []
 
     @pytest.mark.parametrize(
-        "x, active, flips, lines",
-        [(x_of("paper", 8), [1], 40, 65),  # the paper's regime: after the first flip
-         (np.random.default_rng(2).normal(size=8), [7], 8, 2)],  # signed: after 7 of 8
+        "x, active, flips",
+        [(x_of("paper", 8), [1], 40),  # the paper's regime: after the first flip
+         (np.random.default_rng(2).normal(size=8), [7], 8)],  # signed: after 7 of 8
     )
-    def test_unnormalized_builds_rebuild_once(self, x, active, flips, lines):
+    def test_unnormalized_builds_rebuild_once(self, x, active, flips):
         """A normalize=False build leaves the free-line phase once; the rebuild
-        forms the whole grid with one _line call, the flips after it update
-        2 (flips - active) lines, some off the kept n-vectors and the rest
-        with _line, and descent takes the reference's flips, states and
-        energies on the materialized network."""
+        forms the whole grid with one _line call, each flip after it forms its
+        grid row and its grid column with one _line call each, and descent
+        takes the reference's flips, states and energies on the materialized
+        network."""
         with mock.patch.object(hopfield, "_line", wraps=hopfield._line) as line:
             (z, trace, instance), seen = rebuilds(
                 lambda: run_pipeline(ValueVector(x), heap_program(8), normalize=False)
             )
         assert seen == active
         assert trace.flips == flips
-        assert line.call_count == lines
+        assert line.call_count == 1 + 2 * (flips - active[0])
         reference_state, reference_trace = descend(*dense(_reference_network(instance)))
         assert binary_to_bipolar(z).tobytes() == reference_state.tobytes()
         assert trace.flipped.tolist() == reference_trace.flipped.tolist()
@@ -695,6 +728,12 @@ DESCENT_DIGESTS = {
         "3297739d2dbe08c83f41f4f4183aeabf7168ef98040397a06c417128f1a3a4d9",
     ("gaussian", "heap", 40, "raw"):
         "53a876148bf18b8445140cb83f3dad93b77fc0b1945863dbb4a56ea3fc1afdc9",
+    # long general-phase runs: 19,848 flips (paper) and 200 flips (gaussian),
+    # recorded before the general phase dropped its kept n-vectors
+    ("paper", "heap", 200, "raw"):
+        "8001e8e760af153a5789d85d24190d1d6ee3bdd9b45d18be7efce312364ac423",
+    ("gaussian", "heap", 200, "raw"):
+        "33cd3c356812dfd384233df02f60b3fea92c04b723e0d5d8d2606132a142d62a",
 }
 
 
