@@ -112,8 +112,9 @@ _PROGRAMS = {
 
 
 def render_trace(trace: SolverTrace) -> Iterator[str]:
-    """Render the rows of trace.steps in the documented glyph format, one at a
-    time, from start, flipped and energies through one buffer of glyphs."""
+    """Render every visited state of the trace, then the stable endpoint
+    once more, in the documented glyph format, one line at a time, from
+    start, flipped and energies through one buffer of glyphs."""
     glyphs = bytearray(" ".join("+" if v > 0 else "-" for v in trace.start.tolist()), "ascii")
     energies = trace.energies.tolist()
     yield f"{0:4d}  {glyphs.decode()}  {energies[0]:.1f}"
@@ -428,3 +429,7 @@ def _write_text(text: str, path: Optional[str]) -> None:
 
 def _fmt(value: float) -> str:
     return f"{value:g}"
+
+
+if __name__ == "__main__":
+    run()

@@ -13,12 +13,11 @@ gains do and overflows no sooner.  W is a PenaltyMatrix, and fields are
 read off counts, as in Hopfield and Tank's permutation networks: on the
 (n, n) grid of the PenaltyMatrix layout, cell (a, b) has the field
 w_r (R_b - s_ab) + w_c (C_a - s_ab), where R_b sums s over grid column b
-(row b of Z) and C_a over grid row a (column a of Z).  PenaltyMatrix @ s
-evaluates that expression, so every field is a fresh W @ s bit for bit at
-any finite weights.  Descent keeps the 2n counts and forms no W @ s: a
-flip at (a, b) forms the gains of grid row a and grid column b from their
-cells, its own among them, in O(n).  The argmin over all gains is O(N) per
-flip, and no PenaltyMatrix is materialized.
+(row b of Z) and C_a over grid row a (column a of Z).  Descent keeps the
+2n counts and forms no W @ s: a flip at (a, b) forms the gains of grid
+row a and grid column b from their cells, its own among them, in O(n).
+The argmin over all gains is O(N) per flip, and no PenaltyMatrix is
+materialized.
 
 Every energy, in the trace and from energy(), is E(s) correctly rounded,
 the same on any BLAS.  2 E(s) is kept as an integer count of 2^u, u at or

@@ -66,19 +66,16 @@ class PenaltyMatrix:
     penalty lam_r C_r^T C_r + lam_c C_c^T C_c is PenaltyMatrix(n, lam_r,
     lam_c, lam_r + lam_c), a Kronecker sum fixed by three numbers.
 
-    It answers the few ndarray calls made of it in the ndarray's spelling:
-    np.asarray materializes it, and M @ v, v @ M and Z @ M (for stacked
-    rows Z) multiply in O(N) per vector.  shape and ndim are those of the
-    dense matrix.  Every entry these return is bit for bit the entry
-    np.asarray(M) holds.  The conversions write each stage's three
-    coefficients from the last stage's, so it has no scalar arithmetic.
+    np.asarray materializes it, bit for bit as the paper's dense matrix,
+    and shape is that matrix's; every other numpy operation on it, a
+    product included, is refused.  The conversions write each stage's
+    three coefficients from the last stage's, so it has no arithmetic.
 
     Row i has only 2n - 1 nonzeros: viewed as the (n, n) grid G[a, b] =
     v[a*n + b], it reaches G[a], the cells of column a of Z, with
     same_col, and G[:, b], those of row b, with same_row, the two
-    crossing at i.  M @ v forms each entry from the sums of v over those
-    two lines, and descent, which keeps the sums of a bipolar state, forms
-    the same expression there, in O(n) per flip.
+    crossing at i.  Descent keeps the sums of a bipolar state over those
+    lines and forms each entry of W s from them, in O(n) per flip.
     """
 
     n: int
@@ -86,9 +83,7 @@ class PenaltyMatrix:
     same_col: float
     self_coupling: float
 
-    # ndarray @ M defers to __rmatmul__, and every other numpy operation on M is refused.
-    __array_ufunc__ = None
-    ndim = 2
+    __array_ufunc__ = None  # numpy refuses every operator and ufunc on M
 
     def __post_init__(self):
         n = _integral(self.n, "n")
@@ -120,33 +115,6 @@ class PenaltyMatrix:
         cells[k, :, k, :] = self.same_col
         np.fill_diagonal(dense, self.self_coupling)
         return dense if dtype is None else dense.astype(dtype, copy=False)
-
-    def __matmul__(self, other) -> np.ndarray:
-        """M @ v for a vector v."""
-        v = _reals(other, "the operand")
-        if v.ndim != 1:
-            raise DimensionMismatch("M @ v takes a vector; multiply stacked rows as Z @ M")
-        return self.__rmatmul__(v)
-
-    def __rmatmul__(self, other) -> np.ndarray:
-        """v @ M, row by row for stacked rows, in O(N) per row.
-
-        M is symmetric, so each row times M is M times that row; it is
-        read off the row and column sums of the row's cells.
-        """
-        v = np.asarray(_reals(other, "the operand"), dtype=float)
-        n = self.n
-        if v.ndim == 0 or v.shape[-1] != n * n:
-            raise DimensionMismatch(f"cannot multiply shape {v.shape} by a {self.shape} penalty")
-        cells = v.reshape(v.shape[:-1] + (n, n))  # cells[..., a, b] = v[..., a*n + b]
-        row_sums = cells.sum(axis=-2, keepdims=True)
-        col_sums = cells.sum(axis=-1, keepdims=True)
-        out = (
-            self.self_coupling * cells
-            + self.same_row * (row_sums - cells)
-            + self.same_col * (col_sums - cells)
-        )
-        return out.reshape(v.shape)
 
 
 def _integral(value, name: str) -> int:
@@ -445,17 +413,14 @@ class PermutationMatrix:
     """An n x n binary matrix with exactly one 1 per row and per column.
 
     It holds only as_mapping, where as_mapping[i] is the column of the 1
-    in row i, read off the matrix on construction; matrix rebuilds the
-    read-only n x n int array on each read.
+    in row i.  decode_permutation reads one from a solver state, checking
+    every line of its matrix; there is no other constructor.
     """
 
     as_mapping: tuple[int, ...]
 
-    def __init__(self, matrix):
-        M = _reals(matrix, "matrix entries", error=NotAPermutation, want="0 or 1")
-        if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] == 0:
-            raise NotAPermutation("need a non-empty square matrix")
-        object.__setattr__(self, "as_mapping", _one_per_line(M.ravel("F"), M.shape[0], "entries"))
+    def __init__(self, *args, **kwargs):
+        raise TypeError("a PermutationMatrix is read from a solver state by decode_permutation")
 
     @classmethod
     def _of(cls, mapping: tuple[int, ...]) -> PermutationMatrix:
@@ -464,19 +429,11 @@ class PermutationMatrix:
         return p
 
     @property
-    def matrix(self) -> np.ndarray:
-        n = self.n
-        M = np.zeros((n, n), dtype=int)
-        M[np.arange(n), self.as_mapping] = 1
-        M.setflags(write=False)
-        return M
-
-    @property
     def n(self) -> int:
         return len(self.as_mapping)
 
 
-def _one_per_line(flat: np.ndarray, n: int, entries: str):
+def _one_per_line(flat: np.ndarray, n: int):
     """The mapping of the n x n permutation matrix that flat holds column by
     column, read in O(n) memory.  Every nonzero entry must be exactly 1 (NaN,
     inf, 2 and 0.5 are not).  flatnonzero lists them in order, so each column
@@ -484,7 +441,7 @@ def _one_per_line(flat: np.ndarray, n: int, entries: str):
     number repeats among theirs."""
     ones = np.flatnonzero(flat)
     if not (flat[ones] == 1).all():
-        raise NotAPermutation(f"{entries} must be 0 or 1")
+        raise NotAPermutation("state entries must be 0 or 1")
     columns, rows = divmod(ones, n)
     if ones.size != n or (columns != np.arange(n)).any() or np.bincount(rows).max() > 1:
         raise NotAPermutation("every row and column must contain exactly one 1")
@@ -618,7 +575,7 @@ def decode_permutation(z_star) -> PermutationMatrix:
         raise NonSquareLength(f"length {z.size} is not a positive perfect square")
     if z.ndim != 1:  # an n x n matrix is no column-stacked state
         raise NotAPermutation(f"state must be a one-dimensional vector, not of shape {z.shape}")
-    return PermutationMatrix._of(_one_per_line(z, n, "state entries"))
+    return PermutationMatrix._of(_one_per_line(z, n))
 
 
 def apply_permutation(p: PermutationMatrix, x: ValueVector) -> np.ndarray:

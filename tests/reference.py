@@ -6,10 +6,13 @@ for Sorting Lists and Building Trees", sections 3 and 4), on plain numpy
 arrays of n^2 x n^2 matrices and n^2 vectors:
 
 * the Kronecker builders N, C_r and C_c, and the QUBO (R, r) they give;
+* the product of a PenaltyMatrix with a vector or stacked rows, in O(N)
+  per row, and the permutation matrix of a mapping;
 * fold -> Ising -> Hopfield on (matrix, vector) pairs;
 * steepest single-flip descent on a dense W, which forms W s afresh
   after every flip and records every energy E(s) correctly rounded from
-  exact integers, as the library's descent does;
+  exact integers, as the library's descent does, with its own copies of
+  the exact sums, so a change to the library's moves no reference energy;
 * exact energies in Fractions;
 * exhaustive_qubo_min, the global minimizer of a QUBO over all 2^N
   binary states, guarded at N <= 20;
@@ -28,7 +31,6 @@ from fractions import Fraction
 import numpy as np
 
 from qperm import MaxStepsExceeded, SizeBudgetExceeded, SolverTrace
-from qperm.hopfield import _dyadic, _rounded, _scaled
 
 # --- states and the column-stacking convention ------------------------------
 
@@ -48,6 +50,34 @@ def matricize(vector) -> np.ndarray:
 def binary_to_bipolar(z) -> np.ndarray:
     """Map {0,1} to {-1,+1} via s = 2z - 1."""
     return (2 * np.asarray(z).astype(int) - 1).astype(np.int8)
+
+
+def permutation_matrix(mapping) -> np.ndarray:
+    """The n x n 0/1 matrix whose row i holds its 1 in column mapping[i]."""
+    n = len(mapping)
+    matrix = np.zeros((n, n))
+    matrix[np.arange(n), list(mapping)] = 1.0
+    return matrix
+
+
+def product(M, v) -> np.ndarray:
+    """M v for a PenaltyMatrix M and a vector v, or each of stacked rows v
+    times M, in O(N) per row.
+
+    M is symmetric, so each row times M is M times that row; it is read off
+    the row and column sums of the row's (n, n) grid of cells.
+    """
+    v = np.asarray(v, dtype=float)
+    n = M.n
+    cells = v.reshape(v.shape[:-1] + (n, n))  # cells[..., a, b] = v[..., a*n + b]
+    row_sums = cells.sum(axis=-2, keepdims=True)
+    col_sums = cells.sum(axis=-1, keepdims=True)
+    out = (
+        M.self_coupling * cells
+        + M.same_row * (row_sums - cells)
+        + M.same_col * (col_sums - cells)
+    )
+    return out.reshape(v.shape)
 
 
 # --- the Kronecker build ----------------------------------------------------
@@ -110,7 +140,7 @@ def exhaustive_qubo_min(instance) -> tuple:
     for start in range(0, total, _STATE_CHUNK):
         ks = np.arange(start, min(start + _STATE_CHUNK, total), dtype=np.int64)
         Z = ((ks[:, None] >> bits) & 1).astype(float)
-        values = ((Z @ R) * Z).sum(axis=1) + Z @ r
+        values = (product(R, Z) * Z).sum(axis=1) + Z @ r
         k = int(np.argmin(values))
         if float(values[k]) < best_value:
             best_value = float(values[k])
@@ -221,6 +251,44 @@ def _descent(W, theta, s, half):
         twice += 4 * int(d) * (_scaled(theta.item(i), u) - field)
         np.multiply(s, W @ s - theta, out=half)
         i = yield _rounded(twice, u - 1)
+
+
+# --- exact sums, frozen apart from the library's --------------------------
+
+
+def _dyadic(values: np.ndarray, u: int = 0) -> tuple:
+    """(m, v): the sum of values is m * 2^v exactly, with v the least of u
+    and the exponents of the values' last significand bits.
+
+    Each value is a 53-bit fraction times a power of two.  Split in halves
+    of 26 and 27 bits, the fractions of one power sum exactly in float64,
+    in any order, up to 2^26 terms; np.bincount adds them power by power,
+    and Python ints add the sums.
+    """
+    fractions, exponents = np.frexp(values)
+    low = int(exponents.min())
+    scaled = np.ldexp(fractions, 26)
+    high = np.trunc(scaled)
+    rest = scaled - high  # 27 bits below the point
+    powers = exponents - low
+    high, rest = (np.bincount(powers, weights=x).tolist() for x in (high, rest))
+    m = sum((int(h) << 27) + int(r * 2**27) << k for k, (h, r) in enumerate(zip(high, rest)))
+    v = min(u, low - 53)
+    return m << (low - 53 - v), v
+
+
+def _scaled(x: float, u: int) -> int:
+    """x / 2^u, for 2^u <= 1 that divides x."""
+    numerator, denominator = x.as_integer_ratio()
+    return numerator << (1 - denominator.bit_length() - u)
+
+
+def _rounded(m: int, u: int) -> float:
+    """m * 2^u correctly rounded, for u <= 0; beyond the float range, an infinity."""
+    try:
+        return m / (1 << -u)
+    except OverflowError:
+        return math.inf if m > 0 else -math.inf
 
 
 # --- exact energies ---------------------------------------------------------

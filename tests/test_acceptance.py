@@ -35,6 +35,7 @@ from .reference import (
     build_N,
     dense,
     exhaustive_qubo_min,
+    product,
     qubo_objective,
     vectorize,
 )
@@ -217,7 +218,7 @@ def test_criterion_7_conversion_consistency():
             z = np.array(bits, dtype=float)
             s = binary_to_bipolar(z)
             qubo_values.append(qubo_objective(R, r, z))
-            ising_values.append(float(s @ ising.matrix_Q @ s + ising.vector_q @ s))
+            ising_values.append(float(product(ising.matrix_Q, s) @ s + ising.vector_q @ s))
             hopfield_values.append(energy(network, s))
         qubo_values = np.array(qubo_values)
         ising_values = np.array(ising_values)

@@ -15,7 +15,16 @@ from qperm import (
 )
 
 from .conftest import make_program
-from .reference import build_Cc, build_Cr, build_N, dense, matricize, qubo_objective, vectorize
+from .reference import (
+    build_Cc,
+    build_Cr,
+    build_N,
+    dense,
+    matricize,
+    product,
+    qubo_objective,
+    vectorize,
+)
 
 
 def random_binary_matrix(rnd, n):
@@ -130,7 +139,7 @@ class TestQuboObjective:
         inst = build_qubo(ValueVector([0.0, 0.0]), ascending_program(2), normalize=False)
         z = np.ones(4)
         assert qubo_objective(*dense(inst), z) == pytest.approx(0.0)
-        assert z @ inst.matrix_R @ z == pytest.approx(32.0)
+        assert z @ product(inst.matrix_R, z) == pytest.approx(32.0)
 
     def test_feasible_encodings_share_constant_gap(self):
         x = ValueVector([5.0, -2.0, 7.0])

@@ -2,7 +2,9 @@ import contextlib
 import io
 import json
 import os
+import runpy
 import stat
+import subprocess
 import sys
 import tempfile
 import threading
@@ -1240,6 +1242,30 @@ class TestCommandLineParsing:
             assert raised.value.code == code
         out, err = capsys.readouterr()
         assert out.startswith('{\n  "n": 3,') and err.count("\n") == 1 and absent in err
+
+    def test_run_as_a_module_in_process(self, monkeypatch, capsys):
+        """python -m qperm.cli runs the console script; it once ran nothing
+        and exited 0.  runpy warns that pytest imported the module already."""
+        monkeypatch.setattr(sys, "argv", ["qperm", "program", "--kind", "heap", "--n", "3"])
+        with pytest.warns(RuntimeWarning, match="found in sys.modules"):
+            with pytest.raises(SystemExit) as raised:
+                runpy.run_module("qperm.cli", run_name="__main__")
+        printed = capsys.readouterr()
+        assert (raised.value.code, *printed) == run_cli(sys.argv[1:], capsys)
+
+    @pytest.mark.parametrize(
+        "argv", [["--help"], [], ["solve", "QUBO"]], ids=["help", "none", "solve"]
+    )
+    def test_python_dash_m_prints_and_exits_as_main(self, tmp_path, capsys, argv):
+        argv = [build_file(tmp_path, [3.0, 1.0, 2.0], "bst") if a == "QUBO" else a for a in argv]
+        code, out, _ = run_cli(argv, capsys)
+        package_root = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "qperm.cli", *argv],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120,
+        )
+        assert (done.returncode, done.stdout) == (code, out)
 
     def test_abbreviated_options_and_double_dash(self, tmp_path, capsys):
         """Each unique prefix of a long option, and a -- before the

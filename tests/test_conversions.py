@@ -22,7 +22,7 @@ from qperm import (
     to_ising,
 )
 
-from .reference import binary_to_bipolar, dense, qubo_objective
+from .reference import binary_to_bipolar, dense, product, qubo_objective
 
 
 def bits(a) -> bytes:
@@ -89,7 +89,7 @@ class TestToIsing:
         gaps = set()
         for z in all_binary_states(9):
             s = binary_to_bipolar(z)
-            ising_value = float(s @ ising.matrix_Q @ s + ising.vector_q @ s)
+            ising_value = float(product(ising.matrix_Q, s) @ s + ising.vector_q @ s)
             gaps.add(round(ising_value - qubo_objective(*dense(folded), z), 9))
         assert len(gaps) == 1
 
@@ -112,7 +112,7 @@ class TestToHopfield:
         rnd = np.random.default_rng(5)
         for _ in range(100):
             s = (rnd.integers(0, 2, size=9) * 2 - 1).astype(float)
-            ising_value = float(s @ ising.matrix_Q @ s + ising.vector_q @ s)
+            ising_value = float(product(ising.matrix_Q, s) @ s + ising.vector_q @ s)
             assert energy(network, s) == pytest.approx(ising_value, abs=1e-12)
 
 
@@ -149,7 +149,7 @@ class TestEachStageWritesItsCoefficients:
             assert str(raised.value) == "fold_diagonal must run before the bipolar substitution"
             return
         with np.errstate(over="ignore", invalid="ignore"):
-            q = 0.5 * (R @ np.ones(n * n)) + 0.5 * r
+            q = 0.5 * product(R, np.ones(n * n)) + 0.5 * r
         if not np.isfinite(q).all():
             with pytest.raises(DomainError) as raised:
                 to_ising(instance)

@@ -5,8 +5,9 @@ build_qubo writes R as a PenaltyMatrix and r from an outer product.  These
 tests hold both to the paper's Kronecker products (tests/reference.py),
 and the library's fold_diagonal to the dense diagonal subtraction.
 Descent is held to the product form too: _descend_two_products, the
-earlier descent with its loop copied verbatim but for its budget check,
-recomputes W @ s and the energy from scratch at every step; it appends
+earlier descent with its loop copied verbatim but for its budget check and
+its products, recomputes W @ s and the energy from scratch at every step,
+through the reference's O(N) product on a PenaltyMatrix; it appends
 each row it builds to a list the caller holds, the row it would flip to
 past its budget included, and packages them as a SolverTrace only on
 return.
@@ -56,23 +57,31 @@ Row = namedtuple("Row", "index state energy")
 def _descend_two_products(
     W, theta: np.ndarray, start: np.ndarray, budget: int, steps: list
 ) -> tuple[np.ndarray, SolverTrace]:
+    left, right = _products(W)
     s = start.astype(float)
-    e = float(-0.5 * (s @ W @ s) + theta @ s)
+    e = float(-0.5 * (left(s) @ s) + theta @ s)
     steps.append(Row(0, start, e))
     flips = 0
     while True:
-        gains = 2.0 * s * (W @ s - theta)
+        gains = 2.0 * s * (right(s) - theta)
         i = int(np.argmin(gains))  # ties: lowest index
         if gains[i] >= 0.0:
             final = s.astype(np.int8)
             steps.append(Row(len(steps), final, e))
             return final, _packaged(steps)
         s[i] = -s[i]
-        e = float(-0.5 * (s @ W @ s) + theta @ s)
+        e = float(-0.5 * (left(s) @ s) + theta @ s)
         steps.append(Row(len(steps), s.astype(np.int8), e))
         if flips >= budget:  # the row it would flip to next is kept
             raise MaxStepsExceeded(f"no stable state within {budget} flips")
         flips += 1
+
+
+def _products(W) -> tuple:
+    """s @ W and W @ s, as functions of s, for a dense W or a PenaltyMatrix."""
+    if isinstance(W, PenaltyMatrix):
+        return (lambda s: reference.product(W, s),) * 2
+    return (lambda s: s @ W), (lambda s: W @ s)
 
 
 def _packaged(steps: list) -> SolverTrace:

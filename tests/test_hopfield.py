@@ -1,5 +1,7 @@
+import ast
 import hashlib
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -28,6 +30,7 @@ from qperm import (
 )
 from qperm import hopfield
 
+from . import reference
 from . import reference_run as ref
 from .conftest import make_program, paper_faithful, run_pipeline
 from .reference import (
@@ -37,6 +40,7 @@ from .reference import (
     exact_sum,
     flip_gain,
     fraction_energy,
+    permutation_matrix,
     vectorize,
 )
 from .test_dense_chain_equivalence import builder_networks, compare_descents
@@ -128,23 +132,27 @@ def _reference_network(instance):
     return to_hopfield(to_ising(fold_diagonal(instance)))
 
 
+@pytest.mark.parametrize(
+    "dyadic", [hopfield._dyadic, reference._dyadic], ids=["library", "reference"]
+)
 class TestDyadicSum:
     """_dyadic(values, u) is (m, v): the exact sum is m * 2^v, and v is the
-    least of u and the exponents of the values' last significand bits."""
+    least of u and the exponents of the values' last significand bits.  The
+    reference descent sums with its own copy, held to the same Fractions."""
 
     @staticmethod
-    def assert_exact(values, u):
+    def assert_exact(dyadic, values, u):
         v = min(u, int(np.frexp(values)[1].min()) - 53)
         m = exact_sum(values) / Fraction(2) ** v
         assert m.denominator == 1
-        assert hopfield._dyadic(values, u) == (m.numerator, v)
+        assert dyadic(values, u) == (m.numerator, v)
 
     @given(st.integers(1, 5000), st.one_of(st.just(0), st.integers(-1021, 1024)),
            st.integers(0, 2**32 - 1), st.integers(-1200, 0))
     @example(1, 0, 0, 0)
     @example(5000, 1024, 1, 0)  # every term near the top of the float range
     @settings(max_examples=60, deadline=None)
-    def test_values_of_one_exponent(self, size, exponent, seed, u):
+    def test_values_of_one_exponent(self, dyadic, size, exponent, seed, u):
         """Every value m 2^(e - 53), 2^52 <= |m| < 2^53, of one sign or mixed;
         at e = 0 some are zeros of either sign, whose exponent is 0 too."""
         rnd = np.random.default_rng(seed)
@@ -154,17 +162,17 @@ class TestDyadicSum:
         if exponent == 0:
             zeros = rnd.random(size) < 0.2
             values[zeros] = np.copysign(0.0, signs[zeros])
-        assert np.ptp(np.frexp(values)[1]) == 0  # the one-sum branch
-        self.assert_exact(values, u)
+        assert np.ptp(np.frexp(values)[1]) == 0  # the library's one-sum branch
+        self.assert_exact(dyadic, values, u)
 
     @pytest.mark.parametrize("values", [[-0.0], [0.0, -0.0, -0.0], [-0.5, 0.75, -0.0]])
-    def test_zeros_of_either_sign(self, values):
-        self.assert_exact(np.array(values), 0)
+    def test_zeros_of_either_sign(self, dyadic, values):
+        self.assert_exact(dyadic, np.array(values), 0)
 
     @given(st.integers(2, 5000), st.integers(0, 2**32 - 1), st.integers(-1200, 0))
     @example(2, 0, 0)
     @settings(max_examples=60, deadline=None)
-    def test_values_of_mixed_exponents(self, size, seed, u):
+    def test_values_of_mixed_exponents(self, dyadic, size, seed, u):
         """Any finite bit patterns, with zeros and subnormals among them."""
         rnd = np.random.default_rng(seed)
         values = rnd.integers(0, 2**64, size=size, dtype=np.uint64).view(np.float64)
@@ -174,7 +182,21 @@ class TestDyadicSum:
         values = np.where(kind == 1, subnormals, np.where(kind == 2, -0.0, values))
         values[0] = 5e-324  # exponent -1073, with any other value: mixed
         assume(np.ptp(np.frexp(values)[1]) > 0)
-        self.assert_exact(values, u)
+        self.assert_exact(dyadic, values, u)
+
+
+def test_the_reference_takes_no_private_name_of_the_library():
+    """The reference once imported _dyadic, _rounded and _scaled from
+    qperm.hopfield, so a change to them moved its energies with descent's."""
+    tree = ast.parse(Path(reference.__file__).read_text(encoding="utf-8"))
+    taken = [
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    assert ("qperm", "SolverTrace") in taken
+    assert all(not name.startswith("_") for module, name in taken if module.startswith("qperm"))
 
 
 class TestGainBookkeeping:
@@ -214,7 +236,7 @@ class TestEnergyOfAState:
     @pytest.mark.parametrize("shape", [(3, 3), (1, 9)])
     def test_any_other_shape_is_refused(self, endpoint, shape):
         network, z, _ = endpoint
-        grid = 2 * decode_permutation(z).matrix - 1
+        grid = 2 * permutation_matrix(decode_permutation(z).as_mapping) - 1
         for state in (binary_to_bipolar(z).reshape(shape), grid.reshape(shape)):
             with pytest.raises(DomainError) as raised:
                 energy(network, state)
@@ -615,6 +637,18 @@ class TestAllInactiveStart:
         active = int((seen[0] > 0).sum())
         assert 0 < active < trace.flips
         assert seen[0].tobytes() == trace.steps[active].state.tobytes()
+
+    def test_a_gain_that_rounds_to_zero_stops_descent(self):
+        """Cell 0's half gain rounds to 0.0, though the energy after its flip,
+        0.0, is below the start's 5.6e-17: descent stops at the start, as the
+        reference descent does, and takes neither flip 0 nor flip 2 to -1.4."""
+        network = HopfieldInstance(PenaltyMatrix(2, 0.6, -0.1, 0.0), [-0.5, 0.0, 0.0, -0.5])
+        state, trace = solve(network)
+        assert trace.flipped.tolist() == []
+        assert trace.energies.tolist() == [5.551115123125783e-17]
+        reference_state, reference_trace = descend(*dense(network))
+        assert reference_trace.flipped.tolist() == []
+        assert state.tobytes() == reference_state.tobytes()
 
     def test_an_overflowing_start_energy_is_named(self):
         """Penalty weights of 3e306 carry the start energy to -inf."""

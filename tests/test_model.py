@@ -41,15 +41,7 @@ from qperm import (
 )
 from qperm.model import _reals
 
-from .reference import matricize, vectorize
-
-
-def perm_matrix(mapping):
-    n = len(mapping)
-    m = np.zeros((n, n))
-    for row, col in enumerate(mapping):
-        m[row, col] = 1.0
-    return m
+from .reference import matricize, permutation_matrix, vectorize
 
 
 class TestValueVector:
@@ -197,19 +189,19 @@ class TestDecodePermutation:
 
     def test_decode_inverts_vectorize(self):
         mapping = (2, 0, 3, 1)
-        m = perm_matrix(mapping)
+        m = permutation_matrix(mapping)
         p = decode_permutation(vectorize(m))
-        assert np.array_equal(p.matrix, m)
+        assert np.array_equal(permutation_matrix(p.as_mapping), m)
         assert p.as_mapping == mapping
 
     def test_row_deficit_rejected(self):
-        m = perm_matrix((0, 1, 2))
+        m = permutation_matrix((0, 1, 2))
         m[1, 1] = 0.0
         with pytest.raises(NotAPermutation):
             decode_permutation(vectorize(m))
 
     def test_double_entry_rejected(self):
-        m = perm_matrix((0, 1, 2))
+        m = permutation_matrix((0, 1, 2))
         m[1, 2] = 1.0
         with pytest.raises(NotAPermutation):
             decode_permutation(vectorize(m))
@@ -240,7 +232,7 @@ class TestDecodePermutation:
         assert type(raised.value) is error
 
     @pytest.mark.parametrize(
-        "state", [perm_matrix((1, 2, 0)), [[1, 0, 0, 1]], [[0], [1], [1], [0]], np.eye(1)]
+        "state", [permutation_matrix((1, 2, 0)), [[1, 0, 0, 1]], [[0], [1], [1], [0]], np.eye(1)]
     )
     def test_a_state_of_more_than_one_dimension_is_refused(self, state):
         """The matrix of the mapping (1, 2, 0) once decoded as its transpose,
@@ -255,18 +247,16 @@ class TestDecodePermutation:
         assert report.notes == (f"decode failed: {message}",)
 
     def test_the_one_int_copy_is_kept(self):
-        """The state is read once; matrix is a read-only int array, built
-        from the mapping when it is read."""
+        """The state is read once, in place, and only the mapping is kept."""
         p = decode_permutation(np.array([0, 1, 1, 0], dtype=np.int8))
-        assert p.as_mapping == (1, 0)
-        assert p.matrix.dtype == int and not p.matrix.flags.writeable
-        with pytest.raises(NotAPermutation, match="^entries must be 0 or 1$"):
-            PermutationMatrix(np.array([[2, -1], [-1, 2]]))
+        assert vars(p) == {"as_mapping": (1, 0)}
+        with pytest.raises(NotAPermutation, match="^state entries must be 0 or 1$"):
+            decode_permutation(np.array([2, -1, -1, 2], dtype=np.int8))
 
     @given(st.permutations(list(range(5))))
     @settings(max_examples=50)
     def test_round_trip_random_permutations(self, mapping):
-        m = perm_matrix(mapping)
+        m = permutation_matrix(mapping)
         assert decode_permutation(vectorize(m)).as_mapping == tuple(mapping)
 
     def test_decode_and_certify_keep_no_matrix_at_n2000(self):
@@ -295,13 +285,13 @@ class TestDecodePermutation:
 
 def _edited(cells):
     """The matrix of the mapping (1, 2, 0) with the given cells set."""
-    m = perm_matrix((1, 2, 0))
+    m = permutation_matrix((1, 2, 0))
     for (row, col), entry in cells.items():
         m[row, col] = entry
     return m
 
 
-NOT_BINARY = "entries must be 0 or 1"
+NOT_BINARY = "state entries must be 0 or 1"
 NOT_ONE_PER_LINE = "every row and column must contain exactly one 1"
 
 # name -> (a 3 x 3 matrix, or the 2 x 2 one named, that no permutation is;
@@ -325,31 +315,33 @@ REFUSED_MATRICES = {
 
 
 class TestDecodeRefusals:
-    """Every refusal of decode_permutation, PermutationMatrix and the decode
-    inside certify, by exception type and whole message."""
+    """Every refusal of decode_permutation and the decode inside certify, by
+    exception type and whole message."""
 
     @pytest.mark.parametrize("name", sorted(REFUSED_MATRICES))
     def test_decode(self, name):
         matrix, message = REFUSED_MATRICES[name]
-        expected = f"state {message}" if message == NOT_BINARY else message
-        with pytest.raises(NotAPermutation, match=f"^{expected}$") as raised:
+        with pytest.raises(NotAPermutation, match=f"^{message}$") as raised:
             decode_permutation(vectorize(matrix))
         assert type(raised.value) is NotAPermutation
 
     @pytest.mark.parametrize("name", sorted(REFUSED_MATRICES))
-    def test_constructor(self, name):
+    def test_decode_a_list(self, name):
+        """The same refusals for the state as a plain list of floats, which
+        is read in one numpy call; PermutationMatrix(matrix) once read the
+        matrix itself, with the same line check."""
         matrix, message = REFUSED_MATRICES[name]
-        with pytest.raises(NotAPermutation, match=f"^{message}$"):
-            PermutationMatrix(matrix)
+        with pytest.raises(NotAPermutation, match=f"^{message}$") as raised:
+            decode_permutation(vectorize(matrix).tolist())
+        assert type(raised.value) is NotAPermutation
 
     @pytest.mark.parametrize("name", sorted(REFUSED_MATRICES))
     def test_certify(self, name):
         matrix, message = REFUSED_MATRICES[name]
-        expected = f"state {message}" if message == NOT_BINARY else message
         x = ValueVector([3.0, 1.0, 2.0][: len(matrix)])
         report = certify(x, ascending_program(x.n), vectorize(matrix))
         assert not report.feasible and report.mapping is None
-        assert report.notes == (f"decode failed: {expected}",)
+        assert report.notes == (f"decode failed: {message}",)
 
     @pytest.mark.parametrize(
         "state", [[], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [math.nan] * 5, np.zeros((2, 3))]
@@ -365,46 +357,52 @@ class TestDecodeRefusals:
 
     @pytest.mark.parametrize(
         "matrix",
-        [
-            [1.0],
-            np.zeros((0, 0)),
-            [[1, 0, 0], [0, 1, 0]],
-            [[2, 0, 0], [0, 1, 0]],
-            [[[1]]],
-        ],
-        ids=["vector", "empty", "2x3", "2x3-with-a-2", "3-d"],
+        [np.zeros((0, 0)), [[1, 0, 0], [0, 1, 0]], [[2, 0, 0], [0, 1, 0]]],
+        ids=["empty", "2x3", "2x3-with-a-2"],
     )
-    def test_constructor_non_square_matrix(self, matrix):
-        """The shape is checked before any entry."""
-        with pytest.raises(NotAPermutation, match="^need a non-empty square matrix$") as raised:
-            PermutationMatrix(matrix)
-        assert type(raised.value) is NotAPermutation
+    def test_decode_non_square_matrix(self, matrix):
+        """The columns of a matrix that is not square stack to a length that
+        is no positive square, which is checked before any entry."""
+        state = vectorize(matrix)
+        with pytest.raises(
+            NonSquareLength, match=f"^length {state.size} is not a positive perfect square$"
+        ) as raised:
+            decode_permutation(state)
+        assert type(raised.value) is NonSquareLength
 
 
 class TestApplyPermutation:
     def test_reorders_by_mapping(self):
-        p = PermutationMatrix(perm_matrix((2, 0, 1)))
+        p = decode_permutation(vectorize(permutation_matrix((2, 0, 1))))
         x = ValueVector([10.0, 20.0, 30.0])
         assert apply_permutation(p, x).tolist() == [30.0, 10.0, 20.0]
 
     def test_dimension_mismatch(self):
-        p = PermutationMatrix(perm_matrix((0, 1)))
+        p = decode_permutation(vectorize(permutation_matrix((0, 1))))
         with pytest.raises(DimensionMismatch):
             apply_permutation(p, ValueVector([1.0, 2.0, 3.0]))
 
 
 class TestPermutationMatrix:
     def test_mapping_derived_from_rows(self):
-        p = PermutationMatrix(perm_matrix((1, 0)))
+        p = decode_permutation(vectorize(permutation_matrix((1, 0))))
         assert p.as_mapping == (1, 0)
         assert p.n == 2
 
-    def test_invalid_matrix_rejected(self):
-        with pytest.raises(NotAPermutation):
-            PermutationMatrix(np.ones((2, 2)))
+    @pytest.mark.parametrize(
+        "args", [(np.eye(2),), (np.ones((2, 2)),), ()], ids=["identity", "ones", "none"]
+    )
+    def test_there_is_no_constructor(self, args):
+        """PermutationMatrix(matrix) once read a matrix; only tests called it."""
+        with pytest.raises(TypeError) as raised:
+            PermutationMatrix(*args)
+        assert str(raised.value) == (
+            "a PermutationMatrix is read from a solver state by decode_permutation"
+        )
+        assert not hasattr(PermutationMatrix, "matrix")
 
     def test_mapping_is_not_an_argument(self):
-        # derived from the matrix; a given mapping would be ignored
+        # read from a solver state; a given mapping is refused
         with pytest.raises(TypeError):
             PermutationMatrix(np.eye(2), as_mapping=(1, 0))
 
@@ -541,11 +539,6 @@ FROZEN_TYPES = {
         lambda a: HopfieldInstance(weights_W=a[0], bias_theta=a[1]),
         lambda: [penalty(), np.arange(4.0)],
         ("bias_theta",),
-    ),
-    "PermutationMatrix": (
-        lambda a: PermutationMatrix(a[0]),
-        lambda: [np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]])],
-        ("matrix",),
     ),
     "TraceStep": (
         lambda a: TraceStep(0, a[0], 0.0),
@@ -758,13 +751,6 @@ ARRAY_READERS = {
         lambda v: certify(ValueVector([3.0, 1.0]), ascending_program(2), v), [0, 1, 1, 0],
         "solver_state", False,
     ),
-    "PermutationMatrix": (PermutationMatrix, [[1, 0], [0, 1]], "matrix", False),
-    "PenaltyMatrix-matmul": (
-        lambda v: PenaltyMatrix(2, 1.0, 2.0, 3.0) @ v, [1, 0, 0, 1], "the operand", False
-    ),
-    "PenaltyMatrix-rmatmul": (
-        lambda v: v @ PenaltyMatrix(2, 1.0, 2.0, 3.0), [1, 0, 0, 1], "the operand", False
-    ),
     "validate_bst": (lambda v: validate_bst(v, TreeShape(3)), [2, 1, 3], "values", False),
     "validate_heap": (lambda v: validate_heap(v, TreeShape(3)), [3, 1, 2], "values", False),
 }
@@ -823,6 +809,16 @@ class TestArrayEntries:
         make, accepted, field, _ = ARRAY_READERS[reader]
         with pytest.raises(QpermError, match=rf"^{field}\b"):
             make(BAD_ARRAYS[bad][0](accepted))
+
+    @pytest.mark.parametrize("side", ["M @ v", "v @ M"])
+    @pytest.mark.parametrize("operand", ["accepted", *BAD_ARRAYS])
+    def test_a_penalty_matrix_has_no_product(self, side, operand):
+        """M @ v and v @ M once read v by this rule; only tests multiplied a
+        PenaltyMatrix, and every product is now refused, whatever v holds."""
+        M = PenaltyMatrix(2, 1.0, 2.0, 3.0)
+        v = [1, 0, 0, 1] if operand == "accepted" else BAD_ARRAYS[operand][0]([1, 0, 0, 1])
+        with pytest.raises(TypeError):
+            M @ v if side == "M @ v" else v @ M
 
     @pytest.mark.parametrize(
         "nesting",

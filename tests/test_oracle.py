@@ -29,14 +29,7 @@ from qperm import (
 
 from . import reference_run as ref
 from .conftest import make_program, run_pipeline
-from .reference import dense, exhaustive_qubo_min, qubo_objective, vectorize
-
-
-def perm_matrix(mapping):
-    n = len(mapping)
-    m = np.zeros((n, n))
-    m[np.arange(n), list(mapping)] = 1.0
-    return m
+from .reference import dense, exhaustive_qubo_min, permutation_matrix, qubo_objective, vectorize
 
 
 class TestBestPermutation:
@@ -173,7 +166,7 @@ class TestExhaustiveQuboMin:
         inst = build_qubo(x, ascending_program(3))
         _, value = exhaustive_qubo_min(inst)
         zp, best_value = best_permutation(x, ascending_program(3))
-        assert value == pytest.approx(qubo_objective(*dense(inst), vectorize(zp.matrix)))
+        assert value == pytest.approx(qubo_objective(*dense(inst), vectorize(permutation_matrix(zp.as_mapping))))
 
     def test_size_guard(self):
         inst = QuboInstance(matrix_R=PenaltyMatrix(5, 0.0, 0.0, 0.0), vector_r=np.zeros(25))
@@ -238,9 +231,9 @@ class TestCertify:
         x = ValueVector(values)
         program = ascending_program(3)
         with np.errstate(all="raise"):
-            report = certify(x, program, vectorize(perm_matrix(wrong)))
+            report = certify(x, program, vectorize(permutation_matrix(wrong)))
             assert report.feasible and not report.optimal
-            assert certify(x, program, vectorize(perm_matrix(right))).optimal
+            assert certify(x, program, vectorize(permutation_matrix(right))).optimal
 
     @pytest.mark.parametrize(
         "values",
@@ -263,7 +256,7 @@ class TestCertify:
     def test_tiny_magnitudes_in_the_wrong_order_fail(self):
         x = ValueVector([1e-10, 2e-10, 3e-10])
         program = ascending_program(3)
-        report = certify(x, program, vectorize(perm_matrix((2, 1, 0))))
+        report = certify(x, program, vectorize(permutation_matrix((2, 1, 0))))
         assert report.feasible and not report.optimal
         assert abs(report.achieved_objective - report.best_objective) < 1e-9
         z, _, _ = run_pipeline(x, program)
