@@ -62,7 +62,8 @@ time.
 
 Exit codes: 0 success, 2 bad arguments or malformed input, 4 descent
 ended in a state that is no permutation or used up its step budget,
-5 failed certificate.
+5 failed certificate, 141 (128 + SIGPIPE) stdout closed by its reader,
+as `| head` closes it; nothing more is printed then.
 """
 
 from __future__ import annotations
@@ -100,6 +101,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_INFEASIBLE = 4
 EXIT_FAILED_CERTIFICATE = 5
+EXIT_PIPE = 141
 
 _PENALTY_FIELDS = tuple(f.name for f in dataclasses.fields(PenaltyMatrix))
 _REWARD_FIELDS = ("values", "ranks", "offset")
@@ -128,6 +130,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.handler(args)
+    except BrokenPipeError:  # an OSError, but no fault of the input
+        return EXIT_PIPE
     except MaxStepsExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
@@ -137,7 +141,12 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    status = main()
+    if status == EXIT_PIPE:  # the flush at exit would meet the closed pipe again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    sys.exit(status)
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:

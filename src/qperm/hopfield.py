@@ -171,7 +171,7 @@ def solve(
         low = theta.min()
         taken = (free_r + crossing_c, crossing_r + free_c, crossing_r + crossing_c)
         bound_some = float((low - np.array(taken)).min())  # NaN if a field is
-        bound_all = float(low - taken[2]) if n > 1 else math.inf
+        bound_all = float(low - taken[2])
         paired = (units_r + units_c) * (1 - n)  # w_r r + w_c c in units of 2^u, r = c = 1 - n
         free = True  # descent starts in its free-line phase
         energies = [_rounded(twice, u - 1)]

@@ -18,7 +18,10 @@ arrays of n^2 x n^2 matrices and n^2 vectors:
   binary states, guarded at N <= 20;
 * the structure checks as the tree definitions state them: validate_bst
   bounds every slot by its ancestors, validate_heap compares every slot
-  with each of its children.
+  with each of its children;
+* the comparators of the library's solve with the dense descent, bit for
+  bit (assert_bitwise_same_descent), and with the earlier descent that
+  forms two products per step (compare_descents).
 
 dense(stage) materializes a library instance as its (matrix, vector)
 pair, so a test runs the reference on the same input as the library.
@@ -26,11 +29,21 @@ Nothing here validates its input: the library does that.
 """
 
 import math
+from collections import namedtuple
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
-from qperm import MaxStepsExceeded, SizeBudgetExceeded, SolverTrace
+from qperm import (
+    DomainError,
+    HopfieldInstance,
+    MaxStepsExceeded,
+    PenaltyMatrix,
+    SizeBudgetExceeded,
+    SolverTrace,
+    solve,
+)
 
 # --- states and the column-stacking convention ------------------------------
 
@@ -360,3 +373,163 @@ def validate_heap(values, size: int, branching: int) -> bool:
         for slot in range(size)
         for child in range(branching * slot + 1, min(branching * slot + branching + 1, size))
     )
+
+
+# --- solve against the dense descents ---------------------------------------
+
+
+def bits(a) -> bytes:
+    return np.ascontiguousarray(a, dtype=float).tobytes()
+
+
+def assert_bitwise_same_descent(network, budget=None, against=None):
+    """solve on the library network takes the same flips through the same
+    states at the same energies as descend on against, by default the
+    network's materialized form, both from the all-inactive state, or raises
+    the same error.  Returns solve's trace, or None when both raise."""
+    budget = network.dimension ** 2 if budget is None else budget
+    try:
+        dense_run = descend(*(dense(network) if against is None else against), None, budget)
+    except MaxStepsExceeded:
+        with pytest.raises(MaxStepsExceeded):
+            solve(network, budget)
+        return None
+    state, trace = solve(network, budget)
+    dense_state, dense_trace = dense_run
+    assert state.dtype == dense_state.dtype and state.tobytes() == dense_state.tobytes()
+    assert trace.flipped.tolist() == dense_trace.flipped.tolist()
+    assert len(trace.steps) == len(dense_trace.steps)
+    for step, dense_step in zip(trace.steps, dense_trace.steps):
+        assert np.array_equal(step.state, dense_step.state)
+        assert bits(step.energy) == bits(dense_step.energy)
+    return trace
+
+
+def assert_own_budget_suffices(network):
+    """solve within a budget of its own flip count takes the same descent, bit
+    for bit, and within one flip fewer raises; returns (state, trace)."""
+    state, trace = solve(network)
+    again, capped = solve(network, trace.flips)
+    assert again.tobytes() == state.tobytes()
+    assert capped.flipped.tolist() == trace.flipped.tolist()
+    assert capped.energies.tobytes() == trace.energies.tobytes()
+    if trace.flips:
+        with pytest.raises(MaxStepsExceeded):
+            solve(network, trace.flips - 1)
+    return state, trace
+
+
+# A row of the earlier descent; unlike a TraceStep it keeps an energy that
+# overflowed its products, so the states of such a run can be compared.
+Row = namedtuple("Row", "index state energy")
+
+
+def descend_two_products(W, theta, start, budget: int, steps: list) -> tuple:
+    """The earlier descent, its loop as it was but for its budget check and
+    its products: it forms W @ s and the energy afresh at every step,
+    through product on a PenaltyMatrix.  It appends each row it builds to
+    steps, the row it would flip to past its budget included, and packages
+    them as a SolverTrace only on return."""
+    left, right = _products(W)
+    s = start.astype(float)
+    e = float(-0.5 * (left(s) @ s) + theta @ s)
+    steps.append(Row(0, start, e))
+    flips = 0
+    while True:
+        gains = 2.0 * s * (right(s) - theta)
+        i = int(np.argmin(gains))  # ties: lowest index
+        if gains[i] >= 0.0:
+            final = s.astype(np.int8)
+            steps.append(Row(len(steps), final, e))
+            return final, _packaged(steps)
+        s[i] = -s[i]
+        e = float(-0.5 * (left(s) @ s) + theta @ s)
+        steps.append(Row(len(steps), s.astype(np.int8), e))
+        if flips >= budget:  # the row it would flip to next is kept
+            raise MaxStepsExceeded(f"no stable state within {budget} flips")
+        flips += 1
+
+
+def _products(W) -> tuple:
+    """s @ W and W @ s, as functions of s, for a dense W or a PenaltyMatrix."""
+    if isinstance(W, PenaltyMatrix):
+        return (lambda s: product(W, s),) * 2
+    return (lambda s: s @ W), (lambda s: W @ s)
+
+
+def _packaged(steps: list) -> SolverTrace:
+    """The rows of a descent, the last repeating its predecessor, as a SolverTrace."""
+    flipped = []
+    for before, after in zip(steps[:-2], steps[1:-1]):
+        (i,) = np.flatnonzero(before.state != after.state)  # exactly one flip per row
+        flipped.append(int(i))
+    return SolverTrace(steps[0].state, flipped, [step.energy for step in steps[:-1]])
+
+
+def compare_descents(network, start=None, budget=None):
+    """The current descent takes the earlier one's flips and stops before the
+    first flip whose correctly rounded energy fails to fall; its energies are
+    float(Fraction(E(s))), and one beyond the float range at either end of
+    the run is named.
+
+    network is a library HopfieldInstance, which solve takes, or a dense
+    (W, theta) pair, which descend takes.  solve descends from the
+    all-inactive state, the start when start is None; only descend takes
+    another.  The earlier descent takes a flip whose true gain is 0 when
+    that gain rounds negative, and one whose true decrease is below half an
+    ulp of the energy.  Runs without such a flip are the same, or both raise
+    MaxStepsExceeded.  Past its budget the earlier descent keeps the row it
+    would flip to, so a current descent whose budget runs out right before
+    a flip it rejects stops there and does not raise.  Returns the trace of
+    the current descent, or None when it raises.
+    """
+    library = isinstance(network, HopfieldInstance)
+    # the earlier descent forms its products on the form the current one takes
+    products, theta = (network.weights_W, network.bias_theta) if library else network
+    start = np.full(theta.size, -1, dtype=np.int8) if start is None else start
+    budget = theta.size**2 if budget is None else budget
+    assert not library or (start == -1).all()
+    W = np.asarray(products)
+
+    def current():
+        if library:
+            return solve(network, budget)
+        return descend(W, theta, start, budget)
+
+    old_steps = []  # every row the earlier descent builds, kept even when it raises
+    exhausted = False
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # its energies name an overflow
+            descend_two_products(products, theta, start, budget, old_steps)
+    except MaxStepsExceeded:
+        exhausted = True
+    except DomainError:  # its own energies failed to fall; the states are what count
+        pass
+    states = [step.state for step in old_steps]
+    energies = fraction_energies(W, theta, states)
+    rejected = next(
+        (
+            k
+            for k in range(1, len(states))
+            if not energies[k] < energies[k - 1] and not np.array_equal(states[k], states[k - 1])
+        ),
+        None,
+    )
+    if rejected is None and exhausted:
+        with pytest.raises(MaxStepsExceeded):
+            current()
+        return None
+    # Without a rejected flip, the rows are all but the repeated endpoint.
+    kept = len(states) - 1 if rejected is None else rejected
+    if not np.isfinite([energies[0], energies[kept - 1]]).all():
+        with pytest.raises(DomainError, match="overflows the float range"):
+            current()
+        return None
+    state, trace = current()
+    assert trace.flips == kept - 1
+    assert len(trace.steps) == kept + 1
+    for step, old_state in zip(trace.steps, states[:kept]):
+        assert np.array_equal(step.state, old_state)
+    assert np.array_equal(state, states[kept - 1])
+    assert [e.hex() for e in trace.energies.tolist()] == [float(e).hex() for e in energies[:kept]]
+    return trace

@@ -19,17 +19,14 @@ from qperm import (
     build_qubo,
     decode_permutation,
     energy,
-    fold_diagonal,
     heap_program,
-    to_hopfield,
-    to_ising,
     validate_bst,
     validate_heap,
 )
 from qperm.programs import TreeShape
 
 from . import reference_run as ref
-from .conftest import make_program, paper_faithful, run_pipeline
+from .conftest import library_chain, make_program, paper_faithful, run_pipeline
 from .reference import (
     binary_to_bipolar,
     build_N,
@@ -208,9 +205,7 @@ def test_criterion_7_conversion_consistency():
     for n in (2, 3):
         x = ValueVector(distinct_vector(rng, n))
         instance = build_qubo(x, make_program("ascending", n))
-        folded = fold_diagonal(instance)
-        ising = to_ising(folded)
-        network = to_hopfield(ising)
+        _, ising, network = library_chain(instance)
         N = instance.dimension
         R, r = dense(instance)
         qubo_values, ising_values, hopfield_values = [], [], []

@@ -22,12 +22,9 @@ from qperm import (
     PenaltyMatrix,
     SolverTrace,
     ValueVector,
-    ascending_program,
-    bst_program,
     build_qubo,
     certify,
     decode_permutation,
-    descending_program,
     heap_program,
     solve_qubo,
 )
@@ -35,7 +32,7 @@ from qperm import cli
 from qperm.cli import main, render_trace
 
 from . import reference_run as ref
-from .conftest import make_program
+from .conftest import PROGRAMS, input_values, make_program, program_argv
 from .reference import vectorize
 
 
@@ -49,13 +46,19 @@ def materialized_penalty(data):
     return np.asarray(PenaltyMatrix(**data["penalty"]))
 
 
+def input_files(tmp_path, values, kind):
+    """Write x and a program of the given kind for it; returns the two paths."""
+    x_path = write_json(tmp_path / "x.json", list(values))
+    prog = str(tmp_path / "prog.json")
+    assert main([*program_argv(kind, len(values)), "-o", prog]) == 0
+    return x_path, prog
+
+
 def build_file(tmp_path, values, kind, *flags):
     """Write x, a program of the given kind and the QUBO file build makes of them."""
-    x_path = write_json(tmp_path / "x.json", list(values))
-    prog = tmp_path / "prog.json"
-    assert main(["program", "--kind", kind, "--n", str(len(values)), "-o", str(prog)]) == 0
+    x_path, prog = input_files(tmp_path, values, kind)
     qubo = str(tmp_path / "qubo.json")
-    assert main(["build", x_path, str(prog), *flags, "-o", qubo]) == 0
+    assert main(["build", x_path, prog, *flags, "-o", qubo]) == 0
     return qubo
 
 
@@ -164,8 +167,7 @@ class TestProgramCommand:
     def test_text_is_json_indented_by_two(self, tmp_path, capsys, kind, branching, n):
         """The file and stdout hold json.dumps(program, indent=2) and a newline, byte for byte."""
         flags = [] if branching is None else ["--branching", str(branching)]
-        make = {"ascending": ascending_program, "descending": descending_program,
-                "bst": bst_program, "heap": heap_program}[kind]
+        make = PROGRAMS[kind]
         program = make(n) if branching is None else make(n, branching)
         expected = json.dumps(
             {"n": n, "kind": kind, "branching": branching or 2, "ranks": list(program.ranks)},
@@ -247,11 +249,9 @@ class TestBuildCommand:
     def test_weights_whose_reward_offset_overflows(self, tmp_path, capsys, weight):
         """Each weight is finite but 2 (lambda_r + lambda_c) is not; this once ended
         in "self_coupling must be finite" or "vector_r must be finite"."""
-        x_path = write_json(tmp_path / "x.json", [3.0, 1.0, 2.0])
-        prog = tmp_path / "prog.json"
-        assert main(["program", "--kind", "ascending", "--n", "3", "-o", str(prog)]) == 0
+        x_path, prog = input_files(tmp_path, [3.0, 1.0, 2.0], "ascending")
         capsys.readouterr()
-        args = ["build", x_path, str(prog), "--lambda-r", weight, "--lambda-c", weight]
+        args = ["build", x_path, prog, "--lambda-r", weight, "--lambda-c", weight]
         assert main(args) == 2
         out, err = capsys.readouterr()
         assert out == ""
@@ -450,6 +450,35 @@ class TestSolveCommand:
             assert main(["solve", qubo, "--trace"]) == cli.EXIT_INFEASIBLE
         assert capsys.readouterr().out.splitlines()[: len(expected)] == expected
 
+    def test_a_closed_stdout_exits_141_and_prints_nothing(self, tmp_path, capsys):
+        """A reader that closes the pipe, as head does, once made solve exit 2
+        with "error: [Errno 32] Broken pipe".  The console script then points
+        stdout at os.devnull, so the flush at exit cannot fail again."""
+        argv = ["qperm", "solve", "--trace", build_file(tmp_path, ref.INPUT_X, "heap")]
+        with open(tmp_path / "sink", "wb") as sink:
+            closed = mock.Mock(write=mock.Mock(side_effect=BrokenPipeError), fileno=sink.fileno)
+            with mock.patch.object(sys, "stdout", closed), mock.patch.object(sys, "argv", argv):
+                with pytest.raises(SystemExit) as raised:
+                    cli.run()
+            os.write(sink.fileno(), b"lost")
+        assert raised.value.code == cli.EXIT_PIPE == 141
+        assert capsys.readouterr() == ("", "")
+        assert (tmp_path / "sink").read_bytes() == b""
+
+    def test_a_reader_that_closes_the_pipe(self, tmp_path):
+        """solve --trace at n = 60 into a reader that takes one line and
+        closes the pipe: exit 141, the status a shell reports for a writer
+        ended by SIGPIPE, and nothing on stderr."""
+        qubo = build_file(tmp_path, np.random.default_rng(1).normal(size=60).tolist(), "heap")
+        argv = [sys.executable, "-m", "qperm.cli", "solve", "--trace", qubo]
+        pipes = dict(stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        with subprocess.Popen(argv, env=module_env(), **pipes) as process:
+            first = process.stdout.readline()
+            process.stdout.close()
+            err = process.stderr.read()
+            code = process.wait(timeout=120)
+        assert (code, err) == (141, b"") and first.startswith(b"   0  - - ")
+
     def test_report_lines(self, reference_files, capsys):
         x_path, program_path, tmp_path = reference_files
         qubo = tmp_path / "qubo.json"
@@ -480,13 +509,9 @@ class TestSolveCommand:
         assert main(["solve", stuck]) == 4
 
     def test_single_slot_converges_in_one_flip(self, tmp_path, capsys):
-        x_path = write_json(tmp_path / "x.json", [5.0])
-        prog = tmp_path / "prog.json"
-        assert main(["program", "--kind", "ascending", "--n", "1", "-o", str(prog)]) == 0
-        assert json.loads(prog.read_text())["ranks"] == [1]
-        qubo = tmp_path / "qubo.json"
-        assert main(["build", x_path, str(prog), "-o", str(qubo)]) == 0
-        assert main(["solve", str(qubo)]) == 0
+        qubo = build_file(tmp_path, [5.0], "ascending")
+        assert json.loads((tmp_path / "prog.json").read_text())["ranks"] == [1]
+        assert main(["solve", qubo]) == 0
         out = capsys.readouterr().out.splitlines()
         assert out[0] == "permutation: 0"
         assert out[2] == "flips: 1"
@@ -538,13 +563,9 @@ class TestSolveCommand:
         # stops before it, at a stable state that is no permutation.  The input
         # is x = [-1, 2, 0, 1, 0, 1] scaled by sum(|x|) = 5 and built unshifted.
         x = [-1.0, 2.0, 0.0, 1.0, 0.0, 1.0]
-        x_path = write_json(tmp_path / "x.json", [v / 5.0 for v in x])
-        prog = tmp_path / "prog.json"
-        assert main(["program", "--kind", "heap", "--n", "6", "-o", str(prog)]) == 0
-        qubo = tmp_path / "qubo.json"
-        args = ["build", x_path, str(prog), "--lambda-r", "0.2", "--lambda-c", "0.2"]
-        assert main(args + ["--no-normalize", "-o", str(qubo)]) == 0
-        assert main(["solve", str(qubo)]) == 4
+        flags = ["--lambda-r", "0.2", "--lambda-c", "0.2", "--no-normalize"]
+        qubo = build_file(tmp_path, [v / 5.0 for v in x], "heap", *flags)
+        assert main(["solve", qubo]) == 4
         assert "descent ended in a state that is no permutation" in capsys.readouterr().err
 
     def test_energy_overflow_exit_code(self, tmp_path, capsys):
@@ -675,28 +696,14 @@ class TestSolveCommand:
                 assert exc.value.code == 2
 
 
-PROGRAMS = {
-    "ascending": ascending_program,
-    "descending": descending_program,
-    "bst": bst_program,
-    "heap": heap_program,
-}
-
-
 @st.composite
 def build_cases(draw):
     """(values, lambda_r, lambda_c, normalize) for a build at n <= 12."""
     n = draw(st.integers(1, 12))
-    style = draw(st.sampled_from(("signed", "duplicate", "constant", "spread")))
-    if style == "signed":
-        entry = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
-    elif style == "duplicate":
-        entry = st.integers(-3, 3)
-    elif style == "constant":
-        entry = st.just(draw(st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)))
-    else:  # x - min(x) or its sum beyond the float range
-        entry = st.sampled_from([-1.7e308, -1e308, -1.0, 0.0, 0.5, 1e308, 1.7e308])
-    values = [float(v) for v in draw(st.lists(entry, min_size=n, max_size=n))]
+    constant = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False).map(lambda v: [v] * n)
+    # x - min(x) or its sum beyond the float range
+    spread = st.sampled_from([-1.7e308, -1e308, -1.0, 0.0, 0.5, 1e308, 1.7e308])
+    values = draw(st.one_of(input_values(n), constant, st.lists(spread, min_size=n, max_size=n)))
     weight = st.one_of(
         st.builds(lambda m, k: m / 2**k, st.integers(1, 64), st.integers(0, 4)),  # dyadic
         st.floats(0.05, 30.0),
@@ -741,11 +748,11 @@ class TestQuboFileFormat:
         with tempfile.TemporaryDirectory() as tmp:
             x_path = write_json(Path(tmp) / "x.json", values)
             prog = str(Path(tmp) / "prog.json")
-            assert main(["program", "--kind", kind, "--n", str(n), "-o", prog]) == 0
+            assert main([*program_argv(kind, n), "-o", prog]) == 0
             qubo = str(Path(tmp) / "qubo.json")
             try:
                 instance = build_qubo(
-                    ValueVector(values), PROGRAMS[kind](n), lambda_r, lambda_c, normalize
+                    ValueVector(values), make_program(kind, n), lambda_r, lambda_c, normalize
                 )
             except DomainError:  # r beyond the float range, unnormalized
                 assert main(["build", x_path, prog, *flags, "-o", qubo]) == 2
@@ -1013,19 +1020,15 @@ class TestVerifyCommand:
     def test_failed_check_exit_code(self, tmp_path, capsys):
         """Equal values once failed the search-tree check, which compared
         strictly, and verify exited 5; in order they never decrease."""
-        x_path = write_json(tmp_path / "x.json", [5.0, 5.0, 5.0])
-        prog = tmp_path / "prog.json"
-        assert main(["program", "--kind", "bst", "--n", "3", "-o", str(prog)]) == 0
-        assert main(["verify", x_path, str(prog)]) == 0
+        x_path, prog = input_files(tmp_path, [5.0, 5.0, 5.0], "bst")
+        assert main(["verify", x_path, prog]) == 0
         out = capsys.readouterr().out
         assert "objective vs oracle      PASS" in out
         assert "structure (bst)          PASS" in out
 
     def test_first_descent_sorts_two_negatives(self, tmp_path, capsys):
-        x_path = write_json(tmp_path / "x.json", [-1.0, -2.0])
-        prog = tmp_path / "prog.json"
-        assert main(["program", "--kind", "ascending", "--n", "2", "-o", str(prog)]) == 0
-        assert main(["verify", x_path, str(prog)]) == 0
+        x_path, prog = input_files(tmp_path, [-1.0, -2.0], "ascending")
+        assert main(["verify", x_path, prog]) == 0
         assert "objective vs oracle      PASS" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
@@ -1036,42 +1039,30 @@ class TestVerifyCommand:
         ],
     )
     def test_spread_beyond_float_range(self, tmp_path, capsys, values, arranged):
-        x_path = write_json(tmp_path / "x.json", values)
-        prog = tmp_path / "prog.json"
-        assert main(["program", "--kind", "ascending", "--n", "3", "-o", str(prog)]) == 0
-        assert main(["build", x_path, str(prog), "-o", str(tmp_path / "qubo.json")]) == 0
-        assert main(["solve", str(tmp_path / "qubo.json")]) == 0
+        assert main(["solve", build_file(tmp_path, values, "ascending")]) == 0
         assert f"values: {arranged}\n" in capsys.readouterr().out
-        assert main(["verify", x_path, str(prog)]) == 0
+        assert main(["verify", str(tmp_path / "x.json"), str(tmp_path / "prog.json")]) == 0
         assert "objective vs oracle      PASS" in capsys.readouterr().out
 
     def test_input_below_float_resolution_fails(self, tmp_path, capsys):
         # 1e17 + 32 and 1e17 + 64 are closer than the QUBO resolves at this spread
-        x_path = write_json(tmp_path / "x.json", [0.0, 1e17, 1e17 + 64, 1e17 + 32])
-        prog = tmp_path / "prog.json"
-        assert main(["program", "--kind", "ascending", "--n", "4", "-o", str(prog)]) == 0
-        assert main(["verify", x_path, str(prog)]) == 5
+        x_path, prog = input_files(tmp_path, [0.0, 1e17, 1e17 + 64, 1e17 + 32], "ascending")
+        assert main(["verify", x_path, prog]) == 5
         assert "objective vs oracle      FAIL" in capsys.readouterr().out
 
     def test_duplicate_values_note(self, tmp_path, capsys):
-        x_path = write_json(tmp_path / "x.json", [5.0, 5.0])
-        prog = tmp_path / "prog.json"
-        assert main(["program", "--kind", "ascending", "--n", "2", "-o", str(prog)]) == 0
-        assert main(["verify", x_path, str(prog)]) == 0
+        x_path, prog = input_files(tmp_path, [5.0, 5.0], "ascending")
+        assert main(["verify", x_path, prog]) == 0
         assert "objective-tie" in capsys.readouterr().out
 
     def test_size_guards(self, tmp_path):
-        x11 = write_json(tmp_path / "x11.json", [float(i) for i in range(1, 12)])
-        prog11 = tmp_path / "prog11.json"
-        assert main(["program", "--kind", "ascending", "--n", "11", "-o", str(prog11)]) == 0
-        assert main(["verify", x11, str(prog11)]) == 0
+        x_path, prog = input_files(tmp_path, [float(i) for i in range(1, 12)], "ascending")
+        assert main(["verify", x_path, prog]) == 0
 
     def test_paper_regime_at_n40(self, tmp_path, capsys):
         values = np.random.default_rng(40).permutation(np.arange(1.0, 41.0)) * 3.5
-        x_path = write_json(tmp_path / "x.json", values.tolist())
-        prog = tmp_path / "prog.json"
-        assert main(["program", "--kind", "heap", "--n", "40", "-o", str(prog)]) == 0
-        assert main(["verify", x_path, str(prog)]) == 0
+        x_path, prog = input_files(tmp_path, values.tolist(), "heap")
+        assert main(["verify", x_path, prog]) == 0
         assert "structure (heap)         PASS" in capsys.readouterr().out
 
     @pytest.mark.slow
@@ -1079,10 +1070,8 @@ class TestVerifyCommand:
         # built unshifted (x scaled by sum(|x|), --no-normalize), one descent ends
         # feasible but suboptimal on this input
         values = np.random.default_rng(0).normal(size=40)
-        x_path = write_json(tmp_path / "x.json", values.tolist())
-        prog = tmp_path / "prog.json"
-        assert main(["program", "--kind", "heap", "--n", "40", "-o", str(prog)]) == 0
-        assert main(["verify", x_path, str(prog)]) == 0
+        x_path, prog = input_files(tmp_path, values.tolist(), "heap")
+        assert main(["verify", x_path, prog]) == 0
         out = capsys.readouterr().out
         assert "objective vs oracle      PASS" in out
         assert "structure (heap)         PASS" in out
@@ -1156,6 +1145,13 @@ if sys.version_info >= (3, 13):  # argparse names the metavar once: "-o, --out O
     COMMAND_HELP = {
         c: h.replace("-o OUT, --out OUT", "-o, --out OUT    ") for c, h in COMMAND_HELP.items()
     }
+
+
+def module_env():
+    """The environment in which python -m qperm.cli imports this qperm."""
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
 
 
 def run_cli(argv, capsys):
@@ -1259,11 +1255,9 @@ class TestCommandLineParsing:
     def test_python_dash_m_prints_and_exits_as_main(self, tmp_path, capsys, argv):
         argv = [build_file(tmp_path, [3.0, 1.0, 2.0], "bst") if a == "QUBO" else a for a in argv]
         code, out, _ = run_cli(argv, capsys)
-        package_root = str(Path(cli.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
         done = subprocess.run(
             [sys.executable, "-m", "qperm.cli", *argv],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120,
+            capture_output=True, text=True, env=module_env(), timeout=120,
         )
         assert (done.returncode, done.stdout) == (code, out)
 

@@ -22,11 +22,8 @@ from qperm import (
     to_ising,
 )
 
-from .reference import binary_to_bipolar, dense, product, qubo_objective
-
-
-def bits(a) -> bytes:
-    return np.ascontiguousarray(a, dtype=float).tobytes()
+from .conftest import library_chain
+from .reference import binary_to_bipolar, bits, dense, product, qubo_objective
 
 
 def sorting_instance(values):
@@ -213,8 +210,7 @@ class TestEndToEndMinimizers:
     @pytest.mark.parametrize("values", [[3.0, 1.0], [3.0, 1.0, 2.0]])
     def test_argmin_agrees_across_representations(self, values):
         inst = sorting_instance(values)
-        folded = fold_diagonal(inst)
-        network = to_hopfield(to_ising(folded))
+        network = library_chain(inst)[2]
         N = inst.dimension
         best_q, best_h = None, None
         for z in all_binary_states(N):

@@ -23,7 +23,6 @@ from qperm import (
     build_qubo,
     certify,
     decode_permutation,
-    descending_program,
     energy,
     heap_program,
     solve,
@@ -32,27 +31,29 @@ from qperm import hopfield
 
 from . import reference
 from . import reference_run as ref
-from .conftest import make_program, paper_faithful, run_pipeline
+from .conftest import (
+    PROGRAMS,
+    input_classes,
+    library_chain,
+    make_program,
+    networks,
+    paper_faithful,
+    run_pipeline,
+    small_network,
+    x_of,
+)
 from .reference import (
+    assert_bitwise_same_descent,
+    assert_own_budget_suffices,
     binary_to_bipolar,
+    compare_descents,
     dense,
-    descend,
     exact_sum,
     flip_gain,
     fraction_energy,
     permutation_matrix,
     vectorize,
 )
-from .test_dense_chain_equivalence import builder_networks, compare_descents
-from .test_structured_chain import builder_instances, chain, coefficients
-
-
-def small_network(seed, n=3):
-    """A network on an n x n grid with Gaussian weights of either sign and a
-    Gaussian theta, so descent meets landscapes no builder makes."""
-    rnd = np.random.default_rng(seed)
-    W = PenaltyMatrix(n, *rnd.normal(size=2), 0.0)
-    return HopfieldInstance(weights_W=W, bias_theta=rnd.normal(size=n * n))
 
 
 class TestReferenceRun:
@@ -97,7 +98,7 @@ class TestReferenceRun:
         rows = self.trace.steps
         assert [row.index for row in rows] == list(range(9))
         assert all(np.array_equal(row.state, s) for row, s in zip(rows, states, strict=True))
-        network = _reference_network(self.instance)
+        network = library_chain(self.instance)[2]
         expected = [float(fraction_energy(*dense(network), s)).hex() for s in states]
         assert [row.energy.hex() for row in rows] == expected
 
@@ -109,7 +110,7 @@ class TestReferenceRun:
         assert apply_permutation(p, self.x).tolist() == ref.EXPECTED_Y[self.kind]
 
     def test_first_flip_gain(self):
-        network = _reference_network(self.instance)
+        network = library_chain(self.instance)[2]
         start = np.full(49, -1, dtype=np.int8)
         gain = flip_gain(*dense(network), start, ref.FLIPS[self.kind][0])
         assert f"{gain:.1f}" == f"{ref.FIRST_GAIN:.1f}"
@@ -124,12 +125,6 @@ class TestReferenceRun:
         assert trace.flipped.tolist() == ref.FLIPS[self.kind]
         y = apply_permutation(decode_permutation(z), self.x)
         assert y.tolist() == ref.EXPECTED_Y[self.kind]
-
-
-def _reference_network(instance):
-    from qperm import fold_diagonal, to_hopfield, to_ising
-
-    return to_hopfield(to_ising(fold_diagonal(instance)))
 
 
 @pytest.mark.parametrize(
@@ -199,6 +194,18 @@ def test_the_reference_takes_no_private_name_of_the_library():
     assert all(not name.startswith("_") for module, name in taken if module.startswith("qperm"))
 
 
+def test_no_test_module_imports_another():
+    """Shared inputs, the program table and the chain helper live in
+    conftest, and the descent comparators in reference; test modules once
+    took strategies and comparators from one another."""
+    for path in sorted(Path(__file__).parent.glob("test_*.py")):
+        nodes = ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        imports = [node for node in nodes if isinstance(node, (ast.Import, ast.ImportFrom))]
+        names = [getattr(node, "module", None) or "" for node in imports]
+        names += [alias.name for node in imports for alias in node.names]
+        assert not [n for n in names if any(p.startswith("test_") for p in n.split("."))], path
+
+
 class TestGainBookkeeping:
     def test_gain_matches_energy_difference(self):
         """The reference's 2 s_i ((W s)_i - theta_i) is the change in the
@@ -225,7 +232,7 @@ class TestEnergyOfAState:
     @pytest.fixture
     def endpoint(self):
         z, trace, instance = run_pipeline(ValueVector([3, 1, 2]), ascending_program(3))
-        return chain(instance)[2], z, trace
+        return library_chain(instance)[2], z, trace
 
     def test_a_vector_gives_the_final_energy(self, endpoint):
         network, z, trace = endpoint
@@ -308,7 +315,7 @@ class TestSpuriousMinima:
     def test_every_permutation_encoding_is_stable(self):
         x = ValueVector(ref.INPUT_X)
         _, _, instance = run_pipeline(x, ascending_program(7))
-        W, theta = dense(_reference_network(instance))
+        W, theta = dense(library_chain(instance)[2])
         rnd = np.random.default_rng(0)
         for _ in range(5):
             mapping = rnd.permutation(7)
@@ -379,43 +386,6 @@ class TestSpuriousMinima:
         assert got == want
 
 
-PROGRAMS = {
-    "ascending": ascending_program,
-    "descending": descending_program,
-    "bst": lambda n: make_program("bst", n),
-    "heap": heap_program,
-    "heap3": lambda n: heap_program(n, 3),
-}
-
-
-@st.composite
-def input_classes(draw, n):
-    """One draw from each input class the default route must handle."""
-    style = draw(
-        st.sampled_from(
-            ("paper", "gaussian", "all_negative", "duplicates", "offset_1e12",
-             "offset_1e15", "constant", "mixed_magnitudes")
-        )
-    )
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    if style == "paper":
-        return rng.choice(10 * n, size=n, replace=False).astype(float)
-    if style == "gaussian":
-        return rng.standard_normal(n)
-    if style == "all_negative":
-        return -rng.uniform(0.5, 100.0, size=n)
-    if style == "duplicates":
-        return rng.integers(-3, 4, size=n).astype(float)
-    if style == "offset_1e12":
-        return rng.permutation(n).astype(float) + 1e12
-    if style == "offset_1e15":
-        return rng.permutation(n).astype(float) + 1e15
-    if style == "constant":
-        return np.full(n, float(rng.integers(-5, 6)))
-    signs = rng.choice([-1.0, 1.0], size=n)
-    return signs * 10.0 ** rng.integers(-6, 7, size=n) * rng.uniform(1.0, 9.0, size=n)
-
-
 class TestOneDescentIsExact:
     @given(
         st.integers(1, 12),
@@ -426,18 +396,10 @@ class TestOneDescentIsExact:
     def test_default_descent_reaches_the_sort_optimum(self, n, kind, data):
         values = data.draw(input_classes(n))
         x = ValueVector(values)
-        program = PROGRAMS[kind](n)
+        program = make_program(kind, n)
         z, trace, _ = run_pipeline(x, program)
         report = certify(x, program, z)
         assert report.feasible and report.optimal, (values.tolist(), kind, report)
-
-
-def x_of(regime, n):
-    """Distinct non-negative integers (the paper's regime) or Gaussian reals."""
-    rng = np.random.default_rng(n)
-    if regime == "paper":
-        return rng.choice(10 * n, size=n, replace=False).astype(float)
-    return rng.standard_normal(n)
 
 
 class TestFreeLines:
@@ -450,7 +412,7 @@ class TestFreeLines:
     def test_default_builds_never_call_line(self, n, kind):
         for regime in ("paper", "gaussian"):
             with mock.patch.object(hopfield, "_line", wraps=hopfield._line) as line:
-                _, trace, _ = run_pipeline(ValueVector(x_of(regime, n)), PROGRAMS[kind](n))
+                _, trace, _ = run_pipeline(ValueVector(x_of(regime, n)), make_program(kind, n))
             assert trace.flips == n
             assert line.call_count == 0
 
@@ -476,41 +438,19 @@ class TestFreeLines:
         assert before[2].tolist() == [-1, 1, 1] and before[:, 1].tolist() == [-1, -1, 1]
         assert line.call_count > 0
         assert state.reshape(3, 3)[:, 2].tolist() == [1, 1, 1]
-        reference_state, reference_trace = descend(*dense(network))
-        assert state.tobytes() == reference_state.tobytes()
-        assert trace.flipped.tolist() == reference_trace.flipped.tolist()
-        assert trace.energies.tobytes() == reference_trace.energies.tobytes()
-
-
-@st.composite
-def penalty_networks(draw):
-    """Any finite penalty weights and biases, the ends of the float range among them."""
-    n = draw(st.integers(1, 5))
-    theta = draw(st.lists(coefficients, min_size=n * n, max_size=n * n))
-    return HopfieldInstance(PenaltyMatrix(n, draw(coefficients), draw(coefficients), 0.0), theta)
-
-
-def networks():
-    """Every network strategy of the descent tests, on the library's PenaltyMatrix."""
-    return st.one_of(
-        builder_networks(materialize=False),
-        builder_instances(integer_lambda=True).map(lambda instance: chain(instance)[2]),
-        builder_instances(integer_lambda=False).map(lambda instance: chain(instance)[2]),
-        st.builds(small_network, st.integers(0, 2**32 - 1), st.integers(1, 6)),
-        penalty_networks(),
-    )
+        assert_bitwise_same_descent(network)
 
 
 def rebuilds(run):
-    """run() and the number of active cells at each call of _gains during it."""
-    gains, active = hopfield._gains, []
+    """run() and the state, as an int8 vector, at each call of _gains during it."""
+    gains, seen = hopfield._gains, []
 
-    def counted(G, S, *rest):
-        active.append(int((S > 0).sum()))
+    def recorded(G, S, *rest):
+        seen.append(S.ravel().astype(np.int8))
         return gains(G, S, *rest)
 
-    with mock.patch.object(hopfield, "_gains", side_effect=counted):
-        return run(), active
+    with mock.patch.object(hopfield, "_gains", side_effect=recorded):
+        return run(), seen
 
 
 class TestAllInactiveStart:
@@ -533,16 +473,9 @@ class TestAllInactiveStart:
         """max_steps bounds committed flips: a budget of the descent's own
         flip count gives the same trace, and one flip fewer raises."""
         try:
-            state, trace = solve(network)
+            assert_own_budget_suffices(network)
         except DomainError:  # an energy beyond the float range
             assume(False)
-        again, capped = solve(network, trace.flips)
-        assert again.tobytes() == state.tobytes()
-        assert capped.flipped.tolist() == trace.flipped.tolist()
-        assert capped.energies.tobytes() == trace.energies.tobytes()
-        if trace.flips:
-            with pytest.raises(MaxStepsExceeded):
-                solve(network, trace.flips - 1)
 
     def test_a_budget_runs_out_only_on_a_flip_it_would_commit(self):
         """The fifth flip's rounded energy does not fall, so descent stops
@@ -550,7 +483,7 @@ class TestAllInactiveStart:
         which would take that flip, runs out."""
         instance = build_qubo(ValueVector([0, 3, 0, 0]), ascending_program(4),
                               lambda_r=4.4004, lambda_c=4.4004, normalize=False)
-        network = chain(instance)[2]
+        network = library_chain(instance)[2]
         state, trace = solve(network)
         assert trace.flipped.tolist() == [7, 6, 0, 9]
         capped_state, capped = solve(network, 4)
@@ -582,10 +515,10 @@ class TestAllInactiveStart:
     def test_default_and_scaled_builds_never_rebuild(self, n, kind, weights):
         keywords = {} if weights == "default" else {"lambda_r": 1.1001 * n, "lambda_c": 1.1001 * n}
         for regime in ("paper", "gaussian"):
-            x = ValueVector(x_of(regime, n))
-            (_, trace, _), active = rebuilds(lambda: run_pipeline(x, PROGRAMS[kind](n), **keywords))
+            x, program = ValueVector(x_of(regime, n)), make_program(kind, n)
+            (_, trace, _), seen = rebuilds(lambda: run_pipeline(x, program, **keywords))
             assert trace.flips == n
-            assert active == []
+            assert seen == []
 
     @pytest.mark.parametrize(
         "x, active, flips",
@@ -602,13 +535,12 @@ class TestAllInactiveStart:
             (z, trace, instance), seen = rebuilds(
                 lambda: run_pipeline(ValueVector(x), heap_program(8), normalize=False)
             )
-        assert seen == active
+        assert [int((state > 0).sum()) for state in seen] == active
         assert trace.flips == flips
         assert line.call_count == 1 + 2 * (flips - active[0])
-        reference_state, reference_trace = descend(*dense(_reference_network(instance)))
-        assert binary_to_bipolar(z).tobytes() == reference_state.tobytes()
-        assert trace.flipped.tolist() == reference_trace.flipped.tolist()
-        assert trace.energies.tobytes() == reference_trace.energies.tobytes()
+        checked = assert_bitwise_same_descent(library_chain(instance)[2])
+        assert binary_to_bipolar(z).tobytes() == checked.final_state.tobytes()
+        assert trace.energies.tobytes() == checked.energies.tobytes()
 
     @pytest.mark.parametrize(
         "family, seed",
@@ -624,15 +556,8 @@ class TestAllInactiveStart:
             network = small_network(seed, 4)
         else:
             x = ValueVector(np.random.default_rng(seed).normal(size=4))
-            network = chain(build_qubo(x, heap_program(4), normalize=False))[2]
-        gains, seen = hopfield._gains, []
-
-        def recorded(G, S, *rest):
-            seen.append(S.ravel().astype(np.int8))
-            return gains(G, S, *rest)
-
-        with mock.patch.object(hopfield, "_gains", side_effect=recorded):
-            trace = compare_descents(network)
+            network = library_chain(build_qubo(x, heap_program(4), normalize=False))[2]
+        trace, seen = rebuilds(lambda: compare_descents(network))
         assert len(seen) == 1
         active = int((seen[0] > 0).sum())
         assert 0 < active < trace.flips
@@ -643,17 +568,16 @@ class TestAllInactiveStart:
         0.0, is below the start's 5.6e-17: descent stops at the start, as the
         reference descent does, and takes neither flip 0 nor flip 2 to -1.4."""
         network = HopfieldInstance(PenaltyMatrix(2, 0.6, -0.1, 0.0), [-0.5, 0.0, 0.0, -0.5])
-        state, trace = solve(network)
+        _, trace = solve(network)
         assert trace.flipped.tolist() == []
         assert trace.energies.tolist() == [5.551115123125783e-17]
-        reference_state, reference_trace = descend(*dense(network))
-        assert reference_trace.flipped.tolist() == []
-        assert state.tobytes() == reference_state.tobytes()
+        assert_bitwise_same_descent(network)
 
     def test_an_overflowing_start_energy_is_named(self):
         """Penalty weights of 3e306 carry the start energy to -inf."""
         x = ValueVector([3, 1, 2, 5, 4, 0, 7, 6])
-        network = chain(build_qubo(x, ascending_program(8), lambda_r=3e306, lambda_c=3e306))[2]
+        instance = build_qubo(x, ascending_program(8), lambda_r=3e306, lambda_c=3e306)
+        network = library_chain(instance)[2]
         with pytest.raises(DomainError) as raised:
             solve(network)
         assert str(raised.value) == (
@@ -782,10 +706,10 @@ class TestPinnedDescent:
             "lambda": {"lambda_r": 1.1001 * n, "lambda_c": 1.1001 * n},
             "raw": {"normalize": False},
         }[build]
-        (z, trace, _), active = rebuilds(
+        (z, trace, _), seen = rebuilds(
             lambda: run_pipeline(ValueVector(x_of(regime, n)), make_program(kind, n), **weights)
         )
-        assert len(active) == (build == "raw")  # only normalize=False leaves the free lines
+        assert len(seen) == (build == "raw")  # only normalize=False leaves the free lines
         digest = hashlib.sha256()
         for values, dtype in ((binary_to_bipolar(z), "<i1"), (trace.flipped, "<i8"),
                               (trace.energies, "<f8")):

@@ -21,14 +21,12 @@ from qperm import (
     build_qubo,
     certify,
     decode_permutation,
-    descending_program,
-    fold_diagonal,
     heap_program,
     sort_optimum,
 )
 
 from . import reference_run as ref
-from .conftest import make_program, run_pipeline
+from .conftest import PROGRAMS, make_program, run_pipeline
 from .reference import dense, exhaustive_qubo_min, permutation_matrix, qubo_objective, vectorize
 
 
@@ -98,7 +96,7 @@ class TestSortOptimum:
 
     @given(
         st.integers(min_value=1, max_value=8),
-        st.sampled_from(["ascending", "descending", "bst", "heap", "custom"]),
+        st.sampled_from(sorted(PROGRAMS) + ["custom"]),
         st.sampled_from(["distinct", "duplicate", "signed"]),
         st.randoms(use_true_random=False),
     )
@@ -115,8 +113,6 @@ class TestSortOptimum:
             ranks = list(range(1, n + 1))
             rnd.shuffle(ranks)
             program = OrderProgram(ranks=tuple(ranks), kind="custom")
-        elif kind == "descending":
-            program = descending_program(n)
         else:
             program = make_program(kind, n)
         x = ValueVector(values)

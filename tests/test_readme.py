@@ -1,9 +1,12 @@
-"""The README's library quick start runs and prints what its comments say."""
+"""The README's library quick start runs and prints what its comments say,
+and its exit-code table lists the codes the CLI defines."""
 
 import contextlib
 import io
 import re
 from pathlib import Path
+
+from qperm import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -19,3 +22,10 @@ def test_quick_start_prints_its_comments():
     with contextlib.redirect_stdout(out):
         exec(compile(block, str(README), "exec"), {})
     assert out.getvalue().splitlines() == expected
+
+
+def test_the_exit_code_table_lists_every_code_of_the_cli():
+    text = README.read_text(encoding="utf-8")
+    table = text.split("\nExit codes:\n\n", 1)[1].split("\n\n", 1)[0]
+    documented = [int(code) for code in re.findall(r"^\| (\d+) \|", table, re.MULTILINE)]
+    assert documented == sorted(v for k, v in vars(cli).items() if k.startswith("EXIT_"))

@@ -43,107 +43,33 @@ from qperm import (
     fold_diagonal,
     solve,
     solve_qubo,
-    to_hopfield,
     to_ising,
 )
 from qperm.cli import main
 
 from . import reference
 from . import reference_run as ref
-from .conftest import make_program, paper_faithful, run_pipeline
+from .conftest import (
+    PROGRAMS,
+    builder_instances,
+    input_values,
+    library_chain,
+    make_program,
+    paper_faithful,
+    program_argv,
+    run_pipeline,
+    x_of,
+)
 from .reference import (
+    assert_bitwise_same_descent,
+    assert_own_budget_suffices,
+    bits,
     build_Cc,
     build_Cr,
     dense,
     exact_sum,
     exhaustive_qubo_min,
     fraction_energy,
-)
-
-
-def bits(a) -> bytes:
-    return np.ascontiguousarray(a, dtype=float).tobytes()
-
-
-def program_for(kind, n):
-    return descending_program(n) if kind == "descending" else make_program(kind, n)
-
-
-def chain(instance):
-    """fold -> Ising -> Hopfield; returns the three instances."""
-    folded = fold_diagonal(instance)
-    ising = to_ising(folded)
-    return folded, ising, to_hopfield(ising)
-
-
-def assert_bitwise_same_descent(network, budget=None):
-    """solve on the structured network takes the same flips through the same
-    states at the same energies as the reference descent on its materialized
-    form, both from the all-inactive state, or raises the same error."""
-    budget = network.dimension ** 2 if budget is None else budget
-    try:
-        dense_run = reference.descend(*dense(network), None, budget)
-    except MaxStepsExceeded:
-        with pytest.raises(MaxStepsExceeded):
-            solve(network, budget)
-        return None
-    state, trace = solve(network, budget)
-    dense_state, dense_trace = dense_run
-    assert np.array_equal(state, dense_state)
-    assert trace.flipped.tolist() == dense_trace.flipped.tolist()
-    assert len(trace.steps) == len(dense_trace.steps)
-    for step, dense_step in zip(trace.steps, dense_trace.steps):
-        assert np.array_equal(step.state, dense_step.state)
-        assert bits(step.energy) == bits(dense_step.energy)
-    return trace
-
-
-# --- inputs ---------------------------------------------------------------
-
-KINDS = ("ascending", "descending", "bst", "heap")
-
-
-@st.composite
-def input_values(draw, n):
-    style = draw(st.sampled_from(("integer", "duplicate", "signed", "constant")))
-    if style == "integer":
-        vals = draw(st.lists(st.integers(0, 10 * n), min_size=n, max_size=n, unique=True))
-    elif style == "duplicate":
-        vals = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
-    elif style == "signed":
-        vals = draw(
-            st.lists(
-                st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False),
-                min_size=n,
-                max_size=n,
-            )
-        )
-    else:
-        vals = [draw(st.integers(-5, 5))] * n
-    return [float(v) for v in vals]
-
-
-@st.composite
-def builder_instances(draw, integer_lambda, max_n=12):
-    n = draw(st.integers(1, max_n))
-    x = ValueVector(draw(input_values(n)))
-    weights = st.integers(1, 30).map(float) if integer_lambda else st.floats(0.05, 30.0)
-    keywords = draw(
-        st.one_of(
-            st.just({}),
-            st.fixed_dictionaries(
-                dict(lambda_r=weights, lambda_c=weights, normalize=st.booleans())
-            ),
-        )
-    )
-    return build_qubo(x, program_for(draw(st.sampled_from(KINDS)), n), **keywords)
-
-
-# Dyadic (m / 2^k), non-dyadic, and the ends of the float range.
-coefficients = st.one_of(
-    st.builds(lambda m, k: m / 2**k, st.integers(-(2**30), 2**30), st.integers(0, 60)),
-    st.floats(-30.0, 30.0),
-    st.sampled_from([5e-324, -5e-324, 1e300, -1e300, 1.7e308]),
 )
 
 
@@ -236,7 +162,7 @@ class TestPenaltyMatrix:
         n = 40
         x = ValueVector(np.random.default_rng(40).normal(size=n))
         instance = build_qubo(x, make_program("heap", n))
-        for stage in (instance, *chain(instance)):
+        for stage in (instance, *library_chain(instance)):
             arrays = [v for v in vars(stage).values() if isinstance(v, np.ndarray)]
             assert all(a.shape == (n * n,) for a in arrays)
 
@@ -244,19 +170,16 @@ class TestPenaltyMatrix:
         """One descent from the all-inactive state: its flips use up a budget
         of their own number, and one flip fewer is not enough."""
         instance = build_qubo(ValueVector(ref.INPUT_X), make_program("heap", 7))
-        network = chain(instance)[2]
-        state, trace = solve(network)
+        network = library_chain(instance)[2]
+        state, trace = assert_own_budget_suffices(network)
         assert trace.start.tolist() == [-1] * 49
         assert trace.flips == 7
-        assert bits(solve(network, 7)[1].energies) == bits(trace.energies)
-        with pytest.raises(MaxStepsExceeded):
-            solve(network, 6)
 
     def test_descent_never_materializes(self):
         """The structured descent reads its fields off row and column counts,
         in O(n) per flip, and never builds a dense row or matrix."""
         instance = build_qubo(ValueVector(ref.INPUT_X), make_program("heap", 7))
-        network = chain(instance)[2]
+        network = library_chain(instance)[2]
         with mock.patch.object(PenaltyMatrix, "__array__", side_effect=AssertionError("dense")):
             _, trace = solve(network)
         assert_bitwise_same_descent(network)
@@ -270,7 +193,7 @@ class TestPenaltyMatrix:
         x = ValueVector(np.random.default_rng(n).normal(size=n))
         with mock.patch.object(PenaltyMatrix, "__array__", side_effect=AssertionError("dense")):
             instance = build_qubo(x, make_program("heap", n))
-            folded, _, network = chain(instance)
+            folded, _, network = library_chain(instance)
             state, trace = solve(network)
             assert bits(energy(network, state)) == bits(trace.final_energy)
         dense_fold = instance.vector_r + np.asarray(instance.matrix_R).diagonal()
@@ -286,7 +209,7 @@ class TestPenaltyMatrix:
         energy as float(Fraction(E(s)))."""
         x = ValueVector(np.random.default_rng(seed).normal(size=n))
         program = make_program("heap", n)
-        network = chain(build_qubo(x, program, lambda_r=m_r / 2**k, lambda_c=m_c / 2**k))[2]
+        network = library_chain(build_qubo(x, program, lambda_r=m_r / 2**k, lambda_c=m_c / 2**k))[2]
         trace = assert_bitwise_same_descent(network)
         for step in trace.steps:
             assert step.energy == float(fraction_energy(*dense(network), step.state))
@@ -296,30 +219,31 @@ class TestPenaltyMatrix:
 
 
 class TestIntegerWeightsBitForBit:
-    @given(builder_instances(integer_lambda=True))
+    @given(builder_instances(integer_weights=True))
     @settings(max_examples=100, deadline=None)
     def test_every_stage_materializes_as_the_dense_stage(self, instance):
         n, R = instance.n, instance.matrix_R
         Cr, Cc = build_Cr(n), build_Cc(n)
         kronecker = R.same_row * (Cr.T @ Cr) + R.same_col * (Cc.T @ Cc)
         assert bits(instance.matrix_R) == bits(kronecker)
-        for stage, (matrix, vector) in zip(chain(instance), reference.chain(*dense(instance))):
+        stages = zip(library_chain(instance), reference.chain(*dense(instance)))
+        for stage, (matrix, vector) in stages:
             structured_matrix, structured_vector = vars(stage).values()
             assert isinstance(structured_matrix, PenaltyMatrix)
             assert bits(structured_matrix) == bits(matrix)
             assert bits(structured_vector) == bits(vector)
 
-    @given(builder_instances(integer_lambda=True))
+    @given(builder_instances(integer_weights=True, form="network"))
     @settings(max_examples=120, deadline=None)
-    def test_descent_matches_dense_descent(self, instance):
-        assert_bitwise_same_descent(chain(instance)[2])
+    def test_descent_matches_dense_descent(self, network):
+        assert_bitwise_same_descent(network)
 
     ONE_CELL = QuboInstance(PenaltyMatrix(1, 1.0, 1.0, 2.0), [-2.0])
 
     @pytest.mark.parametrize("state", [-1, 1])
     def test_one_cell_zero_energy_is_the_dense_one(self, state):
         """Here theta = 0, so the energy is 0 at either state."""
-        network = chain(self.ONE_CELL)[2]
+        network = library_chain(self.ONE_CELL)[2]
         s = np.array([state], dtype=np.int8)
         zero = float(fraction_energy(*dense(network), s)).hex()
         assert energy(network, s).hex() == reference.energy(*dense(network), s).hex() == zero
@@ -327,35 +251,36 @@ class TestIntegerWeightsBitForBit:
     def test_one_cell_descent_starts_at_positive_zero(self):
         """Structured descent once gave -0.0 from the all-inactive start
         where the dense descent gives +0.0."""
-        network = chain(self.ONE_CELL)[2]
+        network = library_chain(self.ONE_CELL)[2]
         inactive = -np.ones(1, dtype=np.int8)
         zero = float(fraction_energy(*dense(network), inactive)).hex()
         trace = assert_bitwise_same_descent(network)
         assert trace.energies[0].hex() == zero
 
-    @given(builder_instances(integer_lambda=True, max_n=6), st.integers(0, 4))
+    @given(builder_instances(max_n=6, integer_weights=True, form="network"), st.integers(0, 4))
     @settings(max_examples=40, deadline=None)
-    def test_step_budget(self, instance, budget):
-        assert_bitwise_same_descent(chain(instance)[2], budget)
+    def test_step_budget(self, network, budget):
+        assert_bitwise_same_descent(network, budget)
 
     @pytest.mark.parametrize("kind", ["ascending", "bst", "heap"])
     def test_frozen_reference_run(self, kind):
         scaled = paper_faithful(ref.INPUT_X)
-        network = chain(build_qubo(scaled, make_program(kind, 7), normalize=False))[2]
+        network = library_chain(build_qubo(scaled, make_program(kind, 7), normalize=False))[2]
         trace = assert_bitwise_same_descent(network)
         assert trace.flipped.tolist() == ref.FLIPS[kind]
         assert [f"{s.energy:.1f}" for s in trace.steps] == ref.ENERGY_STRINGS
 
     def test_two_negative_entries(self):
         scaled = paper_faithful([-1.0, -2.0])
-        network = chain(build_qubo(scaled, make_program("ascending", 2), normalize=False))[2]
+        instance = build_qubo(scaled, make_program("ascending", 2), normalize=False)
+        network = library_chain(instance)[2]
         trace = assert_bitwise_same_descent(network)
         assert trace.flipped.tolist() == [0, 3]  # stuck on [-1, -2], not sorted
 
     def test_objectives_match_the_dense_forms(self):
         scaled = paper_faithful([3.0, -1.0, 2.0])
         instance = build_qubo(scaled, make_program("bst", 3), normalize=False)
-        network = chain(instance)[2]
+        network = library_chain(instance)[2]
         dense_network = dense(network)
         rnd = np.random.default_rng(3)
         for _ in range(20):
@@ -375,12 +300,11 @@ class TestIntegerWeightsBitForBit:
 
 
 class TestCorrectlyRoundedEnergies:
-    @given(builder_instances(integer_lambda=False, max_n=6), st.booleans())
+    @given(builder_instances(max_n=6, form="network"), st.booleans())
     @settings(max_examples=100, deadline=None)
-    def test_every_energy_is_correctly_rounded(self, instance, on_reference):
+    def test_every_energy_is_correctly_rounded(self, network, on_reference):
         """Every trace energy and every energy() is float(Fraction(E(s))), in
         the library and in the reference."""
-        network = chain(instance)[2]
         W, theta = dense(network)
         try:
             if on_reference:
@@ -408,14 +332,11 @@ class TestCorrectlyRoundedEnergies:
         instance = build_qubo(
             x, make_program("heap", n), lambda_r=lam, lambda_c=lam, normalize=normalize
         )
-        network = chain(instance)[2]
+        network = library_chain(instance)[2]
         W, theta = dense(network)
-        _, trace = solve(network)
-        _, dense_trace = reference.descend(W, theta)
-        assert dense_trace.flipped.tolist() == trace.flipped.tolist()
+        trace = assert_bitwise_same_descent(network)
         final = trace.final_state
         assert energy(network, final) == reference.energy(W, theta, final) == trace.final_energy
-        assert dense_trace.final_energy == trace.final_energy
         assert trace.final_energy == float(fraction_energy(W, theta, final))
 
 
@@ -423,10 +344,9 @@ class TestCorrectlyRoundedEnergies:
 
 
 class TestAnyWeightsWithinTolerance:
-    @given(builder_instances(integer_lambda=False))
+    @given(builder_instances(form="network"))
     @settings(max_examples=120, deadline=None)
-    def test_endpoint_is_stable_and_energies_exact(self, instance):
-        network = chain(instance)[2]
+    def test_endpoint_is_stable_and_energies_exact(self, network):
         W, theta = dense(network)
         state, trace = solve(network)
         for step in trace.steps:
@@ -440,7 +360,7 @@ class TestAnyWeightsWithinTolerance:
         arithmetic that rounds to -4.4e-16; the energy it leads to is no lower,
         so descent stops there instead of failing the trace's check."""
         x = ValueVector([1.0, 2.0, 0.0, 1.0])
-        network = chain(build_qubo(x, descending_program(4), lambda_r=0.7, lambda_c=0.3))[2]
+        network = library_chain(build_qubo(x, descending_program(4), lambda_r=0.7, lambda_c=0.3))[2]
         state, trace = solve(network)
         assert trace.flipped.tolist() == [4, 5, 2, 15]
         s = state.astype(float)
@@ -454,13 +374,13 @@ class TestAnyWeightsWithinTolerance:
 # --- solve_qubo is the chain in one call ----------------------------------
 
 
-@given(builder_instances(integer_lambda=False), st.one_of(st.none(), st.integers(0, 40)))
+@given(builder_instances(), st.one_of(st.none(), st.integers(0, 40)))
 @settings(max_examples=120, deadline=None)
 def test_solve_qubo_is_the_chain_written_out(instance, max_steps):
     """Default builds, normalize=False and any weights: the same endpoint,
     flips and energies bit for bit, or the same error."""
     try:
-        state, trace = solve(chain(instance)[2], max_steps)
+        state, trace = solve(library_chain(instance)[2], max_steps)
     except MaxStepsExceeded:
         with pytest.raises(MaxStepsExceeded):
             solve_qubo(instance, max_steps)
@@ -476,7 +396,7 @@ def test_solve_qubo_is_the_chain_written_out(instance, max_steps):
 
 
 @given(st.integers(1, 8), st.floats(0.05, 30.0), st.floats(0.05, 30.0),
-       st.sampled_from(KINDS), st.data())
+       st.sampled_from(sorted(PROGRAMS)), st.data())
 @settings(max_examples=25, deadline=None)
 def test_build_writes_the_kronecker_penalty(n, lambda_r, lambda_c, kind, data):
     values = data.draw(input_values(n))
@@ -484,7 +404,7 @@ def test_build_writes_the_kronecker_penalty(n, lambda_r, lambda_c, kind, data):
         x_path, prog, out = (os.path.join(tmp, f) for f in ("x.json", "p.json", "q.json"))
         with open(x_path, "w", encoding="utf-8") as handle:
             json.dump(values, handle)
-        assert main(["program", "--kind", kind, "--n", str(n), "-o", prog]) == 0
+        assert main([*program_argv(kind, n), "-o", prog]) == 0
         assert main(["build", x_path, prog, "--lambda-r", repr(lambda_r),
                      "--lambda-c", repr(lambda_c), "-o", out]) == 0
         with open(out, encoding="utf-8") as handle:
@@ -504,15 +424,13 @@ def test_heap_input_descends_as_the_reference(n):
     bit for bit, on the paper's Kronecker build of the same values."""
     x = ValueVector(np.random.default_rng(n).normal(size=n))
     program = make_program("heap", n)
-    z, trace = solve_qubo(build_qubo(x, program))
+    instance = build_qubo(x, program)
+    z, trace = solve_qubo(instance)
     R, r = reference.kronecker_qubo(x.normalized_entries, program, float(n), float(n))
-    state, dense_trace = reference.descend(*reference.chain(R, r)[2])
-    assert z.tolist() == bipolar_to_binary(state).tolist()
-    assert trace.flips == n
-    assert trace.flipped.tolist() == dense_trace.flipped.tolist()
-    assert [e.hex() for e in trace.energies.tolist()] == [
-        e.hex() for e in dense_trace.energies.tolist()
-    ]
+    network, dense_network = library_chain(instance)[2], reference.chain(R, r)[2]
+    checked = assert_bitwise_same_descent(network, against=dense_network)
+    assert z.tolist() == bipolar_to_binary(checked.final_state).tolist()
+    assert trace.flips == n and bits(trace.energies) == bits(checked.energies)
 
 
 # --- beyond the dense chain's reach ---------------------------------------
@@ -523,7 +441,7 @@ def test_solve_holds_no_state_per_flip_at_n200():
     n = 200 the call holds well under 1 MB on return, where 200 stored
     states of N = 40000 coordinates would take 8 MB."""
     x = ValueVector(np.random.default_rng(1).normal(size=200))
-    network = chain(build_qubo(x, make_program("heap", 200)))[2]
+    network = library_chain(build_qubo(x, make_program("heap", 200)))[2]
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -535,16 +453,13 @@ def test_solve_holds_no_state_per_flip_at_n200():
     assert held < 1_000_000
 
 
-def gaussian_or_paper_networks(n, seed):
+def gaussian_or_paper_networks(n):
     """(kind, network) for ascending, bst and heap, on the paper's distinct
-    integers and on Gaussian values, each drawn first from seed."""
-    inputs = (
-        np.random.default_rng(seed).choice(10 * n, size=n, replace=False).astype(float),
-        np.random.default_rng(seed).normal(size=n),
-    )
+    integers and on Gaussian values, each drawn first from seed n."""
     for kind in ("ascending", "bst", "heap"):
-        for values in inputs:
-            yield kind, chain(build_qubo(ValueVector(values), make_program(kind, n)))[2]
+        for regime in ("paper", "gaussian"):
+            x = ValueVector(x_of(regime, n))
+            yield kind, library_chain(build_qubo(x, make_program(kind, n)))[2]
 
 
 def fresh_products(network):
@@ -560,13 +475,13 @@ def fresh_products(network):
 def test_no_product_at_n200():
     """Descent reads every field off the row and column counts of its state,
     and forms no W @ s: it never materializes W."""
-    for kind, network in gaussian_or_paper_networks(200, 200):
+    for kind, network in gaussian_or_paper_networks(200):
         trace, products = fresh_products(network)
         assert trace.flips == 200 and products == 0, kind
 
 
 def test_no_product_at_n400():
-    for kind, network in gaussian_or_paper_networks(400, 400):
+    for kind, network in gaussian_or_paper_networks(400):
         trace, products = fresh_products(network)
         assert trace.flips == 400 and products == 0, kind
 
@@ -580,7 +495,7 @@ def test_exact_energies_at_n200_and_n400(n, kind):
     zero diagonal (test_every_energy_is_correctly_rounded checks the same
     energies against every entry of W at small n)."""
     x = ValueVector(np.random.default_rng(n).normal(size=n))
-    network = chain(build_qubo(x, make_program(kind, n)))[2]
+    network = library_chain(build_qubo(x, make_program(kind, n)))[2]
     W, theta = network.weights_W, network.bias_theta
     _, trace = solve(network)
     assert trace.flips == n
@@ -604,10 +519,10 @@ def test_inexact_weights_take_the_same_descent_at_n400():
     n = 400
     x = ValueVector(np.random.default_rng(n).normal(size=n))
     lam = 1.1001 * n
-    network = chain(build_qubo(x, make_program("heap", n), lambda_r=lam, lambda_c=lam))[2]
+    network = library_chain(build_qubo(x, make_program("heap", n), lambda_r=lam, lambda_c=lam))[2]
     trace, products = fresh_products(network)
     assert trace.flips == n and products == 0
-    default = chain(build_qubo(x, make_program("heap", n)))[2]
+    default = library_chain(build_qubo(x, make_program("heap", n)))[2]
     assert trace.flipped.tolist() == solve(default)[1].flipped.tolist()
 
 
@@ -618,7 +533,7 @@ def test_gaussian_inputs_at_n1000_and_n1200(n, kind):
     """N = 10^6 and 1.44 * 10^6: no W @ s, and the order certified."""
     x = ValueVector(np.random.default_rng(n).normal(size=n))
     program = make_program(kind, n)
-    network = chain(build_qubo(x, program))[2]
+    network = library_chain(build_qubo(x, program))[2]
     trace, products = fresh_products(network)
     assert trace.flips == n and products == 0
     z = bipolar_to_binary(trace.final_state)
