@@ -115,9 +115,10 @@ _PROGRAMS = {
 
 def render_trace(trace: SolverTrace) -> Iterator[str]:
     """Render every visited state of the trace, then the stable endpoint
-    once more, in the documented glyph format, one line at a time, from
-    start, flipped and energies through one buffer of glyphs."""
-    glyphs = bytearray(" ".join("+" if v > 0 else "-" for v in trace.start.tolist()), "ascii")
+    once more, in the documented glyph format, one line at a time, through
+    one buffer of glyphs: it starts as N "-" glyphs, the all-inactive state
+    descent starts from, and each entry of flipped swaps one."""
+    glyphs = bytearray(" ".join("-" * trace.dimension), "ascii")
     energies = trace.energies.tolist()
     yield f"{0:4d}  {glyphs.decode()}  {energies[0]:.1f}"
     for k, i in enumerate(trace.flipped.tolist(), start=1):

@@ -52,10 +52,11 @@ phases run one loop, which differs between them only in the exit test,
 the step's line sums (1 - n, or the counts) and the rewrite of the flip's
 grid row and column (+inf, or their gains).
 
-The trace solve returns holds the start, the coordinate of every accepted
-flip and the energy before and after each, O(N + flips) numbers; its steps
-rebuild every visited state, plus one repeated final row that makes the
-stability of the endpoint visible in renderings of the run, only when read.
+The trace solve returns holds N, the coordinate of every accepted flip and
+the energy before and after each, O(flips) numbers; its steps rebuild
+every visited state from the all-inactive start, plus one repeated final
+row that makes the stability of the endpoint visible in renderings of the
+run, only when read.
 
 solve_qubo is the whole chain from a QuboInstance to a binary endpoint:
 fold_diagonal, to_ising, to_hopfield, solve, then bipolar_to_binary.
@@ -149,8 +150,6 @@ def solve(
             raise DomainError("max_steps must be non-negative")
     W, theta = instance.weights_W, instance.bias_theta
     n, w_r, w_c = W.n, W.same_row, W.same_col
-    start = np.full(N, -1, dtype=np.int8)
-    start.setflags(write=False)
     s = np.full(N, -1.0)
     # Every line sums to -n: theta.s = -sum(theta), s^T W s = (w_r + w_c)(n^3 - n^2)
     total, u, units_r, units_c = _units(W, theta)
@@ -228,7 +227,7 @@ def solve(
             R[b], C[a] = r, c
             _line(G[a], T[a], S[a], R, w_r, c, w_c)
             _line(GT[b], TT[b], ST[b], C, w_c, r, w_r)
-    return s.astype(np.int8), SolverTrace._of(start, flipped, energies)
+    return s.astype(np.int8), SolverTrace._of(N, flipped, energies)
 
 
 def solve_qubo(

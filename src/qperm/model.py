@@ -191,15 +191,16 @@ def _readonly(values, name: str, dtype=float) -> np.ndarray:
     return arr
 
 
-def _integers(values, name: str, error=InvalidSize) -> np.ndarray:
-    """_integral over an array, as a read-only np.intp copy.  Entries that are
-    read as floats must be below 2^53 in magnitude, where floats are exact."""
-    given = _reals(values, name, error=error, want="integers")
+def _integers(values, name: str) -> np.ndarray:
+    """_integral over an array, as a read-only np.intp copy, else
+    NotAPermutation.  Entries that are read as floats must be below 2^53 in
+    magnitude, where floats are exact."""
+    given = _reals(values, name, error=NotAPermutation, want="integers")
     if not np.can_cast(given.dtype, np.intp):
         whole = (given == np.trunc(given)) & (np.abs(given) < 2.0**53)  # NaN and inf are not
         if not whole.all():
             bad = given[~whole][0].item()
-            raise error(f"{name} must be integers below 2^53 in magnitude, not {bad!r}")
+            raise NotAPermutation(f"{name} must be integers below 2^53 in magnitude, not {bad!r}")
     return _readonly(given, name, np.intp)
 
 
@@ -326,7 +327,7 @@ class OrderProgram:
     branching: int = 2
 
     def __post_init__(self):
-        given = _integers(self.ranks, "ranks", NotAPermutation)
+        given = _integers(self.ranks, "ranks")
         if given.ndim != 1:
             raise NotAPermutation("ranks must be a sequence of integers")
         ranks = tuple(given.tolist())
@@ -450,71 +451,47 @@ def _one_per_line(flat: np.ndarray, n: int):
 
 @dataclass(frozen=True, eq=False)
 class TraceStep:
-    """One row of a descent record: step index, bipolar state, energy."""
+    """One row of SolverTrace.steps: step index, bipolar state, energy."""
 
     index: int
     state: np.ndarray
     energy: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "state", _bipolar(self.state, "state"))
-        object.__setattr__(self, "energy", _finite(self.energy, "energy"))
 
-
-_OVERFLOW = "trace energies must be finite: the energy overflows the float range"
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class SolverTrace:
-    """A descent record: the start state, the flipped coordinates, the energies.
+    """The record of one descent of solve: its size, flipped coordinates and energies.
 
-    start is the bipolar state descent began from, flipped[k] the
-    coordinate flipped at step k + 1, and energies[k] the energy after k
-    flips, so energies holds one entry more than flipped and strictly
-    decreases.  The record holds O(N + flips) numbers; steps rebuilds the
-    full rows on demand, one state per row, and repeats the stable
+    Descent starts from the all-inactive state of dimension N; flipped[k]
+    is the coordinate flipped at step k + 1, and energies[k] the energy
+    after k flips, so energies holds one entry more than flipped and
+    strictly decreases.  The record holds O(flips) numbers; steps rebuilds
+    the full rows on demand, one state per row, and repeats the stable
     endpoint once to make its stability visible in renderings of the run.
 
-    The constructor checks every field.  Descent builds its trace with the
-    private _of instead, which adopts the read-only start that descent
-    checked once and the lists it kept, and checks only what descent cannot
-    guarantee: that the first and the last energy are finite.
+    solve makes every SolverTrace, with the private _of; there is no other
+    constructor.
     """
 
-    start: np.ndarray
+    dimension: int
     flipped: np.ndarray
     energies: np.ndarray
 
-    def __post_init__(self):
-        start = _bipolar(self.start, "start state")
-        flipped = _integers(self.flipped, "flipped")
-        if flipped.ndim != 1 or not ((flipped >= 0) & (flipped < start.size)).all():
-            raise DomainError(f"flipped coordinates must lie in 0..{start.size - 1}")
-        energies = _readonly(self.energies, "energies")
-        if energies.shape != (flipped.size + 1,):
-            raise DomainError(
-                f"{flipped.size} flips need {flipped.size + 1} energies, got {energies.size}"
-            )
-        if not np.isfinite(energies).all():
-            raise DomainError(_OVERFLOW)
-        if not (energies[1:] < energies[:-1]).all():  # no difference to overflow
-            raise DomainError("trace energies must strictly decrease")
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "flipped", flipped)
-        object.__setattr__(self, "energies", energies)
+    def __init__(self, *args, **kwargs):
+        raise TypeError("a SolverTrace is the record solve makes of its descent")
 
     @classmethod
-    def _of(cls, start: np.ndarray, flipped: list[int], energies: list[float]) -> SolverTrace:
-        """The trace of a descent, which gives a read-only bipolar start, flips
-        in range and strictly decreasing energies: only an overflow, which
-        leaves the first or the last energy infinite, is checked."""
+    def _of(cls, dimension: int, flipped: list[int], energies: list[float]) -> SolverTrace:
+        """The record of a descent, which gives flips in range and strictly
+        decreasing energies: only an overflow, which leaves the first or the
+        last energy infinite, is checked."""
         if not (math.isfinite(energies[0]) and math.isfinite(energies[-1])):
-            raise DomainError(_OVERFLOW)
+            raise DomainError("trace energies must be finite: the energy overflows the float range")
         flips, values = np.array(flipped, dtype=np.intp), np.array(energies)
         flips.setflags(write=False)
         values.setflags(write=False)
         trace = object.__new__(cls)
-        object.__setattr__(trace, "start", start)
+        object.__setattr__(trace, "dimension", dimension)
         object.__setattr__(trace, "flipped", flips)
         object.__setattr__(trace, "energies", values)
         return trace
@@ -524,22 +501,19 @@ class SolverTrace:
         return int(self.flipped.size)
 
     @property
-    def final_state(self) -> np.ndarray:
-        odd = np.bincount(self.flipped, minlength=self.start.size) % 2 == 1
-        return _readonly(np.where(odd, -self.start, self.start), "final_state", dtype=np.int8)
-
-    @property
     def final_energy(self) -> float:
         return float(self.energies[-1])
 
     @property
     def steps(self) -> tuple[TraceStep, ...]:
-        """Every visited state with its energy, then the endpoint once more."""
-        state = self.start.copy()
-        rows = [TraceStep(0, state, self.energies[0])]  # each row copies the state
-        for k, i in enumerate(self.flipped, start=1):
+        """Every visited state with its energy, then the endpoint once more;
+        each state is a read-only int8 copy."""
+        state = np.full(self.dimension, -1, dtype=np.int8)
+        energies = self.energies.tolist()
+        rows = [TraceStep(0, _readonly(state, "state", np.int8), energies[0])]
+        for k, i in enumerate(self.flipped.tolist(), start=1):
             state[i] = -state[i]
-            rows.append(TraceStep(k, state, self.energies[k]))
+            rows.append(TraceStep(k, _readonly(state, "state", np.int8), energies[k]))
         rows.append(TraceStep(len(rows), rows[-1].state, rows[-1].energy))
         return tuple(rows)
 

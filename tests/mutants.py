@@ -114,6 +114,90 @@ MUTANTS = (
         "    if False:\n",
         equivalent="saves time only: the bincount path returns the same (m, v)",
     ),
+    Mutant(
+        "fold-subtracts-the-diagonal",
+        "conversions.py",
+        "instance.vector_r + R.self_coupling",
+        "instance.vector_r - R.self_coupling",
+    ),
+    Mutant(
+        "ising-same-row-halved",
+        "conversions.py",
+        "R.same_row / 4.0",
+        "R.same_row / 2.0",
+    ),
+    Mutant(
+        "ising-same-col-halved",
+        "conversions.py",
+        "R.same_col / 4.0",
+        "R.same_col / 2.0",
+    ),
+    Mutant(
+        "ising-row-sum-counts-every-row-cell",
+        "conversions.py",
+        "R.same_row * (R.n - 1)",
+        "R.same_row * R.n",
+    ),
+    Mutant(
+        "ising-row-sum-counts-every-column-cell",
+        "conversions.py",
+        "R.same_col * (R.n - 1)",
+        "R.same_col * R.n",
+    ),
+    Mutant(
+        "hopfield-same-row-sign",
+        "conversions.py",
+        "-2.0 * Q.same_row",
+        "2.0 * Q.same_row",
+    ),
+    Mutant(
+        "hopfield-same-col-sign",
+        "conversions.py",
+        "-2.0 * Q.same_col",
+        "2.0 * Q.same_col",
+    ),
+    Mutant(
+        "certify-order-check-strict",
+        "oracle.py",
+        "by_rank[1:] >= by_rank[:-1]",
+        "by_rank[1:] > by_rank[:-1]",
+    ),
+    Mutant(
+        "bst-check-strict",
+        "programs.py",
+        "(read[:-1] <= read[1:])",
+        "(read[:-1] < read[1:])",
+    ),
+    Mutant(
+        "bst-check-passes-nan",
+        "programs.py",
+        "return bool((read[:-1] <= read[1:]).all()) and not np.isnan(vals).any()",
+        "return bool((read[:-1] <= read[1:]).all())",
+    ),
+    Mutant(
+        "heap-check-strict",
+        "programs.py",
+        "(vals[1:] <= vals[parents])",
+        "(vals[1:] < vals[parents])",
+    ),
+    Mutant(
+        "heap-check-passes-nan",
+        "programs.py",
+        "return bool((vals[1:] <= vals[parents]).all()) and not np.isnan(vals).any()",
+        "return bool((vals[1:] <= vals[parents]).all())",
+    ),
+    Mutant(
+        "heap-parents-of-a-binary-tree",
+        "programs.py",
+        "np.arange(shape.size - 1) // shape.branching",
+        "np.arange(shape.size - 1) // 2",
+    ),
+    Mutant(
+        "trace-last-energy-unchecked",
+        "model.py",
+        "math.isfinite(energies[0]) and math.isfinite(energies[-1])",
+        "math.isfinite(energies[0])",
+    ),
 )
 
 

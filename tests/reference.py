@@ -13,6 +13,9 @@ arrays of n^2 x n^2 matrices and n^2 vectors:
   after every flip and records every energy E(s) correctly rounded from
   exact integers, as the library's descent does, with its own copies of
   the exact sums, so a change to the library's moves no reference energy;
+* the record of a reference descent, which may start anywhere (Descent),
+  and the states a descent visits, rebuilt from its start and flips
+  (replay), for the reference's records and solve's alike;
 * exact energies in Fractions;
 * exhaustive_qubo_min, the global minimizer of a QUBO over all 2^N
   binary states, guarded at N <= 20;
@@ -41,7 +44,6 @@ from qperm import (
     MaxStepsExceeded,
     PenaltyMatrix,
     SizeBudgetExceeded,
-    SolverTrace,
     solve,
 )
 
@@ -198,6 +200,41 @@ def chain(R, r) -> tuple:
     return folded, ising, to_hopfield(*ising)
 
 
+# --- descent records ----------------------------------------------------
+
+
+class Descent(namedtuple("Descent", "start flipped energies")):
+    """The record of a reference descent: the state it started from, the
+    coordinate of every flip and the energy before and after each."""
+
+    __slots__ = ()
+
+    @property
+    def dimension(self) -> int:
+        return self.start.size
+
+
+def _recorded(start, flipped, energies) -> Descent:
+    """A Descent of strictly decreasing energies; as solve does, it names an
+    energy beyond the float range, which can only be the first or the last."""
+    if not np.isfinite([energies[0], energies[-1]]).all():
+        raise DomainError("trace energies must be finite: the energy overflows the float range")
+    return Descent(start, np.array(flipped, dtype=np.intp), np.array(energies))
+
+
+def replay(trace, start=None) -> list:
+    """Every state a descent visits, as int8 copies: start, all inactive if
+    None as solve's always is, then the state after each of trace.flipped,
+    the last being the endpoint.  trace is a Descent or solve's trace."""
+    state = np.full(trace.dimension, -1, dtype=np.int8) if start is None else start
+    states = [np.array(state, dtype=np.int8)]
+    for i in trace.flipped.tolist():
+        state = states[-1].copy()
+        state[i] = -state[i]
+        states.append(state)
+    return states
+
+
 # --- the dense descent ------------------------------------------------------
 
 
@@ -242,7 +279,7 @@ def descend(W, theta, start=None, budget=None) -> tuple:
                 raise MaxStepsExceeded(f"no stable state within {budget} flips")
             flipped.append(i)
             energies.append(e)
-    return s.astype(np.int8), SolverTrace(start, np.array(flipped, dtype=np.intp), energies)
+    return s.astype(np.int8), _recorded(start, flipped, energies)
 
 
 def _descent(W, theta, s, half):
@@ -398,10 +435,8 @@ def assert_bitwise_same_descent(network, budget=None, against=None):
     dense_state, dense_trace = dense_run
     assert state.dtype == dense_state.dtype and state.tobytes() == dense_state.tobytes()
     assert trace.flipped.tolist() == dense_trace.flipped.tolist()
-    assert len(trace.steps) == len(dense_trace.steps)
-    for step, dense_step in zip(trace.steps, dense_trace.steps):
-        assert np.array_equal(step.state, dense_step.state)
-        assert bits(step.energy) == bits(dense_step.energy)
+    assert bits(trace.energies) == bits(dense_trace.energies)
+    assert replay(trace)[-1].tobytes() == state.tobytes()
     return trace
 
 
@@ -419,8 +454,8 @@ def assert_own_budget_suffices(network):
     return state, trace
 
 
-# A row of the earlier descent; unlike a TraceStep it keeps an energy that
-# overflowed its products, so the states of such a run can be compared.
+# A row of the earlier descent, kept even when its energy overflowed its
+# products, so the states of such a run can be compared.
 Row = namedtuple("Row", "index state energy")
 
 
@@ -429,7 +464,7 @@ def descend_two_products(W, theta, start, budget: int, steps: list) -> tuple:
     its products: it forms W @ s and the energy afresh at every step,
     through product on a PenaltyMatrix.  It appends each row it builds to
     steps, the row it would flip to past its budget included, and packages
-    them as a SolverTrace only on return."""
+    them as a Descent only on return."""
     left, right = _products(W)
     s = start.astype(float)
     e = float(-0.5 * (left(s) @ s) + theta @ s)
@@ -457,13 +492,18 @@ def _products(W) -> tuple:
     return (lambda s: s @ W), (lambda s: W @ s)
 
 
-def _packaged(steps: list) -> SolverTrace:
-    """The rows of a descent, the last repeating its predecessor, as a SolverTrace."""
+def _packaged(steps: list) -> Descent:
+    """The rows of a descent, the last repeating its predecessor, as a
+    Descent; as the earlier descent's record did, it refuses energies that
+    fail to fall."""
     flipped = []
     for before, after in zip(steps[:-2], steps[1:-1]):
         (i,) = np.flatnonzero(before.state != after.state)  # exactly one flip per row
         flipped.append(int(i))
-    return SolverTrace(steps[0].state, flipped, [step.energy for step in steps[:-1]])
+    energies = [step.energy for step in steps[:-1]]
+    if not all(later < earlier for earlier, later in zip(energies, energies[1:])):
+        raise DomainError("trace energies must strictly decrease")
+    return _recorded(steps[0].state, flipped, energies)
 
 
 def compare_descents(network, start=None, budget=None):
@@ -526,10 +566,10 @@ def compare_descents(network, start=None, budget=None):
             current()
         return None
     state, trace = current()
-    assert trace.flips == kept - 1
-    assert len(trace.steps) == kept + 1
-    for step, old_state in zip(trace.steps, states[:kept]):
-        assert np.array_equal(step.state, old_state)
+    visited = replay(trace, start)
+    assert len(visited) == kept
+    for seen, old_state in zip(visited, states[:kept]):
+        assert np.array_equal(seen, old_state)
     assert np.array_equal(state, states[kept - 1])
     assert [e.hex() for e in trace.energies.tolist()] == [float(e).hex() for e in energies[:kept]]
     return trace

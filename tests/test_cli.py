@@ -433,9 +433,10 @@ class TestSolveCommand:
         assert out_lines[:9] == expected_trace_lines(kind)
 
     def test_trace_is_rendered_one_state_at_a_time(self, tmp_path, capsys):
-        """solve --trace prints the rows of trace.steps, rendered from start,
-        flipped and energies through one state buffer: steps, which holds a
-        copy of every state, is never read."""
+        """solve --trace prints the rows of trace.steps, rendered from N "-"
+        glyphs, the all-inactive start, and flipped and energies through one
+        state buffer: steps, which holds a copy of every state, is never
+        read."""
         values = np.random.default_rng(5).uniform(0.0, 2000.0, size=6).tolist()
         qubo = build_file(tmp_path, values, "ascending", "--no-normalize")
         _, trace = solve_qubo(cli._load(qubo, cli._qubo)[0])

@@ -1,4 +1,6 @@
 import ast
+import dataclasses
+import functools
 import hashlib
 from fractions import Fraction
 from pathlib import Path
@@ -50,8 +52,10 @@ from .reference import (
     dense,
     exact_sum,
     flip_gain,
+    fraction_energies,
     fraction_energy,
     permutation_matrix,
+    replay,
     vectorize,
 )
 
@@ -190,7 +194,7 @@ def test_the_reference_takes_no_private_name_of_the_library():
         if isinstance(node, ast.ImportFrom)
         for alias in node.names
     ]
-    assert ("qperm", "SolverTrace") in taken
+    assert ("qperm", "solve") in taken  # the walk reads the reference's imports
     assert all(not name.startswith("_") for module, name in taken if module.startswith("qperm"))
 
 
@@ -539,7 +543,7 @@ class TestAllInactiveStart:
         assert trace.flips == flips
         assert line.call_count == 1 + 2 * (flips - active[0])
         checked = assert_bitwise_same_descent(library_chain(instance)[2])
-        assert binary_to_bipolar(z).tobytes() == checked.final_state.tobytes()
+        assert binary_to_bipolar(z).tobytes() == replay(checked)[-1].tobytes()
         assert trace.energies.tobytes() == checked.energies.tobytes()
 
     @pytest.mark.parametrize(
@@ -586,29 +590,93 @@ class TestAllInactiveStart:
 
 
 class TestDescentTrace:
-    """SolverTrace._of adopts what descent kept and checks only its overflow."""
+    """SolverTrace._of keeps what descent recorded and checks only its overflow."""
 
     @pytest.mark.parametrize(
         "energies", [[np.inf], [-np.inf], [np.inf, 0.0], [0.0, -np.inf], [1.0, 0.0, -np.inf]]
     )
     def test_refuses_an_infinite_first_or_last_energy(self, energies):
-        start = np.full(4, -1, dtype=np.int8)
         with pytest.raises(
             DomainError,
             match="^trace energies must be finite: the energy overflows the float range$",
         ):
-            SolverTrace._of(start, list(range(len(energies) - 1)), energies)
+            SolverTrace._of(4, list(range(len(energies) - 1)), energies)
 
-    def test_holds_what_the_constructor_holds(self):
-        start = np.array([-1, 1, -1, -1], dtype=np.int8)
-        start.setflags(write=False)
-        adopted = SolverTrace._of(start, [0, 1], [2.0, 1.0, 0.5])
-        checked = SolverTrace(start, [0, 1], [2.0, 1.0, 0.5])
-        assert adopted.start is start
-        for name in ("start", "flipped", "energies"):
-            a, b = getattr(adopted, name), getattr(checked, name)
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-            assert not a.flags.writeable
+
+RECORD_CASES = [
+    (regime, kind, build)
+    for regime in ("paper", "gaussian")
+    for kind in PROGRAMS
+    for build in ("default", "raw")
+]
+
+
+@functools.cache
+def recorded_descent(regime, kind, build):
+    """(network, bipolar endpoint, trace) of solve on n = 6 values of the
+    regime, built at the default weights or with normalize=False."""
+    n = 6
+    weights = {"normalize": False} if build == "raw" else {}
+    instance = build_qubo(ValueVector(x_of(regime, n)), make_program(kind, n), **weights)
+    network = library_chain(instance)[2]
+    state, trace = solve(network)
+    return network, state, trace
+
+
+@pytest.mark.parametrize("regime, kind, build", RECORD_CASES)
+class TestTheRecordSolveMakes:
+    """What the constructor SolverTrace(start, flipped, energies) once
+    checked of any record, the records solve makes keep: integer flips in
+    range, one energy per flip and one for the start, finite and strictly
+    falling energies, read-only arrays and bipolar rows."""
+
+    def test_flips_are_coordinates_of_the_network(self, regime, kind, build):
+        network, _, trace = recorded_descent(regime, kind, build)
+        assert trace.dimension == network.dimension == 36
+        assert trace.flipped.dtype == np.intp
+        assert ((trace.flipped >= 0) & (trace.flipped < trace.dimension)).all()
+
+    def test_one_energy_per_flip_and_one_for_the_start(self, regime, kind, build):
+        _, _, trace = recorded_descent(regime, kind, build)
+        assert trace.energies.dtype == np.float64
+        assert trace.energies.shape == (trace.flips + 1,)
+        assert trace.final_energy == trace.energies[-1]
+
+    def test_energies_are_finite_and_strictly_fall(self, regime, kind, build):
+        _, _, trace = recorded_descent(regime, kind, build)
+        assert trace.flips > 0
+        assert np.isfinite(trace.energies).all()
+        assert (np.diff(trace.energies) < 0).all()
+
+    def test_each_energy_is_that_of_its_state(self, regime, kind, build):
+        network, _, trace = recorded_descent(regime, kind, build)
+        energies = fraction_energies(*dense(network), replay(trace))
+        assert [e.hex() for e in trace.energies.tolist()] == [e.hex() for e in energies]
+
+    def test_replay_from_all_inactive_ends_at_the_returned_state(self, regime, kind, build):
+        network, state, trace = recorded_descent(regime, kind, build)
+        visited = replay(trace)
+        assert visited[0].tolist() == [-1] * trace.dimension
+        assert visited[-1].tobytes() == state.tobytes()
+        assert energy(network, state) == trace.final_energy
+
+    def test_the_record_is_read_only(self, regime, kind, build):
+        _, _, trace = recorded_descent(regime, kind, build)
+        assert not trace.flipped.flags.writeable and not trace.energies.flags.writeable
+        with pytest.raises(ValueError):
+            trace.flipped[0] = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            trace.energies = np.zeros(1)
+
+    def test_steps_are_read_only_bipolar_rows(self, regime, kind, build):
+        _, state, trace = recorded_descent(regime, kind, build)
+        rows = trace.steps
+        assert [row.index for row in rows] == list(range(trace.flips + 2))
+        for row, seen in zip(rows, [*replay(trace), state], strict=True):
+            assert row.state.dtype == np.int8 and row.state.shape == (trace.dimension,)
+            assert not row.state.flags.writeable
+            assert row.state.tobytes() == seen.tobytes()
+        assert [row.energy for row in rows] == [*trace.energies.tolist(), trace.final_energy]
 
 
 # sha256 of the bipolar endpoint (int8), trace.flipped (<i8) and

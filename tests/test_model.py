@@ -24,7 +24,6 @@ from qperm import (
     QpermError,
     QuboInstance,
     SolverTrace,
-    TraceStep,
     TreeShape,
     UnsupportedBranching,
     ValueVector,
@@ -36,6 +35,7 @@ from qperm import (
     decode_permutation,
     energy,
     heap_program,
+    solve,
     validate_bst,
     validate_heap,
 )
@@ -446,71 +446,40 @@ class TestInstanceValidation:
 
 
 class TestSolverTrace:
-    def test_valid_trace(self):
-        trace = SolverTrace([-1, -1, 1], [0, 2, 2, 1], [0.0, -1.0, -1.5, -2.0, -3.0])
-        assert trace.flips == 4
-        assert trace.final_energy == -3.0
-        assert trace.final_state.tolist() == [1, 1, 1]
-        assert not trace.final_state.flags.writeable
+    @pytest.mark.parametrize(
+        "args",
+        [(), ([-1, -1], [0], [0.0, -1.0]), (2, [0], [0.0, -1.0])],
+        ids=["none", "start-flipped-energies", "dimension-flipped-energies"],
+    )
+    def test_there_is_no_constructor(self, args):
+        """SolverTrace(start, flipped, energies) once checked every field of a
+        record only tests handed in; solve makes every one."""
+        with pytest.raises(TypeError) as raised:
+            SolverTrace(*args)
+        assert str(raised.value) == "a SolverTrace is the record solve makes of its descent"
+        assert not hasattr(SolverTrace, "final_state")
+        assert [f.name for f in dataclasses.fields(SolverTrace)] == [
+            "dimension", "flipped", "energies"
+        ]
+
+    def test_fields_are_not_arguments(self):
+        with pytest.raises(TypeError):
+            SolverTrace(dimension=2, flipped=[0], energies=[0.0, -1.0])
 
     def test_steps_rebuild_every_row_then_repeat_the_endpoint(self):
-        trace = SolverTrace([-1, -1], [0, 1], [0.0, -1.0, -2.0])
+        network = HopfieldInstance(PenaltyMatrix(2, -1.0, -1.0, 0.0), [-1.0, 1.0, 1.0, -1.0])
+        state, trace = solve(network)
+        assert trace.flipped.tolist() == [0, 3]
         rows = trace.steps
         assert [row.index for row in rows] == [0, 1, 2, 3]
-        assert [row.state.tolist() for row in rows] == [[-1, -1], [1, -1], [1, 1], [1, 1]]
-        assert [row.energy for row in rows] == [0.0, -1.0, -2.0, -2.0]
-        stable = SolverTrace([1, -1], [], [0.5])
-        assert [row.state.tolist() for row in stable.steps] == [[1, -1], [1, -1]]
-        assert stable.flips == 0 and stable.final_state.tolist() == [1, -1]
-
-    def test_start_must_be_bipolar(self):
-        for start in ([0, 1], [2, -1], [0.5, 1.0], [[1, -1]]):
-            with pytest.raises(DomainError):
-                SolverTrace(start, [], [0.0])
-
-    def test_flip_index_out_of_range_rejected(self):
-        for flipped in ([2], [-1]):
-            with pytest.raises(DomainError):
-                SolverTrace([-1, -1], flipped, [0.0, -1.0])
-
-    @pytest.mark.parametrize("flipped", [[0.5], [1.7], [True], ["1"]])
-    def test_flips_are_never_truncated_or_parsed(self, flipped):
-        """0.5 was once read as coordinate 0, and 1.7, True and "1" as 1."""
-        with pytest.raises(InvalidSize, match="must be integers"):
-            SolverTrace([1, -1], flipped, [1.0, 0.0])
-
-    @pytest.mark.parametrize(
-        "flipped", [[0, True], [1, False], (0, True), [np.bool_(True), 0], [0.0, True]]
-    )
-    def test_booleans_among_integers_rejected(self, flipped):
-        """np.asarray reads [0, True] as the integers [0, 1]."""
-        with pytest.raises(InvalidSize, match="must be integers"):
-            SolverTrace([1, -1, 1], flipped, [2.0, 1.0, 0.0])
-
-    def test_integral_flips_are_kept_as_ints(self):
-        trace = SolverTrace([1, -1], [1.0], [1.0, 0.0])
-        assert trace.flipped.tolist() == [1]
-        assert trace.flipped.dtype == np.intp
-
-    def test_energy_increase_rejected(self):
-        for energies in ([0.0, 1.0], [0.0, 0.0], [0.0, float("nan")]):
-            with pytest.raises(DomainError):
-                SolverTrace([-1, -1], [0], energies)
-
-    def test_non_finite_energy_names_the_overflow(self):
-        for energies in ([float("-inf")], [0.0, float("-inf")], [float("inf"), 0.0]):
-            with pytest.raises(DomainError, match="overflows the float range"):
-                SolverTrace([-1, -1], [0] * (len(energies) - 1), energies)
-
-    def test_flip_count_must_match(self):
-        """One energy per flip, plus the start's."""
-        for energies in ([0.0], [0.0, -1.0, -2.0], []):
-            with pytest.raises(DomainError):
-                SolverTrace([-1, -1], [0], energies)
-
-    def test_trace_step_requires_bipolar_state(self):
-        with pytest.raises(DomainError):
-            TraceStep(0, np.array([0, 1], dtype=np.int8), 0.0)
+        states = [[-1, -1, -1, -1], [1, -1, -1, -1], [1, -1, -1, 1], [1, -1, -1, 1]]
+        assert [row.state.tolist() for row in rows] == states
+        assert [row.energy for row in rows] == [*trace.energies.tolist(), trace.final_energy]
+        assert all(row.state.dtype == np.int8 and not row.state.flags.writeable for row in rows)
+        assert rows[-1].state.tobytes() == state.tobytes()
+        stable = solve(HopfieldInstance(PenaltyMatrix(1, 0.0, 0.0, 0.0), [0.5]))[1]
+        assert [row.state.tolist() for row in stable.steps] == [[-1], [-1]]
+        assert stable.flips == 0 and [row.energy for row in stable.steps] == [-0.5, -0.5]
 
 
 def penalty(seed=0):
@@ -539,17 +508,6 @@ FROZEN_TYPES = {
         lambda a: HopfieldInstance(weights_W=a[0], bias_theta=a[1]),
         lambda: [penalty(), np.arange(4.0)],
         ("bias_theta",),
-    ),
-    "TraceStep": (
-        lambda a: TraceStep(0, a[0], 0.0),
-        lambda: [np.array([1, -1, 1], dtype=np.int8)],
-        ("state",),
-    ),
-    "SolverTrace": (
-        lambda a: SolverTrace(*a),
-        lambda: [np.array([1, -1, 1], dtype=np.int8), np.array([2], dtype=np.intp),
-                 np.array([0.0, -1.0])],
-        ("start", "flipped", "energies"),
     ),
 }
 
@@ -614,7 +572,6 @@ class TestMatrixForm:
 
 # name -> (a call that takes one scalar, the start of its error)
 SCALAR_CHECKS = {
-    "TraceStep-energy": (lambda v: TraceStep(0, [1], v), "^energy must be"),
     "PenaltyMatrix-same_row": (lambda v: PenaltyMatrix(2, v, 1.0, 1.0), "^same_row must be"),
     "PenaltyMatrix-self_coupling": (
         lambda v: PenaltyMatrix(2, 1.0, 1.0, v), "^self_coupling must be"
@@ -663,12 +620,10 @@ class TestNonFiniteData:
         [
             (lambda: ValueVector([10**400, 1]), "entries"),
             (lambda: QuboInstance(PenaltyMatrix(1, 0.0, 0.0, 0.0), [10**400]), "vector_r"),
-            (lambda: SolverTrace([-1], [], [10**400]), "energies"),
-            (lambda: TraceStep(0, [10**400, 1], 0.0), "state"),
             (lambda: energy(HopfieldInstance(PenaltyMatrix(1, 0.0, 0.0, 0.0), [0.0]), [10**400]),
              "state"),
         ],
-        ids=["ValueVector", "QuboInstance-r", "SolverTrace", "TraceStep", "energy"],
+        ids=["ValueVector", "QuboInstance-r", "energy"],
     )
     def test_integer_beyond_range_rejected(self, make, field):
         """Each raised a bare OverflowError, not a QpermError."""
@@ -702,8 +657,6 @@ def _network():
 
 # name -> (a call that takes one bipolar state, the field its errors start with)
 STATE_READERS = {
-    "TraceStep": (lambda s: TraceStep(0, s, 0.0), "state"),
-    "SolverTrace": (lambda s: SolverTrace(s, [], [0.0]), "start state"),
     "energy": (lambda s: energy(_network(), s), "state"),
     "bipolar_to_binary": (bipolar_to_binary, "s"),
 }
@@ -715,8 +668,7 @@ STATE_READERS = {
     ids=["grid", "row", "scalar"],
 )
 def test_every_state_is_a_vector(reader, state, shape):
-    """TraceStep kept a grid and a 0-d state, and bipolar_to_binary and
-    energy read a grid."""
+    """bipolar_to_binary and energy read a grid."""
     read, field = STATE_READERS[reader]
     with pytest.raises(DomainError) as raised:
         read(state)
@@ -738,12 +690,6 @@ ARRAY_READERS = {
         False,
     ),
     "OrderProgram": (lambda v: OrderProgram(ranks=v), [2, 1, 3], "ranks", True),
-    "SolverTrace-start": (lambda v: SolverTrace(v, [], [0.0]), [1, -1], "start", True),
-    "SolverTrace-flipped": (
-        lambda v: SolverTrace([1, -1, 1], v, [2.0, 1.0, 0.0]), [0, 1], "flipped", True
-    ),
-    "SolverTrace-energies": (lambda v: SolverTrace([1, -1], [0], v), [1.0, 0.0], "energies", False),
-    "TraceStep": (lambda v: TraceStep(0, v, 0.0), [1, -1], "state", True),
     "energy": (lambda v: energy(_network(), v), [1, -1, -1, 1], "state", True),
     "bipolar_to_binary": (bipolar_to_binary, [1, -1], "s", True),
     "decode_permutation": (decode_permutation, [1, 0, 0, 1], "state", False),
@@ -869,14 +815,14 @@ class TestArrayEntries:
         """An int64 257 was once cast to int8 first, as 1, and passed the +-1
         check; 300 was refused as beyond the int8 range, not as no +-1."""
         with pytest.raises(DomainError, match="^state must be a bipolar vector, not 300"):
-            TraceStep(0, [300, 1], 0.0)
+            energy(_network(), [300, 1, 1, 1])
         with pytest.raises(DomainError, match="^state must be a bipolar vector, not 257"):
-            TraceStep(0, np.array([257, 1], dtype=np.int64), 0.0)
+            energy(_network(), np.array([257, 1, 1, 1], dtype=np.int64))
 
     def test_numeric_arrays_of_any_dtype_are_read(self):
-        assert TraceStep(0, np.array([1.0, -1.0], dtype=np.float32), 0.0).state.tolist() == [1, -1]
+        assert bipolar_to_binary(np.array([1.0, -1.0], dtype=np.float32)).tolist() == [1, 0]
         assert OrderProgram(ranks=np.array([2, 1], dtype=np.uint8)).ranks == (2, 1)
-        assert SolverTrace([1, -1], np.array([1], dtype=np.uint64), [1.0, 0.0]).flips == 1
+        assert OrderProgram(ranks=np.array([1], dtype=np.uint64)).ranks == (1,)
         assert ValueVector([1, 2**70]).entries.tolist() == [1.0, 2.0**70]
 
     @given(

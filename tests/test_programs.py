@@ -23,6 +23,7 @@ from qperm import (
 )
 
 from . import reference
+from .conftest import PROGRAMS
 
 
 def arrange(values, ranks):
@@ -245,18 +246,18 @@ class TestValidateHeap:
 
 
 class TestProgramSizes:
-    @pytest.mark.parametrize("make", [ascending_program, descending_program, bst_program, heap_program])
+    @pytest.mark.parametrize("kind", sorted(PROGRAMS))
     @pytest.mark.parametrize("bad", [3.5, "3", None, 2**0.5, True, np.True_])
-    def test_sizes_are_never_truncated_or_parsed(self, make, bad):
+    def test_sizes_are_never_truncated_or_parsed(self, kind, bad):
         """ascending_program(3.5), bst_program(3.5) and heap_program("3") once
         raised a bare TypeError, which is not a QpermError; heap_program(True)
         once made a one-slot program."""
         with pytest.raises(InvalidSize):
-            make(bad)
+            PROGRAMS[kind](bad)
 
-    @pytest.mark.parametrize("make", [ascending_program, descending_program, bst_program, heap_program])
-    def test_integral_float_size_is_that_size(self, make):
-        assert make(3.0) == make(3)
+    @pytest.mark.parametrize("kind", sorted(PROGRAMS))
+    def test_integral_float_size_is_that_size(self, kind):
+        assert PROGRAMS[kind](3.0) == PROGRAMS[kind](3)
 
 
 ALPHABET = (-math.inf, -1.0, -0.0, 0.0, 1.0, math.inf, math.nan)

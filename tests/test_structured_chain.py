@@ -70,6 +70,7 @@ from .reference import (
     exact_sum,
     exhaustive_qubo_min,
     fraction_energy,
+    replay,
 )
 
 
@@ -172,7 +173,7 @@ class TestPenaltyMatrix:
         instance = build_qubo(ValueVector(ref.INPUT_X), make_program("heap", 7))
         network = library_chain(instance)[2]
         state, trace = assert_own_budget_suffices(network)
-        assert trace.start.tolist() == [-1] * 49
+        assert trace.dimension == 49
         assert trace.flips == 7
 
     def test_descent_never_materializes(self):
@@ -313,13 +314,13 @@ class TestCorrectlyRoundedEnergies:
                 _, trace = solve(network)
         except MaxStepsExceeded:
             return
-        for step in trace.steps:
-            exact = float(fraction_energy(W, theta, step.state))
-            assert step.energy == exact
+        for state, e in zip(replay(trace), trace.energies.tolist(), strict=True):
+            exact = float(fraction_energy(W, theta, state))
+            assert e == exact
             if on_reference:
-                assert reference.energy(W, theta, step.state) == exact
+                assert reference.energy(W, theta, state) == exact
             else:
-                assert energy(network, step.state) == exact
+                assert energy(network, state) == exact
 
     @pytest.mark.parametrize("factor", [1.0, 0.7, 1.1001, 3.0])
     @pytest.mark.parametrize("normalize", [True, False])
@@ -335,7 +336,7 @@ class TestCorrectlyRoundedEnergies:
         network = library_chain(instance)[2]
         W, theta = dense(network)
         trace = assert_bitwise_same_descent(network)
-        final = trace.final_state
+        final = replay(trace)[-1]
         assert energy(network, final) == reference.energy(W, theta, final) == trace.final_energy
         assert trace.final_energy == float(fraction_energy(W, theta, final))
 
@@ -429,7 +430,7 @@ def test_heap_input_descends_as_the_reference(n):
     R, r = reference.kronecker_qubo(x.normalized_entries, program, float(n), float(n))
     network, dense_network = library_chain(instance)[2], reference.chain(R, r)[2]
     checked = assert_bitwise_same_descent(network, against=dense_network)
-    assert z.tolist() == bipolar_to_binary(checked.final_state).tolist()
+    assert z.tolist() == bipolar_to_binary(replay(checked)[-1]).tolist()
     assert trace.flips == n and bits(trace.energies) == bits(checked.energies)
 
 
@@ -437,9 +438,9 @@ def test_heap_input_descends_as_the_reference(n):
 
 
 def test_solve_holds_no_state_per_flip_at_n200():
-    """The trace keeps the start, one coordinate and one energy per flip: at
-    n = 200 the call holds well under 1 MB on return, where 200 stored
-    states of N = 40000 coordinates would take 8 MB."""
+    """The trace keeps one coordinate and one energy per flip: at n = 200
+    the call holds well under 1 MB on return, where 200 stored states of
+    N = 40000 coordinates would take 8 MB."""
     x = ValueVector(np.random.default_rng(1).normal(size=200))
     network = library_chain(build_qubo(x, make_program("heap", 200)))[2]
     tracemalloc.start()
@@ -453,6 +454,21 @@ def test_solve_holds_no_state_per_flip_at_n200():
     assert held < 1_000_000
 
 
+def test_the_record_holds_only_flips_and_energies_at_n400():
+    """A descent record once also kept its start, N bytes at every n (160 kB
+    at n = 400): it now keeps N as a number, and its arrays, the flips and
+    the energies, take 8 bytes a flip and 8 more for the start's energy."""
+    n = 400
+    x = ValueVector(np.random.default_rng(n).normal(size=n))
+    network = library_chain(build_qubo(x, make_program("heap", n)))[2]
+    _, trace = solve(network)
+    assert vars(trace).keys() == {"dimension", "flipped", "energies"}
+    assert trace.dimension == n * n and trace.flips == n
+    assert trace.flipped.nbytes == 8 * trace.flips
+    assert trace.energies.nbytes == 8 * (trace.flips + 1)
+    assert not trace.flipped.flags.writeable and not trace.energies.flags.writeable
+
+
 def gaussian_or_paper_networks(n):
     """(kind, network) for ascending, bst and heap, on the paper's distinct
     integers and on Gaussian values, each drawn first from seed n."""
@@ -463,26 +479,26 @@ def gaussian_or_paper_networks(n):
 
 
 def fresh_products(network):
-    """solve's trace and the number of times it materializes W, the only
-    way to a dense W @ s, as a PenaltyMatrix has no product."""
+    """solve's state and trace, and the number of times it materializes W,
+    the only way to a dense W @ s, as a PenaltyMatrix has no product."""
     with mock.patch.object(
         PenaltyMatrix, "__array__", autospec=True, side_effect=PenaltyMatrix.__array__
     ) as materialized:
-        _, trace = solve(network)
-    return trace, materialized.call_count
+        state, trace = solve(network)
+    return state, trace, materialized.call_count
 
 
 def test_no_product_at_n200():
     """Descent reads every field off the row and column counts of its state,
     and forms no W @ s: it never materializes W."""
     for kind, network in gaussian_or_paper_networks(200):
-        trace, products = fresh_products(network)
+        _, trace, products = fresh_products(network)
         assert trace.flips == 200 and products == 0, kind
 
 
 def test_no_product_at_n400():
     for kind, network in gaussian_or_paper_networks(400):
-        trace, products = fresh_products(network)
+        _, trace, products = fresh_products(network)
         assert trace.flips == 400 and products == 0, kind
 
 
@@ -499,7 +515,7 @@ def test_exact_energies_at_n200_and_n400(n, kind):
     W, theta = network.weights_W, network.bias_theta
     _, trace = solve(network)
     assert trace.flips == n
-    state = trace.start.astype(int)
+    state = np.full(n * n, -1)
     dot = exact_sum(theta * state)
     for k, e in enumerate(trace.energies):
         if k:
@@ -520,7 +536,7 @@ def test_inexact_weights_take_the_same_descent_at_n400():
     x = ValueVector(np.random.default_rng(n).normal(size=n))
     lam = 1.1001 * n
     network = library_chain(build_qubo(x, make_program("heap", n), lambda_r=lam, lambda_c=lam))[2]
-    trace, products = fresh_products(network)
+    _, trace, products = fresh_products(network)
     assert trace.flips == n and products == 0
     default = library_chain(build_qubo(x, make_program("heap", n)))[2]
     assert trace.flipped.tolist() == solve(default)[1].flipped.tolist()
@@ -534,9 +550,9 @@ def test_gaussian_inputs_at_n1000_and_n1200(n, kind):
     x = ValueVector(np.random.default_rng(n).normal(size=n))
     program = make_program(kind, n)
     network = library_chain(build_qubo(x, program))[2]
-    trace, products = fresh_products(network)
+    state, trace, products = fresh_products(network)
     assert trace.flips == n and products == 0
-    z = bipolar_to_binary(trace.final_state)
+    z = bipolar_to_binary(state)
     assert certify(x, program, z).passed
 
 
