@@ -37,7 +37,6 @@ from .model import (
 )
 from .oracle import CertificateReport, best_permutation, certify, sort_optimum
 from .programs import (
-    TreeShape,
     ascending_program,
     bst_program,
     descending_program,
@@ -67,7 +66,6 @@ __all__ = [
     "SizeBudgetExceeded",
     "SolverTrace",
     "TraceStep",
-    "TreeShape",
     "UnsupportedBranching",
     "ValueVector",
     "apply_permutation",

@@ -128,6 +128,14 @@ def _integral(value, name: str) -> int:
     return as_int
 
 
+def _arity(branching) -> int:
+    """branching as an int tree arity, which must equal an integer of at least 2."""
+    branching = _integral(branching, "branching")
+    if branching < 2:
+        raise UnsupportedBranching("branching must be at least 2")
+    return branching
+
+
 def _real(value) -> bool:
     """Whether value is a real number; a bool is none."""
     if isinstance(value, (int, float)):  # the common case, without the slower ABC check
@@ -337,9 +345,7 @@ class OrderProgram:
             raise NotAPermutation("ranks must be a permutation of 1..n")
         if self.kind not in PROGRAM_KINDS:
             raise DomainError(f"unknown program kind {self.kind!r}")
-        branching = _integral(self.branching, "branching")
-        if branching < 2:
-            raise UnsupportedBranching("branching must be at least 2")
+        branching = _arity(self.branching)
         if self.kind == "bst" and branching != 2:
             raise UnsupportedBranching("search-tree programs exist for branching 2 only")
         object.__setattr__(self, "ranks", ranks)

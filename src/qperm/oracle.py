@@ -28,7 +28,7 @@ from .model import (
     apply_permutation,
     decode_permutation,
 )
-from .programs import TreeShape, validate_bst, validate_heap
+from .programs import validate_bst, validate_heap
 
 MAX_ORACLE_N = 10
 
@@ -151,10 +151,10 @@ def certify(x: ValueVector, program: OrderProgram, solver_state) -> CertificateR
     by_rank = arranged[np.argsort(ranks)]
     optimal = bool((by_rank[1:] >= by_rank[:-1]).all())
     structure_valid: Optional[bool] = None
-    if program.kind in ("bst", "heap"):
-        shape = TreeShape(x.n, program.branching)
-        checker = validate_bst if program.kind == "bst" else validate_heap
-        structure_valid = checker(arranged, shape)
+    if program.kind == "bst":
+        structure_valid = validate_bst(arranged)
+    elif program.kind == "heap":
+        structure_valid = validate_heap(arranged, program.branching)
     return CertificateReport(
         feasible=True,
         optimal=optimal,

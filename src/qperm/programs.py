@@ -13,43 +13,19 @@ order receives rank k, the k-th smallest value.  The built-in orders are
 
 Trees are stored in breadth-first array form: slot 0 is the root and the
 children of slot i are slots b*i+1 .. b*i+b (those below n).  All levels
-are full except possibly the last, which fills left to right, so a size
-alone fixes the shape.
+are full except possibly the last, which fills left to right.
 
-The structure checks read the values the same way: validate_bst along
-the in-order, validate_heap from every slot to its parent.
+The structure checks read the values the same way, one slot per value:
+validate_bst along the in-order, validate_heap from every slot to its
+parent at arity b.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, InvalidSize, UnsupportedBranching
-from .model import OrderProgram, _integral, _reals
-
-
-@dataclass(frozen=True)
-class TreeShape:
-    """Breadth-first complete tree with `size` slots and arity `branching`."""
-
-    size: int
-    branching: int = 2
-
-    def __post_init__(self):
-        size = _integral(self.size, "size")
-        branching = _integral(self.branching, "branching")
-        if size < 1:
-            raise InvalidSize("a tree needs at least one slot")
-        if branching < 2:
-            raise UnsupportedBranching("branching must be at least 2")
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "branching", branching)
-
-    def children(self, slot: int) -> range:
-        first = self.branching * slot + 1
-        return range(first, min(first + self.branching, self.size))
+from .errors import DomainError, InvalidSize
+from .model import OrderProgram, _arity, _integral, _reals
 
 
 def ascending_program(n: int) -> OrderProgram:
@@ -74,32 +50,34 @@ def bst_program(n: int, branching: int = 2) -> OrderProgram:
 def heap_program(n: int, branching: int = 2) -> OrderProgram:
     """Ranks along the post-order: the root gets rank n, and each child
     subtree a contiguous block of 1..n-1, the lowest to the leftmost."""
-    shape = TreeShape(_check_size(n), branching)
-    return _ranked(_postorder(shape), "heap", shape.branching)
+    n, branching = _check_size(n), _arity(branching)
+    return _ranked(_postorder(n, branching), "heap", branching)
 
 
-def validate_bst(values, shape: TreeShape) -> bool:
-    """True when the values read in in-order never decrease, so no slot's
-    left subtree holds a larger value and no right subtree a smaller one.
-
-    Repeated values pass; a NaN entry fails.  Never raises on the value of
-    an entry; the shape must have branching 2.
-    """
-    if shape.branching != 2:
-        raise UnsupportedBranching("search-tree validation exists for branching 2 only")
-    vals = _slot_values(values, shape)
-    read = vals[_inorder(shape.size)]
-    return bool((read[:-1] <= read[1:]).all()) and not np.isnan(vals).any()
-
-
-def validate_heap(values, shape: TreeShape) -> bool:
-    """True when no slot's value is above its parent's.
+def validate_bst(values) -> bool:
+    """True when the values, one per slot of the binary tree, read in
+    in-order never decrease, so no slot's left subtree holds a larger
+    value and no right subtree a smaller one.
 
     Repeated values pass; a NaN entry fails.  Never raises on the value of
     an entry.
     """
-    vals = _slot_values(values, shape)
-    parents = np.arange(shape.size - 1) // shape.branching  # of slots 1 .. n-1
+    vals = _slot_values(values)
+    read = vals[_inorder(vals.size)]
+    return bool((read[:-1] <= read[1:]).all()) and not np.isnan(vals).any()
+
+
+def validate_heap(values, branching: int = 2) -> bool:
+    """True when no slot's value is above its parent's in the tree of
+    arity branching, one slot per value.
+
+    Repeated values pass; a NaN entry fails.  Never raises on the value of
+    an entry.
+    """
+    branching = _arity(branching)
+    vals = _slot_values(values)
+    # The parents of slots 1 .. n-1; from b = n on, every parent is slot 0.
+    parents = np.arange(vals.size - 1) // min(branching, vals.size)
     return bool((vals[1:] <= vals[parents]).all()) and not np.isnan(vals).any()
 
 
@@ -135,12 +113,14 @@ def _inorder(n: int) -> list[int]:
     return order
 
 
-def _postorder(shape: TreeShape) -> list[int]:
-    """The slots, each after the subtrees of its children, left to right."""
+def _postorder(n: int, branching: int) -> list[int]:
+    """The n slots of the tree of arity branching, each after the subtrees
+    of its children, left to right."""
     order: list[int] = []
 
     def walk(slot: int) -> None:
-        for child in shape.children(slot):
+        first = branching * slot + 1
+        for child in range(first, min(first + branching, n)):
             walk(child)
         order.append(slot)
 
@@ -148,11 +128,11 @@ def _postorder(shape: TreeShape) -> list[int]:
     return order
 
 
-def _slot_values(values, shape: TreeShape) -> np.ndarray:
-    """values under the value rule, one real number per slot of shape."""
+def _slot_values(values) -> np.ndarray:
+    """values under the value rule, one real number per slot of a tree."""
     vals = _reals(values, "values")
     if vals.ndim != 1:
         raise DomainError(f"values must be a vector, not of shape {vals.shape}")
-    if vals.size != shape.size:
-        raise DimensionMismatch(f"{vals.size} values for a tree of {shape.size} slots")
+    if vals.size < 1:
+        raise InvalidSize("a tree needs at least one slot")
     return vals

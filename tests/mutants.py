@@ -189,8 +189,26 @@ MUTANTS = (
     Mutant(
         "heap-parents-of-a-binary-tree",
         "programs.py",
-        "np.arange(shape.size - 1) // shape.branching",
-        "np.arange(shape.size - 1) // 2",
+        "// min(branching, vals.size)",
+        "// 2",
+    ),
+    Mutant(
+        "heap-parents-of-an-unclamped-arity",
+        "programs.py",
+        "min(branching, vals.size)",
+        "branching",
+    ),
+    Mutant(
+        "tree-of-no-slots",
+        "programs.py",
+        '    if vals.size < 1:\n        raise InvalidSize("a tree needs at least one slot")\n',
+        "",
+    ),
+    Mutant(
+        "arity-of-one",
+        "model.py",
+        "    if branching < 2:\n",
+        "    if branching < 1:\n",
     ),
     Mutant(
         "trace-last-energy-unchecked",

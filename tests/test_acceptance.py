@@ -23,7 +23,6 @@ from qperm import (
     validate_bst,
     validate_heap,
 )
-from qperm.programs import TreeShape
 
 from . import reference_run as ref
 from .conftest import library_chain, make_program, paper_faithful, run_pipeline
@@ -34,6 +33,7 @@ from .reference import (
     exhaustive_qubo_min,
     product,
     qubo_objective,
+    replay,
     vectorize,
 )
 
@@ -86,17 +86,16 @@ def test_criterion_2_energy_trace():
     scaled = paper_faithful(ref.INPUT_X)
     problems = []
     for kind in KINDS:
-        _, trace, _ = run_pipeline(scaled, make_program(kind, 7), normalize=False)
-        energies = [s.energy for s in trace.steps]
-        if len(energies) != 9 or trace.flips != 7:
-            problems.append(f"{kind}: {trace.flips} flips, {len(energies)} rows")
+        z, trace, _ = run_pipeline(scaled, make_program(kind, 7), normalize=False)
+        energies = trace.energies.tolist()
+        if len(energies) != 8 or trace.flips != 7:
+            problems.append(f"{kind}: {trace.flips} flips, {len(energies)} energies")
             continue
         for t, want in enumerate(expected):
             if abs(energies[t] - want) > 0.05:
                 problems.append(f"{kind}: step {t} energy {energies[t]:.4f}")
-        final, prev = trace.steps[-1], trace.steps[-2]
-        if not np.array_equal(final.state, prev.state) or final.energy != prev.energy:
-            problems.append(f"{kind}: endpoint not a stable repeat")
+        if replay(trace)[-1].tobytes() != binary_to_bipolar(z).tobytes():
+            problems.append(f"{kind}: the trace does not end at the endpoint")
     report(2, "descent energy trace within 0.05 per step", not problems, "; ".join(problems))
 
 
@@ -188,12 +187,12 @@ def test_criterion_6_structure_validity():
         ordered = np.sort(values)
         bst = bst_program(n)
         y_bst = [float(ordered[r - 1]) for r in bst.ranks]
-        if not validate_bst(y_bst, TreeShape(n, 2)):
+        if not validate_bst(y_bst):
             problems.append(f"bst n={n}")
         for b in (2, 3):
             heap = heap_program(n, b)
             y_heap = [float(ordered[r - 1]) for r in heap.ranks]
-            if not validate_heap(y_heap, TreeShape(n, b)):
+            if not validate_heap(y_heap, b):
                 problems.append(f"heap n={n} b={b}")
     report(6, "generated tree programs satisfy their validators (n=1..15)",
            not problems, "; ".join(problems))

@@ -33,7 +33,7 @@ from qperm.cli import main, render_trace
 
 from . import reference_run as ref
 from .conftest import PROGRAMS, input_values, make_program, program_argv
-from .reference import vectorize
+from .reference import replay, vectorize
 
 
 def write_json(path, payload):
@@ -433,16 +433,18 @@ class TestSolveCommand:
         assert out_lines[:9] == expected_trace_lines(kind)
 
     def test_trace_is_rendered_one_state_at_a_time(self, tmp_path, capsys):
-        """solve --trace prints the rows of trace.steps, rendered from N "-"
-        glyphs, the all-inactive start, and flipped and energies through one
-        state buffer: steps, which holds a copy of every state, is never
-        read."""
+        """solve --trace prints every visited state with its energy, then the
+        endpoint once more, rendered from N "-" glyphs, the all-inactive
+        start, and flipped and energies through one state buffer: steps,
+        which holds a copy of every state, is never read."""
         values = np.random.default_rng(5).uniform(0.0, 2000.0, size=6).tolist()
         qubo = build_file(tmp_path, values, "ascending", "--no-normalize")
         _, trace = solve_qubo(cli._load(qubo, cli._qubo)[0])
+        states, energies = replay(trace), trace.energies.tolist()
+        rows = zip(states + states[-1:], energies + energies[-1:])
         expected = [
-            f"{row.index:4d}  {' '.join('+' if v > 0 else '-' for v in row.state)}  {row.energy:.1f}"
-            for row in trace.steps
+            f"{k:4d}  {' '.join('+' if v > 0 else '-' for v in state)}  {energy:.1f}"
+            for k, (state, energy) in enumerate(rows)
         ]
         assert trace.flips > 6  # rewards this large outweigh the penalty
         steps = mock.PropertyMock(side_effect=AssertionError("trace.steps read"))
@@ -1004,6 +1006,17 @@ class TestVerifyCommand:
         assert out == ""
         assert err == f"error: {prog}: search-tree programs exist for branching 2 only\n"
         solve.assert_not_called()
+
+    @pytest.mark.parametrize("branching", [2**63, 1e30], ids=["2^63", "1e30"])
+    def test_a_heap_arity_beyond_int64_verifies(self, tmp_path, capsys, branching):
+        """A heap arity of 2^63 or more once left certify with a bare
+        OverflowError, and verify with a traceback and exit 1."""
+        x_path = write_json(tmp_path / "x.json", [3, 1, 2])
+        payload = {"n": 3, "kind": "heap", "branching": branching, "ranks": [3, 1, 2]}
+        prog = write_json(tmp_path / "heap.json", payload)
+        assert main(["verify", x_path, prog]) == 0
+        out, err = capsys.readouterr()
+        assert "structure (heap)         PASS" in out.splitlines() and err == ""
 
     @pytest.mark.parametrize("text", ["5\n", "5", "[5]\n", " 5.0 \n\n"])
     def test_one_number_is_one_entry(self, tmp_path, capsys, text):

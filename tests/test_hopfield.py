@@ -72,10 +72,11 @@ class TestReferenceRun:
         self.x = reference_x
 
     def test_energy_sequence_at_one_decimal(self):
-        assert [f"{s.energy:.1f}" for s in self.trace.steps] == ref.ENERGY_STRINGS
+        # ENERGY_STRINGS ends with the endpoint's energy once more, as --trace prints it
+        assert [f"{e:.1f}" for e in self.trace.energies] == ref.ENERGY_STRINGS[:-1]
 
     def test_exact_endpoint_energies(self):
-        assert self.trace.steps[0].energy == pytest.approx(
+        assert self.trace.energies[0] == pytest.approx(
             ref.INITIAL_ENERGY, abs=ref.ENDPOINT_TOL
         )
         assert self.trace.final_energy == pytest.approx(
@@ -85,12 +86,12 @@ class TestReferenceRun:
     def test_flip_positions(self):
         assert self.trace.flipped.tolist() == ref.FLIPS[self.kind]
 
-    def test_seven_flips_then_stable_repeat(self):
-        assert self.trace.flips == 7
-        assert len(self.trace.steps) == 9
-        last, prev = self.trace.steps[-1], self.trace.steps[-2]
-        assert np.array_equal(last.state, prev.state)
-        assert last.energy == prev.energy
+    def test_seven_flips_then_stable(self):
+        assert self.trace.flips == 7 and self.trace.energies.size == 8
+        endpoint = replay(self.trace)[-1]
+        assert endpoint.tobytes() == binary_to_bipolar(self.z).tobytes()
+        W, theta = dense(library_chain(self.instance)[2])
+        assert min(flip_gain(W, theta, endpoint, i) for i in range(49)) > 0
 
     def test_rows_match_the_recorded_run(self):
         state = np.full(49, -1, dtype=np.int8)
@@ -98,16 +99,15 @@ class TestReferenceRun:
         for i in ref.FLIPS[self.kind]:
             state[i] = -state[i]
             states.append(state.copy())
-        states.append(state)  # the stable endpoint, repeated
-        rows = self.trace.steps
-        assert [row.index for row in rows] == list(range(9))
-        assert all(np.array_equal(row.state, s) for row, s in zip(rows, states, strict=True))
+        visited = replay(self.trace)
+        assert all(np.array_equal(v, s) for v, s in zip(visited, states, strict=True))
         network = library_chain(self.instance)[2]
         expected = [float(fraction_energy(*dense(network), s)).hex() for s in states]
-        assert [row.energy.hex() for row in rows] == expected
+        assert [e.hex() for e in self.trace.energies.tolist()] == expected
 
     def test_starts_all_inactive(self):
-        assert np.all(self.trace.steps[0].state == -1)
+        network = library_chain(self.instance)[2]
+        assert self.trace.energies[0] == energy(network, np.full(49, -1))
 
     def test_decodes_to_expected_arrangement(self):
         p = decode_permutation(self.z)
@@ -119,7 +119,7 @@ class TestReferenceRun:
         gain = flip_gain(*dense(network), start, ref.FLIPS[self.kind][0])
         assert f"{gain:.1f}" == f"{ref.FIRST_GAIN:.1f}"
         assert gain == pytest.approx(
-            self.trace.steps[1].energy - self.trace.steps[0].energy, abs=1e-9
+            self.trace.energies[1] - self.trace.energies[0], abs=1e-9
         )
 
     def test_default_route_keeps_flips_and_arrangement(self):
@@ -263,10 +263,9 @@ class TestDescent:
     def test_energy_strictly_decreases_until_stable(self):
         _, trace = solve(small_network(4))
         assert trace.flips > 1
-        energies = [s.energy for s in trace.steps]
-        for a, b in zip(energies[:-2], energies[1:-1]):
+        energies = trace.energies.tolist()
+        for a, b in zip(energies, energies[1:]):
             assert b < a
-        assert energies[-1] == energies[-2]
 
     def test_endpoint_is_single_flip_stable(self):
         network = small_network(8)
@@ -438,7 +437,7 @@ class TestFreeLines:
         with mock.patch.object(hopfield, "_line", wraps=hopfield._line) as line:
             state, trace = solve(network)
         assert trace.flipped.tolist() == [7, 2, 5, 8, 7]
-        before = trace.steps[4].state.reshape(3, 3)  # the state the last flip clears
+        before = replay(trace)[4].reshape(3, 3)  # the state the last flip clears
         assert before[2].tolist() == [-1, 1, 1] and before[:, 1].tolist() == [-1, -1, 1]
         assert line.call_count > 0
         assert state.reshape(3, 3)[:, 2].tolist() == [1, 1, 1]
@@ -565,7 +564,7 @@ class TestAllInactiveStart:
         assert len(seen) == 1
         active = int((seen[0] > 0).sum())
         assert 0 < active < trace.flips
-        assert seen[0].tobytes() == trace.steps[active].state.tobytes()
+        assert seen[0].tobytes() == replay(trace)[active].tobytes()
 
     def test_a_gain_that_rounds_to_zero_stops_descent(self):
         """Cell 0's half gain rounds to 0.0, though the energy after its flip,

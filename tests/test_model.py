@@ -24,12 +24,12 @@ from qperm import (
     QpermError,
     QuboInstance,
     SolverTrace,
-    TreeShape,
     UnsupportedBranching,
     ValueVector,
     apply_permutation,
     ascending_program,
     bipolar_to_binary,
+    bst_program,
     build_qubo,
     certify,
     decode_permutation,
@@ -119,21 +119,29 @@ class TestOrderProgram:
         "make",
         [
             lambda: OrderProgram(ranks=(1, 2), kind="custom", branching=1),
-            lambda: TreeShape(5, 1),
             lambda: heap_program(5, 1),
+            lambda: bst_program(5, 1),
+            lambda: validate_heap([3, 1, 2], 1),
         ],
-        ids=["OrderProgram", "TreeShape", "heap_program"],
+        ids=["OrderProgram", "heap_program", "bst_program", "validate_heap"],
     )
     def test_branching_checked(self, make):
-        """One fault, one error type: OrderProgram once raised DomainError."""
+        """One fault, one error type, one message: OrderProgram once raised
+        DomainError."""
         with pytest.raises(UnsupportedBranching, match="^branching must be at least 2$"):
             make()
 
     @pytest.mark.parametrize("branching", [2.9, "3", None, True])
     def test_branching_is_never_truncated_or_parsed(self, branching):
-        with pytest.raises(InvalidSize):
+        """heap_program and validate_heap read the arity by the same rule."""
+        with pytest.raises(InvalidSize, match="^branching must be an integer"):
             OrderProgram(ranks=(1, 2), kind="heap", branching=branching)
+        with pytest.raises(InvalidSize, match="^branching must be an integer"):
+            heap_program(4, branching)
+        with pytest.raises(InvalidSize, match="^branching must be an integer"):
+            validate_heap([3, 1, 2], branching)
         assert OrderProgram(ranks=(1, 2), kind="heap", branching=3.0).branching == 3
+        assert heap_program(4, 3.0) == heap_program(4, 3)
 
     def test_search_tree_is_binary(self):
         """A bst program of branching 3 once constructed, and certify then raised."""
@@ -697,8 +705,8 @@ ARRAY_READERS = {
         lambda v: certify(ValueVector([3.0, 1.0]), ascending_program(2), v), [0, 1, 1, 0],
         "solver_state", False,
     ),
-    "validate_bst": (lambda v: validate_bst(v, TreeShape(3)), [2, 1, 3], "values", False),
-    "validate_heap": (lambda v: validate_heap(v, TreeShape(3)), [3, 1, 2], "values", False),
+    "validate_bst": (validate_bst, [2, 1, 3], "values", False),
+    "validate_heap": (validate_heap, [3, 1, 2], "values", False),
 }
 
 

@@ -9,10 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qperm import (
-    DimensionMismatch,
     InvalidSize,
     QpermError,
-    TreeShape,
     UnsupportedBranching,
     ascending_program,
     bst_program,
@@ -32,45 +30,38 @@ def arrange(values, ranks):
     return [ordered[r - 1] for r in ranks]
 
 
-class TestTreeShape:
-    def test_children_binary(self):
-        shape = TreeShape(7, 2)
-        assert list(shape.children(0)) == [1, 2]
-        assert list(shape.children(2)) == [5, 6]
-        assert list(shape.children(3)) == []
+def children(n, b, slot):
+    """The children of slot in the breadth-first tree of n slots and arity b."""
+    return range(b * slot + 1, min(b * slot + b + 1, n))
 
-    def test_children_clipped_at_size(self):
-        shape = TreeShape(5, 2)
-        assert list(shape.children(2)) == []
-        assert list(shape.children(1)) == [3, 4]
 
-    def test_children_ternary(self):
-        shape = TreeShape(8, 3)
-        assert list(shape.children(0)) == [1, 2, 3]
-        assert list(shape.children(2)) == [7]
-
-    def test_size_validated(self):
-        with pytest.raises(InvalidSize):
-            TreeShape(0, 2)
-
-    def test_branching_validated(self):
-        with pytest.raises(UnsupportedBranching):
-            TreeShape(3, 1)
+class TestTreeArguments:
+    """A tree is its values, one slot each, and for a heap an arity."""
 
     @pytest.mark.parametrize(
-        "size, branching",
-        [(7.9, 2), (7, 2.9), (7.9, 2.9), ("7", 2), (7, "2")],
-        ids=["size-7.9", "branching-2.9", "both-fractions", "size-string", "branching-string"],
+        "check", [validate_bst, validate_heap, lambda v: validate_heap(v, 3)],
+        ids=["bst", "heap", "heap3"],
     )
-    def test_sizes_are_never_truncated_or_parsed(self, size, branching):
-        """TreeShape(7.9, 2.9) once became size 7 with branching 2."""
-        with pytest.raises(InvalidSize):
-            TreeShape(size, branching)
+    @pytest.mark.parametrize("values", [[], np.array([]), ()], ids=["list", "array", "tuple"])
+    def test_no_values_is_no_tree(self, check, values):
+        """No values make no tree, at any arity."""
+        with pytest.raises(InvalidSize, match="^a tree needs at least one slot$"):
+            check(values)
 
-    def test_integral_floats_are_integers(self):
-        shape = TreeShape(7.0, 3.0)
-        assert (shape.size, shape.branching) == (7, 3)
-        assert type(shape.size) is int and type(shape.branching) is int
+    def test_integral_float_arity_is_that_arity(self):
+        y = [7.0, 4.0, 5.0, 6.0, 1.0, 2.0, 3.0]  # heap_program(7, 3) over 1..7
+        assert validate_heap(y, 3.0) and validate_heap(y, np.int8(3))
+        assert not validate_heap(y, 2.0) and not validate_heap(y, 2)
+
+    @pytest.mark.parametrize("b", [3, 4, 2**63 - 1, 2**63, 10**30, 1e30])
+    def test_an_arity_of_n_minus_one_or_more_makes_a_star(self, b):
+        """Once b >= n - 1 every slot's parent is the root.  An arity of
+        2^63 or more once raised a bare OverflowError in validate_heap."""
+        assert validate_heap([3, 1, 2], b)
+        assert not validate_heap([1, 3, 2], b)
+        assert validate_heap([3.0, 1.0, 2.0, 2.0], b) and not validate_heap([3.0, 1.0, 2.0, 2.0])
+        assert not validate_heap([2.0, 1.0, 1.0, 3.0], b)
+        assert validate_heap([math.inf], b) and not validate_heap([math.nan], b)
 
 
 class TestLinearPrograms:
@@ -133,15 +124,14 @@ class TestHeapProgram:
         """Each slot holds the top rank of its block, and its children split
         the rest in order, each block as large as the child's subtree."""
         for n in range(1, 201):
-            shape = TreeShape(n, b)
             want = [0] * n
 
             def subtree_size(slot):
-                return 1 + sum(subtree_size(child) for child in shape.children(slot))
+                return 1 + sum(subtree_size(child) for child in children(n, b, slot))
 
             def assign(root, low, high):
                 want[root] = high
-                for child in shape.children(root):
+                for child in children(n, b, root):
                     size = subtree_size(child)
                     assign(child, low, low + size - 1)
                     low += size
@@ -171,17 +161,17 @@ class TestValidateBst:
         values = [46.0, 52.0, -12.0, 33.0, 10.0, 51.0, 24.0]
         y = arrange(values, bst_program(7).ranks)
         assert y == [33.0, 10.0, 51.0, -12.0, 24.0, 46.0, 52.0]
-        assert validate_bst(y, TreeShape(7, 2))
+        assert validate_bst(y)
 
     def test_violation_detected(self):
-        assert not validate_bst([1.0, 2.0, 3.0], TreeShape(3, 2))
+        assert not validate_bst([1.0, 2.0, 3.0])
 
     def test_duplicates_allowed(self):
         """Equal values once failed, however they were placed: the bounds
         were strict."""
-        assert validate_bst([1.0, 1.0], TreeShape(2, 2))
-        assert validate_bst([1.0, 1.0, 1.0], TreeShape(3, 2))
-        assert not validate_bst([1.0, 1.0, 0.0], TreeShape(3, 2))
+        assert validate_bst([1.0, 1.0])
+        assert validate_bst([1.0, 1.0, 1.0])
+        assert not validate_bst([1.0, 1.0, 0.0])
 
     @given(
         st.lists(
@@ -195,19 +185,14 @@ class TestValidateBst:
         """The bst arrangement of values with repeats passes, and swapping any
         two unequal values in it breaks the non-decreasing in-order reading."""
         n = len(values)
-        shape = TreeShape(n, 2)
         y = arrange(values, bst_program(n).ranks)
-        assert validate_bst(y, shape)
+        assert validate_bst(y)
         for i in range(n):
             for j in range(i + 1, n):
                 if y[i] != y[j]:
                     swapped = list(y)
                     swapped[i], swapped[j] = y[j], y[i]
-                    assert not validate_bst(swapped, shape), (i, j)
-
-    def test_binary_only(self):
-        with pytest.raises(UnsupportedBranching):
-            validate_bst([1.0], TreeShape(1, 3))
+                    assert not validate_bst(swapped), (i, j)
 
     @given(
         st.integers(min_value=1, max_value=20),
@@ -217,7 +202,7 @@ class TestValidateBst:
     def test_program_arrangement_always_valid(self, n, rnd):
         values = rnd.sample(range(-1000, 1000), n)
         y = arrange(values, bst_program(n).ranks)
-        assert validate_bst(y, TreeShape(n, 2))
+        assert validate_bst(y)
 
 
 class TestValidateHeap:
@@ -225,13 +210,13 @@ class TestValidateHeap:
         values = [46.0, 52.0, -12.0, 33.0, 10.0, 51.0, 24.0]
         y = arrange(values, heap_program(7).ranks)
         assert y == [52.0, 24.0, 51.0, -12.0, 10.0, 33.0, 46.0]
-        assert validate_heap(y, TreeShape(7, 2))
+        assert validate_heap(y)
 
     def test_violation_detected(self):
-        assert not validate_heap([1.0, 2.0, 3.0], TreeShape(3, 2))
+        assert not validate_heap([1.0, 2.0, 3.0])
 
     def test_duplicates_allowed(self):
-        assert validate_heap([2.0, 2.0, 1.0], TreeShape(3, 2))
+        assert validate_heap([2.0, 2.0, 1.0])
 
     @given(
         st.integers(min_value=1, max_value=20),
@@ -242,7 +227,7 @@ class TestValidateHeap:
     def test_program_arrangement_always_valid(self, n, b, rnd):
         values = rnd.sample(range(-1000, 1000), n)
         y = arrange(values, heap_program(n, b).ranks)
-        assert validate_heap(y, TreeShape(n, b))
+        assert validate_heap(y, b)
 
 
 class TestProgramSizes:
@@ -273,12 +258,11 @@ def reference_verdicts(values, b):
 
 
 def verdicts(values, b):
-    shape = TreeShape(len(values), b)
-    return (validate_bst(values, shape) if b == 2 else None), validate_heap(values, shape)
+    return (validate_bst(values) if b == 2 else None), validate_heap(values, b)
 
 
 class TestValidatorsMatchTheReference:
-    @pytest.mark.parametrize("b", [2, 3])
+    @pytest.mark.parametrize("b", [2, 3, 2**63], ids=["2", "3", "2^63"])
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_every_list_over_the_alphabet(self, n, b):
         """Signed zeros, infinities and NaN in every position, as lists and
@@ -303,41 +287,32 @@ class TestOneNanRule:
     def test_a_lone_nan_fails_both_checks(self):
         """validate_heap once passed [nan]: a lone slot has no child to
         compare with, while validate_bst's bounds failed it."""
-        assert not validate_bst([math.nan], TreeShape(1))
-        assert not validate_heap([math.nan], TreeShape(1))
-        assert not validate_heap([math.nan], TreeShape(1, 3))
-        assert validate_bst([math.inf], TreeShape(1))
-        assert validate_heap([-math.inf], TreeShape(1))
+        assert not validate_bst([math.nan])
+        assert not validate_heap([math.nan])
+        assert not validate_heap([math.nan], 3)
+        assert validate_bst([math.inf])
+        assert validate_heap([-math.inf])
 
 
 class TestValidatorValueRule:
     @pytest.mark.parametrize("check", [validate_bst, validate_heap])
     @pytest.mark.parametrize(
-        "values, shape, what",
-        [
-            ([[3, 2], [1, 0]], TreeShape(4), "(2, 2)"),
-            ([[3, 2, 1]], TreeShape(3), "(1, 3)"),
-            (5, TreeShape(1), "()"),
-        ],
+        "values, what",
+        [([[3, 2], [1, 0]], "(2, 2)"), ([[3, 2, 1]], "(1, 3)"), (5, "()")],
         ids=["grid", "row", "scalar"],
     )
-    def test_refuses_what_is_not_a_vector(self, check, values, shape, what):
+    def test_refuses_what_is_not_a_vector(self, check, values, what):
         """A grid was once flattened.  Strings, booleans, None and ragged
         nestings are refused as in every array reader (test_model)."""
         message = f"values must be a vector, not of shape {what}"
         with pytest.raises(QpermError, match=f"^{re.escape(message)}$"):
-            check(values, shape)
-
-    @pytest.mark.parametrize("check", [validate_bst, validate_heap])
-    def test_size_must_match_the_shape(self, check):
-        with pytest.raises(DimensionMismatch, match="2 values for a tree of 3 slots"):
-            check([1.0, 2.0], TreeShape(3))
+            check(values)
 
     @pytest.mark.parametrize("check", [validate_bst, validate_heap])
     def test_integers_and_arrays_are_read_as_given(self, check):
         """Integers are compared as integers: 2^60 + 1 once equalled 2^60,
         both rounded to the same float."""
-        assert check([2, 1, 3] if check is validate_bst else [3, 1, 2], TreeShape(3))
-        assert check(np.array([1, 1, 1], dtype=np.int8), TreeShape(3))
-        assert check((2**70, 2**70), TreeShape(2))
-        assert not check([2**60, 2**60 + 1], TreeShape(2))
+        assert check([2, 1, 3] if check is validate_bst else [3, 1, 2])
+        assert check(np.array([1, 1, 1], dtype=np.int8))
+        assert check((2**70, 2**70))
+        assert not check([2**60, 2**60 + 1])

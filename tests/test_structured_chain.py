@@ -212,8 +212,8 @@ class TestPenaltyMatrix:
         program = make_program("heap", n)
         network = library_chain(build_qubo(x, program, lambda_r=m_r / 2**k, lambda_c=m_c / 2**k))[2]
         trace = assert_bitwise_same_descent(network)
-        for step in trace.steps:
-            assert step.energy == float(fraction_energy(*dense(network), step.state))
+        for state, e in zip(replay(trace), trace.energies.tolist(), strict=True):
+            assert e == float(fraction_energy(*dense(network), state))
 
 
 # --- stages and descent, integer penalty weights: bit for bit -------------
@@ -269,7 +269,8 @@ class TestIntegerWeightsBitForBit:
         network = library_chain(build_qubo(scaled, make_program(kind, 7), normalize=False))[2]
         trace = assert_bitwise_same_descent(network)
         assert trace.flipped.tolist() == ref.FLIPS[kind]
-        assert [f"{s.energy:.1f}" for s in trace.steps] == ref.ENERGY_STRINGS
+        # ENERGY_STRINGS ends with the endpoint's energy once more, as --trace prints it
+        assert [f"{e:.1f}" for e in trace.energies] == ref.ENERGY_STRINGS[:-1]
 
     def test_two_negative_entries(self):
         scaled = paper_faithful([-1.0, -2.0])
@@ -350,8 +351,8 @@ class TestAnyWeightsWithinTolerance:
     def test_endpoint_is_stable_and_energies_exact(self, network):
         W, theta = dense(network)
         state, trace = solve(network)
-        for step in trace.steps:
-            assert step.energy == reference.energy(W, theta, step.state)
+        for s, e in zip(replay(trace), trace.energies.tolist(), strict=True):
+            assert e == reference.energy(W, theta, s)
         scale = abs(reference.energy(W, theta, state))
         gains = [reference.flip_gain(W, theta, state, i) for i in range(network.dimension)]
         assert min(gains) >= -1e-9 * max(scale, 1.0)
