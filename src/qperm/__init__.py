@@ -21,7 +21,7 @@ from .errors import (
     SizeBudgetExceeded,
     UnsupportedBranching,
 )
-from .hopfield import energy, solve, solve_qubo
+from .hopfield import solve, solve_qubo
 from .model import (
     HopfieldInstance,
     IsingInstance,
@@ -77,7 +77,6 @@ __all__ = [
     "certify",
     "decode_permutation",
     "descending_program",
-    "energy",
     "fold_diagonal",
     "heap_program",
     "solve",

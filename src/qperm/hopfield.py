@@ -19,11 +19,11 @@ row a and grid column b from their cells, its own among them, in O(n).
 The argmin over all gains is O(N) per flip, and no PenaltyMatrix is
 materialized.
 
-Every energy, in the trace and from energy(), is E(s) correctly rounded,
-the same on any BLAS.  2 E(s) is kept as an integer count of 2^u, u at or
-below the last significand bit of every entry of theta and W: theta.s is
-summed exactly once (_dyadic) and moves by 2 s_i theta_i per flip, and
-s^T W s is w_r sum_b (R_b^2 - n) + w_c sum_a (C_a^2 - n).  One int / int
+Every energy in the trace is E(s) correctly rounded, the same on any
+BLAS.  2 E(s) is kept as an integer count of 2^u, u at or below the last
+significand bit of every entry of theta and W: theta.s is summed exactly
+once (_dyadic) and moves by 2 s_i theta_i per flip, and s^T W s is
+w_r sum_b (R_b^2 - n) + w_c sum_a (C_a^2 - n).  One int / int
 division, which Python rounds correctly, gives each energy; one beyond
 the float range is an infinity, which SolverTrace names.  A flip is taken
 only after its exact energy, rounded, is seen to fall strictly: a gain
@@ -81,37 +81,10 @@ from typing import Optional
 import numpy as np
 
 from .conversions import bipolar_to_binary, fold_diagonal, to_hopfield, to_ising
-from .errors import DimensionMismatch, DomainError, MaxStepsExceeded
-from .model import (
-    HopfieldInstance,
-    QuboInstance,
-    SolverTrace,
-    _bipolar,
-    _integral,
-)
+from .errors import DomainError, MaxStepsExceeded
+from .model import HopfieldInstance, QuboInstance, SolverTrace, _integral
 
 _TIED = -(2.0**1023)  # doubled, half gains at or below this are -inf and tie
-
-
-def energy(instance: HopfieldInstance, s) -> float:
-    """-1/2 s^T W s + theta^T s at a bipolar state, correctly rounded, as descent records it.
-
-    The state is the column-stacked vector of length N; an n x n grid is
-    refused, not read as its transpose.
-    """
-    sv = _bipolar(s, "state").astype(float)
-    if sv.size != instance.dimension:
-        raise DimensionMismatch(
-            f"state has {sv.size} coordinates, instance has {instance.dimension}"
-        )
-    W = instance.weights_W
-    n = W.n
-    S = sv.reshape(n, n)
-    R, C = S.sum(axis=0), S.sum(axis=1)
-    dot, u, units_r, units_c = _units(W, instance.bias_theta * sv)
-    # s^T W s = w_r sum_b (R_b^2 - n) + w_c sum_a (C_a^2 - n), as W_ii = 0
-    twice = 2 * dot - units_r * (int(R @ R) - n * n) - units_c * (int(C @ C) - n * n)
-    return _rounded(twice, u - 1)
 
 
 def solve(

@@ -216,6 +216,21 @@ MUTANTS = (
         "math.isfinite(energies[0]) and math.isfinite(energies[-1])",
         "math.isfinite(energies[0])",
     ),
+    Mutant(
+        "decode-lets-a-row-repeat",
+        "model.py",
+        " or np.bincount(rows).max() > 1:",
+        ":",
+    ),
+    Mutant(
+        "value-shrink-exponent-one-less",
+        "model.py",
+        "-(2 + entries.size.bit_length())",
+        "-(1 + entries.size.bit_length())",
+        equivalent="the shifted sum stays below n max|x| 2^-bits, within the float range, "
+        "and a power-of-two scale is exact above the subnormals; a difference that "
+        "underflows normalizes to 0 either way",
+    ),
 )
 
 

@@ -18,12 +18,12 @@ from qperm import (
     bst_program,
     build_qubo,
     decode_permutation,
-    energy,
     heap_program,
     validate_bst,
     validate_heap,
 )
 
+from . import reference
 from . import reference_run as ref
 from .conftest import library_chain, make_program, paper_faithful, run_pipeline
 from .reference import (
@@ -207,13 +207,14 @@ def test_criterion_7_conversion_consistency():
         _, ising, network = library_chain(instance)
         N = instance.dimension
         R, r = dense(instance)
+        W, theta = dense(network)
         qubo_values, ising_values, hopfield_values = [], [], []
         for bits in itertools.product((0, 1), repeat=N):
             z = np.array(bits, dtype=float)
             s = binary_to_bipolar(z)
             qubo_values.append(qubo_objective(R, r, z))
             ising_values.append(float(product(ising.matrix_Q, s) @ s + ising.vector_q @ s))
-            hopfield_values.append(energy(network, s))
+            hopfield_values.append(reference.energy(W, theta, s))
         qubo_values = np.array(qubo_values)
         ising_values = np.array(ising_values)
         hopfield_values = np.array(hopfield_values)

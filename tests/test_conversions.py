@@ -16,12 +16,12 @@ from qperm import (
     ascending_program,
     bipolar_to_binary,
     build_qubo,
-    energy,
     fold_diagonal,
     to_hopfield,
     to_ising,
 )
 
+from . import reference
 from .conftest import library_chain
 from .reference import binary_to_bipolar, bits, dense, product, qubo_objective
 
@@ -106,11 +106,12 @@ class TestToHopfield:
         network = to_hopfield(ising)
         assert bits(network.weights_W) == bits(-2.0 * np.asarray(ising.matrix_Q))
         assert bits(network.bias_theta) == bits(ising.vector_q)
+        W, theta = dense(network)
         rnd = np.random.default_rng(5)
         for _ in range(100):
             s = (rnd.integers(0, 2, size=9) * 2 - 1).astype(float)
             ising_value = float(product(ising.matrix_Q, s) @ s + ising.vector_q @ s)
-            assert energy(network, s) == pytest.approx(ising_value, abs=1e-12)
+            assert reference.energy(W, theta, s) == pytest.approx(ising_value, abs=1e-12)
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -212,10 +213,11 @@ class TestEndToEndMinimizers:
         inst = sorting_instance(values)
         network = library_chain(inst)[2]
         N = inst.dimension
+        W, theta = dense(network)
         best_q, best_h = None, None
         for z in all_binary_states(N):
             qv = qubo_objective(*dense(inst), z)
-            hv = energy(network, binary_to_bipolar(z))
+            hv = reference.energy(W, theta, binary_to_bipolar(z))
             if best_q is None or qv < best_q[0] - 1e-12:
                 best_q = (qv, tuple(z))
             if best_h is None or hv < best_h[0] - 1e-12:

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import qperm
 from qperm import (
-    DimensionMismatch,
     DomainError,
     HopfieldInstance,
     InvalidSize,
@@ -25,7 +25,6 @@ from qperm import (
     build_qubo,
     certify,
     decode_permutation,
-    energy,
     heap_program,
     solve,
 )
@@ -54,7 +53,6 @@ from .reference import (
     flip_gain,
     fraction_energies,
     fraction_energy,
-    permutation_matrix,
     replay,
     vectorize,
 )
@@ -107,7 +105,7 @@ class TestReferenceRun:
 
     def test_starts_all_inactive(self):
         network = library_chain(self.instance)[2]
-        assert self.trace.energies[0] == energy(network, np.full(49, -1))
+        assert self.trace.energies[0] == reference.energy(*dense(network), np.full(49, -1))
 
     def test_decodes_to_expected_arrangement(self):
         p = decode_permutation(self.z)
@@ -210,10 +208,22 @@ def test_no_test_module_imports_another():
         assert not [n for n in names if any(p.startswith("test_") for p in n.split("."))], path
 
 
+def test_the_star_import_gives_every_public_name():
+    """Each name in qperm.__all__ is a public attribute of the package, so
+    `from qperm import *` succeeds.  The library has no energy(): the tests
+    read E(s) from the reference."""
+    namespace = {}
+    exec("from qperm import *", namespace)
+    assert set(qperm.__all__) <= set(namespace)
+    assert all(not name.startswith("_") and hasattr(qperm, name) for name in qperm.__all__)
+    assert "energy" not in qperm.__all__
+    assert not hasattr(qperm, "energy") and not hasattr(hopfield, "energy")
+
+
 class TestGainBookkeeping:
     def test_gain_matches_energy_difference(self):
-        """The reference's 2 s_i ((W s)_i - theta_i) is the change in the
-        library's energy."""
+        """The reference's 2 s_i ((W s)_i - theta_i) is the change in its
+        energy."""
         network = small_network(2)
         W, theta = dense(network)
         rnd = np.random.default_rng(9)
@@ -223,40 +233,8 @@ class TestGainBookkeeping:
             flipped = s.copy()
             flipped[i] = -flipped[i]
             assert flip_gain(W, theta, s, i) == pytest.approx(
-                energy(network, flipped) - energy(network, s), abs=1e-9
+                reference.energy(W, theta, flipped) - reference.energy(W, theta, s), abs=1e-9
             )
-
-
-class TestEnergyOfAState:
-    """energy() reads the column-stacked state of length N.  Ravelled row by
-    row, an n x n grid would read as its transpose: the endpoint of x =
-    [3, 1, 2], ascending, as its bipolar matrix grid gave -16.67, not the
-    endpoint's -17.67."""
-
-    @pytest.fixture
-    def endpoint(self):
-        z, trace, instance = run_pipeline(ValueVector([3, 1, 2]), ascending_program(3))
-        return library_chain(instance)[2], z, trace
-
-    def test_a_vector_gives_the_final_energy(self, endpoint):
-        network, z, trace = endpoint
-        s = binary_to_bipolar(z)
-        for state in (s, s.tolist(), s.astype(float)):
-            assert energy(network, state) == trace.final_energy == -17.666666666666664
-
-    @pytest.mark.parametrize("shape", [(3, 3), (1, 9)])
-    def test_any_other_shape_is_refused(self, endpoint, shape):
-        network, z, _ = endpoint
-        grid = 2 * permutation_matrix(decode_permutation(z).as_mapping) - 1
-        for state in (binary_to_bipolar(z).reshape(shape), grid.reshape(shape)):
-            with pytest.raises(DomainError) as raised:
-                energy(network, state)
-            assert str(raised.value) == f"state must be a bipolar vector, not of shape {shape}"
-
-    def test_a_vector_of_another_length_is_refused(self, endpoint):
-        network, z, _ = endpoint
-        with pytest.raises(DimensionMismatch, match="^state has 8 coordinates, instance has 9$"):
-            energy(network, binary_to_bipolar(z)[:8])
 
 
 class TestDescent:
@@ -657,7 +635,7 @@ class TestTheRecordSolveMakes:
         visited = replay(trace)
         assert visited[0].tolist() == [-1] * trace.dimension
         assert visited[-1].tobytes() == state.tobytes()
-        assert energy(network, state) == trace.final_energy
+        assert reference.energy(*dense(network), state) == trace.final_energy
 
     def test_the_record_is_read_only(self, regime, kind, build):
         _, _, trace = recorded_descent(regime, kind, build)

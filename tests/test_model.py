@@ -33,7 +33,6 @@ from qperm import (
     build_qubo,
     certify,
     decode_permutation,
-    energy,
     heap_program,
     solve,
     validate_bst,
@@ -318,6 +317,9 @@ REFUSED_MATRICES = {
     "a -0.0 for the 1": (_edited({(0, 1): -0.0}), NOT_ONE_PER_LINE),
     "all zero": (np.zeros((3, 3)), NOT_ONE_PER_LINE),
     "all one": (np.ones((3, 3)), NOT_ONE_PER_LINE),
+    "a 1 in every column, all in one row": (
+        np.array([[1.0, 1.0, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]), NOT_ONE_PER_LINE
+    ),
     "a 2 and two 1s in a row": (np.array([[1.0, 1.0], [2.0, 0.0]]), NOT_BINARY),
 }
 
@@ -628,10 +630,9 @@ class TestNonFiniteData:
         [
             (lambda: ValueVector([10**400, 1]), "entries"),
             (lambda: QuboInstance(PenaltyMatrix(1, 0.0, 0.0, 0.0), [10**400]), "vector_r"),
-            (lambda: energy(HopfieldInstance(PenaltyMatrix(1, 0.0, 0.0, 0.0), [0.0]), [10**400]),
-             "state"),
+            (lambda: bipolar_to_binary([10**400]), "s"),
         ],
-        ids=["ValueVector", "QuboInstance-r", "energy"],
+        ids=["ValueVector", "QuboInstance-r", "bipolar_to_binary"],
     )
     def test_integer_beyond_range_rejected(self, make, field):
         """Each raised a bare OverflowError, not a QpermError."""
@@ -659,30 +660,6 @@ class TestNonFiniteData:
             make(BAD_SCALARS[value])
 
 
-def _network():
-    return HopfieldInstance(PenaltyMatrix(2, -1.0, -1.0, 0.0), np.zeros(4))
-
-
-# name -> (a call that takes one bipolar state, the field its errors start with)
-STATE_READERS = {
-    "energy": (lambda s: energy(_network(), s), "state"),
-    "bipolar_to_binary": (bipolar_to_binary, "s"),
-}
-
-
-@pytest.mark.parametrize("reader", sorted(STATE_READERS))
-@pytest.mark.parametrize(
-    "state, shape", [([[1, -1], [-1, 1]], (2, 2)), ([[1, -1, -1, 1]], (1, 4)), (1, ())],
-    ids=["grid", "row", "scalar"],
-)
-def test_every_state_is_a_vector(reader, state, shape):
-    """bipolar_to_binary and energy read a grid."""
-    read, field = STATE_READERS[reader]
-    with pytest.raises(DomainError) as raised:
-        read(state)
-    assert str(raised.value) == f"{field} must be a bipolar vector, not of shape {shape}"
-
-
 # name -> (a call that takes one array, an array it accepts, the field its
 # errors start with, whether the entries must be integers or +-1)
 ARRAY_READERS = {
@@ -698,7 +675,6 @@ ARRAY_READERS = {
         False,
     ),
     "OrderProgram": (lambda v: OrderProgram(ranks=v), [2, 1, 3], "ranks", True),
-    "energy": (lambda v: energy(_network(), v), [1, -1, -1, 1], "state", True),
     "bipolar_to_binary": (bipolar_to_binary, [1, -1], "s", True),
     "decode_permutation": (decode_permutation, [1, 0, 0, 1], "state", False),
     "certify": (
@@ -708,6 +684,36 @@ ARRAY_READERS = {
     "validate_bst": (validate_bst, [2, 1, 3], "values", False),
     "validate_heap": (validate_heap, [3, 1, 2], "values", False),
 }
+
+# name -> (the error an ARRAY_READERS reader raises for an array that is not
+# a vector, its message for a given shape); validate_bst and validate_heap
+# are in test_programs, and certify reports a failed decode
+VECTOR_MESSAGES = {
+    "ValueVector": (InvalidSize, "need a one-dimensional vector with at least one entry"),
+    "QuboInstance": (DimensionMismatch, "matrix_R is 4x4 but vector_r has shape {shape}"),
+    "IsingInstance": (DimensionMismatch, "matrix_Q is 4x4 but vector_q has shape {shape}"),
+    "HopfieldInstance": (DimensionMismatch, "weights_W is 4x4 but bias_theta has shape {shape}"),
+    "OrderProgram": (NotAPermutation, "ranks must be a sequence of integers"),
+    "bipolar_to_binary": (DomainError, "s must be a bipolar vector, not of shape {shape}"),
+    "decode_permutation": (
+        NotAPermutation, "state must be a one-dimensional vector, not of shape {shape}"
+    ),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(VECTOR_MESSAGES))
+@pytest.mark.parametrize(
+    "values, shape", [([[1, -1], [-1, 1]], (2, 2)), ([[1, -1, -1, 1]], (1, 4)), (1, ())],
+    ids=["grid", "row", "scalar"],
+)
+def test_every_vector_reader_refuses_other_shapes(reader, values, shape):
+    """A grid, a row or a scalar of entries each reader accepts is refused,
+    never flattened, even where it holds as many entries as the vector."""
+    error, message = VECTOR_MESSAGES[reader]
+    with pytest.raises(error) as raised:
+        ARRAY_READERS[reader][0](values)
+    assert type(raised.value) is error
+    assert str(raised.value) == message.format(shape=shape)
 
 
 def _first_replaced(values, entry):
@@ -822,10 +828,10 @@ class TestArrayEntries:
     def test_a_state_is_checked_before_the_int8_cast(self):
         """An int64 257 was once cast to int8 first, as 1, and passed the +-1
         check; 300 was refused as beyond the int8 range, not as no +-1."""
-        with pytest.raises(DomainError, match="^state must be a bipolar vector, not 300"):
-            energy(_network(), [300, 1, 1, 1])
-        with pytest.raises(DomainError, match="^state must be a bipolar vector, not 257"):
-            energy(_network(), np.array([257, 1, 1, 1], dtype=np.int64))
+        with pytest.raises(DomainError, match="^s must be a bipolar vector, not 300"):
+            bipolar_to_binary([300, 1, 1, 1])
+        with pytest.raises(DomainError, match="^s must be a bipolar vector, not 257"):
+            bipolar_to_binary(np.array([257, 1, 1, 1], dtype=np.int64))
 
     def test_numeric_arrays_of_any_dtype_are_read(self):
         assert bipolar_to_binary(np.array([1.0, -1.0], dtype=np.float32)).tolist() == [1, 0]

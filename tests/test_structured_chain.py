@@ -39,7 +39,6 @@ from qperm import (
     build_qubo,
     certify,
     descending_program,
-    energy,
     fold_diagonal,
     solve,
     solve_qubo,
@@ -196,7 +195,7 @@ class TestPenaltyMatrix:
             instance = build_qubo(x, make_program("heap", n))
             folded, _, network = library_chain(instance)
             state, trace = solve(network)
-            assert bits(energy(network, state)) == bits(trace.final_energy)
+        assert bits(reference.energy(*dense(network), state)) == bits(trace.final_energy)
         dense_fold = instance.vector_r + np.asarray(instance.matrix_R).diagonal()
         assert bits(folded.vector_r) == bits(dense_fold)
         assert trace.flips == n
@@ -241,14 +240,6 @@ class TestIntegerWeightsBitForBit:
 
     ONE_CELL = QuboInstance(PenaltyMatrix(1, 1.0, 1.0, 2.0), [-2.0])
 
-    @pytest.mark.parametrize("state", [-1, 1])
-    def test_one_cell_zero_energy_is_the_dense_one(self, state):
-        """Here theta = 0, so the energy is 0 at either state."""
-        network = library_chain(self.ONE_CELL)[2]
-        s = np.array([state], dtype=np.int8)
-        zero = float(fraction_energy(*dense(network), s)).hex()
-        assert energy(network, s).hex() == reference.energy(*dense(network), s).hex() == zero
-
     def test_one_cell_descent_starts_at_positive_zero(self):
         """Structured descent once gave -0.0 from the all-inactive start
         where the dense descent gives +0.0."""
@@ -280,14 +271,6 @@ class TestIntegerWeightsBitForBit:
         assert trace.flipped.tolist() == [0, 3]  # stuck on [-1, -2], not sorted
 
     def test_objectives_match_the_dense_forms(self):
-        scaled = paper_faithful([3.0, -1.0, 2.0])
-        instance = build_qubo(scaled, make_program("bst", 3), normalize=False)
-        network = library_chain(instance)[2]
-        dense_network = dense(network)
-        rnd = np.random.default_rng(3)
-        for _ in range(20):
-            s = 2 * rnd.integers(0, 2, size=9) - 1
-            assert bits(energy(network, s)) == bits(reference.energy(*dense_network, s))
         small = build_qubo(ValueVector([2.0, -1.0]), make_program("ascending", 2))
         states = (np.arange(16)[:, None] >> np.arange(4) & 1).astype(float)
         for folded in (small, fold_diagonal(small)):
@@ -305,8 +288,8 @@ class TestCorrectlyRoundedEnergies:
     @given(builder_instances(max_n=6, form="network"), st.booleans())
     @settings(max_examples=100, deadline=None)
     def test_every_energy_is_correctly_rounded(self, network, on_reference):
-        """Every trace energy and every energy() is float(Fraction(E(s))), in
-        the library and in the reference."""
+        """Every trace energy, and the reference's energy of every visited
+        state, is float(Fraction(E(s))), in the library and in the reference."""
         W, theta = dense(network)
         try:
             if on_reference:
@@ -318,16 +301,14 @@ class TestCorrectlyRoundedEnergies:
         for state, e in zip(replay(trace), trace.energies.tolist(), strict=True):
             exact = float(fraction_energy(W, theta, state))
             assert e == exact
-            if on_reference:
-                assert reference.energy(W, theta, state) == exact
-            else:
-                assert energy(network, state) == exact
+            assert reference.energy(W, theta, state) == exact
 
     @pytest.mark.parametrize("factor", [1.0, 0.7, 1.1001, 3.0])
     @pytest.mark.parametrize("normalize", [True, False])
     def test_energy_of_the_endpoint_is_the_final_energy(self, factor, normalize):
-        """energy() and the trace agree bit for bit, in the library and in the
-        reference on the materialized network, which here take the same flips."""
+        """The endpoint's energy and the trace's last agree bit for bit, in the
+        library and in the reference on the materialized network, which here
+        take the same flips."""
         n = 12
         x = ValueVector(np.random.default_rng(n).normal(size=n))
         lam = factor * n
@@ -338,7 +319,7 @@ class TestCorrectlyRoundedEnergies:
         W, theta = dense(network)
         trace = assert_bitwise_same_descent(network)
         final = replay(trace)[-1]
-        assert energy(network, final) == reference.energy(W, theta, final) == trace.final_energy
+        assert reference.energy(W, theta, final) == trace.final_energy
         assert trace.final_energy == float(fraction_energy(W, theta, final))
 
 
@@ -370,7 +351,8 @@ class TestAnyWeightsWithinTolerance:
         assert -1e-15 < gains.min() < 0.0 and int(np.argmin(gains)) == 0
         flipped = state.copy()
         flipped[0] = -flipped[0]
-        assert not energy(network, flipped) < energy(network, state)
+        W, theta = dense(network)
+        assert not reference.energy(W, theta, flipped) < reference.energy(W, theta, state)
 
 
 # --- solve_qubo is the chain in one call ----------------------------------
