@@ -14,12 +14,8 @@ from .errors import (
     DomainError,
     InvalidSize,
     MaxStepsExceeded,
-    NonSquareLength,
-    NonZeroDiagonal,
     NotAPermutation,
     QpermError,
-    SizeBudgetExceeded,
-    UnsupportedBranching,
 )
 from .hopfield import solve, solve_qubo
 from .model import (
@@ -55,18 +51,14 @@ __all__ = [
     "InvalidSize",
     "IsingInstance",
     "MaxStepsExceeded",
-    "NonSquareLength",
-    "NonZeroDiagonal",
     "NotAPermutation",
     "OrderProgram",
     "PenaltyMatrix",
     "PermutationMatrix",
     "QpermError",
     "QuboInstance",
-    "SizeBudgetExceeded",
     "SolverTrace",
     "TraceStep",
-    "UnsupportedBranching",
     "ValueVector",
     "apply_permutation",
     "ascending_program",

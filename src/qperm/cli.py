@@ -80,7 +80,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .builder import build_qubo, reward_vector
-from .errors import MaxStepsExceeded, NonSquareLength, NotAPermutation, QpermError
+from .errors import MaxStepsExceeded, NotAPermutation, QpermError
 from .hopfield import solve_qubo
 from .model import (
     OrderProgram,
@@ -248,7 +248,7 @@ def _cmd_solve(args) -> int:
             print(line)
     try:
         p = decode_permutation(state_z)
-    except (NotAPermutation, NonSquareLength):
+    except NotAPermutation:
         print("descent ended in a state that is no permutation", file=sys.stderr)
         return EXIT_INFEASIBLE
     print("permutation:", " ".join(str(c) for c in p.as_mapping))

@@ -42,15 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    DomainError,
-    InvalidSize,
-    NonSquareLength,
-    NonZeroDiagonal,
-    NotAPermutation,
-    UnsupportedBranching,
-)
+from .errors import DimensionMismatch, DomainError, InvalidSize, NotAPermutation
 
 PROGRAM_KINDS = ("ascending", "descending", "bst", "heap", "custom")
 
@@ -132,7 +124,7 @@ def _arity(branching) -> int:
     """branching as an int tree arity, which must equal an integer of at least 2."""
     branching = _integral(branching, "branching")
     if branching < 2:
-        raise UnsupportedBranching("branching must be at least 2")
+        raise InvalidSize("branching must be at least 2")
     return branching
 
 
@@ -242,9 +234,9 @@ def _checked(matrix, vector, matrix_name: str, vector_name: str) -> np.ndarray:
 
 
 def _zero_diagonal(matrix: PenaltyMatrix, message: str) -> None:
-    """Raise NonZeroDiagonal(message) unless matrix has an exactly zero diagonal."""
+    """Raise DomainError(message) unless matrix has an exactly zero diagonal."""
     if matrix.self_coupling != 0.0:  # -0.0 is a zero diagonal
-        raise NonZeroDiagonal(message)
+        raise DomainError(message)
 
 
 def _require_finite(vector: np.ndarray, name: str) -> None:
@@ -347,7 +339,7 @@ class OrderProgram:
             raise DomainError(f"unknown program kind {self.kind!r}")
         branching = _arity(self.branching)
         if self.kind == "bst" and branching != 2:
-            raise UnsupportedBranching("search-tree programs exist for branching 2 only")
+            raise InvalidSize("search-tree programs exist for branching 2 only")
         object.__setattr__(self, "ranks", ranks)
         object.__setattr__(self, "branching", branching)
 
@@ -543,16 +535,15 @@ def decode_permutation(z_star) -> PermutationMatrix:
 
     Raises
     ------
-    NonSquareLength
-        If the length is not a positive perfect square.
     NotAPermutation
-        If the state is not one-dimensional, is not binary, or its matrix
-        is not a permutation.  The state is never repaired.
+        If the length is not a positive perfect square, or the state is not
+        one-dimensional, is not binary, or its matrix is not a permutation.
+        The state is never repaired.
     """
     z = _reals(z_star, "state entries", error=NotAPermutation, want="0 or 1")
     n = math.isqrt(z.size)
     if z.size == 0 or n * n != z.size:
-        raise NonSquareLength(f"length {z.size} is not a positive perfect square")
+        raise NotAPermutation(f"length {z.size} is not a positive perfect square")
     if z.ndim != 1:  # an n x n matrix is no column-stacked state
         raise NotAPermutation(f"state must be a one-dimensional vector, not of shape {z.shape}")
     return PermutationMatrix._of(_one_per_line(z, n))

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonSquareLength, NotAPermutation, SizeBudgetExceeded
+from .errors import DimensionMismatch, InvalidSize, NotAPermutation
 from .model import (
     OrderProgram,
     PermutationMatrix,
@@ -60,8 +60,8 @@ class CertificateReport:
 def best_permutation(x: ValueVector, program: OrderProgram) -> tuple[PermutationMatrix, float]:
     """Enumerate all n! mappings and return one minimizing -x^T P^T ranks.
 
-    Ties go to the lexicographically smallest mapping.  Guarded at
-    n <= 10.  Nothing in the package calls it: sort_optimum and certify
+    Ties go to the lexicographically smallest mapping.  Raises InvalidSize
+    for n > 10.  Nothing in the package calls it: sort_optimum and certify
     replaced it.  It stays as an independent reference for the tests of
     sort_optimum, and because the benchmark's tests (perfbench) check
     their own sort oracle against qperm.best_permutation.
@@ -70,7 +70,7 @@ def best_permutation(x: ValueVector, program: OrderProgram) -> tuple[Permutation
     if program.n != n:
         raise DimensionMismatch(f"x has {n} entries but the program has {program.n} slots")
     if n > MAX_ORACLE_N:
-        raise SizeBudgetExceeded(f"n={n} exceeds the n<={MAX_ORACLE_N} enumeration budget")
+        raise InvalidSize(f"n={n} exceeds the n<={MAX_ORACLE_N} enumeration budget")
     values = x.entries
     ranks = np.asarray(program.ranks, dtype=float)
     best_value = math.inf
@@ -134,7 +134,7 @@ def certify(x: ValueVector, program: OrderProgram, solver_state) -> CertificateR
         p = decode_permutation(_reals(solver_state, "solver_state"))
         if p.n != x.n:
             raise NotAPermutation(f"state encodes {p.n} slots but x has {x.n} entries")
-    except (NotAPermutation, NonSquareLength) as exc:
+    except NotAPermutation as exc:
         notes.append(f"decode failed: {exc}")
         return CertificateReport(
             feasible=False,

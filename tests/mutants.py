@@ -163,6 +163,25 @@ MUTANTS = (
         "by_rank[1:] > by_rank[:-1]",
     ),
     Mutant(
+        "certify-skips-its-size-check",
+        "oracle.py",
+        "        if p.n != x.n:\n"
+        '            raise NotAPermutation(f"state encodes {p.n} slots but x has {x.n} entries")\n',
+        "",
+    ),
+    Mutant(
+        "tie-note-needs-every-value-equal",
+        "oracle.py",
+        "if (ordered[1:] == ordered[:-1]).any():",
+        "if (ordered[1:] == ordered[:-1]).all():",
+    ),
+    Mutant(
+        "sort-optimum-sign",
+        "oracle.py",
+        "return -float(ordered[ranks - 1]",
+        "return float(ordered[ranks - 1]",
+    ),
+    Mutant(
         "bst-check-strict",
         "programs.py",
         "(read[:-1] <= read[1:])",
@@ -211,6 +230,18 @@ MUTANTS = (
         "    if branching < 1:\n",
     ),
     Mutant(
+        "bst-takes-any-arity-of-two-or-more",
+        "model.py",
+        'if self.kind == "bst" and branching != 2:',
+        'if self.kind == "bst" and branching < 2:',
+    ),
+    Mutant(
+        "zero-diagonal-lets-a-negative-through",
+        "model.py",
+        "if matrix.self_coupling != 0.0:",
+        "if matrix.self_coupling > 0.0:",
+    ),
+    Mutant(
         "trace-last-energy-unchecked",
         "model.py",
         "math.isfinite(energies[0]) and math.isfinite(energies[-1])",
@@ -221,6 +252,31 @@ MUTANTS = (
         "model.py",
         " or np.bincount(rows).max() > 1:",
         ":",
+    ),
+    Mutant(
+        "decode-skips-the-count-of-ones",
+        "model.py",
+        "if ones.size != n or (columns",
+        "if (columns",
+    ),
+    Mutant(
+        "decode-lets-a-column-repeat",
+        "model.py",
+        " or (columns != np.arange(n)).any()",
+        "",
+    ),
+    Mutant(
+        "decode-takes-any-positive-entry",
+        "model.py",
+        "if not (flat[ones] == 1).all():",
+        "if not (flat[ones] > 0).all():",
+    ),
+    Mutant(
+        "decode-takes-any-length",
+        "model.py",
+        "    if z.size == 0 or n * n != z.size:\n"
+        '        raise NotAPermutation(f"length {z.size} is not a positive perfect square")\n',
+        "",
     ),
     Mutant(
         "value-shrink-exponent-one-less",

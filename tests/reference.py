@@ -41,9 +41,9 @@ import pytest
 from qperm import (
     DomainError,
     HopfieldInstance,
+    InvalidSize,
     MaxStepsExceeded,
     PenaltyMatrix,
-    SizeBudgetExceeded,
     solve,
 )
 
@@ -145,7 +145,7 @@ def exhaustive_qubo_min(instance) -> tuple:
     """
     N = instance.dimension
     if N > MAX_EXHAUSTIVE_BITS:
-        raise SizeBudgetExceeded(f"N={N} exceeds the N<={MAX_EXHAUSTIVE_BITS} enumeration budget")
+        raise InvalidSize(f"N={N} exceeds the N<={MAX_EXHAUSTIVE_BITS} enumeration budget")
     R = instance.matrix_R
     r = instance.vector_r
     bits = np.arange(N)

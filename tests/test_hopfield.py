@@ -220,6 +220,19 @@ def test_the_star_import_gives_every_public_name():
     assert not hasattr(qperm, "energy") and not hasattr(hopfield, "energy")
 
 
+def test_six_error_types():
+    """One type per failure a caller can act on.  Four more types once split
+    these; no caller told them apart."""
+    defined = {name for name, value in vars(qperm.errors).items() if isinstance(value, type)}
+    assert defined == {"QpermError", "DomainError", "InvalidSize", "DimensionMismatch",
+                       "NotAPermutation", "MaxStepsExceeded"}
+    for name in defined:
+        assert name in qperm.__all__ and issubclass(getattr(qperm.errors, name), qperm.QpermError)
+    for name in defined - {"QpermError"}:
+        base = RuntimeError if name == "MaxStepsExceeded" else ValueError
+        assert issubclass(getattr(qperm.errors, name), base)
+
+
 class TestGainBookkeeping:
     def test_gain_matches_energy_difference(self):
         """The reference's 2 s_i ((W s)_i - theta_i) is the change in its

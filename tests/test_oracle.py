@@ -9,10 +9,10 @@ import qperm
 from qperm import oracle
 from qperm import (
     DimensionMismatch,
+    InvalidSize,
     OrderProgram,
     PenaltyMatrix,
     QuboInstance,
-    SizeBudgetExceeded,
     ValueVector,
     apply_permutation,
     ascending_program,
@@ -58,7 +58,7 @@ class TestBestPermutation:
         assert value == pytest.approx(-7.0)
 
     def test_size_guard(self):
-        with pytest.raises(SizeBudgetExceeded):
+        with pytest.raises(InvalidSize):
             best_permutation(ValueVector(list(range(1, 12))), ascending_program(11))
 
     def test_dimension_mismatch(self):
@@ -166,7 +166,7 @@ class TestExhaustiveQuboMin:
 
     def test_size_guard(self):
         inst = QuboInstance(matrix_R=PenaltyMatrix(5, 0.0, 0.0, 0.0), vector_r=np.zeros(25))
-        with pytest.raises(SizeBudgetExceeded):
+        with pytest.raises(InvalidSize):
             exhaustive_qubo_min(inst)
 
     def test_lives_in_the_tests_only(self):

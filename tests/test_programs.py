@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from qperm import (
     InvalidSize,
     QpermError,
-    UnsupportedBranching,
     ascending_program,
     bst_program,
     descending_program,
@@ -88,7 +87,7 @@ class TestBstProgram:
         assert bst_program(1).ranks == (1,)
 
     def test_binary_only(self):
-        with pytest.raises(UnsupportedBranching):
+        with pytest.raises(InvalidSize):
             bst_program(5, branching=3)
 
     @given(st.integers(min_value=1, max_value=32))

@@ -31,7 +31,6 @@ from qperm import (
     InvalidSize,
     IsingInstance,
     MaxStepsExceeded,
-    NonZeroDiagonal,
     PenaltyMatrix,
     QuboInstance,
     ValueVector,
@@ -146,10 +145,10 @@ class TestPenaltyMatrix:
             with pytest.raises(DimensionMismatch):
                 QuboInstance(M, np.zeros(9))
             with pytest.raises(
-                NonZeroDiagonal, match="^fold_diagonal must run before the bipolar substitution$"
+                DomainError, match="^fold_diagonal must run before the bipolar substitution$"
             ):
                 to_ising(QuboInstance(M, r))
-            with pytest.raises(NonZeroDiagonal, match="^matrix_Q must have an exactly zero diagonal$"):
+            with pytest.raises(DomainError, match="^matrix_Q must have an exactly zero diagonal$"):
                 IsingInstance(M, r)
             with pytest.raises(DomainError, match="^weights_W must have an exactly zero diagonal$"):
                 HopfieldInstance(M, r)
