@@ -24,10 +24,9 @@ products and hold build_qubo to.  Every column of C_r and of C_c holds a
 single 1 and N^T x puts x[a] * ranks[b] at z[a*n + b], so r is the
 outer product of the values and the ranks less one offset,
 2 (lam_r + lam_c), which is twice R's diagonal: 2n + 1 numbers.
-reward_terms gives those numbers and decides how x enters them, and
-reward_vector forms r from them; build_qubo and QUBO files that store
-those numbers (see cli) both call reward_vector, so the two give the
-same r bit for bit.
+qubo_terms gives R and those numbers, deciding how x enters them;
+reward_vector forms r from them for build_qubo and for the QUBO files
+that store them (see cli), so the two give the same r bit for bit.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError
-from .model import OrderProgram, PenaltyMatrix, QuboInstance, ValueVector, _real
+from .model import OrderProgram, PenaltyMatrix, QuboInstance, ValueVector, _real, _require_finite
 
 
 def build_qubo(
@@ -53,7 +52,7 @@ def build_qubo(
     Parameters
     ----------
     x : ValueVector
-        Input values; they enter the reward as reward_terms gives them,
+        Input values; they enter the reward as qubo_terms gives them,
         shifted and L1-normalized unless normalize is False.
     program : OrderProgram
         Rank vector of the same length as x.
@@ -63,38 +62,28 @@ def build_qubo(
     Raises
     ------
     DomainError
-        If a weight is not a positive and finite real number, or
-        2 (lambda_r + lambda_c) overflows the float range.
+        If a weight is not a positive and finite real number, if
+        2 (lambda_r + lambda_c) overflows the float range, or if an entry
+        of r does (possible with normalize=False only).
     DimensionMismatch
         If x and the program disagree on n.
     """
-    n = program.n
-    lambda_r = float(n) if lambda_r is None else lambda_r
-    lambda_c = float(n) if lambda_c is None else lambda_c
-    if not all(_real(w) and 0.0 < w < math.inf for w in (lambda_r, lambda_c)):
-        raise DomainError("penalty weights must be positive and finite")
-    try:  # in Python floats, which overflow without a numpy warning
-        offset = 2.0 * (float(lambda_r) + float(lambda_c))
-    except OverflowError:  # an integer weight beyond the float range
-        offset = math.inf
-    if not math.isfinite(offset):
-        raise DomainError(
-            "lambda_r and lambda_c are too large: the reward offset "
-            "2 * (lambda_r + lambda_c) overflows the float range"
-        )
-
-    R = PenaltyMatrix(n, lambda_r, lambda_c, lambda_r + lambda_c)
-    r = reward_vector(*reward_terms(x, program, R, normalize))
-    return QuboInstance(matrix_R=R, vector_r=r)
+    R, *reward = qubo_terms(x, program, lambda_r, lambda_c, normalize)
+    return QuboInstance(matrix_R=R, vector_r=reward_vector(*reward))
 
 
-def reward_terms(
-    x: ValueVector, program: OrderProgram, R: PenaltyMatrix, normalize: bool = True
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """The values, ranks and offset that reward_vector forms r from.
+def qubo_terms(
+    x: ValueVector,
+    program: OrderProgram,
+    lambda_r: Optional[float] = None,
+    lambda_c: Optional[float] = None,
+    normalize: bool = True,
+) -> tuple[PenaltyMatrix, np.ndarray, np.ndarray, float]:
+    """build_qubo's terms and checks without r: the penalty R and the
+    values, ranks and offset that reward_vector forms r from.
 
-    x and the program must agree on n, else DimensionMismatch.  The ranks
-    are the program's as floats, and the offset is 2 * R.self_coupling.
+    R is the module docstring's PenaltyMatrix, the ranks are the program's
+    as floats and the offset is 2 * R.self_coupling.
     With normalize=False the values are x.entries: the paper's
     formulation, which the frozen reference run takes with x scaled by
     sum(|x|) beforehand.  By default they are (x - min) / sum(x - min),
@@ -130,8 +119,23 @@ def reward_terms(
     though no two values were closer than 9.8e-15 of the spread, and 4 of
     5 at n = 600 with sigma = 1e-6, no two closer than 7.5e-13.
     """
-    if x.n != program.n:
-        raise DimensionMismatch(f"x has {x.n} entries but the program has {program.n} slots")
+    n = program.n
+    lambda_r = float(n) if lambda_r is None else lambda_r
+    lambda_c = float(n) if lambda_c is None else lambda_c
+    if not all(_real(w) and 0.0 < w < math.inf for w in (lambda_r, lambda_c)):
+        raise DomainError("penalty weights must be positive and finite")
+    try:  # in Python floats, which overflow without a numpy warning
+        offset = 2.0 * (float(lambda_r) + float(lambda_c))
+    except OverflowError:  # an integer weight beyond the float range
+        offset = math.inf
+    if not math.isfinite(offset):
+        raise DomainError(
+            "lambda_r and lambda_c are too large: the reward offset "
+            "2 * (lambda_r + lambda_c) overflows the float range"
+        )
+    R = PenaltyMatrix(n, lambda_r, lambda_c, lambda_r + lambda_c)
+    if x.n != n:
+        raise DimensionMismatch(f"x has {x.n} entries but the program has {n} slots")
     values = entries = x.entries
     if normalize:
         with np.errstate(over="ignore"):
@@ -147,7 +151,12 @@ def reward_terms(
         if scale > 0.0:
             values /= scale
         values.setflags(write=False)
-    return values, np.asarray(program.ranks, dtype=float), 2.0 * R.self_coupling
+    offset = 2.0 * R.self_coupling
+    # r = fl(-fl(v * rank) - offset) is monotone in v and, for each v, in the rank,
+    # so its extremes lie at the smallest and largest v against the ranks 1 and n.
+    low, high = float(values.min()), float(values.max())
+    _require_finite([-(v * k) - offset for v in (low, high) for k in (1.0, n)], "vector_r")
+    return R, values, np.asarray(program.ranks, dtype=float), offset
 
 
 def reward_vector(values: np.ndarray, ranks: np.ndarray, offset: float) -> np.ndarray:

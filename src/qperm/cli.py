@@ -17,13 +17,13 @@ number per line; a file of one number is one entry in either form.
 Program files are JSON objects with keys
 "n", "kind", "branching", and "ranks"; --branching applies to bst and
 heap programs only.  QUBO files are JSON objects with the key "n" and
-each term in one of two forms.  build writes the quadratic term as
-"penalty": {"n", "same_row", "same_col", "self_coupling"}, the fields of
-the PenaltyMatrix that build_qubo returns, which hold the penalty
-weights, and the linear term as "reward": {"values", "ranks",
-"offset"}: the n values and n ranks whose outer product, less the
-offset 2 * self_coupling, is r, as builder.reward_terms gives them.  A
-file thus holds 2n + 6 numbers besides "x" and "program".  solve reads
+each term in one of two forms.  build writes both from one call of
+builder.qubo_terms, which forms no r: the quadratic term as "penalty":
+{"n", "same_row", "same_col", "self_coupling"}, the fields of its
+PenaltyMatrix, which hold the penalty weights, and the linear term as
+"reward": {"values", "ranks", "offset"}: the n values and n ranks whose
+outer product, less the offset 2 * self_coupling, is r.  A file
+thus holds 2n + 6 numbers besides "x" and "program".  solve reads
 "n", "penalty" or "R", "reward" or "r", and "x", and ignores every other
 key.  It reads the penalty back as that PenaltyMatrix, whose descent
 never forms the n^2 x n^2 matrix, and forms r with the function
@@ -46,7 +46,7 @@ solve and verify run one descent from the all-inactive state through
 hopfield.solve_qubo; verify builds with the defaults and reports the
 checks of certify on its endpoint.  The default build shifts x by its
 minimum before scaling, which makes that one descent exact (see
-builder.reward_terms).  certify compares with the sort optimum, so
+builder.qubo_terms).  certify compares with the sort optimum, so
 verify runs at any n.
 
 Trace lines follow a fixed format: the step index right-aligned in four
@@ -79,7 +79,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .builder import build_qubo, reward_terms, reward_vector
+from .builder import build_qubo, qubo_terms, reward_vector
 from .errors import MaxStepsExceeded, NotAPermutation, QpermError
 from .hopfield import solve_qubo
 from .model import (
@@ -188,7 +188,7 @@ def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParse
     p_build.add_argument("program_file")
     p_build.add_argument("--lambda-r", type=float, default=None, help="row penalty (default n)")
     p_build.add_argument("--lambda-c", type=float, default=None, help="column penalty (default n)")
-    p_build.add_argument("--no-normalize", action="store_true")
+    p_build.add_argument("--no-normalize", dest="normalize", action="store_false")
     p_build.add_argument("-o", "--out", help="output path (default: stdout)")
     p_build.set_defaults(handler=_cmd_build)
 
@@ -223,15 +223,14 @@ def _cmd_program(args) -> int:
 def _cmd_build(args) -> int:
     x = _load(args.x_file, _values)
     program = _load(args.program_file, _program)
-    normalize = not args.no_normalize
-    R = build_qubo(x, program, args.lambda_r, args.lambda_c, normalize).matrix_R
-    values, _, offset = reward_terms(x, program, R, normalize)
+    R, values, _, offset = qubo_terms(x, program, args.lambda_r, args.lambda_c, args.normalize)
+    ranks = list(program.ranks)
     payload = {
         "n": program.n,
         "penalty": {name: getattr(R, name) for name in _PENALTY_FIELDS},
-        "reward": {"values": values.tolist(), "ranks": list(program.ranks), "offset": offset},
+        "reward": {"values": values.tolist(), "ranks": ranks, "offset": offset},
         "x": x.entries.tolist(),
-        "program": _program_to_dict(program),
+        "program": {"kind": program.kind, "branching": program.branching, "ranks": ranks},
     }
     _write_text(json.dumps(payload) + "\n", args.out)
     return EXIT_OK
@@ -251,7 +250,7 @@ def _cmd_solve(args) -> int:
     print("permutation:", " ".join(str(c) for c in p.as_mapping))
     if x is not None:
         arranged = apply_permutation(p, x)
-        print("values:", " ".join(_fmt(v) for v in arranged))
+        print("values:", " ".join(f"{v:g}" for v in arranged))
     print("flips:", trace.flips)
     print("energy:", repr(trace.final_energy))
     return EXIT_OK
@@ -395,10 +394,6 @@ def _object(text: str, keys: tuple[str, ...]) -> dict:
     return data
 
 
-def _program_to_dict(program: OrderProgram) -> dict:
-    return {"kind": program.kind, "branching": program.branching, "ranks": list(program.ranks)}
-
-
 def _program_text(program: OrderProgram) -> str:
     """A program file: json.dumps of its n, kind, branching and ranks with
     indent=2, and a newline.  json runs its pure-Python encoder whenever it
@@ -432,10 +427,6 @@ def _write_text(text: str, path: Optional[str]) -> None:
             os.ftruncate(fd, written)
     finally:
         os.close(fd)
-
-
-def _fmt(value: float) -> str:
-    return f"{value:g}"
 
 
 if __name__ == "__main__":

@@ -67,7 +67,7 @@ minima and descent cannot cross between them.  Descent from the
 all-inactive state pairs values with ranks greedily, largest reward
 first.  With the builder's default input, shifted by its minimum and
 L1-normalized, every reward is non-negative and that greedy pairing is
-the sorted, optimal one (see builder.reward_terms), so one descent is
+the sorted, optimal one (see builder.qubo_terms), so one descent is
 all that solve runs.  With normalize=False or custom penalty weights that
 guarantee is gone, and a descent can stop in a stable non-optimal or
 infeasible state; certify says which.

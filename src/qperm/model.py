@@ -249,7 +249,7 @@ class ValueVector:
     """An input vector: finite real numbers, one dimension, at least one entry.
 
     The builder decides how they enter the reward (see
-    builder.reward_terms); every other reader takes them as they are.
+    builder.qubo_terms); every other reader takes them as they are.
     """
 
     entries: np.ndarray

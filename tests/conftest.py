@@ -22,7 +22,7 @@ from qperm import (
     to_hopfield,
     to_ising,
 )
-from qperm.builder import reward_terms
+from qperm.builder import qubo_terms
 
 from . import reference
 from . import reference_run as ref
@@ -41,10 +41,10 @@ def paper_faithful(values):
 
 
 def shifted(values):
-    """The values that reward_terms makes of x = values by default: shifted
+    """The values that qubo_terms makes of x = values by default: shifted
     by their minimum and L1-normalized."""
     x = ValueVector(values)
-    return reward_terms(x, ascending_program(x.n), PenaltyMatrix(x.n, 1.0, 1.0, 2.0))[0]
+    return qubo_terms(x, ascending_program(x.n))[1]
 
 
 @pytest.fixture(params=["ascending", "bst", "heap"])

@@ -230,6 +230,18 @@ MUTANTS = (
         "",
     ),
     Mutant(
+        "inorder-visits-the-slot-first",
+        "programs.py",
+        "        walk(2 * slot + 1)\n        order.append(slot)\n",
+        "        order.append(slot)\n        walk(2 * slot + 1)\n",
+    ),
+    Mutant(
+        "postorder-skips-the-last-child",
+        "programs.py",
+        "min(first + branching, n)",
+        "min(first + branching - 1, n)",
+    ),
+    Mutant(
         "arity-of-one",
         "model.py",
         "    if branching < 2:\n",
@@ -307,6 +319,13 @@ MUTANTS = (
         "",
     ),
     Mutant(
+        "reward-corners-unchecked",
+        "builder.py",
+        "    _require_finite([-(v * k) - offset for v in (low, high) for k in (1.0, n)], "
+        '"vector_r")\n',
+        "",
+    ),
+    Mutant(
         "zero-spread-divided",
         "builder.py",
         "if scale > 0.0:",
@@ -326,6 +345,42 @@ MUTANTS = (
         equivalent="the shifted sum stays below n max|x| 2^-bits, within the float range, "
         "and a power-of-two scale is exact above the subnormals; a difference that "
         "underflows normalizes to 0 either way",
+    ),
+    Mutant(
+        "verify-exits-0-on-a-failed-certificate",
+        "cli.py",
+        "return EXIT_OK if report.passed else EXIT_FAILED_CERTIFICATE",
+        "return EXIT_OK",
+    ),
+    Mutant(
+        "step-budget-exits-2",
+        "cli.py",
+        "        return EXIT_INFEASIBLE\n    except (QpermError, OSError, ValueError)",
+        "        return EXIT_USAGE\n    except (QpermError, OSError, ValueError)",
+    ),
+    Mutant(
+        "closed-pipe-exits-2",
+        "cli.py",
+        "        return EXIT_PIPE\n    except MaxStepsExceeded",
+        "        return EXIT_USAGE\n    except MaxStepsExceeded",
+    ),
+    Mutant(
+        "dense-R-taken-unchecked",
+        "cli.py",
+        "if np.array_equal(np.asarray(penalty), R):",
+        "if True:",
+    ),
+    Mutant(
+        "both-term-keys-accepted",
+        "cli.py",
+        "if (structured in data) == (dense in data):",
+        "if structured not in data and dense not in data:",
+    ),
+    Mutant(
+        "longer-file-not-cut",
+        "cli.py",
+        "os.ftruncate(fd, written)",
+        "pass",
     ),
 )
 

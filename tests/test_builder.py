@@ -13,9 +13,9 @@ from qperm import (
     ascending_program,
     build_qubo,
 )
-from qperm.builder import reward_terms
+from qperm.builder import qubo_terms, reward_vector
 
-from .conftest import make_program, shifted
+from .conftest import PROGRAMS, make_program, shifted
 from .reference import (
     build_Cc,
     build_Cr,
@@ -164,6 +164,33 @@ class TestRewardTerms:
         assert v.sum() == pytest.approx(1.0)
         assert np.argsort(v, kind="stable").tolist() == np.argsort(values, kind="stable").tolist()
 
+    @given(
+        st.sampled_from(sorted(PROGRAMS)),
+        st.lists(
+            st.builds(
+                lambda m, e: m * 10.0**e, st.floats(-1.79, 1.79), st.sampled_from([0, 307, 308])
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        st.sampled_from([1.0, 3.0, 1e307, 4e307]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_refuses_exactly_when_r_leaves_the_float_range(self, kind, values, weight):
+        """Unnormalized, qubo_terms checks r's four corners only; r leaves the
+        float range exactly when one of them does."""
+        x, program = ValueVector(values), make_program(kind, len(values))
+        r = reward_vector(x.entries, np.asarray(program.ranks, dtype=float), 4.0 * weight)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                qubo_terms(x, program, weight, weight, normalize=False)
+            except DomainError as exc:
+                assert str(exc) == "vector_r must be finite"
+                assert not np.isfinite(r).all()
+            else:
+                assert np.isfinite(r).all()
+
 
 class TestQuboObjective:
     def test_hand_expansion_two_slots(self):
@@ -179,7 +206,7 @@ class TestQuboObjective:
     def test_feasible_encodings_share_constant_gap(self):
         x = ValueVector([5.0, -2.0, 7.0])
         inst = build_qubo(x, ascending_program(3))
-        xn = reward_terms(x, ascending_program(3), inst.matrix_R)[0]
+        xn = qubo_terms(x, ascending_program(3))[1]
         ranks = np.array([1.0, 2.0, 3.0])
         for mapping in ((0, 1, 2), (2, 0, 1), (1, 2, 0)):
             Z = np.zeros((3, 3))

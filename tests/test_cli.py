@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -8,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import tracemalloc
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -29,11 +31,11 @@ from qperm import (
     solve_qubo,
 )
 from qperm import cli
-from qperm.builder import reward_terms
+from qperm.builder import qubo_terms, reward_vector
 from qperm.cli import main, render_trace
 
 from . import reference_run as ref
-from .conftest import PROGRAMS, input_values, make_program, program_argv, shifted
+from .conftest import PROGRAMS, input_values, make_program, program_argv, shifted, x_of
 from .reference import bits, replay, vectorize
 
 
@@ -83,6 +85,143 @@ def dense_reward(payload):
     offset = reward["offset"]
     payload["r"] = [-(v * k) - offset for v in reward["values"] for k in reward["ranks"]]
 
+
+BUILD_FLAGS = {
+    "default": [],
+    "raw": ["--no-normalize"],
+    "lambda": ["--lambda-r", "2.5", "--lambda-c", "0.7"],
+}
+HUGE_X = [1e308, -1e308, 0.0]  # a spread beyond the float range
+
+# sha256 of the file `qperm build x.json prog.json [flags] -o qubo.json`
+# writes, for x_of(regime, n) or HUGE_X and conftest.program_argv(kind, n),
+# recorded while build still formed r and threw it away.
+BUILD_DIGESTS = {
+    ("gaussian", "ascending", 8, "default"):
+        "d999a5d9d5c32cbd5109ea6593f4dcdfd1789ca6207abedf335ef6d23edeefb0",
+    ("gaussian", "ascending", 8, "lambda"):
+        "a4873b20b9850d689bbd2ada575bb27e26b15b55111eee62ea0599469b4b0452",
+    ("gaussian", "ascending", 8, "raw"):
+        "8856d2677e78ce373a7575a98cd05d3a4e0c11b20a1a552412ede4eb032b5f0d",
+    ("gaussian", "ascending", 24, "default"):
+        "e7fb03ad64b8978a20c6c2acc1af7e7aa347aa6b708701260547011791bb6de8",
+    ("gaussian", "ascending", 24, "lambda"):
+        "98c89439a794050504a1fa4928db1a880895bcad5f058d2a94ca9eedcb1dc0c3",
+    ("gaussian", "ascending", 24, "raw"):
+        "14efb3947f92045ad3914995e272604b8e4d365d2069c3b56e8903dcf7d7ae79",
+    ("gaussian", "bst", 8, "default"):
+        "f7cfb76ed0e3fbb15f67feb9ef62c4886eca2a78f6cc21d5b90839246e9cd5eb",
+    ("gaussian", "bst", 8, "lambda"):
+        "fb2569a7b9d11553f10b2586ad9f04df7a73a636c22a4654be1f7be42ecb5c28",
+    ("gaussian", "bst", 8, "raw"):
+        "8017a63898c3177620efec72c2b47660c7c2073254e52d1f34dea18cfa10f382",
+    ("gaussian", "bst", 24, "default"):
+        "3081df0b5019e643d43e98a66730fcd2bab18912bee332836f85b81a04ab1cdc",
+    ("gaussian", "bst", 24, "lambda"):
+        "9eb37210bdf409e133212f1500c75ae5caede783f9435a30f32f5487c69212fb",
+    ("gaussian", "bst", 24, "raw"):
+        "3366394ec24e962564d56b63dbb394521f11b97dc59169d59a1aac1d9f8cbe83",
+    ("gaussian", "descending", 8, "default"):
+        "e1060c407ff420614aaacc3a58bb8da21e202f9ba07e32dc01c2a3d79a87d7fa",
+    ("gaussian", "descending", 8, "lambda"):
+        "0dd9b482d62dbd595043a851f33fcd054d5e95c85a91770ab88666f87fc9ecb1",
+    ("gaussian", "descending", 8, "raw"):
+        "b8e7a0567f3d608736a1b51ceaee44e6185f2e3c5bdcd724ce8a7cb82fcb7338",
+    ("gaussian", "descending", 24, "default"):
+        "cedd530f4c9d9efc0257a87adf95d5b57024071cfcdf8111cc5e6311e86ff6ed",
+    ("gaussian", "descending", 24, "lambda"):
+        "c4c669160b4706d6ebb425db2850e13e847cded97b325ca4bdad24c2a7c11267",
+    ("gaussian", "descending", 24, "raw"):
+        "ac97b08b3f9f4c1d47d684cf124955e99c40dfe7648d6750c2e7ea3440aadabf",
+    ("gaussian", "heap", 8, "default"):
+        "96e70a30fd23ae8595de47f348e745fc565df75e791c636cef3617f403d98cec",
+    ("gaussian", "heap", 8, "lambda"):
+        "e6dca49fa8cc5ec957f305e7d75c4480c4ce938dd9ef5f39a016268ef461b11b",
+    ("gaussian", "heap", 8, "raw"):
+        "8e5f7124f404621abf737ee932f2ef4d3f68e678d34167f0cad944d983e57bf7",
+    ("gaussian", "heap", 24, "default"):
+        "817a0f2f1661da23a1da9b19197a3314d32f526871bdbefb2eb97b4f9963462a",
+    ("gaussian", "heap", 24, "lambda"):
+        "0c253feba8e1aadb927187b3d642deb5f4ad66a9b6eb7fd9db47f0bc50184c8a",
+    ("gaussian", "heap", 24, "raw"):
+        "caa53380ffea0bea0d45c64f289167214d9147057182a71cb3c5728f3af7119c",
+    ("gaussian", "heap3", 8, "default"):
+        "3afa5446ffe0a96f4754b9e598be12bb2daabcd8dc5ce447ed8c5f71daeb71a2",
+    ("gaussian", "heap3", 8, "lambda"):
+        "dad4102613d63cbcc407ffcab645bcd64601de85f09939305b4138b3a1687574",
+    ("gaussian", "heap3", 8, "raw"):
+        "af23ffee9ae2121d91c7d9539f3fbf73c0953977be6b49d72312719b8c7b0017",
+    ("gaussian", "heap3", 24, "default"):
+        "b41f6ed2858a5c080450d7bf614a93964c49477a2110da6f4eab068e0de632fc",
+    ("gaussian", "heap3", 24, "lambda"):
+        "1f255ee324427abf5280dbafd0e1efa9ce2d997a69d1283d54485332b8996a6a",
+    ("gaussian", "heap3", 24, "raw"):
+        "c0d6cd1ff9b51d5124847a8fe04596fb6257457268da36d235961d2fdb7b5eaf",
+    ("huge", "ascending", 3, "default"):
+        "907317098b0e4fc98ac478a7d544cab4a0968630db9ac534bad6fd1c4d274093",
+    ("huge", "ascending", 3, "lambda"):
+        "7f43295d5c3ac629bc59e3183dae33aa7a78eb5936f77517770f60ed664014cf",
+    ("paper", "ascending", 8, "default"):
+        "21a56d0ab8798def5773a7b7e89ece848afa7cc24ff52d7b19b3db2c652c1f04",
+    ("paper", "ascending", 8, "lambda"):
+        "921194a149351418f737752e0c91721eb4b953d4536de4cea9184b6bc4b26afc",
+    ("paper", "ascending", 8, "raw"):
+        "406f38d9f592a5a7cf3c2afe1eb5e5bf18e24b2e710852c5e8bd746f93c531c1",
+    ("paper", "ascending", 24, "default"):
+        "7df849aaf0e6c2e23d1c82055f156d2de29c95ee12e0809a6757dea0eea80c10",
+    ("paper", "ascending", 24, "lambda"):
+        "2dccf7d1cf5379c86bded1eb75d7bccca0cd17bf4dfd992ec5f4513d3210ec43",
+    ("paper", "ascending", 24, "raw"):
+        "7a2f3dd53b0f8ac07ebdb1fb7a0d4dd0731ab7dc92eab889ddc76f7294a062bc",
+    ("paper", "bst", 8, "default"):
+        "06a3609be407f701e08f943ff31a27f1e1c23eff121215e3dd6bc8c657c99a5a",
+    ("paper", "bst", 8, "lambda"):
+        "b48a7e6f51c6bed39a8e6d37d3de91b2ef1e4849a2dc21ddae9815a30bdce575",
+    ("paper", "bst", 8, "raw"):
+        "9ebf270e2dbb4923ed83f7cc5347432edf2043f196e15535441b840f9b9addc8",
+    ("paper", "bst", 24, "default"):
+        "f4460e4115864e081d31deef0119b2ad0a69e80e2b252cade1829bdfc2bb3b16",
+    ("paper", "bst", 24, "lambda"):
+        "9963dc54913b46079d65b5204b71ed5a0422743f7d2583a802cee2621153160e",
+    ("paper", "bst", 24, "raw"):
+        "c6f0f61ec2d4338fb2d4543aa164fb97af3cd53d2a46a1c88e958b8ec6bac2b9",
+    ("paper", "descending", 8, "default"):
+        "392ffb08e763fae9b57ac0430e32cf65d3e2b1279321a3946ae609491837c0e0",
+    ("paper", "descending", 8, "lambda"):
+        "0986436a649f440034663885f4e9d90f3b5059bf57fb39c2f81e0f28d91a1607",
+    ("paper", "descending", 8, "raw"):
+        "3736b448da9d06e1bbe0a512a5a499efb9ae0fa92caa94da53818ced69cda01f",
+    ("paper", "descending", 24, "default"):
+        "86780f754ffc015e8bb376a50a594629c806e0063b87ded40c0e5dbd131337a5",
+    ("paper", "descending", 24, "lambda"):
+        "6a3c9606019fc39549ee556799b9278785f1984b59169c636f56a7580b31e65d",
+    ("paper", "descending", 24, "raw"):
+        "b604c2c44e839b42eb53c0195d49adae005e26dbf9c60669c4fe2f81439b9591",
+    ("paper", "heap", 8, "default"):
+        "28245fcb458ceb65096370cff4e574094aa406fbbc0764c6d8a550e50ad650f1",
+    ("paper", "heap", 8, "lambda"):
+        "9a50eeb5166742bb4d70808f3f6158a46ac4489a75539f32054807bffda2fc96",
+    ("paper", "heap", 8, "raw"):
+        "1028eb0e60ada3d9f1b6220a20bb12466d4a1df03dd5921f95e0eb2da6cbeb54",
+    ("paper", "heap", 24, "default"):
+        "6b04dbf5ce232ff71f01b7cc695b9aaf0779a4ec5bda72a293c17ce957db3111",
+    ("paper", "heap", 24, "lambda"):
+        "2ffad4c7835f96cd8febd4e8f5dd378863e2536982c85cbca491fdf6840d2e29",
+    ("paper", "heap", 24, "raw"):
+        "2b93f394c9362a0fb65eac54da5a40ab9359a0913964b7486d87966be13026c1",
+    ("paper", "heap3", 8, "default"):
+        "cbd7019f60bba8d9eb2aea1840c11ad1015038700934d16990ec332bfb375bc1",
+    ("paper", "heap3", 8, "lambda"):
+        "4ea39c75f7f40ed60a959e7b400f8e62c698c3861aa1bfa477574a212a788a91",
+    ("paper", "heap3", 8, "raw"):
+        "9043e1f92c9866d6e2b168901ff7b405a17f9914db3c7d4d70528216dbcec52a",
+    ("paper", "heap3", 24, "default"):
+        "70c5165d5f4ffd7298ece23c8863e5fc962e7ace55ad1127db9f77806fac19a4",
+    ("paper", "heap3", 24, "lambda"):
+        "0630c04aedf630c800e46b75a06cca7be92b3b3022acd07d6ba90a28685804a4",
+    ("paper", "heap3", 24, "raw"):
+        "857d571f5b66ebd6b5191ea2e90171a531eb446cc5fa27650b6c0df18af60885",
+}
 
 SIGNED_X = np.random.default_rng(7).normal(size=7).tolist()
 SCALED_X = (np.array(ref.INPUT_X) / np.abs(ref.INPUT_X).sum()).tolist()
@@ -258,6 +397,60 @@ class TestBuildCommand:
         assert out == ""
         assert err.startswith("error: lambda_r and lambda_c are too large")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "values, infinite",
+        [([-1e308, 0.0, 1.0], [np.inf]), ([1e308, 0.0, 1.0], [-np.inf]), ([5e307, 0.0, 1.0], [])],
+        ids=["most-positive-corner", "most-negative-corner", "within-range"],
+    )
+    def test_unnormalized_reward_beyond_the_float_range(self, tmp_path, capsys, values, infinite):
+        """Unnormalized, r's extremes pair the smallest and largest value with
+        rank 1 or n; build refuses exactly when one leaves the float range."""
+        r = reward_vector(np.array(values), np.array([1.0, 2.0, 3.0]), 12.0)
+        assert sorted(set(r[~np.isfinite(r)].tolist())) == infinite
+        x_path, prog = input_files(tmp_path, values, "ascending")
+        capsys.readouterr()
+        out = tmp_path / "qubo.json"
+        code = main(["build", x_path, prog, "--no-normalize", "-o", str(out)])
+        assert code == (2 if infinite else 0)
+        assert capsys.readouterr() == ("", "error: vector_r must be finite\n" if infinite else "")
+        assert out.exists() != bool(infinite)
+
+    def test_one_builder_call_and_no_r(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return qubo_terms(*args)
+
+        def refuse(*args):
+            raise AssertionError("build formed r")
+
+        monkeypatch.setattr(cli, "qubo_terms", counted)
+        monkeypatch.setattr(cli, "build_qubo", refuse)
+        monkeypatch.setattr(cli, "reward_vector", refuse)
+        x_path, prog = input_files(tmp_path, SIGNED_X, "heap")
+        assert main(["build", x_path, prog, "-o", str(tmp_path / "qubo.json")]) == 0
+        assert len(calls) == 1
+
+    def test_peak_memory_at_n1000(self, tmp_path):
+        """A file of 2n + 6 numbers takes no n^2 floats to write: with r
+        formed, this build peaked at 16.3 MiB."""
+        x_path, prog = input_files(tmp_path, x_of("gaussian", 1000).tolist(), "heap")
+        tracemalloc.start()
+        try:
+            assert main(["build", x_path, prog, "-o", str(tmp_path / "qubo.json")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
+    @pytest.mark.parametrize("regime, kind, n, flags", sorted(BUILD_DIGESTS))
+    def test_written_bytes_are_pinned(self, tmp_path, regime, kind, n, flags):
+        values = HUGE_X if regime == "huge" else x_of(regime, n).tolist()
+        qubo = build_file(tmp_path, values, kind, *BUILD_FLAGS[flags])
+        digest = hashlib.sha256(Path(qubo).read_bytes()).hexdigest()
+        assert digest == BUILD_DIGESTS[regime, kind, n, flags]
 
     @pytest.mark.parametrize(
         "payload, message",
@@ -765,8 +958,8 @@ class TestQuboFileFormat:
             reward = json.loads(Path(qubo).read_text(encoding="utf-8"))["reward"]
             got = cli._load(qubo, cli._qubo)[0].vector_r
         assert got.tobytes() == instance.vector_r.tobytes()
-        want, _, offset = reward_terms(
-            ValueVector(values), make_program(kind, n), instance.matrix_R, normalize
+        _, want, _, offset = qubo_terms(
+            ValueVector(values), make_program(kind, n), lambda_r, lambda_c, normalize
         )
         assert bits(reward["values"]) == bits(want) and bits(reward["offset"]) == bits(offset)
 

@@ -34,7 +34,7 @@ from qperm import (
     build_qubo,
     fold_diagonal,
 )
-from qperm.builder import reward_terms
+from qperm.builder import qubo_terms
 
 from . import reference
 from .conftest import (
@@ -187,7 +187,7 @@ class TestInPlaceMatrices:
         instance = build_qubo(
             x, program, lambda_r=lambda_r, lambda_c=lambda_c, normalize=normalize
         )
-        v = reward_terms(x, program, instance.matrix_R, normalize)[0]
+        v = qubo_terms(x, program, lambda_r, lambda_c, normalize)[1]
         R, r = reference.kronecker_qubo(v, program, lambda_r, lambda_c)
         assert bits(instance.matrix_R) == bits(R)
         assert bits(instance.vector_r) == bits(r)

@@ -42,7 +42,7 @@ from .reference import matricize, permutation_matrix, vectorize
 
 class TestValueVector:
     def test_entries_is_the_only_field(self):
-        # the builder derives the reward's values (builder.reward_terms)
+        # the builder derives the reward's values (builder.qubo_terms)
         assert [f.name for f in dataclasses.fields(ValueVector)] == ["entries"]
         assert ValueVector([3.0, -1.0, 1.0]).n == 3
 
