@@ -1,8 +1,8 @@
 """Exact optima and certification.
 
 sort_optimum reads the optimal objective off one sort, at any n, by the
-rearrangement inequality, and certify checks a solver state exactly
-against the order that inequality demands.  Neither knows anything about
+rearrangement inequality, and certify compares a solver state exactly
+with the arrangement that inequality names.  Neither knows anything about
 how the solver searches, and neither enumerates anything.
 best_permutation, which scores every one of the n! arrangements on the
 raw input values, stays beside them as a reference for the tests of
@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -96,16 +97,29 @@ def sort_optimum(x: ValueVector, program: OrderProgram) -> float:
     slot i holds the ranks[i]-th smallest value, so the optimum is
     -sum_i ranks[i] * sorted(x)[ranks[i] - 1].  No size guard applies.
     """
-    return _sort_optimum(x, program)[0]
+    return _objective(_arrangements(x, program)[1], program)
 
 
-def _sort_optimum(x: ValueVector, program: OrderProgram) -> tuple[float, np.ndarray]:
-    """(sort_optimum(x, program), the entries of x sorted)."""
+def _arrangements(x: ValueVector, program: OrderProgram) -> tuple[np.ndarray, np.ndarray]:
+    """(the entries of x sorted, the optimal arrangement: slot i holds the ranks[i]-th smallest)."""
     if program.n != x.n:
         raise DimensionMismatch(f"x has {x.n} entries but the program has {program.n} slots")
     ordered = np.sort(x.entries)
-    ranks = np.asarray(program.ranks)
-    return -float(ordered[ranks - 1] @ ranks.astype(float)), ordered
+    return ordered, ordered[np.asarray(program.ranks) - 1]
+
+
+def _objective(y: np.ndarray, program: OrderProgram) -> float:
+    """-y^T ranks: the float sum if finite, else the exact sum rounded once
+    (a float filter with an exact fallback, as in Shewchuk 1997)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = -float(y @ np.asarray(program.ranks, dtype=float))
+    if math.isfinite(value):
+        return value
+    exact = -sum(Fraction(v) * k for v, k in zip(y.tolist(), program.ranks))
+    try:
+        return float(exact)
+    except OverflowError:
+        return math.inf if exact > 0 else -math.inf
 
 
 def certify(x: ValueVector, program: OrderProgram, solver_state) -> CertificateReport:
@@ -115,18 +129,18 @@ def certify(x: ValueVector, program: OrderProgram, solver_state) -> CertificateR
     an exception; one with an entry that is no real number is refused
     with DomainError.  Optimality is an exact order check: the ranks are
     distinct, so by the rearrangement inequality an arrangement y is
-    optimal exactly when ranks[i] < ranks[j] implies y[i] <= y[j], that
-    is, when y read in increasing rank order never decreases; any pair
-    that breaks this raises the objective by (r_j - r_i)(y_i - y_j) > 0
-    when swapped.  No tolerance and no size guard apply.  The report
-    keeps the achieved -x^T P^T ranks and sort_optimum as information
-    only; either may overflow to an infinity.  For bst and heap programs the
-    arranged values must also pass the matching structure validator;
-    other kinds skip that check (structure_valid is None).
+    optimal exactly when y read in increasing rank order never decreases,
+    that is, when slot i holds sorted(x)[ranks[i] - 1] (-0.0 == 0.0); any
+    pair out of order raises the objective by (r_j - r_i)(y_i - y_j) > 0.
+    No tolerance and no size guard apply.  The report keeps the achieved
+    -x^T P^T ranks and sort_optimum as information only: never NaN, and
+    an infinity only when the exact value lies beyond the float range.
+    For bst and heap programs the arranged values must also pass the
+    matching structure validator; other kinds skip that check
+    (structure_valid is None).
     """
-    ranks = np.asarray(program.ranks, dtype=float)
-    with np.errstate(over="ignore"):
-        best_value, ordered = _sort_optimum(x, program)
+    ordered, best = _arrangements(x, program)
+    best_value = _objective(best, program)
     notes: list[str] = []
     if (ordered[1:] == ordered[:-1]).any():  # equal values sort next to each other; -0.0 == 0.0
         notes.append("objective-tie: duplicate input values admit several optimal arrangements")
@@ -146,10 +160,6 @@ def certify(x: ValueVector, program: OrderProgram, solver_state) -> CertificateR
             notes=tuple(notes),
         )
     arranged = apply_permutation(p, x)
-    with np.errstate(over="ignore"):
-        achieved = -float(arranged @ ranks)
-    by_rank = arranged[np.argsort(ranks)]
-    optimal = bool((by_rank[1:] >= by_rank[:-1]).all())
     structure_valid: Optional[bool] = None
     if program.kind == "bst":
         structure_valid = validate_bst(arranged)
@@ -157,8 +167,8 @@ def certify(x: ValueVector, program: OrderProgram, solver_state) -> CertificateR
         structure_valid = validate_heap(arranged, program.branching)
     return CertificateReport(
         feasible=True,
-        optimal=optimal,
-        achieved_objective=achieved,
+        optimal=np.array_equal(arranged, best),
+        achieved_objective=_objective(arranged, program),
         best_objective=best_value,
         mapping=p.as_mapping,
         structure_valid=structure_valid,

@@ -99,6 +99,13 @@ def x_of(regime, n):
     return rng.standard_normal(n)
 
 
+def near_float_limit(n):
+    """n values of magnitude U(0.1, 1) 1.7e308 and random signs, from
+    default_rng(n): their products with the ranks overflow both ways."""
+    rng = np.random.default_rng(n)
+    return rng.choice([-1.0, 1.0], n) * rng.uniform(0.1, 1, n) * 1.7e308
+
+
 # --- hypothesis strategies ----------------------------------------------------
 
 

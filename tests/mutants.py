@@ -157,10 +157,10 @@ MUTANTS = (
         "2.0 * Q.same_col",
     ),
     Mutant(
-        "certify-order-check-strict",
+        "certify-compares-only-the-multisets",
         "oracle.py",
-        "by_rank[1:] >= by_rank[:-1]",
-        "by_rank[1:] > by_rank[:-1]",
+        "optimal=np.array_equal(arranged, best),",
+        "optimal=np.array_equal(np.sort(arranged), ordered),",
     ),
     Mutant(
         "certify-skips-its-size-check",
@@ -176,10 +176,22 @@ MUTANTS = (
         "if (ordered[1:] == ordered[:-1]).all():",
     ),
     Mutant(
-        "sort-optimum-sign",
+        "objective-sign",
         "oracle.py",
-        "return -float(ordered[ranks - 1]",
-        "return float(ordered[ranks - 1]",
+        "value = -float(y @",
+        "value = float(y @",
+    ),
+    Mutant(
+        "objective-without-the-exact-fallback",
+        "oracle.py",
+        "    if math.isfinite(value):\n        return value\n",
+        "    return value\n",
+    ),
+    Mutant(
+        "objective-fallback-infinity-sign-swapped",
+        "oracle.py",
+        "return math.inf if exact > 0 else -math.inf",
+        "return -math.inf if exact > 0 else math.inf",
     ),
     Mutant(
         "oracle-budget-off-by-one",

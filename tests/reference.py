@@ -16,7 +16,9 @@ arrays of n^2 x n^2 matrices and n^2 vectors:
 * the record of a reference descent, which may start anywhere (Descent),
   and the states a descent visits, rebuilt from its start and flips
   (replay), for the reference's records and solve's alike;
-* exact energies in Fractions;
+* exact energies in Fractions, and the exact objective -y^T ranks;
+* the order the rearrangement inequality demands of an optimal
+  arrangement, as a pairwise rule (in_rank_order);
 * exhaustive_qubo_min, the global minimizer of a QUBO over all 2^N
   binary states, guarded at N <= 20;
 * the structure checks as the tree definitions state them: validate_bst
@@ -373,6 +375,11 @@ def fraction_energies(W, theta, states) -> list[float]:
     return energies
 
 
+def exact_objective(y, ranks) -> Fraction:
+    """-y^T ranks in exact arithmetic."""
+    return -sum(Fraction(v) * k for v, k in zip(np.asarray(y, dtype=float).tolist(), ranks))
+
+
 def _float(E: Fraction) -> float:
     """E correctly rounded; beyond the float range, an infinity."""
     try:
@@ -381,7 +388,15 @@ def _float(E: Fraction) -> float:
         return math.inf if E > 0 else -math.inf
 
 
-# --- structure checks -------------------------------------------------------
+# --- optimality and structure checks ----------------------------------------
+
+
+def in_rank_order(y, ranks) -> bool:
+    """True when y, read in increasing rank order, never decreases: for
+    distinct ranks, by the rearrangement inequality, exactly when y
+    minimizes -y^T ranks among the arrangements of its values."""
+    by_rank = np.asarray(y, dtype=float)[np.argsort(ranks)]
+    return bool((by_rank[1:] >= by_rank[:-1]).all())
 
 
 def validate_bst(values, size: int) -> bool:

@@ -35,7 +35,15 @@ from qperm.builder import qubo_terms, reward_vector
 from qperm.cli import main, render_trace
 
 from . import reference_run as ref
-from .conftest import PROGRAMS, input_values, make_program, program_argv, shifted, x_of
+from .conftest import (
+    PROGRAMS,
+    input_values,
+    make_program,
+    near_float_limit,
+    program_argv,
+    shifted,
+    x_of,
+)
 from .reference import bits, replay, vectorize
 
 
@@ -1256,6 +1264,16 @@ class TestVerifyCommand:
         assert f"values: {arranged}\n" in capsys.readouterr().out
         assert main(["verify", str(tmp_path / "x.json"), str(tmp_path / "prog.json")]) == 0
         assert "objective vs oracle      PASS" in capsys.readouterr().out
+
+    def test_objectives_beyond_float_range_print_no_warning(self, tmp_path, capsys):
+        """certify's sums of rank products overflowing both ways once printed
+        numpy's overflow and inf - inf warnings ahead of the report."""
+        x_path, prog = input_files(tmp_path, near_float_limit(24).tolist(), "ascending")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["verify", x_path, prog]) == 0
+        out, err = capsys.readouterr()
+        assert "objective vs oracle      PASS" in out and err == ""
 
     def test_input_below_float_resolution_fails(self, tmp_path, capsys):
         # 1e17 + 32 and 1e17 + 64 are closer than the QUBO resolves at this spread

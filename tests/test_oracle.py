@@ -1,3 +1,4 @@
+import math
 from unittest import mock
 
 import numpy as np
@@ -26,8 +27,56 @@ from qperm import (
 )
 
 from . import reference_run as ref
-from .conftest import PROGRAMS, make_program, run_pipeline
-from .reference import dense, exhaustive_qubo_min, permutation_matrix, qubo_objective, vectorize
+from .conftest import PROGRAMS, make_program, near_float_limit, run_pipeline
+from .reference import (
+    _float,
+    bits,
+    dense,
+    exact_objective,
+    exhaustive_qubo_min,
+    in_rank_order,
+    permutation_matrix,
+    qubo_objective,
+    vectorize,
+)
+
+
+@st.composite
+def certify_cases(draw, values):
+    """x drawn from values, a custom program and a permutation state, n = 1..8."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    x = ValueVector(draw(st.lists(values, min_size=n, max_size=n)))
+    program = OrderProgram(ranks=tuple(draw(st.permutations(range(1, n + 1)))), kind="custom")
+    return x, program, draw(st.permutations(range(n)))
+
+
+# duplicates and both zeros, or any finite float
+EVERYDAY = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5]) | st.floats(allow_nan=False, allow_infinity=False)
+# within a factor of 4 of +-1.7e308: most sums of products overflow, many both ways
+NEAR_THE_LIMIT = st.builds(
+    lambda sign, magnitude: sign * magnitude,
+    st.sampled_from([-1.0, 1.0]),
+    st.floats(min_value=1.7e308 / 4, max_value=1.7e308),
+)
+
+
+def certified_objectives(x, program, mapping):
+    """certify's report on the state of mapping, and (objective, arrangement)
+    for its achieved and best objectives and for sort_optimum."""
+    report = certify(x, program, vectorize(permutation_matrix(mapping)))
+    best = np.empty(x.n)
+    best[np.argsort(program.ranks)] = sorted(x.entries.tolist())
+    arranged = x.entries[list(mapping)]
+    pairs = [(report.achieved_objective, arranged), (report.best_objective, best),
+             (sort_optimum(x, program), best)]
+    return report, arranged, pairs
+
+
+def expected_objective(y, ranks) -> float:
+    """-float(y @ ranks) where that is finite; else the exact objective rounded once."""
+    with np.errstate(all="ignore"):
+        value = -float(np.asarray(y) @ np.asarray(ranks, dtype=float))
+    return value if math.isfinite(value) else _float(exact_objective(y, ranks))
 
 
 class TestBestPermutation:
@@ -306,6 +355,50 @@ class TestCertify:
             report = certify(reference_x, program, z)
         assert report.passed
         assert sort.call_count == 1
+
+    @given(certify_cases(EVERYDAY))
+    @example((ValueVector([0.0, -0.0]), OrderProgram(ranks=(2, 1)), (0, 1)))
+    @example((ValueVector([-0.0, 0.0, -1.0]), OrderProgram(ranks=(3, 1, 2)), (0, 2, 1)))
+    @settings(max_examples=300, deadline=None)
+    def test_verdict_is_the_pairwise_rule_and_objectives_the_float_sums(self, case):
+        """optimal holds exactly when the arranged values, read in increasing
+        rank order, never decrease; where -y^T ranks is finite in floats,
+        every objective is that float sum, bit for bit."""
+        x, program, mapping = case
+        report, arranged, pairs = certified_objectives(x, program, mapping)
+        assert report.feasible
+        assert report.optimal == in_rank_order(arranged, program.ranks)
+        for objective, y in pairs:
+            assert bits(objective) == bits(expected_objective(y, program.ranks))
+
+    @given(certify_cases(NEAR_THE_LIMIT))
+    @settings(max_examples=200, deadline=None)
+    def test_objectives_near_the_float_limit(self, case):
+        """Where the float sum overflows or is inf - inf, each objective is
+        the exact sum rounded once: never NaN, and an infinity only beyond
+        the float range.  No RuntimeWarning is raised."""
+        x, program, mapping = case
+        report, arranged, pairs = certified_objectives(x, program, mapping)
+        assert report.optimal == in_rank_order(arranged, program.ranks)
+        for objective, y in pairs:
+            assert not math.isnan(objective)
+            assert bits(objective) == bits(expected_objective(y, program.ranks))
+
+    @pytest.mark.parametrize(
+        "values, best",
+        [([-1e308, -1e308, 1e308], 0.0), (near_float_limit(24), -math.inf)],
+        ids=["cancels-to-zero", "beyond-the-range"],
+    )
+    def test_overflowing_sums_give_the_exact_objective(self, values, best):
+        """The float sums overflow, to -inf and +inf in one sum; the first
+        optimum is exactly 0, the second about -107 times the float maximum."""
+        x = ValueVector(values)
+        program = ascending_program(x.n)
+        mapping = tuple(np.argsort(values, kind="stable").tolist())
+        report, _, pairs = certified_objectives(x, program, mapping)
+        assert report.passed
+        for objective, y in pairs:
+            assert objective == best == _float(exact_objective(y, program.ranks))
 
     def test_wrong_state_size_fails(self, reference_x):
         report = certify(reference_x, ascending_program(7), vectorize(np.eye(2)))
