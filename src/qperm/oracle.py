@@ -62,8 +62,7 @@ def best_permutation(x: ValueVector, program: OrderProgram) -> tuple[Permutation
     """Enumerate all n! mappings and return one minimizing -x^T P^T ranks.
 
     Ties go to the lexicographically smallest mapping.  Raises InvalidSize
-    for n > 10.  Nothing in the package calls it: sort_optimum and certify
-    replaced it.  It stays as an independent reference for the tests of
+    for n > 10.  It stays as an independent reference for the tests of
     sort_optimum, and because the benchmark's tests (perfbench) check
     their own sort oracle against qperm.best_permutation.
     """

@@ -16,7 +16,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qperm import (
@@ -233,6 +233,7 @@ BUILD_DIGESTS = {
 
 SIGNED_X = np.random.default_rng(7).normal(size=7).tolist()
 SCALED_X = (np.array(ref.INPUT_X) / np.abs(ref.INPUT_X).sum()).tolist()
+NOT_A_PENALTY = "{qubo}: 'R' is not the 4x4 matrix of a finite penalty: "
 
 
 def expected_trace_lines(kind):
@@ -287,8 +288,19 @@ class TestProgramCommand:
         data = json.loads(capsys.readouterr().out)
         assert data["ranks"] == [1, 2, 3]
 
-    def test_ternary_bst_rejected(self, capsys):
-        assert main(["program", "--kind", "bst", "--n", "5", "--branching", "3"]) == 2
+    @pytest.mark.parametrize(
+        "kind, n, branching, message",
+        [
+            ("bst", 5, 3, "search-tree programs exist for branching 2 only"),
+            ("bst", 7, 3, "search-tree programs exist for branching 2 only"),
+            ("heap", 4, 1, "branching must be at least 2"),
+        ],
+        ids=["ternary-bst-n5", "ternary-bst-n7", "unary-heap"],
+    )
+    def test_arity_refused_in_one_line(self, capsys, kind, n, branching, message):
+        argv = ["program", "--kind", kind, "--n", str(n), "--branching", str(branching)]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_nonpositive_size_rejected(self):
         assert main(["program", "--kind", "ascending", "--n", "0"]) == 2
@@ -472,8 +484,10 @@ class TestBuildCommand:
             ([[1.0, 2.0]], "{x}: need a one-dimensional vector with at least one entry"),
             ([True], "{x}: entries must be real numbers, not bool"),
             ([[1, 2], [3]], "{x}: entries must be real numbers, not a ragged nesting"),
+            # written [NaN, 1, 2]: the entry is named before the sizes are compared
+            ([float("nan"), 1, 2], "{x}: entries must be finite"),
         ],
-        ids=["object", "null", "one-number", "empty", "strings", "nested", "bool", "ragged"],
+        ids=["object", "null", "one-number", "empty", "strings", "nested", "bool", "ragged", "nan"],
     )
     def test_x_file_must_be_an_array_of_numbers(self, reference_files, capsys, payload, message):
         _, program_path, tmp_path = reference_files
@@ -551,12 +565,13 @@ class TestOutputFiles:
         for name in ("prog.json", "qubo.json"):
             assert (tmp_path / name).read_bytes() == (tmp_path / f"fresh_{name}").read_bytes()
 
-    def test_to_dev_null(self, tmp_path):
-        x_path = write_json(tmp_path / "x.json", [3.0, 1.0, 2.0])
-        prog = tmp_path / "prog.json"
-        assert main(["program", "--kind", "heap", "--n", "3", "-o", str(prog)]) == 0
-        assert main(["program", "--kind", "heap", "--n", "3", "-o", os.devnull]) == 0
-        assert main(["build", x_path, str(prog), "-o", os.devnull]) == 0
+    @pytest.mark.parametrize(
+        "values", [[3.0, 1.0, 2.0], x_of("gaussian", 8).tolist()], ids=["n3", "n8"]
+    )
+    def test_to_dev_null(self, tmp_path, values):
+        x_path, prog = input_files(tmp_path, values, "heap")
+        assert main([*program_argv("heap", len(values)), "-o", os.devnull]) == 0
+        assert main(["build", x_path, prog, "-o", os.devnull]) == 0
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     def test_to_a_fifo(self, tmp_path, capsys):
@@ -700,11 +715,28 @@ class TestSolveCommand:
         assert out[0] == "permutation: 2 4 6 3 0 5 1"
         assert out[3].startswith("energy: -776.35087719")
 
-    def test_max_steps_exit_code(self, reference_files):
-        x_path, program_path, tmp_path = reference_files
-        qubo = tmp_path / "qubo.json"
-        assert main(["build", x_path, program_path("ascending"), "-o", str(qubo)]) == 0
-        assert main(["solve", str(qubo), "--max-steps", "2"]) == 4
+    @pytest.mark.parametrize(
+        "values, flags, budget, used_up",
+        [
+            (ref.INPUT_X, [], 2, True),
+            # this descent stops by itself after 4 flips, at no permutation
+            (
+                [0, 3, 0, 0],
+                ["--lambda-r", "4.4004", "--lambda-c", "4.4004", "--no-normalize"],
+                4,
+                False,
+            ),
+        ],
+        ids=["used-up", "own-flip-count"],
+    )
+    def test_max_steps_exit_code(self, tmp_path, capsys, values, flags, budget, used_up):
+        """Exit 4 either way; a budget of the descent's own flip count prints
+        the bytes of the run without one."""
+        qubo = build_file(tmp_path, values, "ascending", *flags)
+        budgeted = run_cli(["solve", "--trace", "--max-steps", str(budget), qubo], capsys)
+        unbudgeted = run_cli(["solve", "--trace", qubo], capsys)
+        assert budgeted[0] == 4
+        assert (budgeted != unbudgeted) == used_up
 
     def test_infeasible_endpoint_exit_code(self, tmp_path):
         stuck = write_json(
@@ -793,28 +825,36 @@ class TestSolveCommand:
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize(
-        "R, r",
+        "R, r, keys, error",
         [
-            ([[0.0, 1.7e308], [-1.7e308, 0.0]], [0.0, 0.0]),
-            ([[1.7e308, 0.0], [0.0, 0.0]], [1.7e308, 0.0]),
-            ([[0.0, 1.7e308, 1.7e308], [1.7e308, 0.0, 0.0], [1.7e308, 0.0, 0.0]], [0.0]),
+            ([[0.0, 1.7e308], [-1.7e308, 0.0]], [0.0, 0.0], {"n": 2}, NOT_A_PENALTY),
+            ([[1.7e308, 0.0], [0.0, 0.0]], [1.7e308, 0.0], {"n": 2}, NOT_A_PENALTY),
+            ([[0.0, 1.7e308, 1.7e308], [1.7e308, 0.0, 0.0], [1.7e308, 0.0, 0.0]], [0.0], {"n": 2},
+             NOT_A_PENALTY),
+            # the keys of a file of an earlier version, which solve ignores
+            ([[1.7e308]], [1.7e308],
+             {"n": 1, "lambda_r": 1, "lambda_c": 1, "normalized": True}, "vector_r must be finite"),
         ],
-        ids=["symmetry", "fold", "ising"],
+        ids=["symmetry", "fold", "ising", "fold-of-a-penalty"],
     )
-    def test_dense_overflow_is_one_line_without_a_warning(self, tmp_path, capsys, R, r):
+    def test_dense_overflow_is_one_line_without_a_warning(
+        self, tmp_path, capsys, R, r, keys, error
+    ):
         """An overflow in the symmetry check, in fold_diagonal's r + diag or in
         to_ising's dense R @ 1 once printed a numpy warning ahead of the error.
-        None of these R is a penalty, so each is now refused, in one line."""
-        pad = 4 - len(R)  # R and r are the leading entries of an n = 2 file
-        R = [row + [0.0] * pad for row in R] + [[0.0] * 4] * pad
-        payload = {"n": 2, "R": R, "r": r + [0.0] * (4 - len(r))}
+        The first three R are no penalty, so each is now refused, in one line;
+        the n = 1 R is one, and its fold overflows, in one line too."""
+        N = keys["n"] ** 2
+        pad = N - len(R)  # R and r are the leading entries of the file
+        R = [row + [0.0] * pad for row in R] + [[0.0] * N] * pad
+        payload = {**keys, "R": R, "r": r + [0.0] * (N - len(r))}
         qubo = write_json(tmp_path / "qubo.json", payload)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["solve", qubo]) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.startswith(f"error: {qubo}: 'R' is not the 4x4 matrix of a finite penalty: ")
+        assert err.startswith("error: " + error.format(qubo=qubo))
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize(
@@ -980,12 +1020,25 @@ class TestQuboFileFormat:
 
     @pytest.mark.parametrize("kind", ["ascending", "bst", "heap"])
     @pytest.mark.parametrize(
-        "values, flags",
-        [(ref.INPUT_X, []), (SIGNED_X, []), (SCALED_X, ["--no-normalize"])],
-        ids=["paper", "signed", "frozen-route"],
+        "values, flags, code",
+        [
+            (ref.INPUT_X, [], 0),
+            (SIGNED_X, [], 0),
+            (SCALED_X, ["--no-normalize"], 0),
+            (x_of("gaussian", 8).tolist(), [], 0),
+            (x_of("gaussian", 24).tolist(), [], 0),
+            (x_of("gaussian", 24).tolist(), ["--no-normalize"], 0),
+            # the paper's regime without the shift ends in no permutation
+            (x_of("paper", 24).tolist(), ["--no-normalize"], 4),
+        ],
+        ids=["paper", "signed", "frozen-route", "signed-n8", "signed-n24", "signed-raw-n24",
+             "paper-raw-n24"],
     )
-    def test_same_output_as_the_dense_file(self, tmp_path, capsys, kind, values, flags):
-        # a dense "R" is read as the file's PenaltyMatrix, so one descent runs
+    def test_same_output_as_the_dense_file(self, tmp_path, capsys, kind, values, flags, code):
+        """A dense "R" is read as the file's PenaltyMatrix, so one descent
+        runs, and solve --trace prints the same from every form of the file:
+        the report of solve after a line per visited state, from the
+        all-inactive start to the endpoint, and the endpoint once more."""
         qubo = build_file(tmp_path, values, kind, *flags)
         payload = json.loads(Path(qubo).read_text(encoding="utf-8"))
         to_dense(payload)
@@ -994,9 +1047,16 @@ class TestQuboFileFormat:
         dense_both = write_json(tmp_path / "dense_both.json", payload)
         outputs = []
         for path in (qubo, dense_R, dense_both):
-            assert main(["solve", path, "--trace"]) == 0
-            outputs.append(capsys.readouterr().out)
+            assert main(["solve", path, "--trace"]) == code
+            outputs.append(capsys.readouterr())
         assert outputs[0] == outputs[1] == outputs[2]
+        assert main(["solve", qubo]) == code
+        traced, report = outputs[0], capsys.readouterr()
+        assert traced.err == report.err and traced.out.endswith(report.out)
+        trace = traced.out[: len(traced.out) - len(report.out)].splitlines()
+        assert trace[0].split()[:-1] == ["0"] + ["-"] * len(values) ** 2
+        if code == 0:
+            assert f"flips: {len(trace) - 2}\n" in report.out
 
     @pytest.mark.parametrize("kind", ["ascending", "bst", "heap"])
     def test_non_integer_weights_match_the_library_chain(self, tmp_path, capsys, kind):
@@ -1111,18 +1171,19 @@ class TestQuboFileFormat:
 
     @settings(max_examples=60, deadline=None)
     @given(
-        st.integers(2, 6),
+        st.integers(2, 6).flatmap(
+            lambda n: st.tuples(st.just(n), st.integers(0, n * n - 1), st.integers(0, n * n - 1))
+        ).filter(lambda c: c[1] // c[0] != c[2] // c[0] and c[1] % c[0] != c[2] % c[0]),
         st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=3, max_size=3),
         st.one_of(st.floats().filter(lambda v: v != 0.0), st.sampled_from([5e-324, -1.0])),
-        st.data(),
     )
-    def test_R_off_the_penalty_pattern_is_refused(self, n, coefficients, entry, data):
-        """Changing one entry that couples cells of different rows and columns
-        of Z, and its mirror, makes R no penalty: one error line, no output."""
+    @example((2, 0, 3), [0.0, 0.0, 0.0], 1.0)  # R[0][3] = R[3][0] = 1 and 0 elsewhere
+    def test_R_off_the_penalty_pattern_is_refused(self, cells, coefficients, entry):
+        """Changing one entry that couples cells i and j of different rows and
+        columns of Z, and its mirror, makes R no penalty: one error line, no
+        output."""
+        n, i, j = cells
         N = n * n
-        i = data.draw(st.integers(0, N - 1))
-        j = data.draw(st.integers(0, N - 1).filter(
-            lambda j: j // n != i // n and j % n != i % n))
         payload = {"n": n, "penalty": dict(zip(("same_row", "same_col", "self_coupling"),
                                                coefficients), n=n),
                    "r": [0.0] * N}
@@ -1142,18 +1203,19 @@ class TestQuboFileFormat:
         assert err.getvalue().count("\n") == 1
 
     @pytest.mark.parametrize(
-        "legacy",
+        "n, legacy",
         [
-            {"lambda_r": 7.0, "lambda_c": 7.0, "normalized": True},
-            {"lambda_r": 123, "lambda_c": 0.5, "normalized": False},
-            {"lambda_r": None, "lambda_c": "7", "normalized": "garbage"},
+            (7, {"lambda_r": 7.0, "lambda_c": 7.0, "normalized": True}),
+            (8, {"lambda_r": 8.0, "lambda_c": 8.0, "normalized": True}),
+            (7, {"lambda_r": 123, "lambda_c": 0.5, "normalized": False}),
+            (7, {"lambda_r": None, "lambda_c": "7", "normalized": "garbage"}),
         ],
-        ids=["as-written", "contradicting", "not-numbers"],
+        ids=["as-written", "as-written-n8", "contradicting", "not-numbers"],
     )
-    def test_legacy_keys_are_ignored(self, tmp_path, capsys, legacy):
+    def test_legacy_keys_are_ignored(self, tmp_path, capsys, n, legacy):
         """Files once carried "lambda_r", "lambda_c" and "normalized", which
         nothing read; such files solve as before, whatever those keys hold."""
-        qubo = build_file(tmp_path, SIGNED_X, "heap")
+        qubo = build_file(tmp_path, x_of("gaussian", n).tolist(), "heap")
         assert main(["solve", qubo, "--trace"]) == 0
         expected = capsys.readouterr()
         payload = json.loads(Path(qubo).read_text(encoding="utf-8"))
@@ -1162,18 +1224,25 @@ class TestQuboFileFormat:
         assert capsys.readouterr() == expected
 
     @pytest.mark.slow
-    def test_heap_at_n200_through_a_file(self, tmp_path, capsys):
-        # written dense, the penalty would take 1.6e9 numbers
-        values = np.random.default_rng(200).normal(size=200)
+    @pytest.mark.parametrize("n", [200, 1000])
+    def test_heap_through_a_file(self, tmp_path, capsys, n):
+        """Written dense, the penalty would take n^4 numbers, 1.6e9 at n = 200.
+        Weights of 1.1001 n in place of n give the same arrangement."""
+        values = x_of("gaussian", n)
         qubo = build_file(tmp_path, values.tolist(), "heap")
-        assert os.path.getsize(qubo) < 20_000
+        assert os.path.getsize(qubo) < 100 * n
         assert main(["solve", qubo]) == 0
         line = capsys.readouterr().out.splitlines()[0]
         assert line.startswith("permutation: ")
-        P = np.zeros((200, 200))
-        P[np.arange(200), [int(tok) for tok in line.split()[1:]]] = 1.0
-        report = certify(ValueVector(values), heap_program(200), vectorize(P))
+        P = np.zeros((n, n))
+        P[np.arange(n), [int(tok) for tok in line.split()[1:]]] = 1.0
+        report = certify(ValueVector(values), heap_program(n), vectorize(P))
         assert report.feasible and report.optimal and report.structure_valid
+        weight = f"{1.1001 * n:g}"
+        weights = ["--lambda-r", weight, "--lambda-c", weight]
+        scaled = build_file(tmp_path, values.tolist(), "heap", *weights)
+        assert main(["solve", scaled]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == line
 
 
 class TestVerifyCommand:
@@ -1200,11 +1269,18 @@ class TestVerifyCommand:
         assert main(["verify", x_path, program_path("ascending")]) == 0
         assert "structure (ascending)    SKIP" in capsys.readouterr().out
 
-    def test_ternary_search_tree_refused_before_any_descent(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize(
+        "values, ranks",
+        [([3.0, 1.0, 2.0], [2, 1, 3]), (x_of("gaussian", 8).tolist(), [5, 3, 7, 2, 4, 6, 8, 1])],
+        ids=["n3", "n8"],
+    )
+    def test_ternary_search_tree_refused_before_any_descent(
+        self, tmp_path, capsys, monkeypatch, values, ranks
+    ):
         """A bst program file of branching 3 was once built and descended, and
         verify then stopped with exit 2 in certify."""
-        x_path = write_json(tmp_path / "x.json", [3.0, 1.0, 2.0])
-        payload = {"n": 3, "kind": "bst", "branching": 3, "ranks": [2, 1, 3]}
+        x_path = write_json(tmp_path / "x.json", values)
+        payload = {"n": len(ranks), "kind": "bst", "branching": 3, "ranks": ranks}
         prog = write_json(tmp_path / "bst3.json", payload)
         solve = mock.Mock(side_effect=AssertionError("verify descended"))
         monkeypatch.setattr(cli, "solve_qubo", solve)
@@ -1238,10 +1314,11 @@ class TestVerifyCommand:
         assert main(["build", str(one), str(prog)]) == 0
         assert json.loads(capsys.readouterr().out)["x"] == [5.0]
 
-    def test_failed_check_exit_code(self, tmp_path, capsys):
+    @pytest.mark.parametrize("values", [[5.0] * 3, [4.0] * 7], ids=["n3", "n7"])
+    def test_failed_check_exit_code(self, tmp_path, capsys, values):
         """Equal values once failed the search-tree check, which compared
         strictly, and verify exited 5; in order they never decrease."""
-        x_path, prog = input_files(tmp_path, [5.0, 5.0, 5.0], "bst")
+        x_path, prog = input_files(tmp_path, values, "bst")
         assert main(["verify", x_path, prog]) == 0
         out = capsys.readouterr().out
         assert "objective vs oracle      PASS" in out
@@ -1286,8 +1363,22 @@ class TestVerifyCommand:
         assert main(["verify", x_path, prog]) == 0
         assert "objective-tie" in capsys.readouterr().out
 
-    def test_size_guards(self, tmp_path):
-        x_path, prog = input_files(tmp_path, [float(i) for i in range(1, 12)], "ascending")
+    @pytest.mark.parametrize(
+        "n, kind",
+        [
+            (11, "ascending"),
+            (8, "heap"),
+            (200, "heap"),
+            (400, "heap"),
+            *(pytest.param(n, kind, marks=pytest.mark.slow)
+              for n, kind in [(1000, "heap"), (1000, "bst"), (1000, "heap3"), (1200, "heap")]),
+        ],
+    )
+    def test_size_guards(self, tmp_path, n, kind):
+        """verify runs at any n; the ascending row holds 1, ..., n and the
+        others Gaussian values."""
+        values = range(1, n + 1) if kind == "ascending" else x_of("gaussian", n)
+        x_path, prog = input_files(tmp_path, [float(v) for v in values], kind)
         assert main(["verify", x_path, prog]) == 0
 
     def test_paper_regime_at_n40(self, tmp_path, capsys):

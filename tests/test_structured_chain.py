@@ -397,13 +397,14 @@ def test_build_writes_the_kronecker_penalty(n, lambda_r, lambda_c, kind, data):
     assert bits(R) == bits(lambda_r * (Cr.T @ Cr) + lambda_c * (Cc.T @ Cc))
 
 
-# --- the inputs of CI's dense-file comparison -------------------------------
+# --- the inputs of test_cli's dense-file comparison -------------------------
 
 
 @pytest.mark.parametrize("n", [8, 24])
 def test_heap_input_descends_as_the_reference(n):
     """A default build of default_rng(n).normal(size=n) into a heap, the input
-    that CI solves from a penalty file and from its dense twin: the library
+    that test_cli.py::TestQuboFileFormat::test_same_output_as_the_dense_file
+    solves from a penalty file and from its dense twins: the library
     takes the reference descent's flips through its states at its energies,
     bit for bit, on the paper's Kronecker build of the same values."""
     x = ValueVector(np.random.default_rng(n).normal(size=n))
