@@ -40,7 +40,8 @@ it records the arrangement the file was built for.  solve checks the
 whole file, "x" included, before it descends or prints anything;
 "n" must be an integer whose square is the dimension of both terms, and
 so must the "n" and "branching" of a program file.  Every error in the
-content of an x, program or QUBO file is one line that names the file.
+content of an x, program or QUBO file is one line that names the file,
+an overflow of its values in solve included; a flag's error names none.
 
 solve and verify run one descent from the all-inactive state through
 hopfield.solve_qubo; verify builds with the defaults and reports the
@@ -80,7 +81,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .builder import build_qubo, qubo_terms, reward_vector
-from .errors import MaxStepsExceeded, NotAPermutation, QpermError
+from .errors import DomainError, MaxStepsExceeded, NotAPermutation, QpermError
 from .hopfield import solve_qubo
 from .model import (
     OrderProgram,
@@ -238,7 +239,12 @@ def _cmd_build(args) -> int:
 
 def _cmd_solve(args) -> int:
     instance, x = _load(args.qubo_file, _qubo)
-    state_z, trace = solve_qubo(instance, args.max_steps)
+    if args.max_steps is not None and args.max_steps < 0:  # a flag's error names no file
+        raise DomainError("max_steps must be non-negative")
+    try:  # so what is left comes from the file: an overflow in the chain or in its energies
+        state_z, trace = solve_qubo(instance, args.max_steps)
+    except DomainError as exc:
+        raise QpermError(f"{args.qubo_file}: {exc}") from None
     if args.trace:
         for line in render_trace(trace):
             print(line)

@@ -4,9 +4,9 @@ sort_optimum reads the optimal objective off one sort, at any n, by the
 rearrangement inequality, and certify compares a solver state exactly
 with the arrangement that inequality names.  Neither knows anything about
 how the solver searches, and neither enumerates anything.
-best_permutation, which scores every one of the n! arrangements on the
-raw input values, stays beside them as a reference for the tests of
-sort_optimum and for the benchmark's own tests; the enumeration of the
+best_permutation, which scores every one of the n! arrangements, n <= 8,
+on the raw input values, stays beside them as a reference for the tests
+of sort_optimum and for the benchmark's own tests; the enumeration of the
 2^N binary states of a compiled instance lives in the tests.
 """
 
@@ -31,9 +31,7 @@ from .model import (
 )
 from .programs import validate_bst, validate_heap
 
-MAX_ORACLE_N = 10
-
-_PERM_CHUNK = 40320
+MAX_ORACLE_N = 8
 
 
 @dataclass(frozen=True)
@@ -62,31 +60,25 @@ def best_permutation(x: ValueVector, program: OrderProgram) -> tuple[Permutation
     """Enumerate all n! mappings and return one minimizing -x^T P^T ranks.
 
     Ties go to the lexicographically smallest mapping.  Raises InvalidSize
-    for n > 10.  It stays as an independent reference for the tests of
-    sort_optimum, and because the benchmark's tests (perfbench) check
-    their own sort oracle against qperm.best_permutation.
+    for n > 8.  The value returned is sort_optimum's objective of the
+    chosen arrangement.  It stays as an independent reference for the
+    tests of sort_optimum, and because the benchmark's tests (perfbench)
+    check their own sort oracle against qperm.best_permutation.
     """
     n = x.n
     if program.n != n:
         raise DimensionMismatch(f"x has {n} entries but the program has {program.n} slots")
     if n > MAX_ORACLE_N:
         raise InvalidSize(f"n={n} exceeds the n<={MAX_ORACLE_N} enumeration budget")
-    values = x.entries
     ranks = np.asarray(program.ranks, dtype=float)
-    best_value = math.inf
-    best_mapping: Optional[tuple[int, ...]] = None
-    mappings = itertools.permutations(range(n))
-    while True:
-        chunk = tuple(itertools.islice(mappings, _PERM_CHUNK))
-        if not chunk:
-            break
-        arr = np.array(chunk, dtype=np.intp)
-        scores = -(values[arr] @ ranks)
-        k = int(np.argmin(scores))  # first minimum: lexicographically smallest
-        if float(scores[k]) < best_value:
-            best_value = float(scores[k])
-            best_mapping = tuple(int(c) for c in chunk[k])
-    return PermutationMatrix._of(best_mapping), best_value
+    mappings = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
+    arranged = x.entries[mappings]
+    with np.errstate(over="ignore", invalid="ignore"):
+        scores = arranged @ ranks
+    if not np.isfinite(scores).all():  # 2^-8 keeps sums of n <= 8 products in range
+        scores = (arranged * 2.0**-8) @ ranks
+    k = scores.argmax()  # first maximum: lexicographically smallest
+    return PermutationMatrix._of(tuple(mappings[k].tolist())), _objective(arranged[k], program)
 
 
 def sort_optimum(x: ValueVector, program: OrderProgram) -> float:

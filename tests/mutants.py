@@ -10,6 +10,8 @@ the mutant there and runs the suite as `python -m pytest -q -x
 --hypothesis-seed=0` does, with the scratch src/ first on the path and a
 hypothesis example database of its own, so no saved failure passes between
 mutants or into the repository.  An unmutated copy runs first and must pass.
+Then os.cpu_count() mutants run at a time, each in its own copy and
+subprocess, and their lines print in the order of the table.
 
 A mutant is killed when the suite fails.  The gate fails when a text does
 not occur exactly once, when a mutant not declared equivalent survives, or
@@ -24,6 +26,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import NamedTuple, Optional
 
@@ -203,6 +206,18 @@ MUTANTS = (
         "oracle.py",
         "if n > MAX_ORACLE_N:",
         "if n >= MAX_ORACLE_N:",
+    ),
+    Mutant(
+        "enumeration-never-rescales",
+        "oracle.py",
+        "    if not np.isfinite(scores).all():",
+        "    if False:",
+    ),
+    Mutant(
+        "enumeration-picks-the-least-score",
+        "oracle.py",
+        "k = scores.argmax()",
+        "k = scores.argmin()",
     ),
     Mutant(
         "bst-check-strict",
@@ -412,13 +427,13 @@ def scratch_copy(directory: Path) -> None:
             shutil.copy2(source, directory / name)
 
 
-def apply(directory: Path, mutant: Mutant) -> None:
-    path = directory / "src" / "qperm" / mutant.file
-    source = path.read_text(encoding="utf-8")
+def mutated(mutant: Mutant) -> str:
+    """The source of the mutant's file with its text replaced."""
+    source = (ROOT / "src" / "qperm" / mutant.file).read_text(encoding="utf-8")
     count = source.count(mutant.text)
     if count != 1:
         raise SystemExit(f"mutant {mutant.name}: its text occurs {count} times in {mutant.file}")
-    path.write_text(source.replace(mutant.text, mutant.replacement), encoding="utf-8")
+    return source.replace(mutant.text, mutant.replacement)
 
 
 def suite_passes(mutant: Optional[Mutant]) -> bool:
@@ -427,7 +442,7 @@ def suite_passes(mutant: Optional[Mutant]) -> bool:
         directory = Path(tmp)
         scratch_copy(directory)
         if mutant is not None:
-            apply(directory, mutant)
+            (directory / "src" / "qperm" / mutant.file).write_text(mutated(mutant), encoding="utf-8")
         env = {
             **os.environ,
             "PYTHONPATH": str(directory / "src"),
@@ -445,26 +460,33 @@ def suite_passes(mutant: Optional[Mutant]) -> bool:
         return done.returncode == 0
 
 
+def judged(mutant: Mutant) -> tuple[bool, float]:
+    """(whether the suite kills the mutant, the seconds that took)."""
+    started = time.perf_counter()
+    killed = not suite_passes(mutant)
+    return killed, time.perf_counter() - started
+
+
 def main(names) -> int:
     chosen = [m for m in MUTANTS if not names or m.name in names]
     unknown = set(names) - {m.name for m in MUTANTS}
     if unknown:
         print(f"unknown mutants: {', '.join(sorted(unknown))}")
         return 2
+    for mutant in chosen:  # every text occurs once, before any suite runs
+        mutated(mutant)
     if not suite_passes(None):
         print("the unmutated suite fails; no mutant can be judged")
         return 1
     failures = []
-    for mutant in chosen:
-        started = time.perf_counter()
-        killed = not suite_passes(mutant)
-        seconds = time.perf_counter() - started
-        if killed == (mutant.equivalent is None):
-            verdict = "killed" if killed else f"equivalent, survives: {mutant.equivalent}"
-        else:
-            verdict = "KILLED, though declared equivalent" if killed else "SURVIVED"
-            failures.append(mutant.name)
-        print(f"{mutant.name:<45} {seconds:6.1f} s  {verdict}", flush=True)
+    with ThreadPoolExecutor(max_workers=os.cpu_count() or 1) as pool:
+        for mutant, (killed, seconds) in zip(chosen, pool.map(judged, chosen)):
+            if killed == (mutant.equivalent is None):
+                verdict = "killed" if killed else f"equivalent, survives: {mutant.equivalent}"
+            else:
+                verdict = "KILLED, though declared equivalent" if killed else "SURVIVED"
+                failures.append(mutant.name)
+            print(f"{mutant.name:<45} {seconds:6.1f} s  {verdict}", flush=True)
     print(f"mutants: {len(chosen)} run, {len(failures)} failing the gate")
     return 1 if failures else 0
 

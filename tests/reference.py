@@ -17,6 +17,8 @@ arrays of n^2 x n^2 matrices and n^2 vectors:
   and the states a descent visits, rebuilt from its start and flips
   (replay), for the reference's records and solve's alike;
 * exact energies in Fractions, and the exact objective -y^T ranks;
+* enumerated_best, the first of all n! mappings whose exact objective is
+  least, the reference of best_permutation;
 * the order the rearrangement inequality demands of an optimal
   arrangement, as a pairwise rule (in_rank_order);
 * exhaustive_qubo_min, the global minimizer of a QUBO over all 2^N
@@ -33,6 +35,7 @@ pair, so a test runs the reference on the same input as the library.
 Nothing here validates its input: the library does that.
 """
 
+import itertools
 import math
 from collections import namedtuple
 from fractions import Fraction
@@ -378,6 +381,18 @@ def fraction_energies(W, theta, states) -> list[float]:
 def exact_objective(y, ranks) -> Fraction:
     """-y^T ranks in exact arithmetic."""
     return -sum(Fraction(v) * k for v, k in zip(np.asarray(y, dtype=float).tolist(), ranks))
+
+
+def enumerated_best(values, ranks) -> tuple:
+    """(mapping, objective): the first mapping, in lexicographic order, whose
+    exact objective -values[mapping]^T ranks is least among all n!."""
+    values = np.asarray(values, dtype=float)
+    best = None
+    for mapping in itertools.permutations(range(values.size)):
+        objective = exact_objective(values[list(mapping)], ranks)
+        if best is None or objective < best[1]:
+            best = (mapping, objective)
+    return best
 
 
 def _float(E: Fraction) -> float:

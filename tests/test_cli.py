@@ -738,6 +738,16 @@ class TestSolveCommand:
         assert budgeted[0] == 4
         assert (budgeted != unbudgeted) == used_up
 
+    @pytest.mark.parametrize(
+        "r, R", [(-1.0, 0.0), (1.7e308, 1.7e308)], ids=["solvable", "fold-overflows"]
+    )
+    def test_negative_max_steps_names_no_file(self, tmp_path, capsys, r, R):
+        """The flag is at fault, not the file, so its line names none, even
+        for a file whose values overflow in the fold."""
+        qubo = write_json(tmp_path / "qubo.json", {"n": 1, "R": [[R]], "r": [r]})
+        expected = (2, "", "error: max_steps must be non-negative\n")
+        assert run_cli(["solve", qubo, "--max-steps", "-1"], capsys) == expected
+
     def test_infeasible_endpoint_exit_code(self, tmp_path):
         stuck = write_json(
             tmp_path / "stuck.json",
@@ -821,7 +831,7 @@ class TestSolveCommand:
             warnings.simplefilter("error")
             assert main(["solve", qubo]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: trace energies must be finite: ")
+        assert err.startswith(f"error: {qubo}: trace energies must be finite: ")
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize(
@@ -833,7 +843,8 @@ class TestSolveCommand:
              NOT_A_PENALTY),
             # the keys of a file of an earlier version, which solve ignores
             ([[1.7e308]], [1.7e308],
-             {"n": 1, "lambda_r": 1, "lambda_c": 1, "normalized": True}, "vector_r must be finite"),
+             {"n": 1, "lambda_r": 1, "lambda_c": 1, "normalized": True},
+             "{qubo}: vector_r must be finite"),
         ],
         ids=["symmetry", "fold", "ising", "fold-of-a-penalty"],
     )
@@ -843,7 +854,8 @@ class TestSolveCommand:
         """An overflow in the symmetry check, in fold_diagonal's r + diag or in
         to_ising's dense R @ 1 once printed a numpy warning ahead of the error.
         The first three R are no penalty, so each is now refused, in one line;
-        the n = 1 R is one, and its fold overflows, in one line too."""
+        the n = 1 R is one, and its fold overflows, in one line that names the
+        file too."""
         N = keys["n"] ** 2
         pad = N - len(R)  # R and r are the leading entries of the file
         R = [row + [0.0] * pad for row in R] + [[0.0] * N] * pad

@@ -32,6 +32,7 @@ from .reference import (
     _float,
     bits,
     dense,
+    enumerated_best,
     exact_objective,
     exhaustive_qubo_min,
     in_rank_order,
@@ -48,6 +49,19 @@ def certify_cases(draw, values):
     x = ValueVector(draw(st.lists(values, min_size=n, max_size=n)))
     program = OrderProgram(ranks=tuple(draw(st.permutations(range(1, n + 1)))), kind="custom")
     return x, program, draw(st.permutations(range(n)))
+
+
+@st.composite
+def enumeration_cases(draw):
+    """x of n = 1..6 distinct or repeating integers, and a program of any
+    kind or of custom ranks."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    distinct = st.lists(st.integers(-1000, 1000), min_size=n, max_size=n, unique=True)
+    repeating = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+    x = ValueVector([float(v) for v in draw(distinct | repeating)])
+    custom = st.permutations(range(1, n + 1)).map(lambda ranks: OrderProgram(ranks=tuple(ranks)))
+    kinds = st.sampled_from(sorted(PROGRAMS)).map(lambda kind: make_program(kind, n))
+    return x, draw(kinds | custom)
 
 
 # duplicates and both zeros, or any finite float
@@ -106,9 +120,10 @@ class TestBestPermutation:
         # best pairing on raw entries: 1*1 + 3*2
         assert value == pytest.approx(-7.0)
 
-    def test_size_guard(self):
-        with pytest.raises(InvalidSize):
-            best_permutation(ValueVector(list(range(1, 12))), ascending_program(11))
+    @pytest.mark.parametrize("n", [9, 10, 11])
+    def test_size_guard(self, n):
+        with pytest.raises(InvalidSize, match=f"^n={n} exceeds the n<=8 enumeration budget$"):
+            best_permutation(ValueVector(np.arange(float(n))), ascending_program(n))
 
     def test_size_guard_at_its_bound(self, monkeypatch):
         monkeypatch.setattr(oracle, "MAX_ORACLE_N", 3)
@@ -132,6 +147,33 @@ class TestBestPermutation:
         p, _ = best_permutation(x, ascending_program(n))
         arranged = [float(x.entries[c]) for c in p.as_mapping]
         assert arranged == sorted(float(v) for v in values)
+
+    @given(enumeration_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_exact_enumeration(self, case):
+        """On integers every float sum is exact, so the pick is the first
+        exact minimum, and the value is sort_optimum's, bit for bit."""
+        x, program = case
+        p, value = best_permutation(x, program)
+        assert p.as_mapping == enumerated_best(x.entries, program.ranks)[0]
+        assert bits(value) == bits(sort_optimum(x, program))
+
+    @pytest.mark.parametrize("kind", ["ascending", "bst", "heap"])
+    @pytest.mark.parametrize(
+        "values",
+        [near_float_limit(n) for n in range(2, 9)] + [[1.7e308, -1.7e308, 1.7e308]],
+        ids=[f"n{n}" for n in range(2, 9)] + ["three-entries"],
+    )
+    def test_scores_beyond_the_float_range(self, values, kind):
+        """Products with the ranks overflow both ways, so float scores are
+        infinite or NaN; the pick is still in rank order, and its value is
+        sort_optimum's.  No RuntimeWarning, an error under the project's
+        filter, is raised."""
+        x = ValueVector(values)
+        program = make_program(kind, x.n)
+        p, value = best_permutation(x, program)
+        assert in_rank_order(apply_permutation(p, x), program.ranks)
+        assert bits(value) == bits(sort_optimum(x, program))
 
 
 class TestSortOptimum:
