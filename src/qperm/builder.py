@@ -120,20 +120,7 @@ def qubo_terms(
     5 at n = 600 with sigma = 1e-6, no two closer than 7.5e-13.
     """
     n = program.n
-    lambda_r = float(n) if lambda_r is None else lambda_r
-    lambda_c = float(n) if lambda_c is None else lambda_c
-    if not all(_real(w) and 0.0 < w < math.inf for w in (lambda_r, lambda_c)):
-        raise DomainError("penalty weights must be positive and finite")
-    try:  # in Python floats, which overflow without a numpy warning
-        offset = 2.0 * (float(lambda_r) + float(lambda_c))
-    except OverflowError:  # an integer weight beyond the float range
-        offset = math.inf
-    if not math.isfinite(offset):
-        raise DomainError(
-            "lambda_r and lambda_c are too large: the reward offset "
-            "2 * (lambda_r + lambda_c) overflows the float range"
-        )
-    R = PenaltyMatrix(n, lambda_r, lambda_c, lambda_r + lambda_c)
+    R = _penalty(n, lambda_r, lambda_c)
     if x.n != n:
         raise DimensionMismatch(f"x has {x.n} entries but the program has {n} slots")
     values = entries = x.entries
@@ -157,6 +144,24 @@ def qubo_terms(
     low, high = float(values.min()), float(values.max())
     _require_finite([-(v * k) - offset for v in (low, high) for k in (1.0, n)], "vector_r")
     return R, values, np.asarray(program.ranks, dtype=float), offset
+
+
+def _penalty(n: int, lambda_r: Optional[float], lambda_c: Optional[float]) -> PenaltyMatrix:
+    """qubo_terms's R for n slots and the checks of its weights (None means n)."""
+    lambda_r = float(n) if lambda_r is None else lambda_r
+    lambda_c = float(n) if lambda_c is None else lambda_c
+    if not all(_real(w) and 0.0 < w < math.inf for w in (lambda_r, lambda_c)):
+        raise DomainError("penalty weights must be positive and finite")
+    try:  # in Python floats, which overflow without a numpy warning
+        offset = 2.0 * (float(lambda_r) + float(lambda_c))
+    except OverflowError:  # an integer weight beyond the float range
+        offset = math.inf
+    if not math.isfinite(offset):
+        raise DomainError(
+            "lambda_r and lambda_c are too large: the reward offset "
+            "2 * (lambda_r + lambda_c) overflows the float range"
+        )
+    return PenaltyMatrix(n, lambda_r, lambda_c, lambda_r + lambda_c)
 
 
 def reward_vector(values: np.ndarray, ranks: np.ndarray, offset: float) -> np.ndarray:

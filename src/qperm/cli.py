@@ -13,18 +13,19 @@ word names; any other command line goes to the top-level parser, which
 prints the help or the usage error.
 
 An x file is a JSON array of numbers, or else plain text with one
-number per line; a file of one number is one entry in either form.
-Program files are JSON objects with keys
-"n", "kind", "branching", and "ranks"; --branching applies to bst and
-heap programs only.  QUBO files are JSON objects with the key "n" and
-each term in one of two forms.  build writes both from one call of
+number per line; a file of one number is one entry in either form.  A
+program file is a JSON object with keys "n", "kind", "branching" and
+"ranks", in any layout; program writes it as one line of json.dumps:
+the "program" that build embeds, plus "n".  --branching applies to bst
+and heap programs only.  QUBO files are JSON objects with the key "n"
+and each term in one of two forms.  build writes both from one call of
 builder.qubo_terms, which forms no r: the quadratic term as "penalty":
 {"n", "same_row", "same_col", "self_coupling"}, the fields of its
 PenaltyMatrix, which hold the penalty weights, and the linear term as
 "reward": {"values", "ranks", "offset"}: the n values and n ranks whose
-outer product, less the offset 2 * self_coupling, is r.  A file
-thus holds 2n + 6 numbers besides "x" and "program".  solve reads
-"n", "penalty" or "R", "reward" or "r", and "x", and ignores every other
+outer product, less the offset 2 * self_coupling, is r.  A file thus
+holds 2n + 6 numbers besides "x" and "program".  solve reads "n",
+"penalty" or "R", "reward" or "r", and "x", and ignores every other
 key.  It reads the penalty back as that PenaltyMatrix, whose descent
 never forms the n^2 x n^2 matrix, and forms r with the function
 build_qubo uses, so it is the same bit for bit.  A file may instead hold
@@ -41,7 +42,8 @@ whole file, "x" included, before it descends or prints anything;
 "n" must be an integer whose square is the dimension of both terms, and
 so must the "n" and "branching" of a program file.  Every error in the
 content of an x, program or QUBO file is one line that names the file,
-an overflow of its values in solve included; a flag's error names none.
+an overflow of its values in build or solve included; a flag's error,
+or a size that an x and a program file disagree on, names none.
 
 solve and verify run one descent from the all-inactive state through
 hopfield.solve_qubo; verify builds with the defaults and reports the
@@ -56,10 +58,7 @@ spaces, two spaces, the energy with one decimal.  JSON files carry full
 precision.
 
 program and build write to stdout, or with -o over the named file in
-place: the file is written from its start and any longer tail is cut
-off.  No file is truncated to zero bytes first, so ext4 starts no
-writeback of it on close, which the writing process pays for in system
-time.
+place, and never truncate it to zero bytes first (see _write_text).
 
 Exit codes: 0 success, 2 bad arguments or malformed input, 4 descent
 ended in a state that is no permutation or used up its step budget,
@@ -80,7 +79,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .builder import build_qubo, qubo_terms, reward_vector
+from .builder import _penalty, build_qubo, qubo_terms, reward_vector
 from .errors import DomainError, MaxStepsExceeded, NotAPermutation, QpermError
 from .hopfield import solve_qubo
 from .model import (
@@ -210,28 +209,28 @@ def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParse
 
 
 def _cmd_program(args) -> int:
-    make = _PROGRAMS[args.kind]
-    if args.branching is None:
-        program = make(args.n)
-    elif args.kind in ("bst", "heap"):
-        program = make(args.n, args.branching)
-    else:
+    if args.branching is not None and args.kind not in ("bst", "heap"):
         raise QpermError(f"--branching applies to bst and heap programs, not {args.kind}")
-    _write_text(_program_text(program), args.out)
+    make = _PROGRAMS[args.kind]
+    program = make(args.n) if args.branching is None else make(args.n, args.branching)
+    _write_text(json.dumps({"n": program.n, **_program_record(program)}) + "\n", args.out)
     return EXIT_OK
 
 
 def _cmd_build(args) -> int:
     x = _load(args.x_file, _values)
     program = _load(args.program_file, _program)
-    R, values, _, offset = qubo_terms(x, program, args.lambda_r, args.lambda_c, args.normalize)
-    ranks = list(program.ranks)
+    _penalty(program.n, args.lambda_r, args.lambda_c)  # a flag's error names no file
+    try:  # so a DomainError left is an r beyond the float range, from the x file's values
+        R, values, _, offset = qubo_terms(x, program, args.lambda_r, args.lambda_c, args.normalize)
+    except DomainError as exc:
+        raise QpermError(f"{args.x_file}: {exc}") from None
     payload = {
         "n": program.n,
         "penalty": {name: getattr(R, name) for name in _PENALTY_FIELDS},
-        "reward": {"values": values.tolist(), "ranks": ranks, "offset": offset},
+        "reward": {"values": values.tolist(), "ranks": program.ranks, "offset": offset},
         "x": x.entries.tolist(),
-        "program": {"kind": program.kind, "branching": program.branching, "ranks": ranks},
+        "program": _program_record(program),
     }
     _write_text(json.dumps(payload) + "\n", args.out)
     return EXIT_OK
@@ -312,6 +311,11 @@ def _program(text: str) -> OrderProgram:
     if program.n != _integral(data["n"], "n"):
         raise QpermError(f"n={data['n']} does not match {program.n} ranks")
     return program
+
+
+def _program_record(program: OrderProgram) -> dict:
+    """The "program" of a QUBO file; a program file holds it and an "n"."""
+    return {"kind": program.kind, "branching": program.branching, "ranks": program.ranks}
 
 
 def _qubo(text: str) -> tuple[QuboInstance, Optional[ValueVector]]:
@@ -398,18 +402,6 @@ def _object(text: str, keys: tuple[str, ...]) -> dict:
         if key not in data:
             raise QpermError(f"missing key {key!r}")
     return data
-
-
-def _program_text(program: OrderProgram) -> str:
-    """A program file: json.dumps of its n, kind, branching and ranks with
-    indent=2, and a newline.  json runs its pure-Python encoder whenever it
-    indents, so the layout is written out here; n, branching and the ranks
-    are ints, and only the kind needs json's escaping."""
-    ranks = ",\n    ".join(map(str, program.ranks))
-    return (
-        f'{{\n  "n": {program.n},\n  "kind": {json.dumps(program.kind)},\n'
-        f'  "branching": {program.branching},\n  "ranks": [\n    {ranks}\n  ]\n}}\n'
-    )
 
 
 def _write_text(text: str, path: Optional[str]) -> None:

@@ -5,9 +5,9 @@ fail if one that changes an outcome survives.
 
 Each mutant replaces one exact source text of a file under src/qperm: a
 single operator, constant or statement change.  For each, the script copies
-src/, tests/, pyproject.toml and README.md to a scratch directory, applies
-the mutant there and runs the suite as `python -m pytest -q -x
---hypothesis-seed=0` does, with the scratch src/ first on the path and a
+src/, tests/, pyproject.toml, README.md and BENCH_pipeline.json to a scratch
+directory, applies the mutant there and runs the suite as `python -m pytest
+-q -x --hypothesis-seed=0` does, with the scratch src/ first on the path and a
 hypothesis example database of its own, so no saved failure passes between
 mutants or into the repository.  An unmutated copy runs first and must pass.
 Then os.cpu_count() mutants run at a time, each in its own copy and
@@ -31,7 +31,7 @@ from pathlib import Path
 from typing import NamedTuple, Optional
 
 ROOT = Path(__file__).resolve().parent.parent
-COPIED = ("src", "tests", "pyproject.toml", "README.md")
+COPIED = ("src", "tests", "pyproject.toml", "README.md", "BENCH_pipeline.json")
 PYTEST = ["-m", "pytest", "-q", "-x", "--hypothesis-seed=0", "-p", "no:cacheprovider"]
 
 
@@ -407,6 +407,18 @@ MUTANTS = (
         "cli.py",
         "if (structured in data) == (dense in data):",
         "if structured not in data and dense not in data:",
+    ),
+    Mutant(
+        "reward-overflow-names-no-file",
+        "cli.py",
+        'raise QpermError(f"{args.x_file}: {exc}") from None',
+        "raise",
+    ),
+    Mutant(
+        "weights-checked-with-the-x-files-values",
+        "cli.py",
+        "    _penalty(program.n, args.lambda_r, args.lambda_c)  # a flag's error names no file\n",
+        "",
     ),
     Mutant(
         "longer-file-not-cut",

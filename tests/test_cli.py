@@ -100,6 +100,7 @@ BUILD_FLAGS = {
     "lambda": ["--lambda-r", "2.5", "--lambda-c", "0.7"],
 }
 HUGE_X = [1e308, -1e308, 0.0]  # a spread beyond the float range
+OVERFLOWING_X = [1.7e308, -1.7e308, 1.0]  # unnormalized, r leaves the float range
 
 # sha256 of the file `qperm build x.json prog.json [flags] -o qubo.json`
 # writes, for x_of(regime, n) or HUGE_X and conftest.program_argv(kind, n),
@@ -324,14 +325,14 @@ class TestProgramCommand:
         [("ascending", None), ("descending", None), ("bst", None), ("bst", 2),
          ("heap", None), ("heap", 2), ("heap", 3)],
     )
-    def test_text_is_json_indented_by_two(self, tmp_path, capsys, kind, branching, n):
-        """The file and stdout hold json.dumps(program, indent=2) and a newline, byte for byte."""
+    def test_text_is_one_line_of_json_dumps(self, tmp_path, capsys, kind, branching, n):
+        """The file and stdout hold json.dumps of the program's record and a newline,
+        byte for byte."""
         flags = [] if branching is None else ["--branching", str(branching)]
         make = PROGRAMS[kind]
         program = make(n) if branching is None else make(n, branching)
         expected = json.dumps(
-            {"n": n, "kind": kind, "branching": branching or 2, "ranks": list(program.ranks)},
-            indent=2,
+            {"n": n, "kind": kind, "branching": branching or 2, "ranks": list(program.ranks)}
         ) + "\n"
         out = tmp_path / "prog.json"
         assert main(["program", "--kind", kind, "--n", str(n), *flags, "-o", str(out)]) == 0
@@ -433,8 +434,72 @@ class TestBuildCommand:
         out = tmp_path / "qubo.json"
         code = main(["build", x_path, prog, "--no-normalize", "-o", str(out)])
         assert code == (2 if infinite else 0)
-        assert capsys.readouterr() == ("", "error: vector_r must be finite\n" if infinite else "")
+        error = f"error: {x_path}: vector_r must be finite\n"
+        assert capsys.readouterr() == ("", error if infinite else "")
         assert out.exists() != bool(infinite)
+
+    @pytest.mark.parametrize(
+        "values, flags, message",
+        [
+            (OVERFLOWING_X, ["--no-normalize"], "x.json: vector_r must be finite"),
+            ([3.0, 1.0, 2.0], ["--lambda-r", "0"], "penalty weights must be positive and finite"),
+            # the flags are checked first: their error names no file, whatever x holds
+            (OVERFLOWING_X, ["--no-normalize", "--lambda-r", "0"],
+             "penalty weights must be positive and finite"),
+            ([3.0, 1.0, 2.0], ["--lambda-r", "1e308", "--lambda-c", "1e308"],
+             "lambda_r and lambda_c are too large: the reward offset "
+             "2 * (lambda_r + lambda_c) overflows the float range"),
+            # two files disagree, so neither is named
+            ([1.0, 2.0], [], "x has 2 entries but the program has 3 slots"),
+        ],
+        ids=["reward-overflow", "zero-weight", "zero-weight-and-reward-overflow",
+             "offset-overflow", "size-mismatch"],
+    )
+    def test_only_errors_of_the_x_files_values_name_it(
+        self, tmp_path, monkeypatch, capsys, values, flags, message
+    ):
+        """An r beyond the float range comes from the x file's values, so its
+        line names the file, as given; the errors of the weights and of the
+        sizes do not.  Nothing is printed on stdout or written to -o."""
+        monkeypatch.chdir(tmp_path)
+        write_json(tmp_path / "x.json", values)
+        assert main(["program", "--kind", "ascending", "--n", "3", "-o", "prog.json"]) == 0
+        Path("qubo.json").write_bytes(b"old")
+        argv = ["build", "x.json", "prog.json", *flags]
+        expected = (2, "", f"error: {message}\n")
+        assert run_cli(argv, capsys) == expected
+        assert run_cli([*argv, "-o", "qubo.json"], capsys) == expected
+        assert Path("qubo.json").read_bytes() == b"old"
+
+    @pytest.mark.parametrize("n", [1, 8])
+    @pytest.mark.parametrize("kind", sorted(PROGRAMS))
+    def test_file_embeds_the_program_files_record(self, tmp_path, kind, n):
+        """The "program" of a QUBO file is the record of the program file it
+        was built from, less "n", byte for byte."""
+        qubo = build_file(tmp_path, x_of("gaussian", n).tolist(), kind)
+        record = (tmp_path / "prog.json").read_bytes()
+        head = f'{{"n": {n}, '.encode()
+        assert record.startswith(head) and record.endswith(b"}\n")
+        embedded = b'"program": {' + record[len(head):-1] + b"}\n"
+        assert Path(qubo).read_bytes().endswith(b', ' + embedded)
+
+    @pytest.mark.parametrize("kind", sorted(PROGRAMS))
+    def test_program_file_in_the_indented_layout(self, tmp_path, capsys, kind):
+        """A program file as earlier versions wrote it, json.dumps with
+        indent=2, builds the pinned bytes and verifies as the one-line file."""
+        x_path, prog = input_files(tmp_path, x_of("gaussian", 8).tolist(), kind)
+        indented = tmp_path / "indented.json"
+        indented.write_text(json.dumps(json.loads(Path(prog).read_text()), indent=2) + "\n")
+        assert indented.read_text().startswith('{\n  "n": 8,\n  "kind": ')
+        outputs = []
+        for path in (prog, str(indented)):
+            code, out, err = run_cli(["build", x_path, path], capsys)
+            assert (code, err) == (0, "")
+            assert hashlib.sha256(out.encode()).hexdigest() == BUILD_DIGESTS[
+                "gaussian", kind, 8, "default"
+            ]
+            outputs.append(run_cli(["verify", x_path, path], capsys))
+        assert outputs[0] == outputs[1] and outputs[0][0] == 0
 
     def test_one_builder_call_and_no_r(self, tmp_path, monkeypatch):
         calls = []
@@ -1571,7 +1636,7 @@ class TestCommandLineParsing:
                 cli.run()
             assert raised.value.code == code
         out, err = capsys.readouterr()
-        assert out.startswith('{\n  "n": 3,') and err.count("\n") == 1 and absent in err
+        assert out.startswith('{"n": 3,') and err.count("\n") == 1 and absent in err
 
     def test_run_as_a_module_in_process(self, monkeypatch, capsys):
         """python -m qperm.cli runs the console script; it once ran nothing
