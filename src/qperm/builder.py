@@ -36,8 +36,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError
-from .model import OrderProgram, PenaltyMatrix, QuboInstance, ValueVector, _real, _require_finite
+from .errors import DomainError
+from .model import OrderProgram, PenaltyMatrix, QuboInstance, ValueVector
+from .model import _real, _require_finite, _slots
 
 
 def build_qubo(
@@ -112,17 +113,12 @@ def qubo_terms(
 
     The argument holds in exact arithmetic.  Distinct values close
     together look equal to the descent's gains, and may come back out of
-    order; certify checks the order exactly and fails such an
-    arrangement.  How close is far more than 2^-52 of the spread, and
-    grows with n: on ascending programs over the integers {0, 1, 2} plus
-    N(0, sigma^2) noise, 5 of 5 seeds failed at n = 100 with sigma = 1e-9,
-    though no two values were closer than 9.8e-15 of the spread, and 4 of
-    5 at n = 600 with sigma = 1e-6, no two closer than 7.5e-13.
+    order; certify checks the order exactly, fails such an arrangement and
+    names its first slot out of place.  How close is far more than 2^-52
+    of the spread, and grows with n: the README tabulates it.
     """
-    n = program.n
-    R = _penalty(n, lambda_r, lambda_c)
-    if x.n != n:
-        raise DimensionMismatch(f"x has {x.n} entries but the program has {n} slots")
+    R = _penalty(program.n, lambda_r, lambda_c)
+    n = _slots(x, program)
     values = entries = x.entries
     if normalize:
         with np.errstate(over="ignore"):

@@ -81,7 +81,7 @@ import numpy as np
 
 from .builder import _penalty, build_qubo, qubo_terms, reward_vector
 from .errors import DomainError, MaxStepsExceeded, NotAPermutation, QpermError
-from .hopfield import solve_qubo
+from .hopfield import _budget, solve_qubo
 from .model import (
     OrderProgram,
     PenaltyMatrix,
@@ -238,8 +238,8 @@ def _cmd_build(args) -> int:
 
 def _cmd_solve(args) -> int:
     instance, x = _load(args.qubo_file, _qubo)
-    if args.max_steps is not None and args.max_steps < 0:  # a flag's error names no file
-        raise DomainError("max_steps must be non-negative")
+    if args.max_steps is not None:
+        _budget(args.max_steps)  # a flag's error names no file
     try:  # so what is left comes from the file: an overflow in the chain or in its energies
         state_z, trace = solve_qubo(instance, args.max_steps)
     except DomainError as exc:

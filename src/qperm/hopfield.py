@@ -58,19 +58,12 @@ every visited state from the all-inactive start, plus one repeated final
 row that makes the stability of the endpoint visible in renderings of the
 run, only when read.
 
-solve_qubo is the whole chain from a QuboInstance to a binary endpoint:
-fold_diagonal, to_ising, to_hopfield, solve, then bipolar_to_binary.
-
-On the ordering instances produced by the builder, every feasible
-permutation encoding is single-flip stable, so the landscape has n! local
-minima and descent cannot cross between them.  Descent from the
-all-inactive state pairs values with ranks greedily, largest reward
-first.  With the builder's default input, shifted by its minimum and
-L1-normalized, every reward is non-negative and that greedy pairing is
-the sorted, optimal one (see builder.qubo_terms), so one descent is
-all that solve runs.  With normalize=False or custom penalty weights that
-guarantee is gone, and a descent can stop in a stable non-optimal or
-infeasible state; certify says which.
+On the builder's instances every feasible permutation encoding is
+single-flip stable, so descent cannot cross between the n! local minima.
+From the all-inactive state it pairs values with ranks greedily, largest
+reward first, which on default builds is the sorted pairing (see
+builder.qubo_terms), so solve runs one descent.  Other builds can stop in
+a stable non-optimal or infeasible state; certify says which.
 """
 
 from __future__ import annotations
@@ -115,12 +108,7 @@ def solve(
         If max_steps is negative, or an energy overflows the float range.
     """
     N = instance.dimension
-    if max_steps is None:
-        budget = N * N
-    else:
-        budget = _integral(max_steps, "max_steps")
-        if budget < 0:
-            raise DomainError("max_steps must be non-negative")
+    budget = N * N if max_steps is None else _budget(max_steps)
     W, theta = instance.weights_W, instance.bias_theta
     n, w_r, w_c = W.n, W.same_row, W.same_col
     s = np.full(N, -1.0)
@@ -215,6 +203,14 @@ def solve_qubo(
     return bipolar_to_binary(state), trace
 
 
+def _budget(max_steps) -> int:
+    """max_steps as an int, which must equal an integer of at least 0."""
+    budget = _integral(max_steps, "max_steps")
+    if budget < 0:
+        raise DomainError("max_steps must be non-negative")
+    return budget
+
+
 def _gains(G, S, T, w_r, w_c):
     """Write half the gain of every flip at the grid state S into G; return
     the line sums R (grid columns) and C (grid rows)."""
@@ -247,7 +243,7 @@ def _dyadic(values: np.ndarray, u: int = 0) -> tuple[int, int]:
     float64, in any order, up to 2^26 terms: the high halves are integers
     whose sum stays below 2^52, the rest multiples of 2^-27 whose sum stays
     below 2^26.  When every value has the same power, as theta.s of the
-    default build has at n = 8, 24 and 40, one .sum() adds each half;
+    default build has on the benchmark's inputs, one .sum() adds each half;
     otherwise np.bincount adds them power by power, and Python ints add
     the sums.
     """

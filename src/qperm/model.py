@@ -302,6 +302,13 @@ class OrderProgram:
         return len(self.ranks)
 
 
+def _slots(x: ValueVector, program: OrderProgram) -> int:
+    """The n that x and the program agree on, else DimensionMismatch."""
+    if x.n != program.n:
+        raise DimensionMismatch(f"x has {x.n} entries but the program has {program.n} slots")
+    return program.n
+
+
 @dataclass(frozen=True, eq=False)
 class QuboInstance:
     """Minimize z^T R z + r^T z over binary z of length n squared.
@@ -391,13 +398,20 @@ def _one_per_line(flat: np.ndarray, n: int):
     column, read in O(n) memory.  Every nonzero entry must be exactly 1 (NaN,
     inf, 2 and 0.5 are not).  flatnonzero lists them in order, so each column
     holds one when their column numbers are 0..n-1, and each row when no row
-    number repeats among theirs."""
+    number repeats among theirs; a refusal names the first column, else the
+    first row, whose count of ones is not 1."""
     ones = np.flatnonzero(flat)
     if not (flat[ones] == 1).all():
         raise NotAPermutation("state entries must be 0 or 1")
     columns, rows = divmod(ones, n)
     if ones.size != n or (columns != np.arange(n)).any() or np.bincount(rows).max() > 1:
-        raise NotAPermutation("every row and column must contain exactly one 1")
+        counts = np.concatenate((np.bincount(columns, minlength=n), np.bincount(rows, minlength=n)))
+        k = int((counts != 1).argmax())  # the first column at fault, else the first row
+        line = "column" if k < n else "row"
+        raise NotAPermutation(
+            "every row and column must contain exactly one 1; "
+            f"{line} {k % n} holds {counts[k]} ones"
+        )
     return tuple(np.argsort(rows).tolist())
 
 

@@ -20,15 +20,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidSize, NotAPermutation
-from .model import (
-    OrderProgram,
-    PermutationMatrix,
-    ValueVector,
-    _reals,
-    apply_permutation,
-    decode_permutation,
-)
+from .errors import InvalidSize, NotAPermutation
+from .model import OrderProgram, PermutationMatrix, ValueVector, _reals, _slots
+from .model import apply_permutation, decode_permutation
 from .programs import validate_bst, validate_heap
 
 MAX_ORACLE_N = 8
@@ -65,9 +59,7 @@ def best_permutation(x: ValueVector, program: OrderProgram) -> tuple[Permutation
     tests of sort_optimum, and because the benchmark's tests (perfbench)
     check their own sort oracle against qperm.best_permutation.
     """
-    n = x.n
-    if program.n != n:
-        raise DimensionMismatch(f"x has {n} entries but the program has {program.n} slots")
+    n = _slots(x, program)
     if n > MAX_ORACLE_N:
         raise InvalidSize(f"n={n} exceeds the n<={MAX_ORACLE_N} enumeration budget")
     ranks = np.asarray(program.ranks, dtype=float)
@@ -93,8 +85,7 @@ def sort_optimum(x: ValueVector, program: OrderProgram) -> float:
 
 def _arrangements(x: ValueVector, program: OrderProgram) -> tuple[np.ndarray, np.ndarray]:
     """(the entries of x sorted, the optimal arrangement: slot i holds the ranks[i]-th smallest)."""
-    if program.n != x.n:
-        raise DimensionMismatch(f"x has {x.n} entries but the program has {program.n} slots")
+    _slots(x, program)
     ordered = np.sort(x.entries)
     return ordered, ordered[np.asarray(program.ranks) - 1]
 
@@ -126,9 +117,10 @@ def certify(x: ValueVector, program: OrderProgram, solver_state) -> CertificateR
     No tolerance and no size guard apply.  The report keeps the achieved
     -x^T P^T ranks and sort_optimum as information only: never NaN, and
     an infinity only when the exact value lies beyond the float range.
-    For bst and heap programs the arranged values must also pass the
-    matching structure validator; other kinds skip that check
-    (structure_valid is None).
+    A state out of order gets one note: its first slot out of place, both
+    values and their gap as a share of max(x) - min(x).  For bst and heap
+    programs the arranged values must also pass the matching structure
+    validator; other kinds skip that check (structure_valid is None).
     """
     ordered, best = _arrangements(x, program)
     best_value = _objective(best, program)
@@ -156,9 +148,18 @@ def certify(x: ValueVector, program: OrderProgram, solver_state) -> CertificateR
         structure_valid = validate_bst(arranged)
     elif program.kind == "heap":
         structure_valid = validate_heap(arranged, program.branching)
+    optimal = np.array_equal(arranged, best)
+    if not optimal:
+        i = int(np.flatnonzero(arranged != best)[0])
+        got, want, low, high = (float(v) for v in (arranged[i], best[i], ordered[0], ordered[-1]))
+        scale = 1.0 if high - low < math.inf else 0.5  # halves keep the spread in range
+        gap = abs(got * scale - want * scale) / (high * scale - low * scale)
+        notes.append(
+            f"out of order: slot {i} holds {got!r}, not {want!r}, a gap of {gap:.2g} of the spread"
+        )
     return CertificateReport(
         feasible=True,
-        optimal=np.array_equal(arranged, best),
+        optimal=optimal,
         achieved_objective=_objective(arranged, program),
         best_objective=best_value,
         mapping=p.as_mapping,

@@ -9,7 +9,11 @@ src/, tests/, pyproject.toml, README.md and BENCH_pipeline.json to a scratch
 directory, applies the mutant there and runs the suite as `python -m pytest
 -q -x --hypothesis-seed=0` does, with the scratch src/ first on the path and a
 hypothesis example database of its own, so no saved failure passes between
-mutants or into the repository.  An unmutated copy runs first and must pass.
+mutants or into the repository.  The test files are given in order: the
+mutated module's own, tests/test_<module>.py, first, then every other
+tests/test_*.py by name.  pytest keeps that order and collects the same tests
+as from tests/, so a kill comes sooner and no verdict changes: a survivor
+still runs every test.  An unmutated copy runs first and must pass.
 Then os.cpu_count() mutants run at a time, each in its own copy and
 subprocess, and their lines print in the order of the table.
 
@@ -111,6 +115,12 @@ MUTANTS = (
         "if len(flipped) > budget:",
     ),
     Mutant(
+        "budget-takes-minus-one",
+        "hopfield.py",
+        "    if budget < 0:\n",
+        "    if budget < -1:\n",
+    ),
+    Mutant(
         "dyadic-without-the-single-exponent-branch",
         "hopfield.py",
         "    if exponents.max() == low:\n",
@@ -167,8 +177,26 @@ MUTANTS = (
     Mutant(
         "certify-compares-only-the-multisets",
         "oracle.py",
-        "optimal=np.array_equal(arranged, best),",
-        "optimal=np.array_equal(np.sort(arranged), ordered),",
+        "optimal = np.array_equal(arranged, best)",
+        "optimal = np.array_equal(np.sort(arranged), ordered)",
+    ),
+    Mutant(
+        "out-of-order-note-on-every-certificate",
+        "oracle.py",
+        "    if not optimal:\n",
+        "    if True:\n",
+    ),
+    Mutant(
+        "out-of-order-note-names-the-last-wrong-slot",
+        "oracle.py",
+        "np.flatnonzero(arranged != best)[0]",
+        "np.flatnonzero(arranged != best)[-1]",
+    ),
+    Mutant(
+        "out-of-order-gap-never-halved",
+        "oracle.py",
+        "scale = 1.0 if high - low < math.inf else 0.5",
+        "scale = 1.0",
     ),
     Mutant(
         "certify-skips-its-size-check",
@@ -316,6 +344,24 @@ MUTANTS = (
         "",
     ),
     Mutant(
+        "decode-names-the-rows-before-the-columns",
+        "model.py",
+        "(np.bincount(columns, minlength=n), np.bincount(rows, minlength=n))",
+        "(np.bincount(rows, minlength=n), np.bincount(columns, minlength=n))",
+    ),
+    Mutant(
+        "decode-calls-row-0-the-last-column",
+        "model.py",
+        'line = "column" if k < n else "row"',
+        'line = "column" if k <= n else "row"',
+    ),
+    Mutant(
+        "slots-let-a-shorter-x-through",
+        "model.py",
+        "if x.n != program.n:",
+        "if x.n > program.n:",
+    ),
+    Mutant(
         "decode-takes-any-positive-entry",
         "model.py",
         "if not (flat[ones] == 1).all():",
@@ -421,6 +467,13 @@ MUTANTS = (
         "",
     ),
     Mutant(
+        "solve-command-leaves-the-budget-to-solve",
+        "cli.py",
+        "    if args.max_steps is not None:\n"
+        "        _budget(args.max_steps)  # a flag's error names no file\n",
+        "",
+    ),
+    Mutant(
         "longer-file-not-cut",
         "cli.py",
         "os.ftruncate(fd, written)",
@@ -448,6 +501,13 @@ def mutated(mutant: Mutant) -> str:
     return source.replace(mutant.text, mutant.replacement)
 
 
+def suite_files(mutant: Optional[Mutant]) -> list[str]:
+    """The test files, the mutated module's own first, then the rest by name."""
+    own = f"test_{Path(mutant.file).stem}.py" if mutant else None
+    names = (path.name for path in (ROOT / "tests").glob("test_*.py"))
+    return [f"tests/{name}" for name in sorted(names, key=lambda name: (name != own, name))]
+
+
 def suite_passes(mutant: Optional[Mutant]) -> bool:
     """Whether the suite passes on a scratch copy with mutant applied."""
     with tempfile.TemporaryDirectory(prefix="qperm-mutant-") as tmp:
@@ -467,8 +527,8 @@ def suite_passes(mutant: Optional[Mutant]) -> bool:
         ).stdout.strip()
         if not Path(where).resolve().is_relative_to(directory.resolve()):
             raise SystemExit(f"qperm was imported from {where}, not from the scratch copy")
-        done = subprocess.run([sys.executable, *PYTEST], cwd=directory, env=env,
-                              stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        done = subprocess.run([sys.executable, *PYTEST, *suite_files(mutant)], cwd=directory,
+                              env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
         return done.returncode == 0
 
 

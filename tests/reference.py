@@ -22,7 +22,7 @@ arrays of n^2 x n^2 matrices and n^2 vectors:
 * the order the rearrangement inequality demands of an optimal
   arrangement, as a pairwise rule (in_rank_order);
 * exhaustive_qubo_min, the global minimizer of a QUBO over all 2^N
-  binary states, guarded at N <= 20;
+  binary states, guarded at N <= 16;
 * the structure checks as the tree definitions state them: validate_bst
   bounds every slot by its ancestors, validate_heap compares every slot
   with each of its children;
@@ -137,35 +137,23 @@ def qubo_objective(R, r, z) -> float:
     return float(zv @ R @ zv + r @ zv)
 
 
-MAX_EXHAUSTIVE_BITS = 20
-_STATE_CHUNK = 1 << 16
+MAX_EXHAUSTIVE_BITS = 16
 
 
 def exhaustive_qubo_min(instance) -> tuple:
-    """Enumerate all 2^N binary states of a QuboInstance and return a global
-    minimizer and its value.
+    """Score all 2^N binary states of a QuboInstance as one (2^N, N) array
+    and return a global minimizer and its value.
 
     State k has coordinate j equal to bit j of k; ties go to the
-    smallest k.  Guarded at N <= 20.
+    smallest k.  Guarded at N <= 16, that is n <= 4.
     """
     N = instance.dimension
     if N > MAX_EXHAUSTIVE_BITS:
         raise InvalidSize(f"N={N} exceeds the N<={MAX_EXHAUSTIVE_BITS} enumeration budget")
-    R = instance.matrix_R
-    r = instance.vector_r
-    bits = np.arange(N)
-    total = 1 << N
-    best_value = math.inf
-    best_state = None
-    for start in range(0, total, _STATE_CHUNK):
-        ks = np.arange(start, min(start + _STATE_CHUNK, total), dtype=np.int64)
-        Z = ((ks[:, None] >> bits) & 1).astype(float)
-        values = (product(R, Z) * Z).sum(axis=1) + Z @ r
-        k = int(np.argmin(values))
-        if float(values[k]) < best_value:
-            best_value = float(values[k])
-            best_state = Z[k].astype(int)
-    return best_state, best_value
+    Z = ((np.arange(1 << N, dtype=np.int64)[:, None] >> np.arange(N)) & 1).astype(float)
+    values = (product(instance.matrix_R, Z) * Z).sum(axis=1) + Z @ instance.vector_r
+    k = int(np.argmin(values))  # the first minimum: the smallest k
+    return Z[k].astype(int), float(values[k])
 
 
 # --- the dense chain --------------------------------------------------------

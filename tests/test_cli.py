@@ -1433,7 +1433,13 @@ class TestVerifyCommand:
         # 1e17 + 32 and 1e17 + 64 are closer than the QUBO resolves at this spread
         x_path, prog = input_files(tmp_path, [0.0, 1e17, 1e17 + 64, 1e17 + 32], "ascending")
         assert main(["verify", x_path, prog]) == 5
-        assert "objective vs oracle      FAIL" in capsys.readouterr().out
+        assert capsys.readouterr().out.splitlines() == [
+            "feasible permutation     PASS",
+            "objective vs oracle      FAIL",
+            "structure (ascending)    SKIP",
+            "note: out of order: slot 1 holds 1.0000000000000003e+17, not 1e+17, "
+            "a gap of 3.2e-16 of the spread",
+        ]
 
     def test_duplicate_values_note(self, tmp_path, capsys):
         x_path, prog = input_files(tmp_path, [5.0, 5.0], "ascending")

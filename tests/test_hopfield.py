@@ -182,6 +182,17 @@ class TestDyadicSum:
         self.assert_exact(dyadic, values, u)
 
 
+@pytest.mark.parametrize("n", [8, 24, 40, 200, 1000])
+@pytest.mark.parametrize("kind", ["ascending", "bst", "heap"])
+@pytest.mark.parametrize("regime", ["paper", "gaussian"])
+def test_theta_of_a_default_build_has_one_exponent(regime, kind, n):
+    """The benchmark's kind of input, built with the defaults, takes
+    _dyadic's one-sum branch.  Not every n does: at n = 2 to 4 theta often
+    has several exponents, and takes the bincount path."""
+    instance = build_qubo(ValueVector(x_of(regime, n)), make_program(kind, n))
+    assert np.ptp(np.frexp(library_chain(instance)[2].bias_theta)[1]) == 0
+
+
 def test_the_reference_takes_no_private_name_of_the_library():
     """The reference once imported _dyadic, _rounded and _scaled from
     qperm.hopfield, so a change to them moved its energies with descent's."""
@@ -575,6 +586,24 @@ class TestAllInactiveStart:
         with pytest.raises(DomainError) as raised:
             solve(network)
         assert str(raised.value) == (
+            "trace energies must be finite: the energy overflows the float range"
+        )
+
+    @pytest.mark.parametrize("bias", [1.7e308, -1.7e308], ids=["to-minus-inf", "to-plus-inf"])
+    def test_the_reference_names_the_same_overflow(self, bias):
+        """E = -sum(theta) - 2 at the start leaves the float range; the
+        reference rounds it to the infinity of its exact sign and refuses the
+        descent with solve's error."""
+        network = HopfieldInstance(PenaltyMatrix(2, 1.0, 1.0, 0.0), [bias] * 4)
+        W, theta = dense(network)
+        start = np.full(4, -1)
+        exact = fraction_energy(W, theta, start)
+        assert reference.energy(W, theta, start) == (np.inf if exact > 0 else -np.inf)
+        with pytest.raises(DomainError) as by_solve:
+            solve(network)
+        with pytest.raises(DomainError) as by_reference:
+            reference.descend(W, theta)
+        assert str(by_reference.value) == str(by_solve.value) == (
             "trace energies must be finite: the energy overflows the float range"
         )
 

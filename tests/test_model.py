@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 from decimal import Decimal
 
@@ -275,13 +276,14 @@ REFUSED_MATRICES = {
         f"{entry} for a 1": (_edited({(0, 1): entry}), NOT_BINARY)
         for entry in (2.0, -1.0, 0.5, math.nan, math.inf)
     },
-    "two 1s in a row": (_edited({(0, 0): 1.0}), NOT_ONE_PER_LINE),
-    "two 1s in a column": (_edited({(1, 1): 1.0}), NOT_ONE_PER_LINE),
-    "a -0.0 for the 1": (_edited({(0, 1): -0.0}), NOT_ONE_PER_LINE),
-    "all zero": (np.zeros((3, 3)), NOT_ONE_PER_LINE),
-    "all one": (np.ones((3, 3)), NOT_ONE_PER_LINE),
+    "two 1s in a row": (_edited({(0, 0): 1.0}), f"{NOT_ONE_PER_LINE}; column 0 holds 2 ones"),
+    "two 1s in a column": (_edited({(1, 1): 1.0}), f"{NOT_ONE_PER_LINE}; column 1 holds 2 ones"),
+    "a -0.0 for the 1": (_edited({(0, 1): -0.0}), f"{NOT_ONE_PER_LINE}; column 1 holds 0 ones"),
+    "all zero": (np.zeros((3, 3)), f"{NOT_ONE_PER_LINE}; column 0 holds 0 ones"),
+    "all one": (np.ones((3, 3)), f"{NOT_ONE_PER_LINE}; column 0 holds 3 ones"),
     "a 1 in every column, all in one row": (
-        np.array([[1.0, 1.0, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]), NOT_ONE_PER_LINE
+        np.array([[1.0, 1.0, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+        f"{NOT_ONE_PER_LINE}; row 0 holds 3 ones",
     ),
     "a 2 and two 1s in a row": (np.array([[1.0, 1.0], [2.0, 0.0]]), NOT_BINARY),
 }
@@ -315,6 +317,41 @@ class TestDecodeRefusals:
         report = certify(x, ascending_program(x.n), vectorize(matrix))
         assert not report.feasible and report.mapping is None
         assert report.notes == (f"decode failed: {message}",)
+
+    @given(st.integers(1, 5).flatmap(lambda n: st.lists(st.booleans(), min_size=n * n,
+                                                       max_size=n * n)))
+    @settings(max_examples=200)
+    def test_the_named_line_is_the_first_at_fault(self, cells):
+        """Columns come first, then rows: the named line's count is not 1 and
+        every line before it holds exactly one 1."""
+        matrix = matricize(np.array(cells, dtype=float))
+        counts = [*matrix.sum(axis=0), *matrix.sum(axis=1)]  # columns, then rows
+        if counts == [1] * len(counts):
+            assert decode_permutation(vectorize(matrix)).n == len(matrix)
+            return
+        with pytest.raises(NotAPermutation) as raised:
+            decode_permutation(vectorize(matrix))
+        line, k, held = re.fullmatch(
+            f"{NOT_ONE_PER_LINE}; (column|row) ([0-9]+) holds ([0-9]+) ones", str(raised.value)
+        ).groups()
+        at = int(k) + (len(matrix) if line == "row" else 0)
+        assert counts[at] == int(held) != 1
+        assert counts[:at] == [1] * at
+
+    def test_a_refused_state_at_n2000_is_read_in_place(self):
+        """Naming the line at fault keeps decode in O(n) memory."""
+        n = 2000
+        z = np.zeros(n * n)
+        z[np.arange(n) * n] = 1.0  # every column holds its 1 in row 0
+        tracemalloc.start()
+        try:
+            with pytest.raises(NotAPermutation) as raised:
+                decode_permutation(z)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert str(raised.value) == f"{NOT_ONE_PER_LINE}; row 0 holds 2000 ones"
+        assert peak < 8 * 2**20
 
     @pytest.mark.parametrize(
         "state", [[], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [math.nan] * 5, np.zeros((2, 3))]

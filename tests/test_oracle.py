@@ -1,4 +1,6 @@
 import math
+import re
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -330,22 +332,31 @@ class TestCertify:
             assert certify(x, program, vectorize(permutation_matrix(right))).optimal
 
     @pytest.mark.parametrize(
-        "values",
+        "values, note",
         [
-            [0.0, 1e17, 1e17 + 64, 1e17 + 32],
-            [-1.7e308, 1.7e308, 1.0, 5.0, -3.0],
+            (
+                [0.0, 1e17, 1e17 + 64, 1e17 + 32],
+                "slot 1 holds 1.0000000000000003e+17, not 1e+17, a gap of 3.2e-16 of the spread",
+            ),
+            (
+                [-1.7e308, 1.7e308, 1.0, 5.0, -3.0],
+                "slot 2 holds 5.0, not 1.0, a gap of 1.2e-308 of the spread",
+            ),
         ],
+        ids=["values0", "values1"],
     )
-    def test_endpoint_below_float_resolution_fails(self, values):
+    def test_endpoint_below_float_resolution_fails(self, values, note):
         """Gaps below about 2^-52 of the spread are lost to the descent's gains,
         so it returns those values out of order; the objectives agree to within
-        1e-9 relative, but the order check sees the wrong order."""
+        1e-9 relative, but the order check sees the wrong order and names the
+        first slot out of place."""
         x = ValueVector(values)
         program = ascending_program(x.n)
         z, _, _ = run_pipeline(x, program)
         assert apply_permutation(decode_permutation(z), x).tolist() != sorted(values)
         report = certify(x, program, z)
         assert report.feasible and not report.optimal and not report.passed
+        assert report.notes == (f"out of order: {note}",)
 
     def test_tiny_magnitudes_in_the_wrong_order_fail(self):
         x = ValueVector([1e-10, 2e-10, 3e-10])
@@ -441,6 +452,32 @@ class TestCertify:
         assert report.passed
         for objective, y in pairs:
             assert objective == best == _float(exact_objective(y, program.ranks))
+
+    @given(certify_cases(EVERYDAY | NEAR_THE_LIMIT))
+    @example((ValueVector([0.0, 5e-324]), OrderProgram(ranks=(1, 2)), (1, 0)))
+    @example((ValueVector([-1.7e308, 1.7e308, 0.0]), OrderProgram(ranks=(1, 2, 3)), (0, 1, 2)))
+    @settings(max_examples=300, deadline=None)
+    def test_an_arrangement_out_of_order_names_its_first_wrong_slot(self, case):
+        """One note, on failure only: the first slot where the state's
+        arrangement differs from the optimal one, both values, and their
+        distance as a share of max(x) - min(x), exact to two digits."""
+        x, program, mapping = case
+        report, arranged, pairs = certified_objectives(x, program, mapping)
+        best = pairs[1][1]
+        noted = [note for note in report.notes if note.startswith("out of order")]
+        if report.optimal:
+            assert noted == []
+            return
+        slot, held, wanted, gap = re.fullmatch(
+            r"out of order: slot ([0-9]+) holds (\S+), not (\S+), a gap of (\S+) of the spread",
+            *noted,
+        ).groups()
+        i = int(slot)
+        assert (arranged[:i] == best[:i]).all() and arranged[i] != best[i]
+        assert (float(held), float(wanted)) == (arranged[i], best[i])
+        low, high = (Fraction(v) for v in (x.entries.min(), x.entries.max()))
+        exact = abs(Fraction(arranged[i]) - Fraction(best[i])) / (high - low)
+        assert float(gap) == pytest.approx(float(exact), rel=0.06)
 
     def test_wrong_state_size_fails(self, reference_x):
         report = certify(reference_x, ascending_program(7), vectorize(np.eye(2)))
