@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import DomainError
 from .model import OrderProgram, PenaltyMatrix, QuboInstance, ValueVector
-from .model import _real, _require_finite, _slots
+from .model import _finite, _real, _slots
 
 
 def build_qubo(
@@ -70,7 +70,7 @@ def build_qubo(
         If x and the program disagree on n.
     """
     R, *reward = qubo_terms(x, program, lambda_r, lambda_c, normalize)
-    return QuboInstance(matrix_R=R, vector_r=reward_vector(*reward))
+    return QuboInstance._of(R, reward_vector(*reward))
 
 
 def qubo_terms(
@@ -138,7 +138,8 @@ def qubo_terms(
     # r = fl(-fl(v * rank) - offset) is monotone in v and, for each v, in the rank,
     # so its extremes lie at the smallest and largest v against the ranks 1 and n.
     low, high = float(values.min()), float(values.max())
-    _require_finite([-(v * k) - offset for v in (low, high) for k in (1.0, n)], "vector_r")
+    for corner in (-(v * k) - offset for v in (low, high) for k in (1.0, n)):
+        _finite(corner, "vector_r")  # Python floats, which overflow with no warning
     return R, values, np.asarray(program.ranks, dtype=float), offset
 
 
@@ -161,11 +162,17 @@ def _penalty(n: int, lambda_r: Optional[float], lambda_c: Optional[float]) -> Pe
 
 
 def reward_vector(values: np.ndarray, ranks: np.ndarray, offset: float) -> np.ndarray:
-    """r = -outer(values, ranks).ravel() - offset, the reward at z[a*n + b].
+    """r = -outer(values, ranks).ravel() - offset, the reward at z[a*n + b],
+    formed in place in one N-vector.
 
     An entry beyond the float range, or inf * 0 from a hand-made file,
     comes out non-finite with no numpy warning, and QuboInstance then
     rejects r as not finite.
     """
+    r = np.empty(values.size * ranks.size)
     with np.errstate(over="ignore", invalid="ignore"):
-        return -np.outer(values, ranks).ravel() - offset
+        # the outer product as np.outer forms it, without its Python wrapper
+        np.multiply(values[:, None], ranks, out=r.reshape(values.size, ranks.size))
+        np.negative(r, out=r)
+        np.subtract(r, offset, out=r)
+    return r

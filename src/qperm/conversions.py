@@ -32,7 +32,7 @@ def fold_diagonal(instance: QuboInstance) -> QuboInstance:
     with np.errstate(over="ignore"):  # an overflow is the inf QuboInstance names
         vector_r = instance.vector_r + R.self_coupling
     folded = PenaltyMatrix(R.n, R.same_row, R.same_col, 0.0)
-    return QuboInstance(matrix_R=folded, vector_r=vector_r)
+    return QuboInstance._of(folded, vector_r)
 
 
 def to_ising(instance: QuboInstance) -> IsingInstance:
@@ -47,14 +47,16 @@ def to_ising(instance: QuboInstance) -> IsingInstance:
     Q = PenaltyMatrix(R.n, R.same_row / 4.0, R.same_col / 4.0, R.self_coupling / 4.0)
     # Every entry of R @ 1, added in the order R @ 1 adds a row.
     row_sum = R.self_coupling * 1.0 + R.same_row * (R.n - 1) + R.same_col * (R.n - 1)
-    return IsingInstance(matrix_Q=Q, vector_q=0.5 * row_sum + 0.5 * instance.vector_r)
+    vector_q = np.multiply(instance.vector_r, 0.5)
+    np.add(0.5 * row_sum, vector_q, out=vector_q)  # in place: q is the one N-vector formed
+    return IsingInstance._of(Q, vector_q)
 
 
 def to_hopfield(instance: IsingInstance) -> HopfieldInstance:
     """Rename to network form: W = -2Q, theta = q; energies are identical."""
     Q = instance.matrix_Q
     W = PenaltyMatrix(Q.n, -2.0 * Q.same_row, -2.0 * Q.same_col, -2.0 * Q.self_coupling)
-    return HopfieldInstance(weights_W=W, bias_theta=instance.vector_q)
+    return HopfieldInstance._of(W, instance.vector_q)
 
 
 def bipolar_to_binary(s) -> np.ndarray:

@@ -128,10 +128,14 @@ def solve(
         # has the field w_r (R_b + 1) + w_c (C_a + 1), in a taken line one of
         # taken, so its half gain is at least bound_some, or bound_all once all
         # n lines are taken and only taken[2] is left.
-        low = theta.min()
+        low = float(theta.min())
         taken = (free_r + crossing_c, crossing_r + free_c, crossing_r + crossing_c)
-        bound_some = float((low - np.array(taken)).min())  # NaN if a field is
-        bound_all = float(low - taken[2])
+        # A field is NaN only as the sum of two opposite infinities.  Then, at
+        # n >= 4, so is the free field and every half gain, and descent leaves
+        # the phase before it reads bound_some; at n = 1 it reads bound_all only.
+        # So bound_some is read only when none is NaN, which Python's min may skip.
+        bound_some = min(low - t for t in taken)
+        bound_all = low - taken[2]
         paired = (units_r + units_c) * (1 - n)  # w_r r + w_c c in units of 2^u, r = c = 1 - n
         free = True  # descent starts in its free-line phase
         energies = [_rounded(twice, u - 1)]

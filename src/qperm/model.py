@@ -1,10 +1,11 @@
 """Core value types and encoding conventions for the ordering pipeline.
 
 Every other module (builder, conversions, solver, oracle, CLI) speaks in
-terms of these types.  Instances are frozen, and each copies the vector it
-is given and marks the copy read-only, so no caller can change what an
-instance holds and instances can be shared freely between threads and
-calls.  Those copies are O(N) vectors.
+terms of these types.  Instances are frozen and their vectors read-only, so
+no caller can change what an instance holds and instances can be shared
+freely between threads and calls.  An array a caller passes is copied, an
+O(N) vector; a vector that build_qubo or a conversion forms is kept as it
+is, marked read-only, and to_hopfield's theta is the Ising instance's q.
 
 Every instance holds its matrix as a PenaltyMatrix: the row/column penalty
 of the ordering QUBO held as three coefficients, in place of the n^4
@@ -120,11 +121,14 @@ def _integral(value, name: str) -> int:
     return as_int
 
 
-def _arity(branching) -> int:
-    """branching as an int tree arity, which must equal an integer of at least 2."""
+def _arity(branching, kind: str = "custom") -> int:
+    """branching as an int tree arity, which must equal an integer of at
+    least 2, and 2 for a bst program."""
     branching = _integral(branching, "branching")
     if branching < 2:
         raise InvalidSize("branching must be at least 2")
+    if kind == "bst" and branching != 2:
+        raise InvalidSize("search-tree programs exist for branching 2 only")
     return branching
 
 
@@ -205,19 +209,21 @@ def _integers(values, name: str) -> np.ndarray:
 
 
 def _bipolar(values, name: str) -> np.ndarray:
-    """A read-only int8 copy of a state vector whose every entry is exactly -1
-    or +1, checked before the cast, so none is ever truncated or wrapped."""
+    """The state vector as _reals reads it, once every entry is seen to be
+    exactly -1 or +1: uncast, so none is ever truncated or wrapped.  An
+    ndarray of numbers is returned as it is, which the caller only reads."""
     given = _reals(values, name, want="a bipolar vector")
     unit = np.abs(given) == 1  # NaN is not
     if not unit.all():
         raise DomainError(f"{name} must be a bipolar vector, not {given[~unit][0].item()!r}")
     if given.ndim != 1:
         raise DomainError(f"{name} must be a bipolar vector, not of shape {given.shape}")
-    return _readonly(given, name, np.int8)
+    return given
 
 
 def _checked(matrix, vector, matrix_name: str, vector_name: str) -> np.ndarray:
-    """A read-only copy of an instance's vector, checked with its matrix.
+    """A read-only copy of the vector a caller gives an instance, checked
+    with its matrix.
 
     The matrix must be a PenaltyMatrix, which is immutable, symmetric by
     construction and finite by its own check, so the instance keeps it as
@@ -242,6 +248,18 @@ def _zero_diagonal(matrix: PenaltyMatrix, message: str) -> None:
 def _require_finite(vector: np.ndarray, name: str) -> None:
     if not np.isfinite(vector).all():
         raise DomainError(f"{name} must be finite")
+
+
+def _formed(cls, matrix: PenaltyMatrix, vector: np.ndarray):
+    """An instance of cls holding matrix and vector, a float vector of
+    matrix's size that qperm has just formed, marked read-only and kept
+    with no copy.  Each _of checks what its type requires first."""
+    vector.setflags(write=False)
+    instance = object.__new__(cls)
+    matrix_name, vector_name = cls.__dataclass_fields__
+    object.__setattr__(instance, matrix_name, matrix)
+    object.__setattr__(instance, vector_name, vector)
+    return instance
 
 
 @dataclass(frozen=True, eq=False)
@@ -291,11 +309,18 @@ class OrderProgram:
             raise NotAPermutation("ranks must be a permutation of 1..n")
         if self.kind not in PROGRAM_KINDS:
             raise DomainError(f"unknown program kind {self.kind!r}")
-        branching = _arity(self.branching)
-        if self.kind == "bst" and branching != 2:
-            raise InvalidSize("search-tree programs exist for branching 2 only")
         object.__setattr__(self, "ranks", ranks)
-        object.__setattr__(self, "branching", branching)
+        object.__setattr__(self, "branching", _arity(self.branching, self.kind))
+
+    @classmethod
+    def _of(cls, ranks: tuple[int, ...], kind: str, branching: int) -> OrderProgram:
+        """The program of a built-in maker, which forms ranks as a tuple of
+        ints that permutes 1..n and checks its n and arity itself."""
+        program = object.__new__(cls)
+        object.__setattr__(program, "ranks", ranks)
+        object.__setattr__(program, "kind", kind)
+        object.__setattr__(program, "branching", branching)
+        return program
 
     @property
     def n(self) -> int:
@@ -325,6 +350,12 @@ class QuboInstance:
         r = _checked(self.matrix_R, self.vector_r, "matrix_R", "vector_r")
         object.__setattr__(self, "vector_r", r)
 
+    @classmethod
+    def _of(cls, matrix_R: PenaltyMatrix, vector_r: np.ndarray) -> QuboInstance:
+        """The instance of an r that build_qubo or fold_diagonal has just formed."""
+        _require_finite(vector_r, "vector_r")
+        return _formed(cls, matrix_R, vector_r)
+
     @property
     def dimension(self) -> int:
         return int(self.vector_r.size)
@@ -332,6 +363,10 @@ class QuboInstance:
     @property
     def n(self) -> int:
         return self.matrix_R.n
+
+
+_ZERO_Q_DIAGONAL = "matrix_Q must have an exactly zero diagonal"
+_ZERO_W_DIAGONAL = "weights_W must have an exactly zero diagonal"
 
 
 @dataclass(frozen=True, eq=False)
@@ -343,8 +378,15 @@ class IsingInstance:
 
     def __post_init__(self):
         q = _checked(self.matrix_Q, self.vector_q, "matrix_Q", "vector_q")
-        _zero_diagonal(self.matrix_Q, "matrix_Q must have an exactly zero diagonal")
+        _zero_diagonal(self.matrix_Q, _ZERO_Q_DIAGONAL)
         object.__setattr__(self, "vector_q", q)
+
+    @classmethod
+    def _of(cls, matrix_Q: PenaltyMatrix, vector_q: np.ndarray) -> IsingInstance:
+        """The instance of a q that to_ising has just formed."""
+        _require_finite(vector_q, "vector_q")
+        _zero_diagonal(matrix_Q, _ZERO_Q_DIAGONAL)
+        return _formed(cls, matrix_Q, vector_q)
 
     @property
     def dimension(self) -> int:
@@ -360,8 +402,15 @@ class HopfieldInstance:
 
     def __post_init__(self):
         theta = _checked(self.weights_W, self.bias_theta, "weights_W", "bias_theta")
-        _zero_diagonal(self.weights_W, "weights_W must have an exactly zero diagonal")
+        _zero_diagonal(self.weights_W, _ZERO_W_DIAGONAL)
         object.__setattr__(self, "bias_theta", theta)
+
+    @classmethod
+    def _of(cls, weights_W: PenaltyMatrix, bias_theta: np.ndarray) -> HopfieldInstance:
+        """The instance to_hopfield renames an Ising instance to: theta is
+        its q, finite and read-only already, and kept as it is."""
+        _zero_diagonal(weights_W, _ZERO_W_DIAGONAL)
+        return _formed(cls, weights_W, bias_theta)
 
     @property
     def dimension(self) -> int:
@@ -395,24 +444,36 @@ class PermutationMatrix:
 
 def _one_per_line(flat: np.ndarray, n: int):
     """The mapping of the n x n permutation matrix that flat holds column by
-    column, read in O(n) memory.  Every nonzero entry must be exactly 1 (NaN,
-    inf, 2 and 0.5 are not).  flatnonzero lists them in order, so each column
-    holds one when their column numbers are 0..n-1, and each row when no row
-    number repeats among theirs; a refusal names the first column, else the
-    first row, whose count of ones is not 1."""
-    ones = np.flatnonzero(flat)
-    if not (flat[ones] == 1).all():
+    column.  Every nonzero entry must be exactly 1 (NaN, inf, 2 and 0.5 are
+    not), and a refusal names the first column, else the first row, whose
+    count of ones is not 1.
+
+    A state with n nonzeros is read in O(n) memory: nonzero() lists them
+    in order, so each column holds one when their column numbers are
+    0..n-1, and each row when no row number repeats among theirs.  Any
+    other state is refused from counts, which allocate at most N bools at
+    a time: of its ones, then of the ones on each line of its (n, n) view.
+    """
+    nonzeros = np.count_nonzero(flat)
+    if nonzeros == n:
+        ones = flat.nonzero()[0]  # np.flatnonzero, as flat is 1-D, without its Python wrapper
+        if not (flat[ones] == 1).all():
+            raise NotAPermutation("state entries must be 0 or 1")
+        columns, rows = divmod(ones, n)
+        if not ((columns != np.arange(n)).any() or np.bincount(rows).max() > 1):
+            return tuple(rows.argsort().tolist())
+        counts = (np.bincount(columns, minlength=n), np.bincount(rows, minlength=n))
+    elif np.count_nonzero(flat == 1) != nonzeros:
         raise NotAPermutation("state entries must be 0 or 1")
-    columns, rows = divmod(ones, n)
-    if ones.size != n or (columns != np.arange(n)).any() or np.bincount(rows).max() > 1:
-        counts = np.concatenate((np.bincount(columns, minlength=n), np.bincount(rows, minlength=n)))
-        k = int((counts != 1).argmax())  # the first column at fault, else the first row
-        line = "column" if k < n else "row"
-        raise NotAPermutation(
-            "every row and column must contain exactly one 1; "
-            f"{line} {k % n} holds {counts[k]} ones"
-        )
-    return tuple(np.argsort(rows).tolist())
+    else:
+        grid = flat.reshape(n, n)  # grid row a holds column a of the matrix
+        counts = (np.count_nonzero(grid, axis=1), np.count_nonzero(grid, axis=0))
+    counts = np.concatenate(counts)
+    k = int((counts != 1).argmax())  # the first column at fault, else the first row
+    line = "column" if k < n else "row"
+    raise NotAPermutation(
+        f"every row and column must contain exactly one 1; {line} {k % n} holds {counts[k]} ones"
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -488,7 +549,8 @@ def decode_permutation(z_star) -> PermutationMatrix:
     """Read the permutation matrix P encoded by a binary solver state.
 
     The state is read in place, column by column, and only the mapping is
-    kept, so decoding takes O(n) memory besides the state.
+    kept, so a state with n nonzero entries takes O(n) memory besides the
+    state, refused or not; refusing any other takes N bools at most.
 
     Parameters
     ----------
@@ -521,4 +583,6 @@ def apply_permutation(p: PermutationMatrix, x: ValueVector) -> np.ndarray:
     """Arrange x by p: output slot i receives x.entries[p.as_mapping[i]]."""
     if p.n != x.n:
         raise DimensionMismatch(f"permutation is {p.n}x{p.n} but x has {x.n} entries")
-    return _readonly(x.entries[list(p.as_mapping)], "arranged values")
+    arranged = x.entries[list(p.as_mapping)]  # a new array, which no caller holds yet
+    arranged.setflags(write=False)
+    return arranged

@@ -41,10 +41,10 @@ def descending_program(n: int) -> OrderProgram:
 def bst_program(n: int, branching: int = 2) -> OrderProgram:
     """Ranks along the in-order of the binary tree.
 
-    Only branching 2 is meaningful for a search order; OrderProgram
-    refuses any other.
+    Only branching 2 is meaningful for a search order; any other is refused.
     """
-    return _ranked(_inorder(_check_size(n)), "bst", branching)
+    n, branching = _check_size(n), _arity(branching, "bst")
+    return _ranked(_inorder(n), "bst", branching)
 
 
 def heap_program(n: int, branching: int = 2) -> OrderProgram:
@@ -90,11 +90,12 @@ def _check_size(n: int) -> int:
 
 
 def _ranked(order, kind: str, branching: int = 2) -> OrderProgram:
-    """The program that gives the k-th slot of order rank k."""
+    """The program that gives the k-th slot of order, an order of all the
+    slots, rank k: ranks that permute 1..n by construction."""
     ranks = [0] * len(order)
     for rank, slot in enumerate(order, 1):
         ranks[slot] = rank
-    return OrderProgram(tuple(ranks), kind=kind, branching=branching)
+    return OrderProgram._of(tuple(ranks), kind, branching)
 
 
 def _inorder(n: int) -> list[int]:

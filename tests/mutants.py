@@ -75,8 +75,8 @@ MUTANTS = (
     Mutant(
         "bound-of-all-lines-taken",
         "hopfield.py",
-        "bound_all = float(low - taken[2])",
-        "bound_all = float(low - taken[1])",
+        "bound_all = low - taken[2]",
+        "bound_all = low - taken[1]",
     ),
     Mutant(
         "bound-never-moves-to-all-lines-taken",
@@ -310,8 +310,44 @@ MUTANTS = (
     Mutant(
         "bst-takes-any-arity-of-two-or-more",
         "model.py",
-        'if self.kind == "bst" and branching != 2:',
-        'if self.kind == "bst" and branching < 2:',
+        'if kind == "bst" and branching != 2:',
+        'if kind == "bst" and branching < 2:',
+    ),
+    Mutant(
+        "bst-program-takes-any-arity",
+        "programs.py",
+        '_arity(branching, "bst")',
+        "_arity(branching)",
+    ),
+    Mutant(
+        "bipolar-takes-any-magnitude",
+        "model.py",
+        "unit = np.abs(given) == 1",
+        "unit = np.abs(given) > 0",
+    ),
+    Mutant(
+        "formed-vector-writable",
+        "model.py",
+        "    vector.setflags(write=False)\n    instance = object.__new__(cls)\n",
+        "    instance = object.__new__(cls)\n",
+    ),
+    Mutant(
+        "folded-r-unchecked",
+        "model.py",
+        '        _require_finite(vector_r, "vector_r")\n',
+        "",
+    ),
+    Mutant(
+        "ising-q-unchecked",
+        "model.py",
+        '        _require_finite(vector_q, "vector_q")\n',
+        "",
+    ),
+    Mutant(
+        "arranged-values-writable",
+        "model.py",
+        "    arranged.setflags(write=False)\n",
+        "",
     ),
     Mutant(
         "zero-diagonal-lets-a-negative-through",
@@ -328,19 +364,19 @@ MUTANTS = (
     Mutant(
         "decode-lets-a-row-repeat",
         "model.py",
-        " or np.bincount(rows).max() > 1:",
-        ":",
+        " or np.bincount(rows).max() > 1):",
+        "):",
     ),
     Mutant(
         "decode-skips-the-count-of-ones",
         "model.py",
-        "if ones.size != n or (columns",
-        "if (columns",
+        "    if nonzeros == n:\n",
+        "    if True:\n",
     ),
     Mutant(
         "decode-lets-a-column-repeat",
         "model.py",
-        " or (columns != np.arange(n)).any()",
+        "(columns != np.arange(n)).any() or ",
         "",
     ),
     Mutant(
@@ -348,6 +384,18 @@ MUTANTS = (
         "model.py",
         "(np.bincount(columns, minlength=n), np.bincount(rows, minlength=n))",
         "(np.bincount(rows, minlength=n), np.bincount(columns, minlength=n))",
+    ),
+    Mutant(
+        "decode-names-the-rows-first-beyond-n-nonzeros",
+        "model.py",
+        "(np.count_nonzero(grid, axis=1), np.count_nonzero(grid, axis=0))",
+        "(np.count_nonzero(grid, axis=0), np.count_nonzero(grid, axis=1))",
+    ),
+    Mutant(
+        "decode-takes-any-entry-beyond-n-nonzeros",
+        "model.py",
+        "    elif np.count_nonzero(flat == 1) != nonzeros:\n",
+        "    elif False:\n",
     ),
     Mutant(
         "decode-calls-row-0-the-last-column",
@@ -399,9 +447,8 @@ MUTANTS = (
     Mutant(
         "reward-corners-unchecked",
         "builder.py",
-        "    _require_finite([-(v * k) - offset for v in (low, high) for k in (1.0, n)], "
-        '"vector_r")\n',
-        "",
+        '        _finite(corner, "vector_r")  # Python floats, which overflow with no warning\n',
+        "        pass\n",
     ),
     Mutant(
         "zero-spread-divided",

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from qperm import (
     bipolar_to_binary,
     build_qubo,
     fold_diagonal,
+    heap_program,
     to_hopfield,
     to_ising,
 )
@@ -111,6 +113,42 @@ class TestToHopfield:
             s = (rnd.integers(0, 2, size=9) * 2 - 1).astype(float)
             ising_value = float(product(ising.matrix_Q, s) @ s + ising.vector_q @ s)
             assert reference.energy(W, theta, s) == pytest.approx(ising_value, abs=1e-12)
+
+
+class TestHopsKeepWhatTheyForm:
+    """Each hop hands its instance the vector it has just formed, read-only
+    and uncopied; to_hopfield forms none."""
+
+    def test_only_to_hopfield_shares_its_input_vector(self):
+        instance = sorting_instance([3.0, 1.0, 2.0])
+        folded = fold_diagonal(instance)
+        ising = to_ising(folded)
+        assert not np.shares_memory(folded.vector_r, instance.vector_r)
+        assert not np.shares_memory(ising.vector_q, folded.vector_r)
+        assert to_hopfield(ising).bias_theta is ising.vector_q
+
+    def test_each_hop_holds_one_vector_at_n2000(self):
+        """build_qubo, fold_diagonal and to_ising each hold one N-vector and
+        the N bools of its finiteness check above their input, and
+        to_hopfield no vector: each of the three once held a second
+        N-vector, and to_hopfield a copy of theta."""
+        n = 2000
+        x = ValueVector(np.random.default_rng(n).normal(size=n))
+        program = heap_program(n)
+        steps = (lambda _: build_qubo(x, program), fold_diagonal, to_ising, to_hopfield)
+        peaks, value = [], None
+        tracemalloc.start()
+        try:
+            for step in steps:
+                held = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                value = step(value)
+                peaks.append(tracemalloc.get_traced_memory()[1] - held)
+        finally:
+            tracemalloc.stop()
+        N = n * n
+        assert all(peak < 9 * N + 2**16 for peak in peaks[:3]), peaks
+        assert peaks[3] < 2**20, peaks
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)

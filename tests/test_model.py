@@ -338,11 +338,18 @@ class TestDecodeRefusals:
         assert counts[at] == int(held) != 1
         assert counts[:at] == [1] * at
 
-    def test_a_refused_state_at_n2000_is_read_in_place(self):
-        """Naming the line at fault keeps decode in O(n) memory."""
+    @pytest.mark.parametrize("ones, fault", [("row 0", "row 0"), ("all", "column 0")],
+                             ids=["n-ones", "all-ones"])
+    def test_a_refused_state_at_n2000_is_read_in_place(self, ones, fault):
+        """Naming the line at fault keeps decode in O(n) memory for n ones,
+        and within N bools for any other count: the 4 million ones of the
+        all-ones state were once listed three times, a 91.6 MiB peak."""
         n = 2000
-        z = np.zeros(n * n)
-        z[np.arange(n) * n] = 1.0  # every column holds its 1 in row 0
+        if ones == "all":
+            z = np.ones(n * n)
+        else:
+            z = np.zeros(n * n)
+            z[np.arange(n) * n] = 1.0  # every column holds its 1 in row 0
         tracemalloc.start()
         try:
             with pytest.raises(NotAPermutation) as raised:
@@ -350,7 +357,7 @@ class TestDecodeRefusals:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert str(raised.value) == f"{NOT_ONE_PER_LINE}; row 0 holds 2000 ones"
+        assert str(raised.value) == f"{NOT_ONE_PER_LINE}; {fault} holds 2000 ones"
         assert peak < 8 * 2**20
 
     @pytest.mark.parametrize(
@@ -391,6 +398,13 @@ class TestApplyPermutation:
         p = decode_permutation(vectorize(permutation_matrix((0, 1))))
         with pytest.raises(DimensionMismatch):
             apply_permutation(p, ValueVector([1.0, 2.0, 3.0]))
+
+    def test_the_arranged_values_are_new_and_read_only(self):
+        p = decode_permutation(vectorize(permutation_matrix((2, 0, 1))))
+        x = ValueVector([10.0, 20.0, 30.0])
+        y = apply_permutation(p, x)
+        assert not y.flags.writeable and y.flags.owndata
+        assert not np.shares_memory(y, x.entries)
 
 
 class TestPermutationMatrix:

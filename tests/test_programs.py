@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from qperm import (
     InvalidSize,
+    OrderProgram,
     QpermError,
     ascending_program,
     bst_program,
@@ -137,6 +138,43 @@ class TestHeapProgram:
 
             assign(0, 1, n)
             assert heap_program(n, b).ranks == tuple(want), n
+
+
+class TestMakersArePublicPrograms:
+    """The makers form their programs without OrderProgram's checks, which
+    ranks they make by construction pass."""
+
+    def test_every_maker_equals_the_checked_program(self):
+        for n in range(1, 65):
+            programs = [ascending_program(n), descending_program(n), bst_program(n)]
+            programs += [heap_program(n, b) for b in range(2, 6)]
+            for p in programs:
+                checked = OrderProgram(list(p.ranks), p.kind, p.branching)
+                assert p == checked and hash(p) == hash(checked), (n, p.kind, p.branching)
+                assert type(p.ranks) is tuple and all(type(rank) is int for rank in p.ranks)
+                assert type(p.branching) is int
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: ascending_program(0), "programs exist for n >= 1"),
+            (lambda: descending_program(3.5), "n must be an integer, not 3.5"),
+            (lambda: heap_program(None), "n must be an integer"),
+            (lambda: heap_program(0, 1), "programs exist for n >= 1"),
+            (lambda: heap_program(5, 1), "branching must be at least 2"),
+            (lambda: heap_program(5, "3"), "branching must be an integer, not '3'"),
+            (lambda: bst_program(0, 3), "programs exist for n >= 1"),
+            (lambda: bst_program(7, 1), "branching must be at least 2"),
+            (lambda: bst_program(7, 2.5), "branching must be an integer, not 2.5"),
+            (lambda: bst_program(7, 3), "search-tree programs exist for branching 2 only"),
+            (lambda: bst_program(7, 3.0), "search-tree programs exist for branching 2 only"),
+        ],
+    )
+    def test_every_refusal_keeps_its_type_and_text(self, make, message):
+        """n is read first, then the arity, then the search tree's arity of 2."""
+        with pytest.raises(InvalidSize) as raised:
+            make()
+        assert type(raised.value) is InvalidSize and str(raised.value) == message
 
 
 class TestRankDigest:
